@@ -10,6 +10,7 @@ from .errors import (
     NonzeroRequired,
     SamplingExhausted,
     SingularToWorkingPrecision,
+    TruncationLimit,
 )
 from .kernel import (
     DEFAULT_POLICY,
@@ -39,6 +40,7 @@ __all__ = [
     "OmegaSpec",
     "SamplingExhausted",
     "SingularToWorkingPrecision",
+    "TruncationLimit",
     "TruncationPolicy",
     "balance_residual",
     "eval_E",

@@ -16,6 +16,7 @@ cancellation-dominated.
 
 from __future__ import annotations
 
+import contextlib
 import zlib
 from dataclasses import dataclass
 from time import perf_counter
@@ -59,15 +60,6 @@ class ParamPoint:
     nome: Nome
     values: dict
     integers: dict
-
-    def to_extended(self, dps: int = 50) -> "ParamPoint":
-        import mpmath
-
-        mpmath.mp.dps = dps
-        conv = lambda z: mpmath.mpc(z)
-        nome = Nome(conv(self.nome.q), conv(self.nome.p))
-        return ParamPoint(nome, {k: conv(v) for k, v in self.values.items()},
-                          dict(self.integers))
 
 
 @dataclass(frozen=True)
@@ -1167,8 +1159,8 @@ def _is_finite(z) -> bool:
         return True  # wide scalar types do not overflow
 
 
-def _extend_point(ident: Identity, pt: ParamPoint, dps: int = 50) -> ParamPoint:
-    """Extended-precision view of a sampled point.
+def _extend_point(ident: Identity, pt: ParamPoint) -> ParamPoint:
+    """Extended-precision view of a sampled point, at the current mpmath precision.
 
     Free parameters and bases are widened and the constrained parameters are
     re-solved at full precision, so extended runs measure the identity itself
@@ -1176,7 +1168,6 @@ def _extend_point(ident: Identity, pt: ParamPoint, dps: int = 50) -> ParamPoint:
     """
     import mpmath
 
-    mpmath.mp.dps = dps
     conv = lambda z: mpmath.mpc(z)
     nome = Nome(conv(pt.nome.q), conv(pt.nome.p))
     values = {name: conv(pt.values[name])
@@ -1188,6 +1179,9 @@ def _extend_point(ident: Identity, pt: ParamPoint, dps: int = 50) -> ParamPoint:
 
 MAX_RESAMPLES = 100
 
+# Decimal digits of the extended-precision mode.
+EXTENDED_DPS = 50
+
 # A nonzero identity value this far below the summand scale is numerically
 # indistinguishable from zero in binary64; such draws are resampled, in the
 # same spirit as the determinant condition-number guard.
@@ -1198,26 +1192,39 @@ CONDITION_LIMIT_EXTENDED = 1e30
 def _admissible_trial(ident: Identity, seed: int, trial: int,
                       region: SamplingRegion, precision: str,
                       policy: TruncationPolicy | None):
-    """Draw until both sides evaluate cleanly; returns point, values, count."""
+    """Draw until both sides evaluate cleanly; returns point, values, count.
+
+    Extended trials widen the point and evaluate both sides under
+    ``mpmath.workdps(EXTENDED_DPS)``, which leaves the process-wide mpmath
+    precision as it was.
+    """
     rng = _rng_for(ident.id, seed, trial)
-    pol = policy or (EXTENDED_POLICY if precision == "extended" else DEFAULT_POLICY)
-    cond_limit = CONDITION_LIMIT_EXTENDED if precision == "extended" else CONDITION_LIMIT
+    extended = precision == "extended"
+    pol = policy or (EXTENDED_POLICY if extended else DEFAULT_POLICY)
+    cond_limit = CONDITION_LIMIT_EXTENDED if extended else CONDITION_LIMIT
+    if extended:
+        import mpmath
+
+        scope = mpmath.workdps(EXTENDED_DPS)
+    else:
+        scope = contextlib.nullcontext()
     resamples = 0
     for _ in range(MAX_RESAMPLES + 1):
         pt = _draw_point(ident, rng, region)
-        work = _extend_point(ident, pt) if precision == "extended" else pt
-        try:
-            lhs, scale = ident.lhs(work, pol)
-            rhs, rhs_scale = ident.rhs(work, pol)
-            if not (_is_finite(lhs) and _is_finite(rhs)):
-                raise DegenerateParameters("non-finite value at working precision")
-            if rhs != 0 and max(scale, rhs_scale) > \
-                    cond_limit * float(abs(lhs) + abs(rhs)):
-                raise DegenerateParameters(
-                    "cancellation-dominated draw, value far below summand scale")
-            return pt, lhs, rhs, scale, resamples
-        except DegenerateParameters:
-            resamples += 1
+        with scope:
+            work = _extend_point(ident, pt) if extended else pt
+            try:
+                lhs, scale = ident.lhs(work, pol)
+                rhs, rhs_scale = ident.rhs(work, pol)
+                if not (_is_finite(lhs) and _is_finite(rhs)):
+                    raise DegenerateParameters("non-finite value at working precision")
+                if rhs != 0 and max(scale, rhs_scale) > \
+                        cond_limit * float(abs(lhs) + abs(rhs)):
+                    raise DegenerateParameters(
+                        "cancellation-dominated draw, value far below summand scale")
+                return pt, lhs, rhs, scale, resamples
+            except DegenerateParameters:
+                resamples += 1
     raise SamplingExhausted(
         f"{ident.id}: no admissible point after {MAX_RESAMPLES} resamples")
 

@@ -18,6 +18,7 @@ from .catalog import (
     get_identity,
     list_identities,
 )
+from .errors import TruncationLimit
 from .report import RNG_ALGORITHM, SCHEMA_VERSION
 from .suites import SUITES
 
@@ -30,7 +31,21 @@ def _parse_bounds(text: str, flag: str) -> tuple:
             f"{flag} expects LO,HI (e.g. 0.05,0.3), got {text!r}")
     if not (0 <= lo <= hi):
         raise argparse.ArgumentTypeError(f"{flag} bounds must satisfy 0 <= LO <= HI")
+    if flag == "--q-mod" and lo == 0:
+        raise argparse.ArgumentTypeError("LO must be > 0: the base q must be nonzero")
+    if flag == "--p-mod" and hi >= 1:
+        raise argparse.ArgumentTypeError("HI must be < 1: the nome must satisfy |p| < 1")
     return lo, hi
+
+
+def _parse_trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {trials}")
+    return trials
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--suite",
                         choices=sorted(SUITES) + ["catalog"],
                         help="property suite name, or 'catalog' for every identity")
-    run.add_argument("--trials", type=int, default=100,
+    run.add_argument("--trials", type=_parse_trials, default=100,
                      help="trials per identity / draws per suite check (default 100)")
     run.add_argument("--seed", type=int, default=1, help="base RNG seed (default 1)")
     run.add_argument("--tol", type=float, default=1e-8,
@@ -162,14 +177,20 @@ def main(argv=None) -> int:
             print(f"error: unknown identity {args.identity!r}; "
                   f"see 'verify list'", file=sys.stderr)
             return 2
-        reports, failed = _run_identities(idents, args, region)
-        payload["reports"] = [r.to_dict() for r in reports]
     elif args.suite == "catalog":
-        reports, failed = _run_identities(list_identities(), args, region)
-        payload["reports"] = [r.to_dict() for r in reports]
+        idents = list_identities()
     else:
-        results, failed = _run_suite(args.suite, args, region)
-        payload["suite_checks"] = [r.to_dict() for r in results]
+        idents = None
+    try:
+        if idents is not None:
+            reports, failed = _run_identities(idents, args, region)
+            payload["reports"] = [r.to_dict() for r in reports]
+        else:
+            results, failed = _run_suite(args.suite, args, region)
+            payload["suite_checks"] = [r.to_dict() for r in results]
+    except TruncationLimit as exc:
+        print(f"error: {exc}; narrow --p-mod", file=sys.stderr)
+        return 2
 
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

@@ -13,6 +13,14 @@ class NomeOutOfRange(EllipticError):
     """The elliptic nome must satisfy |p| < 1."""
 
 
+class TruncationLimit(EllipticError):
+    """An infinite product would need more factors than the policy's cap.
+
+    Raised instead of truncating early, which would return a wrong value
+    without any sign of it (for |p| close to 1).
+    """
+
+
 class DegenerateParameters(EllipticError):
     """A denominator factor came too close to a zero of the elliptic kernel.
 

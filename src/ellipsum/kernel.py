@@ -11,7 +11,8 @@ the reciprocal convention, and to partition indices row by row.
 All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
 default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 ``+ - * /`` and integer powers are used on parameters, so both types flow
-through unchanged.
+through unchanged.  The one exception is the product loop of :func:`_qinf`,
+which runs ``mpmath.mpc`` arguments on fixed-point Gaussian integers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateParameters, NomeOutOfRange, NonzeroRequired
+from .errors import (
+    DegenerateParameters,
+    NomeOutOfRange,
+    NonzeroRequired,
+    TruncationLimit,
+)
 
 # Denominator factors with |E| below this are treated as poles, not values.
 DELTA_DEGEN = 1e-8
@@ -37,7 +43,8 @@ class TruncationPolicy:
     ``tail_bound`` is the target size of the neglected product tail; the
     number of retained factors K is chosen so that |p|^K * C < tail_bound,
     where C = max(1, |x|, |p/x|) is the prefix scale of the product.
-    ``max_terms`` is a hard safety cap.
+    ``max_terms`` is a hard cap: a K above it raises :class:`TruncationLimit`
+    rather than silently truncating the product.
     """
 
     max_terms: int = 5000
@@ -48,7 +55,11 @@ class TruncationPolicy:
             return 1
         target = self.tail_bound / max(scale, 1.0)
         k = int(math.ceil(math.log(target) / math.log(p_abs))) + 10
-        return min(self.max_terms, max(30, k))
+        if k > self.max_terms:
+            raise TruncationLimit(
+                f"|p| = {p_abs:.6g} needs {k} product factors for a tail below "
+                f"{self.tail_bound:g}, more than the cap of {self.max_terms}")
+        return max(30, k)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -78,16 +89,60 @@ class Nome:
         return Nome(q, self.p)
 
 
+# Guard bits of the fixed-point mpc product loop, for both the points x p^k
+# and the mantissas of the running product.
+GUARD_BITS = 40
+
+
 def _qinf(x, p, policy: TruncationPolicy):
     """Truncated infinite product (x; p)_inf = prod_{k>=0} (1 - x p^k)."""
     scale = float(abs(x))
     n = policy.num_factors(float(abs(p)), scale)
+    if not isinstance(x, (complex, float)) and hasattr(x, "_mpc_"):
+        return _qinf_mpc(x, p, n)
     result = 1.0
     y = x
     for _ in range(n):
         result = result * (1.0 - y)
         y = y * p
     return result
+
+
+def _qinf_mpc(x, p, n: int):
+    """The first n factors of (x; p)_inf for an ``mpmath.mpc`` x.
+
+    The points y = x p^k are fixed-point Gaussian integers with ``wp`` =
+    working precision plus GUARD_BITS fractional bits; p is a Gaussian
+    integer scaled so that its larger part has ``wp`` bits.  The running
+    product is block floating point, (re + i im) 2^e with a shared exponent,
+    cut back to ``wp`` bits after each factor.  Only the result is rounded
+    to the working precision.
+    """
+    from mpmath.libmp import from_man_exp, fzero, to_fixed
+
+    ctx = x.context
+    prec, rounding = ctx._prec_rounding
+    wp = prec + GUARD_BITS
+    p = ctx.convert(p)
+    p_parts = getattr(p, "_mpc_", None) or (p._mpf_, fzero)
+    # A raw mpf is (sign, man, exp, bc), and |part| < 2^(exp + bc).
+    p_mag = max((exp + bc for _, man, exp, bc in p_parts if man), default=0)
+    p_bits = wp - p_mag
+    pr, pi = (to_fixed(part, p_bits) for part in p_parts)
+    yr, yi = (to_fixed(part, wp) for part in x._mpc_)
+    one = 1 << wp
+    re, im, e = 1, 0, -n * wp
+    for _ in range(n):
+        fr = one - yr
+        re, im = re * fr + im * yi, im * fr - re * yi
+        shift = (abs(re) | abs(im)).bit_length() - wp
+        if shift > 0:
+            re >>= shift
+            im >>= shift
+            e += shift
+        yr, yi = (yr * pr - yi * pi) >> p_bits, (yr * pi + yi * pr) >> p_bits
+    return ctx.make_mpc((from_man_exp(re, e, prec, rounding),
+                         from_man_exp(im, e, prec, rounding)))
 
 
 def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):

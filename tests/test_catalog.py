@@ -125,6 +125,13 @@ class TestCheckIdentity:
                              precision="extended")
         assert rep.max_rel_err <= 1e-35
 
+    def test_extended_precision_leaves_mpmath_precision_alone(self):
+        import mpmath
+
+        before = mpmath.mp.dps
+        check_identity(get_identity("e87"), trials=1, seed=7, precision="extended")
+        assert mpmath.mp.dps == before
+
     def test_extended_precision_validates_every_entry(self):
         # At 50 digits every entry must hold far beyond binary64 roundoff;
         # this pins the formulas themselves, not just their float behavior.

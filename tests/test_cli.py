@@ -86,6 +86,30 @@ class TestRun:
         assert normalized(paths[0]) == normalized(paths[1])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["--identity", "e87", "--trials", "0"],
+        ["--suite", "kernel", "--trials", "0"],
+        ["--suite", "kernel", "--trials", "-3"],
+        ["--identity", "e87", "--q-mod", "0,0"],
+        ["--identity", "e87", "--q-mod", "0,0.5"],
+        ["--identity", "e87", "--p-mod", "0.5,1"],
+        ["--suite", "kernel", "--p-mod", "0.2,1.5"],
+    ])
+    def test_bad_flag_values_exit_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_nome_beyond_truncation_cap_exits_2(self, capsys):
+        code = main(["run", "--suite", "kernel", "--p-mod", "0.995,0.999",
+                     "--trials", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "|p| = 0.99" in err
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,5 +1,7 @@
 import cmath
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from ellipsum import (
     Nome,
     NomeOutOfRange,
     NonzeroRequired,
+    TruncationLimit,
     TruncationPolicy,
     eval_E,
     pochhammer_e,
@@ -16,7 +19,7 @@ from ellipsum import (
     pochhammer_partition,
     theta1,
 )
-from ellipsum.kernel import CompensatedSum, binom2, pochhammer_frac
+from ellipsum.kernel import EXTENDED_POLICY, CompensatedSum, binom2, pochhammer_frac
 
 from conftest import rel_err
 from oracles import theta_sine_series, truncated_product_E
@@ -64,6 +67,11 @@ class TestEvalE:
         tight = eval_E(x, p, TruncationPolicy(max_terms=5000, tail_bound=1e-30))
         assert rel_err(loose, tight) <= 1e-12
 
+    def test_truncation_beyond_cap_raises(self):
+        # 0.999 needs about 41k factors for the default 1e-18 tail; the cap is 5000.
+        with pytest.raises(TruncationLimit, match=r"\|p\| = 0.999"):
+            eval_E(0.3, 0.999)
+
     @given(complex_in(0.4, 2.2), complex_in(0.02, 0.4))
     @settings(max_examples=150, deadline=None)
     def test_reflection_property(self, x, p):
@@ -79,6 +87,60 @@ class TestEvalE:
         lhs = eval_E(x, p)
         rhs = (-x) ** k * p ** binom2(k) * eval_E(x * p ** k, p)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
+
+def _mpc_polar(modulus, phase):
+    return mpmath.mpc(mpmath.rect(modulus, phase))
+
+
+def _mpc_rel_err(got, x, p, terms):
+    """Relative error of a 50-digit E(x; p) against the 90-digit product oracle."""
+    with mpmath.workdps(90):
+        want = truncated_product_E(x, p, terms)
+        return abs(got - want) / abs(want)
+
+
+class TestEvalEExtended:
+    """The fixed-point product loop that serves mpmath.mpc arguments."""
+
+    def test_matches_oracle_over_moduli(self):
+        # 400 oracle terms: at |x| = 1e6, |p| = 0.6 the factor x p^200 is still 4e-39.
+        state = random.Random(20261018)
+        with mpmath.workdps(50):
+            for log_x in (-3, -1.5, 0, 1.5, 3, 4.5, 6):
+                for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
+                    x = _mpc_polar(10 ** log_x, state.uniform(0, 2 * cmath.pi))
+                    p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
+                    got = eval_E(x, p, EXTENDED_POLICY)
+                    assert isinstance(got, mpmath.mpc)
+                    assert _mpc_rel_err(got, x, p, 400) <= 1e-40, (log_x, p_mod)
+
+    def test_matches_oracle_near_zeros(self):
+        with mpmath.workdps(50):
+            for p_mod in (0.02, 0.3, 0.6):
+                p = _mpc_polar(p_mod, 1.1)
+                for k in range(-3, 4):
+                    x = p ** k * (1 + mpmath.mpf("1e-9"))
+                    got = eval_E(x, p, EXTENDED_POLICY)
+                    assert _mpc_rel_err(got, x, p, 400) <= 1e-40, (p_mod, k)
+
+    def test_classical_case_is_exact(self):
+        with mpmath.workdps(50):
+            x = mpmath.mpc("0.3", "-1.7")
+            assert eval_E(x, mpmath.mpc(0)) == 1 - x
+
+    def test_runs_exactly_the_policy_factor_count(self):
+        # |x| = 1 gives both products of E the same count n, so E must agree
+        # with the n-factor oracle at 50 digits and tell n - 1 and n + 1 apart.
+        policy = TruncationPolicy(tail_bound=1e-5)
+        with mpmath.workdps(50):
+            x = _mpc_polar(1, 0.7)
+            p = _mpc_polar(0.6, 2.3)
+            n = policy.num_factors(float(abs(p)), float(abs(x)))
+            got = eval_E(x, p, policy)
+        assert _mpc_rel_err(got, x, p, n) <= 1e-48
+        assert _mpc_rel_err(got, x, p, n - 1) > 1e-12
+        assert _mpc_rel_err(got, x, p, n + 1) > 1e-12
 
 
 class TestPochhammer:
