@@ -24,7 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateParameters, SamplingExhausted
+from .errors import (
+    BalanceViolation,
+    DegenerateParameters,
+    SamplingExhausted,
+    SingularToWorkingPrecision,
+)
 from .kernel import (
     DEFAULT_POLICY,
     DELTA_DEGEN,
@@ -1179,6 +1184,11 @@ def _extend_point(ident: Identity, pt: ParamPoint) -> ParamPoint:
 
 MAX_RESAMPLES = 100
 
+# Rejected draws, redrawn rather than failed: poles, balance misses, binary64
+# overflow, singular matrices, and non-finite or cancellation-dominated values.
+REJECTED = (DegenerateParameters, BalanceViolation, SingularToWorkingPrecision,
+            OverflowError, ZeroDivisionError)
+
 # Decimal digits of the extended-precision mode.
 EXTENDED_DPS = 50
 
@@ -1187,6 +1197,19 @@ EXTENDED_DPS = 50
 # same spirit as the determinant condition-number guard.
 CONDITION_LIMIT = 1e6
 CONDITION_LIMIT_EXTENDED = 1e30
+
+
+def _resample(draw, evaluate, label: str):
+    """The sampling loop: (args, evaluate(*args), rejected draws) for the first
+    args = draw() that raises none of REJECTED, within MAX_RESAMPLES redraws."""
+    for rejected in range(MAX_RESAMPLES + 1):
+        try:
+            args = draw()
+            return args, evaluate(*args), rejected
+        except REJECTED:
+            pass
+    raise SamplingExhausted(
+        f"{label}: no admissible point after {MAX_RESAMPLES} resamples")
 
 
 def _admissible_trial(ident: Identity, seed: int, trial: int,
@@ -1208,25 +1231,23 @@ def _admissible_trial(ident: Identity, seed: int, trial: int,
         scope = mpmath.workdps(EXTENDED_DPS)
     else:
         scope = contextlib.nullcontext()
-    resamples = 0
-    for _ in range(MAX_RESAMPLES + 1):
-        pt = _draw_point(ident, rng, region)
+
+    def evaluate(pt):
         with scope:
             work = _extend_point(ident, pt) if extended else pt
-            try:
-                lhs, scale = ident.lhs(work, pol)
-                rhs, rhs_scale = ident.rhs(work, pol)
-                if not (_is_finite(lhs) and _is_finite(rhs)):
-                    raise DegenerateParameters("non-finite value at working precision")
-                if rhs != 0 and max(scale, rhs_scale) > \
-                        cond_limit * float(abs(lhs) + abs(rhs)):
-                    raise DegenerateParameters(
-                        "cancellation-dominated draw, value far below summand scale")
-                return pt, lhs, rhs, scale, resamples
-            except DegenerateParameters:
-                resamples += 1
-    raise SamplingExhausted(
-        f"{ident.id}: no admissible point after {MAX_RESAMPLES} resamples")
+            lhs, scale = ident.lhs(work, pol)
+            rhs, rhs_scale = ident.rhs(work, pol)
+            if not (_is_finite(lhs) and _is_finite(rhs)):
+                raise DegenerateParameters("non-finite value at working precision")
+            if rhs != 0 and max(scale, rhs_scale) > \
+                    cond_limit * float(abs(lhs) + abs(rhs)):
+                raise DegenerateParameters(
+                    "cancellation-dominated draw, value far below summand scale")
+            return lhs, rhs, scale
+
+    (pt,), (lhs, rhs, scale), resamples = _resample(
+        lambda: (_draw_point(ident, rng, region),), evaluate, ident.id)
+    return pt, lhs, rhs, scale, resamples
 
 
 def sample_point(ident: Identity, seed: int,
@@ -1304,30 +1325,29 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
             ("cubic", "etrafo2_cubic_fab", "etrafo2_cubic_fae")):
         ident_a = get_identity(id_a)
         ident_b = get_identity(id_b)
+
+        def draw(rng):
+            pt = _draw_point(ident_a, rng, region)
+            if p_zero:
+                pt = ParamPoint(Nome(pt.nome.q, 0.0), pt.values, pt.integers)
+            vb = dict(pt.values)
+            vb.update(ident_b.solve(
+                {k: vb[k] for k in ident_b.free_params}, pt.integers["n"], pt.nome.q))
+            return pt, ParamPoint(pt.nome, vb, pt.integers)
+
+        def evaluate(pt, pt_b):
+            ra, sa = ident_a.rhs(pt, pol)
+            rb, sb = ident_b.rhs(pt_b, pol)
+            if not (_is_finite(ra) and _is_finite(rb)):
+                raise DegenerateParameters("non-finite")
+            if max(sa, sb) > CONDITION_LIMIT * float(abs(ra) + abs(rb)):
+                raise DegenerateParameters("cancellation-dominated")
+            return float(abs(ra - rb) / (abs(ra) + abs(rb) + TINY))
+
         worst = 0.0
         for trial in range(trials):
             rng = _rng_for(pair_name, seed, trial)
-            for _ in range(MAX_RESAMPLES + 1):
-                pt = _draw_point(ident_a, rng, region)
-                if p_zero:
-                    pt = ParamPoint(Nome(pt.nome.q, 0.0), pt.values, pt.integers)
-                n = pt.integers["n"]
-                vb = dict(pt.values)
-                vb.update(ident_b.solve(
-                    {k: vb[k] for k in ident_b.free_params}, n, pt.nome.q))
-                pt_b = ParamPoint(pt.nome, vb, pt.integers)
-                try:
-                    ra, sa = ident_a.rhs(pt, pol)
-                    rb, sb = ident_b.rhs(pt_b, pol)
-                    if not (_is_finite(ra) and _is_finite(rb)):
-                        raise DegenerateParameters("non-finite")
-                    if max(sa, sb) > CONDITION_LIMIT * float(abs(ra) + abs(rb)):
-                        raise DegenerateParameters("cancellation-dominated")
-                except DegenerateParameters:
-                    continue
-                worst = max(worst, float(abs(ra - rb) / (abs(ra) + abs(rb) + TINY)))
-                break
-            else:
-                raise SamplingExhausted(pair_name)
+            _, err, _ = _resample(lambda: draw(rng), evaluate, pair_name)
+            worst = max(worst, err)
         out[pair_name] = worst
     return out

@@ -18,7 +18,7 @@ from .catalog import (
     get_identity,
     list_identities,
 )
-from .errors import TruncationLimit
+from .errors import SamplingExhausted, TruncationLimit
 from .report import RNG_ALGORITHM, SCHEMA_VERSION
 from .suites import SUITES
 
@@ -109,18 +109,8 @@ def _run_identities(idents, args, region) -> tuple:
 
 
 def _run_suite(name: str, args, region) -> tuple:
-    runner = SUITES[name]
-    kwargs = {"seed": args.seed, "region": region}
-    if name == "kernel":
-        kwargs["trials"] = args.trials
-    else:
-        kwargs["draws"] = args.trials
-    if name == "cn":
-        kwargs["sizes"] = ((args.n, args.cap),)
-    elif name == "conjecture":
-        kwargs["n"] = args.n
-        kwargs["n_cap"] = args.cap
-    results = runner(**kwargs)
+    results = SUITES[name](trials=args.trials, seed=args.seed, region=region,
+                           sizes=((args.n, args.cap),))
     failed = False
     for res in results:
         failed = failed or not res.passed
@@ -191,6 +181,9 @@ def main(argv=None) -> int:
     except TruncationLimit as exc:
         print(f"error: {exc}; narrow --p-mod", file=sys.stderr)
         return 2
+    except SamplingExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

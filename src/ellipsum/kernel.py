@@ -94,10 +94,10 @@ class Nome:
 GUARD_BITS = 40
 
 
-def _qinf(x, p, policy: TruncationPolicy):
-    """Truncated infinite product (x; p)_inf = prod_{k>=0} (1 - x p^k)."""
+def _qinf(x, p, p_abs: float, policy: TruncationPolicy):
+    """Truncated infinite product (x; p)_inf = prod_{k>=0} (1 - x p^k); p_abs = |p|."""
     scale = float(abs(x))
-    n = policy.num_factors(float(abs(p)), scale)
+    n = policy.num_factors(p_abs, scale)
     if not isinstance(x, (complex, float)) and hasattr(x, "_mpc_"):
         return _qinf_mpc(x, p, n)
     result = 1.0
@@ -152,11 +152,13 @@ def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     """
     if x == 0:
         raise NonzeroRequired("E(x; p) requires x != 0")
-    if abs(p) >= 1:
-        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
+    p_abs = abs(p)
+    if p_abs >= 1:
+        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {p_abs}")
     if p == 0:
         return 1.0 - x
-    return _qinf(x, p, policy) * _qinf(p / x, p, policy)
+    p_abs = float(p_abs)
+    return _qinf(x, p, p_abs, policy) * _qinf(p / x, p, p_abs, policy)
 
 
 def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -270,8 +272,9 @@ def theta1(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
         return 0.0 * z
     w = _cexp(2j * z)
     root = p ** 0.25
-    return 1j * root * _cexp(-1j * z) * _qinf(p * p * 1.0, p * p, policy) * \
-        eval_E(w, p * p, policy)
+    p2 = p * p
+    return 1j * root * _cexp(-1j * z) * _qinf(p2 * 1.0, p2, float(abs(p2)), policy) * \
+        eval_E(w, p2, policy)
 
 
 def binom2(n: int) -> int:

@@ -1,19 +1,34 @@
 """Named property suites behind the CLI: kernel, inversion, determinants,
 cn, conjecture.
 
-Each runner returns a list of CheckResult records; a suite passes when every
-check's worst relative error stays within its tolerance.  All randomness is
-drawn from the same seeded, splittable generator family as the catalog, so
-suite output is reproducible.
+Each suite is a table of :class:`Check` records: a named relation with
+``draw(rng, region)``, which returns the arguments of one trial, and
+``evaluate(*args)``, which returns their relative error.  One runner,
+:func:`run_checks`, executes a table.  Each check draws from its own seeded
+stream ``_rng_for(tag, seed, 0)``, so its result does not depend on which
+other checks ran, and each trial goes through the catalog's sampling loop,
+which redraws rejected points (near poles, ill-conditioned, overflowing or
+with a non-finite error).  A check passes when its worst error stays within
+its tolerance.  Every suite runner takes the same keywords; ``sizes`` only
+matters to cn and conjecture.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .catalog import DEFAULT_REGION, SamplingRegion, _draw_complex, _rng_for
+from .catalog import (
+    DEFAULT_REGION,
+    SamplingRegion,
+    _draw_complex,
+    _resample,
+    _rng_for,
+)
 from .determinants import (
     COND_LIMIT,
     andrews_stanton_lu,
@@ -27,7 +42,7 @@ from .determinants import (
     shifted_product_family,
     theta_det_sides,
 )
-from .errors import BalanceViolation, DegenerateParameters
+from .errors import DegenerateParameters
 from .inversion import (
     KrattenthalerPair,
     RawRPair,
@@ -42,6 +57,9 @@ from .kernel import Nome, binom2, eval_E, pochhammer_e, theta1
 from .multivar import CnPoint, cn_jackson_sides, conjecture_sides, omega87_sides
 
 TINY = 1e-300
+
+# Largest n of the inverse-pair orthogonality checks.
+ORTHOGONALITY_N_MAX = 8
 
 
 @dataclass
@@ -67,502 +85,455 @@ class CheckResult:
         }
 
 
+@dataclass(frozen=True)
+class Check:
+    """One row of a suite table.
+
+    ``tag`` names the check's random stream.  ``trials`` fixes the trial
+    count of checks that do not follow the run's ``--trials``.
+    """
+
+    name: str
+    tag: str
+    draw: Callable
+    evaluate: Callable
+    tol: float
+    trials: int | None = None
+
+
+def _finite(err: float) -> float:
+    """err itself; a NaN or infinite error rejects the draw instead."""
+    if not math.isfinite(err):
+        raise DegenerateParameters(f"non-finite relative error {err}")
+    return err
+
+
 def _rel(a, b) -> float:
-    return float(abs(a - b) / (abs(a) + abs(b) + TINY))
+    return _finite(float(abs(a - b) / (abs(a) + abs(b) + TINY)))
 
 
-def _resampling(draw, check, max_tries: int = 100):
-    """Run check(draw()) with resampling on degenerate/ill-conditioned draws."""
-    tries = 0
-    while True:
-        try:
-            return check(*draw()), tries
-        except (DegenerateParameters, BalanceViolation):
-            tries += 1
-            if tries > max_tries:
-                raise
+def _sides_rel(sides, *args) -> float:
+    return _rel(*sides(*args))
+
+
+def _run_check(check: Check, trials: int, seed: int,
+               region: SamplingRegion) -> CheckResult:
+    rng = _rng_for(check.tag, seed, 0)
+    trials = check.trials or trials
+    worst = 0.0
+    resamples = 0
+    for _ in range(trials):
+        _, err, rejected = _resample(lambda: check.draw(rng, region),
+                                     lambda *args: _finite(check.evaluate(*args)),
+                                     check.name)
+        resamples += rejected
+        worst = max(worst, err)
+    return CheckResult(check.name, trials, check.tol, worst, resamples)
+
+
+def run_checks(checks, trials: int, seed: int = 1,
+               region: SamplingRegion = DEFAULT_REGION, only=None) -> list:
+    """Run a check table; ``only`` restricts it to the checks so named."""
+    return [_run_check(check, trials, seed, region) for check in checks
+            if only is None or check.name in only]
 
 
 # --------------------------------------------------------------------------
 # kernel
 # --------------------------------------------------------------------------
 
-def run_kernel_suite(trials: int = 100, seed: int = 1,
-                     region: SamplingRegion = DEFAULT_REGION) -> list:
-    results = []
+def _draw_kernel(int_ranges, rng, region):
+    # Every kernel check draws q, p, x, a, used or not, then its integers.
+    return (_draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod),
+            _draw_complex(rng, region.param_mod), _draw_complex(rng, region.param_mod),
+            *(int(rng.integers(lo, hi)) for lo, hi in int_ranges))
 
-    def draws(tag: str):
-        rng = _rng_for(f"suite.kernel.{tag}", seed, 0)
-        for _ in range(trials):
-            q = _draw_complex(rng, region.q_mod)
-            p = _draw_complex(rng, region.p_mod)
-            x = _draw_complex(rng, region.param_mod)
-            a = _draw_complex(rng, region.param_mod)
-            yield rng, q, p, x, a
 
-    worst = 0.0
-    for rng, q, p, x, a in draws("reflection"):
-        worst = max(worst, _rel(eval_E(x, p), -x * eval_E(1 / x, p)))
-        worst = max(worst, _rel(eval_E(x, p), eval_E(p / x, p)))
-    results.append(CheckResult("reflection", trials, 1e-10, worst))
+_draw_qpxa = partial(_draw_kernel, ())
 
-    worst = 0.0
-    for rng, q, p, x, a in draws("shift_base"):
-        for k in (-2, -1, 1, 2):
-            rhs = (-x) ** k * p ** binom2(k) * eval_E(x * p ** k, p)
-            worst = max(worst, _rel(eval_E(x, p), rhs))
-    results.append(CheckResult("quasi_periodicity", trials, 1e-10, worst))
 
-    worst = 0.0
-    for rng, q, p, x, a in draws("shift_factorial"):
-        nome = Nome(q, p)
-        for k in (1, 2):
-            for n in (1, 2, 3, 4):
-                lhs = pochhammer_e(a, nome, n)
-                rhs = (-a) ** (n * k) * p ** (n * binom2(k)) * \
-                    q ** (k * binom2(n)) * pochhammer_e(a * p ** k, nome, n)
-                worst = max(worst, _rel(lhs, rhs))
-    results.append(CheckResult("factorial_quasi_periodicity", trials, 1e-10, worst))
+def _reflection(q, p, x, a):
+    err = _rel(eval_E(x, p), -x * eval_E(1 / x, p))
+    return max(err, _rel(eval_E(x, p), eval_E(p / x, p)))
 
-    worst = 0.0
-    for rng, q, p, x, a in draws("relations"):
-        nome = Nome(q, p)
-        n = int(rng.integers(0, 4))
-        k = int(rng.integers(0, 4))
-        # (a q^{-n})_n against the reversed product
-        lhs = pochhammer_e(a * q ** (-n), nome, n)
-        rhs = pochhammer_e(q / a, nome, n) * (-a / q) ** n * q ** (-binom2(n))
-        worst = max(worst, _rel(lhs, rhs))
-        # (a q^{-n})_k shifted down
-        lhs = pochhammer_e(a * q ** (-n), nome, k)
-        rhs = pochhammer_e(q / a, nome, n) * pochhammer_e(a, nome, k) * \
-            q ** (-n * k) / pochhammer_e(q ** (1 - k) / a, nome, n)
-        worst = max(worst, _rel(lhs, rhs))
-        # (a q^n)_k shifted up, both printed forms
-        lhs = pochhammer_e(a * q ** n, nome, k)
-        rhs = pochhammer_e(a * q ** k, nome, n) * pochhammer_e(a, nome, k) / \
-            pochhammer_e(a, nome, n)
-        worst = max(worst, _rel(lhs, rhs))
-        rhs = pochhammer_e(a, nome, n + k) / pochhammer_e(a, nome, n)
-        worst = max(worst, _rel(lhs, rhs))
-        # (a)_{n-k} via the reciprocal tail
-        lhs = pochhammer_e(a, nome, n - k)
-        rhs = pochhammer_e(a, nome, n) * (-q ** (1 - n) / a) ** k * \
-            q ** binom2(k) / pochhammer_e(q ** (1 - n) / a, nome, k)
-        worst = max(worst, _rel(lhs, rhs))
-        # base splitting (a)_{kn} over residue classes
-        kk = int(rng.integers(1, 4))
-        lhs = pochhammer_e(a, nome, kk * n)
-        nk = nome.with_base(q ** kk)
-        rhs = 1.0
-        for i in range(kk):
-            rhs = rhs * pochhammer_e(a * q ** i, nk, n)
-        worst = max(worst, _rel(lhs, rhs))
-    results.append(CheckResult("factorial_relations", trials, 1e-10, worst))
 
-    worst = 0.0
-    for rng, q, p, x, a in draws("p_zero"):
-        nome = Nome(q, 0.0)
-        for n in (-3, -1, 0, 2, 4):
+def _quasi_periodicity(q, p, x, a):
+    err = 0.0
+    for k in (-2, -1, 1, 2):
+        rhs = (-x) ** k * p ** binom2(k) * eval_E(x * p ** k, p)
+        err = max(err, _rel(eval_E(x, p), rhs))
+    return err
+
+
+def _factorial_quasi_periodicity(q, p, x, a):
+    nome = Nome(q, p)
+    err = 0.0
+    for k in (1, 2):
+        for n in (1, 2, 3, 4):
             lhs = pochhammer_e(a, nome, n)
-            if n >= 0:
-                rhs = 1.0
-                for j in range(n):
-                    rhs *= 1 - a * q ** j
-            else:
-                rhs = 1.0
-                for j in range(-n):
-                    rhs /= 1 - a * q ** (n + j)
-            worst = max(worst, _rel(lhs, rhs))
-    results.append(CheckResult("classical_reduction", trials, 1e-12, worst))
+            rhs = (-a) ** (n * k) * p ** (n * binom2(k)) * \
+                q ** (k * binom2(n)) * pochhammer_e(a * p ** k, nome, n)
+            err = max(err, _rel(lhs, rhs))
+    return err
 
-    worst = 0.0
-    for rng, q, p, x, a in draws("doubling"):
-        worst = max(worst, _rel(eval_E(x, p) * eval_E(-x, p), eval_E(x * x, p * p)))
-        # the very-well-poised prefactor as a half-nome factorial ratio
-        k = int(rng.integers(1, 5))
-        root_a = a ** 0.5
-        root_p = p ** 0.5
-        half = Nome(q, root_p)
-        num = pochhammer_e(q * root_a, half, k) * pochhammer_e(-q * root_a, half, k)
-        den = pochhammer_e(root_a, half, k) * pochhammer_e(-root_a, half, k)
-        worst = max(worst, _rel(eval_E(a * q ** (2 * k), p) / eval_E(a, p), num / den))
-    results.append(CheckResult("nome_doubling", trials, 1e-10, worst))
 
-    worst = 0.0
-    rng = _rng_for("suite.kernel.theta", seed, 0)
-    for _ in range(trials):
-        pmod = rng.uniform(0.05, 0.5)
-        pphase = rng.uniform(0, 2 * np.pi)
-        p = complex(pmod * np.cos(pphase), pmod * np.sin(pphase))
-        z = complex(rng.uniform(0.1, 3.0), rng.uniform(-0.4, 0.4))
-        series = 0.0j
-        logp = complex(np.log(abs(p)), np.angle(p))
-        for m in range(31):
-            series += (-1) ** m * np.exp(logp * ((2 * m + 1) ** 2 / 4.0)) * \
-                np.sin((2 * m + 1) * z)
-        series *= 2
-        worst = max(worst, _rel(theta1(z, p), series))
-        worst = max(worst, _rel(theta1(-z, p), -theta1(z, p)))
-    results.append(CheckResult("theta_product_vs_series", trials, 1e-10, worst))
+def _factorial_relations(q, p, x, a, n, k, kk):
+    nome = Nome(q, p)
+    # (a q^{-n})_n against the reversed product
+    lhs = pochhammer_e(a * q ** (-n), nome, n)
+    rhs = pochhammer_e(q / a, nome, n) * (-a / q) ** n * q ** (-binom2(n))
+    err = _rel(lhs, rhs)
+    # (a q^{-n})_k shifted down
+    lhs = pochhammer_e(a * q ** (-n), nome, k)
+    rhs = pochhammer_e(q / a, nome, n) * pochhammer_e(a, nome, k) * \
+        q ** (-n * k) / pochhammer_e(q ** (1 - k) / a, nome, n)
+    err = max(err, _rel(lhs, rhs))
+    # (a q^n)_k shifted up, both printed forms
+    lhs = pochhammer_e(a * q ** n, nome, k)
+    rhs = pochhammer_e(a * q ** k, nome, n) * pochhammer_e(a, nome, k) / \
+        pochhammer_e(a, nome, n)
+    err = max(err, _rel(lhs, rhs))
+    rhs = pochhammer_e(a, nome, n + k) / pochhammer_e(a, nome, n)
+    err = max(err, _rel(lhs, rhs))
+    # (a)_{n-k} via the reciprocal tail
+    lhs = pochhammer_e(a, nome, n - k)
+    rhs = pochhammer_e(a, nome, n) * (-q ** (1 - n) / a) ** k * \
+        q ** binom2(k) / pochhammer_e(q ** (1 - n) / a, nome, k)
+    err = max(err, _rel(lhs, rhs))
+    # base splitting (a)_{kn} over residue classes
+    lhs = pochhammer_e(a, nome, kk * n)
+    nk = nome.with_base(q ** kk)
+    rhs = 1.0
+    for i in range(kk):
+        rhs = rhs * pochhammer_e(a * q ** i, nk, n)
+    return max(err, _rel(lhs, rhs))
 
-    return results
+
+def _classical_reduction(q, p, x, a):
+    nome = Nome(q, 0.0)
+    err = 0.0
+    for n in (-3, -1, 0, 2, 4):
+        lhs = pochhammer_e(a, nome, n)
+        rhs = 1.0
+        if n >= 0:
+            for j in range(n):
+                rhs *= 1 - a * q ** j
+        else:
+            for j in range(-n):
+                rhs /= 1 - a * q ** (n + j)
+        err = max(err, _rel(lhs, rhs))
+    return err
+
+
+def _nome_doubling(q, p, x, a, k):
+    err = _rel(eval_E(x, p) * eval_E(-x, p), eval_E(x * x, p * p))
+    # the very-well-poised prefactor as a half-nome factorial ratio
+    root_a = a ** 0.5
+    root_p = p ** 0.5
+    half = Nome(q, root_p)
+    num = pochhammer_e(q * root_a, half, k) * pochhammer_e(-q * root_a, half, k)
+    den = pochhammer_e(root_a, half, k) * pochhammer_e(-root_a, half, k)
+    return max(err, _rel(eval_E(a * q ** (2 * k), p) / eval_E(a, p), num / den))
+
+
+def _draw_theta(rng, region):
+    p = _draw_complex(rng, (0.05, 0.5))
+    return complex(rng.uniform(0.1, 3.0), rng.uniform(-0.4, 0.4)), p
+
+
+def _theta_product_vs_series(z, p):
+    series = 0.0j
+    logp = complex(np.log(abs(p)), np.angle(p))
+    for m in range(31):
+        series += (-1) ** m * np.exp(logp * ((2 * m + 1) ** 2 / 4.0)) * \
+            np.sin((2 * m + 1) * z)
+    series *= 2
+    err = _rel(theta1(z, p), series)
+    return max(err, _rel(theta1(-z, p), -theta1(z, p)))
+
+
+KERNEL_CHECKS = [
+    Check("reflection", "suite.kernel.reflection", _draw_qpxa, _reflection, 1e-10),
+    Check("quasi_periodicity", "suite.kernel.shift_base", _draw_qpxa,
+          _quasi_periodicity, 1e-10),
+    Check("factorial_quasi_periodicity", "suite.kernel.shift_factorial", _draw_qpxa,
+          _factorial_quasi_periodicity, 1e-10),
+    Check("factorial_relations", "suite.kernel.relations",
+          partial(_draw_kernel, ((0, 4), (0, 4), (1, 4))), _factorial_relations, 1e-10),
+    Check("classical_reduction", "suite.kernel.p_zero", _draw_qpxa,
+          _classical_reduction, 1e-12),
+    Check("nome_doubling", "suite.kernel.doubling", partial(_draw_kernel, ((1, 5),)),
+          _nome_doubling, 1e-10),
+    Check("theta_product_vs_series", "suite.kernel.theta", _draw_theta,
+          _theta_product_vs_series, 1e-10),
+]
+
+
+def run_kernel_suite(trials: int = 100, seed: int = 1,
+                     region: SamplingRegion = DEFAULT_REGION,
+                     sizes=None, only=None) -> list:
+    return run_checks(KERNEL_CHECKS, trials, seed, region, only)
 
 
 # --------------------------------------------------------------------------
 # inversion
 # --------------------------------------------------------------------------
 
-def run_inversion_suite(draws: int = 20, seed: int = 1,
+def _draw_esum(rng, region):
+    p = _draw_complex(rng, region.p_mod)
+    return tuple(_draw_complex(rng, region.param_mod) for _ in range(4)) + (p,)
+
+
+def _draw_macdonald(rng, region):
+    p = _draw_complex(rng, region.p_mod)
+    n = int(rng.integers(0, 7))
+    seqs = [[_draw_complex(rng, region.param_mod) for _ in range(n + 1)]
+            for _ in range(4)]
+    return (*seqs, p)
+
+
+def _draw_rstep(r, rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    a = _draw_complex(rng, region.param_mod)
+    b = _draw_complex(rng, region.param_mod)
+    return (RStepPair(a, b, r, Nome(q, p)),)
+
+
+def _draw_raw_r(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    r = _draw_complex(rng, region.q_mod)
+    a = _draw_complex(rng, region.param_mod)
+    b = _draw_complex(rng, region.param_mod)
+    return (RawRPair(a, b, r, Nome(q, p)),)
+
+
+def _draw_krattenthaler(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    a = _draw_complex(rng, region.param_mod)
+    bs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
+    cs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
+    return (KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, Nome(q, p)),)
+
+
+def _orthogonality(pair):
+    return check_orthogonality(pair, ORTHOGONALITY_N_MAX)
+
+
+def _draw_replay(nparams, rng, region):
+    # Fixed bounds: individual terms overflow binary64 at small |q|.
+    q = _draw_complex(rng, (0.55, 0.8))
+    p = _draw_complex(rng, (0.05, 0.25))
+    params = [_draw_complex(rng, (0.7, 1.4)) for _ in range(nparams)]
+    return (*params, Nome(q, p))
+
+
+def _replay(sides, *args):
+    # Cancellation can dominate; redraw on spread like the determinant
+    # condition guard.
+    err = 0.0
+    for n in range(6):
+        applied, closed, scale = sides(*args, n)
+        if not (scale < 1e6 * abs(closed)):
+            raise DegenerateParameters("cancellation-dominated")
+        err = max(err, _rel(applied, closed))
+    return err
+
+
+INVERSION_CHECKS = [
+    Check("addition_formula", "suite.inversion.esum", _draw_esum,
+          partial(_sides_rel, esum_sides), 1e-10, trials=100),
+    Check("telescoped_addition_lemma", "suite.inversion.macdonald", _draw_macdonald,
+          partial(_sides_rel, macdonald_sides), 1e-10, trials=50),
+    *(Check(f"orthogonality_step{r}", f"suite.inversion.rstep{r}",
+            partial(_draw_rstep, r), _orthogonality, 1e-8) for r in (1, 2, 3, 4)),
+    Check("orthogonality_free_base", "suite.inversion.rawr", _draw_raw_r,
+          _orthogonality, 1e-8),
+    Check("orthogonality_sequence_pair", "suite.inversion.kratt", _draw_krattenthaler,
+          _orthogonality, 1e-8),
+    Check("replay_quadratic", "suite.inversion.replay_quadratic",
+          partial(_draw_replay, 4), partial(_replay, quadratic_replay_sides), 1e-8),
+    Check("replay_cubic", "suite.inversion.replay_cubic",
+          partial(_draw_replay, 3), partial(_replay, cubic_replay_sides), 1e-8),
+]
+
+
+def run_inversion_suite(trials: int = 20, seed: int = 1,
                         region: SamplingRegion = DEFAULT_REGION,
-                        n_max: int = 8) -> list:
-    results = []
-
-    worst = 0.0
-    rng = _rng_for("suite.inversion.esum", seed, 0)
-    for _ in range(100):
-        p = _draw_complex(rng, region.p_mod)
-        u, v, x, y = (_draw_complex(rng, region.param_mod) for _ in range(4))
-        lhs, rhs = esum_sides(u, v, x, y, p)
-        worst = max(worst, _rel(lhs, rhs))
-    results.append(CheckResult("addition_formula", 100, 1e-10, worst))
-
-    worst = 0.0
-    rng = _rng_for("suite.inversion.macdonald", seed, 0)
-    for _ in range(50):
-        p = _draw_complex(rng, region.p_mod)
-        n = int(rng.integers(0, 7))
-        seqs = [[_draw_complex(rng, region.param_mod) for _ in range(n + 1)]
-                for _ in range(4)]
-        lhs, rhs = macdonald_sides(*seqs, p)
-        worst = max(worst, _rel(lhs, rhs))
-    results.append(CheckResult("telescoped_addition_lemma", 50, 1e-10, worst))
-
-    for r in (1, 2, 3, 4):
-        worst = 0.0
-        resamples = 0
-        rng = _rng_for(f"suite.inversion.rstep{r}", seed, 0)
-
-        def draw():
-            q = _draw_complex(rng, region.q_mod)
-            p = _draw_complex(rng, region.p_mod)
-            a = _draw_complex(rng, region.param_mod)
-            b = _draw_complex(rng, region.param_mod)
-            return (RStepPair(a, b, r, Nome(q, p)),)
-
-        for _ in range(draws):
-            val, tries = _resampling(draw, lambda pr: check_orthogonality(pr, n_max))
-            resamples += tries
-            worst = max(worst, val)
-        results.append(CheckResult(f"orthogonality_step{r}", draws, 1e-8, worst,
-                                   resamples))
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.inversion.rawr", seed, 0)
-
-    def draw_raw():
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        r = _draw_complex(rng, region.q_mod)
-        a = _draw_complex(rng, region.param_mod)
-        b = _draw_complex(rng, region.param_mod)
-        return (RawRPair(a, b, r, Nome(q, p)),)
-
-    for _ in range(draws):
-        val, tries = _resampling(draw_raw, lambda pr: check_orthogonality(pr, n_max))
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult("orthogonality_free_base", draws, 1e-8, worst,
-                               resamples))
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.inversion.kratt", seed, 0)
-
-    def draw_kr():
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        a = _draw_complex(rng, region.param_mod)
-        bs = [_draw_complex(rng, region.param_mod) for _ in range(n_max + 2)]
-        cs = [_draw_complex(rng, region.param_mod) for _ in range(n_max + 2)]
-        return (KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, Nome(q, p)),)
-
-    for _ in range(draws):
-        val, tries = _resampling(draw_kr, lambda pr: check_orthogonality(pr, n_max))
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult("orthogonality_sequence_pair", draws, 1e-8, worst,
-                               resamples))
-
-    for label, fn, nparams in (("replay_quadratic", quadratic_replay_sides, 4),
-                               ("replay_cubic", cubic_replay_sides, 3)):
-        worst = 0.0
-        resamples = 0
-        rng = _rng_for(f"suite.inversion.{label}", seed, 0)
-        for _ in range(draws):
-            # Individual terms overflow binary64 at small |q| and cancellation
-            # can dominate; redraw on spread like the determinant cond guard.
-            tries = 0
-            while True:
-                q = _draw_complex(rng, (0.55, 0.8))
-                p = _draw_complex(rng, (0.05, 0.25))
-                params = [_draw_complex(rng, (0.7, 1.4)) for _ in range(nparams)]
-                nome = Nome(q, p)
-                try:
-                    err = 0.0
-                    for n in range(6):
-                        applied, closed, scale = fn(*params, nome, n)
-                        if not (scale < 1e6 * abs(closed)):
-                            raise DegenerateParameters("cancellation-dominated")
-                        err = max(err, _rel(applied, closed))
-                    break
-                except (DegenerateParameters, OverflowError, ZeroDivisionError):
-                    tries += 1
-                    if tries > 100:
-                        raise
-            resamples += tries
-            worst = max(worst, err)
-        results.append(CheckResult(label, draws, 1e-8, worst, resamples))
-
-    return results
+                        sizes=None, only=None) -> list:
+    return run_checks(INVERSION_CHECKS, trials, seed, region, only)
 
 
 # --------------------------------------------------------------------------
 # determinants
 # --------------------------------------------------------------------------
 
-def run_determinants_suite(draws: int = 20, seed: int = 1,
-                           region: SamplingRegion = DEFAULT_REGION) -> list:
-    results = []
-
-    def guarded(pairfn, matrixfn):
-        # Ill-conditioned matrices are resampled rather than failed.
-        def check(*args):
-            _, cond = det_numeric(matrixfn(*args))
-            if cond > COND_LIMIT:
-                raise DegenerateParameters(f"cond {cond:.2e}")
-            det, prod = pairfn(*args)
-            return _rel(det, prod)
-        return check
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.det.quadratic_base", seed, 0)
-    check_as = guarded(andrews_stanton_sides, andrews_stanton_matrix)
-
-    for _ in range(draws):
-        val, tries = _resampling(lambda: draw_as_args(rng, region), check_as)
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult("quadratic_base_determinant", draws, 1e-8, worst,
-                               resamples))
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.det.lu", seed, 0)
-
-    def check_lu(x, y, nome, n):
-        M = np.array(andrews_stanton_matrix(x, y, nome, n))
-        det, cond = det_numeric(M)
-        if cond > COND_LIMIT:
-            raise DegenerateParameters(f"cond {cond:.2e}")
-        U, l_diag = andrews_stanton_lu(x, y, nome, n)
-        L = M @ np.array(U)
-        err = 0.0
-        for i in range(n):
-            rowscale = max(abs(L[i, i]), TINY)
-            for j in range(i + 1, n):
-                err = max(err, float(abs(L[i, j]) / rowscale))
-            err = max(err, _rel(L[i, i], l_diag[i]))
-        prod = 1.0
-        for v in l_diag:
-            prod *= v
-        return max(err, _rel(det, prod))
-
-    for _ in range(draws):
-        val, tries = _resampling(lambda: draw_as_args(rng, region), check_lu)
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult("lu_factorization", draws, 1e-9, worst, resamples))
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.det.ratio", seed, 0)
-
-    def draw_cd():
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        n = int(rng.integers(1, 6))
-        xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-        a, b, c = (_draw_complex(rng, region.param_mod) for _ in range(3))
-        return xs, a, b, c, Nome(q, p)
-
-    for _ in range(draws):
-        val, tries = _resampling(
-            draw_cd, guarded(corollary_determ_sides, corollary_determ_matrix))
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult("factorial_ratio_determinant", draws, 1e-8, worst,
-                               resamples))
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.det.lemma", seed, 0)
-
-    def draw_lem():
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        n = int(rng.integers(1, 6))
-        nome = Nome(q, p)
-        xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-        avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-        b, c = (_draw_complex(rng, region.param_mod) for _ in range(2))
-        fam = shifted_product_family(b, c, nome, n)
-        return xs, avs, c, nome, fam
-
-    for _ in range(draws):
-        val, tries = _resampling(
-            draw_lem, guarded(elliptic_det_lemma_sides, det_lemma_matrix))
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult("periodic_family_determinant", draws, 1e-8, worst,
-                               resamples))
-
-    worst = 0.0
-    rng = _rng_for("suite.det.theta", seed, 0)
-    for _ in range(draws):
-        pmod = rng.uniform(0.05, 0.45)
-        pphase = rng.uniform(0, 2 * np.pi)
-        p = complex(pmod * np.cos(pphase), pmod * np.sin(pphase))
-        xs = [complex(rng.uniform(0.3, 2.8), rng.uniform(-0.3, 0.3)) for _ in range(2)]
-        a, b, c = (complex(rng.uniform(0.0, 2.0), rng.uniform(-0.3, 0.3))
-                   for _ in range(3))
-        det, prod = theta_det_sides(xs, a, b, c, p)
-        worst = max(worst, _rel(det, prod))
-    results.append(CheckResult("theta_determinant_2x2", draws, 1e-8, worst))
-
-    return results
+def _conditioned_det(matrix):
+    # Ill-conditioned matrices are resampled rather than failed.
+    det, cond = det_numeric(matrix)
+    if cond > COND_LIMIT:
+        raise DegenerateParameters(f"cond {cond:.2e}")
+    return det
 
 
-def draw_as_args(rng, region):
-    q = _draw_complex(rng, region.q_mod)
-    p = _draw_complex(rng, region.p_mod)
+def _det_ratio(sides, matrix, *args):
+    _conditioned_det(matrix(*args))
+    return _sides_rel(sides, *args)
+
+
+def _draw_andrews_stanton(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     x = _draw_complex(rng, (0.7, 1.4))
     y = _draw_complex(rng, (0.7, 1.4))
     n = int(rng.integers(1, 6))
     return x, y, Nome(q, p), n
 
 
+def _lu_factorization(x, y, nome, n):
+    M = np.array(andrews_stanton_matrix(x, y, nome, n))
+    det = _conditioned_det(M)
+    U, l_diag = andrews_stanton_lu(x, y, nome, n)
+    L = M @ np.array(U)
+    err = 0.0
+    for i in range(n):
+        rowscale = max(abs(L[i, i]), TINY)
+        for j in range(i + 1, n):
+            err = max(err, float(abs(L[i, j]) / rowscale))
+        err = max(err, _rel(L[i, i], l_diag[i]))
+    prod = 1.0
+    for v in l_diag:
+        prod *= v
+    return max(err, _rel(det, prod))
+
+
+def _draw_factorial_ratio(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    n = int(rng.integers(1, 6))
+    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
+    a, b, c = (_draw_complex(rng, region.param_mod) for _ in range(3))
+    return xs, a, b, c, Nome(q, p)
+
+
+def _draw_periodic_family(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    n = int(rng.integers(1, 6))
+    nome = Nome(q, p)
+    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
+    avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
+    b, c = (_draw_complex(rng, region.param_mod) for _ in range(2))
+    fam = shifted_product_family(b, c, nome, n)
+    return xs, avs, c, nome, fam
+
+
+def _draw_theta_det(rng, region):
+    p = _draw_complex(rng, (0.05, 0.45))
+    xs = [complex(rng.uniform(0.3, 2.8), rng.uniform(-0.3, 0.3)) for _ in range(2)]
+    a, b, c = (complex(rng.uniform(0.0, 2.0), rng.uniform(-0.3, 0.3))
+               for _ in range(3))
+    return xs, a, b, c, p
+
+
+DETERMINANT_CHECKS = [
+    Check("quadratic_base_determinant", "suite.det.quadratic_base",
+          _draw_andrews_stanton,
+          partial(_det_ratio, andrews_stanton_sides, andrews_stanton_matrix), 1e-8),
+    Check("lu_factorization", "suite.det.lu", _draw_andrews_stanton,
+          _lu_factorization, 1e-9),
+    Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
+          partial(_det_ratio, corollary_determ_sides, corollary_determ_matrix), 1e-8),
+    Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
+          partial(_det_ratio, elliptic_det_lemma_sides, det_lemma_matrix), 1e-8),
+    Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
+          partial(_sides_rel, theta_det_sides), 1e-8),
+]
+
+
+def run_determinants_suite(trials: int = 20, seed: int = 1,
+                           region: SamplingRegion = DEFAULT_REGION,
+                           sizes=None, only=None) -> list:
+    return run_checks(DETERMINANT_CHECKS, trials, seed, region, only)
+
+
 # --------------------------------------------------------------------------
 # cn and conjecture
 # --------------------------------------------------------------------------
 
-def run_cn_suite(draws: int = 20, seed: int = 1,
+def _draw_cn(n, n_cap, rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    N = int(rng.integers(0, n_cap + 1))
+    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
+    e = a * a * q ** (N - n + 2) / (b * c * d)
+    xs = tuple(_draw_complex(rng, (0.8, 1.25)) for _ in range(n))
+    return (CnPoint(Nome(q, p), n, N, xs, a=a, b=b, c=c, d=d, e=e),)
+
+
+def _draw_cn_reduction(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    N = int(rng.integers(0, 4))
+    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
+    e = a * a * q ** (N + 1) / (b * c * d)
+    x = _draw_complex(rng, (0.8, 1.25))
+    return (CnPoint(Nome(q, p), 1, N, (x,), a=a, b=b, c=c, d=d, e=e),)
+
+
+def _cn_reduction(pt):
+    # the one-variable sum against the closed Jackson evaluation
+    lhs, _ = cn_jackson_sides(pt)
+    a, b, c, d, q, (x,) = pt.a, pt.b, pt.c, pt.d, pt.nome.q, pt.x
+    num = [a * x * x * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)]
+    den = [a * q / (b * c * d * x), a * q * x / b, a * q * x / c, a * q * x / d]
+    closed = 1.0
+    for u in num:
+        closed *= pochhammer_e(u, pt.nome, pt.N)
+    for u in den:
+        closed /= pochhammer_e(u, pt.nome, pt.N)
+    return _rel(lhs, closed)
+
+
+def run_cn_suite(trials: int = 20, seed: int = 1,
                  region: SamplingRegion = DEFAULT_REGION,
-                 sizes: tuple = ((1, 4), (2, 3), (3, 2))) -> list:
-    results = []
-    for n, n_cap in sizes:
-        worst = 0.0
-        resamples = 0
-        rng = _rng_for(f"suite.cn.{n}", seed, 0)
-
-        def draw():
-            q = _draw_complex(rng, region.q_mod)
-            p = _draw_complex(rng, region.p_mod)
-            N = int(rng.integers(0, n_cap + 1))
-            a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
-            e = a * a * q ** (N - n + 2) / (b * c * d)
-            xs = tuple(_draw_complex(rng, (0.8, 1.25)) for _ in range(n))
-            return (CnPoint(Nome(q, p), n, N, xs, a=a, b=b, c=c, d=d, e=e),)
-
-        def check(pt):
-            lhs, rhs = cn_jackson_sides(pt)
-            return _rel(lhs, rhs)
-
-        for _ in range(draws):
-            val, tries = _resampling(draw, check)
-            resamples += tries
-            worst = max(worst, val)
-        results.append(CheckResult(f"cn_jackson_n{n}", draws, 1e-8, worst, resamples))
-
-    # one-variable reduction against the closed Jackson evaluation
-    worst = 0.0
-    rng = _rng_for("suite.cn.reduction", seed, 0)
-    for _ in range(draws):
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        nome = Nome(q, p)
-        N = int(rng.integers(0, 4))
-        a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
-        e = a * a * q ** (N + 1) / (b * c * d)
-        x = _draw_complex(rng, (0.8, 1.25))
-        pt = CnPoint(nome, 1, N, (x,), a=a, b=b, c=c, d=d, e=e)
-        lhs, _ = cn_jackson_sides(pt)
-        num = [a * x * x * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)]
-        den = [a * q / (b * c * d * x), a * q * x / b, a * q * x / c, a * q * x / d]
-        closed = 1.0
-        for u in num:
-            closed *= pochhammer_e(u, nome, N)
-        for u in den:
-            closed /= pochhammer_e(u, nome, N)
-        worst = max(worst, _rel(lhs, closed))
-    results.append(CheckResult("cn_jackson_reduces_to_one_variable", draws, 1e-8,
-                               worst))
-    return results
+                 sizes: tuple = ((1, 4), (2, 3), (3, 2)), only=None) -> list:
+    """``sizes`` lists the (n, N cap) pairs of the n-fold Jackson checks."""
+    checks = [Check(f"cn_jackson_n{n}", f"suite.cn.{n}", partial(_draw_cn, n, n_cap),
+                    partial(_sides_rel, cn_jackson_sides), 1e-8)
+              for n, n_cap in sizes]
+    checks.append(Check("cn_jackson_reduces_to_one_variable", "suite.cn.reduction",
+                        _draw_cn_reduction, _cn_reduction, 1e-8))
+    return run_checks(checks, trials, seed, region, only)
 
 
-def run_conjecture_suite(draws: int = 20, seed: int = 1,
+def _draw_conjecture(n, n_cap, rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    N = int(rng.integers(0, n_cap + 1))
+    x = _draw_complex(rng, (0.75, 0.95))
+    a, b, c, d, e, f = (_draw_complex(rng, region.param_mod) for _ in range(6))
+    g = a ** 3 * q ** (N + 2) / (b * c * d * e * f * x ** (n - 1))
+    return (CnPoint(Nome(q, p), n, N, x, a=a, b=b, c=c, d=d, e=e, f=f, g=g),)
+
+
+def _draw_rectangle(n, n_cap, rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    N = int(rng.integers(0, n_cap + 1))
+    x = _draw_complex(rng, (0.75, 0.95))
+    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
+    e = a * a * q ** (N + 1) / (b * c * d * x ** (n - 1))
+    return (CnPoint(Nome(q, p), n, N, x, a=a, b=b, c=c, d=d, e=e),)
+
+
+def run_conjecture_suite(trials: int = 20, seed: int = 1,
                          region: SamplingRegion = DEFAULT_REGION,
-                         n: int = 2, n_cap: int = 2) -> list:
-    results = []
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.conjecture.main", seed, 0)
-
-    def draw():
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        N = int(rng.integers(0, n_cap + 1))
-        x = _draw_complex(rng, (0.75, 0.95))
-        a, b, c, d, e, f = (_draw_complex(rng, region.param_mod) for _ in range(6))
-        g = a ** 3 * q ** (N + 2) / (b * c * d * e * f * x ** (n - 1))
-        return (CnPoint(Nome(q, p), n, N, x, a=a, b=b, c=c, d=d, e=e, f=f, g=g),)
-
-    def check(pt):
-        lhs, rhs = conjecture_sides(pt)
-        return _rel(lhs, rhs)
-
-    for _ in range(draws):
-        val, tries = _resampling(draw, check)
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult(f"conjecture_n{n}", draws, 1e-7, worst, resamples))
-
-    worst = 0.0
-    resamples = 0
-    rng = _rng_for("suite.conjecture.rect", seed, 0)
-
-    def draw87():
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        N = int(rng.integers(0, n_cap + 1))
-        x = _draw_complex(rng, (0.75, 0.95))
-        a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
-        e = a * a * q ** (N + 1) / (b * c * d * x ** (n - 1))
-        return (CnPoint(Nome(q, p), n, N, x, a=a, b=b, c=c, d=d, e=e),)
-
-    def check87(pt):
-        lhs, rhs = omega87_sides(pt)
-        return _rel(lhs, rhs)
-
-    for _ in range(draws):
-        val, tries = _resampling(draw87, check87)
-        resamples += tries
-        worst = max(worst, val)
-    results.append(CheckResult(f"rectangle_evaluation_n{n}", draws, 1e-7, worst,
-                               resamples))
-    return results
+                         sizes: tuple = ((2, 2),), only=None) -> list:
+    """``sizes`` lists the (n, N cap) pairs; each gets both checks."""
+    checks = []
+    for n, n_cap in sizes:
+        checks += [
+            Check(f"conjecture_n{n}", "suite.conjecture.main",
+                  partial(_draw_conjecture, n, n_cap),
+                  partial(_sides_rel, conjecture_sides), 1e-7),
+            Check(f"rectangle_evaluation_n{n}", "suite.conjecture.rect",
+                  partial(_draw_rectangle, n, n_cap),
+                  partial(_sides_rel, omega87_sides), 1e-7),
+        ]
+    return run_checks(checks, trials, seed, region, only)
 
 
 SUITES = {

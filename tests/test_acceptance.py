@@ -57,7 +57,8 @@ def test_criterion_01_kernel_invariants():
 
 
 def test_criterion_02_addition_formula_and_lemma():
-    results = {r.name: r for r in run_inversion_suite(draws=20, seed=1)}
+    results = {r.name: r for r in run_inversion_suite(
+        trials=20, seed=1, only=("addition_formula", "telescoped_addition_lemma"))}
     esum = results["addition_formula"]
     lemma = results["telescoped_addition_lemma"]
     ok = esum.max_rel_err <= 1e-10 and lemma.max_rel_err <= 1e-10
@@ -66,17 +67,18 @@ def test_criterion_02_addition_formula_and_lemma():
 
 
 def test_criterion_03_orthogonality():
-    results = {r.name: r for r in run_inversion_suite(draws=20, seed=2)}
     names = ["orthogonality_step1", "orthogonality_step2", "orthogonality_step3",
              "orthogonality_step4", "orthogonality_free_base",
              "orthogonality_sequence_pair"]
+    results = {r.name: r for r in run_inversion_suite(trials=20, seed=2, only=names)}
     worst = max(results[name].max_rel_err for name in names)
     verdict(3, "inverse-pair orthogonality (all kinds, n_max 8)", worst <= 1e-8,
             f"worst {worst:.2e}")
 
 
 def test_criterion_04_proof_replay():
-    results = {r.name: r for r in run_inversion_suite(draws=20, seed=3)}
+    results = {r.name: r for r in run_inversion_suite(
+        trials=20, seed=3, only=("replay_quadratic", "replay_cubic"))}
     quad = results["replay_quadratic"]
     cubic = results["replay_cubic"]
     ok = quad.max_rel_err <= 1e-8 and cubic.max_rel_err <= 1e-8
@@ -134,7 +136,7 @@ def test_criterion_07_transform_pair_consistency():
 
 
 def test_criterion_08_determinants():
-    results = {r.name: r for r in run_determinants_suite(draws=20, seed=1)}
+    results = {r.name: r for r in run_determinants_suite(trials=20, seed=1)}
     ratio_names = ["quadratic_base_determinant", "factorial_ratio_determinant",
                    "periodic_family_determinant", "theta_determinant_2x2"]
     ok = all(results[name].max_rel_err <= 1e-8 for name in ratio_names)
@@ -147,7 +149,7 @@ def test_criterion_08_determinants():
 
 def test_criterion_09_cn_jackson():
     results = {r.name: r
-               for r in run_cn_suite(draws=20, seed=1,
+               for r in run_cn_suite(trials=20, seed=1,
                                      sizes=((1, 4), (2, 3), (3, 2)))}
     names = ["cn_jackson_n1", "cn_jackson_n2", "cn_jackson_n3",
              "cn_jackson_reduces_to_one_variable"]
@@ -192,7 +194,7 @@ def test_criterion_10_partition_series_degenerations():
 
 def test_criterion_11_conjecture_evidence():
     results = {r.name: r
-               for r in run_conjecture_suite(draws=20, seed=1, n=2, n_cap=2)}
+               for r in run_conjecture_suite(trials=20, seed=1, sizes=((2, 2),))}
     conj = results["conjecture_n2"]
     rect = results["rectangle_evaluation_n2"]
     ok = conj.max_rel_err <= 1e-7 and rect.max_rel_err <= 1e-7

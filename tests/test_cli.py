@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from ellipsum import suites
 from ellipsum.cli import main
-from ellipsum.suites import SUITES
+from ellipsum.errors import DegenerateParameters
+from ellipsum.suites import SUITES, Check
 
 
 def run_cli(args, capsys):
@@ -84,6 +86,28 @@ class TestRun:
             return json.dumps(payload, sort_keys=True)
 
         assert normalized(paths[0]) == normalized(paths[1])
+
+    def test_determinants_resample_singular_matrices(self, capsys):
+        # Seed 103 draws a matrix that is singular at working precision.
+        code, out = run_cli(["run", "--suite", "determinants", "--trials", "20",
+                             "--seed", "103"], capsys)
+        assert code == 0
+        assert sum(line.startswith("pass ") for line in out.splitlines()) == 5
+
+
+class TestSamplingExhausted:
+    def test_exhausted_check_exits_1_with_message(self, monkeypatch, capsys):
+        def evaluate():
+            raise DegenerateParameters("always")
+
+        check = Check("always_degenerate", "test.degenerate",
+                      lambda rng, region: (), evaluate, 1e-8)
+        monkeypatch.setattr(suites, "KERNEL_CHECKS", [check])
+        code = main(["run", "--suite", "kernel", "--trials", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip() == ("error: always_degenerate: no admissible point "
+                               "after 100 resamples")
 
 
 class TestUsageErrors:

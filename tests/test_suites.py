@@ -1,4 +1,17 @@
-from ellipsum.suites import SUITES, run_conjecture_suite, run_kernel_suite
+import pytest
+
+from ellipsum.errors import SamplingExhausted
+from ellipsum.suites import (
+    SUITES,
+    Check,
+    run_checks,
+    run_conjecture_suite,
+    run_kernel_suite,
+)
+
+
+def _no_args(rng, region):
+    return ()
 
 
 class TestSuiteRunners:
@@ -12,14 +25,52 @@ class TestSuiteRunners:
         assert a == b
 
     def test_check_result_shape(self):
-        res = run_conjecture_suite(draws=3, seed=2)[0]
+        res = run_conjecture_suite(trials=3, seed=2)[0]
         d = res.to_dict()
         assert set(d) == {"name", "trials", "tol", "max_rel_err", "resamples",
                           "passed"}
         assert d["passed"] == (d["max_rel_err"] <= d["tol"])
 
     def test_conjecture_suite_size_override(self):
-        results = run_conjecture_suite(draws=2, seed=1, n=1, n_cap=3)
+        results = run_conjecture_suite(trials=2, seed=1, sizes=((1, 3),))
         assert [r.name for r in results] == ["conjecture_n1",
                                              "rectangle_evaluation_n1"]
         assert all(r.passed for r in results)
+
+    def test_check_names_unique_across_suites(self):
+        names = [r.name for run in SUITES.values() for r in run(trials=1, seed=1)]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_subset_run_matches_full_run(self, suite):
+        # Each check draws from its own stream, so running it alone must
+        # reproduce its record from the full run exactly.
+        run = SUITES[suite]
+        full = [r.to_dict() for r in run(trials=2, seed=11)]
+        for record in full:
+            alone = [r.to_dict() for r in run(trials=2, seed=11, only=(record["name"],))]
+            assert alone == [record]
+
+
+class TestRunChecks:
+    def test_nan_error_never_passes(self):
+        check = Check("always_nan", "test.nan", _no_args, lambda: float("nan"), 1e-8)
+        with pytest.raises(SamplingExhausted, match="always_nan"):
+            run_checks([check], trials=3)
+
+    def test_non_finite_errors_are_resampled(self):
+        def draw(rng, region):
+            return (rng.uniform(),)
+
+        def evaluate(u):
+            return float("nan") if u < 0.5 else 1e-12
+
+        (res,) = run_checks([Check("half_nan", "test.half_nan", draw, evaluate, 1e-8)],
+                            trials=20, seed=3)
+        assert res.passed and res.max_rel_err == 1e-12
+        assert res.resamples > 0
+
+    def test_fixed_trial_count_overrides_run(self):
+        check = Check("fixed", "test.fixed", _no_args, lambda: 0.0, 1e-8, trials=7)
+        (res,) = run_checks([check], trials=2)
+        assert res.trials == 7 and res.resamples == 0
