@@ -35,6 +35,7 @@ from .kernel import (
     DELTA_DEGEN,
     EXTENDED_POLICY,
     CompensatedSum,
+    EMemo,
     Nome,
     TruncationPolicy,
     eval_E,
@@ -1219,7 +1220,8 @@ def _admissible_trial(ident: Identity, seed: int, trial: int,
 
     Extended trials widen the point and evaluate both sides under
     ``mpmath.workdps(EXTENDED_DPS)``, which leaves the process-wide mpmath
-    precision as it was.
+    precision as it was.  Each side of each draw gets its own kernel memo, so
+    the right side never reads an E value the left side computed.
     """
     rng = _rng_for(ident.id, seed, trial)
     extended = precision == "extended"
@@ -1235,8 +1237,10 @@ def _admissible_trial(ident: Identity, seed: int, trial: int,
     def evaluate(pt):
         with scope:
             work = _extend_point(ident, pt) if extended else pt
-            lhs, scale = ident.lhs(work, pol)
-            rhs, rhs_scale = ident.rhs(work, pol)
+            with EMemo():
+                lhs, scale = ident.lhs(work, pol)
+            with EMemo():
+                rhs, rhs_scale = ident.rhs(work, pol)
             if not (_is_finite(lhs) and _is_finite(rhs)):
                 raise DegenerateParameters("non-finite value at working precision")
             if rhs != 0 and max(scale, rhs_scale) > \
@@ -1336,8 +1340,10 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
             return pt, ParamPoint(pt.nome, vb, pt.integers)
 
         def evaluate(pt, pt_b):
-            ra, sa = ident_a.rhs(pt, pol)
-            rb, sb = ident_b.rhs(pt_b, pol)
+            with EMemo():
+                ra, sa = ident_a.rhs(pt, pol)
+            with EMemo():
+                rb, sb = ident_b.rhs(pt_b, pol)
             if not (_is_finite(ra) and _is_finite(rb)):
                 raise DegenerateParameters("non-finite")
             if max(sa, sb) > CONDITION_LIMIT * float(abs(ra) + abs(rb)):

@@ -1,8 +1,9 @@
 """Command-line harness: list checks, run them, emit JSON reports.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 usage error.  Identical flags and seed produce byte-identical JSON apart
-from the wall-clock fields.
+2 usage error.  A check or identity that runs out of admissible draws fails,
+with an ``error`` in its record, and the run goes on.  Identical flags and
+seed produce byte-identical JSON apart from the wall-clock fields.
 """
 
 from __future__ import annotations
@@ -93,31 +94,43 @@ def _region(args) -> SamplingRegion:
 
 
 def _run_identities(idents, args, region) -> tuple:
-    reports = []
+    records = []
     failed = False
     for ident in idents:
-        rep = check_identity(ident, trials=args.trials, tol=args.tol,
-                             seed=args.seed, region=region,
-                             precision=args.precision)
-        reports.append(rep)
+        try:
+            rep = check_identity(ident, trials=args.trials, tol=args.tol,
+                                 seed=args.seed, region=region,
+                                 precision=args.precision)
+        except SamplingExhausted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(f"FAIL  {ident.id:24s} sampling exhausted")
+            records.append({"identity_id": ident.id, "passed": False, "error": str(exc)})
+            failed = True
+            continue
+        records.append(rep.to_dict())
         failed = failed or not rep.passed
         status = "pass" if rep.passed else "FAIL"
         print(f"{status}  {rep.identity_id:24s} trials={rep.trials} "
               f"max={rep.max_rel_err:.3e} mean={rep.mean_rel_err:.3e} "
               f"resamples={rep.resamples}")
-    return reports, failed
+    return records, failed
 
 
 def _run_suite(name: str, args, region) -> tuple:
-    results = SUITES[name](trials=args.trials, seed=args.seed, region=region,
-                           sizes=((args.n, args.cap),))
+    try:
+        results = SUITES[name](trials=args.trials, seed=args.seed, region=region,
+                               sizes=((args.n, args.cap),))
+    except SamplingExhausted as exc:
+        results = exc.results
     failed = False
     for res in results:
+        if res.error is not None:
+            print(f"error: {res.error}", file=sys.stderr)
         failed = failed or not res.passed
         status = "pass" if res.passed else "FAIL"
         print(f"{status}  {res.name:38s} trials={res.trials} "
               f"max={res.max_rel_err:.3e} tol={res.tol:.0e}")
-    return results, failed
+    return [res.to_dict() for res in results], failed
 
 
 def main(argv=None) -> int:
@@ -173,17 +186,12 @@ def main(argv=None) -> int:
         idents = None
     try:
         if idents is not None:
-            reports, failed = _run_identities(idents, args, region)
-            payload["reports"] = [r.to_dict() for r in reports]
+            payload["reports"], failed = _run_identities(idents, args, region)
         else:
-            results, failed = _run_suite(args.suite, args, region)
-            payload["suite_checks"] = [r.to_dict() for r in results]
+            payload["suite_checks"], failed = _run_suite(args.suite, args, region)
     except TruncationLimit as exc:
         print(f"error: {exc}; narrow --p-mod", file=sys.stderr)
         return 2
-    except SamplingExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

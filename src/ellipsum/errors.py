@@ -34,7 +34,16 @@ class BalanceViolation(EllipticError):
 
 
 class SamplingExhausted(EllipticError):
-    """Could not draw an admissible parameter point within the resample budget."""
+    """Could not draw an admissible parameter point within the resample budget.
+
+    ``results``, when :func:`ellipsum.suites.run_checks` raises it, holds the
+    records of every check of the run, the exhausted ones failed with their
+    ``error``.
+    """
+
+    def __init__(self, message: str, results: list | None = None) -> None:
+        super().__init__(message)
+        self.results = results
 
 
 class SingularToWorkingPrecision(EllipticError):

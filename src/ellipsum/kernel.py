@@ -11,15 +11,17 @@ the reciprocal convention, and to partition indices row by row.
 All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
 default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 ``+ - * /`` and integer powers are used on parameters, so both types flow
-through unchanged.  The one exception is the product loop of :func:`_qinf`,
-which runs ``mpmath.mpc`` arguments on fixed-point Gaussian integers.
+through unchanged.  The one exception is the product loop of
+:func:`_qinf_mpc`, which runs ``mpmath.mpc`` arguments on fixed-point
+Gaussian integers.  An :class:`EMemo` scope changes how often E is computed,
+never its value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -49,12 +51,19 @@ class TruncationPolicy:
 
     max_terms: int = 5000
     tail_bound: float = 1e-18
+    _log_tail: float = field(init=False, repr=False, compare=False)
 
-    def num_factors(self, p_abs: float, scale: float) -> int:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_log_tail", math.log(self.tail_bound))
+
+    def num_factors(self, p_abs: float, scale: float, log_p: float | None = None) -> int:
+        """K for |p| = p_abs and prefix scale ``scale``; ``log_p`` is log(p_abs)."""
         if p_abs == 0.0:
             return 1
-        target = self.tail_bound / max(scale, 1.0)
-        k = int(math.ceil(math.log(target) / math.log(p_abs))) + 10
+        if log_p is None:
+            log_p = math.log(p_abs)
+        log_target = self._log_tail if scale <= 1.0 else math.log(self.tail_bound / scale)
+        k = int(math.ceil(log_target / log_p)) + 10
         if k > self.max_terms:
             raise TruncationLimit(
                 f"|p| = {p_abs:.6g} needs {k} product factors for a tail below "
@@ -94,12 +103,8 @@ class Nome:
 GUARD_BITS = 40
 
 
-def _qinf(x, p, p_abs: float, policy: TruncationPolicy):
-    """Truncated infinite product (x; p)_inf = prod_{k>=0} (1 - x p^k); p_abs = |p|."""
-    scale = float(abs(x))
-    n = policy.num_factors(p_abs, scale)
-    if not isinstance(x, (complex, float)) and hasattr(x, "_mpc_"):
-        return _qinf_mpc(x, p, n)
+def _qinf(x, p, n: int):
+    """The first n factors of (x; p)_inf = prod_{k>=0} (1 - x p^k)."""
     result = 1.0
     y = x
     for _ in range(n):
@@ -145,11 +150,55 @@ def _qinf_mpc(x, p, n: int):
                          from_man_exp(im, e, prec, rounding)))
 
 
+def _product_loop(x):
+    """The factor loop for x: :func:`_qinf_mpc` for an ``mpmath.mpc``, else :func:`_qinf`."""
+    if x.__class__ is not complex and hasattr(x, "_mpc_"):
+        return _qinf_mpc
+    return _qinf
+
+
+# The open eval_E memo (see EMemo), or None outside every scope.
+_memo = None
+
+
+class EMemo:
+    """A ``with`` scope in which :func:`eval_E` computes each value once.
+
+    Inside the scope, eval_E keys its results on the types and exact values
+    of x and p and on the policy, in a table that starts empty; on exit the
+    memo open before is restored, also when the block raises.  A hit returns
+    the value a recomputation would give, bit for bit, since E is a pure
+    function of its arguments at a fixed mpmath precision (a scope must not
+    span a precision change).  ``hits`` counts the calls the table answered.
+    """
+
+    __slots__ = ("table", "hits", "_outer")
+
+    def __enter__(self) -> "EMemo":
+        global _memo
+        self.table = {}
+        self.hits = 0
+        self._outer, _memo = _memo, self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _memo
+        _memo = self._outer
+
+
 def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
-    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.
+    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Inside an
+    :class:`EMemo` scope a repeated argument is looked up, not recomputed.
     """
+    memo = _memo
+    if memo is not None:
+        key = (x.__class__, p.__class__, x, p, policy)
+        value = memo.table.get(key)
+        if value is not None:
+            memo.hits += 1
+            return value
     if x == 0:
         raise NonzeroRequired("E(x; p) requires x != 0")
     p_abs = abs(p)
@@ -158,7 +207,14 @@ def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     if p == 0:
         return 1.0 - x
     p_abs = float(p_abs)
-    return _qinf(x, p, p_abs, policy) * _qinf(p / x, p, p_abs, policy)
+    log_p = math.log(p_abs)
+    qinf = _product_loop(x)
+    value = qinf(x, p, policy.num_factors(p_abs, float(abs(x)), log_p))
+    y = p / x
+    value = value * qinf(y, p, policy.num_factors(p_abs, float(abs(y)), log_p))
+    if memo is not None:
+        memo.table[key] = value
+    return value
 
 
 def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -273,8 +329,9 @@ def theta1(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
     w = _cexp(2j * z)
     root = p ** 0.25
     p2 = p * p
-    return 1j * root * _cexp(-1j * z) * _qinf(p2 * 1.0, p2, float(abs(p2)), policy) * \
-        eval_E(w, p2, policy)
+    y = p2 * 1.0
+    n = policy.num_factors(float(abs(p2)), float(abs(y)))
+    return 1j * root * _cexp(-1j * z) * _product_loop(y)(y, p2, n) * eval_E(w, p2, policy)
 
 
 def binom2(n: int) -> int:

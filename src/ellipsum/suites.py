@@ -8,9 +8,11 @@ Each suite is a table of :class:`Check` records: a named relation with
 stream ``_rng_for(tag, seed, 0)``, so its result does not depend on which
 other checks ran, and each trial goes through the catalog's sampling loop,
 which redraws rejected points (near poles, ill-conditioned, overflowing or
-with a non-finite error).  A check passes when its worst error stays within
-its tolerance.  Every suite runner takes the same keywords; ``sizes`` only
-matters to cn and conjecture.
+with a non-finite error).  Each draw is evaluated in a kernel memo of its
+own: a check computes its relations inline, so the draw is its smallest
+unit, and the memo holds only E values keyed on exact arguments.  A check
+passes when its worst error stays within its tolerance.  Every suite runner
+takes the same keywords; ``sizes`` only matters to cn and conjecture.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .catalog import (
     DEFAULT_REGION,
+    MAX_RESAMPLES,
     SamplingRegion,
     _draw_complex,
     _resample,
@@ -42,7 +45,7 @@ from .determinants import (
     shifted_product_family,
     theta_det_sides,
 )
-from .errors import DegenerateParameters
+from .errors import DegenerateParameters, SamplingExhausted
 from .inversion import (
     KrattenthalerPair,
     RawRPair,
@@ -53,7 +56,7 @@ from .inversion import (
     macdonald_sides,
     quadratic_replay_sides,
 )
-from .kernel import Nome, binom2, eval_E, pochhammer_e, theta1
+from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
 from .multivar import CnPoint, cn_jackson_sides, conjecture_sides, omega87_sides
 
 TINY = 1e-300
@@ -64,18 +67,21 @@ ORTHOGONALITY_N_MAX = 8
 
 @dataclass
 class CheckResult:
+    """A check's record; ``error`` says why it stopped short of its trials."""
+
     name: str
     trials: int
     tol: float
     max_rel_err: float
     resamples: int = 0
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err <= self.tol
+        return self.error is None and self.max_rel_err <= self.tol
 
     def to_dict(self) -> dict:
-        return {
+        record = {
             "name": self.name,
             "trials": self.trials,
             "tol": self.tol,
@@ -83,6 +89,9 @@ class CheckResult:
             "resamples": self.resamples,
             "passed": self.passed,
         }
+        if self.error is not None:
+            record["error"] = self.error
+        return record
 
 
 @dataclass(frozen=True)
@@ -122,10 +131,19 @@ def _run_check(check: Check, trials: int, seed: int,
     trials = check.trials or trials
     worst = 0.0
     resamples = 0
-    for _ in range(trials):
-        _, err, rejected = _resample(lambda: check.draw(rng, region),
-                                     lambda *args: _finite(check.evaluate(*args)),
-                                     check.name)
+
+    def evaluate(*args):
+        with EMemo():
+            return _finite(check.evaluate(*args))
+
+    for trial in range(trials):
+        try:
+            _, err, rejected = _resample(lambda: check.draw(rng, region), evaluate,
+                                         check.name)
+        except SamplingExhausted as exc:
+            # the completed trials, and every draw of the exhausted one rejected
+            return CheckResult(check.name, trial, check.tol, worst,
+                               resamples + MAX_RESAMPLES + 1, str(exc))
         resamples += rejected
         worst = max(worst, err)
     return CheckResult(check.name, trials, check.tol, worst, resamples)
@@ -133,9 +151,17 @@ def _run_check(check: Check, trials: int, seed: int,
 
 def run_checks(checks, trials: int, seed: int = 1,
                region: SamplingRegion = DEFAULT_REGION, only=None) -> list:
-    """Run a check table; ``only`` restricts it to the checks so named."""
-    return [_run_check(check, trials, seed, region) for check in checks
-            if only is None or check.name in only]
+    """Run a check table; ``only`` restricts it to the checks so named.
+
+    A check that runs out of admissible draws does not stop the others: once
+    all have run, :class:`SamplingExhausted` is raised with every record.
+    """
+    results = [_run_check(check, trials, seed, region) for check in checks
+               if only is None or check.name in only]
+    errors = [res.error for res in results if res.error is not None]
+    if errors:
+        raise SamplingExhausted("; ".join(errors), results)
+    return results
 
 
 # --------------------------------------------------------------------------

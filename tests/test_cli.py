@@ -109,6 +109,60 @@ class TestSamplingExhausted:
         assert err.strip() == ("error: always_degenerate: no admissible point "
                                "after 100 resamples")
 
+    def test_other_checks_still_run_and_json_is_written(self, monkeypatch, capsys,
+                                                        tmp_path):
+        def evaluate():
+            raise DegenerateParameters("always")
+
+        by_name = {check.name: check for check in suites.KERNEL_CHECKS}
+        monkeypatch.setattr(suites, "KERNEL_CHECKS", [
+            by_name["reflection"],
+            Check("always_degenerate", "test.degenerate", lambda rng, region: (),
+                  evaluate, 1e-8),
+            by_name["quasi_periodicity"],
+        ])
+        path = tmp_path / "out.json"
+        code = main(["run", "--suite", "kernel", "--trials", "2", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == ("error: always_degenerate: no admissible "
+                                        "point after 100 resamples")
+        statuses = [line.split()[:2] for line in captured.out.splitlines()[:-1]]
+        assert statuses == [["pass", "reflection"], ["FAIL", "always_degenerate"],
+                            ["pass", "quasi_periodicity"]]
+        assert captured.out.splitlines()[-1] == "result: FAIL"
+        records = json.loads(path.read_text())["suite_checks"]
+        assert [r["passed"] for r in records] == [True, False, True]
+        assert [r["trials"] for r in records] == [2, 0, 2]
+        assert records[1]["error"] == ("always_degenerate: no admissible point "
+                                       "after 100 resamples")
+        assert "error" not in records[0] and "error" not in records[2]
+
+    def test_exhausted_identity_fails_and_run_goes_on(self, monkeypatch, capsys,
+                                                      tmp_path):
+        from ellipsum import cli
+        from ellipsum.errors import SamplingExhausted
+
+        real = cli.check_identity
+
+        def check_identity(ident, **kwargs):
+            if ident.id == "e87":
+                raise SamplingExhausted("e87: no admissible point after 100 resamples")
+            return real(ident, **kwargs)
+
+        monkeypatch.setattr(cli, "check_identity", check_identity)
+        path = tmp_path / "out.json"
+        code = main(["run", "--suite", "catalog", "--trials", "1", "--json", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip() == "error: e87: no admissible point after 100 resamples"
+        records = json.loads(path.read_text())["reports"]
+        assert len(records) == 31
+        (exhausted,) = [r for r in records if r["identity_id"] == "e87"]
+        assert exhausted == {"identity_id": "e87", "passed": False,
+                             "error": "e87: no admissible point after 100 resamples"}
+        assert sum(line.startswith("pass ") for line in captured.out.splitlines()) == 30
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 
 import mpmath
@@ -87,6 +88,54 @@ class TestEvalE:
         lhs = eval_E(x, p)
         rhs = (-x) ** k * p ** binom2(k) * eval_E(x * p ** k, p)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+
+
+def log_complex_in(lo, hi):
+    """Complex numbers with log-uniform modulus in [lo, hi]."""
+    return st.builds(
+        lambda e, ph: 10.0 ** e * cmath.exp(1j * ph),
+        st.floats(math.log10(lo), math.log10(hi)), st.floats(0.0, 2.0 * cmath.pi))
+
+
+# Oracle factors: |p|^600 |x| < 1e-24 over every range below.
+ORACLE_TERMS = 600
+
+
+def _factor_scale(x, p, terms=ORACLE_TERMS):
+    """prod_k (1 + |x p^k|)(1 + |p^{k+1} / x|), a bound on every partial product.
+
+    Binary64 products of these factors carry an absolute rounding error of
+    a few units in the last place per factor, relative to this scale, also
+    where E itself nearly vanishes.
+    """
+    scale = 1.0
+    for k in range(terms):
+        scale *= (1 + abs(x * p ** k)) * (1 + abs((p / x) * p ** k))
+    return scale
+
+
+class TestEvalEEdges:
+    """Binary64 E against the direct product oracle at the edges of the region."""
+
+    def _check(self, x, p):
+        got = eval_E(x, p)
+        want = truncated_product_E(x, p, ORACLE_TERMS)
+        assert abs(got - want) <= 1e-13 * _factor_scale(x, p)
+
+    @given(complex_in(0.4, 2.2), log_complex_in(1e-6, 1e-3))
+    @settings(max_examples=100, deadline=None)
+    def test_vanishing_nome(self, x, p):
+        self._check(x, p)
+
+    @given(complex_in(0.4, 2.2), complex_in(0.6, 0.9))
+    @settings(max_examples=60, deadline=None)
+    def test_nome_near_the_truncation_cap(self, x, p):
+        self._check(x, p)
+
+    @given(log_complex_in(1e-3, 1e3), complex_in(0.02, 0.4))
+    @settings(max_examples=100, deadline=None)
+    def test_arguments_far_from_the_unit_circle(self, x, p):
+        self._check(x, p)
 
 
 def _mpc_polar(modulus, phase):

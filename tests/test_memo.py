@@ -1,0 +1,184 @@
+"""The eval_E memo: its scopes, its keys, and output equal to the program without it."""
+
+import contextlib
+import dataclasses
+import json
+
+import mpmath
+import pytest
+
+from ellipsum import catalog, kernel, suites
+from ellipsum.catalog import check_identity, get_identity
+from ellipsum.cli import main
+from ellipsum.errors import DegenerateParameters
+from ellipsum.kernel import DEFAULT_POLICY, EMemo, TruncationPolicy, eval_E
+from ellipsum.suites import KERNEL_CHECKS, SUITES, Check, run_checks, run_kernel_suite
+
+X, P = 0.7 + 0.2j, 0.1 - 0.15j
+
+
+def _recording(log):
+    """An EMemo that appends its hit count to ``log`` on exit."""
+
+    class Recording(EMemo):
+        def __exit__(self, *exc):
+            log.append(self.hits)
+            return super().__exit__(*exc)
+
+    return Recording
+
+
+def _use_memo(monkeypatch, memo):
+    for module in (suites, catalog):
+        monkeypatch.setattr(module, "EMemo", memo)
+
+
+def _run(args, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code = main(["run", *args, "--json", str(path)])
+    payload = json.loads(path.read_text())
+    for rep in payload["reports"]:
+        rep.pop("wall_time_ms")
+    return code, payload, capsys.readouterr().out
+
+
+RUNS = {
+    **{name: ["--suite", name, "--trials", "3", "--seed", "5"] for name in sorted(SUITES)},
+    "catalog": ["--suite", "catalog", "--trials", "1", "--seed", "5"],
+    "catalog-extended": ["--suite", "catalog", "--trials", "1", "--seed", "5",
+                         "--precision", "extended"],
+}
+
+
+@pytest.mark.parametrize("args", list(RUNS.values()), ids=list(RUNS))
+def test_memo_on_and_off_give_equal_reports(args, monkeypatch, tmp_path, capsys):
+    hits = []
+    _use_memo(monkeypatch, _recording(hits))
+    with_memo = _run(args, tmp_path, capsys)
+    _use_memo(monkeypatch, contextlib.nullcontext)
+    without = _run(args, tmp_path, capsys)
+    assert with_memo == without
+    assert sum(hits) > 0
+
+
+class TestScope:
+    def test_no_memo_outside_a_scope(self):
+        assert kernel._memo is None
+        eval_E(X, P)
+        assert kernel._memo is None
+
+    def test_repeats_are_hits_with_equal_values(self):
+        with EMemo() as memo:
+            first = eval_E(X, P)
+            assert eval_E(X, P) == first
+            assert eval_E(P / X, P) == eval_E(P / X, P)
+        assert memo.hits == 2 and len(memo.table) == 2
+        assert eval_E(X, P) == first
+
+    def test_each_scope_starts_empty(self):
+        with EMemo() as first:
+            eval_E(X, P)
+        with EMemo() as second:
+            eval_E(X, P)
+        assert first.hits == second.hits == 0
+
+    def test_inner_scope_restores_outer_on_exception(self):
+        with EMemo() as outer:
+            with pytest.raises(DegenerateParameters):
+                with EMemo():
+                    eval_E(X, P)
+                    raise DegenerateParameters("rejected")
+            assert kernel._memo is outer
+            eval_E(X, P)
+        assert outer.hits == 0
+        assert kernel._memo is None
+
+    def test_slot_empty_after_rejected_draws(self):
+        seen = []
+
+        def draw(rng, region):
+            return (rng.uniform(),)
+
+        def evaluate(u):
+            seen.append(kernel._memo)
+            eval_E(X, P)
+            if u < 0.5:
+                raise DegenerateParameters("rejected draw")
+            return 0.0
+
+        (res,) = run_checks([Check("half_rejected", "test.memo", draw, evaluate, 1e-8)],
+                            trials=10, seed=3)
+        assert res.resamples > 0
+        assert kernel._memo is None
+        assert all(memo is not None for memo in seen)
+        assert len({id(memo) for memo in seen}) == len(seen)
+
+
+def test_each_catalog_side_gets_a_fresh_scope():
+    ident = get_identity("e87")
+    seen = []
+
+    def spy(side):
+        def evaluate(pt, policy):
+            seen.append((side, kernel._memo, len(kernel._memo.table)))
+            return getattr(ident, side)(pt, policy)
+
+        return evaluate
+
+    check_identity(dataclasses.replace(ident, lhs=spy("lhs"), rhs=spy("rhs")),
+                   trials=3, seed=1)
+    assert [side for side, _, _ in seen] == ["lhs", "rhs"] * 3
+    assert len({id(memo) for _, memo, _ in seen}) == len(seen)
+    assert all(size == 0 for _, _, size in seen)
+    assert kernel._memo is None
+
+
+class TestKeys:
+    # Equal values of different types hash alike (mpmath hashes an mpc like
+    # the complex of equal value when both parts are nonnegative), so only
+    # the types in the key keep them apart.
+    def test_complex_and_mpc_of_equal_value_are_apart(self):
+        x, p = 0.5 + 0.25j, 0.125 + 0.25j
+        with mpmath.workdps(50):
+            x_mp, p_mp = mpmath.mpc(x), mpmath.mpc(p)
+            assert (x_mp, p_mp) == (x, p) and hash((x_mp, p_mp)) == hash((x, p))
+            want_mpc = eval_E(x_mp, p_mp)
+            want_complex = eval_E(x, p)
+            with EMemo() as memo:
+                got_complex = eval_E(x, p)
+                got_mpc = eval_E(x_mp, p_mp)
+        assert memo.hits == 0 and len(memo.table) == 2
+        assert type(got_complex) is complex and got_complex == want_complex
+        assert isinstance(got_mpc, mpmath.mpc) and got_mpc == want_mpc
+
+    def test_float_and_complex_of_equal_value_are_apart(self):
+        with EMemo() as memo:
+            real = eval_E(0.5, 0.125)
+            cplx = eval_E(0.5 + 0j, 0.125 + 0j)
+        assert memo.hits == 0 and len(memo.table) == 2
+        assert type(real) is float and type(cplx) is complex
+
+    def test_policies_are_apart(self):
+        # at |p| = 0.58 a tail of 1e-5 keeps 33 factors, the default 91
+        p = 0.5 + 0.3j
+        loose = TruncationPolicy(tail_bound=1e-5)
+        want = eval_E(X, p, loose)
+        with EMemo() as memo:
+            default = eval_E(X, p, DEFAULT_POLICY)
+            got = eval_E(X, p, loose)
+        assert memo.hits == 0 and len(memo.table) == 2
+        assert got == want and got != default
+
+
+def test_hits_do_not_depend_on_earlier_checks(monkeypatch):
+    hits = []
+    _use_memo(monkeypatch, _recording(hits))
+    run_kernel_suite(trials=5, seed=3)
+    full = list(hits)
+    alone = []
+    for check in KERNEL_CHECKS:
+        hits.clear()
+        run_kernel_suite(trials=5, seed=3, only=(check.name,))
+        alone += hits
+    assert alone == full
+    assert sum(full) > 0
