@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .catalog import (
@@ -39,14 +40,24 @@ def _parse_bounds(text: str, flag: str) -> tuple:
     return lo, hi
 
 
-def _parse_trials(text: str) -> int:
+def _parse_count(text: str) -> int:
     try:
-        trials = int(text)
+        count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
-    if trials < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {trials}")
-    return trials
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
+    if not (0 < tol < math.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,11 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--suite",
                         choices=sorted(SUITES) + ["catalog"],
                         help="property suite name, or 'catalog' for every identity")
-    run.add_argument("--trials", type=_parse_trials, default=100,
+    run.add_argument("--trials", type=_parse_count, default=100,
                      help="trials per identity / draws per suite check (default 100)")
     run.add_argument("--seed", type=int, default=1, help="base RNG seed (default 1)")
-    run.add_argument("--tol", type=float, default=1e-8,
-                     help="failure threshold on the relative error (default 1e-8)")
+    run.add_argument("--tol", type=_parse_tol, default=1e-8,
+                     help="failure threshold on the relative error of identity "
+                          "runs (default 1e-8); suite checks keep their own "
+                          "tolerances")
     run.add_argument("--q-mod", type=lambda s: _parse_bounds(s, "--q-mod"),
                      default=None, metavar="LO,HI",
                      help="modulus bounds for the base q (default 0.3,0.8)")
@@ -79,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="double", help="working precision (identity runs)")
     run.add_argument("--json", dest="json_path", default=None,
                      help="write a machine-readable report to this path")
-    run.add_argument("--n", type=int, default=2,
+    run.add_argument("--n", type=_parse_count, default=2,
                      help="dimension for the cn/conjecture suites (default 2)")
-    run.add_argument("--N", type=int, default=2, dest="cap",
+    run.add_argument("--N", type=_parse_count, default=2, dest="cap",
                      help="termination cap for the cn/conjecture suites (default 2)")
     return parser
 

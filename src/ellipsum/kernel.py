@@ -11,9 +11,10 @@ the reciprocal convention, and to partition indices row by row.
 All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
 default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 ``+ - * /`` and integer powers are used on parameters, so both types flow
-through unchanged.  The one exception is the product loop of
-:func:`_qinf_mpc`, which runs ``mpmath.mpc`` arguments on fixed-point
-Gaussian integers.  An :class:`EMemo` scope changes how often E is computed,
+through unchanged.  The exception is E of an ``mpmath.mpc`` argument,
+which runs on fixed-point Gaussian integers: by the triple product series of
+:func:`_qinf_pair_mpc`, or near its zeros by the factor loop
+:func:`_qinf_mpc`.  An :class:`EMemo` scope changes how often E is computed,
 never its value.
 """
 
@@ -98,8 +99,8 @@ class Nome:
         return Nome(q, self.p)
 
 
-# Guard bits of the fixed-point mpc product loop, for both the points x p^k
-# and the mantissas of the running product.
+# Guard bits of the fixed-point mpc arithmetic (the product loop and the
+# triple product series): fractional bits kept beyond the working precision.
 GUARD_BITS = 40
 
 
@@ -113,6 +114,31 @@ def _qinf(x, p, n: int):
     return result
 
 
+def _scaled(parts, wp: int):
+    """Raw mpf parts (re, im) as (zr, zi, bits), z = (zr + i zi) 2^-bits.
+
+    The larger part gets ``wp`` significant bits.
+    """
+    from mpmath.libmp import to_fixed
+
+    # A raw mpf is (sign, man, exp, bc), and |part| < 2^(exp + bc).
+    mag = max((exp + bc for _, man, exp, bc in parts if man), default=0)
+    bits = wp - mag
+    zr, zi = (to_fixed(part, bits) for part in parts)
+    return zr, zi, bits
+
+
+def _mpc_setup(x, p):
+    """The context of x, its precision and rounding, wp and the raw parts of p."""
+    from mpmath.libmp import fzero
+
+    ctx = x.context
+    prec, rounding = ctx._prec_rounding
+    p = ctx.convert(p)
+    p_parts = getattr(p, "_mpc_", None) or (p._mpf_, fzero)
+    return ctx, prec, rounding, prec + GUARD_BITS, p_parts
+
+
 def _qinf_mpc(x, p, n: int):
     """The first n factors of (x; p)_inf for an ``mpmath.mpc`` x.
 
@@ -123,17 +149,10 @@ def _qinf_mpc(x, p, n: int):
     cut back to ``wp`` bits after each factor.  Only the result is rounded
     to the working precision.
     """
-    from mpmath.libmp import from_man_exp, fzero, to_fixed
+    from mpmath.libmp import from_man_exp, to_fixed
 
-    ctx = x.context
-    prec, rounding = ctx._prec_rounding
-    wp = prec + GUARD_BITS
-    p = ctx.convert(p)
-    p_parts = getattr(p, "_mpc_", None) or (p._mpf_, fzero)
-    # A raw mpf is (sign, man, exp, bc), and |part| < 2^(exp + bc).
-    p_mag = max((exp + bc for _, man, exp, bc in p_parts if man), default=0)
-    p_bits = wp - p_mag
-    pr, pi = (to_fixed(part, p_bits) for part in p_parts)
+    ctx, prec, rounding, wp, p_parts = _mpc_setup(x, p)
+    pr, pi, p_bits = _scaled(p_parts, wp)
     yr, yi = (to_fixed(part, wp) for part in x._mpc_)
     one = 1 << wp
     re, im, e = 1, 0, -n * wp
@@ -148,6 +167,233 @@ def _qinf_mpc(x, p, n: int):
         yr, yi = (yr * pr - yi * pi) >> p_bits, (yr * pi + yi * pr) >> p_bits
     return ctx.make_mpc((from_man_exp(re, e, prec, rounding),
                          from_man_exp(im, e, prec, rounding)))
+
+
+def _trim(re, im, bits: int, wp: int):
+    """(re + i im) 2^-bits with the larger part cut back to ``wp`` bits."""
+    shift = (abs(re) | abs(im)).bit_length() - wp
+    if shift > 0:
+        return re >> shift, im >> shift, bits - shift
+    return re, im, bits
+
+
+def _fixed(z, wp: int):
+    """(re, im, bits) as from :func:`_scaled`, as parts with ``wp`` fractional bits."""
+    re, im, bits = z
+    if bits >= wp:
+        return re >> (bits - wp), im >> (bits - wp)
+    return re << (wp - bits), im << (wp - bits)
+
+
+def _div_shifted(num: int, den: int, shift: int) -> int:
+    """floor(num 2^shift / den) for den > 0 and a shift of either sign."""
+    return (num << max(shift, 0)) // (den << max(-shift, 0))
+
+
+def _quotient(nr, ni, dr, di, shift: int):
+    """(n / d) 2^shift for Gaussian integers n and d != 0, each part floored."""
+    den = dr * dr + di * di
+    return (_div_shifted(nr * dr + ni * di, den, shift),
+            _div_shifted(ni * dr - nr * di, den, shift))
+
+
+def _nome_power(nome, n: int, wp: int):
+    """p^n for n >= 1 by binary powering, each part cut back to ``wp`` bits.
+
+    ``nome`` and the result are (re, im, bits) as from :func:`_scaled`.
+    """
+    pr, pi, bits = nome
+    power = None
+    while True:
+        if n & 1:
+            if power is None:
+                power = pr, pi, bits
+            else:
+                rr, ri, rbits = power
+                power = _trim(rr * pr - ri * pi, rr * pi + ri * pr, rbits + bits, wp)
+        n >>= 1
+        if not n:
+            return power
+        pr, pi, bits = _trim(pr * pr - pi * pi, 2 * pr * pi, 2 * bits, wp)
+
+
+def _run_length(log_z: float, log_q: float, wp: int) -> int:
+    """The last n at which sum_n (-1)^n q^C(n,2) z^n has a term of 2^-wp or more.
+
+    log_z = log2|z| and log_q = log2|q| < 0.  Term n has log2 modulus
+    n log_z + C(n, 2) log_q, which is concave in n; the terms past its last
+    crossing of -wp sum to about one unit of 2^-wp.
+    """
+    b = log_q / 2
+    a = log_z - b
+    return int((a + math.sqrt(a * a - 4 * b * wp)) / (-2 * b))
+
+
+def _theta_terms(zr, zi, nome, wp: int, count: int):
+    """Terms 0..count of sum_n (-1)^n q^C(n,2) z^n, and z q^count.
+
+    z and the terms have ``wp`` fractional bits; q = ``nome`` is as from
+    :func:`_scaled`.  Term n is term n-1 times -z q^(n-1).
+    """
+    qr, qi, q_bits = nome
+    tr, ti = 1 << wp, 0
+    terms = [(tr, ti)]
+    for _ in range(count):
+        tr, ti = (ti * zi - tr * zr) >> wp, -(tr * zi + ti * zr) >> wp
+        terms.append((tr, ti))
+        zr, zi = (zr * qr - zi * qi) >> q_bits, (zr * qi + zi * qr) >> q_bits
+    return terms, zr, zi
+
+
+def _horner(zr, zi, coeffs, count: int, wp: int):
+    """sum_{n=0}^{count} coeffs[n] z^n by Horner's rule, for |z| <= 1.
+
+    z, the coefficients and the sum have ``wp`` fractional bits.  Each step
+    adds at most a unit of error, and |z| <= 1 keeps the earlier ones from
+    growing.
+    """
+    sr, si = coeffs[count]
+    for n in range(count - 1, -1, -1):
+        cr, ci = coeffs[n]
+        sr, si = ((sr * zr - si * zi) >> wp) + cr, ((sr * zi + si * zr) >> wp) + ci
+    return sr, si
+
+
+class _NomeTables:
+    """The constants of the mpc series for one nome p, with ``wp`` fractional bits.
+
+    ``theta[n]`` = (-1)^n p^C(n,2) and ``euler[k]`` = (-1)^k p^C(k,2) / (p; p)_k,
+    the coefficients of the theta sum and of Euler's series
+    (w; p)_inf = sum_k euler[k] w^k, up to the last index at which a point of
+    modulus 1 still has a term of 2^-wp.  ``pp_inf`` is (p; p)_inf, the
+    partial product (p; p)_{N+1} left over from the euler table times its
+    tail (p^(N+2); p)_inf by Euler's series.  :meth:`power` caches p^n.
+    """
+
+    __slots__ = ("wp", "log2", "scaled", "theta", "euler", "pp_inf", "_log2_gap", "_powers")
+
+    def __init__(self, p_parts, log2_p: float, wp: int):
+        self.wp = wp
+        self.log2 = log2_p
+        self.scaled = pr, pi, bits = _scaled(p_parts, wp)
+        # |(p; p)_k| >= (1 - |p|)^k bounds the euler coefficients
+        self._log2_gap = math.log2(1.0 - 2.0 ** log2_p)
+        self._powers = {}
+        one = 1 << wp
+        last = _run_length(0.0, log2_p, wp)
+        self.theta = _theta_terms(one, 0, self.scaled, wp, last)[0]
+        self.euler = []
+        er, ei = pr >> (bits - wp), pi >> (bits - wp)
+        dr, di = one, 0
+        for cr, ci in self.theta:
+            # (p; p)_k in d, p^(k+1) in e
+            self.euler.append(_quotient(cr, ci, dr, di, wp))
+            fr = one - er
+            dr, di = (dr * fr + di * ei) >> wp, (di * fr - dr * ei) >> wp
+            er, ei = (er * pr - ei * pi) >> bits, (er * pi + ei * pr) >> bits
+        count = self.tail_length((last + 2) * log2_p)
+        if count > last:
+            # p is too near the unit circle for the tables; a zero (p; p)_inf
+            # sends every caller to the factor loops
+            self.pp_inf = 0, 0
+        else:
+            tr, ti = _horner(er, ei, self.euler, count, wp)
+            self.pp_inf = (dr * tr - di * ti) >> wp, (dr * ti + di * tr) >> wp
+
+    def tail_length(self, log2_w: float) -> int:
+        """The last euler index that (w; p)_inf needs for |w| = 2^log2_w."""
+        return _run_length(log2_w - self._log2_gap, self.log2, self.wp)
+
+    def power(self, n: int):
+        """p^n for n >= 1, as (re, im, bits) with parts of ``wp`` bits."""
+        value = self._powers.get(n)
+        if value is None:
+            value = self._powers[n] = _nome_power(self.scaled, n, self.wp)
+        return value
+
+
+def _nome_tables(p_parts, log2_p: float, wp: int, memo) -> _NomeTables:
+    """The tables of p, kept in ``memo`` under (raw parts of p, wp) when a memo is open."""
+    if memo is None:
+        return _NomeTables(p_parts, log2_p, wp)
+    key = (p_parts, wp)
+    tables = memo.nomes.get(key)
+    if tables is None:
+        tables = memo.nomes[key] = _NomeTables(p_parts, log2_p, wp)
+    return tables
+
+
+def _qinf_pair_mpc(x, p, y, n1: int, n2: int, x_abs: float, y_abs: float,
+                   log_p: float, memo):
+    """(x; p)_n1 (y; p)_n2 for an ``mpmath.mpc`` x and y = p / x.
+
+    By Jacobi's triple product,
+
+        (x; p)_n1 (p/x; p)_n2 = theta(x) / [(p; p)_inf (x p^n1; p)_inf (p^(n2+1)/x; p)_inf],
+        theta(x) = sum_{n in Z} (-1)^n p^C(n,2) x^n,
+
+    the product of the two factor loops, from about 30 series terms instead
+    of n1 + n2 factors.  Every part runs on fixed-point Gaussian integers
+    with working precision plus GUARD_BITS fractional bits, and only the
+    quotient is rounded.
+
+    theta(x) = theta(p/x).  Of x and p/x, z is the larger; k steps of
+    theta(z) = -z theta(z p) bring z' = z p^k into |p| < |z'| <= 1, and
+    theta(z') is the sum of the runs n >= 0 from z' and from p/z', both by
+    Horner's rule.  p/z' comes from the exact parts of p and x, since near
+    a zero of E the two runs cancel and the rounding of p/x would set the
+    error.  The tails use Euler's series; the coefficients and (p; p)_inf
+    are kept in the open :class:`EMemo`.  Every term of theta(z') is at
+    most 1, so the bits that theta(z') falls short of 1 are lost to
+    cancellation.  Past GUARD_BITS - 8 of them, near x = p^k, or where
+    (p; p)_inf is that small, the factor loops run instead; that also keeps
+    exact zeros of the product exact.
+    """
+    from mpmath.libmp import from_man_exp
+
+    ctx, prec, rounding, wp, p_parts = _mpc_setup(x, p)
+    log2_p = log_p / math.log(2.0)
+    tables = _nome_tables(p_parts, log2_p, wp, memo)
+    pr, pi, p_bits = tables.scaled
+    one = 1 << wp
+    xs = xr, xi, x_bits = _scaled(x._mpc_, wp)
+    ys = (*_quotient(pr, pi, xr, xi, wp), wp + p_bits - x_bits)
+    log2_x, log2_y = math.log2(x_abs), math.log2(y_abs)
+    z, other, log2_z = (xs, ys, log2_x) if log2_x >= log2_y else (ys, xs, log2_y)
+    k = max(0, math.ceil(log2_z / -log2_p))
+    zr, zi = _fixed(z, wp)
+    if k:
+        terms, zr, zi = _theta_terms(zr, zi, tables.scaled, wp, k)
+        tr, ti = terms[-1]
+        qr, qi, q_bits = tables.power(k)
+        yr, yi = _quotient(other[0], other[1], qr, qi, wp + q_bits - other[2])
+    else:
+        tr, ti = one, 0
+        yr, yi = _fixed(other, wp)
+    log2_z += k * log2_p
+    last = len(tables.theta) - 1
+    ar, ai = _horner(zr, zi, tables.theta, min(last, _run_length(log2_z, log2_p, wp)), wp)
+    br, bi = _horner(yr, yi, tables.theta,
+                     min(last, _run_length(log2_p - log2_z, log2_p, wp)), wp)
+    sr, si = ar + br - one, ai + bi
+    dr, di = tables.pp_inf
+    loss = wp + 1 - min((abs(sr) | abs(si)).bit_length(), (abs(dr) | abs(di)).bit_length())
+    tails = [(_fixed(xs, wp), n1, tables.tail_length(log2_x + n1 * log2_p)),
+             (_fixed(ys, wp), n2, tables.tail_length(log2_y + n2 * log2_p))]
+    if loss > GUARD_BITS - 8 or max(count for _, _, count in tails) > last:
+        return _qinf_mpc(x, p, n1) * _qinf_mpc(y, p, n2)
+    for (zr, zi), n, count in tails:
+        # w = z p^n, the first point past the truncated product
+        qr, qi, q_bits = tables.power(n)
+        wr, wi = (zr * qr - zi * qi) >> q_bits, (zr * qi + zi * qr) >> q_bits
+        er, ei = _horner(wr, wi, tables.euler, count, wp)
+        dr, di = (dr * er - di * ei) >> wp, (dr * ei + di * er) >> wp
+    nr, ni = tr * sr - ti * si, tr * si + ti * sr
+    # t theta(z') / d with about wp bits in the larger part
+    shift = wp + (abs(dr) | abs(di)).bit_length() - (abs(nr) | abs(ni)).bit_length()
+    qr, qi = _quotient(nr, ni, dr, di, shift)
+    return ctx.make_mpc((from_man_exp(qr, -shift - wp, prec, rounding),
+                         from_man_exp(qi, -shift - wp, prec, rounding)))
 
 
 def _product_loop(x):
@@ -170,14 +416,18 @@ class EMemo:
     the value a recomputation would give, bit for bit, since E is a pure
     function of its arguments at a fixed mpmath precision (a scope must not
     span a precision change).  ``hits`` counts the calls the table answered.
+    ``nomes`` keeps the series tables of each nome under its exact value and
+    the working precision (see :func:`_qinf_pair_mpc`), apart from ``table``
+    and ``hits``.
     """
 
-    __slots__ = ("table", "hits", "_outer")
+    __slots__ = ("table", "hits", "nomes", "_outer")
 
     def __enter__(self) -> "EMemo":
         global _memo
         self.table = {}
         self.hits = 0
+        self.nomes = {}
         self._outer, _memo = _memo, self
         return self
 
@@ -199,19 +449,24 @@ def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
         if value is not None:
             memo.hits += 1
             return value
-    if x == 0:
+    if not x:
         raise NonzeroRequired("E(x; p) requires x != 0")
     p_abs = abs(p)
     if p_abs >= 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {p_abs}")
-    if p == 0:
+    if not p:
         return 1.0 - x
     p_abs = float(p_abs)
     log_p = math.log(p_abs)
-    qinf = _product_loop(x)
-    value = qinf(x, p, policy.num_factors(p_abs, float(abs(x)), log_p))
+    x_abs = float(abs(x))
+    n1 = policy.num_factors(p_abs, x_abs, log_p)
     y = p / x
-    value = value * qinf(y, p, policy.num_factors(p_abs, float(abs(y)), log_p))
+    y_abs = float(abs(y))
+    n2 = policy.num_factors(p_abs, y_abs, log_p)
+    if _product_loop(x) is _qinf_mpc:
+        value = _qinf_pair_mpc(x, p, y, n1, n2, x_abs, y_abs, log_p, memo)
+    else:
+        value = _qinf(x, p, n1) * _qinf(y, p, n2)
     if memo is not None:
         memo.table[key] = value
     return value

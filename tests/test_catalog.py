@@ -15,7 +15,7 @@ from ellipsum.catalog import (
     sample_point,
     trial_error,
 )
-from ellipsum.kernel import DEFAULT_POLICY
+from ellipsum.kernel import DEFAULT_POLICY, TruncationPolicy
 from ellipsum.report import VerificationReport
 from ellipsum.series import OmegaSpec, balance_residual
 
@@ -217,3 +217,36 @@ class TestSmallNomeContinuity:
                 hit = True
                 break
             assert hit, f"no nonzero classical point found for {ident.id}"
+
+
+class TestEdgeRegions:
+    """Every identity at the edges of the nome region, at the default tolerance."""
+
+    def test_double_precision_at_vanishing_nome(self):
+        region = SamplingRegion(p_mod=(1e-6, 1e-3))
+        for seed in range(1, 6):
+            for ident in list_identities():
+                rep = check_identity(ident, trials=10, seed=seed, region=region)
+                assert rep.passed, (ident.id, seed, rep.max_rel_err)
+                assert rep.max_rel_err <= 1e-10, (ident.id, seed, rep.max_rel_err)
+
+    def test_extended_precision_at_large_nome(self):
+        # Mostly near 1e-40, the tail bound of EXTENDED_POLICY.  Where a draw
+        # cancels, the tail is amplified: at seed 3 cor1_ba has a value 1e8
+        # below its summand scale and reaches 1.8e-35.
+        region = SamplingRegion(p_mod=(0.3, 0.6))
+        for seed in range(1, 6):
+            for ident in list_identities():
+                rep = check_identity(ident, trials=1, seed=seed, region=region,
+                                     precision="extended")
+                assert rep.passed, (ident.id, seed, rep.max_rel_err)
+                assert rep.max_rel_err <= 1e-33, (ident.id, seed, rep.max_rel_err)
+
+    def test_amplified_error_is_the_truncation_tail(self):
+        # A tail 1e10 times smaller takes the worst draw above to the
+        # working precision.
+        region = SamplingRegion(p_mod=(0.3, 0.6))
+        tight = TruncationPolicy(max_terms=20000, tail_bound=1e-50)
+        rep = check_identity(get_identity("cor1_ba"), trials=1, seed=3, region=region,
+                             precision="extended", policy=tight)
+        assert rep.max_rel_err <= 1e-40

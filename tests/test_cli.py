@@ -173,6 +173,17 @@ class TestUsageErrors:
         ["--identity", "e87", "--q-mod", "0,0.5"],
         ["--identity", "e87", "--p-mod", "0.5,1"],
         ["--suite", "kernel", "--p-mod", "0.2,1.5"],
+        # --N -1 crashed, --n -1 recursed without end, --n 0 and --N 0 passed
+        # a check with nothing to check, and --tol nan passed any error.
+        ["--suite", "cn", "--N", "-1"],
+        ["--suite", "conjecture", "--n", "-1"],
+        ["--suite", "cn", "--n", "0"],
+        ["--suite", "conjecture", "--N", "0"],
+        ["--identity", "e109", "--tol", "nan"],
+        ["--identity", "e109", "--tol", "inf"],
+        ["--identity", "e109", "--tol", "0"],
+        ["--identity", "e109", "--tol", "-0.5"],
+        ["--identity", "e109", "--tol", "tight"],
     ])
     def test_bad_flag_values_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,10 +20,17 @@ from ellipsum import (
     pochhammer_partition,
     theta1,
 )
-from ellipsum.kernel import EXTENDED_POLICY, CompensatedSum, binom2, pochhammer_frac
+from ellipsum import kernel
+from ellipsum.kernel import (
+    DELTA_DEGEN,
+    EXTENDED_POLICY,
+    CompensatedSum,
+    binom2,
+    pochhammer_frac,
+)
 
 from conftest import rel_err
-from oracles import theta_sine_series, truncated_product_E
+from oracles import theta_sine_series, truncated_product_E, truncated_product_pair
 
 # Frozen from the independent 50-term product oracle.
 E_HALF_AT_P01 = 0.3695093618569191
@@ -190,6 +197,87 @@ class TestEvalEExtended:
         assert _mpc_rel_err(got, x, p, n) <= 1e-48
         assert _mpc_rel_err(got, x, p, n - 1) > 1e-12
         assert _mpc_rel_err(got, x, p, n + 1) > 1e-12
+
+
+def _factor_counts(x, p, policy):
+    """The factor counts n1, n2 of E's two products, as eval_E takes them."""
+    p_abs = float(abs(p))
+    return (policy.num_factors(p_abs, float(abs(x))),
+            policy.num_factors(p_abs, float(abs(p / x))))
+
+
+def _pair_rel_err(got, x, p, policy):
+    """Relative error of a 50-digit E(x; p) against its truncated product at 90 digits."""
+    n1, n2 = _factor_counts(x, p, policy)
+    with mpmath.workdps(90):
+        want = truncated_product_pair(x, p, n1, n2)
+        return abs(got - want) / abs(want)
+
+
+@pytest.fixture
+def factor_loops(monkeypatch):
+    """The factor counts of every call of the mpc factor loop, in order."""
+    counts = []
+    loop = kernel._qinf_mpc
+
+    def counting(x, p, n):
+        counts.append(n)
+        return loop(x, p, n)
+
+    monkeypatch.setattr(kernel, "_qinf_mpc", counting)
+    return counts
+
+
+SERIES_POLICIES = [pytest.param(EXTENDED_POLICY, id="extended"),
+                   pytest.param(TruncationPolicy(tail_bound=1e-5), id="tail_1e-5")]
+
+
+class TestEvalESeries:
+    """mpc E by the triple product series: the truncated product, by another route."""
+
+    @pytest.mark.parametrize("policy", SERIES_POLICIES)
+    def test_matches_the_truncated_product(self, policy, factor_loops):
+        state = random.Random(20261019)
+        with mpmath.workdps(50):
+            for log_x in (-6, -4.5, -3, -1.5, 0, 1.5, 3, 4.5, 6):
+                for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
+                    x = _mpc_polar(10 ** log_x, state.uniform(0, 2 * cmath.pi))
+                    p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
+                    got = eval_E(x, p, policy)
+                    assert _pair_rel_err(got, x, p, policy) <= 1e-48, (log_x, p_mod)
+        assert factor_loops == []
+
+    def test_zeros_give_the_factor_loop_value(self):
+        with mpmath.workdps(50):
+            p = _mpc_polar(0.3, 2.3)
+            for x in (mpmath.mpc(1), p, p ** 2, 1 / p):
+                n1, n2 = _factor_counts(x, p, EXTENDED_POLICY)
+                want = kernel._qinf_mpc(x, p, n1) * kernel._qinf_mpc(p / x, p, n2)
+                assert eval_E(x, p, EXTENDED_POLICY) == want
+            assert eval_E(mpmath.mpc(1), p, EXTENDED_POLICY) == 0
+            assert eval_E(p, p, EXTENDED_POLICY) == 0
+
+    def test_near_degenerate_points_stay_on_the_series(self, factor_loops):
+        # Near x = 1 and x = p, E(x) is about (1 - x) (p; p)_inf^2, so this
+        # offset puts |E| at about DELTA_DEGEN, where the theta runs cancel
+        # about 27 bits.
+        with mpmath.workdps(50):
+            p = _mpc_polar(0.3, 2.3)
+            offset = DELTA_DEGEN / abs(mpmath.qp(p)) ** 2 * mpmath.expjpi(0.3)
+            for x in (1 + offset, 1 - offset, p * (1 + offset), p / (1 + offset)):
+                got = eval_E(x, p, EXTENDED_POLICY)
+                assert DELTA_DEGEN / 2 < abs(got) < 2 * DELTA_DEGEN
+                assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-45
+        assert factor_loops == []
+
+    def test_point_near_a_zero_takes_the_factor_loops(self, factor_loops):
+        # 1e-12 from x = 1 the theta runs cancel about 40 bits, past the guard.
+        with mpmath.workdps(50):
+            p = _mpc_polar(0.3, 2.3)
+            x = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
+            got = eval_E(x, p, EXTENDED_POLICY)
+            assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-36
+        assert factor_loops == list(_factor_counts(x, p, EXTENDED_POLICY))
 
 
 class TestPochhammer:

@@ -11,7 +11,14 @@ from ellipsum import catalog, kernel, suites
 from ellipsum.catalog import check_identity, get_identity
 from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters
-from ellipsum.kernel import DEFAULT_POLICY, EMemo, TruncationPolicy, eval_E
+from ellipsum.kernel import (
+    DEFAULT_POLICY,
+    EXTENDED_POLICY,
+    GUARD_BITS,
+    EMemo,
+    TruncationPolicy,
+    eval_E,
+)
 from ellipsum.suites import KERNEL_CHECKS, SUITES, Check, run_checks, run_kernel_suite
 
 X, P = 0.7 + 0.2j, 0.1 - 0.15j
@@ -182,3 +189,33 @@ def test_hits_do_not_depend_on_earlier_checks(monkeypatch):
         alone += hits
     assert alone == full
     assert sum(full) > 0
+
+
+class TestNomeTables:
+    """The series tables of each nome, which the memo keeps apart from E values."""
+
+    def _memo_after(self, calls):
+        with mpmath.workdps(50):
+            x, p = mpmath.mpc(X), mpmath.mpc(P)
+            with EMemo() as memo:
+                values = [eval_E(v, p, EXTENDED_POLICY) for v in (x, 2 * x, x, 3 * x)[:calls]]
+            return memo, values, (p._mpc_, mpmath.mp.prec + GUARD_BITS)
+
+    def test_tables_leave_the_e_table_and_hits_alone(self, monkeypatch):
+        memo, values, key = self._memo_after(4)
+        assert list(memo.nomes) == [key]
+        monkeypatch.setattr(kernel, "_nome_tables",
+                            lambda p_parts, log2_p, wp, memo:
+                            kernel._NomeTables(p_parts, log2_p, wp))
+        uncached, uncached_values, _ = self._memo_after(4)
+        assert uncached.nomes == {}
+        assert memo.table == uncached.table and memo.hits == uncached.hits == 1
+        assert values == uncached_values
+
+    def test_each_scope_starts_without_tables(self):
+        first, _, key = self._memo_after(1)
+        with EMemo() as second:
+            assert second.nomes == {}
+        again, _, _ = self._memo_after(1)
+        assert again.nomes[key] is not first.nomes[key]
+        assert kernel._memo is None
