@@ -57,22 +57,6 @@ def det_numeric(matrix) -> tuple[complex, float]:
     return det, cond
 
 
-def _poch_ratio_frac(nums, dens, nome: Nome, n: int, policy: TruncationPolicy):
-    """prod (a; q, p)_n over nums divided by the same over dens, assembled as
-    one fraction so reciprocal zeros cancel structurally."""
-    top = 1.0
-    bot = 1.0
-    for a in nums:
-        u, v = pochhammer_frac(a, nome, n, policy)
-        top *= u
-        bot *= v
-    for a in dens:
-        u, v = pochhammer_frac(a, nome, n, policy)
-        top *= v
-        bot *= u
-    return top / bot
-
-
 def _qpow_poch_frac(exponent: int, nome: Nome, n: int,
                     policy: TruncationPolicy):
     """(q^exponent; q, p)_n as a fraction, with integer exponent bookkeeping

@@ -14,13 +14,14 @@ default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 through unchanged.  The exception is E of an ``mpmath.mpc`` argument,
 which runs on fixed-point Gaussian integers: by the triple product series of
 :func:`_qinf_pair_mpc`, or near its zeros by the factor loop
-:func:`_qinf_mpc`.  An :class:`EMemo` scope changes how often E is computed,
-never its value.
+:func:`_qinf_mpc`, with factor counts from binary64 moduli (:func:`_float_abs`).
+An :class:`EMemo` scope changes how often E is computed, never its value.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -61,6 +62,8 @@ class TruncationPolicy:
         """K for |p| = p_abs and prefix scale ``scale``; ``log_p`` is log(p_abs)."""
         if p_abs == 0.0:
             return 1
+        if p_abs >= 1.0:  # a |p| < 1 can round to 1.0, where log |p| = 0
+            raise TruncationLimit(f"|p| = {p_abs!r} in binary64 gives no factor count")
         if log_p is None:
             log_p = math.log(p_abs)
         log_target = self._log_tail if scale <= 1.0 else math.log(self.tail_bound / scale)
@@ -114,28 +117,43 @@ def _qinf(x, p, n: int):
     return result
 
 
+@functools.cache
+def _libmp():
+    """``mpmath.libmp``, imported at the first mpc call so binary64 runs need not load it."""
+    from mpmath import libmp
+    return libmp
+
+
 def _scaled(parts, wp: int):
     """Raw mpf parts (re, im) as (zr, zi, bits), z = (zr + i zi) 2^-bits.
 
     The larger part gets ``wp`` significant bits.
     """
-    from mpmath.libmp import to_fixed
-
+    to_fixed = _libmp().to_fixed
     # A raw mpf is (sign, man, exp, bc), and |part| < 2^(exp + bc).
     mag = max((exp + bc for _, man, exp, bc in parts if man), default=0)
     bits = wp - mag
-    zr, zi = (to_fixed(part, bits) for part in parts)
-    return zr, zi, bits
+    return to_fixed(parts[0], bits), to_fixed(parts[1], bits), bits
+
+
+def _float_abs(z) -> float:
+    """|z| in binary64, for an ``mpmath.mpc`` from its parts rounded to floats.
+
+    Fine for factor counts; a range check must confirm a result of 1.0.
+    """
+    parts = getattr(z, "_mpc_", None)
+    if parts is None:
+        return float(abs(z))
+    libmp = _libmp()
+    return math.hypot(*(libmp.to_float(part, False, libmp.round_nearest) for part in parts))
 
 
 def _mpc_setup(x, p):
     """The context of x, its precision and rounding, wp and the raw parts of p."""
-    from mpmath.libmp import fzero
-
     ctx = x.context
     prec, rounding = ctx._prec_rounding
     p = ctx.convert(p)
-    p_parts = getattr(p, "_mpc_", None) or (p._mpf_, fzero)
+    p_parts = getattr(p, "_mpc_", None) or (p._mpf_, _libmp().fzero)
     return ctx, prec, rounding, prec + GUARD_BITS, p_parts
 
 
@@ -145,28 +163,22 @@ def _qinf_mpc(x, p, n: int):
     The points y = x p^k are fixed-point Gaussian integers with ``wp`` =
     working precision plus GUARD_BITS fractional bits; p is a Gaussian
     integer scaled so that its larger part has ``wp`` bits.  The running
-    product is block floating point, (re + i im) 2^e with a shared exponent,
-    cut back to ``wp`` bits after each factor.  Only the result is rounded
-    to the working precision.
+    product is block floating point, (re + i im) 2^-bits with a shared
+    exponent, cut back to ``wp`` bits after each factor.  Only the result
+    is rounded to the working precision.
     """
-    from mpmath.libmp import from_man_exp, to_fixed
-
+    libmp = _libmp()
     ctx, prec, rounding, wp, p_parts = _mpc_setup(x, p)
     pr, pi, p_bits = _scaled(p_parts, wp)
-    yr, yi = (to_fixed(part, wp) for part in x._mpc_)
+    yr, yi = (libmp.to_fixed(part, wp) for part in x._mpc_)
     one = 1 << wp
-    re, im, e = 1, 0, -n * wp
+    re, im, bits = 1, 0, n * wp
     for _ in range(n):
         fr = one - yr
-        re, im = re * fr + im * yi, im * fr - re * yi
-        shift = (abs(re) | abs(im)).bit_length() - wp
-        if shift > 0:
-            re >>= shift
-            im >>= shift
-            e += shift
+        re, im, bits = _trim(re * fr + im * yi, im * fr - re * yi, bits, wp)
         yr, yi = (yr * pr - yi * pi) >> p_bits, (yr * pi + yi * pr) >> p_bits
-    return ctx.make_mpc((from_man_exp(re, e, prec, rounding),
-                         from_man_exp(im, e, prec, rounding)))
+    return ctx.make_mpc((libmp.from_man_exp(re, -bits, prec, rounding),
+                         libmp.from_man_exp(im, -bits, prec, rounding)))
 
 
 def _trim(re, im, bits: int, wp: int):
@@ -323,14 +335,14 @@ def _nome_tables(p_parts, log2_p: float, wp: int, memo) -> _NomeTables:
     return tables
 
 
-def _qinf_pair_mpc(x, p, y, n1: int, n2: int, x_abs: float, y_abs: float,
-                   log_p: float, memo):
-    """(x; p)_n1 (y; p)_n2 for an ``mpmath.mpc`` x and y = p / x.
+def _qinf_pair_mpc(x, p, setup, policy: TruncationPolicy, memo):
+    """(x; p)_n1 (p/x; p)_n2 for an ``mpmath.mpc`` x, with the policy's factor counts.
 
-    By Jacobi's triple product,
+    ``setup`` is from :func:`_mpc_setup`; binary64 moduli (:func:`_float_abs`)
+    set every count.  By Jacobi's triple product,
 
         (x; p)_n1 (p/x; p)_n2 = theta(x) / [(p; p)_inf (x p^n1; p)_inf (p^(n2+1)/x; p)_inf],
-        theta(x) = sum_{n in Z} (-1)^n p^C(n,2) x^n,
+        theta(x) = sum_n (-1)^n p^C(n,2) x^n,
 
     the product of the two factor loops, from about 30 series terms instead
     of n1 + n2 factors.  Every part runs on fixed-point Gaussian integers
@@ -347,11 +359,18 @@ def _qinf_pair_mpc(x, p, y, n1: int, n2: int, x_abs: float, y_abs: float,
     most 1, so the bits that theta(z') falls short of 1 are lost to
     cancellation.  Past GUARD_BITS - 8 of them, near x = p^k, or where
     (p; p)_inf is that small, the factor loops run instead; that also keeps
-    exact zeros of the product exact.
+    exact zeros of the product exact.  Only they need p/x as an mpc.
     """
-    from mpmath.libmp import from_man_exp
-
-    ctx, prec, rounding, wp, p_parts = _mpc_setup(x, p)
+    ctx, prec, rounding, wp, p_parts = setup
+    p_abs = _float_abs(p)
+    if p_abs >= 1.0 and abs(p) >= 1:
+        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
+    if not p:
+        return 1.0 - x
+    log_p = math.log(p_abs)
+    x_abs = _float_abs(x)
+    y_abs = p_abs / x_abs if x_abs else math.inf
+    n1, n2 = (policy.num_factors(p_abs, scale, log_p) for scale in (x_abs, y_abs))
     log2_p = log_p / math.log(2.0)
     tables = _nome_tables(p_parts, log2_p, wp, memo)
     pr, pi, p_bits = tables.scaled
@@ -381,7 +400,7 @@ def _qinf_pair_mpc(x, p, y, n1: int, n2: int, x_abs: float, y_abs: float,
     tails = [(_fixed(xs, wp), n1, tables.tail_length(log2_x + n1 * log2_p)),
              (_fixed(ys, wp), n2, tables.tail_length(log2_y + n2 * log2_p))]
     if loss > GUARD_BITS - 8 or max(count for _, _, count in tails) > last:
-        return _qinf_mpc(x, p, n1) * _qinf_mpc(y, p, n2)
+        return _qinf_mpc(x, p, n1) * _qinf_mpc(p / x, p, n2)
     for (zr, zi), n, count in tails:
         # w = z p^n, the first point past the truncated product
         qr, qi, q_bits = tables.power(n)
@@ -392,15 +411,9 @@ def _qinf_pair_mpc(x, p, y, n1: int, n2: int, x_abs: float, y_abs: float,
     # t theta(z') / d with about wp bits in the larger part
     shift = wp + (abs(dr) | abs(di)).bit_length() - (abs(nr) | abs(ni)).bit_length()
     qr, qi = _quotient(nr, ni, dr, di, shift)
+    from_man_exp = _libmp().from_man_exp
     return ctx.make_mpc((from_man_exp(qr, -shift - wp, prec, rounding),
                          from_man_exp(qi, -shift - wp, prec, rounding)))
-
-
-def _product_loop(x):
-    """The factor loop for x: :func:`_qinf_mpc` for an ``mpmath.mpc``, else :func:`_qinf`."""
-    if x.__class__ is not complex and hasattr(x, "_mpc_"):
-        return _qinf_mpc
-    return _qinf
 
 
 # The open eval_E memo (see EMemo), or None outside every scope.
@@ -410,15 +423,15 @@ _memo = None
 class EMemo:
     """A ``with`` scope in which :func:`eval_E` computes each value once.
 
-    Inside the scope, eval_E keys its results on the types and exact values
-    of x and p and on the policy, in a table that starts empty; on exit the
-    memo open before is restored, also when the block raises.  A hit returns
-    the value a recomputation would give, bit for bit, since E is a pure
-    function of its arguments at a fixed mpmath precision (a scope must not
-    span a precision change).  ``hits`` counts the calls the table answered.
-    ``nomes`` keeps the series tables of each nome under its exact value and
-    the working precision (see :func:`_qinf_pair_mpc`), apart from ``table``
-    and ``hits``.
+    Inside the scope, eval_E keys its results in a table that starts empty:
+    an ``mpmath.mpc`` x on (x._mpc_, raw parts of p in its context, policy),
+    any other x on (type of x, type of p, x, p, policy).  On exit the memo
+    open before is restored, also when the block raises.  A hit returns the
+    value a recomputation would give, bit for bit, since E is a pure function
+    of its arguments at a fixed mpmath precision (a scope must not span a
+    precision change).  ``hits`` counts the calls the table answered.
+    ``nomes`` keeps the series tables of each nome under (raw parts of p,
+    working precision), apart from ``table`` and ``hits``.
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
@@ -443,29 +456,32 @@ def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     :class:`EMemo` scope a repeated argument is looked up, not recomputed.
     """
     memo = _memo
-    if memo is not None:
+    setup = None
+    if x.__class__ is not complex and hasattr(x, "_mpc_"):
+        setup = _mpc_setup(x, p)
+        key = (x._mpc_, setup[4], policy)
+    elif memo is not None:
         key = (x.__class__, p.__class__, x, p, policy)
+    if memo is not None:
         value = memo.table.get(key)
         if value is not None:
             memo.hits += 1
             return value
     if not x:
         raise NonzeroRequired("E(x; p) requires x != 0")
-    p_abs = abs(p)
-    if p_abs >= 1:
-        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {p_abs}")
-    if not p:
-        return 1.0 - x
-    p_abs = float(p_abs)
-    log_p = math.log(p_abs)
-    x_abs = float(abs(x))
-    n1 = policy.num_factors(p_abs, x_abs, log_p)
-    y = p / x
-    y_abs = float(abs(y))
-    n2 = policy.num_factors(p_abs, y_abs, log_p)
-    if _product_loop(x) is _qinf_mpc:
-        value = _qinf_pair_mpc(x, p, y, n1, n2, x_abs, y_abs, log_p, memo)
+    if setup is not None:
+        value = _qinf_pair_mpc(x, p, setup, policy, memo)
     else:
+        p_abs = abs(p)
+        if p_abs >= 1:
+            raise NomeOutOfRange(f"|p| must be < 1, got |p| = {p_abs}")
+        if not p:
+            return 1.0 - x
+        p_abs = float(p_abs)
+        log_p = math.log(p_abs)
+        n1 = policy.num_factors(p_abs, float(abs(x)), log_p)
+        y = p / x
+        n2 = policy.num_factors(p_abs, float(abs(y)), log_p)
         value = _qinf(x, p, n1) * _qinf(y, p, n2)
     if memo is not None:
         memo.table[key] = value
@@ -577,16 +593,16 @@ def theta1(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
     principal branch of p^{1/4}.  The branch choice drops out of identities
     in this package because theta_1 factors only appear in balanced ratios.
     """
-    if abs(p) >= 1:
+    if _float_abs(p) >= 1.0 and abs(p) >= 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
-    if p == 0:
+    if not p:
         return 0.0 * z
     w = _cexp(2j * z)
     root = p ** 0.25
     p2 = p * p
-    y = p2 * 1.0
-    n = policy.num_factors(float(abs(p2)), float(abs(y)))
-    return 1j * root * _cexp(-1j * z) * _product_loop(y)(y, p2, n) * eval_E(w, p2, policy)
+    n = policy.num_factors(_float_abs(p2), 1.0)  # the prefix scale of (p2; p2) is 1
+    loop = _qinf_mpc if hasattr(p2, "_mpc_") else _qinf
+    return 1j * root * _cexp(-1j * z) * loop(p2, p2, n) * eval_E(w, p2, policy)
 
 
 def binom2(n: int) -> int:

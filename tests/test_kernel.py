@@ -80,6 +80,19 @@ class TestEvalE:
         with pytest.raises(TruncationLimit, match=r"\|p\| = 0.999"):
             eval_E(0.3, 0.999)
 
+    def test_nome_that_rounds_to_one_raises_truncation_limit(self):
+        # |p| = 1 - 1e-30 is inside the disk, but 1.0 in binary64, where
+        # log |p| = 0 leaves no factor count.
+        with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
+            EXTENDED_POLICY.num_factors(1.0, 1.0)
+        with mpmath.workdps(50):
+            p = 1 - mpmath.mpf("1e-30")
+            for nome in (p, mpmath.mpc(p)):
+                with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
+                    eval_E(mpmath.mpc("0.5", "0.25"), nome, EXTENDED_POLICY)
+            with pytest.raises(TruncationLimit):
+                theta1(mpmath.mpc("0.3"), mpmath.mpc(p))
+
     @given(complex_in(0.4, 2.2), complex_in(0.02, 0.4))
     @settings(max_examples=150, deadline=None)
     def test_reflection_property(self, x, p):
@@ -270,6 +283,51 @@ class TestEvalESeries:
                 assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-45
         assert factor_loops == []
 
+    def test_series_path_takes_no_mpc_modulus_or_division(self, monkeypatch, factor_loops):
+        # The factor counts come from float-rounded parts, and p/x from the
+        # exact parts inside the series.
+        calls = []
+
+        def counting(name, method):
+            def wrapper(*args):
+                calls.append(name)
+                return method(*args)
+            return wrapper
+
+        with mpmath.workdps(50):
+            x, p = _mpc_polar(1.7, 0.4), _mpc_polar(0.3, 2.3)
+            for name in ("__abs__", "__truediv__", "__rtruediv__"):
+                method = getattr(mpmath.mpc, name)
+                monkeypatch.setattr(mpmath.mpc, name, counting(name, method))
+            got = eval_E(x, p, EXTENDED_POLICY)
+            assert calls == []
+            assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-48
+        # the wrappers are live: the oracle check takes moduli and quotients
+        assert calls.count("__abs__") > 0 and calls.count("__truediv__") > 0
+        assert factor_loops == []
+
+    @pytest.mark.parametrize("policy", SERIES_POLICIES)
+    def test_float_part_counts_match_the_exact_moduli(self, policy):
+        # eval_E takes the factor counts from binary64 moduli of the raw parts;
+        # _factor_counts takes them from the 169-bit moduli, rounded.
+        counts = []
+
+        class Recording(TruncationPolicy):
+            def num_factors(self, *args):
+                counts.append(super().num_factors(*args))
+                return counts[-1]
+
+        recording = Recording(policy.max_terms, policy.tail_bound)
+        state = random.Random(20261020)
+        want = []
+        with mpmath.workdps(50):
+            for _ in range(2000):
+                x = _mpc_polar(10 ** state.uniform(-6, 6), state.uniform(0, 2 * cmath.pi))
+                p = _mpc_polar(state.uniform(0.02, 0.6), state.uniform(0, 2 * cmath.pi))
+                eval_E(x, p, recording)
+                want += _factor_counts(x, p, policy)
+        assert counts == want
+
     def test_point_near_a_zero_takes_the_factor_loops(self, factor_loops):
         # 1e-12 from x = 1 the theta runs cancel about 40 bits, past the guard.
         with mpmath.workdps(50):
@@ -397,6 +455,15 @@ class TestTheta:
     def test_rejects_nome_outside_disk(self):
         with pytest.raises(NomeOutOfRange):
             theta1(0.3, 1.2)
+
+    def test_mpc_nome_matches_binary64(self):
+        with mpmath.workdps(50):
+            got = theta1(mpmath.mpc("0.3"), mpmath.mpc("0.2"))
+            assert theta1(mpmath.mpc("0.3"), mpmath.mpc(0)) == 0
+            with pytest.raises(NomeOutOfRange):
+                theta1(mpmath.mpc("0.3"), mpmath.mpc("0.6", "0.9"))
+        assert isinstance(got, mpmath.mpc)
+        assert rel_err(complex(got), THETA_03_AT_P02) <= 1e-13
 
 
 class TestNome:

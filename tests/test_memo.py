@@ -158,6 +158,29 @@ class TestKeys:
         assert type(got_complex) is complex and got_complex == want_complex
         assert isinstance(got_mpc, mpmath.mpc) and got_mpc == want_mpc
 
+    def test_mpc_built_two_ways_is_a_hit(self):
+        with mpmath.workdps(50):
+            x, p = mpmath.mpc("0.7", "0.2"), mpmath.mpc(P)
+            same = mpmath.mpf("0.7") + 1j * mpmath.mpf("0.2")
+            assert same is not x and same == x
+            with EMemo() as memo:
+                first = eval_E(x, p)
+                again = eval_E(same, p)
+        assert memo.hits == 1 and len(memo.table) == 1
+        assert again == first
+
+    def test_mpf_and_real_mpc_nome_give_equal_values(self):
+        with mpmath.workdps(50):
+            x = mpmath.mpc(X)
+            p_mpf, p_mpc = mpmath.mpf("0.3"), mpmath.mpc("0.3", 0)
+            want = eval_E(x, p_mpc)
+            assert eval_E(x, p_mpf) == want
+            with EMemo() as memo:
+                got_mpf = eval_E(x, p_mpf)
+                got_mpc = eval_E(x, p_mpc)
+        assert got_mpf == got_mpc == want
+        assert memo.hits == 1 and len(memo.table) == 1
+
     def test_float_and_complex_of_equal_value_are_apart(self):
         with EMemo() as memo:
             real = eval_E(0.5, 0.125)
