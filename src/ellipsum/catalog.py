@@ -1120,9 +1120,19 @@ def _rng_for(ident_id: str, seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _uniform_pair(rng: np.random.Generator, lo1: float, hi1: float,
+                  lo2: float, hi2: float) -> tuple:
+    """``rng.uniform(lo1, hi1), rng.uniform(lo2, hi2)``, bit for bit, from one call.
+
+    numpy draws a uniform as ``low + (high - low) * next_double``; one
+    ``rng.random(2)`` takes the same two doubles from the stream.
+    """
+    u, v = rng.random(2).tolist()
+    return lo1 + (hi1 - lo1) * u, lo2 + (hi2 - lo2) * v
+
+
 def _draw_complex(rng: np.random.Generator, bounds: tuple) -> complex:
-    mod = rng.uniform(bounds[0], bounds[1])
-    phase = rng.uniform(0.0, 2.0 * np.pi)
+    mod, phase = _uniform_pair(rng, bounds[0], bounds[1], 0.0, 2.0 * np.pi)
     return complex(mod * np.cos(phase), mod * np.sin(phase))
 
 

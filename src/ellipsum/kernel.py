@@ -40,23 +40,38 @@ DELTA_DEGEN = 1e-8
 BALANCE_TOL = 1e-8
 
 
+# Factors that TruncationPolicy.num_factors adds past its tail bound.  The
+# binary64 loop (_qinf) skips them once they provably change no bit.
+MARGIN = 10
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Truncation control for the infinite products behind E and theta.
 
     ``tail_bound`` is the target size of the neglected product tail; the
-    number of retained factors K is chosen so that |p|^K * C < tail_bound,
-    where C = max(1, |x|, |p/x|) is the prefix scale of the product.
+    number of retained factors K is the least one with |p|^K * C <
+    tail_bound, where C = max(1, |x|, |p/x|) is the prefix scale of the
+    product, plus a margin of MARGIN factors (and at least 30 in all).  The
+    binary64 loop :func:`_qinf` stops the margin early once its factors
+    provably change no bit of the product.
     ``max_terms`` is a hard cap: a K above it raises :class:`TruncationLimit`
-    rather than silently truncating the product.
+    rather than silently truncating the product, and so does a prefix scale
+    outside the binary64 range.  The hash is computed once, since the policy
+    is part of every :class:`EMemo` key.
     """
 
     max_terms: int = 5000
     tail_bound: float = 1e-18
     _log_tail: float = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_log_tail", math.log(self.tail_bound))
+        object.__setattr__(self, "_hash", hash((self.max_terms, self.tail_bound)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def num_factors(self, p_abs: float, scale: float, log_p: float | None = None) -> int:
         """K for |p| = p_abs and prefix scale ``scale``; ``log_p`` is log(p_abs)."""
@@ -66,8 +81,16 @@ class TruncationPolicy:
             raise TruncationLimit(f"|p| = {p_abs!r} in binary64 gives no factor count")
         if log_p is None:
             log_p = math.log(p_abs)
-        log_target = self._log_tail if scale <= 1.0 else math.log(self.tail_bound / scale)
-        k = int(math.ceil(log_target / log_p)) + 10
+        if scale <= 1.0:
+            log_target = self._log_tail
+        else:
+            target = self.tail_bound / scale
+            if not target > 0.0:  # an infinite or NaN scale, or a quotient that underflows
+                raise TruncationLimit(
+                    f"modulus |x| or |p/x| = {scale!r} is outside the binary64 range "
+                    f"of the factor count for a tail below {self.tail_bound:g}")
+            log_target = math.log(target)
+        k = int(math.ceil(log_target / log_p)) + MARGIN
         if k > self.max_terms:
             raise TruncationLimit(
                 f"|p| = {p_abs:.6g} needs {k} product factors for a tail below "
@@ -107,11 +130,58 @@ class Nome:
 GUARD_BITS = 40
 
 
+# The early exit of _qinf: a running product r = a + ib is final when
+# min(|a|, |b|) > _EXIT_FLOOR and
+# (|Re y| + |Im y| + _EXIT_SLACK) max(|a|, |b|) < _EXIT_RATIO min(|a|, |b|).
+_EXIT_RATIO = 2.0 ** -56
+_EXIT_FLOOR = 2.0 ** -900
+_EXIT_SLACK = 2.0 ** -1000
+
+
 def _qinf(x, p, n: int):
-    """The first n factors of (x; p)_inf = prod_{k>=0} (1 - x p^k)."""
+    """The first n factors of (x; p)_inf = prod_{k>=0} (1 - x p^k), in binary64.
+
+    The loop stops before the last MARGIN factors when they provably change
+    no bit of the product, so the result equals that of all n factors, bit
+    for bit.  The argument is the rounding model of Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 2-3, with u = 2^-53.  After
+    n - MARGIN factors, let r = a + ib be the product and y the next point,
+    and suppose the test above holds; write m = min(|a|, |b|) > 2^-900 and
+    L = max(|a|, |b|).
+
+    * The test is computed in floating point.  Its right side is exact as
+      m > 2^-900, its left side is off by at most three roundings, an
+      underflow there only hides a value below the right side, and an
+      overflow or a NaN part fails the test.  So
+      (|Re y| + |Im y| + 2^-1000) L < 2^-56 m (1 + 4u).
+    * Later points stay small.  With |p| < 1, y' = fl(y p) has
+      |y'| <= |y| (1 + sqrt(5) u) plus at most sqrt(2) 2^-1074 from an
+      underflow, and |y| <= |Re y| + |Im y|.  Over MARGIN steps the
+      underflows add less than 2^-1070, which _EXIT_SLACK covers, and the
+      growth factor (1 + sqrt(5) u)^10 is covered by the factor of 2
+      between 2^-56 and 2^-55.  So every later point has |y_k| L < 2^-55 m.
+    * Hence |Re y_k| < 2^-55 and fl(1 - Re y_k) = 1.0.  The factor is
+      1 + id with |d| = |Im y_k|, and r (1 - y_k) rounds a - b d and
+      b + a d.  Each cross term, rounded, is below 2^-55 m (an underflow
+      of 2^-1075 fits in, as m > 2^-900), which is under half the spacing
+      of the floats next to a (and next to b), even where a is a power of
+      2.  So both parts round back to a and b, with or without a fused
+      multiply-add.
+    * Zero parts fail the test: a part b = 0 would take the nonzero
+      imaginary part a d.  A real product never exits early and costs one
+      test more than the full loop.
+    """
     result = 1.0
     y = x
-    for _ in range(n):
+    for _ in range(n - MARGIN):
+        result = result * (1.0 - y)
+        y = y * p
+    lo, hi = abs(result.real), abs(result.imag)
+    if hi < lo:
+        lo, hi = hi, lo
+    if lo > _EXIT_FLOOR and (abs(y.real) + abs(y.imag) + _EXIT_SLACK) * hi < _EXIT_RATIO * lo:
+        return result
+    for _ in range(min(n, MARGIN)):
         result = result * (1.0 - y)
         y = y * p
     return result

@@ -17,6 +17,7 @@ takes the same keywords; ``sizes`` only matters to cn and conjecture.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -31,6 +32,7 @@ from .catalog import (
     _draw_complex,
     _resample,
     _rng_for,
+    _uniform_pair,
 )
 from .determinants import (
     COND_LIMIT,
@@ -264,15 +266,15 @@ def _nome_doubling(q, p, x, a, k):
 
 def _draw_theta(rng, region):
     p = _draw_complex(rng, (0.05, 0.5))
-    return complex(rng.uniform(0.1, 3.0), rng.uniform(-0.4, 0.4)), p
+    return complex(*_uniform_pair(rng, 0.1, 3.0, -0.4, 0.4)), p
 
 
 def _theta_product_vs_series(z, p):
     series = 0.0j
     logp = complex(np.log(abs(p)), np.angle(p))
     for m in range(31):
-        series += (-1) ** m * np.exp(logp * ((2 * m + 1) ** 2 / 4.0)) * \
-            np.sin((2 * m + 1) * z)
+        series += (-1) ** m * cmath.exp(logp * ((2 * m + 1) ** 2 / 4.0)) * \
+            cmath.sin((2 * m + 1) * z)
     series *= 2
     err = _rel(theta1(z, p), series)
     return max(err, _rel(theta1(-z, p), -theta1(z, p)))
@@ -452,9 +454,8 @@ def _draw_periodic_family(rng, region):
 
 def _draw_theta_det(rng, region):
     p = _draw_complex(rng, (0.05, 0.45))
-    xs = [complex(rng.uniform(0.3, 2.8), rng.uniform(-0.3, 0.3)) for _ in range(2)]
-    a, b, c = (complex(rng.uniform(0.0, 2.0), rng.uniform(-0.3, 0.3))
-               for _ in range(3))
+    xs = [complex(*_uniform_pair(rng, 0.3, 2.8, -0.3, 0.3)) for _ in range(2)]
+    a, b, c = (complex(*_uniform_pair(rng, 0.0, 2.0, -0.3, 0.3)) for _ in range(3))
     return xs, a, b, c, p
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import random
+import struct
 
 import pytest
 
@@ -21,3 +22,8 @@ def rnd():
 
 def rel_err(a, b) -> float:
     return float(abs(a - b) / (abs(a) + abs(b) + 1e-300))
+
+
+def bits(z) -> bytes:
+    """The bytes of both parts of a number, so that signed zeros and NaNs compare too."""
+    return struct.pack("<dd", z.real, z.imag)

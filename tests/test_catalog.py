@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from ellipsum import Nome
+from ellipsum import Nome, catalog
 from ellipsum.catalog import (
     DEFAULT_REGION,
     ParamPoint,
@@ -15,11 +16,12 @@ from ellipsum.catalog import (
     sample_point,
     trial_error,
 )
+from ellipsum.catalog import _draw_complex, _rng_for, _uniform_pair
 from ellipsum.kernel import DEFAULT_POLICY, TruncationPolicy
 from ellipsum.report import VerificationReport
 from ellipsum.series import OmegaSpec, balance_residual
 
-from conftest import rel_err
+from conftest import bits, rel_err
 from oracles import classical_w_sum
 
 ALL_IDS = [ident.id for ident in list_identities()]
@@ -75,6 +77,69 @@ class TestSampling:
         assert 0.05 <= abs(pt.nome.p) <= 0.3
         for name in ident.free_params:
             assert 0.5 <= abs(pt.values[name]) <= 2.0
+
+
+# Every modulus range that catalog.py and suites.py draw from, and two that
+# --q-mod or --p-mod can give.
+MODULUS_BOUNDS = [(0.3, 0.8), (0.05, 0.3), (0.5, 2.0), (0.05, 0.5), (0.05, 0.25),
+                  (0.55, 0.8), (0.7, 1.4), (0.05, 0.45), (0.8, 1.25), (0.75, 0.95),
+                  (0.98, 0.99), (1e-6, 1e-3)]
+# The rectangles of suites._draw_theta and suites._draw_theta_det.
+RECTANGLES = [((0.1, 3.0), (-0.4, 0.4)), ((0.3, 2.8), (-0.3, 0.3)),
+              ((0.0, 2.0), (-0.3, 0.3))]
+
+
+def _two_call_draw(rng, bounds):
+    """A complex draw from two rng.uniform calls, the reference for _draw_complex."""
+    mod = rng.uniform(bounds[0], bounds[1])
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(mod * np.cos(phase), mod * np.sin(phase))
+
+
+def _point_bits(pt):
+    numbers = [pt.nome.q, pt.nome.p, *(pt.values[name] for name in sorted(pt.values))]
+    return [bits(z) for z in numbers], sorted(pt.values), pt.integers
+
+
+class TestSamplingStream:
+    """One rng.random(2) call per draw leaves the sampling stream as it was."""
+
+    @pytest.mark.parametrize("bounds", MODULUS_BOUNDS)
+    def test_complex_draws(self, bounds):
+        new, old = _rng_for("stream", 7, 0), _rng_for("stream", 7, 0)
+        for _ in range(2000):
+            assert bits(_draw_complex(new, bounds)) == bits(_two_call_draw(old, bounds))
+
+    @pytest.mark.parametrize("first, second", RECTANGLES)
+    def test_rectangle_draws(self, first, second):
+        new, old = _rng_for("stream", 11, 3), _rng_for("stream", 11, 3)
+        for _ in range(2000):
+            got = _uniform_pair(new, *first, *second)
+            want = old.uniform(*first), old.uniform(*second)
+            assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_draws_interleaved_with_integers(self):
+        new, old = _rng_for("stream", 1, 5), _rng_for("stream", 1, 5)
+        for i in range(3000):
+            bounds = MODULUS_BOUNDS[i % len(MODULUS_BOUNDS)]
+            assert bits(_draw_complex(new, bounds)) == bits(_two_call_draw(old, bounds))
+            lo, hi = i % 3, i % 3 + 1 + i % 40
+            assert int(new.integers(lo, hi)) == int(old.integers(lo, hi))
+            if i % 5 == 0:
+                first, second = RECTANGLES[i % 3]
+                got = _uniform_pair(new, *first, *second)
+                assert got == (old.uniform(*first), old.uniform(*second))
+        assert new.random() == old.random()
+
+    def test_sample_points_of_every_identity(self, monkeypatch):
+        seeds = (1, 7919)
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "_draw_complex", _two_call_draw)
+            recorded = [_point_bits(sample_point(ident, seed))
+                        for ident in list_identities() for seed in seeds]
+        assert len(recorded) == 31 * len(seeds)
+        assert [_point_bits(sample_point(ident, seed))
+                for ident in list_identities() for seed in seeds] == recorded
 
 
 class TestCheckIdentity:

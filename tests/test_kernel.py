@@ -22,6 +22,7 @@ from ellipsum import (
 )
 from ellipsum import kernel
 from ellipsum.kernel import (
+    DEFAULT_POLICY,
     DELTA_DEGEN,
     EXTENDED_POLICY,
     CompensatedSum,
@@ -29,7 +30,7 @@ from ellipsum.kernel import (
     pochhammer_frac,
 )
 
-from conftest import rel_err
+from conftest import bits, rel_err
 from oracles import theta_sine_series, truncated_product_E, truncated_product_pair
 
 # Frozen from the independent 50-term product oracle.
@@ -156,6 +157,108 @@ class TestEvalEEdges:
     @settings(max_examples=100, deadline=None)
     def test_arguments_far_from_the_unit_circle(self, x, p):
         self._check(x, p)
+
+
+def _plain_qinf(x, p, n):
+    """The first n factors of (x; p)_inf by the plain loop, every factor multiplied."""
+    result = 1.0
+    y = x
+    for _ in range(n):
+        result = result * (1.0 - y)
+        y = y * p
+    return result
+
+
+SWEEP_POLICIES = (DEFAULT_POLICY, TruncationPolicy(tail_bound=1e-30),
+                  TruncationPolicy(tail_bound=1e-5))
+
+
+def _sweep_points(count, seed):
+    """(x, p) with |x| log-uniform in [1e-6, 1e6] and |p| in [1e-6, 0.99].
+
+    A third each: complex; on the real axis, as floats or as complex with
+    zero imaginary parts; and next to a zero of E, x = p^k (1 + 1e-12).
+    """
+    state = random.Random(seed)
+    log_p_lo, log_p_hi = math.log(1e-6), math.log(0.99)
+    for i in range(count):
+        p_mod = math.exp(state.uniform(log_p_lo, log_p_hi))
+        x_mod = 10.0 ** state.uniform(-6.0, 6.0)
+        kind = i % 3
+        if kind == 1:
+            x, p = state.choice((-x_mod, x_mod)), state.choice((-p_mod, p_mod))
+            yield (x, p) if i % 2 else (complex(x), complex(p))
+            continue
+        p = cmath.rect(p_mod, state.uniform(0.0, 2.0 * math.pi))
+        if kind == 0:
+            yield cmath.rect(x_mod, state.uniform(0.0, 2.0 * math.pi)), p
+        else:
+            top = int(math.log(1e-6) / math.log(p_mod))
+            yield p ** state.randint(-top, top) * (1 + 1e-12), p
+
+
+class TestBinary64ProductLoop:
+    """kernel._qinf stops before its last factors only where they change no bit."""
+
+    def test_matches_the_plain_loop_bitwise(self):
+        cases, mismatches = 0, []
+        for x, p in _sweep_points(34000, 20261018):
+            counts = []
+            for policy in SWEEP_POLICIES:
+                try:
+                    counts.append(policy.num_factors(abs(p), abs(x)))
+                except TruncationLimit:
+                    pass
+            # one plain loop up to the largest count, read at each count
+            want = {}
+            result, y = 1.0, x
+            for k in range(1, max(counts, default=0) + 1):
+                result = result * (1.0 - y)
+                y = y * p
+                if k in counts:
+                    want[k] = result
+            for n in counts:
+                cases += 1
+                if bits(kernel._qinf(x, p, n)) != bits(want[n]):
+                    mismatches.append((x, p, n))
+        assert cases >= 100_000
+        assert mismatches == [], mismatches[:5]
+
+    @pytest.mark.parametrize("x, p", [
+        (0.7 + 0.2j, 0.1 - 0.15j), (0.7, 0.3), (0.7 + 0j, 0.3 + 0j),
+        (1e-300 + 1e-300j, 0.5j), (1e300 + 1e300j, 0.9 - 0.1j),
+        (complex(math.nan, 1.0), 0.3j), (1.0 + 1e-320j, 1e-6),
+    ])
+    def test_edge_products(self, x, p):
+        for n in (1, 5, 10, 11, 30, 60):
+            assert bits(kernel._qinf(x, p, n)) == bits(_plain_qinf(x, p, n)), n
+
+
+class TestTruncationPolicy:
+    def test_hash_is_that_of_the_fields(self):
+        policy = TruncationPolicy(max_terms=700, tail_bound=1e-12)
+        assert hash(policy) == hash((700, 1e-12))
+        assert policy == TruncationPolicy(max_terms=700, tail_bound=1e-12)
+        assert {policy: 1}[TruncationPolicy(max_terms=700, tail_bound=1e-12)] == 1
+        assert policy != TruncationPolicy(max_terms=700, tail_bound=1e-13)
+
+    @pytest.mark.parametrize("x, p", [
+        pytest.param(("1e-400", "1e-400"), ("0.3", "0.1"), id="mpc-below-range"),
+        pytest.param(("1e400", "0"), ("0.3", "0.1"), id="mpc-above-range"),
+    ])
+    def test_mpc_modulus_outside_binary64_range(self, x, p):
+        with mpmath.workdps(50):
+            with pytest.raises(TruncationLimit, match="outside the binary64 range"):
+                eval_E(mpmath.mpc(*x), mpmath.mpc(*p), EXTENDED_POLICY)
+
+    def test_binary64_modulus_outside_range(self):
+        # p / x overflows to an infinite modulus
+        with pytest.raises(TruncationLimit, match=r"\|p/x\| = inf"):
+            eval_E(1e-320 + 0j, 0.3 + 0.1j)
+
+    def test_counts_inside_the_range(self):
+        assert DEFAULT_POLICY.num_factors(0.5, 1e300) == 1067
+        assert DEFAULT_POLICY.num_factors(0.5, 0.5) == 70
 
 
 def _mpc_polar(modulus, phase):
