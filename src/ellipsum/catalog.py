@@ -34,15 +34,15 @@ from .kernel import (
     DEFAULT_POLICY,
     DELTA_DEGEN,
     EXTENDED_POLICY,
-    CompensatedSum,
     EMemo,
     Nome,
     TruncationPolicy,
+    _check_degen,
     eval_E,
     pochhammer_e,
 )
 from .report import TrialFailure, VerificationReport, point_dump
-from .series import omega_sum
+from .series import omega_sum, vwp_sum
 
 TINY = 1e-300
 
@@ -87,45 +87,6 @@ class Identity:
 # Shared evaluation helpers
 # --------------------------------------------------------------------------
 
-def _check_degen(value, label: str):
-    if abs(value) < DELTA_DEGEN:
-        raise DegenerateParameters(f"{label}: |E| = {abs(value):.3e}")
-    return value
-
-
-def _vwp_sum(prefactor, num_groups, den_groups, weight, kmax: int, p,
-             policy: TruncationPolicy):
-    """Mixed-base very-well-poised-like sum.
-
-    Groups are (params, base, step) triples contributing the shifted
-    factorials (a; base, p)_{step*k} to the numerator or denominator of the
-    k-th summand; ``prefactor(k)`` supplies the leading E-ratio and
-    ``weight``^k the geometric part.  Returns (value, max term magnitude).
-    """
-    acc = CompensatedSum()
-    scale = 0.0
-    num = 1.0
-    den = 1.0
-    w = 1.0
-    for k in range(kmax + 1):
-        if k > 0:
-            for params, base, step in num_groups:
-                for a in params:
-                    for t in range(step * (k - 1), step * k):
-                        num = num * eval_E(a * base ** t, p, policy)
-            for params, base, step in den_groups:
-                for a in params:
-                    for t in range(step * (k - 1), step * k):
-                        f = eval_E(a * base ** t, p, policy)
-                        _check_degen(f, f"denominator factor at k={k}")
-                        den = den * f
-            w = w * weight
-        term = prefactor(k) * num * w / den
-        acc.add(term)
-        scale = max(scale, float(abs(term)))
-    return acc.value(), scale
-
-
 def _eprefactor(a1, gap: int, q, p, policy: TruncationPolicy):
     e_a1 = _check_degen(eval_E(a1, p, policy), "E(a1)")
 
@@ -145,13 +106,12 @@ def _poch_ratio(nums: Sequence, dens: Sequence, nome: Nome, n: int,
     return val
 
 
-def _e_ratio(nums: Sequence, dens: Sequence, p, policy: TruncationPolicy):
-    val = 1.0
-    for z in nums:
-        val = val * eval_E(z, p, policy)
-    for z in dens:
-        val = val / _check_degen(eval_E(z, p, policy), "E-ratio denominator")
-    return val
+def _eight_term(hi, lo, b, c, d, nome: Nome, m: int, policy: TruncationPolicy):
+    """(hi, hi/bc, lo/bd, lo/cd)_m / (hi/b, hi/c, lo/d, lo/bcd)_m, the closed
+    form of the eight-term summation (hi = lo = aq) and of its cubic and
+    quadratic-base relatives."""
+    return _poch_ratio([hi, hi / (b * c), lo / (b * d), lo / (c * d)],
+                       [hi / b, hi / c, lo / d, lo / (b * c * d)], nome, m, policy)
 
 
 def _sigma3(n: int) -> int:
@@ -162,31 +122,29 @@ def _sigma3(n: int) -> int:
 # Left-hand-side families
 # --------------------------------------------------------------------------
 
-def _lhs_omega(a1, uppers, nome: Nome, kmax: int, policy):
-    return omega_sum(a1, uppers, nome, kmax, policy)
-
-
-def _lhs_quadratic(v, n: int, nome: Nome, policy):
+def _lhs_quadratic(pt, policy):
     """Sum with E(a q^{3k}) prefactor and alternating q / q^2 factorials."""
+    v, n, nome = _pt_unpack(pt)
     a, b, c, d, e, f = v["a"], v["b"], v["c"], v["d"], v["e"], v["f"]
     q, p = nome.q, nome.p
     q2 = q * q
     num = [((b, c, d), q, 1), ((e, f, q ** (-2 * n)), q2, 1)]
     den = [((a * q2 / b, a * q2 / c, a * q2 / d), q2, 1),
            ((a * q / e, a * q / f, a * q ** (2 * n + 1)), q, 1)]
-    return _vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
 
 
-def _lhs_cubic(v, n: int, nome: Nome, policy):
+def _lhs_cubic(pt, policy):
     """Sum with E(a q^{4k}) prefactor, doubled-index middle factorial and a
     q^3-base terminating block."""
+    v, n, nome = _pt_unpack(pt)
     a, b, c, d, e = v["a"], v["b"], v["c"], v["d"], v["e"]
     q, p = nome.q, nome.p
     q3 = q ** 3
     num = [((b, c), q, 1), ((d,), q, 2), ((e, q ** (-3 * n)), q3, 1)]
     den = [((a * q3 / b, a * q3 / c), q3, 1), ((a * q / d,), q, 2),
            ((a * q / e, a * q ** (3 * n + 1)), q, 1)]
-    return _vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
 
 
 def _lhs_mixed32(v, n: int, nome: Nome, policy):
@@ -197,7 +155,7 @@ def _lhs_mixed32(v, n: int, nome: Nome, policy):
     num = [((b, c, d), q2, 1), ((e, f, q ** (-n)), q, 1)]
     den = [((a * q / b, a * q / c, a * q / d), q, 1),
            ((a * q2 / e, a * q2 / f, a * q ** (n + 2)), q2, 1)]
-    return _vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
 
 
 def _lhs_family43(b1, b2, dslot, eslot, a, n: int, nome: Nome, policy):
@@ -207,7 +165,7 @@ def _lhs_family43(b1, b2, dslot, eslot, a, n: int, nome: Nome, policy):
     num = [((b1, b2), q3, 1), ((dslot,), q, 2), ((eslot, q ** (-n)), q, 1)]
     den = [((a * q / b1, a * q / b2), q, 1), ((a * q / dslot,), q, 2),
            ((a * q3 / eslot, a * q ** (n + 3)), q3, 1)]
-    return _vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
 
 
 def _lhs_family_half(b1, b2, d1, d2, a, n: int, nome: Nome, policy):
@@ -217,7 +175,7 @@ def _lhs_family_half(b1, b2, d1, d2, a, n: int, nome: Nome, policy):
     num = [((b1, b2), q3, 1), ((q ** (-n),), q, 2), ((d1, d2), q, 1)]
     den = [((a * q / b1, a * q / b2), q, 1), ((a * q ** (n + 1),), q, 2),
            ((a * q3 / d1, a * q3 / d2), q3, 1)]
-    return _vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n // 2, p, policy)
+    return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n // 2, p, policy)
 
 
 def _gr_prefactor(a, b, q, r, p, policy):
@@ -254,7 +212,7 @@ def _pt_unpack(pt: ParamPoint):
 def _e109_lhs(pt, policy):
     v, n, nome = _pt_unpack(pt)
     uppers = (v["b"], v["c"], v["d"], v["e"], v["f"], v["g"], nome.q ** (-n))
-    return _lhs_omega(v["a"], uppers, nome, n, policy)
+    return omega_sum(v["a"], uppers, nome, n, policy)
 
 
 def _e109_rhs(pt, policy):
@@ -286,16 +244,14 @@ _register(Identity(
 def _e87_lhs(pt, policy):
     v, n, nome = _pt_unpack(pt)
     uppers = (v["b"], v["c"], v["d"], v["e"], nome.q ** (-n))
-    return _lhs_omega(v["a"], uppers, nome, n, policy)
+    return omega_sum(v["a"], uppers, nome, n, policy)
 
 
 def _e87_rhs(pt, policy):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     q = nome.q
-    val = _poch_ratio([a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)],
-                      [a * q / b, a * q / c, a * q / d, a * q / (b * c * d)],
-                      nome, n, policy)
+    val = _eight_term(a * q, a * q, b, c, d, nome, n, policy)
     return val, abs(val)
 
 
@@ -320,16 +276,16 @@ def _gr_lhs(pt, policy):
     q, p = nome.q, nome.p
     num = [((a / c, c / b), q, 1), ((a * b * d, 1.0 / d), r, 1)]
     den = [((c * r, a * b * r / c), r, 1), ((q / (b * d), a * d * q), q, 1)]
-    return _vwp_sum(_gr_prefactor(a, b, q, r, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_gr_prefactor(a, b, q, r, p, policy), num, den, q, n, p, policy)
 
 
 def _gr_rhs(pt, policy):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, r = v["a"], v["b"], v["c"], v["d"], v["r"]
-    q, p = nome.q, nome.p
+    q = nome.q
     nr = nome.with_base(r)
-    first = _e_ratio([c, a * b / c, a * d, b * d], [a, b, c * d, a * b * d / c],
-                     p, policy)
+    first = _poch_ratio([c, a * b / c, a * d, b * d], [a, b, c * d, a * b * d / c],
+                        nome, 1, policy)
     ratio = _poch_ratio([a / c, b * q ** (-n) / c], [b * d * q ** (-n), a * d],
                         nome, n + 1, policy)
     ratio *= _poch_ratio([a * b * d, d * r ** (-n)], [r ** (-n) / c, a * b / c],
@@ -358,15 +314,14 @@ def _sum1_lhs(pt, policy):
     num = [((a / c, c / b), q, 1), ((a * b * r ** n, r ** (-n)), r, 1)]
     den = [((c * r, a * b * r / c), r, 1),
            ((q * r ** (-n) / b, a * q * r ** n), q, 1)]
-    return _vwp_sum(_gr_prefactor(a, b, q, r, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_gr_prefactor(a, b, q, r, p, policy), num, den, q, n, p, policy)
 
 
 def _sum1_rhs(pt, policy):
     v, n, nome = _pt_unpack(pt)
     a, b, c, r = v["a"], v["b"], v["c"], v["r"]
-    p = nome.p
-    val = _e_ratio([c, a * b / c, a * r ** n, b * r ** n],
-                   [a, b, c * r ** n, a * b * r ** n / c], p, policy)
+    val = _poch_ratio([c, a * b / c, a * r ** n, b * r ** n],
+                      [a, b, c * r ** n, a * b * r ** n / c], nome, 1, policy)
     return val, abs(val)
 
 
@@ -395,7 +350,7 @@ def _make_thmr(r: int) -> Identity:
         uppers += [b * q ** i for i in range(1, r + 1)]
         uppers += [a * q ** (n + i) for i in range(r)]
         uppers.append(q ** (-r * n))
-        return _lhs_omega(a * b, tuple(uppers), nr, n, policy)
+        return omega_sum(a * b, tuple(uppers), nr, n, policy)
 
     def rhs(pt, policy):
         v, n, nome = _pt_unpack(pt)
@@ -452,11 +407,6 @@ def _quad_transform_rhs(pt, policy):
     return pref * val, abs(pref) * wscale
 
 
-def _lhs_quadratic_pt(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_quadratic(v, n, nome, policy)
-
-
 for _which in ("gab", "gae"):
     _register(Identity(
         id=f"etrafo_quadratic_{_which}",
@@ -465,7 +415,7 @@ for _which in ("gab", "gae"):
         free_params=("a", "b", "c", "e"),
         solved_params=("d", "f", "g"),
         termination=("n", 0, 5),
-        lhs=_lhs_quadratic_pt,
+        lhs=_lhs_quadratic,
         rhs=_quad_transform_rhs,
         solve=_solve_quad_transform(_which),
     ))
@@ -491,7 +441,7 @@ _register(Identity(
     free_params=("a", "c", "e"),
     solved_params=("b", "d", "f"),
     termination=("n", 0, 6),
-    lhs=_lhs_quadratic_pt,
+    lhs=_lhs_quadratic,
     rhs=_cor1_rhs,
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
                            "f": v["a"] ** 2 * q ** (2 * n + 1) / v["e"]},
@@ -503,7 +453,7 @@ _register(Identity(
     free_params=("a", "b", "c"),
     solved_params=("d", "e", "f"),
     termination=("n", 0, 6),
-    lhs=_lhs_quadratic_pt,
+    lhs=_lhs_quadratic,
     rhs=_cor1_rhs,
     solve=lambda v, n, q: {"d": v["a"] * q / (v["b"] * v["c"]), "e": v["a"],
                            "f": v["a"] * q ** (2 * n + 1)},
@@ -539,11 +489,6 @@ def _cubic_transform_rhs(pt, policy):
     return pref * val, abs(pref) * wscale
 
 
-def _lhs_cubic_pt(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_cubic(v, n, nome, policy)
-
-
 for _which in ("fab", "fae"):
     _register(Identity(
         id=f"etrafo2_cubic_{_which}",
@@ -552,7 +497,7 @@ for _which in ("fab", "fae"):
         free_params=("a", "b", "c"),
         solved_params=("d", "e", "f"),
         termination=("n", 0, 5),
-        lhs=_lhs_cubic_pt,
+        lhs=_lhs_cubic,
         rhs=_cubic_transform_rhs,
         solve=_solve_cubic_transform(_which),
     ))
@@ -578,7 +523,7 @@ _register(Identity(
     free_params=("a", "c"),
     solved_params=("b", "d", "e"),
     termination=("n", 0, 5),
-    lhs=_lhs_cubic_pt,
+    lhs=_lhs_cubic,
     rhs=_cor_cubic_rhs,
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
                            "e": v["a"] ** 2 * q ** (3 * n + 1) * v["c"] / q},
@@ -590,7 +535,7 @@ _register(Identity(
     free_params=("a", "b"),
     solved_params=("c", "d", "e"),
     termination=("n", 0, 3),
-    lhs=_lhs_cubic_pt,
+    lhs=_lhs_cubic,
     rhs=_cor_cubic_rhs,
     solve=lambda v, n, q: {"c": q ** (-3 * n) / v["b"],
                            "d": v["a"] * q ** (3 * n + 1), "e": v["a"]},
@@ -614,7 +559,7 @@ _register(Identity(
     free_params=("a", "b"),
     solved_params=("c", "d", "e"),
     termination=("n", 0, 5),
-    lhs=_lhs_cubic_pt,
+    lhs=_lhs_cubic,
     rhs=_cor_cubic_da_rhs,
     solve=lambda v, n, q: {"c": q / v["b"], "d": v["a"],
                            "e": v["a"] * q ** (3 * n + 1)},
@@ -713,9 +658,7 @@ def _etrafo5_rhs_b0(pt, policy):
     s = _sigma3(n)
     m = (n + s) // 3
     base = a * q ** (3 - s)
-    pref = _poch_ratio(
-        [base, base / (b * c), base / (b * d), base / (c * d)],
-        [base / b, base / c, base / d, base / (b * c * d)], n3, m, policy)
+    pref = _eight_term(base, base, b, c, d, n3, m, policy)
     uppers = (a / (d * q), a / e, b, c, d, q ** (1 - n), q ** (-n))
     val, wscale = omega_sum(a * a / (d * e * q), uppers, n3, n // 3, policy)
     return pref * val, abs(pref) * wscale
@@ -730,9 +673,7 @@ def _etrafo5_rhs_b1(pt, policy):
     m = (n + s) // 3
     hi = a * q ** (3 - s)
     lo = a * q ** (2 - s)
-    pref = _poch_ratio(
-        [hi, hi / (b * c), lo / (b * d), lo / (c * d)],
-        [hi / b, hi / c, lo / d, lo / (b * c * d)], n3, m, policy)
+    pref = _eight_term(hi, lo, b, c, d, n3, m, policy)
     uppers = (a / d, a / e, b, c, d * q, q ** (2 - n), q ** (-n))
     val, wscale = omega_sum(a * a / (d * e), uppers, n3, n // 3, policy)
     return pref * val, abs(pref) * wscale
@@ -741,19 +682,14 @@ def _etrafo5_rhs_b1(pt, policy):
 def _etrafo5_rhs_b2(pt, policy):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e = (v[k] for k in "abcde")
-    q, p = nome.q, nome.p
+    q = nome.q
     n3 = nome.with_base(q ** 3)
     s = _sigma3(n)
     m = (n + s) // 3
     hi = a * q ** (3 - s)
     lo = a * q ** (1 - s)
-    pref = _e_ratio(
-        [a * q ** s, a * q ** s / (b * c), a * q / (b * d), a * q / (c * d)],
-        [a * q ** s / b, a * q ** s / c, a * q / d, a * q / (b * c * d)],
-        p, policy)
-    pref *= _poch_ratio(
-        [hi, hi / (b * c), lo / (b * d), lo / (c * d)],
-        [hi / b, hi / c, lo / d, lo / (b * c * d)], n3, m, policy)
+    pref = _eight_term(a * q ** s, a * q, b, c, d, nome, 1, policy)
+    pref *= _eight_term(hi, lo, b, c, d, n3, m, policy)
     uppers = (a * q / d, a / e, b, c, d * q * q, q ** (2 - n), q ** (1 - n))
     val, wscale = omega_sum(a * a * q / (d * e), uppers, n3, n // 3, policy)
     return pref * val, abs(pref) * wscale
@@ -793,9 +729,7 @@ def cor_etrafo3_fa_sigma_rhs(pt, policy=DEFAULT_POLICY):
     s = n % 2
     m = (n + s) // 2
     base = a * q ** (2 - s)
-    return _poch_ratio(
-        [base, base / (b * c), base / (b * d), base / (c * d)],
-        [base / b, base / c, base / d, base / (b * c * d)], n2, m, policy)
+    return _eight_term(base, base, b, c, d, n2, m, policy)
 
 
 _register(Identity(
@@ -826,10 +760,7 @@ def _egs_rhs(pt, policy):
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     q2 = nome.q ** 2
     n2 = nome.with_base(q2)
-    val = _poch_ratio(
-        [a * q2, a * q2 / (b * c), a * q2 / (b * d), a * q2 / (c * d)],
-        [a * q2 / b, a * q2 / c, a * q2 / d, a * q2 / (b * c * d)],
-        n2, n // 2, policy)
+    val = _eight_term(a * q2, a * q2, b, c, d, n2, n // 2, policy)
     return val, abs(val)
 
 
@@ -919,20 +850,12 @@ def _cor_etrafo5_ea_rhs(pt, policy):
     q3 = q ** 3
     n3 = nome.with_base(q3)
     if n % 3 == 0:
-        base, m = a * q3, n // 3
-        val = _poch_ratio(
-            [base, base / (b * c), base / (b * d), base / (c * d)],
-            [base / b, base / c, base / d, base / (b * c * d)], n3, m, policy)
+        hi, lo, m = a * q3, a * q3, n // 3
     elif n % 3 == 1:
-        base, m = a * q, (n + 2) // 3
-        val = _poch_ratio(
-            [base, base / (b * c), base / (b * d), base / (c * d)],
-            [base / b, base / c, base / d, base / (b * c * d)], n3, m, policy)
+        hi, lo, m = a * q, a * q, (n + 2) // 3
     else:
         hi, lo, m = a * q * q, a * q, (n + 1) // 3
-        val = _poch_ratio(
-            [hi, hi / (b * c), lo / (b * d), lo / (c * d)],
-            [hi / b, hi / c, lo / d, lo / (b * c * d)], n3, m, policy)
+    val = _eight_term(hi, lo, b, c, d, n3, m, policy)
     return val, abs(val)
 
 
@@ -1030,7 +953,7 @@ def _quartic_trafo_lhs(pt, policy):
     den = [((a * a * q ** 6 / (b * b),), q4, 1),
            ((b, b * q, b * q2), q3, 1),
            ((q ** (1 - 4 * n) / b, a * q ** (4 * n + 1)), q, 1)]
-    return _vwp_sum(_eprefactor(a, 5, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 5, q, p, policy), num, den, q, n, p, policy)
 
 
 def _quartic_trafo_rhs(pt, policy):
@@ -1068,7 +991,7 @@ def _quartic_sum_lhs(pt, policy):
            ((a * q ** (n + 1), q ** (-n)), q, 1)]
     den = [((q,), q, 1), ((a, a * q, a * q2), q2, 1),
            ((a * q ** (3 - n), a * a * q ** (n + 4)), q4, 1)]
-    return _vwp_sum(_eprefactor(a * a, 5, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a * a, 5, q, p, policy), num, den, q, n, p, policy)
 
 
 def _quartic_sum_rhs(pt, policy):
@@ -1275,11 +1198,16 @@ def sample_point(ident: Identity, seed: int,
     return pt
 
 
+def _rel_diff(a, b) -> float:
+    """|a - b| / (|a| + |b|), the relative difference of two values."""
+    return float(abs(a - b) / (abs(a) + abs(b) + TINY))
+
+
 def trial_error(lhs, rhs, scale: float) -> float:
     """Relative error of one trial; zero right sides use the summand scale."""
     if rhs == 0:
         return float(abs(lhs)) / max(scale, TINY)
-    return float(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + TINY))
+    return _rel_diff(lhs, rhs)
 
 
 def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
@@ -1358,7 +1286,7 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
                 raise DegenerateParameters("non-finite")
             if max(sa, sb) > CONDITION_LIMIT * float(abs(ra) + abs(rb)):
                 raise DegenerateParameters("cancellation-dominated")
-            return float(abs(ra - rb) / (abs(ra) + abs(rb) + TINY))
+            return _rel_diff(ra, rb)
 
         worst = 0.0
         for trial in range(trials):

@@ -558,6 +558,16 @@ def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
     return value
 
 
+def _check_degen(value, label: str, *args):
+    """``value``, unless it is within DELTA_DEGEN of zero: then a pole, raised.
+
+    The message names the factor by ``label % args``, formatted only on raise.
+    """
+    if abs(value) < DELTA_DEGEN:
+        raise DegenerateParameters(f"{label % args}: |E| = {abs(value):.3e}")
+    return value
+
+
 def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
                  min_factor: float | None = None):
     """Elliptic shifted factorial (a; q, p)_n for any integer n.

@@ -21,6 +21,7 @@ from .kernel import (
     CompensatedSum,
     Nome,
     TruncationPolicy,
+    _check_degen,
     eval_E,
     pochhammer_e,
     pochhammer_partition,
@@ -144,24 +145,18 @@ def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
         for i in range(n):
             for j in range(i + 1, n):
                 if ks[i] != ks[j]:
-                    den1 = E(xs[i] / xs[j])
-                    if abs(den1) < DELTA_DEGEN:
-                        raise DegenerateParameters(f"E(x_{i + 1}/x_{j + 1}) ~ 0")
+                    den1 = _check_degen(E(xs[i] / xs[j]), "E(x_%d/x_%d)", i + 1, j + 1)
                     val *= E(q ** (ks[i] - ks[j]) * xs[i] / xs[j]) / den1
                 if ks[i] + ks[j] != N:
-                    den2 = E(a * xs[i] * xs[j] * q ** N)
-                    if abs(den2) < DELTA_DEGEN:
-                        raise DegenerateParameters(
-                            f"E(a x_{i + 1} x_{j + 1} q^N) ~ 0")
+                    den2 = _check_degen(E(a * xs[i] * xs[j] * q ** N),
+                                        "E(a x_%d x_%d q^N)", i + 1, j + 1)
                     val *= E(a * xs[i] * xs[j] * q ** (ks[i] + ks[j])) / den2
         for i in range(n):
             xi = xs[i]
             ki = ks[i]
             if ki == 0:
                 continue
-            den0 = E(a * xi * xi)
-            if abs(den0) < DELTA_DEGEN:
-                raise DegenerateParameters(f"E(a x_{i + 1}^2) ~ 0")
+            den0 = _check_degen(E(a * xi * xi), "E(a x_%d^2)", i + 1)
             val *= E(a * xi * xi * q ** (2 * ki)) / den0
             for u in (a * xi * xi, b * xi, c * xi, d * xi, e * xi, q ** (-N)):
                 val *= pochhammer_e(u, nome, ki, policy)
@@ -214,9 +209,7 @@ def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
         if parts[i - 1] == 0:
             continue
         base = a1 * x ** (2 * (1 - i))
-        den = E(base)
-        if abs(den) < DELTA_DEGEN:
-            raise DegenerateParameters(f"E(a1 x^{2 * (1 - i)}) ~ 0")
+        den = _check_degen(E(base), "E(a1 x^%d)", 2 * (1 - i))
         val *= E(base * q ** (2 * parts[i - 1])) / den
     lam = Partition(parts)
     val *= pochhammer_partition(a1 * x ** (1 - nparts), nome, x, parts, policy)
@@ -233,14 +226,10 @@ def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
         for j in range(i + 1, nparts + 1):
             li, lj = parts[i - 1], parts[j - 1]
             if li != lj:
-                d1 = E(x ** (j - i))
-                if abs(d1) < DELTA_DEGEN:
-                    raise DegenerateParameters(f"E(x^{j - i}) ~ 0")
+                d1 = _check_degen(E(x ** (j - i)), "E(x^%d)", j - i)
                 val *= E(x ** (j - i) * q ** (li - lj)) / d1
             if li + lj != 0:
-                d2 = E(a1 * x ** (2 - i - j))
-                if abs(d2) < DELTA_DEGEN:
-                    raise DegenerateParameters(f"E(a1 x^{2 - i - j}) ~ 0")
+                d2 = _check_degen(E(a1 * x ** (2 - i - j)), "E(a1 x^%d)", 2 - i - j)
                 val *= E(a1 * x ** (2 - i - j) * q ** (li + lj)) / d2
             val *= pochhammer_e(a1 * x ** (3 - i - j), nome, li + lj, policy)
             val *= pochhammer_e(x ** (j - i + 1), nome, li - lj, policy)

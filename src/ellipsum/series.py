@@ -8,6 +8,10 @@ The central sum has summand
 with one designated upper parameter equal to q^{-n} so that the series
 terminates.  Termination is always an input (the integer ``n_term``), never
 detected from floating parameter values.
+
+One engine, :func:`vwp_terms`, sums this series and the catalog's quadratic,
+cubic and quartic ones alike: each is a prefactor, a geometric weight and
+shifted factorials given as (params, base, step) groups.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import BalanceViolation, DegenerateParameters
+from .errors import BalanceViolation
 from .kernel import (
     BALANCE_TOL,
     DEFAULT_POLICY,
-    DELTA_DEGEN,
     CompensatedSum,
     Nome,
     TruncationPolicy,
+    _check_degen,
     eval_E,
 )
 
@@ -66,57 +70,78 @@ def balance_residual(spec: OmegaSpec) -> float:
     return float(abs(lhs - rhs) / scale)
 
 
+def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
+              kmax: int, p, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """Summands t_0..t_kmax of a mixed-base very-well-poised series.
+
+    Groups are (params, base, step) triples contributing the shifted
+    factorials (a; base, p)_{step*k} to the numerator or denominator of the
+    k-th summand; ``prefactor(k)`` supplies the leading E-ratio and
+    ``weight``^k the geometric part.  The products are accumulated one E
+    factor at a time; denominator factors below the degeneracy threshold
+    raise.
+    """
+    terms = []
+    num = den = w = 1.0
+    for k in range(kmax + 1):
+        if k > 0:
+            for params, base, step in num_groups:
+                for a in params:
+                    for t in range(step * (k - 1), step * k):
+                        num = num * eval_E(a * base ** t, p, policy)
+            for params, base, step in den_groups:
+                for a in params:
+                    for t in range(step * (k - 1), step * k):
+                        den = den * _check_degen(eval_E(a * base ** t, p, policy),
+                                                 "denominator factor at k=%d", k)
+            w = w * weight
+        terms.append(prefactor(k) * num * w / den)
+    return terms
+
+
+def _summed(terms) -> tuple:
+    """Compensated left-to-right sum and the largest summand magnitude.
+
+    The magnitude is the summand scale zero-sided identity checks use to
+    normalize what "numerically zero" means.
+    """
+    acc = CompensatedSum()
+    scale = 0.0
+    for t in terms:
+        acc.add(t)
+        scale = max(scale, float(abs(t)))
+    return acc.value(), scale
+
+
+def vwp_sum(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
+            kmax: int, p, policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+    """(value, scale) of the series of :func:`vwp_terms`."""
+    return _summed(vwp_terms(prefactor, num_groups, den_groups, weight, kmax, p, policy))
+
+
 def omega_terms(a1, uppers: Sequence, nome: Nome, kmax: int,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> list:
     """Summands t_0..t_kmax of the very-well-poised series with the given
-    (complete) upper parameter list.
-
-    Numerator and denominator shifted factorials are accumulated one E factor
-    per step; denominator factors below the degeneracy threshold raise.
+    (complete) upper parameter list: :func:`vwp_terms` with base q throughout.
     """
     q, p = nome.q, nome.p
-    e_a1 = eval_E(a1, p, policy)
-    if abs(e_a1) < DELTA_DEGEN:
-        raise DegenerateParameters(f"E(a1) ~ 0 for a1={a1!r}")
-    lowers = [q] + [a1 * q / a for a in uppers]
-    # k = 0 term is 1, in the same scalar type as the parameters.
-    terms = [a1 * 0 + 1.0]
-    num_args = list(uppers)
-    # Incremental products: at step k multiply in the (k-1)-th factor of
-    # every shifted factorial.
-    num = 1.0
-    den = 1.0
-    qk = 1.0
-    for k in range(1, kmax + 1):
-        shift = q ** (k - 1)
-        num = num * eval_E(a1 * shift, p, policy)
-        for a in num_args:
-            num = num * eval_E(a * shift, p, policy)
-        for i, b in enumerate(lowers):
-            f = eval_E(b * shift, p, policy)
-            if abs(f) < DELTA_DEGEN:
-                raise DegenerateParameters(
-                    f"denominator factor {i} at k={k}: |E| = {abs(f):.3e}")
-            den = den * f
-        qk = qk * q
-        pref = eval_E(a1 * q ** (2 * k), p, policy) / e_a1
-        terms.append(pref * num * qk / den)
-    return terms
+    e_a1 = _check_degen(eval_E(a1, p, policy), "E(a1)")
+
+    def prefactor(k: int):
+        if k == 0:
+            return a1 * 0 + 1.0  # t_0 is exactly 1, in the type of the parameters
+        return eval_E(a1 * q ** (2 * k), p, policy) / e_a1
+
+    lowers = (q, *(a1 * q / a for a in uppers))
+    return vwp_terms(prefactor, (((a1, *uppers), q, 1),), ((lowers, q, 1),), q, kmax,
+                     p, policy)
 
 
 def omega_sum(a1, uppers: Sequence, nome: Nome, kmax: int,
               policy: TruncationPolicy = DEFAULT_POLICY):
-    """Compensated left-to-right sum of the series; returns (value, scale).
-
-    ``scale`` is the largest summand magnitude, used by zero-sided identity
-    checks to normalize what "numerically zero" means.
-    """
-    acc = CompensatedSum()
-    scale = 0.0
-    for t in omega_terms(a1, uppers, nome, kmax, policy):
-        acc.add(t)
-        scale = max(scale, float(abs(t)))
-    return acc.value(), scale
+    """(value, scale) of the series of :func:`omega_terms`, by the compensated
+    sum :func:`vwp_sum` uses."""
+    return _summed(omega_terms(a1, uppers, nome, kmax, policy))
 
 
 def eval_omega(spec: OmegaSpec, strict_balance: bool = True,

@@ -28,8 +28,10 @@ import numpy as np
 from .catalog import (
     DEFAULT_REGION,
     MAX_RESAMPLES,
+    TINY,
     SamplingRegion,
     _draw_complex,
+    _rel_diff,
     _resample,
     _rng_for,
     _uniform_pair,
@@ -60,8 +62,6 @@ from .inversion import (
 )
 from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
 from .multivar import CnPoint, cn_jackson_sides, conjecture_sides, omega87_sides
-
-TINY = 1e-300
 
 # Largest n of the inverse-pair orthogonality checks.
 ORTHOGONALITY_N_MAX = 8
@@ -120,7 +120,7 @@ def _finite(err: float) -> float:
 
 
 def _rel(a, b) -> float:
-    return _finite(float(abs(a - b) / (abs(a) + abs(b) + TINY)))
+    return _finite(_rel_diff(a, b))
 
 
 def _sides_rel(sides, *args) -> float:
@@ -276,8 +276,9 @@ def _theta_product_vs_series(z, p):
         series += (-1) ** m * cmath.exp(logp * ((2 * m + 1) ** 2 / 4.0)) * \
             cmath.sin((2 * m + 1) * z)
     series *= 2
-    err = _rel(theta1(z, p), series)
-    return max(err, _rel(theta1(-z, p), -theta1(z, p)))
+    theta = theta1(z, p)
+    err = _rel(theta, series)
+    return max(err, _rel(theta1(-z, p), -theta))
 
 
 KERNEL_CHECKS = [
@@ -493,15 +494,6 @@ def _draw_cn(n, n_cap, rng, region):
     return (CnPoint(Nome(q, p), n, N, xs, a=a, b=b, c=c, d=d, e=e),)
 
 
-def _draw_cn_reduction(rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    N = int(rng.integers(0, 4))
-    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
-    e = a * a * q ** (N + 1) / (b * c * d)
-    x = _draw_complex(rng, (0.8, 1.25))
-    return (CnPoint(Nome(q, p), 1, N, (x,), a=a, b=b, c=c, d=d, e=e),)
-
-
 def _cn_reduction(pt):
     # the one-variable sum against the closed Jackson evaluation
     lhs, _ = cn_jackson_sides(pt)
@@ -524,7 +516,7 @@ def run_cn_suite(trials: int = 20, seed: int = 1,
                     partial(_sides_rel, cn_jackson_sides), 1e-8)
               for n, n_cap in sizes]
     checks.append(Check("cn_jackson_reduces_to_one_variable", "suite.cn.reduction",
-                        _draw_cn_reduction, _cn_reduction, 1e-8))
+                        partial(_draw_cn, 1, 3), _cn_reduction, 1e-8))
     return run_checks(checks, trials, seed, region, only)
 
 

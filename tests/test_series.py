@@ -2,7 +2,15 @@ import pytest
 
 from ellipsum import BalanceViolation, DegenerateParameters, Nome
 from ellipsum.kernel import eval_E
-from ellipsum.series import OmegaSpec, balance_residual, eval_omega, omega_sum, omega_terms
+from ellipsum.series import (
+    OmegaSpec,
+    balance_residual,
+    eval_omega,
+    omega_sum,
+    omega_terms,
+    vwp_sum,
+    vwp_terms,
+)
 
 from conftest import rel_err
 from oracles import classical_pochhammer, classical_w_sum, truncated_product_E
@@ -139,3 +147,39 @@ class TestOmegaSumScale:
         terms = omega_terms(spec.a1, spec.full_upper(), spec.nome, 4)
         assert scale == max(abs(t) for t in terms)
         assert rel_err(value, sum(terms)) <= 1e-13
+
+
+class TestEngine:
+    def test_mixed_bases_and_doubled_index_against_factorwise_oracle(self, rnd):
+        # Groups in bases q and q^3, one of them with step 2 (the factorial
+        # (d; q, p)_{2k}): every summand rebuilt factor by factor.
+        q, p = rnd(0.3, 0.8), rnd(0.05, 0.3)
+        q3 = q ** 3
+        a, b, c, d, e, f, g, h, u = (rnd() for _ in range(9))
+        num = [((b, c), q, 1), ((d,), q, 2), ((e,), q3, 1)]
+        den = [((f, g), q3, 1), ((h,), q, 2), ((u,), q, 1)]
+        E = lambda z: truncated_product_E(z, p)
+        prefactor = lambda k: E(a * q ** (3 * k)) / E(a)
+        kmax = 4
+        terms = vwp_terms(prefactor, num, den, q, kmax, p)
+        assert len(terms) == kmax + 1
+        want = []
+        for k in range(kmax + 1):
+            term = prefactor(k) * q ** k
+            for groups, sign in ((num, 1), (den, -1)):
+                for params, base, step in groups:
+                    for x in params:
+                        for t in range(step * k):
+                            term *= E(x * base ** t) ** sign
+            want.append(term)
+        scale = max(abs(t) for t in want)
+        for got, ref in zip(terms, want):
+            assert abs(got - ref) <= 1e-12 * scale
+        value, got_scale = vwp_sum(prefactor, num, den, q, kmax, p)
+        assert abs(value - sum(want)) <= 1e-12 * scale
+        assert rel_err(got_scale, scale) <= 1e-12
+
+    def test_omega_first_term_is_exactly_one(self, rnd):
+        spec = jackson_spec(rnd, n=3)
+        terms = omega_terms(spec.a1, spec.full_upper(), spec.nome, 3)
+        assert terms[0] == 1.0

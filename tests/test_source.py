@@ -1,0 +1,69 @@
+"""Static checks on the source tree.
+
+Every module-level private name of the package is used somewhere in the
+package, so a helper whose last caller goes is deleted with it; and the test
+oracles import nothing from the package they check.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ellipsum"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _bound_names(statements):
+    """Names a block of module-level statements defines (imports excluded),
+    looking into loops and conditionals but not into functions or classes."""
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.For)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _bound_names(getattr(node, field, []))
+
+
+def _used_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_module_name_is_used():
+    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        used.update(_used_names(tree))
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in set(_bound_names(tree.body))
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in used)
+    assert unused == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    imported = []
+    for node in ast.walk(_parse(ROOT / "tests" / "oracles.py")):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert not [name for name in imported if name.split(".")[0] == "ellipsum"]
