@@ -70,17 +70,26 @@ class ParamPoint:
 
 @dataclass(frozen=True)
 class Identity:
+    """One catalog record: what a draw needs and the two sides to compare.
+
+    ``free_params`` are drawn at random and ``solve(values, n, q)`` returns
+    the constrained parameters.  ``termination`` is ``(name, lo, hi)``: the
+    termination index is drawn uniformly from ``lo..hi`` and stored under
+    ``name``.  ``branch``, if set, is a predicate on that index which keeps
+    only the residue classes the right side covers.  ``extra_bases`` name
+    further bases, drawn like q and before the free parameters.  ``lhs`` and
+    ``rhs`` map ``(point, policy)`` to ``(value, scale)``.
+    """
+
     id: str
     description: str
     free_params: tuple
-    solved_params: tuple
-    termination: tuple  # (name, lo, hi)
+    termination: tuple
     lhs: Callable
     rhs: Callable
     solve: Callable
     branch: Callable | None = None
     extra_bases: tuple = ()
-    zero_rhs: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -147,35 +156,60 @@ def _lhs_cubic(pt, policy):
     return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
 
 
-def _lhs_mixed32(v, n: int, nome: Nome, policy):
-    """Sum with E(a q^{3k}) prefactor and swapped q^2 / q factorial bases."""
-    a, b, c, d, e, f = v["a"], v["b"], v["c"], v["d"], v["e"], v["f"]
-    q, p = nome.q, nome.p
-    q2 = q * q
-    num = [((b, c, d), q2, 1), ((e, f, q ** (-n)), q, 1)]
-    den = [((a * q / b, a * q / c, a * q / d), q, 1),
-           ((a * q2 / e, a * q2 / f, a * q ** (n + 2)), q2, 1)]
-    return vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
+# The families below are shared by several records.  Each factory takes the
+# names of the point's parameters that fill its slots and returns the
+# (pt, policy) side.  _lhs_family43 and _lhs_family_half always take "a" as
+# their base point.
+
+def _lhs_mixed32(*slots):
+    """Sum with E(a q^{3k}) prefactor and swapped q^2 / q factorial bases;
+    ``slots`` fill a, b, c, d, e, f."""
+    def lhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        a, b, c, d, e, f = (v[name] for name in slots)
+        q, p = nome.q, nome.p
+        q2 = q * q
+        num = [((b, c, d), q2, 1), ((e, f, q ** (-n)), q, 1)]
+        den = [((a * q / b, a * q / c, a * q / d), q, 1),
+               ((a * q2 / e, a * q2 / f, a * q ** (n + 2)), q2, 1)]
+        return vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
+
+    return lhs
 
 
-def _lhs_family43(b1, b2, dslot, eslot, a, n: int, nome: Nome, policy):
-    """E(a q^{4k}) family with single doubled slot and q^3 tail block."""
-    q, p = nome.q, nome.p
-    q3 = q ** 3
-    num = [((b1, b2), q3, 1), ((dslot,), q, 2), ((eslot, q ** (-n)), q, 1)]
-    den = [((a * q / b1, a * q / b2), q, 1), ((a * q / dslot,), q, 2),
-           ((a * q3 / eslot, a * q ** (n + 3)), q3, 1)]
-    return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
+def _lhs_family43(*slots):
+    """E(a q^{4k}) family with single doubled slot and q^3 tail block;
+    ``slots`` fill b1, b2, dslot, eslot."""
+    def lhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        b1, b2, dslot, eslot = (v[name] for name in slots)
+        a = v["a"]
+        q, p = nome.q, nome.p
+        q3 = q ** 3
+        num = [((b1, b2), q3, 1), ((dslot,), q, 2), ((eslot, q ** (-n)), q, 1)]
+        den = [((a * q / b1, a * q / b2), q, 1), ((a * q / dslot,), q, 2),
+               ((a * q3 / eslot, a * q ** (n + 3)), q3, 1)]
+        return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
+
+    return lhs
 
 
-def _lhs_family_half(b1, b2, d1, d2, a, n: int, nome: Nome, policy):
-    """E(a q^{4k}) family with doubled terminating factorial, k <= n/2."""
-    q, p = nome.q, nome.p
-    q3 = q ** 3
-    num = [((b1, b2), q3, 1), ((q ** (-n),), q, 2), ((d1, d2), q, 1)]
-    den = [((a * q / b1, a * q / b2), q, 1), ((a * q ** (n + 1),), q, 2),
-           ((a * q3 / d1, a * q3 / d2), q3, 1)]
-    return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n // 2, p, policy)
+def _lhs_family_half(*slots):
+    """E(a q^{4k}) family with doubled terminating factorial, k <= n/2;
+    ``slots`` fill b1, b2, d1, d2."""
+    def lhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        b1, b2, d1, d2 = (v[name] for name in slots)
+        a = v["a"]
+        q, p = nome.q, nome.p
+        q3 = q ** 3
+        num = [((b1, b2), q3, 1), ((q ** (-n),), q, 2), ((d1, d2), q, 1)]
+        den = [((a * q / b1, a * q / b2), q, 1), ((a * q ** (n + 1),), q, 2),
+               ((a * q3 / d1, a * q3 / d2), q3, 1)]
+        return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n // 2, p,
+                       policy)
+
+    return lhs
 
 
 def _gr_prefactor(a, b, q, r, p, policy):
@@ -209,10 +243,15 @@ def _pt_unpack(pt: ParamPoint):
 
 # ---- ten-term transformation and Jackson evaluation ----------------------
 
-def _e109_lhs(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    uppers = (v["b"], v["c"], v["d"], v["e"], v["f"], v["g"], nome.q ** (-n))
-    return omega_sum(v["a"], uppers, nome, n, policy)
+def _omega_lhs(letters: str):
+    """The terminating omega series with base point a, the parameters named
+    by ``letters`` and q^{-n} as its upper parameters."""
+    def lhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        uppers = (*(v[name] for name in letters), nome.q ** (-n))
+        return omega_sum(v["a"], uppers, nome, n, policy)
+
+    return lhs
 
 
 def _e109_rhs(pt, policy):
@@ -232,19 +271,12 @@ _register(Identity(
     id="e109",
     description="ten-term very-well-poised transformation with shifted base point",
     free_params=("a", "b", "c", "d", "e", "f"),
-    solved_params=("g",),
     termination=("n", 0, 5),
-    lhs=_e109_lhs,
+    lhs=_omega_lhs("bcdefg"),
     rhs=_e109_rhs,
     solve=lambda v, n, q: {"g": v["a"] ** 3 * q ** (n + 2) /
                            (v["b"] * v["c"] * v["d"] * v["e"] * v["f"])},
 ))
-
-
-def _e87_lhs(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    uppers = (v["b"], v["c"], v["d"], v["e"], nome.q ** (-n))
-    return omega_sum(v["a"], uppers, nome, n, policy)
 
 
 def _e87_rhs(pt, policy):
@@ -259,9 +291,8 @@ _register(Identity(
     id="e87",
     description="eight-term very-well-poised summation in closed product form",
     free_params=("a", "b", "c", "d"),
-    solved_params=("e",),
     termination=("n", 0, 6),
-    lhs=_e87_lhs,
+    lhs=_omega_lhs("bcde"),
     rhs=_e87_rhs,
     solve=lambda v, n, q: {"e": v["a"] ** 2 * q ** (n + 1) /
                            (v["b"] * v["c"] * v["d"])},
@@ -298,7 +329,6 @@ _register(Identity(
     id="gr_sum_general",
     description="two-base telescoping sum with free weight parameter",
     free_params=("a", "b", "c", "d"),
-    solved_params=(),
     termination=("n", 0, 6),
     lhs=_gr_lhs,
     rhs=_gr_rhs,
@@ -329,7 +359,6 @@ _register(Identity(
     id="sum1",
     description="two-base telescoping sum at the closing weight r^n",
     free_params=("a", "b", "c"),
-    solved_params=(),
     termination=("n", 0, 6),
     lhs=_sum1_lhs,
     rhs=_sum1_rhs,
@@ -366,7 +395,6 @@ def _make_thmr(r: int) -> Identity:
         id=f"thmr_r{r}",
         description=f"stretched-base (step {r}) very-well-poised summation",
         free_params=("a", "b", "c"),
-        solved_params=(),
         termination=("n", 0, 5 if r <= 2 else (4 if r == 3 else 3)),
         lhs=lhs,
         rhs=rhs,
@@ -413,7 +441,6 @@ for _which in ("gab", "gae"):
         description="quadratic transformation into a ten-term series "
                     f"(gauge {_which[-2:]})",
         free_params=("a", "b", "c", "e"),
-        solved_params=("d", "f", "g"),
         termination=("n", 0, 5),
         lhs=_lhs_quadratic,
         rhs=_quad_transform_rhs,
@@ -421,28 +448,32 @@ for _which in ("gab", "gae"):
     ))
 
 
-def _cor1_rhs(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = (v[k] for k in "abcde")
-    q2 = nome.q ** 2
-    n2 = nome.with_base(q2)
-    val = _poch_ratio(
-        [a * q2, a * a * q2 / (b * c * e), a * a * q2 / (b * d * e),
-         a * q2 / (c * d)],
-        [a * a * q2 / (b * e), a * q2 / c, a * q2 / d,
-         a * a * q2 / (b * c * d * e)],
-        n2, n, policy)
-    return val, abs(val)
+def _coalesced_rhs(step: int):
+    """Closed form of the summations left when two parameters of the
+    quadratic (step 2) or cubic (step 3) transformation coalesce."""
+    def rhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        a, b, c, d, e = (v[k] for k in "abcde")
+        qs = nome.q ** step
+        ns = nome.with_base(qs)
+        val = _poch_ratio(
+            [a * qs, a * a * qs / (b * c * e), a * a * qs / (b * d * e),
+             a * qs / (c * d)],
+            [a * a * qs / (b * e), a * qs / c, a * qs / d,
+             a * a * qs / (b * c * d * e)],
+            ns, n, policy)
+        return val, abs(val)
+
+    return rhs
 
 
 _register(Identity(
     id="cor1_ba",
     description="quadratic summation, first-parameter coalescence",
     free_params=("a", "c", "e"),
-    solved_params=("b", "d", "f"),
     termination=("n", 0, 6),
     lhs=_lhs_quadratic,
-    rhs=_cor1_rhs,
+    rhs=_coalesced_rhs(2),
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
                            "f": v["a"] ** 2 * q ** (2 * n + 1) / v["e"]},
 ))
@@ -451,10 +482,9 @@ _register(Identity(
     id="cor1_ea",
     description="quadratic summation, middle-parameter coalescence",
     free_params=("a", "b", "c"),
-    solved_params=("d", "e", "f"),
     termination=("n", 0, 6),
     lhs=_lhs_quadratic,
-    rhs=_cor1_rhs,
+    rhs=_coalesced_rhs(2),
     solve=lambda v, n, q: {"d": v["a"] * q / (v["b"] * v["c"]), "e": v["a"],
                            "f": v["a"] * q ** (2 * n + 1)},
 ))
@@ -495,7 +525,6 @@ for _which in ("fab", "fae"):
         description="cubic transformation into a ten-term series "
                     f"(gauge {_which[-2:]})",
         free_params=("a", "b", "c"),
-        solved_params=("d", "e", "f"),
         termination=("n", 0, 5),
         lhs=_lhs_cubic,
         rhs=_cubic_transform_rhs,
@@ -503,28 +532,13 @@ for _which in ("fab", "fae"):
     ))
 
 
-def _cor_cubic_rhs(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = (v[k] for k in "abcde")
-    q3 = nome.q ** 3
-    n3 = nome.with_base(q3)
-    val = _poch_ratio(
-        [a * q3, a * a * q3 / (b * c * e), a * a * q3 / (b * d * e),
-         a * q3 / (c * d)],
-        [a * a * q3 / (b * e), a * q3 / c, a * q3 / d,
-         a * a * q3 / (b * c * d * e)],
-        n3, n, policy)
-    return val, abs(val)
-
-
 _register(Identity(
     id="cor_cubic_ba",
     description="cubic summation, first-parameter coalescence",
     free_params=("a", "c"),
-    solved_params=("b", "d", "e"),
     termination=("n", 0, 5),
     lhs=_lhs_cubic,
-    rhs=_cor_cubic_rhs,
+    rhs=_coalesced_rhs(3),
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
                            "e": v["a"] ** 2 * q ** (3 * n + 1) * v["c"] / q},
 ))
@@ -533,10 +547,9 @@ _register(Identity(
     id="cor_cubic_ea",
     description="cubic summation, tail-parameter coalescence",
     free_params=("a", "b"),
-    solved_params=("c", "d", "e"),
     termination=("n", 0, 3),
     lhs=_lhs_cubic,
-    rhs=_cor_cubic_rhs,
+    rhs=_coalesced_rhs(3),
     solve=lambda v, n, q: {"c": q ** (-3 * n) / v["b"],
                            "d": v["a"] * q ** (3 * n + 1), "e": v["a"]},
 ))
@@ -557,7 +570,6 @@ _register(Identity(
     id="cor_cubic_da",
     description="cubic summation with doubled-index slot pinned to the base point",
     free_params=("a", "b"),
-    solved_params=("c", "d", "e"),
     termination=("n", 0, 5),
     lhs=_lhs_cubic,
     rhs=_cor_cubic_da_rhs,
@@ -567,11 +579,6 @@ _register(Identity(
 
 
 # ---- mixed-base transformations -------------------------------------------
-
-def _lhs_mixed32_pt(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_mixed32(v, n, nome, policy)
-
 
 def _etrafo3_prefactor(v, n, nome, policy):
     a, b, c = v["a"], v["b"], v["c"]
@@ -600,18 +607,21 @@ _register(Identity(
     id="etrafo3",
     description="quadratic-base transformation with halved inner series",
     free_params=("a", "b", "c", "e"),
-    solved_params=("d", "f"),
     termination=("n", 0, 8),
-    lhs=_lhs_mixed32_pt,
+    lhs=_lhs_mixed32("a", "b", "c", "d", "e", "f"),
     rhs=_etrafo3_rhs,
     solve=lambda v, n, q: {"d": v["a"] ** 2 * q / (v["b"] * v["c"]),
                            "f": v["a"] * q ** (n + 1) / v["e"]},
 ))
 
 
-def _lhs_etrafo4_pt(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family_half(v["b"], v["c"], v["d"], v["e"], v["a"], n, nome, policy)
+def _etrafo4_prefactor(v, n, nome, policy):
+    a, b = v["a"], v["b"]
+    q = nome.q
+    n3 = nome.with_base(q ** 3)
+    val = _poch_ratio([a * q], [a * q / b], nome, n, policy)
+    val *= _poch_ratio([a * q ** (2 - n) / b], [a * q ** (2 - n)], n3, n, policy)
+    return val
 
 
 def _etrafo4_rhs(pt, policy):
@@ -619,8 +629,7 @@ def _etrafo4_rhs(pt, policy):
     a, b, c, d, e = (v[k] for k in "abcde")
     q = nome.q
     n3 = nome.with_base(q ** 3)
-    pref = _poch_ratio([a * q], [a * q / b], nome, n, policy)
-    pref *= _poch_ratio([a * q ** (2 - n) / b], [a * q ** (2 - n)], n3, n, policy)
+    pref = _etrafo4_prefactor(v, n, nome, policy)
     uppers = (b, c, a / d, a / e, q ** (2 - n), q ** (1 - n), q ** (-n))
     val, wscale = omega_sum(a * a / (d * e), uppers, n3, n // 3, policy)
     return pref * val, abs(pref) * wscale
@@ -630,18 +639,12 @@ _register(Identity(
     id="etrafo4",
     description="cubic-base transformation over the half-range sum",
     free_params=("a", "b", "d"),
-    solved_params=("c", "e"),
     termination=("n", 0, 8),
-    lhs=_lhs_etrafo4_pt,
+    lhs=_lhs_family_half("b", "c", "d", "e"),
     rhs=_etrafo4_rhs,
     solve=lambda v, n, q: {"c": v["a"] ** 2 * q ** (n + 1) / v["b"],
                            "e": v["a"] * q ** (n + 1) / v["d"]},
 ))
-
-
-def _lhs_etrafo5_pt(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family43(v["b"], v["c"], v["d"], v["e"], v["a"], n, nome, policy)
 
 
 def _etrafo5_solve(v, n, q):
@@ -650,63 +653,46 @@ def _etrafo5_solve(v, n, q):
     return {"c": c, "e": e}
 
 
-def _etrafo5_rhs_b0(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = (v[k] for k in "abcde")
-    q = nome.q
-    n3 = nome.with_base(q ** 3)
-    s = _sigma3(n)
-    m = (n + s) // 3
-    base = a * q ** (3 - s)
-    pref = _eight_term(base, base, b, c, d, n3, m, policy)
-    uppers = (a / (d * q), a / e, b, c, d, q ** (1 - n), q ** (-n))
-    val, wscale = omega_sum(a * a / (d * e * q), uppers, n3, n // 3, policy)
-    return pref * val, abs(pref) * wscale
+def _etrafo5_rhs(which: int):
+    """Right side of residue branch 0, 1 or 2: an eight-term prefactor times
+    an omega series in base q^3 over k <= n/3."""
+    def rhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        a, b, c, d, e = (v[k] for k in "abcde")
+        q = nome.q
+        n3 = nome.with_base(q ** 3)
+        s = _sigma3(n)
+        m = (n + s) // 3
+        hi = a * q ** (3 - s)
+        if which == 0:
+            pref = _eight_term(hi, hi, b, c, d, n3, m, policy)
+            uppers = (a / (d * q), a / e, b, c, d, q ** (1 - n), q ** (-n))
+            base_point = a * a / (d * e * q)
+        elif which == 1:
+            pref = _eight_term(hi, a * q ** (2 - s), b, c, d, n3, m, policy)
+            uppers = (a / d, a / e, b, c, d * q, q ** (2 - n), q ** (-n))
+            base_point = a * a / (d * e)
+        else:
+            pref = _eight_term(a * q ** s, a * q, b, c, d, nome, 1, policy)
+            pref *= _eight_term(hi, a * q ** (1 - s), b, c, d, n3, m, policy)
+            uppers = (a * q / d, a / e, b, c, d * q * q, q ** (2 - n), q ** (1 - n))
+            base_point = a * a * q / (d * e)
+        val, wscale = omega_sum(base_point, uppers, n3, n // 3, policy)
+        return pref * val, abs(pref) * wscale
+
+    return rhs
 
 
-def _etrafo5_rhs_b1(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = (v[k] for k in "abcde")
-    q = nome.q
-    n3 = nome.with_base(q ** 3)
-    s = _sigma3(n)
-    m = (n + s) // 3
-    hi = a * q ** (3 - s)
-    lo = a * q ** (2 - s)
-    pref = _eight_term(hi, lo, b, c, d, n3, m, policy)
-    uppers = (a / d, a / e, b, c, d * q, q ** (2 - n), q ** (-n))
-    val, wscale = omega_sum(a * a / (d * e), uppers, n3, n // 3, policy)
-    return pref * val, abs(pref) * wscale
-
-
-def _etrafo5_rhs_b2(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = (v[k] for k in "abcde")
-    q = nome.q
-    n3 = nome.with_base(q ** 3)
-    s = _sigma3(n)
-    m = (n + s) // 3
-    hi = a * q ** (3 - s)
-    lo = a * q ** (1 - s)
-    pref = _eight_term(a * q ** s, a * q, b, c, d, nome, 1, policy)
-    pref *= _eight_term(hi, lo, b, c, d, n3, m, policy)
-    uppers = (a * q / d, a / e, b, c, d * q * q, q ** (2 - n), q ** (1 - n))
-    val, wscale = omega_sum(a * a * q / (d * e), uppers, n3, n // 3, policy)
-    return pref * val, abs(pref) * wscale
-
-
-for _sigma, _rhs, _pred in (
-        (0, _etrafo5_rhs_b0, lambda n: n % 3 != 2),
-        (1, _etrafo5_rhs_b1, lambda n: n % 3 != 1),
-        (2, _etrafo5_rhs_b2, lambda n: n % 3 != 0)):
+for _sigma, _pred in ((0, lambda n: n % 3 != 2),
+                      (1, lambda n: n % 3 != 1),
+                      (2, lambda n: n % 3 != 0)):
     _register(Identity(
         id=f"etrafo5_b{_sigma}",
         description=f"cubic-base transformation, residue branch {_sigma}",
         free_params=("a", "b", "d"),
-        solved_params=("c", "e"),
         termination=("n", 0, 8),
-        lhs=_lhs_etrafo5_pt,
-        rhs=_rhs,
+        lhs=_lhs_family43("b", "c", "d", "e"),
+        rhs=_etrafo5_rhs(_sigma),
         solve=_etrafo5_solve,
         branch=_pred,
     ))
@@ -714,10 +700,15 @@ for _sigma, _rhs, _pred in (
 
 # ---- summation corollaries of the mixed-base transformations ----------------
 
-def _cor_etrafo3_fa_rhs(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    val = _etrafo3_prefactor(v, n, nome, policy)
-    return val, abs(val)
+def _prefactor_rhs(prefactor):
+    """A summation's closed form where it pins a transformation's inner series
+    to its k = 0 term, 1: the transformation's prefactor alone."""
+    def rhs(pt, policy):
+        v, n, nome = _pt_unpack(pt)
+        val = prefactor(v, n, nome, policy)
+        return val, abs(val)
+
+    return rhs
 
 
 def cor_etrafo3_fa_sigma_rhs(pt, policy=DEFAULT_POLICY):
@@ -736,21 +727,12 @@ _register(Identity(
     id="cor_etrafo3_fa",
     description="quadratic-base summation from pinning the inner series",
     free_params=("a", "b", "c"),
-    solved_params=("d", "e", "f"),
     termination=("n", 0, 8),
-    lhs=_lhs_mixed32_pt,
-    rhs=_cor_etrafo3_fa_rhs,
+    lhs=_lhs_mixed32("a", "b", "c", "d", "e", "f"),
+    rhs=_prefactor_rhs(_etrafo3_prefactor),
     solve=lambda v, n, q: {"d": v["a"] ** 2 * q / (v["b"] * v["c"]),
                            "e": q ** (n + 1), "f": v["a"]},
 ))
-
-
-def _lhs_egs(pt, policy):
-    # The base point itself occupies the first quadratic-base slot here.
-    v, n, nome = _pt_unpack(pt)
-    slots = {"a": v["a"], "b": v["a"], "c": v["b"], "d": v["c"],
-             "e": v["d"], "f": v["e"]}
-    return _lhs_mixed32(slots, n, nome, policy)
 
 
 def _egs_rhs(pt, policy):
@@ -768,47 +750,25 @@ _register(Identity(
     id="egs",
     description="quadratic-base summation vanishing at odd order",
     free_params=("a", "b", "d"),
-    solved_params=("c", "e"),
     termination=("n", 0, 9),
-    lhs=_lhs_egs,
+    # the base point itself fills the first quadratic-base slot
+    lhs=_lhs_mixed32("a", "a", "b", "c", "d", "e"),
     rhs=_egs_rhs,
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"],
                            "e": v["a"] * q ** (n + 1) / v["d"]},
-    zero_rhs=True,
 ))
-
-
-def _lhs_cor_etrafo4_ea(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family_half(v["b"], v["c"], v["a"], v["d"], v["a"], n, nome, policy)
-
-
-def _cor_etrafo4_ea_rhs(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    a, b = v["a"], v["b"]
-    q = nome.q
-    n3 = nome.with_base(q ** 3)
-    val = _poch_ratio([a * q], [a * q / b], nome, n, policy)
-    val *= _poch_ratio([a * q ** (2 - n) / b], [a * q ** (2 - n)], n3, n, policy)
-    return val, abs(val)
 
 
 _register(Identity(
     id="cor_etrafo4_ea",
     description="half-range cubic-base summation, tail coalescence",
     free_params=("a", "b"),
-    solved_params=("c", "d"),
     termination=("n", 0, 8),
-    lhs=_lhs_cor_etrafo4_ea,
-    rhs=_cor_etrafo4_ea_rhs,
+    lhs=_lhs_family_half("b", "c", "a", "d"),
+    rhs=_prefactor_rhs(_etrafo4_prefactor),
     solve=lambda v, n, q: {"c": v["a"] ** 2 * q ** (n + 1) / v["b"],
                            "d": q ** (n + 1)},
 ))
-
-
-def _lhs_c2(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family_half(v["a"], v["b"], v["c"], v["d"], v["a"], n, nome, policy)
 
 
 def _c2_rhs(pt, policy):
@@ -828,19 +788,12 @@ _register(Identity(
     id="c2",
     description="half-range cubic-base summation vanishing on one residue class",
     free_params=("a", "c"),
-    solved_params=("b", "d"),
     termination=("n", 0, 8),
-    lhs=_lhs_c2,
+    lhs=_lhs_family_half("a", "b", "c", "d"),
     rhs=_c2_rhs,
     solve=lambda v, n, q: {"b": v["a"] * q ** (n + 1),
                            "d": v["a"] * q ** (n + 1) / v["c"]},
-    zero_rhs=True,
 ))
-
-
-def _lhs_cor_etrafo5_ea(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family43(v["b"], v["c"], v["d"], v["a"], v["a"], n, nome, policy)
 
 
 def _cor_etrafo5_ea_rhs(pt, policy):
@@ -863,18 +816,12 @@ _register(Identity(
     id="cor_etrafo5_ea",
     description="cubic-base summation with residue-split closed forms",
     free_params=("a", "b"),
-    solved_params=("c", "d"),
     termination=("n", 0, 6),
-    lhs=_lhs_cor_etrafo5_ea,
+    lhs=_lhs_family43("b", "c", "d", "a"),
     rhs=_cor_etrafo5_ea_rhs,
     solve=lambda v, n, q: {"d": q ** (n + 1),
                            "c": v["a"] ** 2 * q ** (-n) / v["b"]},
 ))
-
-
-def _lhs_cor_chu(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family43(v["a"], v["b"], v["c"], v["d"], v["a"], n, nome, policy)
 
 
 def _cor_chu_rhs(pt, policy):
@@ -894,18 +841,11 @@ _register(Identity(
     id="cor_chu",
     description="cubic-base summation vanishing off one residue class",
     free_params=("a", "b"),
-    solved_params=("c", "d"),
     termination=("n", 0, 9),
-    lhs=_lhs_cor_chu,
+    lhs=_lhs_family43("a", "b", "c", "d"),
     rhs=_cor_chu_rhs,
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"], "d": v["b"] * q ** n},
-    zero_rhs=True,
 ))
-
-
-def _lhs_cor_etrafo5_da(pt, policy):
-    v, n, nome = _pt_unpack(pt)
-    return _lhs_family43(v["b"], v["c"], v["a"], v["d"], v["a"], n, nome, policy)
 
 
 def _cor_etrafo5_da_rhs(pt, policy):
@@ -931,12 +871,10 @@ _register(Identity(
     id="cor_etrafo5_da",
     description="cubic-base summation with doubled slot at the base point",
     free_params=("a", "b"),
-    solved_params=("c", "d"),
     termination=("n", 0, 8),
-    lhs=_lhs_cor_etrafo5_da,
+    lhs=_lhs_family43("b", "c", "a", "d"),
     rhs=_cor_etrafo5_da_rhs,
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"], "d": q ** (n + 1)},
-    zero_rhs=True,
 ))
 
 
@@ -974,7 +912,6 @@ _register(Identity(
     id="quartic_trafo",
     description="quartic-step transformation between two-parameter sums",
     free_params=("a", "b"),
-    solved_params=(),
     termination=("n", 0, 3),
     lhs=_quartic_trafo_lhs,
     rhs=_quartic_trafo_rhs,
@@ -1012,12 +949,10 @@ _register(Identity(
     id="quartic_sum",
     description="quartic-step summation vanishing off one residue class",
     free_params=("a",),
-    solved_params=(),
     termination=("n", 0, 8),
     lhs=_quartic_sum_lhs,
     rhs=_quartic_sum_rhs,
     solve=lambda v, n, q: {},
-    zero_rhs=True,
 ))
 
 
@@ -1073,11 +1008,10 @@ def _bases_clear(q: complex, p: complex) -> bool:
 
 def _draw_point(ident: Identity, rng: np.random.Generator,
                 region: SamplingRegion) -> ParamPoint:
-    while True:
-        q = _draw_complex(rng, region.q_mod)
-        p = _draw_complex(rng, region.p_mod)
-        if _bases_clear(q, p):
-            break
+    q = _draw_complex(rng, region.q_mod)
+    p = _draw_complex(rng, region.p_mod)
+    if not _bases_clear(q, p):
+        raise DegenerateParameters("a power of q is too close to a power of p")
     values = {}
     for name in ident.extra_bases:
         values[name] = _draw_complex(rng, region.q_mod)

@@ -31,8 +31,9 @@ def _parse_bounds(text: str, flag: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{flag} expects LO,HI (e.g. 0.05,0.3), got {text!r}")
-    if not (0 <= lo <= hi):
-        raise argparse.ArgumentTypeError(f"{flag} bounds must satisfy 0 <= LO <= HI")
+    if not (0 <= lo <= hi < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"{flag} bounds must be finite and satisfy 0 <= LO <= HI")
     if flag == "--q-mod" and lo == 0:
         raise argparse.ArgumentTypeError("LO must be > 0: the base q must be nonzero")
     if flag == "--p-mod" and hi >= 1:
@@ -40,13 +41,13 @@ def _parse_bounds(text: str, flag: str) -> tuple:
     return lo, hi
 
 
-def _parse_count(text: str) -> int:
+def _parse_count(text: str, least: int = 1) -> int:
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    if count < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {count}")
     return count
 
 
@@ -77,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="property suite name, or 'catalog' for every identity")
     run.add_argument("--trials", type=_parse_count, default=100,
                      help="trials per identity / draws per suite check (default 100)")
-    run.add_argument("--seed", type=int, default=1, help="base RNG seed (default 1)")
+    # numpy seeds its generators with integers >= 0 only
+    run.add_argument("--seed", type=lambda s: _parse_count(s, 0), default=1,
+                     help="base RNG seed, an integer >= 0 (default 1)")
     run.add_argument("--tol", type=_parse_tol, default=1e-8,
                      help="failure threshold on the relative error of identity "
                           "runs (default 1e-8); suite checks keep their own "

@@ -78,6 +78,21 @@ class TestSampling:
         for name in ident.free_params:
             assert 0.5 <= abs(pt.values[name]) <= 2.0
 
+    def test_base_collision_is_a_counted_resample(self, monkeypatch):
+        # A q, p pair with colliding powers is redrawn by the one sampling
+        # loop, from the same stream, and the report counts the redraw.
+        seen = []
+        clear = catalog._bases_clear
+
+        def reject_first(q, p):
+            seen.append((q, p))
+            return len(seen) > 1 and clear(q, p)
+
+        monkeypatch.setattr(catalog, "_bases_clear", reject_first)
+        rep = check_identity(get_identity("e87"), trials=1)
+        assert rep.resamples == 1
+        assert len(seen) == 2 and seen[0] != seen[1]
+
 
 # Every modulus range that catalog.py and suites.py draw from, and two that
 # --q-mod or --p-mod can give.

@@ -184,6 +184,8 @@ class TestUsageErrors:
         ["--identity", "e109", "--tol", "0"],
         ["--identity", "e109", "--tol", "-0.5"],
         ["--identity", "e109", "--tol", "tight"],
+        ["--identity", "e87", "--trials", "2", "--seed", "-1"],
+        ["--identity", "e87", "--q-mod", "0.3,inf"],
     ])
     def test_bad_flag_values_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:

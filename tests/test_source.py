@@ -67,3 +67,30 @@ def test_oracles_import_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.append(node.module or "")
     assert not [name for name in imported if name.split(".")[0] == "ellipsum"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """A field that no code reads as an attribute is dead weight on every
+    record that sets it; the package and its tests are the readers."""
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
+        read.update(node.attr for node in ast.walk(_parse(path))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    assert unread == []
