@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -1191,41 +1191,25 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
 
     The left side of the quadratic (resp. cubic) transformation does not
     involve the gauge parameter, so the two right-hand forms must agree at
-    matched points; this is itself a ten-term transformation instance.
+    matched points; this is itself a ten-term transformation instance, run by
+    :func:`check_identity` as an unregistered record.  ``p_zero`` draws |p| = 0.
     Returns {pair name: max relative difference}.
     """
-    pol = policy or DEFAULT_POLICY
+    if p_zero:
+        region = replace(region, p_mod=(0.0, 0.0))
     out = {}
     for pair_name, id_a, id_b in (
             ("quadratic", "etrafo_quadratic_gab", "etrafo_quadratic_gae"),
             ("cubic", "etrafo2_cubic_fab", "etrafo2_cubic_fae")):
-        ident_a = get_identity(id_a)
-        ident_b = get_identity(id_b)
+        ident_a, ident_b = get_identity(id_a), get_identity(id_b)
 
-        def draw(rng):
-            pt = _draw_point(ident_a, rng, region)
-            if p_zero:
-                pt = ParamPoint(Nome(pt.nome.q, 0.0), pt.values, pt.integers)
-            vb = dict(pt.values)
-            vb.update(ident_b.solve(
-                {k: vb[k] for k in ident_b.free_params}, pt.integers["n"], pt.nome.q))
-            return pt, ParamPoint(pt.nome, vb, pt.integers)
+        def rhs_b(pt, pol):
+            values = dict(pt.values)
+            values.update(ident_b.solve({k: values[k] for k in ident_b.free_params},
+                                        pt.integers["n"], pt.nome.q))
+            return ident_b.rhs(ParamPoint(pt.nome, values, pt.integers), pol)
 
-        def evaluate(pt, pt_b):
-            with EMemo():
-                ra, sa = ident_a.rhs(pt, pol)
-            with EMemo():
-                rb, sb = ident_b.rhs(pt_b, pol)
-            if not (_is_finite(ra) and _is_finite(rb)):
-                raise DegenerateParameters("non-finite")
-            if max(sa, sb) > CONDITION_LIMIT * float(abs(ra) + abs(rb)):
-                raise DegenerateParameters("cancellation-dominated")
-            return _rel_diff(ra, rb)
-
-        worst = 0.0
-        for trial in range(trials):
-            rng = _rng_for(pair_name, seed, trial)
-            _, err, _ = _resample(lambda: draw(rng), evaluate, pair_name)
-            worst = max(worst, err)
-        out[pair_name] = worst
+        pair = replace(ident_a, id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
+        out[pair_name] = check_identity(pair, trials, seed=seed, region=region,
+                                        policy=policy).max_rel_err
     return out

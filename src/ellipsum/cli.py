@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .catalog import (
@@ -61,6 +62,13 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _parse_json_path(text: str) -> str:
+    # checked before any check runs, so a long run is not lost at the end
+    if os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"cannot write a report file at {text!r}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify",
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="modulus bounds for the nome p (default 0.05,0.3)")
     run.add_argument("--precision", choices=("double", "extended"),
                      default="double", help="working precision (identity runs)")
-    run.add_argument("--json", dest="json_path", default=None,
+    run.add_argument("--json", dest="json_path", type=_parse_json_path, default=None,
                      help="write a machine-readable report to this path")
     run.add_argument("--n", type=_parse_count, default=2,
                      help="dimension for the cn/conjecture suites (default 2)")

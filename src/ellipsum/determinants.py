@@ -9,12 +9,14 @@ Four families are covered:
 * its shifted-factorial corollary (``corollary_determ_sides``),
 * the same corollary rewritten in theta functions (``theta_det_sides``).
 
-Matrix entries are assembled from unreduced Pochhammer fractions so the
-structural zeros produced by negative indices are exact.
+Each family has one matrix builder and one closed-form product.  Matrix
+entries are assembled from unreduced Pochhammer fractions so the structural
+zeros produced by negative indices are exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,17 +68,9 @@ def _qpow_poch_frac(exponent: int, nome: Nome, n: int,
     def factor(e: int):
         return 0.0 if e == 0 else eval_E(q ** e, p, policy)
 
-    if n == 0:
-        return 1.0, 1.0
-    if n > 0:
-        num = 1.0
-        for k in range(n):
-            num = num * factor(exponent + k)
-        return num, 1.0
-    den = 1.0
-    for k in range(-n):
-        den = den * factor(exponent + n + k)
-    return 1.0, den
+    if n >= 0:
+        return math.prod((factor(exponent + k) for k in range(n)), start=1.0), 1.0
+    return 1.0, math.prod((factor(exponent + n + k) for k in range(-n)), start=1.0)
 
 
 def andrews_stanton_entry(x, y, nome: Nome, i: int, j: int,
@@ -111,10 +105,9 @@ def andrews_stanton_matrix(x, y, nome: Nome, n: int,
              for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def andrews_stanton_sides(x, y, nome: Nome, n: int,
-                          policy: TruncationPolicy = DEFAULT_POLICY):
-    """(det of the n x n matrix, closed-form double product)."""
-    det, _ = det_numeric(andrews_stanton_matrix(x, y, nome, n, policy))
+def andrews_stanton_product(x, y, nome: Nome, n: int,
+                            policy: TruncationPolicy = DEFAULT_POLICY):
+    """Closed-form double product of the quadratic-base determinant."""
     q = nome.q
     n2 = nome.with_base(q * q)
     prod = 1.0
@@ -127,7 +120,14 @@ def andrews_stanton_sides(x, y, nome: Nome, n: int,
         prod *= pochhammer_e(x * q ** i / y, n2, i, policy)
         prod /= pochhammer_e(x * y * q ** (i - 1), nome, i, policy)
         prod /= pochhammer_e(x * q ** i / y, nome, i, policy)
-    return det, prod
+    return prod
+
+
+def andrews_stanton_sides(x, y, nome: Nome, n: int,
+                          policy: TruncationPolicy = DEFAULT_POLICY):
+    """(det of the n x n matrix, closed-form double product)."""
+    args = (x, y, nome, n, policy)
+    return det_numeric(andrews_stanton_matrix(*args))[0], andrews_stanton_product(*args)
 
 
 def andrews_stanton_lu(x, y, nome: Nome, n: int,
@@ -202,6 +202,22 @@ def det_lemma_matrix(xs: Sequence, a_values: Sequence, c, nome: Nome,
     return matrix
 
 
+def det_lemma_product(xs: Sequence, a_values: Sequence, c, nome: Nome,
+                      family: Sequence[Callable],
+                      policy: TruncationPolicy = DEFAULT_POLICY):
+    """Closed-form product side of the elliptic determinant lemma."""
+    n = len(xs)
+    p = nome.p
+    rhs = 1.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rhs *= a_values[j] * xs[j] * eval_E(xs[i] / xs[j], p, policy) * \
+                eval_E(c / (xs[i] * xs[j]), p, policy)
+    for i in range(1, n + 1):
+        rhs *= family[i - 1](1.0 / a_values[i - 1])
+    return rhs
+
+
 def elliptic_det_lemma_sides(xs: Sequence, a_values: Sequence, c, nome: Nome,
                              family: Sequence[Callable],
                              policy: TruncationPolicy = DEFAULT_POLICY):
@@ -211,19 +227,10 @@ def elliptic_det_lemma_sides(xs: Sequence, a_values: Sequence, c, nome: Nome,
     P_0(1/A_1), which is constant for any admissible family.  ``family``
     holds the n callables P_0..P_{n-1}.
     """
-    n = len(xs)
-    if len(a_values) != n or len(family) != n:
+    if not len(a_values) == len(family) == len(xs):
         raise ValueError("xs, a_values and family must share length n")
-    p = nome.p
-    det, _ = det_numeric(det_lemma_matrix(xs, a_values, c, nome, family, policy))
-    rhs = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs *= a_values[j] * xs[j] * eval_E(xs[i] / xs[j], p, policy) * \
-                eval_E(c / (xs[i] * xs[j]), p, policy)
-    for i in range(1, n + 1):
-        rhs *= family[i - 1](1.0 / a_values[i - 1])
-    return det, rhs
+    args = (xs, a_values, c, nome, family, policy)
+    return det_numeric(det_lemma_matrix(*args))[0], det_lemma_product(*args)
 
 
 def corollary_determ_matrix(xs: Sequence, a, b, c, nome: Nome,
@@ -242,12 +249,11 @@ def corollary_determ_matrix(xs: Sequence, a, b, c, nome: Nome,
     return matrix
 
 
-def corollary_determ_sides(xs: Sequence, a, b, c, nome: Nome,
-                           policy: TruncationPolicy = DEFAULT_POLICY):
-    """(det of the shifted-factorial ratio matrix, closed-form product)."""
+def corollary_determ_product(xs: Sequence, a, b, c, nome: Nome,
+                             policy: TruncationPolicy = DEFAULT_POLICY):
+    """Closed-form product side of the shifted-factorial ratio determinant."""
     n = len(xs)
     q, p = nome.q, nome.p
-    det, _ = det_numeric(corollary_determ_matrix(xs, a, b, c, nome, policy))
     rhs = a ** binom2(n) * q ** _binom3(n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -258,7 +264,14 @@ def corollary_determ_sides(xs: Sequence, a, b, c, nome: Nome,
         rhs *= pochhammer_e(a * b * c * q ** (2 * n - 2 * i), nome, i - 1, policy)
         rhs /= pochhammer_e(b * xs[i - 1], nome, n - 1, policy)
         rhs /= pochhammer_e(b * c / xs[i - 1], nome, n - 1, policy)
-    return det, rhs
+    return rhs
+
+
+def corollary_determ_sides(xs: Sequence, a, b, c, nome: Nome,
+                           policy: TruncationPolicy = DEFAULT_POLICY):
+    """(det of the shifted-factorial ratio matrix, closed-form product)."""
+    args = (xs, a, b, c, nome, policy)
+    return det_numeric(corollary_determ_matrix(*args))[0], corollary_determ_product(*args)
 
 
 def _binom3(n: int) -> int:
@@ -267,20 +280,14 @@ def _binom3(n: int) -> int:
 
 def theta_product_chain(z, m: int, p, policy: TruncationPolicy = DEFAULT_POLICY):
     """prod_{k=0}^{m-1} theta_1(z + k): theta analogue of a shifted factorial."""
-    val = 1.0
-    for k in range(m):
-        val = val * theta1(z + k, p, policy)
-    return val
+    return math.prod((theta1(z + k, p, policy) for k in range(m)), start=1.0)
 
 
-def theta_det_sides(xs: Sequence, a, b, c, p,
-                    policy: TruncationPolicy = DEFAULT_POLICY):
-    """(det, product) of the theta-function determinant identity.
-
-    Arguments are additive here: matrix entries are chains of theta_1 values
-    at shifted angles, exercising the theta code path directly rather than
-    reducing to the multiplicative kernel.
-    """
+def theta_det_matrix(xs: Sequence, a, b, c, p,
+                     policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """Entries are chains of theta_1 values at shifted angles: arguments are
+    additive here, exercising the theta code path directly rather than
+    reducing to the multiplicative kernel."""
     n = len(xs)
     matrix = []
     for i in range(n):
@@ -292,7 +299,13 @@ def theta_det_sides(xs: Sequence, a, b, c, p,
             val *= theta_product_chain(b + c + n - j - xs[i], j - 1, p, policy)
             row.append(val)
         matrix.append(row)
-    det, _ = det_numeric(matrix)
+    return matrix
+
+
+def theta_det_product(xs: Sequence, a, b, c, p,
+                      policy: TruncationPolicy = DEFAULT_POLICY):
+    """Closed-form product side of the theta-function determinant identity."""
+    n = len(xs)
     rhs = 1.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -300,7 +313,14 @@ def theta_det_sides(xs: Sequence, a, b, c, p,
     for i in range(1, n + 1):
         rhs *= theta_product_chain(b - a, i - 1, p, policy)
         rhs *= theta_product_chain(a + b + c + 2 * n - 2 * i, i - 1, p, policy)
-    return det, rhs
+    return rhs
+
+
+def theta_det_sides(xs: Sequence, a, b, c, p,
+                    policy: TruncationPolicy = DEFAULT_POLICY):
+    """(det, product) of the theta-function determinant identity."""
+    args = (xs, a, b, c, p, policy)
+    return det_numeric(theta_det_matrix(*args))[0], theta_det_product(*args)
 
 
 @dataclass(frozen=True)
@@ -352,7 +372,3 @@ class ThetaDetProblem:
 
     def sides(self, policy: TruncationPolicy = DEFAULT_POLICY):
         return theta_det_sides(self.xs, self.a, self.b, self.c, self.p, policy)
-
-
-DetProblem = AndrewsStantonProblem | CorollaryDetermProblem | \
-    EllipticDetLemmaProblem | ThetaDetProblem

@@ -29,6 +29,7 @@ from .kernel import (
     eval_E,
     pochhammer_e,
 )
+from .series import omega_sum
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,25 @@ def shifted_sum1_params(a, b, r, l: int, q):
     return a * (q * r) ** l, b * r ** l * q ** (-l), 1.0
 
 
+def _replay_sides(r: int, a, b, nome: Nome, n: int, a_seq: Callable[[int], complex],
+                  closed_nums: Sequence, closed_dens: Sequence,
+                  policy: TruncationPolicy):
+    """(sum_k f_{n,k} a_k over the r-step pair, closed form, largest term).
+
+    The closed form is the product of the ``closed_nums`` over the
+    ``closed_dens``, each a (parameter, nome, length) shifted factorial.
+    """
+    pair = RStepPair(a, b, r, nome)
+    terms = [pair.f(n, k, policy) * a_seq(k) for k in range(n + 1)]
+    (u, base, m), *nums = closed_nums
+    closed = pochhammer_e(u, base, m, policy)
+    for u, base, m in nums:
+        closed *= pochhammer_e(u, base, m, policy)
+    for u, base, m in closed_dens:
+        closed /= pochhammer_e(u, base, m, policy)
+    return sum(terms), closed, max(abs(t) for t in terms)
+
+
 def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int,
                            policy: TruncationPolicy = DEFAULT_POLICY):
     """Reproduce the closed form b_n of the quadratic-transformation proof by
@@ -289,11 +309,8 @@ def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int,
     last value lets callers detect cancellation-dominated draws: individual
     terms can dwarf the answer even though each product f_{n,k} a_k is finite.
     """
-    from .series import omega_sum
-
-    q, p = nome.q, nome.p
+    q = nome.q
     n2 = nome.with_base(q * q)
-    pair = RStepPair(a, b, 2, nome)
 
     def a_seq(k: int):
         val = pochhammer_e(b / d, n2, k, policy) * pochhammer_e(b * d * q, n2, k, policy)
@@ -303,32 +320,20 @@ def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int,
         inner, _ = omega_sum(a * d, uppers, n2, k, policy)
         return val * inner
 
-    terms = [pair.f(n, k, policy) * a_seq(k) for k in range(n + 1)]
-    applied = sum(terms)
-    scale = max(abs(t) for t in terms)
-    closed = pochhammer_e(q * q, n2, n, policy)
-    closed *= pochhammer_e(a * b * q * q, n2, n, policy)
-    closed *= pochhammer_e(a * q / b, n2, n, policy)
-    closed *= pochhammer_e(a / c, nome, n, policy)
-    closed *= pochhammer_e(c / d, nome, n, policy)
-    closed *= pochhammer_e(d * q, nome, n, policy)
-    closed /= pochhammer_e(a, nome, n, policy)
-    closed /= pochhammer_e(1.0 / b, nome, n, policy)
-    closed /= pochhammer_e(b * q, nome, n, policy)
-    closed /= pochhammer_e(c * q * q, n2, n, policy)
-    closed /= pochhammer_e(a * d * q * q / c, n2, n, policy)
-    closed /= pochhammer_e(a * q / d, n2, n, policy)
-    return applied, closed, scale
+    return _replay_sides(
+        2, a, b, nome, n, a_seq,
+        ((q * q, n2, n), (a * b * q * q, n2, n), (a * q / b, n2, n),
+         (a / c, nome, n), (c / d, nome, n), (d * q, nome, n)),
+        ((a, nome, n), (1.0 / b, nome, n), (b * q, nome, n),
+         (c * q * q, n2, n), (a * d * q * q / c, n2, n), (a * q / d, n2, n)),
+        policy)
 
 
 def cubic_replay_sides(a, b, c, nome: Nome, n: int,
                        policy: TruncationPolicy = DEFAULT_POLICY):
     """Same proof replay for the cubic transformation with the r = 3 pair."""
-    from .series import omega_sum
-
-    q, p = nome.q, nome.p
+    q = nome.q
     n3 = nome.with_base(q ** 3)
-    pair = RStepPair(a, b, 3, nome)
 
     def a_seq(k: int):
         val = pochhammer_e(b * b / a, n3, k, policy)
@@ -338,17 +343,10 @@ def cubic_replay_sides(a, b, c, nome: Nome, n: int,
         inner, _ = omega_sum(a * a / b, uppers, n3, k, policy)
         return val * inner
 
-    terms = [pair.f(n, k, policy) * a_seq(k) for k in range(n + 1)]
-    applied = sum(terms)
-    scale = max(abs(t) for t in terms)
-    closed = pochhammer_e(q ** 3, n3, n, policy)
-    closed *= pochhammer_e(a * b * q ** 3, n3, n, policy)
-    closed *= pochhammer_e(b / c, nome, n, policy)
-    closed *= pochhammer_e(c, nome, n, policy)
-    closed *= pochhammer_e(a * q / b, nome, 2 * n, policy)
-    closed /= pochhammer_e(a, nome, n, policy)
-    closed /= pochhammer_e(1.0 / b, nome, n, policy)
-    closed /= pochhammer_e(a * c * q ** 3 / b, n3, n, policy)
-    closed /= pochhammer_e(a * q ** 3 / c, n3, n, policy)
-    closed /= pochhammer_e(b * q, nome, 2 * n, policy)
-    return applied, closed, scale
+    return _replay_sides(
+        3, a, b, nome, n, a_seq,
+        ((q ** 3, n3, n), (a * b * q ** 3, n3, n), (b / c, nome, n), (c, nome, n),
+         (a * q / b, nome, 2 * n)),
+        ((a, nome, n), (1.0 / b, nome, n), (a * c * q ** 3 / b, n3, n),
+         (a * q ** 3 / c, n3, n), (b * q, nome, 2 * n)),
+        policy)

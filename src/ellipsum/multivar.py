@@ -191,9 +191,7 @@ def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
 def omega_balance_residual(a1, uppers_full: Sequence, nome: Nome, x, nparts: int) -> float:
     """Residual of (a4...a_{r+1})^2 = a1^{r-3} q^{r-5} x^{2-2n}."""
     r = len(uppers_full) + 2
-    prod = 1.0
-    for u in uppers_full:
-        prod = prod * u
+    prod = math.prod(uppers_full, start=1.0)
     lhs = prod * prod
     rhs = a1 ** (r - 3) * nome.q ** (r - 5) * x ** (2 - 2 * nparts)
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -241,7 +239,6 @@ def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
 
 
 def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int,
-               strict_balance: bool = True,
                policy: TruncationPolicy = DEFAULT_POLICY):
     """Partition sum over all lambda with nparts parts, lambda_1 <= N.
 
@@ -251,7 +248,7 @@ def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int,
     q = nome.q
     uppers_full = tuple(upper) + (q ** (-N),)
     res = omega_balance_residual(a1, uppers_full, nome, x, nparts)
-    if res > BALANCE_TOL and strict_balance:
+    if res > BALANCE_TOL:
         raise BalanceViolation(f"balancing residual {res:.3e}")
     acc = CompensatedSum()
     for lam in enumerate_partitions(nparts, N):
@@ -274,11 +271,19 @@ def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int,
         mult = math.factorial(nparts)
         for m in lam.multiplicities(N):
             mult //= math.factorial(m)
-        prod = 1.0 * mult
-        for part in lam.parts:
-            prod = prod * terms[part]
-        acc.add(prod)
+        acc.add(math.prod((terms[part] for part in lam.parts), start=1.0 * mult))
     return acc.value()
+
+
+def _rectangle_ratio(nums, dens, pt: CnPoint, policy: TruncationPolicy):
+    """Ratio of the shifted factorials indexed by the rectangle (N, ..., N)."""
+    rect = (pt.N,) * pt.n
+    val = 1.0
+    for u in nums:
+        val *= pochhammer_partition(u, pt.nome, pt.x, rect, policy)
+    for u in dens:
+        val /= pochhammer_partition(u, pt.nome, pt.x, rect, policy)
+    return val
 
 
 def conjecture_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -296,12 +301,10 @@ def conjecture_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
                       "bcdefg x^{n-1} = a^3 q^{N+2}")
     bailey_lambda = a * a * q / (b * c * d)
     lhs = eval_Omega(a, (b, c, d, e, f, g), pt.nome, x, n, N, policy=policy)
-    rect = (N,) * n
-    pref = 1.0
-    for u in (a * q, a * q / (e * f), bailey_lambda * q / e, bailey_lambda * q / f):
-        pref *= pochhammer_partition(u, pt.nome, x, rect, policy)
-    for u in (a * q / e, a * q / f, bailey_lambda * q / (e * f), bailey_lambda * q):
-        pref /= pochhammer_partition(u, pt.nome, x, rect, policy)
+    pref = _rectangle_ratio(
+        (a * q, a * q / (e * f), bailey_lambda * q / e, bailey_lambda * q / f),
+        (a * q / e, a * q / f, bailey_lambda * q / (e * f), bailey_lambda * q),
+        pt, policy)
     rhs_series = eval_Omega(bailey_lambda,
                             (bailey_lambda * b / a, bailey_lambda * c / a,
                              bailey_lambda * d / a, e, f, g),
@@ -322,10 +325,6 @@ def omega87_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
     _check_constraint(b * c * d * e * x ** (n - 1), a * a * q ** (N + 1),
                       "bcde x^{n-1} = a^2 q^{N+1}")
     lhs = eval_Omega(a, (b, c, d, e), pt.nome, x, n, N, policy=policy)
-    rect = (N,) * n
-    rhs = 1.0
-    for u in (a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)):
-        rhs *= pochhammer_partition(u, pt.nome, x, rect, policy)
-    for u in (a * q / b, a * q / c, a * q / d, a * q / (b * c * d)):
-        rhs /= pochhammer_partition(u, pt.nome, x, rect, policy)
-    return lhs, rhs
+    return lhs, _rectangle_ratio(
+        (a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)),
+        (a * q / b, a * q / c, a * q / d, a * q / (b * c * d)), pt, policy)

@@ -40,12 +40,12 @@ from .determinants import (
     COND_LIMIT,
     andrews_stanton_lu,
     andrews_stanton_matrix,
-    andrews_stanton_sides,
+    andrews_stanton_product,
     corollary_determ_matrix,
-    corollary_determ_sides,
+    corollary_determ_product,
     det_lemma_matrix,
+    det_lemma_product,
     det_numeric,
-    elliptic_det_lemma_sides,
     shifted_product_family,
     theta_det_sides,
 )
@@ -321,19 +321,14 @@ def _draw_macdonald(rng, region):
     return (*seqs, p)
 
 
-def _draw_rstep(r, rng, region):
+def _draw_pair(pair_type, r, rng, region):
+    # r=None: a free second base, drawn between the nome and a, b
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    if r is None:
+        r = _draw_complex(rng, region.q_mod)
     a = _draw_complex(rng, region.param_mod)
     b = _draw_complex(rng, region.param_mod)
-    return (RStepPair(a, b, r, Nome(q, p)),)
-
-
-def _draw_raw_r(rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    r = _draw_complex(rng, region.q_mod)
-    a = _draw_complex(rng, region.param_mod)
-    b = _draw_complex(rng, region.param_mod)
-    return (RawRPair(a, b, r, Nome(q, p)),)
+    return (pair_type(a, b, r, Nome(q, p)),)
 
 
 def _draw_krattenthaler(rng, region):
@@ -374,9 +369,9 @@ INVERSION_CHECKS = [
     Check("telescoped_addition_lemma", "suite.inversion.macdonald", _draw_macdonald,
           partial(_sides_rel, macdonald_sides), 1e-10, trials=50),
     *(Check(f"orthogonality_step{r}", f"suite.inversion.rstep{r}",
-            partial(_draw_rstep, r), _orthogonality, 1e-8) for r in (1, 2, 3, 4)),
-    Check("orthogonality_free_base", "suite.inversion.rawr", _draw_raw_r,
-          _orthogonality, 1e-8),
+            partial(_draw_pair, RStepPair, r), _orthogonality, 1e-8) for r in (1, 2, 3, 4)),
+    Check("orthogonality_free_base", "suite.inversion.rawr",
+          partial(_draw_pair, RawRPair, None), _orthogonality, 1e-8),
     Check("orthogonality_sequence_pair", "suite.inversion.kratt", _draw_krattenthaler,
           _orthogonality, 1e-8),
     Check("replay_quadratic", "suite.inversion.replay_quadratic",
@@ -404,9 +399,9 @@ def _conditioned_det(matrix):
     return det
 
 
-def _det_ratio(sides, matrix, *args):
-    _conditioned_det(matrix(*args))
-    return _sides_rel(sides, *args)
+def _det_rel(matrix, product, *args):
+    # each side is built once: the guarded determinant against the product
+    return _rel(_conditioned_det(matrix(*args)), product(*args))
 
 
 def _draw_andrews_stanton(rng, region):
@@ -428,10 +423,7 @@ def _lu_factorization(x, y, nome, n):
         for j in range(i + 1, n):
             err = max(err, float(abs(L[i, j]) / rowscale))
         err = max(err, _rel(L[i, i], l_diag[i]))
-    prod = 1.0
-    for v in l_diag:
-        prod *= v
-    return max(err, _rel(det, prod))
+    return max(err, _rel(det, math.prod(l_diag, start=1.0)))
 
 
 def _draw_factorial_ratio(rng, region):
@@ -463,13 +455,13 @@ def _draw_theta_det(rng, region):
 DETERMINANT_CHECKS = [
     Check("quadratic_base_determinant", "suite.det.quadratic_base",
           _draw_andrews_stanton,
-          partial(_det_ratio, andrews_stanton_sides, andrews_stanton_matrix), 1e-8),
+          partial(_det_rel, andrews_stanton_matrix, andrews_stanton_product), 1e-8),
     Check("lu_factorization", "suite.det.lu", _draw_andrews_stanton,
           _lu_factorization, 1e-9),
     Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
-          partial(_det_ratio, corollary_determ_sides, corollary_determ_matrix), 1e-8),
+          partial(_det_rel, corollary_determ_matrix, corollary_determ_product), 1e-8),
     Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
-          partial(_det_ratio, elliptic_det_lemma_sides, det_lemma_matrix), 1e-8),
+          partial(_det_rel, det_lemma_matrix, det_lemma_product), 1e-8),
     Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
           partial(_sides_rel, theta_det_sides), 1e-8),
 ]
@@ -520,22 +512,22 @@ def run_cn_suite(trials: int = 20, seed: int = 1,
     return run_checks(checks, trials, seed, region, only)
 
 
-def _draw_conjecture(n, n_cap, rng, region):
+def _solve_conjecture(q, N, x, n, a, b, c, d, e, f):
+    return a ** 3 * q ** (N + 2) / (b * c * d * e * f * x ** (n - 1))
+
+
+def _solve_rectangle(q, N, x, n, a, b, c, d):
+    return a * a * q ** (N + 1) / (b * c * d * x ** (n - 1))
+
+
+def _draw_partition_point(free, solve, n, n_cap, rng, region):
+    # ``free`` letters a, b, ... are drawn; ``solve`` gives the constrained next one
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     N = int(rng.integers(0, n_cap + 1))
     x = _draw_complex(rng, (0.75, 0.95))
-    a, b, c, d, e, f = (_draw_complex(rng, region.param_mod) for _ in range(6))
-    g = a ** 3 * q ** (N + 2) / (b * c * d * e * f * x ** (n - 1))
-    return (CnPoint(Nome(q, p), n, N, x, a=a, b=b, c=c, d=d, e=e, f=f, g=g),)
-
-
-def _draw_rectangle(n, n_cap, rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    N = int(rng.integers(0, n_cap + 1))
-    x = _draw_complex(rng, (0.75, 0.95))
-    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
-    e = a * a * q ** (N + 1) / (b * c * d * x ** (n - 1))
-    return (CnPoint(Nome(q, p), n, N, x, a=a, b=b, c=c, d=d, e=e),)
+    letters = [_draw_complex(rng, region.param_mod) for _ in range(free)]
+    letters.append(solve(q, N, x, n, *letters))
+    return (CnPoint(Nome(q, p), n, N, x, **dict(zip("abcdefg", letters))),)
 
 
 def run_conjecture_suite(trials: int = 20, seed: int = 1,
@@ -546,10 +538,10 @@ def run_conjecture_suite(trials: int = 20, seed: int = 1,
     for n, n_cap in sizes:
         checks += [
             Check(f"conjecture_n{n}", "suite.conjecture.main",
-                  partial(_draw_conjecture, n, n_cap),
+                  partial(_draw_partition_point, 6, _solve_conjecture, n, n_cap),
                   partial(_sides_rel, conjecture_sides), 1e-7),
             Check(f"rectangle_evaluation_n{n}", "suite.conjecture.rect",
-                  partial(_draw_rectangle, n, n_cap),
+                  partial(_draw_partition_point, 4, _solve_rectangle, n, n_cap),
                   partial(_sides_rel, omega87_sides), 1e-7),
         ]
     return run_checks(checks, trials, seed, region, only)

@@ -269,6 +269,12 @@ class TestTransformPairs:
         assert out["quadratic"] <= 1e-9
         assert out["cubic"] <= 1e-9
 
+    def test_second_gauge_is_re_solved(self):
+        # Both gauges share one right-side function; without the re-solved
+        # gauge parameter the pair would compare it with itself, exactly.
+        out = cross_check_transform_pairs(trials=3, seed=1)
+        assert out["quadratic"] > 0 and out["cubic"] > 0
+
 
 class TestSmallNomeContinuity:
     def test_every_identity_continuous_at_vanishing_nome(self):

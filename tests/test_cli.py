@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ellipsum import suites
+from ellipsum import cli, suites
 from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters
 from ellipsum.suites import SUITES, Check
@@ -186,6 +186,9 @@ class TestUsageErrors:
         ["--identity", "e109", "--tol", "tight"],
         ["--identity", "e87", "--trials", "2", "--seed", "-1"],
         ["--identity", "e87", "--q-mod", "0.3,inf"],
+        # ran every check, then failed to open the report
+        ["--suite", "kernel", "--trials", "2", "--json", "no-such-dir/out.json"],
+        ["--suite", "kernel", "--trials", "2", "--json", "."],
     ])
     def test_bad_flag_values_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -202,6 +205,9 @@ class TestUsageErrors:
 
 
 class TestConsoleEntry:
+    def test_harness_alias(self):
+        assert cli.cli_run is cli.main
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ellipsum.cli", "list"],

@@ -1,8 +1,9 @@
 """Static checks on the source tree.
 
 Every module-level private name of the package is used somewhere in the
-package, so a helper whose last caller goes is deleted with it; and the test
-oracles import nothing from the package they check.
+package, and every public one in the package or its tests, so a helper whose
+last caller goes is deleted with it; and the test oracles import nothing from
+the package they check.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def test_every_private_module_name_is_used():
                     for name in set(_bound_names(tree.body))
                     if name.startswith("_") and not name.startswith("__")
                     and name not in used)
+    assert unused == []
+
+
+def test_every_public_module_name_is_used():
+    """Public names may be read by the tests alone; an import is not a read."""
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in [*trees.values(),
+                 *map(_parse, sorted((ROOT / "tests").glob("*.py")))]:
+        used.update(_used_names(tree))
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in set(_bound_names(tree.body))
+                    if not name.startswith("_") and name not in used)
     assert unused == []
 
 

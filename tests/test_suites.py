@@ -1,11 +1,15 @@
+import sys
+
 import pytest
 
+from ellipsum import determinants
 from ellipsum.errors import SamplingExhausted
 from ellipsum.suites import (
     SUITES,
     Check,
     run_checks,
     run_conjecture_suite,
+    run_determinants_suite,
     run_kernel_suite,
 )
 
@@ -74,3 +78,25 @@ class TestRunChecks:
         check = Check("fixed", "test.fixed", _no_args, lambda: 0.0, 1e-8, trials=7)
         (res,) = run_checks([check], trials=2)
         assert res.trials == 7 and res.resamples == 0
+
+
+@pytest.mark.parametrize("name", ["quadratic_base_determinant",
+                                  "factorial_ratio_determinant",
+                                  "periodic_family_determinant"])
+def test_guarded_determinant_row_factors_each_draw_once(name, monkeypatch):
+    # One LU per draw: the guarded determinant is the side that is compared.
+    real = determinants.det_numeric
+    calls = []
+
+    def spy(matrix):
+        calls.append(1)
+        return real(matrix)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ellipsum") and \
+                vars(module).get("det_numeric") is real:
+            monkeypatch.setattr(module, "det_numeric", spy)
+    (res,) = run_determinants_suite(trials=20, seed=5, only=(name,))
+    assert res.passed
+    assert len(calls) == res.trials + res.resamples
+
