@@ -17,6 +17,7 @@ cancellation-dominated.
 from __future__ import annotations
 
 import contextlib
+import os
 import zlib
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -1078,6 +1079,46 @@ def _resample(draw, evaluate, label: str):
             pass
     raise SamplingExhausted(
         f"{label}: no admissible point after {MAX_RESAMPLES} resamples")
+
+
+def _worker_count(units: int) -> int:
+    """Worker processes for ``units`` independent units: one per CPU in the
+    process's affinity mask, so ``taskset -c 0`` gives a serial run.  Where
+    the platform has no affinity mask, the run is serial."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cpus, units)
+
+
+# The unit table of the running _map_units; forked workers inherit it, so
+# only unit indices and results cross between processes.
+_units: list = []
+
+
+def _call_unit(index: int):
+    return _units[index]()
+
+
+def _map_units(units: list) -> list:
+    """[unit() for unit in units], on forked workers when more than one CPU is
+    available.
+
+    Units are independent zero-argument callables; results come back in table
+    order.  If units raise, the first error in table order is raised, as the
+    serial loop would raise it.
+    """
+    global _units
+    workers = _worker_count(len(units))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            _units = units
+            try:
+                with multiprocessing.get_context("fork").Pool(workers) as pool:
+                    return list(pool.imap(_call_unit, range(len(units)), chunksize=1))
+            finally:
+                _units = []
+    return [unit() for unit in units]
 
 
 def _admissible_trial(ident: Identity, seed: int, trial: int,

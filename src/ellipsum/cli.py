@@ -2,8 +2,13 @@
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 usage error.  A check or identity that runs out of admissible draws fails,
-with an ``error`` in its record, and the run goes on.  Identical flags and
-seed produce byte-identical JSON apart from the wall-clock fields.
+with an ``error`` in its record, and the run goes on.
+
+Independent checks and identities run on one forked worker per CPU in the
+process's affinity mask (``taskset -c 0 verify run ...`` runs serially), and
+every verdict line is printed once all have finished.  Identical flags and
+seed produce byte-identical JSON and output apart from the wall-clock fields,
+whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from .catalog import (
     DEFAULT_REGION,
     SamplingRegion,
+    _map_units,
     check_identity,
     get_identity,
     list_identities,
@@ -117,18 +124,24 @@ def _region(args) -> SamplingRegion:
     )
 
 
+def _check_or_exhausted(ident, args, region):
+    try:
+        return check_identity(ident, trials=args.trials, tol=args.tol, seed=args.seed,
+                              region=region, precision=args.precision)
+    except SamplingExhausted as exc:
+        return exc
+
+
 def _run_identities(idents, args, region) -> tuple:
+    outcomes = _map_units([partial(_check_or_exhausted, ident, args, region)
+                           for ident in idents])
     records = []
     failed = False
-    for ident in idents:
-        try:
-            rep = check_identity(ident, trials=args.trials, tol=args.tol,
-                                 seed=args.seed, region=region,
-                                 precision=args.precision)
-        except SamplingExhausted as exc:
-            print(f"error: {exc}", file=sys.stderr)
+    for ident, rep in zip(idents, outcomes):
+        if isinstance(rep, SamplingExhausted):
+            print(f"error: {rep}", file=sys.stderr)
             print(f"FAIL  {ident.id:24s} sampling exhausted")
-            records.append({"identity_id": ident.id, "passed": False, "error": str(exc)})
+            records.append({"identity_id": ident.id, "passed": False, "error": str(rep)})
             failed = True
             continue
         records.append(rep.to_dict())

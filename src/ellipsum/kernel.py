@@ -564,7 +564,7 @@ def _check_degen(value, label: str, *args):
     The message names the factor by ``label % args``, formatted only on raise.
     """
     if abs(value) < DELTA_DEGEN:
-        raise DegenerateParameters(f"{label % args}: |E| = {abs(value):.3e}")
+        raise DegenerateParameters(f"{label % args}: |E| = {float(abs(value)):.3e}")
     return value
 
 
@@ -586,7 +586,7 @@ def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLIC
             f = eval_E(y, p, policy)
             if min_factor is not None and abs(f) < min_factor:
                 raise DegenerateParameters(
-                    f"factor E(a*q^{k}) with a={a!r} has magnitude {abs(f):.3e}")
+                    f"factor E(a*q^{k}) with a={a!r} has magnitude {float(abs(f)):.3e}")
             result = result * f
             y = y * q
         return result
@@ -598,7 +598,8 @@ def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLIC
         f = eval_E(y, p, policy)
         if abs(f) < threshold:
             raise DegenerateParameters(
-                f"reciprocal factor E(a*q^{n + k}) with a={a!r} has magnitude {abs(f):.3e}")
+                f"reciprocal factor E(a*q^{n + k}) with a={a!r} "
+                f"has magnitude {float(abs(f)):.3e}")
         result = result * f
         y = y * q
     return 1.0 / result

@@ -6,13 +6,14 @@ Each suite is a table of :class:`Check` records: a named relation with
 ``evaluate(*args)``, which returns their relative error.  One runner,
 :func:`run_checks`, executes a table.  Each check draws from its own seeded
 stream ``_rng_for(tag, seed, 0)``, so its result does not depend on which
-other checks ran, and each trial goes through the catalog's sampling loop,
-which redraws rejected points (near poles, ill-conditioned, overflowing or
-with a non-finite error).  Each draw is evaluated in a kernel memo of its
-own: a check computes its relations inline, so the draw is its smallest
-unit, and the memo holds only E values keyed on exact arguments.  A check
-passes when its worst error stays within its tolerance.  Every suite runner
-takes the same keywords; ``sizes`` only matters to cn and conjecture.
+other checks ran, or in which process, and each trial goes through the
+catalog's sampling loop, which redraws rejected points (near poles,
+ill-conditioned, overflowing or with a non-finite error).  Each draw is
+evaluated in a kernel memo of its own: a check computes its relations
+inline, so the draw is its smallest unit, and the memo holds only E values
+keyed on exact arguments.  A check passes when its worst error stays within
+its tolerance.  Every suite runner takes the same keywords; ``sizes`` only
+matters to cn and conjecture.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .catalog import (
     TINY,
     SamplingRegion,
     _draw_complex,
+    _map_units,
     _rel_diff,
     _resample,
     _rng_for,
@@ -155,11 +157,13 @@ def run_checks(checks, trials: int, seed: int = 1,
                region: SamplingRegion = DEFAULT_REGION, only=None) -> list:
     """Run a check table; ``only`` restricts it to the checks so named.
 
+    Checks run in parallel when more than one CPU is available (see
+    :func:`~ellipsum.catalog._map_units`); records come back in table order.
     A check that runs out of admissible draws does not stop the others: once
     all have run, :class:`SamplingExhausted` is raised with every record.
     """
-    results = [_run_check(check, trials, seed, region) for check in checks
-               if only is None or check.name in only]
+    results = _map_units([partial(_run_check, check, trials, seed, region)
+                          for check in checks if only is None or check.name in only])
     errors = [res.error for res in results if res.error is not None]
     if errors:
         raise SamplingExhausted("; ".join(errors), results)

@@ -1,12 +1,16 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ellipsum import cli, suites
+from ellipsum import catalog, cli, suites
+from ellipsum.catalog import _map_units
 from ellipsum.cli import main
-from ellipsum.errors import DegenerateParameters
+from ellipsum.errors import DegenerateParameters, SamplingExhausted, TruncationLimit
 from ellipsum.suites import SUITES, Check
 
 
@@ -94,33 +98,56 @@ class TestRun:
         assert code == 0
         assert sum(line.startswith("pass ") for line in out.splitlines()) == 5
 
+    def test_degenerate_extended_draw_is_resampled(self, capsys):
+        # crashed with a TypeError while formatting the rejection message
+        code, out = run_cli(["run", "--suite", "catalog", "--trials", "3",
+                             "--p-mod", "0.9,0.95", "--precision", "extended",
+                             "--seed", "1"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "result: ok"
+
+
+def _always_degenerate() -> Check:
+    def evaluate():
+        raise DegenerateParameters("always")
+
+    return Check("always_degenerate", "test.degenerate", lambda rng, region: (),
+                 evaluate, 1e-8)
+
+
+@pytest.fixture
+def exhausting_kernel_table(monkeypatch):
+    """The kernel suite as reflection, a check that rejects every draw, and
+    quasi_periodicity."""
+    by_name = {check.name: check for check in suites.KERNEL_CHECKS}
+    monkeypatch.setattr(suites, "KERNEL_CHECKS", [
+        by_name["reflection"], _always_degenerate(), by_name["quasi_periodicity"]])
+
+
+@pytest.fixture
+def exhausted_e87(monkeypatch):
+    """Every draw of e87 rejected, by way of the check_identity the CLI calls."""
+    real = cli.check_identity
+
+    def check_identity(ident, **kwargs):
+        if ident.id == "e87":
+            raise SamplingExhausted("e87: no admissible point after 100 resamples")
+        return real(ident, **kwargs)
+
+    monkeypatch.setattr(cli, "check_identity", check_identity)
+
 
 class TestSamplingExhausted:
     def test_exhausted_check_exits_1_with_message(self, monkeypatch, capsys):
-        def evaluate():
-            raise DegenerateParameters("always")
-
-        check = Check("always_degenerate", "test.degenerate",
-                      lambda rng, region: (), evaluate, 1e-8)
-        monkeypatch.setattr(suites, "KERNEL_CHECKS", [check])
+        monkeypatch.setattr(suites, "KERNEL_CHECKS", [_always_degenerate()])
         code = main(["run", "--suite", "kernel", "--trials", "2"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.strip() == ("error: always_degenerate: no admissible point "
                                "after 100 resamples")
 
-    def test_other_checks_still_run_and_json_is_written(self, monkeypatch, capsys,
-                                                        tmp_path):
-        def evaluate():
-            raise DegenerateParameters("always")
-
-        by_name = {check.name: check for check in suites.KERNEL_CHECKS}
-        monkeypatch.setattr(suites, "KERNEL_CHECKS", [
-            by_name["reflection"],
-            Check("always_degenerate", "test.degenerate", lambda rng, region: (),
-                  evaluate, 1e-8),
-            by_name["quasi_periodicity"],
-        ])
+    @pytest.mark.usefixtures("exhausting_kernel_table")
+    def test_other_checks_still_run_and_json_is_written(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code = main(["run", "--suite", "kernel", "--trials", "2", "--json", str(path)])
         captured = capsys.readouterr()
@@ -138,19 +165,8 @@ class TestSamplingExhausted:
                                        "after 100 resamples")
         assert "error" not in records[0] and "error" not in records[2]
 
-    def test_exhausted_identity_fails_and_run_goes_on(self, monkeypatch, capsys,
-                                                      tmp_path):
-        from ellipsum import cli
-        from ellipsum.errors import SamplingExhausted
-
-        real = cli.check_identity
-
-        def check_identity(ident, **kwargs):
-            if ident.id == "e87":
-                raise SamplingExhausted("e87: no admissible point after 100 resamples")
-            return real(ident, **kwargs)
-
-        monkeypatch.setattr(cli, "check_identity", check_identity)
+    @pytest.mark.usefixtures("exhausted_e87")
+    def test_exhausted_identity_fails_and_run_goes_on(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code = main(["run", "--suite", "catalog", "--trials", "1", "--json", str(path)])
         captured = capsys.readouterr()
@@ -202,6 +218,93 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "|p| = 0.99" in err
+
+
+def _at_workers(workers, monkeypatch):
+    monkeypatch.setattr(catalog, "_worker_count", lambda units: min(workers, units))
+
+
+def _run_at(workers, args, monkeypatch, capsys, tmp_path):
+    """(exit code, stdout, stderr, report without wall-clock fields)."""
+    path = tmp_path / f"out{workers}.json"
+    with monkeypatch.context() as patch:
+        _at_workers(workers, patch)
+        code = main(["run", *args, "--json", str(path)])
+    captured = capsys.readouterr()
+    payload = json.loads(path.read_text()) if path.exists() else None
+    for rep in payload["reports"] if payload else ():
+        rep.pop("wall_time_ms", None)
+    return code, captured.out, captured.err, payload
+
+
+def _sleep_then(seconds, value):
+    time.sleep(seconds)
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+class TestWorkers:
+    """Parallel runs give the serial run's output, records and errors."""
+
+    @pytest.mark.parametrize("args, code, err", [
+        *((["--suite", name, "--trials", "3"], 0, "") for name in sorted(SUITES)),
+        (["--suite", "catalog", "--trials", "1"], 0, ""),
+        (["--suite", "catalog", "--trials", "1", "--precision", "extended"], 0, ""),
+        (["--suite", "kernel", "--p-mod", "0.995,0.999", "--trials", "3"], 2, "|p| = 0.99"),
+    ], ids=[*sorted(SUITES), "catalog", "catalog-extended", "truncation-cap"])
+    def test_parallel_run_equals_serial_run(self, args, code, err, monkeypatch, capsys,
+                                            tmp_path):
+        serial = _run_at(1, args, monkeypatch, capsys, tmp_path)
+        assert serial[0] == code and err in serial[2]
+        assert _run_at(2, args, monkeypatch, capsys, tmp_path) == serial
+
+    @pytest.mark.usefixtures("exhausting_kernel_table")
+    def test_exhausted_check(self, monkeypatch, capsys, tmp_path):
+        args = ["--suite", "kernel", "--trials", "2"]
+        serial = _run_at(1, args, monkeypatch, capsys, tmp_path)
+        assert serial[0] == 1 and "always_degenerate" in serial[2]
+        assert _run_at(2, args, monkeypatch, capsys, tmp_path) == serial
+
+    @pytest.mark.usefixtures("exhausted_e87")
+    def test_exhausted_identity(self, monkeypatch, capsys, tmp_path):
+        args = ["--suite", "catalog", "--trials", "1"]
+        serial = _run_at(1, args, monkeypatch, capsys, tmp_path)
+        assert serial[0] == 1 and "e87" in serial[2]
+        assert _run_at(2, args, monkeypatch, capsys, tmp_path) == serial
+
+
+class TestMapUnits:
+    def test_results_in_table_order(self, monkeypatch):
+        _at_workers(2, monkeypatch)
+        units = [lambda: _sleep_then(0.2, "slow"), lambda: "fast", os.getpid]
+        slow, fast, pid = _map_units(units)
+        assert (slow, fast) == ("slow", "fast") and pid != os.getpid()
+
+    def test_first_error_in_table_order(self, monkeypatch):
+        # the second unit raises first, the first unit's error is raised
+        _at_workers(2, monkeypatch)
+        units = [lambda: _sleep_then(0.2, TruncationLimit("first")),
+                 lambda: _sleep_then(0.0, TruncationLimit("second")),
+                 lambda: "done"]
+        with pytest.raises(TruncationLimit, match="^first$"):
+            _map_units(units)
+
+    @pytest.mark.parametrize("workers, units", [(1, 3), (2, 1)])
+    def test_one_worker_or_unit_runs_in_process(self, workers, units, monkeypatch):
+        _at_workers(workers, monkeypatch)
+        assert _map_units([os.getpid] * units) == [os.getpid()] * units
+
+    def test_runs_in_process_without_fork(self, monkeypatch):
+        _at_workers(2, monkeypatch)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _map_units([os.getpid] * 2) == [os.getpid()] * 2
+
+    def test_workers_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert [catalog._worker_count(n) for n in (1, 2, 3, 31)] == [1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert catalog._worker_count(31) == 1
 
 
 class TestConsoleEntry:

@@ -465,6 +465,22 @@ class TestPochhammer:
         with pytest.raises(DegenerateParameters):
             pochhammer_e(1.0, nome, 2, min_factor=1e-8)
 
+    def test_extended_poles_raise(self):
+        # |E| of an mpc is an mpf, which a :.3e format spec rejects with a
+        # TypeError; the messages format it as a float.
+        with mpmath.workdps(50):
+            q, p = mpmath.mpc("0.5", "0.1"), mpmath.mpc("0.1", "-0.05")
+            nome = Nome(q, p)
+            near_one = 1 + mpmath.mpc("1e-12", "1e-12")
+            value = eval_E(near_one, p, EXTENDED_POLICY)
+            assert isinstance(value, mpmath.mpc) and abs(value) < DELTA_DEGEN
+            with pytest.raises(DegenerateParameters, match=r"E\(a\): \|E\| = \d\.\d{3}e-"):
+                kernel._check_degen(value, "E(%s)", "a")
+            with pytest.raises(DegenerateParameters, match=r"^factor .* magnitude \d"):
+                pochhammer_e(near_one, nome, 2, EXTENDED_POLICY, min_factor=DELTA_DEGEN)
+            with pytest.raises(DegenerateParameters, match=r"^reciprocal .* magnitude \d"):
+                pochhammer_e(near_one * q, nome, -1, EXTENDED_POLICY)
+
     def test_fraction_form_never_divides(self):
         nome = Nome(0.5, 0.1)
         num, den = pochhammer_frac(nome.q, nome, -1)

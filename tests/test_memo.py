@@ -40,6 +40,11 @@ def _use_memo(monkeypatch, memo):
         monkeypatch.setattr(module, "EMemo", memo)
 
 
+def _serial(monkeypatch):
+    # Forked workers keep their memo hits; only in-process runs count them.
+    monkeypatch.setattr(catalog, "_worker_count", lambda units: 1)
+
+
 def _run(args, tmp_path, capsys):
     path = tmp_path / "out.json"
     code = main(["run", *args, "--json", str(path)])
@@ -61,7 +66,9 @@ RUNS = {
 def test_memo_on_and_off_give_equal_reports(args, monkeypatch, tmp_path, capsys):
     hits = []
     _use_memo(monkeypatch, _recording(hits))
-    with_memo = _run(args, tmp_path, capsys)
+    with monkeypatch.context() as serial:
+        _serial(serial)
+        with_memo = _run(args, tmp_path, capsys)
     _use_memo(monkeypatch, contextlib.nullcontext)
     without = _run(args, tmp_path, capsys)
     assert with_memo == without
@@ -203,6 +210,7 @@ class TestKeys:
 def test_hits_do_not_depend_on_earlier_checks(monkeypatch):
     hits = []
     _use_memo(monkeypatch, _recording(hits))
+    _serial(monkeypatch)
     run_kernel_suite(trials=5, seed=3)
     full = list(hits)
     alone = []
