@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     BalanceViolation,
     DegenerateParameters,
+    NonzeroRequired,
     SamplingExhausted,
     SingularToWorkingPrecision,
 )
@@ -42,7 +43,7 @@ from .kernel import (
     eval_E,
     pochhammer_e,
 )
-from .report import TrialFailure, VerificationReport, point_dump
+from .report import VerificationReport, point_dump
 from .series import omega_sum, vwp_sum
 
 TINY = 1e-300
@@ -1054,9 +1055,10 @@ def _extend_point(ident: Identity, pt: ParamPoint) -> ParamPoint:
 MAX_RESAMPLES = 100
 
 # Rejected draws, redrawn rather than failed: poles, balance misses, binary64
-# overflow, singular matrices, and non-finite or cancellation-dominated values.
+# overflow, arguments that underflow to zero, singular matrices, and
+# non-finite or cancellation-dominated values.
 REJECTED = (DegenerateParameters, BalanceViolation, SingularToWorkingPrecision,
-            OverflowError, ZeroDivisionError)
+            NonzeroRequired, OverflowError, ZeroDivisionError)
 
 # Decimal digits of the extended-precision mode.
 EXTENDED_DPS = 50
@@ -1189,7 +1191,12 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
                    seed: int = 1, region: SamplingRegion = DEFAULT_REGION,
                    precision: str = "double",
                    policy: TruncationPolicy | None = None) -> VerificationReport:
-    """Randomized verification of one identity over independent trials."""
+    """Randomized verification of one identity over independent trials.
+
+    A trial that runs out of admissible draws ends the run: the report then
+    fails with the :class:`SamplingExhausted` message as its ``error`` and
+    counts the completed trials, and nothing is raised.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     started = perf_counter()
@@ -1198,9 +1205,16 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
     total_resamples = 0
     worst_err = -1.0
     worst_point = None
+    error = None
     for trial in range(trials):
-        pt, lhs, rhs, scale, resamples = _admissible_trial(
-            ident, seed, trial, region, precision, policy)
+        try:
+            pt, lhs, rhs, scale, resamples = _admissible_trial(
+                ident, seed, trial, region, precision, policy)
+        except SamplingExhausted as exc:
+            # every draw of the exhausted trial was rejected
+            error = str(exc)
+            total_resamples += MAX_RESAMPLES + 1
+            break
         total_resamples += resamples
         err = trial_error(lhs, rhs, scale)
         errs.append(err)
@@ -1209,18 +1223,19 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
             worst_err = err
             worst_point = dump
         if err > tol:
-            failures.append(TrialFailure(trial_index=trial, rel_err=err, point=dump))
+            failures.append({"trial_index": trial, "rel_err": err, "point": dump})
     return VerificationReport(
         identity_id=ident.id,
-        trials=trials,
+        trials=len(errs),
         tol=tol,
         seed=seed,
-        max_rel_err=max(errs),
-        mean_rel_err=sum(errs) / len(errs),
+        max_rel_err=max(errs, default=0.0),
+        mean_rel_err=sum(errs) / len(errs) if errs else 0.0,
         failures=failures,
         resamples=total_resamples,
         wall_time_ms=(perf_counter() - started) * 1e3,
         worst_point=worst_point,
+        error=error,
     )
 
 
@@ -1234,7 +1249,8 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
     involve the gauge parameter, so the two right-hand forms must agree at
     matched points; this is itself a ten-term transformation instance, run by
     :func:`check_identity` as an unregistered record.  ``p_zero`` draws |p| = 0.
-    Returns {pair name: max relative difference}.
+    Returns {pair name: max relative difference}; a pair that runs out of
+    admissible draws raises :class:`SamplingExhausted`.
     """
     if p_zero:
         region = replace(region, p_mod=(0.0, 0.0))
@@ -1251,6 +1267,8 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
             return ident_b.rhs(ParamPoint(pt.nome, values, pt.integers), pol)
 
         pair = replace(ident_a, id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
-        out[pair_name] = check_identity(pair, trials, seed=seed, region=region,
-                                        policy=policy).max_rel_err
+        rep = check_identity(pair, trials, seed=seed, region=region, policy=policy)
+        if rep.error is not None:
+            raise SamplingExhausted(rep.error)
+        out[pair_name] = rep.max_rel_err
     return out

@@ -28,7 +28,7 @@ from .catalog import (
     get_identity,
     list_identities,
 )
-from .errors import SamplingExhausted, TruncationLimit
+from .errors import TruncationLimit
 from .report import RNG_ALGORITHM, SCHEMA_VERSION
 from .suites import SUITES
 
@@ -124,50 +124,26 @@ def _region(args) -> SamplingRegion:
     )
 
 
-def _check_or_exhausted(ident, args, region):
-    try:
-        return check_identity(ident, trials=args.trials, tol=args.tol, seed=args.seed,
-                              region=region, precision=args.precision)
-    except SamplingExhausted as exc:
-        return exc
+def _identity_line(rep) -> str:
+    if rep.error is not None:
+        return f"FAIL  {rep.identity_id:24s} sampling exhausted"
+    return (f"{'pass' if rep.passed else 'FAIL'}  {rep.identity_id:24s} "
+            f"trials={rep.trials} max={rep.max_rel_err:.3e} "
+            f"mean={rep.mean_rel_err:.3e} resamples={rep.resamples}")
 
 
-def _run_identities(idents, args, region) -> tuple:
-    outcomes = _map_units([partial(_check_or_exhausted, ident, args, region)
-                           for ident in idents])
-    records = []
-    failed = False
-    for ident, rep in zip(idents, outcomes):
-        if isinstance(rep, SamplingExhausted):
-            print(f"error: {rep}", file=sys.stderr)
-            print(f"FAIL  {ident.id:24s} sampling exhausted")
-            records.append({"identity_id": ident.id, "passed": False, "error": str(rep)})
-            failed = True
-            continue
-        records.append(rep.to_dict())
-        failed = failed or not rep.passed
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{status}  {rep.identity_id:24s} trials={rep.trials} "
-              f"max={rep.max_rel_err:.3e} mean={rep.mean_rel_err:.3e} "
-              f"resamples={rep.resamples}")
-    return records, failed
+def _suite_line(res) -> str:
+    return (f"{'pass' if res.passed else 'FAIL'}  {res.name:38s} trials={res.trials} "
+            f"max={res.max_rel_err:.3e} tol={res.tol:.0e}")
 
 
-def _run_suite(name: str, args, region) -> tuple:
-    try:
-        results = SUITES[name](trials=args.trials, seed=args.seed, region=region,
-                               sizes=((args.n, args.cap),))
-    except SamplingExhausted as exc:
-        results = exc.results
-    failed = False
-    for res in results:
-        if res.error is not None:
-            print(f"error: {res.error}", file=sys.stderr)
-        failed = failed or not res.passed
-        status = "pass" if res.passed else "FAIL"
-        print(f"{status}  {res.name:38s} trials={res.trials} "
-              f"max={res.max_rel_err:.3e} tol={res.tol:.0e}")
-    return [res.to_dict() for res in results], failed
+def _print_records(records, line) -> tuple:
+    """Print each record's error and verdict line; (record dicts, any failed)."""
+    for rec in records:
+        if rec.error is not None:
+            print(f"error: {rec.error}", file=sys.stderr)
+        print(line(rec))
+    return [rec.to_dict() for rec in records], not all(rec.passed for rec in records)
 
 
 def main(argv=None) -> int:
@@ -180,6 +156,11 @@ def main(argv=None) -> int:
         for name in sorted(SUITES):
             print(name)
         return 0
+
+    # the suites evaluate in binary64 only
+    if args.precision == "extended" and args.suite not in (None, "catalog"):
+        parser.error(f"--precision extended applies to --identity and --suite "
+                     f"catalog, not --suite {args.suite}")
 
     if args.suite in ("cn", "conjecture"):
         from .multivar import MAX_BRUTE_TERMS
@@ -223,11 +204,17 @@ def main(argv=None) -> int:
         idents = None
     try:
         if idents is not None:
-            payload["reports"], failed = _run_identities(idents, args, region)
+            reports = _map_units([
+                partial(check_identity, ident, trials=args.trials, tol=args.tol,
+                        seed=args.seed, region=region, precision=args.precision)
+                for ident in idents])
+            payload["reports"], failed = _print_records(reports, _identity_line)
         else:
-            payload["suite_checks"], failed = _run_suite(args.suite, args, region)
+            checks = SUITES[args.suite](trials=args.trials, seed=args.seed,
+                                        region=region, sizes=((args.n, args.cap),))
+            payload["suite_checks"], failed = _print_records(checks, _suite_line)
     except TruncationLimit as exc:
-        print(f"error: {exc}; narrow --p-mod", file=sys.stderr)
+        print(f"error: {exc}; narrow --q-mod or --p-mod", file=sys.stderr)
         return 2
 
     if args.json_path:

@@ -36,14 +36,10 @@ class BalanceViolation(EllipticError):
 class SamplingExhausted(EllipticError):
     """Could not draw an admissible parameter point within the resample budget.
 
-    ``results``, when :func:`ellipsum.suites.run_checks` raises it, holds the
-    records of every check of the run, the exhausted ones failed with their
-    ``error``.
+    The sampling loop raises it; :func:`ellipsum.catalog.check_identity` and
+    :func:`ellipsum.suites.run_checks` turn it into a failed record with this
+    message as its ``error``, and the run goes on.
     """
-
-    def __init__(self, message: str, results: list | None = None) -> None:
-        super().__init__(message)
-        self.results = results
 
 
 class SingularToWorkingPrecision(EllipticError):

@@ -40,6 +40,11 @@ DELTA_DEGEN = 1e-8
 BALANCE_TOL = 1e-8
 
 
+def _residual(lhs, rhs) -> float:
+    """Relative residual of a constraint lhs = rhs, held when <= BALANCE_TOL."""
+    return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+
+
 # Factors that TruncationPolicy.num_factors adds past its tail bound.  The
 # binary64 loop (_qinf) skips them once they provably change no bit.
 MARGIN = 10
@@ -568,6 +573,24 @@ def _check_degen(value, label: str, *args):
     return value
 
 
+def _factors(a, y, nome: Nome, count: int, policy: TruncationPolicy,
+             floor: float | None = None, label: str = "", offset: int = 0):
+    """prod_{k<count} E(y q^k), y = a q^offset, the loop of every shifted
+    factorial; a factor below ``floor`` in magnitude raises, as
+    ``<label>E(a*q^<offset + k>)``."""
+    q, p = nome.q, nome.p
+    result = 1.0
+    for k in range(count):
+        f = eval_E(y, p, policy)
+        if floor is not None and abs(f) < floor:
+            raise DegenerateParameters(
+                f"{label}E(a*q^{offset + k}) with a={a!r} "
+                f"has magnitude {float(abs(f)):.3e}")
+        result = result * f
+        y = y * q
+    return result
+
+
 def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
                  min_factor: float | None = None):
     """Elliptic shifted factorial (a; q, p)_n for any integer n.
@@ -576,33 +599,11 @@ def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLIC
     convention 1 / (a q^n; q, p)_{-n}.  Reciprocal factors (and, when
     ``min_factor`` is given, direct factors too) must stay clear of zero.
     """
-    q, p = nome.q, nome.p
-    if n == 0:
-        return 1.0
-    if n > 0:
-        result = 1.0
-        y = a
-        for k in range(n):
-            f = eval_E(y, p, policy)
-            if min_factor is not None and abs(f) < min_factor:
-                raise DegenerateParameters(
-                    f"factor E(a*q^{k}) with a={a!r} has magnitude {float(abs(f)):.3e}")
-            result = result * f
-            y = y * q
-        return result
-    # n < 0: reciprocal of the product over E(a q^{n+k}), k = 0..-n-1
-    result = 1.0
-    y = a * q ** n
+    if n >= 0:
+        return _factors(a, a, nome, n, policy, min_factor, "factor ")
     threshold = DELTA_DEGEN if min_factor is None else max(min_factor, DELTA_DEGEN)
-    for k in range(-n):
-        f = eval_E(y, p, policy)
-        if abs(f) < threshold:
-            raise DegenerateParameters(
-                f"reciprocal factor E(a*q^{n + k}) with a={a!r} "
-                f"has magnitude {float(abs(f)):.3e}")
-        result = result * f
-        y = y * q
-    return 1.0 / result
+    return 1.0 / _factors(a, a * nome.q ** n, nome, -n, policy, threshold,
+                          "reciprocal factor ", n)
 
 
 def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -612,22 +613,9 @@ def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_PO
     factors, which lets callers assemble ratios whose structural zeros and
     poles cancel exactly (negative-index semantics in determinant entries).
     """
-    q, p = nome.q, nome.p
-    if n == 0:
-        return 1.0, 1.0
-    if n > 0:
-        num = 1.0
-        y = a
-        for _ in range(n):
-            num = num * eval_E(y, p, policy)
-            y = y * q
-        return num, 1.0
-    den = 1.0
-    y = a * q ** n
-    for _ in range(-n):
-        den = den * eval_E(y, p, policy)
-        y = y * q
-    return 1.0, den
+    if n >= 0:
+        return _factors(a, a, nome, n, policy), 1.0
+    return 1.0, _factors(a, a * nome.q ** n, nome, -n, policy)
 
 
 def pochhammer_multi(values: Sequence, nome: Nome, n: int,

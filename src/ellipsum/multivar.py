@@ -22,6 +22,7 @@ from .kernel import (
     Nome,
     TruncationPolicy,
     _check_degen,
+    _residual,
     eval_E,
     pochhammer_e,
     pochhammer_partition,
@@ -30,9 +31,6 @@ from .series import omega_terms
 
 # Hard cap on brute-force n-fold sums: (N+1)^n terms.
 MAX_BRUTE_TERMS = 100_000
-
-# Relative tolerance for the multivariable parameter constraints.
-CONSTRAINT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,9 @@ class CnPoint:
 
 
 def _check_constraint(lhs, rhs, what: str) -> None:
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if abs(lhs - rhs) / scale > CONSTRAINT_TOL:
-        raise BalanceViolation(f"{what}: relative residual {abs(lhs - rhs) / scale:.3e}")
+    res = _residual(lhs, rhs)
+    if res > BALANCE_TOL:
+        raise BalanceViolation(f"{what}: relative residual {res:.3e}")
 
 
 def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -188,16 +186,6 @@ def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
     return lhs, rhs
 
 
-def omega_balance_residual(a1, uppers_full: Sequence, nome: Nome, x, nparts: int) -> float:
-    """Residual of (a4...a_{r+1})^2 = a1^{r-3} q^{r-5} x^{2-2n}."""
-    r = len(uppers_full) + 2
-    prod = math.prod(uppers_full, start=1.0)
-    lhs = prod * prod
-    rhs = a1 ** (r - 3) * nome.q ** (r - 5) * x ** (2 - 2 * nparts)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return float(abs(lhs - rhs) / scale)
-
-
 def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
                    policy: TruncationPolicy):
     q, p = nome.q, nome.p
@@ -247,9 +235,10 @@ def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int,
     """
     q = nome.q
     uppers_full = tuple(upper) + (q ** (-N),)
-    res = omega_balance_residual(a1, uppers_full, nome, x, nparts)
-    if res > BALANCE_TOL:
-        raise BalanceViolation(f"balancing residual {res:.3e}")
+    r = len(uppers_full) + 2
+    prod = math.prod(uppers_full, start=1.0)
+    _check_constraint(prod * prod, a1 ** (r - 3) * q ** (r - 5) * x ** (2 - 2 * nparts),
+                      "(a4...a_{r+1})^2 = a1^{r-3} q^{r-5} x^{2-2n}")
     acc = CompensatedSum()
     for lam in enumerate_partitions(nparts, N):
         acc.add(_omega_summand(a1, uppers_full, nome, x, nparts, lam.parts, policy))

@@ -21,26 +21,13 @@ def _cpair(z) -> list:
 
 
 @dataclass
-class TrialFailure:
-    trial_index: int
-    rel_err: float
-    point: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "rel_err": self.rel_err,
-            "point": self.point,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialFailure":
-        return cls(trial_index=d["trial_index"], rel_err=d["rel_err"], point=d["point"])
-
-
-@dataclass
 class VerificationReport:
-    """Per-identity trial statistics with the worst point kept for replay."""
+    """Per-identity trial statistics with the worst point kept for replay.
+
+    ``failures`` holds one ``{"trial_index", "rel_err", "point"}`` dict per
+    trial over ``tol``.  ``error`` says why the run stopped short of its
+    trials; ``trials`` then counts the completed ones.
+    """
 
     identity_id: str
     trials: int
@@ -52,12 +39,15 @@ class VerificationReport:
     resamples: int = 0
     wall_time_ms: float = 0.0
     worst_point: dict | None = None
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.error is None and not self.failures
 
     def to_dict(self) -> dict:
+        if self.error is not None:
+            return {"identity_id": self.identity_id, "passed": False, "error": self.error}
         return {
             "identity_id": self.identity_id,
             "trials": self.trials,
@@ -65,7 +55,7 @@ class VerificationReport:
             "seed": self.seed,
             "max_rel_err": self.max_rel_err,
             "mean_rel_err": self.mean_rel_err,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": self.failures,
             "resamples": self.resamples,
             "worst_point": self.worst_point,
             "wall_time_ms": self.wall_time_ms,
@@ -73,18 +63,8 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            identity_id=d["identity_id"],
-            trials=d["trials"],
-            tol=d["tol"],
-            seed=d["seed"],
-            max_rel_err=d["max_rel_err"],
-            mean_rel_err=d["mean_rel_err"],
-            failures=[TrialFailure.from_dict(f) for f in d["failures"]],
-            resamples=d["resamples"],
-            wall_time_ms=d["wall_time_ms"],
-            worst_point=d.get("worst_point"),
-        )
+        """The report a complete record (one without ``error``) was made from."""
+        return cls(**d)
 
 
 def point_dump(nome, values: dict, integers: dict) -> dict:

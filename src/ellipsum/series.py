@@ -28,6 +28,7 @@ from .kernel import (
     Nome,
     TruncationPolicy,
     _check_degen,
+    _residual,
     eval_E,
 )
 
@@ -64,10 +65,7 @@ def balance_residual(spec: OmegaSpec) -> float:
     prod = 1.0
     for a in spec.full_upper():
         prod = prod * a
-    lhs = prod * prod
-    rhs = spec.a1 ** (spec.r - 3) * spec.nome.q ** (spec.r - 5)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return float(abs(lhs - rhs) / scale)
+    return _residual(prod * prod, spec.a1 ** (spec.r - 3) * spec.nome.q ** (spec.r - 5))
 
 
 def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,

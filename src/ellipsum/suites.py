@@ -159,15 +159,11 @@ def run_checks(checks, trials: int, seed: int = 1,
 
     Checks run in parallel when more than one CPU is available (see
     :func:`~ellipsum.catalog._map_units`); records come back in table order.
-    A check that runs out of admissible draws does not stop the others: once
-    all have run, :class:`SamplingExhausted` is raised with every record.
+    A check that runs out of admissible draws returns a failed record with an
+    ``error`` instead of raising, and the other checks still run.
     """
-    results = _map_units([partial(_run_check, check, trials, seed, region)
-                          for check in checks if only is None or check.name in only])
-    errors = [res.error for res in results if res.error is not None]
-    if errors:
-        raise SamplingExhausted("; ".join(errors), results)
-    return results
+    return _map_units([partial(_run_check, check, trials, seed, region)
+                       for check in checks if only is None or check.name in only])
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from ellipsum.catalog import (
     trial_error,
 )
 from ellipsum.catalog import _draw_complex, _rng_for, _uniform_pair
+from ellipsum.errors import DegenerateParameters, SamplingExhausted
 from ellipsum.kernel import DEFAULT_POLICY, TruncationPolicy
 from ellipsum.report import VerificationReport
 from ellipsum.series import OmegaSpec, balance_residual
@@ -25,6 +26,19 @@ from conftest import bits, rel_err
 from oracles import classical_w_sum
 
 ALL_IDS = [ident.id for ident in list_identities()]
+
+
+def _admit_draws(admitted: int, monkeypatch):
+    """Let the sampler's first ``admitted`` draws through and reject the rest."""
+    real, calls = catalog._draw_point, []
+
+    def draw_point(ident, rng, region):
+        calls.append(ident.id)
+        if len(calls) > admitted:
+            raise DegenerateParameters("rejected")
+        return real(ident, rng, region)
+
+    monkeypatch.setattr(catalog, "_draw_point", draw_point)
 
 
 class TestRegistry:
@@ -222,8 +236,19 @@ class TestCheckIdentity:
 
     def test_failures_consistent_with_tolerance(self):
         rep = check_identity(get_identity("thmr_r2"), trials=40, tol=1e-8, seed=3)
-        assert all(f.rel_err > rep.tol for f in rep.failures)
+        assert all(f["rel_err"] > rep.tol for f in rep.failures)
         assert (rep.max_rel_err > rep.tol) == bool(rep.failures)
+
+    @pytest.mark.parametrize("admitted", [0, 2])
+    def test_exhausted_run_is_a_failed_record(self, admitted, monkeypatch):
+        # e87 at seed 1 takes its first draw in each of trials 0 and 1
+        _admit_draws(admitted, monkeypatch)
+        rep = check_identity(get_identity("e87"), trials=5, seed=1)
+        assert not rep.passed and rep.trials == admitted
+        assert rep.error == "e87: no admissible point after 100 resamples"
+        assert rep.to_dict() == {"identity_id": "e87", "passed": False,
+                                 "error": rep.error}
+        assert (rep.max_rel_err > 0) == (admitted > 0)
 
 
 class TestEtrafo5Branches:
@@ -274,6 +299,12 @@ class TestTransformPairs:
         # gauge parameter the pair would compare it with itself, exactly.
         out = cross_check_transform_pairs(trials=3, seed=1)
         assert out["quadratic"] > 0 and out["cubic"] > 0
+
+    def test_exhausted_pair_raises(self, monkeypatch):
+        # a pair that was never exercised must not read as agreement, 0.0
+        _admit_draws(0, monkeypatch)
+        with pytest.raises(SamplingExhausted, match="^quadratic: no admissible point"):
+            cross_check_transform_pairs(trials=2, seed=1)
 
 
 class TestSmallNomeContinuity:

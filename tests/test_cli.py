@@ -10,7 +10,7 @@ import pytest
 from ellipsum import catalog, cli, suites
 from ellipsum.catalog import _map_units
 from ellipsum.cli import main
-from ellipsum.errors import DegenerateParameters, SamplingExhausted, TruncationLimit
+from ellipsum.errors import DegenerateParameters, TruncationLimit
 from ellipsum.suites import SUITES, Check
 
 
@@ -126,15 +126,15 @@ def exhausting_kernel_table(monkeypatch):
 
 @pytest.fixture
 def exhausted_e87(monkeypatch):
-    """Every draw of e87 rejected, by way of the check_identity the CLI calls."""
-    real = cli.check_identity
+    """Every draw of e87 rejected by the catalog's sampler."""
+    real = catalog._draw_point
 
-    def check_identity(ident, **kwargs):
+    def draw_point(ident, rng, region):
         if ident.id == "e87":
-            raise SamplingExhausted("e87: no admissible point after 100 resamples")
-        return real(ident, **kwargs)
+            raise DegenerateParameters("always")
+        return real(ident, rng, region)
 
-    monkeypatch.setattr(cli, "check_identity", check_identity)
+    monkeypatch.setattr(catalog, "_draw_point", draw_point)
 
 
 class TestSamplingExhausted:
@@ -205,6 +205,8 @@ class TestUsageErrors:
         # ran every check, then failed to open the report
         ["--suite", "kernel", "--trials", "2", "--json", "no-such-dir/out.json"],
         ["--suite", "kernel", "--trials", "2", "--json", "."],
+        # ran in binary64 and recorded "precision": "extended"
+        ["--suite", "kernel", "--trials", "2", "--precision", "extended"],
     ])
     def test_bad_flag_values_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -218,6 +220,13 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "|p| = 0.99" in err
+
+    def test_overflow_from_q_names_q_mod(self, capsys):
+        code = main(["run", "--suite", "determinants", "--trials", "2",
+                     "--q-mod", "1e-100,1e-100"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--q-mod" in err
 
 
 def _at_workers(workers, monkeypatch):
@@ -252,7 +261,10 @@ class TestWorkers:
         (["--suite", "catalog", "--trials", "1"], 0, ""),
         (["--suite", "catalog", "--trials", "1", "--precision", "extended"], 0, ""),
         (["--suite", "kernel", "--p-mod", "0.995,0.999", "--trials", "3"], 2, "|p| = 0.99"),
-    ], ids=[*sorted(SUITES), "catalog", "catalog-extended", "truncation-cap"])
+        # E(p/x) at p = 0 is a resampled draw, not a traceback from a worker
+        (["--suite", "kernel", "--trials", "2", "--p-mod", "0,0"], 1,
+         "error: reflection: no admissible point"),
+    ], ids=[*sorted(SUITES), "catalog", "catalog-extended", "truncation-cap", "p-zero"])
     def test_parallel_run_equals_serial_run(self, args, code, err, monkeypatch, capsys,
                                             tmp_path):
         serial = _run_at(1, args, monkeypatch, capsys, tmp_path)
