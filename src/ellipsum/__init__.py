@@ -11,6 +11,7 @@ from .errors import (
     SamplingExhausted,
     SingularToWorkingPrecision,
     TruncationLimit,
+    WorkerError,
 )
 from .kernel import (
     DEFAULT_POLICY,
@@ -42,6 +43,7 @@ __all__ = [
     "SingularToWorkingPrecision",
     "TruncationLimit",
     "TruncationPolicy",
+    "WorkerError",
     "balance_residual",
     "eval_E",
     "eval_omega",

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
+import struct
+import sys
 import zlib
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -31,6 +34,7 @@ from .errors import (
     NonzeroRequired,
     SamplingExhausted,
     SingularToWorkingPrecision,
+    WorkerError,
 )
 from .kernel import (
     DEFAULT_POLICY,
@@ -1091,13 +1095,9 @@ def _worker_count(units: int) -> int:
     return min(cpus, units)
 
 
-# The unit table of the running _map_units; forked workers inherit it, so
-# only unit indices and results cross between processes.
-_units: list = []
-
-
-def _call_unit(index: int):
-    return _units[index]()
+# A result frame on a worker's pipe: unit index and pickle length, then the
+# pickle of (ok, result or exception).
+_FRAME = struct.Struct("<II")
 
 
 def _map_units(units: list) -> list:
@@ -1106,21 +1106,152 @@ def _map_units(units: list) -> list:
 
     Units are independent zero-argument callables; results come back in table
     order.  If units raise, the first error in table order is raised, as the
-    serial loop would raise it.
+    serial loop would raise it.  A worker that dies, or a result that cannot
+    cross the pipe, raises :class:`~ellipsum.errors.WorkerError`.
     """
-    global _units
     workers = _worker_count(len(units))
-    if workers > 1:
-        import multiprocessing
+    if workers < 2 or not hasattr(os, "fork"):
+        return [unit() for unit in units]
+    results = _fork_map(units, workers)
+    for index, result in enumerate(results):
+        if result is None:
+            raise WorkerError(f"unit {index} never reported: its worker ended early")
+        if not result[0]:
+            raise result[1]
+    return [value for _, value in results]
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            _units = units
+
+def _fork_map(units: list, workers: int) -> list:
+    """(ok, result or exception), or None where nothing came back, per unit.
+
+    The workers are plain forks: they read 4-byte unit indices from one task
+    pipe and each sends its results back on a pipe of its own.  The parent
+    writes the indices while it reads the results, so neither side can wait
+    on a full pipe forever.  The ``verify`` process starts no threads, so
+    forking it is safe.
+    """
+    import selectors
+    from select import PIPE_BUF
+
+    tasks = memoryview(struct.pack(f"<{len(units)}I", *range(len(units))))
+    results = [None] * len(units)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    task_r, task_w = os.pipe()
+    buffers, pids = {}, {}      # by result pipe
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            buffers[result_r] = bytearray()
             try:
-                with multiprocessing.get_context("fork").Pool(workers) as pool:
-                    return list(pool.imap(_call_unit, range(len(units)), chunksize=1))
+                pid = os.fork()
+                if pid == 0:
+                    _worker(units, task_r, result_w, [task_w, *buffers])
             finally:
-                _units = []
-    return [unit() for unit in units]
+                os.close(result_w)
+            pids[result_r] = pid
+        os.close(task_r)
+        task_r = None
+        os.set_blocking(task_w, False)
+        with selectors.DefaultSelector() as selector:
+            selector.register(task_w, selectors.EVENT_WRITE)
+            for fd in pids:
+                selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map():
+                for key, _ in selector.select():
+                    if key.fd == task_w:
+                        # at most PIPE_BUF bytes, so the write is whole or fails
+                        try:
+                            tasks = tasks[os.write(task_w, tasks[:PIPE_BUF]):]
+                        except BlockingIOError:
+                            continue
+                        except BrokenPipeError:     # every worker is gone
+                            tasks = tasks[:0]
+                        if not tasks:
+                            selector.unregister(task_w)
+                            os.close(task_w)
+                            task_w = None
+                    elif data := os.read(key.fd, 1 << 16):
+                        _unframe(buffers[key.fd], data, results)
+                    else:
+                        selector.unregister(key.fd)
+                        os.close(key.fd)
+                        del buffers[key.fd]
+                        status = os.waitpid(pids.pop(key.fd), 0)[1]
+                        if status:
+                            raise WorkerError(f"a worker {_exit_cause(status)} "
+                                              f"before all of its units reported")
+        return results
+    finally:
+        for fd in (task_r, task_w, *buffers):
+            if fd is not None:
+                os.close(fd)
+        if pids:
+            import signal
+
+            for pid in pids.values():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _worker(units: list, task_r: int, result_w: int, inherited: list):
+    """A forked worker's life: run the units whose indices it reads, send
+    back each result, and end with ``os._exit`` whatever happens."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while data := os.read(task_r, 4):
+            index, = struct.unpack("<I", data)
+            try:
+                outcome = True, units[index]()
+            except Exception as exc:    # a unit's error is its result
+                outcome = False, exc
+            try:
+                payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                what = "result" if outcome[0] else "error"
+                payload = pickle.dumps((False, WorkerError(
+                    f"unit {index}: its {what} cannot be pickled: {exc}")))
+            frame = memoryview(_FRAME.pack(index, len(payload)) + payload)
+            while frame:
+                frame = frame[os.write(result_w, frame):]
+        status = 0
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _unframe(buffer: bytearray, data: bytes, results: list):
+    """Append ``data`` to a worker's buffer and store each whole result frame."""
+    buffer += data
+    while len(buffer) >= _FRAME.size:
+        index, size = _FRAME.unpack_from(buffer)
+        end = _FRAME.size + size
+        if len(buffer) < end:
+            return
+        try:
+            results[index] = pickle.loads(buffer[_FRAME.size:end])
+        except Exception as exc:
+            results[index] = False, WorkerError(
+                f"unit {index}: its result cannot be unpickled: {exc}")
+        del buffer[:end]
+
+
+def _exit_cause(status: int) -> str:
+    """'exited with status 3' or 'was killed by signal 9 (SIGKILL)'."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"exited with status {code}"
+    import signal
+
+    with contextlib.suppress(ValueError):
+        return f"was killed by signal {-code} ({signal.Signals(-code).name})"
+    return f"was killed by signal {-code}"
 
 
 def _admissible_trial(ident: Identity, seed: int, trial: int,

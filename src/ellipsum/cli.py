@@ -4,11 +4,13 @@ Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 usage error.  A check or identity that runs out of admissible draws fails,
 with an ``error`` in its record, and the run goes on.
 
-Independent checks and identities run on one forked worker per CPU in the
+Independent checks and identities run on one worker per CPU in the
 process's affinity mask (``taskset -c 0 verify run ...`` runs serially), and
-every verdict line is printed once all have finished.  Identical flags and
-seed produce byte-identical JSON and output apart from the wall-clock fields,
-whatever the number of CPUs.
+every verdict line is printed once all have finished.  The workers are plain
+forks fed unit indices through a pipe; a worker that dies ends the run with a
+:class:`~ellipsum.errors.WorkerError`.  Identical flags and seed produce
+byte-identical JSON and output apart from the wall-clock fields, whatever the
+number of CPUs.
 """
 
 from __future__ import annotations

@@ -42,6 +42,11 @@ class SamplingExhausted(EllipticError):
     """
 
 
+class WorkerError(EllipticError):
+    """A forked worker died before all of its units reported, or a unit's
+    result or error could not be pickled across the pipe."""
+
+
 class SingularToWorkingPrecision(EllipticError):
     """A matrix was numerically singular at working precision."""
 

@@ -157,8 +157,10 @@ def run_checks(checks, trials: int, seed: int = 1,
                region: SamplingRegion = DEFAULT_REGION, only=None) -> list:
     """Run a check table; ``only`` restricts it to the checks so named.
 
-    Checks run in parallel when more than one CPU is available (see
-    :func:`~ellipsum.catalog._map_units`); records come back in table order.
+    Checks run in parallel on forked workers fed through pipes when more than
+    one CPU is in the affinity mask (see :func:`~ellipsum.catalog._map_units`;
+    ``taskset -c 0`` gives a serial run); records come back in table order,
+    and a worker that dies raises :class:`~ellipsum.errors.WorkerError`.
     A check that runs out of admissible draws returns a failed record with an
     ``error`` instead of raising, and the other checks still run.
     """

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import os
 import random
 import struct
 
@@ -27,3 +28,14 @@ def rel_err(a, b) -> float:
 def bits(z) -> bytes:
     """The bytes of both parts of a number, so that signed zeros and NaNs compare too."""
     return struct.pack("<dd", z.real, z.imag)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """After the session, no forked worker is left running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left {'running' if pid == 0 else 'unreaped'}")

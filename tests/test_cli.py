@@ -1,8 +1,8 @@
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from ellipsum import catalog, cli, suites
 from ellipsum.catalog import _map_units
 from ellipsum.cli import main
-from ellipsum.errors import DegenerateParameters, TruncationLimit
+from ellipsum.errors import DegenerateParameters, TruncationLimit, WorkerError
 from ellipsum.suites import SUITES, Check
 
 
@@ -286,6 +286,34 @@ class TestWorkers:
         assert _run_at(2, args, monkeypatch, capsys, tmp_path) == serial
 
 
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: its constructor wants two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def _run_script(body: str) -> str:
+    """Output of ``body`` run in a fresh interpreter with two workers, then
+    'no child left' if it reaped every worker.  The timeout turns a hang into
+    a failure."""
+    script = textwrap.dedent("""
+        import os, signal
+        from ellipsum import catalog
+        from ellipsum.errors import WorkerError
+        catalog._worker_count = lambda units: min(2, units)
+        """) + textwrap.dedent(body) + textwrap.dedent("""
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+        """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestMapUnits:
     def test_results_in_table_order(self, monkeypatch):
         _at_workers(2, monkeypatch)
@@ -309,8 +337,46 @@ class TestMapUnits:
 
     def test_runs_in_process_without_fork(self, monkeypatch):
         _at_workers(2, monkeypatch)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         assert _map_units([os.getpid] * 2) == [os.getpid()] * 2
+
+    @pytest.mark.parametrize("unit, cause", [
+        ("lambda: os._exit(3)", "exited with status 3"),
+        ("lambda: os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9 (SIGKILL)"),
+        # exits cleanly, but without reporting its unit
+        ("lambda: os._exit(0)", "unit 1 never reported"),
+    ], ids=["exit-3", "sigkill", "exit-0"])
+    def test_dead_worker_raises(self, unit, cause):
+        out = _run_script(f"""
+            try:
+                catalog._map_units([lambda: 1, {unit}, lambda: 2])
+            except WorkerError as exc:
+                print(exc)
+            """)
+        assert cause in out and "no child left" in out
+
+    def test_indices_overflowing_a_pipe_buffer(self):
+        # 80,000 bytes of indices and about 2 MB of results, more than a
+        # 65,536-byte pipe buffer each: the parent must read while it writes
+        out = _run_script("""
+            units = [lambda index=index: (index, bytes(64)) for index in range(20_000)]
+            print(catalog._map_units(units) == [(index, bytes(64)) for index in range(20_000)])
+            """)
+        assert out.splitlines() == ["True", "no child left"]
+
+    @pytest.mark.parametrize("unit, message", [
+        (lambda: (lambda: 2), "^unit 1: its result cannot be pickled"),
+        (lambda: _sleep_then(0, ValueError(lambda: 2)), "^unit 1: its error cannot be pickled"),
+        (lambda: _sleep_then(0, _TwoArgError("a", "b")), "^unit 1: its result cannot be unpickled"),
+    ], ids=["result", "error", "unpickling"])
+    def test_result_that_cannot_cross_the_pipe(self, unit, message, monkeypatch):
+        _at_workers(2, monkeypatch)
+        with pytest.raises(WorkerError, match=message):
+            _map_units([lambda: 1, unit, lambda: 3])
+        # the other results still arrive: an earlier unit's error comes first
+        with pytest.raises(TruncationLimit, match="^first$"):
+            _map_units([lambda: _sleep_then(0.2, TruncationLimit("first")), unit,
+                        lambda: 3])
 
     def test_workers_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
