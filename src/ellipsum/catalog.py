@@ -37,12 +37,9 @@ from .errors import (
     WorkerError,
 )
 from .kernel import (
-    DEFAULT_POLICY,
     DELTA_DEGEN,
-    EXTENDED_POLICY,
     EMemo,
     Nome,
-    TruncationPolicy,
     _check_degen,
     eval_E,
     pochhammer_e,
@@ -84,7 +81,8 @@ class Identity:
     ``name``.  ``branch``, if set, is a predicate on that index which keeps
     only the residue classes the right side covers.  ``extra_bases`` name
     further bases, drawn like q and before the free parameters.  ``lhs`` and
-    ``rhs`` map ``(point, policy)`` to ``(value, scale)``.
+    ``rhs`` map a point to ``(value, scale)``; the scalar type of the point
+    picks the truncation of the products behind E (:func:`eval_E`).
     """
 
     id: str
@@ -102,31 +100,30 @@ class Identity:
 # Shared evaluation helpers
 # --------------------------------------------------------------------------
 
-def _eprefactor(a1, gap: int, q, p, policy: TruncationPolicy):
-    e_a1 = _check_degen(eval_E(a1, p, policy), "E(a1)")
+def _eprefactor(a1, gap: int, q, p):
+    e_a1 = _check_degen(eval_E(a1, p), "E(a1)")
 
     def pref(k: int):
-        return eval_E(a1 * q ** (gap * k), p, policy) / e_a1
+        return eval_E(a1 * q ** (gap * k), p) / e_a1
 
     return pref
 
 
-def _poch_ratio(nums: Sequence, dens: Sequence, nome: Nome, n: int,
-                policy: TruncationPolicy):
+def _poch_ratio(nums: Sequence, dens: Sequence, nome: Nome, n: int):
     val = 1.0
     for a in nums:
-        val = val * pochhammer_e(a, nome, n, policy)
+        val = val * pochhammer_e(a, nome, n)
     for a in dens:
-        val = val / pochhammer_e(a, nome, n, policy, min_factor=DELTA_DEGEN)
+        val = val / pochhammer_e(a, nome, n, min_factor=DELTA_DEGEN)
     return val
 
 
-def _eight_term(hi, lo, b, c, d, nome: Nome, m: int, policy: TruncationPolicy):
+def _eight_term(hi, lo, b, c, d, nome: Nome, m: int):
     """(hi, hi/bc, lo/bd, lo/cd)_m / (hi/b, hi/c, lo/d, lo/bcd)_m, the closed
     form of the eight-term summation (hi = lo = aq) and of its cubic and
     quadratic-base relatives."""
     return _poch_ratio([hi, hi / (b * c), lo / (b * d), lo / (c * d)],
-                       [hi / b, hi / c, lo / d, lo / (b * c * d)], nome, m, policy)
+                       [hi / b, hi / c, lo / d, lo / (b * c * d)], nome, m)
 
 
 def _sigma3(n: int) -> int:
@@ -137,7 +134,7 @@ def _sigma3(n: int) -> int:
 # Left-hand-side families
 # --------------------------------------------------------------------------
 
-def _lhs_quadratic(pt, policy):
+def _lhs_quadratic(pt):
     """Sum with E(a q^{3k}) prefactor and alternating q / q^2 factorials."""
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e, f = v["a"], v["b"], v["c"], v["d"], v["e"], v["f"]
@@ -146,10 +143,10 @@ def _lhs_quadratic(pt, policy):
     num = [((b, c, d), q, 1), ((e, f, q ** (-2 * n)), q2, 1)]
     den = [((a * q2 / b, a * q2 / c, a * q2 / d), q2, 1),
            ((a * q / e, a * q / f, a * q ** (2 * n + 1)), q, 1)]
-    return vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 3, q, p), num, den, q, n, p)
 
 
-def _lhs_cubic(pt, policy):
+def _lhs_cubic(pt):
     """Sum with E(a q^{4k}) prefactor, doubled-index middle factorial and a
     q^3-base terminating block."""
     v, n, nome = _pt_unpack(pt)
@@ -159,18 +156,18 @@ def _lhs_cubic(pt, policy):
     num = [((b, c), q, 1), ((d,), q, 2), ((e, q ** (-3 * n)), q3, 1)]
     den = [((a * q3 / b, a * q3 / c), q3, 1), ((a * q / d,), q, 2),
            ((a * q / e, a * q ** (3 * n + 1)), q, 1)]
-    return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 4, q, p), num, den, q, n, p)
 
 
 # The families below are shared by several records.  Each factory takes the
 # names of the point's parameters that fill its slots and returns the
-# (pt, policy) side.  _lhs_family43 and _lhs_family_half always take "a" as
+# side.  _lhs_family43 and _lhs_family_half always take "a" as
 # their base point.
 
 def _lhs_mixed32(*slots):
     """Sum with E(a q^{3k}) prefactor and swapped q^2 / q factorial bases;
     ``slots`` fill a, b, c, d, e, f."""
-    def lhs(pt, policy):
+    def lhs(pt):
         v, n, nome = _pt_unpack(pt)
         a, b, c, d, e, f = (v[name] for name in slots)
         q, p = nome.q, nome.p
@@ -178,7 +175,7 @@ def _lhs_mixed32(*slots):
         num = [((b, c, d), q2, 1), ((e, f, q ** (-n)), q, 1)]
         den = [((a * q / b, a * q / c, a * q / d), q, 1),
                ((a * q2 / e, a * q2 / f, a * q ** (n + 2)), q2, 1)]
-        return vwp_sum(_eprefactor(a, 3, q, p, policy), num, den, q, n, p, policy)
+        return vwp_sum(_eprefactor(a, 3, q, p), num, den, q, n, p)
 
     return lhs
 
@@ -186,7 +183,7 @@ def _lhs_mixed32(*slots):
 def _lhs_family43(*slots):
     """E(a q^{4k}) family with single doubled slot and q^3 tail block;
     ``slots`` fill b1, b2, dslot, eslot."""
-    def lhs(pt, policy):
+    def lhs(pt):
         v, n, nome = _pt_unpack(pt)
         b1, b2, dslot, eslot = (v[name] for name in slots)
         a = v["a"]
@@ -195,7 +192,7 @@ def _lhs_family43(*slots):
         num = [((b1, b2), q3, 1), ((dslot,), q, 2), ((eslot, q ** (-n)), q, 1)]
         den = [((a * q / b1, a * q / b2), q, 1), ((a * q / dslot,), q, 2),
                ((a * q3 / eslot, a * q ** (n + 3)), q3, 1)]
-        return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n, p, policy)
+        return vwp_sum(_eprefactor(a, 4, q, p), num, den, q, n, p)
 
     return lhs
 
@@ -203,7 +200,7 @@ def _lhs_family43(*slots):
 def _lhs_family_half(*slots):
     """E(a q^{4k}) family with doubled terminating factorial, k <= n/2;
     ``slots`` fill b1, b2, d1, d2."""
-    def lhs(pt, policy):
+    def lhs(pt):
         v, n, nome = _pt_unpack(pt)
         b1, b2, d1, d2 = (v[name] for name in slots)
         a = v["a"]
@@ -212,19 +209,18 @@ def _lhs_family_half(*slots):
         num = [((b1, b2), q3, 1), ((q ** (-n),), q, 2), ((d1, d2), q, 1)]
         den = [((a * q / b1, a * q / b2), q, 1), ((a * q ** (n + 1),), q, 2),
                ((a * q3 / d1, a * q3 / d2), q3, 1)]
-        return vwp_sum(_eprefactor(a, 4, q, p, policy), num, den, q, n // 2, p,
-                       policy)
+        return vwp_sum(_eprefactor(a, 4, q, p), num, den, q, n // 2, p)
 
     return lhs
 
 
-def _gr_prefactor(a, b, q, r, p, policy):
-    ea = _check_degen(eval_E(a, p, policy), "E(a)")
-    eb = _check_degen(eval_E(b, p, policy), "E(b)")
+def _gr_prefactor(a, b, q, r, p):
+    ea = _check_degen(eval_E(a, p), "E(a)")
+    eb = _check_degen(eval_E(b, p), "E(b)")
 
     def pref(k: int):
-        return eval_E(a * (q * r) ** k, p, policy) * \
-            eval_E(b * r ** k * q ** (-k), p, policy) / (ea * eb)
+        return eval_E(a * (q * r) ** k, p) * \
+            eval_E(b * r ** k * q ** (-k), p) / (ea * eb)
 
     return pref
 
@@ -252,24 +248,24 @@ def _pt_unpack(pt: ParamPoint):
 def _omega_lhs(letters: str):
     """The terminating omega series with base point a, the parameters named
     by ``letters`` and q^{-n} as its upper parameters."""
-    def lhs(pt, policy):
+    def lhs(pt):
         v, n, nome = _pt_unpack(pt)
         uppers = (*(v[name] for name in letters), nome.q ** (-n))
-        return omega_sum(v["a"], uppers, nome, n, policy)
+        return omega_sum(v["a"], uppers, nome, n)
 
     return lhs
 
 
-def _e109_rhs(pt, policy):
+def _e109_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e, f, g = (v[k] for k in "abcdefg")
     q = nome.q
     lam = a * a * q / (b * c * d)
     pref = _poch_ratio([a * q, a * q / (e * f), lam * q / e, lam * q / f],
                        [a * q / e, a * q / f, lam * q / (e * f), lam * q],
-                       nome, n, policy)
+                       nome, n)
     uppers = (lam * b / a, lam * c / a, lam * d / a, e, f, g, q ** (-n))
-    val, wscale = omega_sum(lam, uppers, nome, n, policy)
+    val, wscale = omega_sum(lam, uppers, nome, n)
     return pref * val, abs(pref) * wscale
 
 
@@ -285,11 +281,11 @@ _register(Identity(
 ))
 
 
-def _e87_rhs(pt, policy):
+def _e87_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     q = nome.q
-    val = _eight_term(a * q, a * q, b, c, d, nome, n, policy)
+    val = _eight_term(a * q, a * q, b, c, d, nome, n)
     return val, abs(val)
 
 
@@ -307,26 +303,26 @@ _register(Identity(
 
 # ---- two-base telescoping sums --------------------------------------------
 
-def _gr_lhs(pt, policy):
+def _gr_lhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, r = v["a"], v["b"], v["c"], v["d"], v["r"]
     q, p = nome.q, nome.p
     num = [((a / c, c / b), q, 1), ((a * b * d, 1.0 / d), r, 1)]
     den = [((c * r, a * b * r / c), r, 1), ((q / (b * d), a * d * q), q, 1)]
-    return vwp_sum(_gr_prefactor(a, b, q, r, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_gr_prefactor(a, b, q, r, p), num, den, q, n, p)
 
 
-def _gr_rhs(pt, policy):
+def _gr_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, r = v["a"], v["b"], v["c"], v["d"], v["r"]
     q = nome.q
     nr = nome.with_base(r)
     first = _poch_ratio([c, a * b / c, a * d, b * d], [a, b, c * d, a * b * d / c],
-                        nome, 1, policy)
+                        nome, 1)
     ratio = _poch_ratio([a / c, b * q ** (-n) / c], [b * d * q ** (-n), a * d],
-                        nome, n + 1, policy)
+                        nome, n + 1)
     ratio *= _poch_ratio([a * b * d, d * r ** (-n)], [r ** (-n) / c, a * b / c],
-                         nr, n + 1, policy)
+                         nr, n + 1)
     val = first * (1.0 - ratio)
     return val, abs(first) * max(1.0, float(abs(ratio)))
 
@@ -343,21 +339,21 @@ _register(Identity(
 ))
 
 
-def _sum1_lhs(pt, policy):
+def _sum1_lhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, r = v["a"], v["b"], v["c"], v["r"]
     q, p = nome.q, nome.p
     num = [((a / c, c / b), q, 1), ((a * b * r ** n, r ** (-n)), r, 1)]
     den = [((c * r, a * b * r / c), r, 1),
            ((q * r ** (-n) / b, a * q * r ** n), q, 1)]
-    return vwp_sum(_gr_prefactor(a, b, q, r, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_gr_prefactor(a, b, q, r, p), num, den, q, n, p)
 
 
-def _sum1_rhs(pt, policy):
+def _sum1_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, r = v["a"], v["b"], v["c"], v["r"]
     val = _poch_ratio([c, a * b / c, a * r ** n, b * r ** n],
-                      [a, b, c * r ** n, a * b * r ** n / c], nome, 1, policy)
+                      [a, b, c * r ** n, a * b * r ** n / c], nome, 1)
     return val, abs(val)
 
 
@@ -376,7 +372,7 @@ _register(Identity(
 # ---- stretched-base summation family --------------------------------------
 
 def _make_thmr(r: int) -> Identity:
-    def lhs(pt, policy):
+    def lhs(pt):
         v, n, nome = _pt_unpack(pt)
         a, b, c = v["a"], v["b"], v["c"]
         q = nome.q
@@ -385,16 +381,16 @@ def _make_thmr(r: int) -> Identity:
         uppers += [b * q ** i for i in range(1, r + 1)]
         uppers += [a * q ** (n + i) for i in range(r)]
         uppers.append(q ** (-r * n))
-        return omega_sum(a * b, tuple(uppers), nr, n, policy)
+        return omega_sum(a * b, tuple(uppers), nr, n)
 
-    def rhs(pt, policy):
+    def rhs(pt):
         v, n, nome = _pt_unpack(pt)
         a, b, c = v["a"], v["b"], v["c"]
         q = nome.q
         nr = nome.with_base(q ** r)
-        val = _poch_ratio([a / c, c / b], [a, 1.0 / b], nome, n, policy)
+        val = _poch_ratio([a / c, c / b], [a, 1.0 / b], nome, n)
         val *= _poch_ratio([q ** r, a * b * q ** r],
-                           [c * q ** r, a * b * q ** r / c], nr, n, policy)
+                           [c * q ** r, a * b * q ** r / c], nr, n)
         return val, abs(val)
 
     return Identity(
@@ -424,7 +420,7 @@ def _solve_quad_transform(which: str):
     return solve
 
 
-def _quad_transform_rhs(pt, policy):
+def _quad_transform_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e, f, g = (v[k] for k in "abcdefg")
     q = nome.q
@@ -435,9 +431,9 @@ def _quad_transform_rhs(pt, policy):
          a * g * q2 / (c * d)],
         [a * a * q2 / (b * e * g), a * g * q2 / c, a * q2 / d,
          a * a * q2 / (b * c * d * e)],
-        n2, n, policy)
+        n2, n)
     uppers = (a / c, g * q2 / c, b * e * g / a, d, f, g, q2 ** (-n))
-    val, wscale = omega_sum(a * g / c, uppers, n2, n, policy)
+    val, wscale = omega_sum(a * g / c, uppers, n2, n)
     return pref * val, abs(pref) * wscale
 
 
@@ -457,7 +453,7 @@ for _which in ("gab", "gae"):
 def _coalesced_rhs(step: int):
     """Closed form of the summations left when two parameters of the
     quadratic (step 2) or cubic (step 3) transformation coalesce."""
-    def rhs(pt, policy):
+    def rhs(pt):
         v, n, nome = _pt_unpack(pt)
         a, b, c, d, e = (v[k] for k in "abcde")
         qs = nome.q ** step
@@ -467,7 +463,7 @@ def _coalesced_rhs(step: int):
              a * qs / (c * d)],
             [a * a * qs / (b * e), a * qs / c, a * qs / d,
              a * a * qs / (b * c * d * e)],
-            ns, n, policy)
+            ns, n)
         return val, abs(val)
 
     return rhs
@@ -508,7 +504,7 @@ def _solve_cubic_transform(which: str):
     return solve
 
 
-def _cubic_transform_rhs(pt, policy):
+def _cubic_transform_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e, f = (v[k] for k in "abcdef")
     q = nome.q
@@ -519,9 +515,9 @@ def _cubic_transform_rhs(pt, policy):
          a * f * q3 / (c * d)],
         [a * a * q3 / (b * e * f), a * q3 * f / c, a * q3 / d,
          a * a * q3 / (b * c * d * e)],
-        n3, n, policy)
+        n3, n)
     uppers = (a / c, f * q3 / c, b * e * f / a, d, d * q, f, q3 ** (-n))
-    val, wscale = omega_sum(a * f / c, uppers, n3, n, policy)
+    val, wscale = omega_sum(a * f / c, uppers, n3, n)
     return pref * val, abs(pref) * wscale
 
 
@@ -561,14 +557,14 @@ _register(Identity(
 ))
 
 
-def _cor_cubic_da_rhs(pt, policy):
+def _cor_cubic_da_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c = v["a"], v["b"], v["c"]
     q = nome.q
     q3 = q ** 3
     n3 = nome.with_base(q3)
     val = _poch_ratio([a * q * q, a * q3, b * q, c * q],
-                      [q, q * q, a * q3 / b, a * q3 / c], n3, n, policy)
+                      [q, q * q, a * q3 / b, a * q3 / c], n3, n)
     return val, abs(val)
 
 
@@ -586,26 +582,26 @@ _register(Identity(
 
 # ---- mixed-base transformations -------------------------------------------
 
-def _etrafo3_prefactor(v, n, nome, policy):
+def _etrafo3_prefactor(v, n, nome):
     a, b, c = v["a"], v["b"], v["c"]
     q = nome.q
     n2 = nome.with_base(q * q)
     val = _poch_ratio([a * q, a * q / (b * c)], [a * q / b, a * q / c],
-                      nome, n, policy)
+                      nome, n)
     val *= _poch_ratio([a * q ** (1 - n) / b, a * q ** (1 - n) / c],
                        [a * q ** (1 - n), a * q ** (1 - n) / (b * c)],
-                       n2, n, policy)
+                       n2, n)
     return val
 
 
-def _etrafo3_rhs(pt, policy):
+def _etrafo3_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e, f = (v[k] for k in "abcdef")
     q = nome.q
     n2 = nome.with_base(q * q)
-    pref = _etrafo3_prefactor(v, n, nome, policy)
+    pref = _etrafo3_prefactor(v, n, nome)
     uppers = (b, c, d, a / e, a / f, q ** (1 - n), q ** (-n))
-    val, wscale = omega_sum(a * a / (e * f), uppers, n2, n // 2, policy)
+    val, wscale = omega_sum(a * a / (e * f), uppers, n2, n // 2)
     return pref * val, abs(pref) * wscale
 
 
@@ -621,23 +617,23 @@ _register(Identity(
 ))
 
 
-def _etrafo4_prefactor(v, n, nome, policy):
+def _etrafo4_prefactor(v, n, nome):
     a, b = v["a"], v["b"]
     q = nome.q
     n3 = nome.with_base(q ** 3)
-    val = _poch_ratio([a * q], [a * q / b], nome, n, policy)
-    val *= _poch_ratio([a * q ** (2 - n) / b], [a * q ** (2 - n)], n3, n, policy)
+    val = _poch_ratio([a * q], [a * q / b], nome, n)
+    val *= _poch_ratio([a * q ** (2 - n) / b], [a * q ** (2 - n)], n3, n)
     return val
 
 
-def _etrafo4_rhs(pt, policy):
+def _etrafo4_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d, e = (v[k] for k in "abcde")
     q = nome.q
     n3 = nome.with_base(q ** 3)
-    pref = _etrafo4_prefactor(v, n, nome, policy)
+    pref = _etrafo4_prefactor(v, n, nome)
     uppers = (b, c, a / d, a / e, q ** (2 - n), q ** (1 - n), q ** (-n))
-    val, wscale = omega_sum(a * a / (d * e), uppers, n3, n // 3, policy)
+    val, wscale = omega_sum(a * a / (d * e), uppers, n3, n // 3)
     return pref * val, abs(pref) * wscale
 
 
@@ -662,7 +658,7 @@ def _etrafo5_solve(v, n, q):
 def _etrafo5_rhs(which: int):
     """Right side of residue branch 0, 1 or 2: an eight-term prefactor times
     an omega series in base q^3 over k <= n/3."""
-    def rhs(pt, policy):
+    def rhs(pt):
         v, n, nome = _pt_unpack(pt)
         a, b, c, d, e = (v[k] for k in "abcde")
         q = nome.q
@@ -671,19 +667,19 @@ def _etrafo5_rhs(which: int):
         m = (n + s) // 3
         hi = a * q ** (3 - s)
         if which == 0:
-            pref = _eight_term(hi, hi, b, c, d, n3, m, policy)
+            pref = _eight_term(hi, hi, b, c, d, n3, m)
             uppers = (a / (d * q), a / e, b, c, d, q ** (1 - n), q ** (-n))
             base_point = a * a / (d * e * q)
         elif which == 1:
-            pref = _eight_term(hi, a * q ** (2 - s), b, c, d, n3, m, policy)
+            pref = _eight_term(hi, a * q ** (2 - s), b, c, d, n3, m)
             uppers = (a / d, a / e, b, c, d * q, q ** (2 - n), q ** (-n))
             base_point = a * a / (d * e)
         else:
-            pref = _eight_term(a * q ** s, a * q, b, c, d, nome, 1, policy)
-            pref *= _eight_term(hi, a * q ** (1 - s), b, c, d, n3, m, policy)
+            pref = _eight_term(a * q ** s, a * q, b, c, d, nome, 1)
+            pref *= _eight_term(hi, a * q ** (1 - s), b, c, d, n3, m)
             uppers = (a * q / d, a / e, b, c, d * q * q, q ** (2 - n), q ** (1 - n))
             base_point = a * a * q / (d * e)
-        val, wscale = omega_sum(base_point, uppers, n3, n // 3, policy)
+        val, wscale = omega_sum(base_point, uppers, n3, n // 3)
         return pref * val, abs(pref) * wscale
 
     return rhs
@@ -709,15 +705,15 @@ for _sigma, _pred in ((0, lambda n: n % 3 != 2),
 def _prefactor_rhs(prefactor):
     """A summation's closed form where it pins a transformation's inner series
     to its k = 0 term, 1: the transformation's prefactor alone."""
-    def rhs(pt, policy):
+    def rhs(pt):
         v, n, nome = _pt_unpack(pt)
-        val = prefactor(v, n, nome, policy)
+        val = prefactor(v, n, nome)
         return val, abs(val)
 
     return rhs
 
 
-def cor_etrafo3_fa_sigma_rhs(pt, policy=DEFAULT_POLICY):
+def cor_etrafo3_fa_sigma_rhs(pt):
     """The equivalent residue-indexed closed form of the same summation."""
     v, n, nome = _pt_unpack(pt)
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
@@ -726,7 +722,7 @@ def cor_etrafo3_fa_sigma_rhs(pt, policy=DEFAULT_POLICY):
     s = n % 2
     m = (n + s) // 2
     base = a * q ** (2 - s)
-    return _eight_term(base, base, b, c, d, n2, m, policy)
+    return _eight_term(base, base, b, c, d, n2, m)
 
 
 _register(Identity(
@@ -741,14 +737,14 @@ _register(Identity(
 ))
 
 
-def _egs_rhs(pt, policy):
+def _egs_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     if n % 2 == 1:
         return 0.0, 0.0
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     q2 = nome.q ** 2
     n2 = nome.with_base(q2)
-    val = _eight_term(a * q2, a * q2, b, c, d, n2, n // 2, policy)
+    val = _eight_term(a * q2, a * q2, b, c, d, n2, n // 2)
     return val, abs(val)
 
 
@@ -777,7 +773,7 @@ _register(Identity(
 ))
 
 
-def _c2_rhs(pt, policy):
+def _c2_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     if n % 3 == 2:
         return 0.0, 0.0
@@ -786,7 +782,7 @@ def _c2_rhs(pt, policy):
     n3 = nome.with_base(q3)
     val = _poch_ratio(
         [a * q3, a * q3 / (b * c), a * q3 / (b * d)],
-        [a * q3 / c, a * q3 / d, a * q3 / (b * c * d)], n3, n // 3, policy)
+        [a * q3 / c, a * q3 / d, a * q3 / (b * c * d)], n3, n // 3)
     return val, abs(val)
 
 
@@ -802,7 +798,7 @@ _register(Identity(
 ))
 
 
-def _cor_etrafo5_ea_rhs(pt, policy):
+def _cor_etrafo5_ea_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     q = nome.q
@@ -814,7 +810,7 @@ def _cor_etrafo5_ea_rhs(pt, policy):
         hi, lo, m = a * q, a * q, (n + 2) // 3
     else:
         hi, lo, m = a * q * q, a * q, (n + 1) // 3
-    val = _eight_term(hi, lo, b, c, d, n3, m, policy)
+    val = _eight_term(hi, lo, b, c, d, n3, m)
     return val, abs(val)
 
 
@@ -830,7 +826,7 @@ _register(Identity(
 ))
 
 
-def _cor_chu_rhs(pt, policy):
+def _cor_chu_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     if n % 3 != 0:
         return 0.0, 0.0
@@ -839,7 +835,7 @@ def _cor_chu_rhs(pt, policy):
     q3 = q ** 3
     n3 = nome.with_base(q3)
     val = _poch_ratio([q, q * q, a * q3, b * b / a],
-                      [b * q, b * q * q, b / a, a * q3 / b], n3, n // 3, policy)
+                      [b * q, b * q * q, b / a, a * q3 / b], n3, n // 3)
     return val, abs(val)
 
 
@@ -854,7 +850,7 @@ _register(Identity(
 ))
 
 
-def _cor_etrafo5_da_rhs(pt, policy):
+def _cor_etrafo5_da_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     if n % 3 == 1:
         return 0.0, 0.0
@@ -865,11 +861,11 @@ def _cor_etrafo5_da_rhs(pt, policy):
     if n % 3 == 0:
         val = _poch_ratio([a * q3, q * q / b, q * q / c],
                           [q * q / (b * c), a * q3 / b, a * q3 / c],
-                          n3, n // 3, policy)
+                          n3, n // 3)
     else:
         val = _poch_ratio([a * q * q, q / b, q / c],
                           [q / (b * c), a * q * q / b, a * q * q / c],
-                          n3, (n + 2) // 3, policy)
+                          n3, (n + 2) // 3)
     return val, abs(val)
 
 
@@ -886,7 +882,7 @@ _register(Identity(
 
 # ---- quartic results --------------------------------------------------------
 
-def _quartic_trafo_lhs(pt, policy):
+def _quartic_trafo_lhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b = v["a"], v["b"]
     q, p = nome.q, nome.p
@@ -897,20 +893,20 @@ def _quartic_trafo_lhs(pt, policy):
     den = [((a * a * q ** 6 / (b * b),), q4, 1),
            ((b, b * q, b * q2), q3, 1),
            ((q ** (1 - 4 * n) / b, a * q ** (4 * n + 1)), q, 1)]
-    return vwp_sum(_eprefactor(a, 5, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a, 5, q, p), num, den, q, n, p)
 
 
-def _quartic_trafo_rhs(pt, policy):
+def _quartic_trafo_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     a, b = v["a"], v["b"]
     q = nome.q
     q2, q4 = q * q, q ** 4
     n4 = nome.with_base(q4)
-    pref = _poch_ratio([a * q], [b], nome, 4 * n, policy)
+    pref = _poch_ratio([a * q], [b], nome, 4 * n)
     pref *= _poch_ratio([q4, b ** 3 / (a * q2)],
-                        [a * b, a * a * q ** 6 / (b * b)], n4, n, policy)
+                        [a * b, a * a * q ** 6 / (b * b)], n4, n)
     uppers = (a * a * q2 / (b * b), b, b / q, b / q2, b / q ** 3)
-    val, wscale = omega_sum(a * b / q4, uppers, n4, n, policy)
+    val, wscale = omega_sum(a * b / q4, uppers, n4, n)
     return pref * val, abs(pref) * wscale
 
 
@@ -925,7 +921,7 @@ _register(Identity(
 ))
 
 
-def _quartic_sum_lhs(pt, policy):
+def _quartic_sum_lhs(pt):
     v, n, nome = _pt_unpack(pt)
     a = v["a"]
     q, p = nome.q, nome.p
@@ -934,10 +930,10 @@ def _quartic_sum_lhs(pt, policy):
            ((a * q ** (n + 1), q ** (-n)), q, 1)]
     den = [((q,), q, 1), ((a, a * q, a * q2), q2, 1),
            ((a * q ** (3 - n), a * a * q ** (n + 4)), q4, 1)]
-    return vwp_sum(_eprefactor(a * a, 5, q, p, policy), num, den, q, n, p, policy)
+    return vwp_sum(_eprefactor(a * a, 5, q, p), num, den, q, n, p)
 
 
-def _quartic_sum_rhs(pt, policy):
+def _quartic_sum_rhs(pt):
     v, n, nome = _pt_unpack(pt)
     if n % 4 != 0:
         return 0.0, 0.0
@@ -947,7 +943,7 @@ def _quartic_sum_rhs(pt, policy):
     n4 = nome.with_base(q4)
     val = _poch_ratio([q, q * q, q ** 3, a * a * q4],
                       [a * q * q, a * q ** 3, a * q4, q / a],
-                      n4, n // 4, policy)
+                      n4, n // 4)
     return val, abs(val)
 
 
@@ -1255,8 +1251,7 @@ def _exit_cause(status: int) -> str:
 
 
 def _admissible_trial(ident: Identity, seed: int, trial: int,
-                      region: SamplingRegion, precision: str,
-                      policy: TruncationPolicy | None):
+                      region: SamplingRegion, precision: str):
     """Draw until both sides evaluate cleanly; returns point, values, count.
 
     Extended trials widen the point and evaluate both sides under
@@ -1266,7 +1261,6 @@ def _admissible_trial(ident: Identity, seed: int, trial: int,
     """
     rng = _rng_for(ident.id, seed, trial)
     extended = precision == "extended"
-    pol = policy or (EXTENDED_POLICY if extended else DEFAULT_POLICY)
     cond_limit = CONDITION_LIMIT_EXTENDED if extended else CONDITION_LIMIT
     if extended:
         import mpmath
@@ -1279,9 +1273,9 @@ def _admissible_trial(ident: Identity, seed: int, trial: int,
         with scope:
             work = _extend_point(ident, pt) if extended else pt
             with EMemo():
-                lhs, scale = ident.lhs(work, pol)
+                lhs, scale = ident.lhs(work)
             with EMemo():
-                rhs, rhs_scale = ident.rhs(work, pol)
+                rhs, rhs_scale = ident.rhs(work)
             if not (_is_finite(lhs) and _is_finite(rhs)):
                 raise DegenerateParameters("non-finite value at working precision")
             if rhs != 0 and max(scale, rhs_scale) > \
@@ -1302,7 +1296,7 @@ def sample_point(ident: Identity, seed: int,
     The point returned is the one trial 0 of :func:`check_identity` would
     use with the same seed.
     """
-    pt, _, _, _, _ = _admissible_trial(ident, seed, 0, region, "double", None)
+    pt, _, _, _, _ = _admissible_trial(ident, seed, 0, region, "double")
     return pt
 
 
@@ -1320,13 +1314,14 @@ def trial_error(lhs, rhs, scale: float) -> float:
 
 def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
                    seed: int = 1, region: SamplingRegion = DEFAULT_REGION,
-                   precision: str = "double",
-                   policy: TruncationPolicy | None = None) -> VerificationReport:
+                   precision: str = "double") -> VerificationReport:
     """Randomized verification of one identity over independent trials.
 
-    A trial that runs out of admissible draws ends the run: the report then
-    fails with the :class:`SamplingExhausted` message as its ``error`` and
-    counts the completed trials, and nothing is raised.
+    Extended trials work in ``mpmath.mpc`` at EXTENDED_DPS digits, a type
+    that also takes the kernel's products to the extended tail.  A trial
+    that runs out of admissible draws ends the run: the report then fails
+    with the :class:`SamplingExhausted` message as its ``error`` and counts
+    the completed trials, and nothing is raised.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -1340,7 +1335,7 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
     for trial in range(trials):
         try:
             pt, lhs, rhs, scale, resamples = _admissible_trial(
-                ident, seed, trial, region, precision, policy)
+                ident, seed, trial, region, precision)
         except SamplingExhausted as exc:
             # every draw of the exhausted trial was rejected
             error = str(exc)
@@ -1372,8 +1367,7 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
 
 def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
                                 region: SamplingRegion = DEFAULT_REGION,
-                                p_zero: bool = False,
-                                policy: TruncationPolicy | None = None) -> dict:
+                                p_zero: bool = False) -> dict:
     """Agreement of the two gauge choices of each transformation's right side.
 
     The left side of the quadratic (resp. cubic) transformation does not
@@ -1391,14 +1385,14 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
             ("cubic", "etrafo2_cubic_fab", "etrafo2_cubic_fae")):
         ident_a, ident_b = get_identity(id_a), get_identity(id_b)
 
-        def rhs_b(pt, pol):
+        def rhs_b(pt):
             values = dict(pt.values)
             values.update(ident_b.solve({k: values[k] for k in ident_b.free_params},
                                         pt.integers["n"], pt.nome.q))
-            return ident_b.rhs(ParamPoint(pt.nome, values, pt.integers), pol)
+            return ident_b.rhs(ParamPoint(pt.nome, values, pt.integers))
 
         pair = replace(ident_a, id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
-        rep = check_identity(pair, trials, seed=seed, region=region, policy=policy)
+        rep = check_identity(pair, trials, seed=seed, region=region)
         if rep.error is not None:
             raise SamplingExhausted(rep.error)
         out[pair_name] = rep.max_rel_err

@@ -73,7 +73,7 @@ def _parse_tol(text: str) -> float:
 
 def _parse_json_path(text: str) -> str:
     # checked before any check runs, so a long run is not lost at the end
-    if os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+    if not text or os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
         raise argparse.ArgumentTypeError(f"cannot write a report file at {text!r}")
     return text
 
@@ -167,7 +167,8 @@ def main(argv=None) -> int:
     if args.suite in ("cn", "conjecture"):
         from .multivar import MAX_BRUTE_TERMS
 
-        if (args.cap + 1) ** args.n > MAX_BRUTE_TERMS or args.cap > 8 or args.n > 6:
+        # the cheap bounds first: a huge --n makes the power itself hang
+        if args.cap > 8 or args.n > 6 or (args.cap + 1) ** args.n > MAX_BRUTE_TERMS:
             print(f"error: --n {args.n} --N {args.cap} exceeds the brute-force "
                   f"budget ((N+1)^n <= {MAX_BRUTE_TERMS}, N <= 8, n <= 6)",
                   file=sys.stderr)

@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import SingularToWorkingPrecision
 from .kernel import (
-    DEFAULT_POLICY,
     Nome,
-    TruncationPolicy,
     binom2,
     eval_E,
     pochhammer_e,
@@ -59,22 +57,20 @@ def det_numeric(matrix) -> tuple[complex, float]:
     return det, cond
 
 
-def _qpow_poch_frac(exponent: int, nome: Nome, n: int,
-                    policy: TruncationPolicy):
+def _qpow_poch_frac(exponent: int, nome: Nome, n: int):
     """(q^exponent; q, p)_n as a fraction, with integer exponent bookkeeping
     so that factors landing exactly on E(q^0) = 0 vanish exactly."""
     q, p = nome.q, nome.p
 
     def factor(e: int):
-        return 0.0 if e == 0 else eval_E(q ** e, p, policy)
+        return 0.0 if e == 0 else eval_E(q ** e, p)
 
     if n >= 0:
         return math.prod((factor(exponent + k) for k in range(n)), start=1.0), 1.0
     return 1.0, math.prod((factor(exponent + n + k) for k in range(-n)), start=1.0)
 
 
-def andrews_stanton_entry(x, y, nome: Nome, i: int, j: int,
-                          policy: TruncationPolicy = DEFAULT_POLICY):
+def andrews_stanton_entry(x, y, nome: Nome, i: int, j: int):
     """Entry M_{i,j} (1-based) of the quadratic-base determinant.
 
     Assembled as one unreduced fraction; the pure q-power factorial keeps
@@ -86,52 +82,48 @@ def andrews_stanton_entry(x, y, nome: Nome, i: int, j: int,
     top = 1.0
     bot = 1.0
     for a in (y * q ** (1 - i) / x, q ** (2 - i) / (x * y), q ** (2 - 4 * i) / (x * x)):
-        u, v = pochhammer_frac(a, n2, m, policy)
+        u, v = pochhammer_frac(a, n2, m)
         top *= u
         bot *= v
     for a in (q ** (2 - 2 * i) / (x * y), y * q ** (1 - 2 * i) / x):
-        u, v = pochhammer_frac(a, nome, m, policy)
+        u, v = pochhammer_frac(a, nome, m)
         top *= v
         bot *= u
-    u, v = _qpow_poch_frac(i + 1, nome, m, policy)
+    u, v = _qpow_poch_frac(i + 1, nome, m)
     top *= v
     bot *= u
     return top / bot
 
 
-def andrews_stanton_matrix(x, y, nome: Nome, n: int,
-                           policy: TruncationPolicy = DEFAULT_POLICY) -> list:
-    return [[andrews_stanton_entry(x, y, nome, i, j, policy)
+def andrews_stanton_matrix(x, y, nome: Nome, n: int) -> list:
+    return [[andrews_stanton_entry(x, y, nome, i, j)
              for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def andrews_stanton_product(x, y, nome: Nome, n: int,
-                            policy: TruncationPolicy = DEFAULT_POLICY):
+def andrews_stanton_product(x, y, nome: Nome, n: int):
     """Closed-form double product of the quadratic-base determinant."""
     q = nome.q
     n2 = nome.with_base(q * q)
     prod = 1.0
     for i in range(1, n + 1):
-        prod *= pochhammer_e(q, nome, i, policy)
-        prod *= pochhammer_e(x * x * q ** (2 * i - 2), nome, i, policy)
-        prod /= pochhammer_e(q, n2, i, policy)
-        prod /= pochhammer_e(x * x * q ** (2 * i - 2), n2, i, policy)
-        prod *= pochhammer_e(x * y * q ** (i - 1), n2, i, policy)
-        prod *= pochhammer_e(x * q ** i / y, n2, i, policy)
-        prod /= pochhammer_e(x * y * q ** (i - 1), nome, i, policy)
-        prod /= pochhammer_e(x * q ** i / y, nome, i, policy)
+        prod *= pochhammer_e(q, nome, i)
+        prod *= pochhammer_e(x * x * q ** (2 * i - 2), nome, i)
+        prod /= pochhammer_e(q, n2, i)
+        prod /= pochhammer_e(x * x * q ** (2 * i - 2), n2, i)
+        prod *= pochhammer_e(x * y * q ** (i - 1), n2, i)
+        prod *= pochhammer_e(x * q ** i / y, n2, i)
+        prod /= pochhammer_e(x * y * q ** (i - 1), nome, i)
+        prod /= pochhammer_e(x * q ** i / y, nome, i)
     return prod
 
 
-def andrews_stanton_sides(x, y, nome: Nome, n: int,
-                          policy: TruncationPolicy = DEFAULT_POLICY):
+def andrews_stanton_sides(x, y, nome: Nome, n: int):
     """(det of the n x n matrix, closed-form double product)."""
-    args = (x, y, nome, n, policy)
+    args = (x, y, nome, n)
     return det_numeric(andrews_stanton_matrix(*args))[0], andrews_stanton_product(*args)
 
 
-def andrews_stanton_lu(x, y, nome: Nome, n: int,
-                       policy: TruncationPolicy = DEFAULT_POLICY):
+def andrews_stanton_lu(x, y, nome: Nome, n: int):
     """The explicit unit-upper-triangular U and diagonal of L = M U.
 
     Returns (U, L_diag) with U an n x n nested list, U_{i,i} = 1, and L_diag
@@ -143,30 +135,29 @@ def andrews_stanton_lu(x, y, nome: Nome, n: int,
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             val = (-1.0) ** (i + j) * q ** ((i - j) * (i + j - 7) // 2)
-            val *= eval_E(x * x * q ** (3 * i - 2), p, policy)
-            val /= eval_E(x * x * q ** (i + 2 * j - 2), p, policy)
-            val *= pochhammer_e(q ** i, nome, 2 * j - 2 * i, policy)
-            val *= pochhammer_e(q ** (3 - 3 * j) / (x * x), nome, j - i, policy)
-            val /= pochhammer_e(q * q, n2, j - i, policy)
-            val /= pochhammer_e(q ** (4 - 4 * j) / (x * x), n2, j - i, policy)
-            val /= pochhammer_e(q ** (3 - 2 * j) / (x * x), n2, j - i, policy)
+            val *= eval_E(x * x * q ** (3 * i - 2), p)
+            val /= eval_E(x * x * q ** (i + 2 * j - 2), p)
+            val *= pochhammer_e(q ** i, nome, 2 * j - 2 * i)
+            val *= pochhammer_e(q ** (3 - 3 * j) / (x * x), nome, j - i)
+            val /= pochhammer_e(q * q, n2, j - i)
+            val /= pochhammer_e(q ** (4 - 4 * j) / (x * x), n2, j - i)
+            val /= pochhammer_e(q ** (3 - 2 * j) / (x * x), n2, j - i)
             U[i - 1][j - 1] = val
     l_diag = []
     for i in range(1, n + 1):
-        val = pochhammer_e(q * q, nome, i - 1, policy)
-        val *= pochhammer_e(x * x * q ** (2 * i - 1), nome, i - 1, policy)
-        val *= pochhammer_e(x * y * q ** (i + 1), n2, i - 1, policy)
-        val *= pochhammer_e(x * q ** (i + 2) / y, n2, i - 1, policy)
-        val /= pochhammer_e(q ** 3, n2, i - 1, policy)
-        val /= pochhammer_e(x * x * q ** (2 * i), n2, i - 1, policy)
-        val /= pochhammer_e(x * y * q ** i, nome, i - 1, policy)
-        val /= pochhammer_e(x * q ** (i + 1) / y, nome, i - 1, policy)
+        val = pochhammer_e(q * q, nome, i - 1)
+        val *= pochhammer_e(x * x * q ** (2 * i - 1), nome, i - 1)
+        val *= pochhammer_e(x * y * q ** (i + 1), n2, i - 1)
+        val *= pochhammer_e(x * q ** (i + 2) / y, n2, i - 1)
+        val /= pochhammer_e(q ** 3, n2, i - 1)
+        val /= pochhammer_e(x * x * q ** (2 * i), n2, i - 1)
+        val /= pochhammer_e(x * y * q ** i, nome, i - 1)
+        val /= pochhammer_e(x * q ** (i + 1) / y, nome, i - 1)
         l_diag.append(val)
     return U, l_diag
 
 
-def shifted_product_family(b, c, nome: Nome, n: int,
-                           policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+def shifted_product_family(b, c, nome: Nome, n: int) -> list:
     """The function family P_j(X) = (b X q^{n-j-1}, b c q^{n-j-1}/X; q, p)_j.
 
     Each member satisfies P_j(pX) = (c / X^2 p)^j P_j(X) and P_j(c/X) = P_j(X),
@@ -177,16 +168,15 @@ def shifted_product_family(b, c, nome: Nome, n: int,
     def make(j: int) -> Callable:
         def pj(xv):
             s = q ** (n - j - 1)
-            return pochhammer_e(b * xv * s, nome, j, policy) * \
-                pochhammer_e(b * c * s / xv, nome, j, policy)
+            return pochhammer_e(b * xv * s, nome, j) * \
+                pochhammer_e(b * c * s / xv, nome, j)
         return pj
 
     return [make(j) for j in range(n)]
 
 
 def det_lemma_matrix(xs: Sequence, a_values: Sequence, c, nome: Nome,
-                     family: Sequence[Callable],
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+                     family: Sequence[Callable]) -> list:
     n = len(xs)
     p = nome.p
     matrix = []
@@ -196,31 +186,29 @@ def det_lemma_matrix(xs: Sequence, a_values: Sequence, c, nome: Nome,
             val = family[j - 1](xs[i])
             for k in range(j + 1, n + 1):
                 ak = a_values[k - 1]
-                val *= eval_E(ak * xs[i], p, policy) * eval_E(c * ak / xs[i], p, policy)
+                val *= eval_E(ak * xs[i], p) * eval_E(c * ak / xs[i], p)
             row.append(val)
         matrix.append(row)
     return matrix
 
 
 def det_lemma_product(xs: Sequence, a_values: Sequence, c, nome: Nome,
-                      family: Sequence[Callable],
-                      policy: TruncationPolicy = DEFAULT_POLICY):
+                      family: Sequence[Callable]):
     """Closed-form product side of the elliptic determinant lemma."""
     n = len(xs)
     p = nome.p
     rhs = 1.0
     for i in range(n):
         for j in range(i + 1, n):
-            rhs *= a_values[j] * xs[j] * eval_E(xs[i] / xs[j], p, policy) * \
-                eval_E(c / (xs[i] * xs[j]), p, policy)
+            rhs *= a_values[j] * xs[j] * eval_E(xs[i] / xs[j], p) * \
+                eval_E(c / (xs[i] * xs[j]), p)
     for i in range(1, n + 1):
         rhs *= family[i - 1](1.0 / a_values[i - 1])
     return rhs
 
 
 def elliptic_det_lemma_sides(xs: Sequence, a_values: Sequence, c, nome: Nome,
-                             family: Sequence[Callable],
-                             policy: TruncationPolicy = DEFAULT_POLICY):
+                             family: Sequence[Callable]):
     """(LHS determinant, RHS product) of the elliptic determinant lemma.
 
     ``a_values`` is the full list A_1..A_n; A_1 only enters through
@@ -229,48 +217,45 @@ def elliptic_det_lemma_sides(xs: Sequence, a_values: Sequence, c, nome: Nome,
     """
     if not len(a_values) == len(family) == len(xs):
         raise ValueError("xs, a_values and family must share length n")
-    args = (xs, a_values, c, nome, family, policy)
+    args = (xs, a_values, c, nome, family)
     return det_numeric(det_lemma_matrix(*args))[0], det_lemma_product(*args)
 
 
-def corollary_determ_matrix(xs: Sequence, a, b, c, nome: Nome,
-                            policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+def corollary_determ_matrix(xs: Sequence, a, b, c, nome: Nome) -> list:
     n = len(xs)
     matrix = []
     for i in range(n):
         row = []
         for j in range(1, n + 1):
-            num = pochhammer_e(a * xs[i], nome, n - j, policy) * \
-                pochhammer_e(a * c / xs[i], nome, n - j, policy)
-            den = pochhammer_e(b * xs[i], nome, n - j, policy) * \
-                pochhammer_e(b * c / xs[i], nome, n - j, policy)
+            num = pochhammer_e(a * xs[i], nome, n - j) * \
+                pochhammer_e(a * c / xs[i], nome, n - j)
+            den = pochhammer_e(b * xs[i], nome, n - j) * \
+                pochhammer_e(b * c / xs[i], nome, n - j)
             row.append(num / den)
         matrix.append(row)
     return matrix
 
 
-def corollary_determ_product(xs: Sequence, a, b, c, nome: Nome,
-                             policy: TruncationPolicy = DEFAULT_POLICY):
+def corollary_determ_product(xs: Sequence, a, b, c, nome: Nome):
     """Closed-form product side of the shifted-factorial ratio determinant."""
     n = len(xs)
     q, p = nome.q, nome.p
     rhs = a ** binom2(n) * q ** _binom3(n)
     for i in range(n):
         for j in range(i + 1, n):
-            rhs *= xs[j] * eval_E(xs[i] / xs[j], p, policy) * \
-                eval_E(c / (xs[i] * xs[j]), p, policy)
+            rhs *= xs[j] * eval_E(xs[i] / xs[j], p) * \
+                eval_E(c / (xs[i] * xs[j]), p)
     for i in range(1, n + 1):
-        rhs *= pochhammer_e(b / a, nome, i - 1, policy)
-        rhs *= pochhammer_e(a * b * c * q ** (2 * n - 2 * i), nome, i - 1, policy)
-        rhs /= pochhammer_e(b * xs[i - 1], nome, n - 1, policy)
-        rhs /= pochhammer_e(b * c / xs[i - 1], nome, n - 1, policy)
+        rhs *= pochhammer_e(b / a, nome, i - 1)
+        rhs *= pochhammer_e(a * b * c * q ** (2 * n - 2 * i), nome, i - 1)
+        rhs /= pochhammer_e(b * xs[i - 1], nome, n - 1)
+        rhs /= pochhammer_e(b * c / xs[i - 1], nome, n - 1)
     return rhs
 
 
-def corollary_determ_sides(xs: Sequence, a, b, c, nome: Nome,
-                           policy: TruncationPolicy = DEFAULT_POLICY):
+def corollary_determ_sides(xs: Sequence, a, b, c, nome: Nome):
     """(det of the shifted-factorial ratio matrix, closed-form product)."""
-    args = (xs, a, b, c, nome, policy)
+    args = (xs, a, b, c, nome)
     return det_numeric(corollary_determ_matrix(*args))[0], corollary_determ_product(*args)
 
 
@@ -278,13 +263,12 @@ def _binom3(n: int) -> int:
     return n * (n - 1) * (n - 2) // 6
 
 
-def theta_product_chain(z, m: int, p, policy: TruncationPolicy = DEFAULT_POLICY):
+def theta_product_chain(z, m: int, p):
     """prod_{k=0}^{m-1} theta_1(z + k): theta analogue of a shifted factorial."""
-    return math.prod((theta1(z + k, p, policy) for k in range(m)), start=1.0)
+    return math.prod((theta1(z + k, p) for k in range(m)), start=1.0)
 
 
-def theta_det_matrix(xs: Sequence, a, b, c, p,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+def theta_det_matrix(xs: Sequence, a, b, c, p) -> list:
     """Entries are chains of theta_1 values at shifted angles: arguments are
     additive here, exercising the theta code path directly rather than
     reducing to the multiplicative kernel."""
@@ -293,33 +277,31 @@ def theta_det_matrix(xs: Sequence, a, b, c, p,
     for i in range(n):
         row = []
         for j in range(1, n + 1):
-            val = theta_product_chain(a + xs[i], n - j, p, policy)
-            val *= theta_product_chain(a + c - xs[i], n - j, p, policy)
-            val *= theta_product_chain(b + xs[i] + n - j, j - 1, p, policy)
-            val *= theta_product_chain(b + c + n - j - xs[i], j - 1, p, policy)
+            val = theta_product_chain(a + xs[i], n - j, p)
+            val *= theta_product_chain(a + c - xs[i], n - j, p)
+            val *= theta_product_chain(b + xs[i] + n - j, j - 1, p)
+            val *= theta_product_chain(b + c + n - j - xs[i], j - 1, p)
             row.append(val)
         matrix.append(row)
     return matrix
 
 
-def theta_det_product(xs: Sequence, a, b, c, p,
-                      policy: TruncationPolicy = DEFAULT_POLICY):
+def theta_det_product(xs: Sequence, a, b, c, p):
     """Closed-form product side of the theta-function determinant identity."""
     n = len(xs)
     rhs = 1.0
     for i in range(n):
         for j in range(i + 1, n):
-            rhs *= theta1(xs[i] - xs[j], p, policy) * theta1(c - xs[i] - xs[j], p, policy)
+            rhs *= theta1(xs[i] - xs[j], p) * theta1(c - xs[i] - xs[j], p)
     for i in range(1, n + 1):
-        rhs *= theta_product_chain(b - a, i - 1, p, policy)
-        rhs *= theta_product_chain(a + b + c + 2 * n - 2 * i, i - 1, p, policy)
+        rhs *= theta_product_chain(b - a, i - 1, p)
+        rhs *= theta_product_chain(a + b + c + 2 * n - 2 * i, i - 1, p)
     return rhs
 
 
-def theta_det_sides(xs: Sequence, a, b, c, p,
-                    policy: TruncationPolicy = DEFAULT_POLICY):
+def theta_det_sides(xs: Sequence, a, b, c, p):
     """(det, product) of the theta-function determinant identity."""
-    args = (xs, a, b, c, p, policy)
+    args = (xs, a, b, c, p)
     return det_numeric(theta_det_matrix(*args))[0], theta_det_product(*args)
 
 
@@ -330,8 +312,8 @@ class AndrewsStantonProblem:
     n: int
     nome: Nome
 
-    def sides(self, policy: TruncationPolicy = DEFAULT_POLICY):
-        return andrews_stanton_sides(self.x, self.y, self.nome, self.n, policy)
+    def sides(self):
+        return andrews_stanton_sides(self.x, self.y, self.nome, self.n)
 
 
 @dataclass(frozen=True)
@@ -342,8 +324,8 @@ class CorollaryDetermProblem:
     c: complex
     nome: Nome
 
-    def sides(self, policy: TruncationPolicy = DEFAULT_POLICY):
-        return corollary_determ_sides(self.xs, self.a, self.b, self.c, self.nome, policy)
+    def sides(self):
+        return corollary_determ_sides(self.xs, self.a, self.b, self.c, self.nome)
 
 
 @dataclass(frozen=True)
@@ -356,10 +338,10 @@ class EllipticDetLemmaProblem:
     c: complex
     nome: Nome
 
-    def sides(self, policy: TruncationPolicy = DEFAULT_POLICY):
-        family = shifted_product_family(self.b, self.c, self.nome, len(self.xs), policy)
+    def sides(self):
+        family = shifted_product_family(self.b, self.c, self.nome, len(self.xs))
         return elliptic_det_lemma_sides(self.xs, self.a_values, self.c, self.nome,
-                                        family, policy)
+                                        family)
 
 
 @dataclass(frozen=True)
@@ -370,5 +352,5 @@ class ThetaDetProblem:
     c: complex
     p: complex
 
-    def sides(self, policy: TruncationPolicy = DEFAULT_POLICY):
-        return theta_det_sides(self.xs, self.a, self.b, self.c, self.p, policy)
+    def sides(self):
+        return theta_det_sides(self.xs, self.a, self.b, self.c, self.p)

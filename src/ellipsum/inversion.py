@@ -22,9 +22,7 @@ from typing import Callable, Sequence
 
 from .errors import DegenerateParameters, IndexOutOfTriangle
 from .kernel import (
-    DEFAULT_POLICY,
     Nome,
-    TruncationPolicy,
     binom2,
     eval_E,
     pochhammer_e,
@@ -45,36 +43,36 @@ class RStepPair:
         if self.r < 1:
             raise ValueError("step r must be a positive integer")
 
-    def f(self, n: int, k: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def f(self, n: int, k: int):
         a, b, r = self.a, self.b, self.r
         q, p = self.nome.q, self.nome.p
         nr = self.nome.with_base(q ** r)
-        val = eval_E(a * b * q ** (2 * r * k), p, policy) / eval_E(a * b, p, policy)
-        val *= pochhammer_e(a * q ** n, self.nome, r * k, policy)
-        val /= pochhammer_e(b * q ** (1 - n), self.nome, r * k, policy)
-        val *= pochhammer_e(a * b, nr, k, policy)
-        val *= pochhammer_e(q ** (-r * n), nr, k, policy)
-        val /= pochhammer_e(q ** r, nr, k, policy)
-        val /= pochhammer_e(a * b * q ** (r * n + r), nr, k, policy)
+        val = eval_E(a * b * q ** (2 * r * k), p) / eval_E(a * b, p)
+        val *= pochhammer_e(a * q ** n, self.nome, r * k)
+        val /= pochhammer_e(b * q ** (1 - n), self.nome, r * k)
+        val *= pochhammer_e(a * b, nr, k)
+        val *= pochhammer_e(q ** (-r * n), nr, k)
+        val /= pochhammer_e(q ** r, nr, k)
+        val /= pochhammer_e(a * b * q ** (r * n + r), nr, k)
         return val * q ** (r * k)
 
-    def f_inv(self, n: int, k: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def f_inv(self, n: int, k: int):
         a, b, r = self.a, self.b, self.r
         q, p = self.nome.q, self.nome.p
         nr = self.nome.with_base(q ** r)
-        val = pochhammer_e(b, self.nome, r * n, policy)
-        val /= pochhammer_e(a * q, self.nome, r * n, policy)
-        val *= eval_E(a * q ** ((r + 1) * k), p, policy)
-        val *= eval_E(b * q ** ((r - 1) * k), p, policy)
-        val /= eval_E(a, p, policy) * eval_E(b, p, policy)
-        val *= pochhammer_e(a, self.nome, k, policy)
-        val *= pochhammer_e(1.0 / b, self.nome, k, policy)
-        val /= pochhammer_e(q ** r, nr, k, policy)
-        val /= pochhammer_e(a * b * q ** r, nr, k, policy)
-        val *= pochhammer_e(a * b * q ** (r * n), nr, k, policy)
-        val *= pochhammer_e(q ** (-r * n), nr, k, policy)
-        val /= pochhammer_e(q ** (1 - r * n) / b, self.nome, k, policy)
-        val /= pochhammer_e(a * q ** (r * n + 1), self.nome, k, policy)
+        val = pochhammer_e(b, self.nome, r * n)
+        val /= pochhammer_e(a * q, self.nome, r * n)
+        val *= eval_E(a * q ** ((r + 1) * k), p)
+        val *= eval_E(b * q ** ((r - 1) * k), p)
+        val /= eval_E(a, p) * eval_E(b, p)
+        val *= pochhammer_e(a, self.nome, k)
+        val *= pochhammer_e(1.0 / b, self.nome, k)
+        val /= pochhammer_e(q ** r, nr, k)
+        val /= pochhammer_e(a * b * q ** r, nr, k)
+        val *= pochhammer_e(a * b * q ** (r * n), nr, k)
+        val *= pochhammer_e(q ** (-r * n), nr, k)
+        val /= pochhammer_e(q ** (1 - r * n) / b, self.nome, k)
+        val /= pochhammer_e(a * q ** (r * n + 1), self.nome, k)
         return val * q ** k
 
 
@@ -87,17 +85,17 @@ class RawRPair:
     r: complex
     nome: Nome
 
-    def f(self, n: int, k: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def f(self, n: int, k: int):
         a, b, r = self.a, self.b, self.r
         q = self.nome.q
         nr = self.nome.with_base(r)
-        val = pochhammer_e(a * q ** k * r ** k, self.nome, n - k, policy)
-        val *= pochhammer_e(q ** k * r ** (-k) / b, self.nome, n - k, policy)
-        val /= pochhammer_e(r, nr, n - k, policy)
-        val /= pochhammer_e(a * b * r ** (2 * k + 1), nr, n - k, policy)
+        val = pochhammer_e(a * q ** k * r ** k, self.nome, n - k)
+        val *= pochhammer_e(q ** k * r ** (-k) / b, self.nome, n - k)
+        val /= pochhammer_e(r, nr, n - k)
+        val /= pochhammer_e(a * b * r ** (2 * k + 1), nr, n - k)
         return val
 
-    def f_inv(self, n: int, k: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def f_inv(self, n: int, k: int):
         a, b, r = self.a, self.b, self.r
         q, p = self.nome.q, self.nome.p
         nr = self.nome.with_base(r)
@@ -105,14 +103,14 @@ class RawRPair:
         # slot the pair fails orthogonality (checked by explicit inversion),
         # and the stretched-base pair requires the r form.
         val = (-1.0) ** (n - k) * r ** binom2(n - k)
-        val *= eval_E(a * q ** k * r ** k, p, policy)
-        val *= eval_E(q ** k * r ** (-k) / b, p, policy)
-        val /= eval_E(a * q ** n * r ** n, p, policy)
-        val /= eval_E(q ** n * r ** (-n) / b, p, policy)
-        val *= pochhammer_e(a * q ** (k + 1) * r ** n, self.nome, n - k, policy)
-        val *= pochhammer_e(q ** (k + 1) * r ** (-n) / b, self.nome, n - k, policy)
-        val /= pochhammer_e(r, nr, n - k, policy)
-        val /= pochhammer_e(a * b * r ** (n + k), nr, n - k, policy)
+        val *= eval_E(a * q ** k * r ** k, p)
+        val *= eval_E(q ** k * r ** (-k) / b, p)
+        val /= eval_E(a * q ** n * r ** n, p)
+        val /= eval_E(q ** n * r ** (-n) / b, p)
+        val *= pochhammer_e(a * q ** (k + 1) * r ** n, self.nome, n - k)
+        val *= pochhammer_e(q ** (k + 1) * r ** (-n) / b, self.nome, n - k)
+        val /= pochhammer_e(r, nr, n - k)
+        val /= pochhammer_e(a * b * r ** (n + k), nr, n - k)
         return val
 
 
@@ -129,62 +127,59 @@ class KrattenthalerPair:
     c_seq: Callable[[int], complex]
     nome: Nome
 
-    def f(self, n: int, k: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def f(self, n: int, k: int):
         a = self.a
         p = self.nome.p
         ck = self.c_seq(k)
         num = 1.0
         for j in range(k, n):
             bj = self.b_seq(j)
-            num *= eval_E(ck * bj, p, policy) * eval_E(a * ck / bj, p, policy)
+            num *= eval_E(ck * bj, p) * eval_E(a * ck / bj, p)
         den = 1.0
         for j in range(k + 1, n + 1):
             cj = self.c_seq(j)
-            den *= cj * eval_E(a * ck * cj, p, policy) * eval_E(ck / cj, p, policy)
+            den *= cj * eval_E(a * ck * cj, p) * eval_E(ck / cj, p)
         return num / den
 
-    def f_inv(self, n: int, k: int, policy: TruncationPolicy = DEFAULT_POLICY):
+    def f_inv(self, n: int, k: int):
         a = self.a
         p = self.nome.p
         ck, cn = self.c_seq(k), self.c_seq(n)
         bk, bn = self.b_seq(k), self.b_seq(n)
-        val = eval_E(ck * bk, p, policy) * eval_E(a * ck / bk, p, policy)
-        val /= eval_E(cn * bn, p, policy) * eval_E(a * cn / bn, p, policy)
+        val = eval_E(ck * bk, p) * eval_E(a * ck / bk, p)
+        val /= eval_E(cn * bn, p) * eval_E(a * cn / bn, p)
         for j in range(k + 1, n + 1):
             bj = self.b_seq(j)
-            val *= eval_E(cn * bj, p, policy) * eval_E(a * cn / bj, p, policy)
+            val *= eval_E(cn * bj, p) * eval_E(a * cn / bj, p)
         for j in range(k, n):
             cj = self.c_seq(j)
-            val /= cj * eval_E(a * cn * cj, p, policy) * eval_E(cn / cj, p, policy)
+            val /= cj * eval_E(a * cn * cj, p) * eval_E(cn / cj, p)
         return val
 
 
 InversePair = RStepPair | RawRPair | KrattenthalerPair
 
 
-def f_entry(pair: InversePair, n: int, k: int, lenient: bool = False,
-            policy: TruncationPolicy = DEFAULT_POLICY):
+def f_entry(pair: InversePair, n: int, k: int, lenient: bool = False):
     """Entry f_{n,k} of the pair's first matrix; structural zero above the
     diagonal (exact, no floating evaluation)."""
     if k > n:
         if lenient:
             return 0.0
         raise IndexOutOfTriangle(f"f({n},{k}) lies above the diagonal")
-    return pair.f(n, k, policy)
+    return pair.f(n, k)
 
 
-def f_inv_entry(pair: InversePair, n: int, k: int, lenient: bool = False,
-                policy: TruncationPolicy = DEFAULT_POLICY):
+def f_inv_entry(pair: InversePair, n: int, k: int, lenient: bool = False):
     """Entry f^{-1}_{n,k} of the pair's inverse matrix."""
     if k > n:
         if lenient:
             return 0.0
         raise IndexOutOfTriangle(f"f_inv({n},{k}) lies above the diagonal")
-    return pair.f_inv(n, k, policy)
+    return pair.f_inv(n, k)
 
 
-def check_orthogonality(pair: InversePair, n_max: int,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def check_orthogonality(pair: InversePair, n_max: int) -> float:
     """max over 0 <= l <= n <= n_max of the normalized orthogonality residual.
 
     For each (n, l) the sum sum_k f^{-1}_{n,k} f_{k,l} is compared against
@@ -199,8 +194,8 @@ def check_orthogonality(pair: InversePair, n_max: int,
     for n in range(n_max + 1):
         for k in range(n + 1):
             try:
-                finv[n, k] = pair.f_inv(n, k, policy)
-                f[n, k] = pair.f(n, k, policy)
+                finv[n, k] = pair.f_inv(n, k)
+                f[n, k] = pair.f(n, k)
             except DegenerateParameters as exc:
                 raise DegenerateParameters(f"entry (n={n}, k={k}): {exc}") from exc
     for n in range(n_max + 1):
@@ -213,28 +208,26 @@ def check_orthogonality(pair: InversePair, n_max: int,
     return worst
 
 
-def apply_pair(pair: InversePair, a_seq: Callable[[int], complex], n: int,
-               policy: TruncationPolicy = DEFAULT_POLICY):
+def apply_pair(pair: InversePair, a_seq: Callable[[int], complex], n: int):
     """b_n = sum_{k=0}^{n} f_{n,k} a_k for a sequence evaluator a_seq."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = 0.0
     for k in range(n + 1):
-        total = total + pair.f(n, k, policy) * a_seq(k)
+        total = total + pair.f(n, k) * a_seq(k)
     return total
 
 
-def esum_sides(u, v, x, y, p, policy: TruncationPolicy = DEFAULT_POLICY):
+def esum_sides(u, v, x, y, p):
     """Both sides of the four-factor addition formula for E."""
-    E = lambda z: eval_E(z, p, policy)
+    E = lambda z: eval_E(z, p)
     lhs = E(u * x) * E(u / x) * E(v * y) * E(v / y) \
         - E(u * y) * E(u / y) * E(v * x) * E(v / x)
     rhs = (v / x) * E(x * y) * E(x / y) * E(u * v) * E(u / v)
     return lhs, rhs
 
 
-def macdonald_sides(a: Sequence, b: Sequence, c: Sequence, d: Sequence, p,
-                    policy: TruncationPolicy = DEFAULT_POLICY):
+def macdonald_sides(a: Sequence, b: Sequence, c: Sequence, d: Sequence, p):
     """Both sides of the telescoped addition-formula lemma.
 
     ``a, b, c, d`` are sequences of equal length n+1; the left side is the
@@ -243,7 +236,7 @@ def macdonald_sides(a: Sequence, b: Sequence, c: Sequence, d: Sequence, p,
     n = len(a) - 1
     if not (len(b) == len(c) == len(d) == n + 1):
         raise ValueError("parameter sequences must share one length")
-    E = lambda z: eval_E(z, p, policy)
+    E = lambda z: eval_E(z, p)
     lhs = 0.0
     for k in range(n + 1):
         t = b[k] / c[k] * E(a[k] * b[k]) * E(a[k] / b[k]) * E(c[k] * d[k]) * E(c[k] / d[k])
@@ -260,18 +253,17 @@ def macdonald_sides(a: Sequence, b: Sequence, c: Sequence, d: Sequence, p,
     return lhs, prod1 - prod2
 
 
-def sum1_term(a, b, c, r, nome: Nome, n: int, k: int,
-              policy: TruncationPolicy = DEFAULT_POLICY):
+def sum1_term(a, b, c, r, nome: Nome, n: int, k: int):
     """k-th summand of the two-base telescoping sum at its d = r^n point."""
     q, p = nome.q, nome.p
     nr = nome.with_base(r)
-    val = eval_E(a * (q * r) ** k, p, policy) * eval_E(b * r ** k * q ** (-k), p, policy)
-    val /= eval_E(a, p, policy) * eval_E(b, p, policy)
-    val *= pochhammer_e(a / c, nome, k, policy) * pochhammer_e(c / b, nome, k, policy)
-    val *= pochhammer_e(a * b * r ** n, nr, k, policy) * pochhammer_e(r ** (-n), nr, k, policy)
-    val /= pochhammer_e(c * r, nr, k, policy) * pochhammer_e(a * b * r / c, nr, k, policy)
-    val /= pochhammer_e(q * r ** (-n) / b, nome, k, policy)
-    val /= pochhammer_e(a * q * r ** n, nome, k, policy)
+    val = eval_E(a * (q * r) ** k, p) * eval_E(b * r ** k * q ** (-k), p)
+    val /= eval_E(a, p) * eval_E(b, p)
+    val *= pochhammer_e(a / c, nome, k) * pochhammer_e(c / b, nome, k)
+    val *= pochhammer_e(a * b * r ** n, nr, k) * pochhammer_e(r ** (-n), nr, k)
+    val /= pochhammer_e(c * r, nr, k) * pochhammer_e(a * b * r / c, nr, k)
+    val /= pochhammer_e(q * r ** (-n) / b, nome, k)
+    val /= pochhammer_e(a * q * r ** n, nome, k)
     return val * q ** k
 
 
@@ -282,26 +274,24 @@ def shifted_sum1_params(a, b, r, l: int, q):
 
 
 def _replay_sides(r: int, a, b, nome: Nome, n: int, a_seq: Callable[[int], complex],
-                  closed_nums: Sequence, closed_dens: Sequence,
-                  policy: TruncationPolicy):
+                  closed_nums: Sequence, closed_dens: Sequence):
     """(sum_k f_{n,k} a_k over the r-step pair, closed form, largest term).
 
     The closed form is the product of the ``closed_nums`` over the
     ``closed_dens``, each a (parameter, nome, length) shifted factorial.
     """
     pair = RStepPair(a, b, r, nome)
-    terms = [pair.f(n, k, policy) * a_seq(k) for k in range(n + 1)]
+    terms = [pair.f(n, k) * a_seq(k) for k in range(n + 1)]
     (u, base, m), *nums = closed_nums
-    closed = pochhammer_e(u, base, m, policy)
+    closed = pochhammer_e(u, base, m)
     for u, base, m in nums:
-        closed *= pochhammer_e(u, base, m, policy)
+        closed *= pochhammer_e(u, base, m)
     for u, base, m in closed_dens:
-        closed /= pochhammer_e(u, base, m, policy)
+        closed /= pochhammer_e(u, base, m)
     return sum(terms), closed, max(abs(t) for t in terms)
 
 
-def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int,
-                           policy: TruncationPolicy = DEFAULT_POLICY):
+def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int):
     """Reproduce the closed form b_n of the quadratic-transformation proof by
     pushing the series-valued sequence a_k through the r = 2 pair.
 
@@ -313,11 +303,11 @@ def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int,
     n2 = nome.with_base(q * q)
 
     def a_seq(k: int):
-        val = pochhammer_e(b / d, n2, k, policy) * pochhammer_e(b * d * q, n2, k, policy)
-        val /= pochhammer_e(a * d * q * q, n2, k, policy) * pochhammer_e(a * q / d, n2, k, policy)
+        val = pochhammer_e(b / d, n2, k) * pochhammer_e(b * d * q, n2, k)
+        val /= pochhammer_e(a * d * q * q, n2, k) * pochhammer_e(a * q / d, n2, k)
         uppers = (a * d / c, c, d * q, d * q * q, a * q / b,
                   a * b * q ** (2 * k), (q * q) ** (-k))
-        inner, _ = omega_sum(a * d, uppers, n2, k, policy)
+        inner, _ = omega_sum(a * d, uppers, n2, k)
         return val * inner
 
     return _replay_sides(
@@ -325,22 +315,20 @@ def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int,
         ((q * q, n2, n), (a * b * q * q, n2, n), (a * q / b, n2, n),
          (a / c, nome, n), (c / d, nome, n), (d * q, nome, n)),
         ((a, nome, n), (1.0 / b, nome, n), (b * q, nome, n),
-         (c * q * q, n2, n), (a * d * q * q / c, n2, n), (a * q / d, n2, n)),
-        policy)
+         (c * q * q, n2, n), (a * d * q * q / c, n2, n), (a * q / d, n2, n)))
 
 
-def cubic_replay_sides(a, b, c, nome: Nome, n: int,
-                       policy: TruncationPolicy = DEFAULT_POLICY):
+def cubic_replay_sides(a, b, c, nome: Nome, n: int):
     """Same proof replay for the cubic transformation with the r = 3 pair."""
     q = nome.q
     n3 = nome.with_base(q ** 3)
 
     def a_seq(k: int):
-        val = pochhammer_e(b * b / a, n3, k, policy)
-        val /= pochhammer_e(a * a * q ** 3 / b, n3, k, policy)
+        val = pochhammer_e(b * b / a, n3, k)
+        val /= pochhammer_e(a * a * q ** 3 / b, n3, k)
         uppers = (a * c / b, a / c, a * q / b, a * q * q / b, a * q ** 3 / b,
                   a * b * q ** (3 * k), q ** (-3 * k))
-        inner, _ = omega_sum(a * a / b, uppers, n3, k, policy)
+        inner, _ = omega_sum(a * a / b, uppers, n3, k)
         return val * inner
 
     return _replay_sides(
@@ -348,5 +336,4 @@ def cubic_replay_sides(a, b, c, nome: Nome, n: int,
         ((q ** 3, n3, n), (a * b * q ** 3, n3, n), (b / c, nome, n), (c, nome, n),
          (a * q / b, nome, 2 * n)),
         ((a, nome, n), (1.0 / b, nome, n), (a * c * q ** 3 / b, n3, n),
-         (a * q ** 3 / c, n3, n), (b * q, nome, 2 * n)),
-        policy)
+         (a * q ** 3 / c, n3, n), (b * q, nome, 2 * n)))

@@ -15,6 +15,9 @@ through unchanged.  The exception is E of an ``mpmath.mpc`` argument,
 which runs on fixed-point Gaussian integers: by the triple product series of
 :func:`_qinf_pair_mpc`, or near its zeros by the factor loop
 :func:`_qinf_mpc`, with factor counts from binary64 moduli (:func:`_float_abs`).
+The type also sets how far the infinite products run: DEFAULT_POLICY for
+binary64, EXTENDED_POLICY for ``mpmath.mpc``.  Only the functions here take
+a policy argument, so that tests can sweep the tail.
 An :class:`EMemo` scope changes how often E is computed, never its value.
 """
 
@@ -105,7 +108,7 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
-# Extended-mode policy: smaller tail for use with 50-digit arithmetic.
+# The policy of mpmath.mpc arguments: a smaller tail for 50-digit arithmetic.
 EXTENDED_POLICY = TruncationPolicy(max_terms=20000, tail_bound=1e-40)
 
 
@@ -524,19 +527,24 @@ class EMemo:
         _memo = self._outer
 
 
-def eval_E(x, p, policy: TruncationPolicy = DEFAULT_POLICY):
+def eval_E(x, p, policy: TruncationPolicy | None = None):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
-    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Inside an
-    :class:`EMemo` scope a repeated argument is looked up, not recomputed.
+    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Without a
+    ``policy`` the type of x picks the truncation: EXTENDED_POLICY for an
+    ``mpmath.mpc``, DEFAULT_POLICY otherwise.  Inside an :class:`EMemo`
+    scope a repeated argument is looked up, not recomputed.
     """
     memo = _memo
     setup = None
     if x.__class__ is not complex and hasattr(x, "_mpc_"):
         setup = _mpc_setup(x, p)
+        policy = policy or EXTENDED_POLICY
         key = (x._mpc_, setup[4], policy)
-    elif memo is not None:
-        key = (x.__class__, p.__class__, x, p, policy)
+    else:
+        policy = policy or DEFAULT_POLICY
+        if memo is not None:
+            key = (x.__class__, p.__class__, x, p, policy)
     if memo is not None:
         value = memo.table.get(key)
         if value is not None:
@@ -573,7 +581,7 @@ def _check_degen(value, label: str, *args):
     return value
 
 
-def _factors(a, y, nome: Nome, count: int, policy: TruncationPolicy,
+def _factors(a, y, nome: Nome, count: int, policy: TruncationPolicy | None,
              floor: float | None = None, label: str = "", offset: int = 0):
     """prod_{k<count} E(y q^k), y = a q^offset, the loop of every shifted
     factorial; a factor below ``floor`` in magnitude raises, as
@@ -591,7 +599,7 @@ def _factors(a, y, nome: Nome, count: int, policy: TruncationPolicy,
     return result
 
 
-def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY,
+def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy | None = None,
                  min_factor: float | None = None):
     """Elliptic shifted factorial (a; q, p)_n for any integer n.
 
@@ -606,7 +614,7 @@ def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLIC
                           "reciprocal factor ", n)
 
 
-def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
+def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy | None = None):
     """(a; q, p)_n as an unreduced fraction (numerator, denominator).
 
     Unlike :func:`pochhammer_e` this never divides and never raises on zero
@@ -619,7 +627,7 @@ def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy = DEFAULT_PO
 
 
 def pochhammer_multi(values: Sequence, nome: Nome, n: int,
-                     policy: TruncationPolicy = DEFAULT_POLICY,
+                     policy: TruncationPolicy | None = None,
                      min_factor: float | None = None):
     """Condensed notation (a_1, ..., a_m; q, p)_n, the product over the list."""
     if not values:
@@ -631,7 +639,7 @@ def pochhammer_multi(values: Sequence, nome: Nome, n: int,
 
 
 def pochhammer_partition(a, nome: Nome, x, parts: Sequence[int],
-                         policy: TruncationPolicy = DEFAULT_POLICY):
+                         policy: TruncationPolicy | None = None):
     """Partition-indexed shifted factorial prod_i (a x^{1-i}; q, p)_{lam_i}.
 
     ``parts`` is weakly decreasing with one entry per row; row i (1-based)
@@ -655,12 +663,14 @@ def _cexp(z):
     return mpmath.exp(z)
 
 
-def theta1(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
+def theta1(z, p, policy: TruncationPolicy | None = None):
     """Odd Jacobi theta function via its product form.
 
     theta_1(z) = i p^{1/4} e^{-iz} (p^2; p^2)_inf E(e^{2iz}; p^2), with the
     principal branch of p^{1/4}.  The branch choice drops out of identities
     in this package because theta_1 factors only appear in balanced ratios.
+    Without a ``policy``, an ``mpmath.mpc`` p^2 picks EXTENDED_POLICY, as
+    in :func:`eval_E`.
     """
     if _float_abs(p) >= 1.0 and abs(p) >= 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
@@ -669,8 +679,10 @@ def theta1(z, p, policy: TruncationPolicy = DEFAULT_POLICY):
     w = _cexp(2j * z)
     root = p ** 0.25
     p2 = p * p
+    mpc = hasattr(p2, "_mpc_")
+    policy = policy or (EXTENDED_POLICY if mpc else DEFAULT_POLICY)
     n = policy.num_factors(_float_abs(p2), 1.0)  # the prefix scale of (p2; p2) is 1
-    loop = _qinf_mpc if hasattr(p2, "_mpc_") else _qinf
+    loop = _qinf_mpc if mpc else _qinf
     return 1j * root * _cexp(-1j * z) * loop(p2, p2, n) * eval_E(w, p2, policy)
 
 

@@ -16,11 +16,9 @@ from typing import Iterator, Sequence
 from .errors import BalanceViolation, DegenerateParameters
 from .kernel import (
     BALANCE_TOL,
-    DEFAULT_POLICY,
     DELTA_DEGEN,
     CompensatedSum,
     Nome,
-    TruncationPolicy,
     _check_degen,
     _residual,
     eval_E,
@@ -114,8 +112,7 @@ def _check_constraint(lhs, rhs, what: str) -> None:
         raise BalanceViolation(f"{what}: relative residual {res:.3e}")
 
 
-def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
-                     reverse_order: bool = False):
+def cn_jackson_sides(pt: CnPoint, reverse_order: bool = False):
     """(brute-force n-fold sum, closed-form product) of the C_n Jackson sum.
 
     Requires a^2 q^{N - n + 2} = b c d e.  The left side iterates over all
@@ -133,7 +130,7 @@ def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
     if (N + 1) ** n > MAX_BRUTE_TERMS:
         raise ValueError(f"brute-force sum would exceed {MAX_BRUTE_TERMS} terms")
 
-    E = lambda z: eval_E(z, p, policy)
+    E = lambda z: eval_E(z, p)
 
     def summand(ks):
         # Ratios whose two arguments coincide are skipped outright: complex
@@ -157,10 +154,10 @@ def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
             den0 = _check_degen(E(a * xi * xi), "E(a x_%d^2)", i + 1)
             val *= E(a * xi * xi * q ** (2 * ki)) / den0
             for u in (a * xi * xi, b * xi, c * xi, d * xi, e * xi, q ** (-N)):
-                val *= pochhammer_e(u, nome, ki, policy)
+                val *= pochhammer_e(u, nome, ki)
             for u in (q, a * q * xi / b, a * q * xi / c, a * q * xi / d,
                       a * q * xi / e, a * xi * xi * q ** (N + 1)):
-                val /= pochhammer_e(u, nome, ki, policy, min_factor=DELTA_DEGEN)
+                val /= pochhammer_e(u, nome, ki, min_factor=DELTA_DEGEN)
             val *= q ** ((i + 1) * ki)
         return val
 
@@ -175,21 +172,20 @@ def cn_jackson_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY,
     rhs = 1.0
     for i in range(1, n + 1):
         xi = xs[i - 1]
-        rhs *= pochhammer_e(a * q * xi * xi, nome, N, policy)
-        rhs *= pochhammer_e(a * q ** (2 - i) / (b * c), nome, N, policy)
-        rhs *= pochhammer_e(a * q ** (2 - i) / (b * d), nome, N, policy)
-        rhs *= pochhammer_e(a * q ** (2 - i) / (c * d), nome, N, policy)
-        rhs /= pochhammer_e(a * q ** (2 - n) / (b * c * d * xi), nome, N, policy)
-        rhs /= pochhammer_e(a * q * xi / b, nome, N, policy)
-        rhs /= pochhammer_e(a * q * xi / c, nome, N, policy)
-        rhs /= pochhammer_e(a * q * xi / d, nome, N, policy)
+        rhs *= pochhammer_e(a * q * xi * xi, nome, N)
+        rhs *= pochhammer_e(a * q ** (2 - i) / (b * c), nome, N)
+        rhs *= pochhammer_e(a * q ** (2 - i) / (b * d), nome, N)
+        rhs *= pochhammer_e(a * q ** (2 - i) / (c * d), nome, N)
+        rhs /= pochhammer_e(a * q ** (2 - n) / (b * c * d * xi), nome, N)
+        rhs /= pochhammer_e(a * q * xi / b, nome, N)
+        rhs /= pochhammer_e(a * q * xi / c, nome, N)
+        rhs /= pochhammer_e(a * q * xi / d, nome, N)
     return lhs, rhs
 
 
-def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
-                   policy: TruncationPolicy):
+def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple):
     q, p = nome.q, nome.p
-    E = lambda z: eval_E(z, p, policy)
+    E = lambda z: eval_E(z, p)
     val = 1.0
     for i in range(1, nparts + 1):
         if parts[i - 1] == 0:
@@ -198,13 +194,13 @@ def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
         den = _check_degen(E(base), "E(a1 x^%d)", 2 * (1 - i))
         val *= E(base * q ** (2 * parts[i - 1])) / den
     lam = Partition(parts)
-    val *= pochhammer_partition(a1 * x ** (1 - nparts), nome, x, parts, policy)
+    val *= pochhammer_partition(a1 * x ** (1 - nparts), nome, x, parts)
     for u in uppers:
-        val *= pochhammer_partition(u, nome, x, parts, policy)
+        val *= pochhammer_partition(u, nome, x, parts)
     val *= q ** lam.weight * x ** (2 * lam.n_weight)
-    den = pochhammer_partition(q * x ** (nparts - 1), nome, x, parts, policy)
+    den = pochhammer_partition(q * x ** (nparts - 1), nome, x, parts)
     for u in uppers:
-        den *= pochhammer_partition(a1 * q / u, nome, x, parts, policy)
+        den *= pochhammer_partition(a1 * q / u, nome, x, parts)
     if abs(den) < 1e-250:
         raise DegenerateParameters("partition denominator underflow")
     val /= den
@@ -217,17 +213,16 @@ def _omega_summand(a1, uppers, nome: Nome, x, nparts: int, parts: tuple,
             if li + lj != 0:
                 d2 = _check_degen(E(a1 * x ** (2 - i - j)), "E(a1 x^%d)", 2 - i - j)
                 val *= E(a1 * x ** (2 - i - j) * q ** (li + lj)) / d2
-            val *= pochhammer_e(a1 * x ** (3 - i - j), nome, li + lj, policy)
-            val *= pochhammer_e(x ** (j - i + 1), nome, li - lj, policy)
-            val /= pochhammer_e(a1 * q * x ** (1 - i - j), nome, li + lj, policy,
+            val *= pochhammer_e(a1 * x ** (3 - i - j), nome, li + lj)
+            val *= pochhammer_e(x ** (j - i + 1), nome, li - lj)
+            val /= pochhammer_e(a1 * q * x ** (1 - i - j), nome, li + lj,
                                 min_factor=DELTA_DEGEN)
-            val /= pochhammer_e(q * x ** (j - i - 1), nome, li - lj, policy,
+            val /= pochhammer_e(q * x ** (j - i - 1), nome, li - lj,
                                 min_factor=DELTA_DEGEN)
     return val
 
 
-def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int,
-               policy: TruncationPolicy = DEFAULT_POLICY):
+def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int):
     """Partition sum over all lambda with nparts parts, lambda_1 <= N.
 
     ``upper`` excludes the terminating parameter q^{-N}, which is inserted
@@ -241,12 +236,11 @@ def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int,
                       "(a4...a_{r+1})^2 = a1^{r-3} q^{r-5} x^{2-2n}")
     acc = CompensatedSum()
     for lam in enumerate_partitions(nparts, N):
-        acc.add(_omega_summand(a1, uppers_full, nome, x, nparts, lam.parts, policy))
+        acc.add(_omega_summand(a1, uppers_full, nome, x, nparts, lam.parts))
     return acc.value()
 
 
-def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int,
-                     policy: TruncationPolicy = DEFAULT_POLICY):
+def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int):
     """x = 1 collapse: multinomial-weighted products of one-variable terms.
 
     Equals the nparts-th power of the one-variable series by the multinomial
@@ -254,7 +248,7 @@ def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int,
     """
     q = nome.q
     uppers_full = tuple(upper) + (q ** (-N),)
-    terms = omega_terms(a1, uppers_full, nome, N, policy)
+    terms = omega_terms(a1, uppers_full, nome, N)
     acc = CompensatedSum()
     for lam in enumerate_partitions(nparts, N):
         mult = math.factorial(nparts)
@@ -264,18 +258,18 @@ def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int,
     return acc.value()
 
 
-def _rectangle_ratio(nums, dens, pt: CnPoint, policy: TruncationPolicy):
+def _rectangle_ratio(nums, dens, pt: CnPoint):
     """Ratio of the shifted factorials indexed by the rectangle (N, ..., N)."""
     rect = (pt.N,) * pt.n
     val = 1.0
     for u in nums:
-        val *= pochhammer_partition(u, pt.nome, pt.x, rect, policy)
+        val *= pochhammer_partition(u, pt.nome, pt.x, rect)
     for u in dens:
-        val /= pochhammer_partition(u, pt.nome, pt.x, rect, policy)
+        val /= pochhammer_partition(u, pt.nome, pt.x, rect)
     return val
 
 
-def conjecture_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
+def conjecture_sides(pt: CnPoint):
     """Both sides of the conjectured C_n ten-term transformation.
 
     Constraint: b c d e f g x^{n-1} = a^3 q^{N+2}; the shift parameter is
@@ -289,19 +283,19 @@ def conjecture_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
     _check_constraint(b * c * d * e * f * g * x ** (n - 1), a ** 3 * q ** (N + 2),
                       "bcdefg x^{n-1} = a^3 q^{N+2}")
     bailey_lambda = a * a * q / (b * c * d)
-    lhs = eval_Omega(a, (b, c, d, e, f, g), pt.nome, x, n, N, policy=policy)
+    lhs = eval_Omega(a, (b, c, d, e, f, g), pt.nome, x, n, N)
     pref = _rectangle_ratio(
         (a * q, a * q / (e * f), bailey_lambda * q / e, bailey_lambda * q / f),
         (a * q / e, a * q / f, bailey_lambda * q / (e * f), bailey_lambda * q),
-        pt, policy)
+        pt)
     rhs_series = eval_Omega(bailey_lambda,
                             (bailey_lambda * b / a, bailey_lambda * c / a,
                              bailey_lambda * d / a, e, f, g),
-                            pt.nome, x, n, N, policy=policy)
+                            pt.nome, x, n, N)
     return lhs, pref * rhs_series
 
 
-def omega87_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
+def omega87_sides(pt: CnPoint):
     """Both sides of the rectangle-product evaluation of the 8-term series.
 
     Constraint: b c d e x^{n-1} = a^2 q^{N+1} (the cd = aq specialization of
@@ -313,7 +307,7 @@ def omega87_sides(pt: CnPoint, policy: TruncationPolicy = DEFAULT_POLICY):
     n, N = pt.n, pt.N
     _check_constraint(b * c * d * e * x ** (n - 1), a * a * q ** (N + 1),
                       "bcde x^{n-1} = a^2 q^{N+1}")
-    lhs = eval_Omega(a, (b, c, d, e), pt.nome, x, n, N, policy=policy)
+    lhs = eval_Omega(a, (b, c, d, e), pt.nome, x, n, N)
     return lhs, _rectangle_ratio(
         (a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)),
-        (a * q / b, a * q / c, a * q / d, a * q / (b * c * d)), pt, policy)
+        (a * q / b, a * q / c, a * q / d, a * q / (b * c * d)), pt)

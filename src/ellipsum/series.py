@@ -16,17 +16,14 @@ shifted factorials given as (params, base, step) groups.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BalanceViolation
 from .kernel import (
     BALANCE_TOL,
-    DEFAULT_POLICY,
     CompensatedSum,
     Nome,
-    TruncationPolicy,
     _check_degen,
     _residual,
     eval_E,
@@ -69,7 +66,7 @@ def balance_residual(spec: OmegaSpec) -> float:
 
 
 def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
-              kmax: int, p, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+              kmax: int, p) -> list:
     """Summands t_0..t_kmax of a mixed-base very-well-poised series.
 
     Groups are (params, base, step) triples contributing the shifted
@@ -86,11 +83,11 @@ def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
             for params, base, step in num_groups:
                 for a in params:
                     for t in range(step * (k - 1), step * k):
-                        num = num * eval_E(a * base ** t, p, policy)
+                        num = num * eval_E(a * base ** t, p)
             for params, base, step in den_groups:
                 for a in params:
                     for t in range(step * (k - 1), step * k):
-                        den = den * _check_degen(eval_E(a * base ** t, p, policy),
+                        den = den * _check_degen(eval_E(a * base ** t, p),
                                                  "denominator factor at k=%d", k)
             w = w * weight
         terms.append(prefactor(k) * num * w / den)
@@ -112,49 +109,41 @@ def _summed(terms) -> tuple:
 
 
 def vwp_sum(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
-            kmax: int, p, policy: TruncationPolicy = DEFAULT_POLICY) -> tuple:
+            kmax: int, p) -> tuple:
     """(value, scale) of the series of :func:`vwp_terms`."""
-    return _summed(vwp_terms(prefactor, num_groups, den_groups, weight, kmax, p, policy))
+    return _summed(vwp_terms(prefactor, num_groups, den_groups, weight, kmax, p))
 
 
-def omega_terms(a1, uppers: Sequence, nome: Nome, kmax: int,
-                policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+def omega_terms(a1, uppers: Sequence, nome: Nome, kmax: int) -> list:
     """Summands t_0..t_kmax of the very-well-poised series with the given
     (complete) upper parameter list: :func:`vwp_terms` with base q throughout.
     """
     q, p = nome.q, nome.p
-    e_a1 = _check_degen(eval_E(a1, p, policy), "E(a1)")
+    e_a1 = _check_degen(eval_E(a1, p), "E(a1)")
 
     def prefactor(k: int):
         if k == 0:
             return a1 * 0 + 1.0  # t_0 is exactly 1, in the type of the parameters
-        return eval_E(a1 * q ** (2 * k), p, policy) / e_a1
+        return eval_E(a1 * q ** (2 * k), p) / e_a1
 
     lowers = (q, *(a1 * q / a for a in uppers))
-    return vwp_terms(prefactor, (((a1, *uppers), q, 1),), ((lowers, q, 1),), q, kmax,
-                     p, policy)
+    return vwp_terms(prefactor, (((a1, *uppers), q, 1),), ((lowers, q, 1),), q, kmax, p)
 
 
-def omega_sum(a1, uppers: Sequence, nome: Nome, kmax: int,
-              policy: TruncationPolicy = DEFAULT_POLICY):
+def omega_sum(a1, uppers: Sequence, nome: Nome, kmax: int):
     """(value, scale) of the series of :func:`omega_terms`, by the compensated
     sum :func:`vwp_sum` uses."""
-    return _summed(omega_terms(a1, uppers, nome, kmax, policy))
+    return _summed(omega_terms(a1, uppers, nome, kmax))
 
 
-def eval_omega(spec: OmegaSpec, strict_balance: bool = True,
-               policy: TruncationPolicy = DEFAULT_POLICY):
+def eval_omega(spec: OmegaSpec):
     """Value of the terminating series described by ``spec``.
 
-    The balancing constraint is checked first; violations raise in strict
-    mode and warn otherwise (exploratory use).
+    The balancing constraint is checked first; a violation raises.
     """
     res = balance_residual(spec)
     if res > BALANCE_TOL:
-        if strict_balance:
-            raise BalanceViolation(
-                f"balancing residual {res:.3e} exceeds {BALANCE_TOL:.1e}")
-        warnings.warn(f"evaluating an unbalanced series (residual {res:.3e})",
-                      stacklevel=2)
-    value, _ = omega_sum(spec.a1, spec.full_upper(), spec.nome, spec.n_term, policy)
+        raise BalanceViolation(
+            f"balancing residual {res:.3e} exceeds {BALANCE_TOL:.1e}")
+    value, _ = omega_sum(spec.a1, spec.full_upper(), spec.nome, spec.n_term)
     return value

@@ -20,7 +20,6 @@ from ellipsum.catalog import (
     sample_point,
     SamplingRegion,
 )
-from ellipsum.kernel import DEFAULT_POLICY
 from ellipsum.multivar import eval_Omega, eval_Omega_at_x1
 from ellipsum.series import omega_sum
 from ellipsum.suites import (
@@ -110,7 +109,7 @@ def test_criterion_06_classical_degenerations():
         ident = get_identity("e87")
         pt = sample_point(ident, seed=seed, region=region)
         v, n, q = pt.values, pt.integers["n"], pt.nome.q
-        lhs, _ = ident.lhs(pt, DEFAULT_POLICY)
+        lhs, _ = ident.lhs(pt)
         want = classical_w_sum(v["a"], (v["b"], v["c"], v["d"], v["e"],
                                         q ** (-n)), q, n)
         worst = max(worst, rel_err(lhs, want))
@@ -118,11 +117,11 @@ def test_criterion_06_classical_degenerations():
         ident = get_identity("e109")
         pt = sample_point(ident, seed=seed, region=region)
         v, n, q = pt.values, pt.integers["n"], pt.nome.q
-        lhs, _ = ident.lhs(pt, DEFAULT_POLICY)
+        lhs, _ = ident.lhs(pt)
         want = classical_w_sum(v["a"], (v["b"], v["c"], v["d"], v["e"], v["f"],
                                         v["g"], q ** (-n)), q, n)
         worst = max(worst, rel_err(lhs, want))
-        rhs, _ = ident.rhs(pt, DEFAULT_POLICY)
+        rhs, _ = ident.rhs(pt)
         worst = max(worst, rel_err(lhs, rhs))
     verdict(6, "p=0 matches the independent classical evaluator", worst <= 1e-12,
             f"worst {worst:.2e}")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ellipsum import Nome, catalog
+from ellipsum import Nome, catalog, kernel
 from ellipsum.catalog import (
     DEFAULT_REGION,
     ParamPoint,
@@ -18,7 +18,7 @@ from ellipsum.catalog import (
 )
 from ellipsum.catalog import _draw_complex, _rng_for, _uniform_pair
 from ellipsum.errors import DegenerateParameters, SamplingExhausted
-from ellipsum.kernel import DEFAULT_POLICY, TruncationPolicy
+from ellipsum.kernel import TruncationPolicy
 from ellipsum.report import VerificationReport
 from ellipsum.series import OmegaSpec, balance_residual
 
@@ -184,7 +184,7 @@ class TestCheckIdentity:
         region = SamplingRegion(p_mod=(0.0, 0.0))
         pt = sample_point(ident, seed=11, region=region)
         v, n, q = pt.values, pt.integers["n"], pt.nome.q
-        lhs, _ = ident.lhs(pt, DEFAULT_POLICY)
+        lhs, _ = ident.lhs(pt)
         want = classical_w_sum(v["a"],
                                (v["b"], v["c"], v["d"], v["e"], v["f"], v["g"],
                                 q ** (-n)), q, n)
@@ -196,8 +196,8 @@ class TestCheckIdentity:
         for seed in range(20):
             pt = sample_point(ident, seed=seed)
             if pt.integers["n"] % 2 == 1:
-                lhs, scale = ident.lhs(pt, DEFAULT_POLICY)
-                rhs, _ = ident.rhs(pt, DEFAULT_POLICY)
+                lhs, scale = ident.lhs(pt)
+                rhs, _ = ident.rhs(pt)
                 assert rhs == 0.0
                 assert abs(lhs) <= 1e-9 * scale
                 found_zero = True
@@ -234,6 +234,17 @@ class TestCheckIdentity:
                                  precision="extended")
             assert rep.passed, (ident.id, rep.max_rel_err)
 
+    def test_extended_trials_stay_off_the_binary64_loop(self, monkeypatch):
+        # The scalar type picks the truncation tail, so a binary64 value
+        # leaking into an extended trial would get the 1e-18 tail unnoticed.
+        def binary64_loop(x, p, n):
+            raise AssertionError(f"binary64 product loop reached at x={x!r}")
+
+        monkeypatch.setattr(kernel, "_qinf", binary64_loop)
+        for ident in list_identities():
+            rep = check_identity(ident, trials=1, precision="extended")
+            assert rep.passed, (ident.id, rep.max_rel_err)
+
     def test_failures_consistent_with_tolerance(self):
         rep = check_identity(get_identity("thmr_r2"), trials=40, tol=1e-8, seed=3)
         assert all(f["rel_err"] > rep.tol for f in rep.failures)
@@ -264,8 +275,8 @@ class TestEtrafo5Branches:
                 pt = sample_point(ident_a, seed=seed)
                 if pt.integers["n"] % 3 != residue:
                     continue
-                ra, _ = ident_a.rhs(pt, DEFAULT_POLICY)
-                rb, _ = ident_b.rhs(pt, DEFAULT_POLICY)
+                ra, _ = ident_a.rhs(pt)
+                rb, _ = ident_b.rhs(pt)
                 assert rel_err(ra, rb) <= 1e-9
                 hits += 1
                 if hits >= 3:
@@ -278,8 +289,8 @@ class TestSigmaBookkeeping:
         ident = get_identity("cor_etrafo3_fa")
         for seed in range(10):
             pt = sample_point(ident, seed=seed)
-            direct, _ = ident.rhs(pt, DEFAULT_POLICY)
-            sigma = cor_etrafo3_fa_sigma_rhs(pt, DEFAULT_POLICY)
+            direct, _ = ident.rhs(pt)
+            sigma = cor_etrafo3_fa_sigma_rhs(pt)
             assert rel_err(direct, sigma) <= 1e-9
 
 
@@ -322,13 +333,13 @@ class TestSmallNomeContinuity:
             hit = False
             for seed in range(12):
                 pt = sample_point(probe, seed=seed, region=region)
-                rhs0, _ = ident.rhs(pt, DEFAULT_POLICY)
+                rhs0, _ = ident.rhs(pt)
                 if rhs0 == 0:
                     continue
-                lhs0, _ = ident.lhs(pt, DEFAULT_POLICY)
+                lhs0, _ = ident.lhs(pt)
                 tiny = ParamPoint(Nome(pt.nome.q, 1e-6), pt.values, pt.integers)
-                lhs6, _ = ident.lhs(tiny, DEFAULT_POLICY)
-                rhs6, _ = ident.rhs(tiny, DEFAULT_POLICY)
+                lhs6, _ = ident.lhs(tiny)
+                rhs6, _ = ident.rhs(tiny)
                 assert rel_err(lhs6, lhs0) <= 1e-4, ident.id
                 assert rel_err(rhs6, rhs0) <= 1e-4, ident.id
                 hit = True
@@ -359,11 +370,12 @@ class TestEdgeRegions:
                 assert rep.passed, (ident.id, seed, rep.max_rel_err)
                 assert rep.max_rel_err <= 1e-33, (ident.id, seed, rep.max_rel_err)
 
-    def test_amplified_error_is_the_truncation_tail(self):
+    def test_amplified_error_is_the_truncation_tail(self, monkeypatch):
         # A tail 1e10 times smaller takes the worst draw above to the
         # working precision.
         region = SamplingRegion(p_mod=(0.3, 0.6))
         tight = TruncationPolicy(max_terms=20000, tail_bound=1e-50)
+        monkeypatch.setattr(kernel, "EXTENDED_POLICY", tight)
         rep = check_identity(get_identity("cor1_ba"), trials=1, seed=3, region=region,
-                             precision="extended", policy=tight)
+                             precision="extended")
         assert rep.max_rel_err <= 1e-40

@@ -207,6 +207,8 @@ class TestUsageErrors:
         ["--suite", "kernel", "--trials", "2", "--json", "."],
         # ran in binary64 and recorded "precision": "extended"
         ["--suite", "kernel", "--trials", "2", "--precision", "extended"],
+        # ran every check and wrote no report
+        ["--suite", "kernel", "--trials", "2", "--json", ""],
     ])
     def test_bad_flag_values_exit_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -227,6 +229,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "--q-mod" in err
+
+    @pytest.mark.parametrize("suite", ["cn", "conjecture"])
+    def test_huge_n_exits_2_before_the_power(self, suite):
+        # (N+1)^n at this n has 317 million bits; the timeout turns the time
+        # spent computing it into a failure
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellipsum.cli", "run", "--suite", suite,
+             "--n", "100000000", "--N", "8"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert "exceeds the brute-force budget" in proc.stderr
 
 
 def _at_workers(workers, monkeypatch):

@@ -133,9 +133,9 @@ def test_each_catalog_side_gets_a_fresh_scope():
     seen = []
 
     def spy(side):
-        def evaluate(pt, policy):
+        def evaluate(pt):
             seen.append((side, kernel._memo, len(kernel._memo.table)))
-            return getattr(ident, side)(pt, policy)
+            return getattr(ident, side)(pt)
 
         return evaluate
 

@@ -116,9 +116,6 @@ class TestOmega:
                         spec.nome, spec.n_term)
         with pytest.raises(BalanceViolation):
             eval_omega(bad)
-        # lenient mode warns but still evaluates
-        with pytest.warns(UserWarning):
-            eval_omega(bad, strict_balance=False)
 
 
 class TestBalanceResidual:
