@@ -16,8 +16,8 @@ which runs on fixed-point Gaussian integers: by the triple product series of
 :func:`_qinf_pair_mpc`, or near its zeros by the factor loop
 :func:`_qinf_mpc`, with factor counts from binary64 moduli (:func:`_float_abs`).
 The type also sets how far the infinite products run: DEFAULT_POLICY for
-binary64, EXTENDED_POLICY for ``mpmath.mpc``.  Only the functions here take
-a policy argument, so that tests can sweep the tail.
+binary64, EXTENDED_POLICY for ``mpmath.mpc``.  Only :func:`eval_E` takes a
+policy argument, so that tests can sweep the tail.
 An :class:`EMemo` scope changes how often E is computed, never its value.
 """
 
@@ -581,15 +581,15 @@ def _check_degen(value, label: str, *args):
     return value
 
 
-def _factors(a, y, nome: Nome, count: int, policy: TruncationPolicy | None,
-             floor: float | None = None, label: str = "", offset: int = 0):
+def _factors(a, y, nome: Nome, count: int, floor: float | None = None,
+             label: str = "", offset: int = 0):
     """prod_{k<count} E(y q^k), y = a q^offset, the loop of every shifted
     factorial; a factor below ``floor`` in magnitude raises, as
     ``<label>E(a*q^<offset + k>)``."""
     q, p = nome.q, nome.p
     result = 1.0
     for k in range(count):
-        f = eval_E(y, p, policy)
+        f = eval_E(y, p)
         if floor is not None and abs(f) < floor:
             raise DegenerateParameters(
                 f"{label}E(a*q^{offset + k}) with a={a!r} "
@@ -599,8 +599,7 @@ def _factors(a, y, nome: Nome, count: int, policy: TruncationPolicy | None,
     return result
 
 
-def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy | None = None,
-                 min_factor: float | None = None):
+def pochhammer_e(a, nome: Nome, n: int, min_factor: float | None = None):
     """Elliptic shifted factorial (a; q, p)_n for any integer n.
 
     n > 0: prod_{k=0}^{n-1} E(a q^k); n = 0: 1; n < 0 via the reciprocal
@@ -608,13 +607,13 @@ def pochhammer_e(a, nome: Nome, n: int, policy: TruncationPolicy | None = None,
     ``min_factor`` is given, direct factors too) must stay clear of zero.
     """
     if n >= 0:
-        return _factors(a, a, nome, n, policy, min_factor, "factor ")
+        return _factors(a, a, nome, n, min_factor, "factor ")
     threshold = DELTA_DEGEN if min_factor is None else max(min_factor, DELTA_DEGEN)
-    return 1.0 / _factors(a, a * nome.q ** n, nome, -n, policy, threshold,
+    return 1.0 / _factors(a, a * nome.q ** n, nome, -n, threshold,
                           "reciprocal factor ", n)
 
 
-def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy | None = None):
+def pochhammer_frac(a, nome: Nome, n: int):
     """(a; q, p)_n as an unreduced fraction (numerator, denominator).
 
     Unlike :func:`pochhammer_e` this never divides and never raises on zero
@@ -622,24 +621,22 @@ def pochhammer_frac(a, nome: Nome, n: int, policy: TruncationPolicy | None = Non
     poles cancel exactly (negative-index semantics in determinant entries).
     """
     if n >= 0:
-        return _factors(a, a, nome, n, policy), 1.0
-    return 1.0, _factors(a, a * nome.q ** n, nome, -n, policy)
+        return _factors(a, a, nome, n), 1.0
+    return 1.0, _factors(a, a * nome.q ** n, nome, -n)
 
 
 def pochhammer_multi(values: Sequence, nome: Nome, n: int,
-                     policy: TruncationPolicy | None = None,
                      min_factor: float | None = None):
     """Condensed notation (a_1, ..., a_m; q, p)_n, the product over the list."""
     if not values:
         raise ValueError("pochhammer_multi requires a nonempty parameter list")
     result = 1.0
     for a in values:
-        result = result * pochhammer_e(a, nome, n, policy, min_factor=min_factor)
+        result = result * pochhammer_e(a, nome, n, min_factor=min_factor)
     return result
 
 
-def pochhammer_partition(a, nome: Nome, x, parts: Sequence[int],
-                         policy: TruncationPolicy | None = None):
+def pochhammer_partition(a, nome: Nome, x, parts: Sequence[int]):
     """Partition-indexed shifted factorial prod_i (a x^{1-i}; q, p)_{lam_i}.
 
     ``parts`` is weakly decreasing with one entry per row; row i (1-based)
@@ -651,7 +648,7 @@ def pochhammer_partition(a, nome: Nome, x, parts: Sequence[int],
     for i, lam_i in enumerate(parts, start=1):
         if lam_i < 0:
             raise ValueError("partition entries must be nonnegative")
-        result = result * pochhammer_e(a * x ** (1 - i), nome, lam_i, policy)
+        result = result * pochhammer_e(a * x ** (1 - i), nome, lam_i)
     return result
 
 
@@ -663,14 +660,14 @@ def _cexp(z):
     return mpmath.exp(z)
 
 
-def theta1(z, p, policy: TruncationPolicy | None = None):
+def theta1(z, p):
     """Odd Jacobi theta function via its product form.
 
     theta_1(z) = i p^{1/4} e^{-iz} (p^2; p^2)_inf E(e^{2iz}; p^2), with the
     principal branch of p^{1/4}.  The branch choice drops out of identities
     in this package because theta_1 factors only appear in balanced ratios.
-    Without a ``policy``, an ``mpmath.mpc`` p^2 picks EXTENDED_POLICY, as
-    in :func:`eval_E`.
+    The factor count of (p^2; p^2)_inf follows the type of p^2, as in
+    :func:`eval_E`.
     """
     if _float_abs(p) >= 1.0 and abs(p) >= 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
@@ -680,10 +677,10 @@ def theta1(z, p, policy: TruncationPolicy | None = None):
     root = p ** 0.25
     p2 = p * p
     mpc = hasattr(p2, "_mpc_")
-    policy = policy or (EXTENDED_POLICY if mpc else DEFAULT_POLICY)
+    policy = EXTENDED_POLICY if mpc else DEFAULT_POLICY
     n = policy.num_factors(_float_abs(p2), 1.0)  # the prefix scale of (p2; p2) is 1
     loop = _qinf_mpc if mpc else _qinf
-    return 1j * root * _cexp(-1j * z) * loop(p2, p2, n) * eval_E(w, p2, policy)
+    return 1j * root * _cexp(-1j * z) * loop(p2, p2, n) * eval_E(w, p2)
 
 
 def binom2(n: int) -> int:

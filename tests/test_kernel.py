@@ -477,9 +477,9 @@ class TestPochhammer:
             with pytest.raises(DegenerateParameters, match=r"E\(a\): \|E\| = \d\.\d{3}e-"):
                 kernel._check_degen(value, "E(%s)", "a")
             with pytest.raises(DegenerateParameters, match=r"^factor .* magnitude \d"):
-                pochhammer_e(near_one, nome, 2, EXTENDED_POLICY, min_factor=DELTA_DEGEN)
+                pochhammer_e(near_one, nome, 2, min_factor=DELTA_DEGEN)
             with pytest.raises(DegenerateParameters, match=r"^reciprocal .* magnitude \d"):
-                pochhammer_e(near_one * q, nome, -1, EXTENDED_POLICY)
+                pochhammer_e(near_one * q, nome, -1)
 
     def test_fraction_form_never_divides(self):
         nome = Nome(0.5, 0.1)
