@@ -17,6 +17,7 @@ cancellation-dominated.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 import struct
@@ -25,8 +26,6 @@ import zlib
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import (
     BalanceViolation,
@@ -46,6 +45,7 @@ from .kernel import (
 )
 from .report import VerificationReport, point_dump
 from .series import omega_sum, vwp_sum
+from .stream import PhiloxStream
 
 TINY = 1e-300
 
@@ -974,26 +974,25 @@ def get_identity(ident_id: str) -> Identity:
     raise KeyError(f"unknown identity id {ident_id!r}")
 
 
-def _rng_for(ident_id: str, seed: int, trial: int) -> np.random.Generator:
-    key = zlib.crc32(ident_id.encode("utf-8"))
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(key, trial))
-    return np.random.Generator(np.random.Philox(ss))
+def _rng_for(ident_id: str, seed: int, trial: int) -> PhiloxStream:
+    return PhiloxStream(seed, (zlib.crc32(ident_id.encode("utf-8")), trial))
 
 
-def _uniform_pair(rng: np.random.Generator, lo1: float, hi1: float,
+def _uniform_pair(rng: PhiloxStream, lo1: float, hi1: float,
                   lo2: float, hi2: float) -> tuple:
-    """``rng.uniform(lo1, hi1), rng.uniform(lo2, hi2)``, bit for bit, from one call.
+    """``rng.uniform(lo1, hi1), rng.uniform(lo2, hi2)`` of numpy's generator
+    on the same stream, bit for bit, from one ``rng.pair()``.
 
-    numpy draws a uniform as ``low + (high - low) * next_double``; one
-    ``rng.random(2)`` takes the same two doubles from the stream.
+    numpy draws a uniform as ``low + (high - low) * next_double``, and
+    ``pair`` takes the same two doubles from the stream.
     """
-    u, v = rng.random(2).tolist()
+    u, v = rng.pair()
     return lo1 + (hi1 - lo1) * u, lo2 + (hi2 - lo2) * v
 
 
-def _draw_complex(rng: np.random.Generator, bounds: tuple) -> complex:
-    mod, phase = _uniform_pair(rng, bounds[0], bounds[1], 0.0, 2.0 * np.pi)
-    return complex(mod * np.cos(phase), mod * np.sin(phase))
+def _draw_complex(rng: PhiloxStream, bounds: tuple) -> complex:
+    mod, phase = _uniform_pair(rng, bounds[0], bounds[1], 0.0, 2.0 * math.pi)
+    return complex(mod * math.cos(phase), mod * math.sin(phase))
 
 
 def _bases_clear(q: complex, p: complex) -> bool:
@@ -1008,7 +1007,7 @@ def _bases_clear(q: complex, p: complex) -> bool:
     return True
 
 
-def _draw_point(ident: Identity, rng: np.random.Generator,
+def _draw_point(ident: Identity, rng: PhiloxStream,
                 region: SamplingRegion) -> ParamPoint:
     q = _draw_complex(rng, region.q_mod)
     p = _draw_complex(rng, region.p_mod)
@@ -1022,14 +1021,14 @@ def _draw_point(ident: Identity, rng: np.random.Generator,
     t_name, lo, hi = ident.termination
     allowed = [m for m in range(lo, hi + 1)
                if ident.branch is None or ident.branch(m)]
-    n = int(allowed[rng.integers(0, len(allowed))])
+    n = allowed[rng.integers(0, len(allowed))]
     values.update(ident.solve(values, n, q))
     return ParamPoint(Nome(q, p), values, {t_name: n})
 
 
 def _is_finite(z) -> bool:
     try:
-        return bool(np.isfinite(complex(z).real) and np.isfinite(complex(z).imag))
+        return math.isfinite(complex(z).real) and math.isfinite(complex(z).imag)
     except (OverflowError, TypeError):
         return True  # wide scalar types do not overflow
 

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="property suite name, or 'catalog' for every identity")
     run.add_argument("--trials", type=_parse_count, default=100,
                      help="trials per identity / draws per suite check (default 100)")
-    # numpy seeds its generators with integers >= 0 only
+    # SeedSequence entropy, as numpy defines it, is an integer >= 0
     run.add_argument("--seed", type=lambda s: _parse_count(s, 0), default=1,
                      help="base RNG seed, an integer >= 0 (default 1)")
     run.add_argument("--tol", type=_parse_tol, default=1e-8,

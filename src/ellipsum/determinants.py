@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import SingularToWorkingPrecision
 from .kernel import (
     Nome,
@@ -42,6 +40,8 @@ def det_numeric(matrix) -> tuple[complex, float]:
     Returns (det, cond).  Raises if the matrix is singular at working
     precision (non-finite or wildly overflowing condition estimate).
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("det_numeric requires a square matrix")

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
-# The sampling generator: numpy Philox 4x64 keyed through SeedSequence with
-# spawn_key = (crc32(identity id), trial index).
+# The sampling generator: Philox 4x64-10 keyed through numpy's SeedSequence
+# with spawn_key = (crc32(identity id), trial index).  stream.PhiloxStream
+# draws numpy's stream bit for bit without numpy, so the name is unchanged.
 RNG_ALGORITHM = "philox4x64/seedsequence(crc32-id,trial)"
 
 

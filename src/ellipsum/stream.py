@@ -1,0 +1,158 @@
+"""The sampling stream: numpy's seeded Philox4x64-10 generator in plain Python.
+
+``PhiloxStream(seed, spawn_key)`` draws bit for bit what
+``numpy.random.Generator(numpy.random.Philox(numpy.random.SeedSequence(
+entropy=seed, spawn_key=spawn_key)))`` draws through ``random(2)`` (as
+:meth:`PhiloxStream.pair`) and ``integers(lo, hi)``, so every report replays
+under either, and the checks run without importing numpy.  The algorithms are
+numpy's: SeedSequence hashes the entropy words into a pool of four 32-bit
+words and derives the 128-bit key from it; Philox4x64-10 (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011) encrypts a
+pre-incremented 256-bit counter into four 64-bit outputs, handed out in
+order; ``integers`` runs Lemire's bounded method on the 32-bit halves of
+those outputs, low half first, keeping the high half for the next call.
+"""
+
+from __future__ import annotations
+
+import operator
+
+M32, M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_TWO_M53 = 2.0 ** -53
+# SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64 multipliers and key increments (Random123)
+_PM0, _PM1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PW0, _PW1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _words(n) -> list:
+    """The little-endian 32-bit words SeedSequence splits an entropy int into."""
+    n = operator.index(n)  # TypeError for a float, as numpy raises
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & M32]
+    while n := n >> 32:
+        words.append(n & M32)
+    return words
+
+
+def _seed_key(seed, spawn_key) -> tuple:
+    """``SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, uint64)``."""
+    entropy = _words(seed)
+    spawn = [w for k in spawn_key for w in _words(k)]
+    if spawn:
+        entropy += [0] * (4 - len(entropy))  # numpy pads the run entropy to the pool
+    entropy += spawn
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & M32
+        value = value * const & M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for word in pool:
+        word ^= const
+        const = const * _MULT_B & M32
+        word = word * const & M32
+        state.append(word ^ word >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+class PhiloxStream:
+    """A seeded Philox4x64-10 stream with numpy's ``random(2)`` and ``integers``."""
+
+    __slots__ = ("_keys", "_ctr", "_buf", "_pos", "_half")
+
+    def __init__(self, seed, spawn_key):
+        k0, k1 = _seed_key(seed, spawn_key)
+        # the round keys, bumped once per round
+        self._keys = tuple(k for r in range(10)
+                           for k in ((k0 + r * _PW0) & M64, (k1 + r * _PW1) & M64))
+        self._ctr, self._buf, self._pos, self._half = 0, (), 4, None
+
+    def _block(self) -> None:
+        n = self._ctr = self._ctr + 1
+        c0, c1, c2, c3 = n & M64, n >> 64 & M64, n >> 128 & M64, n >> 192
+        x0, y0, x1, y1, x2, y2, x3, y3, x4, y4, \
+            x5, y5, x6, y6, x7, y7, x8, y8, x9, y9 = self._keys
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x0, b & M64, a >> 64 ^ c3 ^ y0, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x1, b & M64, a >> 64 ^ c3 ^ y1, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x2, b & M64, a >> 64 ^ c3 ^ y2, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x3, b & M64, a >> 64 ^ c3 ^ y3, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x4, b & M64, a >> 64 ^ c3 ^ y4, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x5, b & M64, a >> 64 ^ c3 ^ y5, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x6, b & M64, a >> 64 ^ c3 ^ y6, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x7, b & M64, a >> 64 ^ c3 ^ y7, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x8, b & M64, a >> 64 ^ c3 ^ y8, a & M64
+        a, b = _PM0 * c0, _PM1 * c2
+        self._buf = b >> 64 ^ c1 ^ x9, b & M64, a >> 64 ^ c3 ^ y9, a & M64
+        self._pos = 0
+
+    def _next64(self) -> int:
+        if self._pos == 4:
+            self._block()
+        pos = self._pos
+        self._pos = pos + 1
+        return self._buf[pos]
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & M32
+
+    def pair(self) -> tuple:
+        """Two doubles in [0, 1), as ``Generator.random(2).tolist()``."""
+        pos = self._pos
+        if pos <= 2:
+            buf = self._buf
+            self._pos = pos + 2
+            return (buf[pos] >> 11) * _TWO_M53, (buf[pos + 1] >> 11) * _TWO_M53
+        return (self._next64() >> 11) * _TWO_M53, (self._next64() >> 11) * _TWO_M53
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An int in [lo, hi), as ``Generator.integers(lo, hi)``, for ranges of
+        1 to 2**32 values; a one-value range draws nothing."""
+        rng = hi - lo - 1
+        if not 0 <= rng <= M32:
+            raise ValueError(f"integers({lo}, {hi}) needs 1 to 2**32 values")
+        if rng == 0:
+            return lo
+        if rng == M32:
+            return lo + self._next32()
+        excl = rng + 1
+        m = self._next32() * excl
+        if m & M32 < excl:
+            threshold = (1 << 32) % excl
+            while m & M32 < threshold:
+                m = self._next32() * excl
+        return lo + (m >> 32)

@@ -14,6 +14,11 @@ inline, so the draw is its smallest unit, and the memo holds only E values
 keyed on exact arguments.  A check passes when its worst error stays within
 its tolerance.  Every suite runner takes the same keywords; ``sizes`` only
 matters to cn and conjecture.
+
+The stream is a :class:`~ellipsum.stream.PhiloxStream` (``rng.pair()`` for
+two uniforms, ``rng.integers(lo, hi)``), so no suite loads numpy but the
+determinants suite, whose runner imports it once for ``det_numeric`` before
+its workers fork.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
-
-import numpy as np
 
 from .catalog import (
     DEFAULT_REGION,
@@ -176,7 +179,7 @@ def _draw_kernel(int_ranges, rng, region):
     # Every kernel check draws q, p, x, a, used or not, then its integers.
     return (_draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod),
             _draw_complex(rng, region.param_mod), _draw_complex(rng, region.param_mod),
-            *(int(rng.integers(lo, hi)) for lo, hi in int_ranges))
+            *(rng.integers(lo, hi) for lo, hi in int_ranges))
 
 
 _draw_qpxa = partial(_draw_kernel, ())
@@ -273,7 +276,7 @@ def _draw_theta(rng, region):
 
 def _theta_product_vs_series(z, p):
     series = 0.0j
-    logp = complex(np.log(abs(p)), np.angle(p))
+    logp = complex(math.log(abs(p)), cmath.phase(p))
     for m in range(31):
         series += (-1) ** m * cmath.exp(logp * ((2 * m + 1) ** 2 / 4.0)) * \
             cmath.sin((2 * m + 1) * z)
@@ -317,7 +320,7 @@ def _draw_esum(rng, region):
 
 def _draw_macdonald(rng, region):
     p = _draw_complex(rng, region.p_mod)
-    n = int(rng.integers(0, 7))
+    n = rng.integers(0, 7)
     seqs = [[_draw_complex(rng, region.param_mod) for _ in range(n + 1)]
             for _ in range(4)]
     return (*seqs, p)
@@ -410,11 +413,13 @@ def _draw_andrews_stanton(rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     x = _draw_complex(rng, (0.7, 1.4))
     y = _draw_complex(rng, (0.7, 1.4))
-    n = int(rng.integers(1, 6))
+    n = rng.integers(1, 6)
     return x, y, Nome(q, p), n
 
 
 def _lu_factorization(x, y, nome, n):
+    import numpy as np
+
     M = np.array(andrews_stanton_matrix(x, y, nome, n))
     det = _conditioned_det(M)
     U, l_diag = andrews_stanton_lu(x, y, nome, n)
@@ -430,7 +435,7 @@ def _lu_factorization(x, y, nome, n):
 
 def _draw_factorial_ratio(rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    n = int(rng.integers(1, 6))
+    n = rng.integers(1, 6)
     xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
     a, b, c = (_draw_complex(rng, region.param_mod) for _ in range(3))
     return xs, a, b, c, Nome(q, p)
@@ -438,7 +443,7 @@ def _draw_factorial_ratio(rng, region):
 
 def _draw_periodic_family(rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    n = int(rng.integers(1, 6))
+    n = rng.integers(1, 6)
     nome = Nome(q, p)
     xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
     avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
@@ -472,6 +477,8 @@ DETERMINANT_CHECKS = [
 def run_determinants_suite(trials: int = 20, seed: int = 1,
                            region: SamplingRegion = DEFAULT_REGION,
                            sizes=None, only=None) -> list:
+    import numpy  # for det_numeric: imported once here, not in each forked worker
+
     return run_checks(DETERMINANT_CHECKS, trials, seed, region, only)
 
 
@@ -481,7 +488,7 @@ def run_determinants_suite(trials: int = 20, seed: int = 1,
 
 def _draw_cn(n, n_cap, rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    N = int(rng.integers(0, n_cap + 1))
+    N = rng.integers(0, n_cap + 1)
     a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
     e = a * a * q ** (N - n + 2) / (b * c * d)
     xs = tuple(_draw_complex(rng, (0.8, 1.25)) for _ in range(n))
@@ -525,7 +532,7 @@ def _solve_rectangle(q, N, x, n, a, b, c, d):
 def _draw_partition_point(free, solve, n, n_cap, rng, region):
     # ``free`` letters a, b, ... are drawn; ``solve`` gives the constrained next one
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    N = int(rng.integers(0, n_cap + 1))
+    N = rng.integers(0, n_cap + 1)
     x = _draw_complex(rng, (0.75, 0.95))
     letters = [_draw_complex(rng, region.param_mod) for _ in range(free)]
     letters.append(solve(q, N, x, n, *letters))

@@ -1,4 +1,6 @@
 import json
+import random
+import zlib
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from ellipsum.errors import DegenerateParameters, SamplingExhausted
 from ellipsum.kernel import TruncationPolicy
 from ellipsum.report import VerificationReport
 from ellipsum.series import OmegaSpec, balance_residual
+from ellipsum.stream import PhiloxStream
 
 from conftest import bits, rel_err
 from oracles import classical_w_sum
@@ -118,8 +121,19 @@ RECTANGLES = [((0.1, 3.0), (-0.4, 0.4)), ((0.3, 2.8), (-0.3, 0.3)),
               ((0.0, 2.0), (-0.3, 0.3))]
 
 
+def _numpy_stream(seed, spawn_key):
+    """numpy's own generator, the reference for the pure-Python stream."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
+
+
+def _numpy_rng_for(ident_id, seed, trial):
+    return _numpy_stream(seed, (zlib.crc32(ident_id.encode("utf-8")), trial))
+
+
 def _two_call_draw(rng, bounds):
-    """A complex draw from two rng.uniform calls, the reference for _draw_complex."""
+    """A complex draw from two uniform calls of numpy's generator, the
+    reference for _draw_complex."""
     mod = rng.uniform(bounds[0], bounds[1])
     phase = rng.uniform(0.0, 2.0 * np.pi)
     return complex(mod * np.cos(phase), mod * np.sin(phase))
@@ -130,39 +144,87 @@ def _point_bits(pt):
     return [bits(z) for z in numbers], sorted(pt.values), pt.integers
 
 
+_SEEDS = random.Random(15)
+# seeds at the word boundaries SeedSequence splits on, and random 63-bit ones
+STREAM_SEEDS = [0, 1, 7919, 2**32, 2**64 + 5, *(_SEEDS.getrandbits(63) for _ in range(8))]
+# spawn keys as _rng_for builds them, and with words at or above 2**32
+SPAWN_KEYS = [(zlib.crc32(b"e87"), 0), (0, 2**32), (2**32 + 7, 3), (2**64 - 1, 2**40),
+              (2**70 + 1, 9)]
+# one-value ranges (no draw), small ones, ones whose Lemire draw is rejected
+# about half the time, and the full 32-bit range
+INTEGER_RANGES = [(0, 1), (3, 4), (0, 2), (0, 7), (1, 6), (-5, 35), (0, 2**31 + 5),
+                  (7, 2**31 + 12), (0, 3 * 2**30), (0, 2**32), (-1, 2**32 - 1)]
+
+
 class TestSamplingStream:
-    """One rng.random(2) call per draw leaves the sampling stream as it was."""
+    """The pure-Python stream draws what numpy's generator draws, bit for bit."""
 
     @pytest.mark.parametrize("bounds", MODULUS_BOUNDS)
     def test_complex_draws(self, bounds):
-        new, old = _rng_for("stream", 7, 0), _rng_for("stream", 7, 0)
+        new, old = _rng_for("stream", 7, 0), _numpy_rng_for("stream", 7, 0)
         for _ in range(2000):
             assert bits(_draw_complex(new, bounds)) == bits(_two_call_draw(old, bounds))
 
     @pytest.mark.parametrize("first, second", RECTANGLES)
     def test_rectangle_draws(self, first, second):
-        new, old = _rng_for("stream", 11, 3), _rng_for("stream", 11, 3)
+        new, old = _rng_for("stream", 11, 3), _numpy_rng_for("stream", 11, 3)
         for _ in range(2000):
             got = _uniform_pair(new, *first, *second)
             want = old.uniform(*first), old.uniform(*second)
             assert [bits(v) for v in got] == [bits(v) for v in want]
 
     def test_draws_interleaved_with_integers(self):
-        new, old = _rng_for("stream", 1, 5), _rng_for("stream", 1, 5)
+        new, old = _rng_for("stream", 1, 5), _numpy_rng_for("stream", 1, 5)
         for i in range(3000):
             bounds = MODULUS_BOUNDS[i % len(MODULUS_BOUNDS)]
             assert bits(_draw_complex(new, bounds)) == bits(_two_call_draw(old, bounds))
             lo, hi = i % 3, i % 3 + 1 + i % 40
-            assert int(new.integers(lo, hi)) == int(old.integers(lo, hi))
+            assert new.integers(lo, hi) == int(old.integers(lo, hi))
             if i % 5 == 0:
                 first, second = RECTANGLES[i % 3]
                 got = _uniform_pair(new, *first, *second)
                 assert got == (old.uniform(*first), old.uniform(*second))
-        assert new.random() == old.random()
+        assert new.pair() == tuple(old.random(2).tolist())
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("spawn_key", SPAWN_KEYS)
+    def test_seeds_and_spawn_keys(self, seed, spawn_key):
+        # pair and integers calls in a seeded random order, so a 32-bit half
+        # kept by one integers call is read by a later one across pair calls
+        new, old = PhiloxStream(seed, spawn_key), _numpy_stream(seed, spawn_key)
+        order = random.Random(seed ^ spawn_key[0])
+        for _ in range(300):
+            if order.random() < 0.4:
+                assert new.pair() == tuple(old.random(2).tolist())
+            else:
+                lo, hi = order.choice(INTEGER_RANGES)
+                assert new.integers(lo, hi) == int(old.integers(lo, hi))
+
+    def test_without_spawn_key(self):
+        for seed in STREAM_SEEDS:
+            new, old = PhiloxStream(seed, ()), _numpy_stream(seed, ())
+            for lo, hi in INTEGER_RANGES:
+                assert new.pair() == tuple(old.random(2).tolist())
+                assert new.integers(lo, hi) == int(old.integers(lo, hi))
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (0, 2**32 + 1)])
+    def test_empty_or_wider_than_32_bit_ranges_raise(self, lo, hi):
+        with pytest.raises(ValueError):
+            PhiloxStream(1, ()).integers(lo, hi)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_bad_seeds_raise_as_numpy_does(self, seed, error):
+        with pytest.raises(error):
+            _numpy_rng_for("e87", seed, 0)
+        with pytest.raises(error):
+            _rng_for("e87", seed, 0)
+        with pytest.raises(error):
+            check_identity(get_identity("e87"), trials=1, seed=seed)
 
     def test_sample_points_of_every_identity(self, monkeypatch):
         seeds = (1, 7919)
         with monkeypatch.context() as patch:
+            patch.setattr(catalog, "_rng_for", _numpy_rng_for)
             patch.setattr(catalog, "_draw_complex", _two_call_draw)
             recorded = [_point_bits(sample_point(ident, seed))
                         for ident in list_identities() for seed in seeds]

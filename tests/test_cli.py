@@ -398,6 +398,38 @@ class TestMapUnits:
         assert catalog._worker_count(31) == 1
 
 
+# A fresh interpreter in which ``import numpy`` raises ImportError.
+_NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
+                  "from ellipsum.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+class TestWithoutNumpy:
+    """numpy serves the determinants suite alone; nothing else loads it."""
+
+    def test_cli_import_leaves_numpy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ellipsum.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", "kernel", "--trials", "3"],
+        ["--suite", "inversion", "--trials", "2"],
+        ["--suite", "cn", "--trials", "2"],
+        ["--suite", "conjecture", "--trials", "2"],
+        ["--suite", "catalog", "--trials", "2"],
+        ["--suite", "catalog", "--precision", "extended", "--trials", "1"],
+    ])
+    def test_runs_with_numpy_blocked(self, args):
+        blocked, free = (subprocess.run([sys.executable, *prefix, "run", *args],
+                                        capture_output=True, text=True, timeout=120)
+                         for prefix in (["-c", _NUMPY_BLOCKED], ["-m", "ellipsum.cli"]))
+        assert blocked.returncode == 0, blocked.stderr
+        assert free.returncode == 0
+        assert blocked.stdout == free.stdout
+
+
 class TestConsoleEntry:
     def test_harness_alias(self):
         assert cli.cli_run is cli.main

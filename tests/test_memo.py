@@ -111,7 +111,7 @@ class TestScope:
         seen = []
 
         def draw(rng, region):
-            return (rng.uniform(),)
+            return (rng.pair()[0],)
 
         def evaluate(u):
             seen.append(kernel._memo)

@@ -64,7 +64,7 @@ class TestRunChecks:
 
     def test_non_finite_errors_are_resampled(self):
         def draw(rng, region):
-            return (rng.uniform(),)
+            return (rng.pair()[0],)
 
         def evaluate(u):
             return float("nan") if u < 0.5 else 1e-12
