@@ -27,7 +27,8 @@ class VerificationReport:
 
     ``failures`` holds one ``{"trial_index", "rel_err", "point"}`` dict per
     trial over ``tol``.  ``error`` says why the run stopped short of its
-    trials; ``trials`` then counts the completed ones.
+    trials; ``trials`` then counts the completed ones, and the record keeps
+    their failures and worst point.
     """
 
     identity_id: str
@@ -47,9 +48,7 @@ class VerificationReport:
         return self.error is None and not self.failures
 
     def to_dict(self) -> dict:
-        if self.error is not None:
-            return {"identity_id": self.identity_id, "passed": False, "error": self.error}
-        return {
+        record = {
             "identity_id": self.identity_id,
             "trials": self.trials,
             "tol": self.tol,
@@ -61,10 +60,13 @@ class VerificationReport:
             "worst_point": self.worst_point,
             "wall_time_ms": self.wall_time_ms,
         }
+        if self.error is not None:
+            record["error"] = self.error
+        return record
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        """The report a complete record (one without ``error``) was made from."""
+        """The report a record was made from."""
         return cls(**d)
 
 

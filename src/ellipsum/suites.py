@@ -16,9 +16,13 @@ its tolerance.  Every suite runner takes the same keywords; ``sizes`` only
 matters to cn and conjecture.
 
 The stream is a :class:`~ellipsum.stream.PhiloxStream` (``rng.pair()`` for
-two uniforms, ``rng.integers(lo, hi)``), so no suite loads numpy but the
-determinants suite, whose runner imports it once for ``det_numeric`` before
-its workers fork.
+two uniforms, ``rng.integers(lo, hi)``).  Importing this module, as
+``import ellipsum.cli`` does, loads only the kernel table and the catalog
+layers below it.  The other suites build their tables in their runners,
+which first import the suite's own module (``inversion``, ``determinants``
+or ``multivar``, and numpy for ``det_numeric`` in the determinants suite),
+so the forked workers inherit it and never import it themselves.  The draw
+and evaluate helpers import the names they use where they use them.
 """
 
 from __future__ import annotations
@@ -41,32 +45,8 @@ from .catalog import (
     _rng_for,
     _uniform_pair,
 )
-from .determinants import (
-    COND_LIMIT,
-    andrews_stanton_lu,
-    andrews_stanton_matrix,
-    andrews_stanton_product,
-    corollary_determ_matrix,
-    corollary_determ_product,
-    det_lemma_matrix,
-    det_lemma_product,
-    det_numeric,
-    shifted_product_family,
-    theta_det_sides,
-)
 from .errors import DegenerateParameters, SamplingExhausted
-from .inversion import (
-    KrattenthalerPair,
-    RawRPair,
-    RStepPair,
-    check_orthogonality,
-    cubic_replay_sides,
-    esum_sides,
-    macdonald_sides,
-    quadratic_replay_sides,
-)
 from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
-from .multivar import CnPoint, cn_jackson_sides, conjecture_sides, omega87_sides
 
 # Largest n of the inverse-pair orthogonality checks.
 ORTHOGONALITY_N_MAX = 8
@@ -337,15 +317,13 @@ def _draw_pair(pair_type, r, rng, region):
 
 
 def _draw_krattenthaler(rng, region):
+    from .inversion import KrattenthalerPair
+
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     a = _draw_complex(rng, region.param_mod)
     bs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
     cs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
     return (KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, Nome(q, p)),)
-
-
-def _orthogonality(pair):
-    return check_orthogonality(pair, ORTHOGONALITY_N_MAX)
 
 
 def _draw_replay(nparams, rng, region):
@@ -368,28 +346,38 @@ def _replay(sides, *args):
     return err
 
 
-INVERSION_CHECKS = [
-    Check("addition_formula", "suite.inversion.esum", _draw_esum,
-          partial(_sides_rel, esum_sides), 1e-10, trials=100),
-    Check("telescoped_addition_lemma", "suite.inversion.macdonald", _draw_macdonald,
-          partial(_sides_rel, macdonald_sides), 1e-10, trials=50),
-    *(Check(f"orthogonality_step{r}", f"suite.inversion.rstep{r}",
-            partial(_draw_pair, RStepPair, r), _orthogonality, 1e-8) for r in (1, 2, 3, 4)),
-    Check("orthogonality_free_base", "suite.inversion.rawr",
-          partial(_draw_pair, RawRPair, None), _orthogonality, 1e-8),
-    Check("orthogonality_sequence_pair", "suite.inversion.kratt", _draw_krattenthaler,
-          _orthogonality, 1e-8),
-    Check("replay_quadratic", "suite.inversion.replay_quadratic",
-          partial(_draw_replay, 4), partial(_replay, quadratic_replay_sides), 1e-8),
-    Check("replay_cubic", "suite.inversion.replay_cubic",
-          partial(_draw_replay, 3), partial(_replay, cubic_replay_sides), 1e-8),
-]
-
-
 def run_inversion_suite(trials: int = 20, seed: int = 1,
                         region: SamplingRegion = DEFAULT_REGION,
                         sizes=None, only=None) -> list:
-    return run_checks(INVERSION_CHECKS, trials, seed, region, only)
+    from .inversion import (
+        RawRPair,
+        RStepPair,
+        check_orthogonality,
+        cubic_replay_sides,
+        esum_sides,
+        macdonald_sides,
+        quadratic_replay_sides,
+    )
+
+    orthogonality = partial(check_orthogonality, n_max=ORTHOGONALITY_N_MAX)
+    checks = [
+        Check("addition_formula", "suite.inversion.esum", _draw_esum,
+              partial(_sides_rel, esum_sides), 1e-10, trials=100),
+        Check("telescoped_addition_lemma", "suite.inversion.macdonald", _draw_macdonald,
+              partial(_sides_rel, macdonald_sides), 1e-10, trials=50),
+        *(Check(f"orthogonality_step{r}", f"suite.inversion.rstep{r}",
+                partial(_draw_pair, RStepPair, r), orthogonality, 1e-8)
+          for r in (1, 2, 3, 4)),
+        Check("orthogonality_free_base", "suite.inversion.rawr",
+              partial(_draw_pair, RawRPair, None), orthogonality, 1e-8),
+        Check("orthogonality_sequence_pair", "suite.inversion.kratt",
+              _draw_krattenthaler, orthogonality, 1e-8),
+        Check("replay_quadratic", "suite.inversion.replay_quadratic",
+              partial(_draw_replay, 4), partial(_replay, quadratic_replay_sides), 1e-8),
+        Check("replay_cubic", "suite.inversion.replay_cubic",
+              partial(_draw_replay, 3), partial(_replay, cubic_replay_sides), 1e-8),
+    ]
+    return run_checks(checks, trials, seed, region, only)
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +386,8 @@ def run_inversion_suite(trials: int = 20, seed: int = 1,
 
 def _conditioned_det(matrix):
     # Ill-conditioned matrices are resampled rather than failed.
+    from .determinants import COND_LIMIT, det_numeric
+
     det, cond = det_numeric(matrix)
     if cond > COND_LIMIT:
         raise DegenerateParameters(f"cond {cond:.2e}")
@@ -419,6 +409,8 @@ def _draw_andrews_stanton(rng, region):
 
 def _lu_factorization(x, y, nome, n):
     import numpy as np
+
+    from .determinants import andrews_stanton_lu, andrews_stanton_matrix
 
     M = np.array(andrews_stanton_matrix(x, y, nome, n))
     det = _conditioned_det(M)
@@ -442,6 +434,8 @@ def _draw_factorial_ratio(rng, region):
 
 
 def _draw_periodic_family(rng, region):
+    from .determinants import shifted_product_family
+
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     n = rng.integers(1, 6)
     nome = Nome(q, p)
@@ -459,27 +453,35 @@ def _draw_theta_det(rng, region):
     return xs, a, b, c, p
 
 
-DETERMINANT_CHECKS = [
-    Check("quadratic_base_determinant", "suite.det.quadratic_base",
-          _draw_andrews_stanton,
-          partial(_det_rel, andrews_stanton_matrix, andrews_stanton_product), 1e-8),
-    Check("lu_factorization", "suite.det.lu", _draw_andrews_stanton,
-          _lu_factorization, 1e-9),
-    Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
-          partial(_det_rel, corollary_determ_matrix, corollary_determ_product), 1e-8),
-    Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
-          partial(_det_rel, det_lemma_matrix, det_lemma_product), 1e-8),
-    Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
-          partial(_sides_rel, theta_det_sides), 1e-8),
-]
-
-
 def run_determinants_suite(trials: int = 20, seed: int = 1,
                            region: SamplingRegion = DEFAULT_REGION,
                            sizes=None, only=None) -> list:
     import numpy  # for det_numeric: imported once here, not in each forked worker
 
-    return run_checks(DETERMINANT_CHECKS, trials, seed, region, only)
+    from .determinants import (
+        andrews_stanton_matrix,
+        andrews_stanton_product,
+        corollary_determ_matrix,
+        corollary_determ_product,
+        det_lemma_matrix,
+        det_lemma_product,
+        theta_det_sides,
+    )
+
+    checks = [
+        Check("quadratic_base_determinant", "suite.det.quadratic_base",
+              _draw_andrews_stanton,
+              partial(_det_rel, andrews_stanton_matrix, andrews_stanton_product), 1e-8),
+        Check("lu_factorization", "suite.det.lu", _draw_andrews_stanton,
+              _lu_factorization, 1e-9),
+        Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
+              partial(_det_rel, corollary_determ_matrix, corollary_determ_product), 1e-8),
+        Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
+              partial(_det_rel, det_lemma_matrix, det_lemma_product), 1e-8),
+        Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
+              partial(_sides_rel, theta_det_sides), 1e-8),
+    ]
+    return run_checks(checks, trials, seed, region, only)
 
 
 # --------------------------------------------------------------------------
@@ -487,6 +489,8 @@ def run_determinants_suite(trials: int = 20, seed: int = 1,
 # --------------------------------------------------------------------------
 
 def _draw_cn(n, n_cap, rng, region):
+    from .multivar import CnPoint
+
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     N = rng.integers(0, n_cap + 1)
     a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
@@ -497,6 +501,8 @@ def _draw_cn(n, n_cap, rng, region):
 
 def _cn_reduction(pt):
     # the one-variable sum against the closed Jackson evaluation
+    from .multivar import cn_jackson_sides
+
     lhs, _ = cn_jackson_sides(pt)
     a, b, c, d, q, (x,) = pt.a, pt.b, pt.c, pt.d, pt.nome.q, pt.x
     num = [a * x * x * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)]
@@ -513,6 +519,8 @@ def run_cn_suite(trials: int = 20, seed: int = 1,
                  region: SamplingRegion = DEFAULT_REGION,
                  sizes: tuple = ((1, 4), (2, 3), (3, 2)), only=None) -> list:
     """``sizes`` lists the (n, N cap) pairs of the n-fold Jackson checks."""
+    from .multivar import cn_jackson_sides
+
     checks = [Check(f"cn_jackson_n{n}", f"suite.cn.{n}", partial(_draw_cn, n, n_cap),
                     partial(_sides_rel, cn_jackson_sides), 1e-8)
               for n, n_cap in sizes]
@@ -531,6 +539,8 @@ def _solve_rectangle(q, N, x, n, a, b, c, d):
 
 def _draw_partition_point(free, solve, n, n_cap, rng, region):
     # ``free`` letters a, b, ... are drawn; ``solve`` gives the constrained next one
+    from .multivar import CnPoint
+
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     N = rng.integers(0, n_cap + 1)
     x = _draw_complex(rng, (0.75, 0.95))
@@ -543,6 +553,8 @@ def run_conjecture_suite(trials: int = 20, seed: int = 1,
                          region: SamplingRegion = DEFAULT_REGION,
                          sizes: tuple = ((2, 2),), only=None) -> list:
     """``sizes`` lists the (n, N cap) pairs; each gets both checks."""
+    from .multivar import conjecture_sides, omega87_sides
+
     checks = []
     for n, n_cap in sizes:
         checks += [

@@ -314,14 +314,22 @@ class TestCheckIdentity:
 
     @pytest.mark.parametrize("admitted", [0, 2])
     def test_exhausted_run_is_a_failed_record(self, admitted, monkeypatch):
-        # e87 at seed 1 takes its first draw in each of trials 0 and 1
+        # e87 at seed 1 takes its first draw in each of trials 0 and 1; at
+        # tol 0 trial 1 is a failure, which the record must keep
         _admit_draws(admitted, monkeypatch)
-        rep = check_identity(get_identity("e87"), trials=5, seed=1)
+        rep = check_identity(get_identity("e87"), trials=5, tol=0.0, seed=1)
         assert not rep.passed and rep.trials == admitted
         assert rep.error == "e87: no admissible point after 100 resamples"
-        assert rep.to_dict() == {"identity_id": "e87", "passed": False,
-                                 "error": rep.error}
         assert (rep.max_rel_err > 0) == (admitted > 0)
+        record = rep.to_dict()
+        assert record["error"] == rep.error
+        assert bool(rep.failures) == (admitted > 0)
+        assert record["failures"] == rep.failures
+        assert (rep.worst_point is None) == (admitted == 0)
+        assert record["worst_point"] == rep.worst_point
+        assert record["resamples"] == catalog.MAX_RESAMPLES + 1
+        again = VerificationReport.from_dict(json.loads(json.dumps(record)))
+        assert again.to_dict() == record and not again.passed
 
 
 class TestEtrafo5Branches:

@@ -175,7 +175,10 @@ class TestSamplingExhausted:
         records = json.loads(path.read_text())["reports"]
         assert len(records) == 31
         (exhausted,) = [r for r in records if r["identity_id"] == "e87"]
-        assert exhausted == {"identity_id": "e87", "passed": False,
+        assert exhausted.pop("wall_time_ms") >= 0
+        assert exhausted == {"identity_id": "e87", "trials": 0, "tol": 1e-8, "seed": 1,
+                             "max_rel_err": 0.0, "mean_rel_err": 0.0, "failures": [],
+                             "resamples": 101, "worst_point": None,
                              "error": "e87: no admissible point after 100 resamples"}
         assert sum(line.startswith("pass ") for line in captured.out.splitlines()) == 30
 
@@ -403,15 +406,35 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
                   "from ellipsum.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
+# Modules that only some runs need: the suites' own modules, numpy for the
+# determinants suite and mpmath for extended precision.
+_ON_DEMAND = ("ellipsum.determinants", "ellipsum.inversion", "ellipsum.multivar",
+              "numpy", "mpmath")
+
+
+def _loaded_after(code: str) -> list:
+    """The _ON_DEMAND modules loaded in a fresh interpreter after ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport json, sys\nprint(json.dumps("
+                               f"[m for m in {_ON_DEMAND!r} if m in sys.modules]))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestWithoutNumpy:
-    """numpy serves the determinants suite alone; nothing else loads it."""
+    """numpy serves the determinants suite alone; nothing else loads it, and
+    each suite loads its own modules in its runner."""
 
     def test_cli_import_leaves_numpy_out(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, ellipsum.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert _loaded_after("import ellipsum.cli") == []
+        assert _loaded_after("from ellipsum.cli import main; main(['list'])") == []
+        # A module only a forked worker imported would be missing here.
+        for suite, module in (("inversion", "ellipsum.inversion"),
+                              ("cn", "ellipsum.multivar"),
+                              ("conjecture", "ellipsum.multivar")):
+            run = f"from ellipsum.suites import SUITES; SUITES[{suite!r}](trials=1)"
+            assert _loaded_after(run) == [module], suite
 
     @pytest.mark.parametrize("args", [
         ["--suite", "kernel", "--trials", "3"],
