@@ -20,9 +20,9 @@ two uniforms, ``rng.integers(lo, hi)``).  Importing this module, as
 ``import ellipsum.cli`` does, loads only the kernel table and the catalog
 layers below it.  The other suites build their tables in their runners,
 which first import the suite's own module (``inversion``, ``determinants``
-or ``multivar``, and numpy for ``det_numeric`` in the determinants suite),
-so the forked workers inherit it and never import it themselves.  The draw
-and evaluate helpers import the names they use where they use them.
+or ``multivar``), so the forked workers inherit it and never import it
+themselves.  The draw and evaluate helpers import the names they use where
+they use them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from functools import partial
 from typing import Callable
 
 from .catalog import (
+    CONDITION_LIMIT,
     DEFAULT_REGION,
     MAX_RESAMPLES,
     TINY,
@@ -340,7 +341,7 @@ def _replay(sides, *args):
     err = 0.0
     for n in range(6):
         applied, closed, scale = sides(*args, n)
-        if not (scale < 1e6 * abs(closed)):
+        if not (scale < CONDITION_LIMIT * abs(closed)):
             raise DegenerateParameters("cancellation-dominated")
         err = max(err, _rel(applied, closed))
     return err
@@ -408,20 +409,18 @@ def _draw_andrews_stanton(rng, region):
 
 
 def _lu_factorization(x, y, nome, n):
-    import numpy as np
-
     from .determinants import andrews_stanton_lu, andrews_stanton_matrix
 
-    M = np.array(andrews_stanton_matrix(x, y, nome, n))
+    M = andrews_stanton_matrix(x, y, nome, n)
     det = _conditioned_det(M)
     U, l_diag = andrews_stanton_lu(x, y, nome, n)
-    L = M @ np.array(U)
+    L = [[sum(M[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     err = 0.0
     for i in range(n):
-        rowscale = max(abs(L[i, i]), TINY)
+        rowscale = max(abs(L[i][i]), TINY)
         for j in range(i + 1, n):
-            err = max(err, float(abs(L[i, j]) / rowscale))
-        err = max(err, _rel(L[i, i], l_diag[i]))
+            err = max(err, abs(L[i][j]) / rowscale)
+        err = max(err, _rel(L[i][i], l_diag[i]))
     return max(err, _rel(det, math.prod(l_diag, start=1.0)))
 
 
@@ -456,8 +455,6 @@ def _draw_theta_det(rng, region):
 def run_determinants_suite(trials: int = 20, seed: int = 1,
                            region: SamplingRegion = DEFAULT_REGION,
                            sizes=None, only=None) -> list:
-    import numpy  # for det_numeric: imported once here, not in each forked worker
-
     from .determinants import (
         andrews_stanton_matrix,
         andrews_stanton_product,

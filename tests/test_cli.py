@@ -406,8 +406,8 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
                   "from ellipsum.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-# Modules that only some runs need: the suites' own modules, numpy for the
-# determinants suite and mpmath for extended precision.
+# Modules that only some runs need: the suites' own modules and mpmath for
+# extended precision; numpy, which no run needs, is watched as well.
 _ON_DEMAND = ("ellipsum.determinants", "ellipsum.inversion", "ellipsum.multivar",
               "numpy", "mpmath")
 
@@ -423,14 +423,14 @@ def _loaded_after(code: str) -> list:
 
 
 class TestWithoutNumpy:
-    """numpy serves the determinants suite alone; nothing else loads it, and
-    each suite loads its own modules in its runner."""
+    """No run loads numpy, and each suite loads its own modules in its runner."""
 
     def test_cli_import_leaves_numpy_out(self):
         assert _loaded_after("import ellipsum.cli") == []
         assert _loaded_after("from ellipsum.cli import main; main(['list'])") == []
         # A module only a forked worker imported would be missing here.
         for suite, module in (("inversion", "ellipsum.inversion"),
+                              ("determinants", "ellipsum.determinants"),
                               ("cn", "ellipsum.multivar"),
                               ("conjecture", "ellipsum.multivar")):
             run = f"from ellipsum.suites import SUITES; SUITES[{suite!r}](trials=1)"
@@ -439,6 +439,7 @@ class TestWithoutNumpy:
     @pytest.mark.parametrize("args", [
         ["--suite", "kernel", "--trials", "3"],
         ["--suite", "inversion", "--trials", "2"],
+        ["--suite", "determinants", "--trials", "2"],
         ["--suite", "cn", "--trials", "2"],
         ["--suite", "conjecture", "--trials", "2"],
         ["--suite", "catalog", "--trials", "2"],

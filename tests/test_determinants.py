@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from ellipsum.determinants import (
     shifted_product_family,
     theta_det_sides,
 )
+from ellipsum.errors import SingularToWorkingPrecision
 from ellipsum.kernel import eval_E, theta1
 
 from conftest import rel_err
@@ -38,9 +42,38 @@ class TestDetNumeric:
         det, _ = det_numeric(m)
         assert rel_err(det, cofactor_det(m)) <= 1e-10
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_against_lapack(self, n):
+        """det and kappa_1 of random complex matrices against numpy's LAPACK."""
+        state = np.random.default_rng(n)
+        m = state.uniform(-1, 1, (n, n)) + 1j * state.uniform(-1, 1, (n, n))
+        det, cond = det_numeric(m.tolist())
+        assert rel_err(det, np.linalg.det(m)) <= 1e-12
+        assert rel_err(cond, np.linalg.cond(m, 1)) <= 1e-10
+
+    def test_mpc_entries_stay_mpc(self, rnd):
+        with mpmath.workdps(50):
+            m = [[mpmath.mpc(rnd()) for _ in range(4)] for _ in range(4)]
+            det, cond = det_numeric(m)
+            assert isinstance(det, mpmath.mpc) and isinstance(cond, mpmath.mpf)
+            assert abs(det - mpmath.det(mpmath.matrix(m))) <= 1e-45 * abs(det)
+
+    @pytest.mark.parametrize("matrix, reason", [
+        ([[1 + 2j, 3 - 1j, 0.5], [2.0, 1j, -1.0], [1 + 2j, 3 - 1j, 0.5]], "zero pivot"),
+        ([[1.0, math.inf], [2.0, 3.0]], "not finite"),
+    ], ids=["equal_rows", "inf_entry"])
+    def test_singular_raises(self, matrix, reason):
+        with pytest.raises(SingularToWorkingPrecision, match=reason):
+            det_numeric(matrix)
+
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             det_numeric([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("matrix", [[], [[1.0, 2.0], [3.0]]], ids=["empty", "ragged"])
+    def test_rejects_empty_and_ragged(self, matrix):
+        with pytest.raises(ValueError):
+            det_numeric(matrix)
 
     def test_rejects_large(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@
 Every module-level private name of the package is used somewhere in the
 package, and every public one in the package or its tests, so a helper whose
 last caller goes is deleted with it; the test oracles import nothing from
-the package they check; and the truncation policy of the infinite products
-is named in the kernel alone, where the scalar type picks it.
+the package they check; no module imports numpy; and the truncation policy
+of the infinite products is named in the kernel alone, where the scalar type
+picks it.
 """
 
 from __future__ import annotations
@@ -74,14 +75,26 @@ def test_every_public_module_name_is_used():
     assert unused == []
 
 
-def test_oracles_import_nothing_from_the_package():
-    imported = []
-    for node in ast.walk(_parse(ROOT / "tests" / "oracles.py")):
+def _imports(tree: ast.Module):
+    """(top-level module name, line) of every import in a tree."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
         elif isinstance(node, ast.ImportFrom):
-            imported.append(node.module or "")
-    assert not [name for name in imported if name.split(".")[0] == "ellipsum"]
+            yield (node.module or "").split(".")[0], node.lineno
+
+
+def test_oracles_import_nothing_from_the_package():
+    imported = [name for name, _ in _imports(_parse(ROOT / "tests" / "oracles.py"))]
+    assert "ellipsum" not in imported
+
+
+def test_no_module_imports_numpy():
+    """numpy is a test dependency only: the package runs without it."""
+    imports = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+               for name, line in _imports(_parse(path)) if name == "numpy"]
+    assert imports == []
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
