@@ -68,7 +68,7 @@ class ParamPoint:
 
     nome: Nome
     values: dict
-    integers: dict
+    n: int
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,13 @@ class Identity:
     """One catalog record: what a draw needs and the two sides to compare.
 
     ``free_params`` are drawn at random and ``solve(values, n, q)`` returns
-    the constrained parameters.  ``termination`` is ``(name, lo, hi)``: the
-    termination index is drawn uniformly from ``lo..hi`` and stored under
-    ``name``.  ``branch``, if set, is a predicate on that index which keeps
-    only the residue classes the right side covers.  ``extra_bases`` name
-    further bases, drawn like q and before the free parameters.  ``lhs`` and
-    ``rhs`` map a point to ``(value, scale)``; the scalar type of the point
-    picks the truncation of the products behind E (:func:`eval_E`).
+    the constrained parameters.  ``termination`` is ``(lo, hi)``: the
+    termination index n is drawn uniformly from ``lo..hi``.  ``branch``, if
+    set, is a predicate on n which keeps only the residue classes the right
+    side covers.  ``extra_bases`` name further bases, drawn like q and before
+    the free parameters.  ``lhs`` and ``rhs`` map a point to
+    ``(value, scale)``; the scalar type of the point picks the truncation of
+    the products behind E (:func:`eval_E`).
     """
 
     id: str
@@ -240,7 +240,7 @@ def _register(ident: Identity) -> Identity:
 
 
 def _pt_unpack(pt: ParamPoint):
-    return pt.values, pt.integers["n"], pt.nome
+    return pt.values, pt.n, pt.nome
 
 
 # ---- ten-term transformation and Jackson evaluation ----------------------
@@ -273,7 +273,7 @@ _register(Identity(
     id="e109",
     description="ten-term very-well-poised transformation with shifted base point",
     free_params=("a", "b", "c", "d", "e", "f"),
-    termination=("n", 0, 5),
+    termination=(0, 5),
     lhs=_omega_lhs("bcdefg"),
     rhs=_e109_rhs,
     solve=lambda v, n, q: {"g": v["a"] ** 3 * q ** (n + 2) /
@@ -293,7 +293,7 @@ _register(Identity(
     id="e87",
     description="eight-term very-well-poised summation in closed product form",
     free_params=("a", "b", "c", "d"),
-    termination=("n", 0, 6),
+    termination=(0, 6),
     lhs=_omega_lhs("bcde"),
     rhs=_e87_rhs,
     solve=lambda v, n, q: {"e": v["a"] ** 2 * q ** (n + 1) /
@@ -331,7 +331,7 @@ _register(Identity(
     id="gr_sum_general",
     description="two-base telescoping sum with free weight parameter",
     free_params=("a", "b", "c", "d"),
-    termination=("n", 0, 6),
+    termination=(0, 6),
     lhs=_gr_lhs,
     rhs=_gr_rhs,
     solve=lambda v, n, q: {},
@@ -361,7 +361,7 @@ _register(Identity(
     id="sum1",
     description="two-base telescoping sum at the closing weight r^n",
     free_params=("a", "b", "c"),
-    termination=("n", 0, 6),
+    termination=(0, 6),
     lhs=_sum1_lhs,
     rhs=_sum1_rhs,
     solve=lambda v, n, q: {},
@@ -397,7 +397,7 @@ def _make_thmr(r: int) -> Identity:
         id=f"thmr_r{r}",
         description=f"stretched-base (step {r}) very-well-poised summation",
         free_params=("a", "b", "c"),
-        termination=("n", 0, 5 if r <= 2 else (4 if r == 3 else 3)),
+        termination=(0, 5 if r <= 2 else (4 if r == 3 else 3)),
         lhs=lhs,
         rhs=rhs,
         solve=lambda v, n, q: {},
@@ -443,7 +443,7 @@ for _which in ("gab", "gae"):
         description="quadratic transformation into a ten-term series "
                     f"(gauge {_which[-2:]})",
         free_params=("a", "b", "c", "e"),
-        termination=("n", 0, 5),
+        termination=(0, 5),
         lhs=_lhs_quadratic,
         rhs=_quad_transform_rhs,
         solve=_solve_quad_transform(_which),
@@ -473,7 +473,7 @@ _register(Identity(
     id="cor1_ba",
     description="quadratic summation, first-parameter coalescence",
     free_params=("a", "c", "e"),
-    termination=("n", 0, 6),
+    termination=(0, 6),
     lhs=_lhs_quadratic,
     rhs=_coalesced_rhs(2),
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
@@ -484,7 +484,7 @@ _register(Identity(
     id="cor1_ea",
     description="quadratic summation, middle-parameter coalescence",
     free_params=("a", "b", "c"),
-    termination=("n", 0, 6),
+    termination=(0, 6),
     lhs=_lhs_quadratic,
     rhs=_coalesced_rhs(2),
     solve=lambda v, n, q: {"d": v["a"] * q / (v["b"] * v["c"]), "e": v["a"],
@@ -527,7 +527,7 @@ for _which in ("fab", "fae"):
         description="cubic transformation into a ten-term series "
                     f"(gauge {_which[-2:]})",
         free_params=("a", "b", "c"),
-        termination=("n", 0, 5),
+        termination=(0, 5),
         lhs=_lhs_cubic,
         rhs=_cubic_transform_rhs,
         solve=_solve_cubic_transform(_which),
@@ -538,7 +538,7 @@ _register(Identity(
     id="cor_cubic_ba",
     description="cubic summation, first-parameter coalescence",
     free_params=("a", "c"),
-    termination=("n", 0, 5),
+    termination=(0, 5),
     lhs=_lhs_cubic,
     rhs=_coalesced_rhs(3),
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
@@ -549,7 +549,7 @@ _register(Identity(
     id="cor_cubic_ea",
     description="cubic summation, tail-parameter coalescence",
     free_params=("a", "b"),
-    termination=("n", 0, 3),
+    termination=(0, 3),
     lhs=_lhs_cubic,
     rhs=_coalesced_rhs(3),
     solve=lambda v, n, q: {"c": q ** (-3 * n) / v["b"],
@@ -572,7 +572,7 @@ _register(Identity(
     id="cor_cubic_da",
     description="cubic summation with doubled-index slot pinned to the base point",
     free_params=("a", "b"),
-    termination=("n", 0, 5),
+    termination=(0, 5),
     lhs=_lhs_cubic,
     rhs=_cor_cubic_da_rhs,
     solve=lambda v, n, q: {"c": q / v["b"], "d": v["a"],
@@ -609,7 +609,7 @@ _register(Identity(
     id="etrafo3",
     description="quadratic-base transformation with halved inner series",
     free_params=("a", "b", "c", "e"),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_lhs_mixed32("a", "b", "c", "d", "e", "f"),
     rhs=_etrafo3_rhs,
     solve=lambda v, n, q: {"d": v["a"] ** 2 * q / (v["b"] * v["c"]),
@@ -641,7 +641,7 @@ _register(Identity(
     id="etrafo4",
     description="cubic-base transformation over the half-range sum",
     free_params=("a", "b", "d"),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_lhs_family_half("b", "c", "d", "e"),
     rhs=_etrafo4_rhs,
     solve=lambda v, n, q: {"c": v["a"] ** 2 * q ** (n + 1) / v["b"],
@@ -692,7 +692,7 @@ for _sigma, _pred in ((0, lambda n: n % 3 != 2),
         id=f"etrafo5_b{_sigma}",
         description=f"cubic-base transformation, residue branch {_sigma}",
         free_params=("a", "b", "d"),
-        termination=("n", 0, 8),
+        termination=(0, 8),
         lhs=_lhs_family43("b", "c", "d", "e"),
         rhs=_etrafo5_rhs(_sigma),
         solve=_etrafo5_solve,
@@ -729,7 +729,7 @@ _register(Identity(
     id="cor_etrafo3_fa",
     description="quadratic-base summation from pinning the inner series",
     free_params=("a", "b", "c"),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_lhs_mixed32("a", "b", "c", "d", "e", "f"),
     rhs=_prefactor_rhs(_etrafo3_prefactor),
     solve=lambda v, n, q: {"d": v["a"] ** 2 * q / (v["b"] * v["c"]),
@@ -752,7 +752,7 @@ _register(Identity(
     id="egs",
     description="quadratic-base summation vanishing at odd order",
     free_params=("a", "b", "d"),
-    termination=("n", 0, 9),
+    termination=(0, 9),
     # the base point itself fills the first quadratic-base slot
     lhs=_lhs_mixed32("a", "a", "b", "c", "d", "e"),
     rhs=_egs_rhs,
@@ -765,7 +765,7 @@ _register(Identity(
     id="cor_etrafo4_ea",
     description="half-range cubic-base summation, tail coalescence",
     free_params=("a", "b"),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_lhs_family_half("b", "c", "a", "d"),
     rhs=_prefactor_rhs(_etrafo4_prefactor),
     solve=lambda v, n, q: {"c": v["a"] ** 2 * q ** (n + 1) / v["b"],
@@ -790,7 +790,7 @@ _register(Identity(
     id="c2",
     description="half-range cubic-base summation vanishing on one residue class",
     free_params=("a", "c"),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_lhs_family_half("a", "b", "c", "d"),
     rhs=_c2_rhs,
     solve=lambda v, n, q: {"b": v["a"] * q ** (n + 1),
@@ -818,7 +818,7 @@ _register(Identity(
     id="cor_etrafo5_ea",
     description="cubic-base summation with residue-split closed forms",
     free_params=("a", "b"),
-    termination=("n", 0, 6),
+    termination=(0, 6),
     lhs=_lhs_family43("b", "c", "d", "a"),
     rhs=_cor_etrafo5_ea_rhs,
     solve=lambda v, n, q: {"d": q ** (n + 1),
@@ -843,7 +843,7 @@ _register(Identity(
     id="cor_chu",
     description="cubic-base summation vanishing off one residue class",
     free_params=("a", "b"),
-    termination=("n", 0, 9),
+    termination=(0, 9),
     lhs=_lhs_family43("a", "b", "c", "d"),
     rhs=_cor_chu_rhs,
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"], "d": v["b"] * q ** n},
@@ -873,7 +873,7 @@ _register(Identity(
     id="cor_etrafo5_da",
     description="cubic-base summation with doubled slot at the base point",
     free_params=("a", "b"),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_lhs_family43("b", "c", "a", "d"),
     rhs=_cor_etrafo5_da_rhs,
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"], "d": q ** (n + 1)},
@@ -914,7 +914,7 @@ _register(Identity(
     id="quartic_trafo",
     description="quartic-step transformation between two-parameter sums",
     free_params=("a", "b"),
-    termination=("n", 0, 3),
+    termination=(0, 3),
     lhs=_quartic_trafo_lhs,
     rhs=_quartic_trafo_rhs,
     solve=lambda v, n, q: {},
@@ -951,7 +951,7 @@ _register(Identity(
     id="quartic_sum",
     description="quartic-step summation vanishing off one residue class",
     free_params=("a",),
-    termination=("n", 0, 8),
+    termination=(0, 8),
     lhs=_quartic_sum_lhs,
     rhs=_quartic_sum_rhs,
     solve=lambda v, n, q: {},
@@ -1018,12 +1018,12 @@ def _draw_point(ident: Identity, rng: PhiloxStream,
         values[name] = _draw_complex(rng, region.q_mod)
     for name in ident.free_params:
         values[name] = _draw_complex(rng, region.param_mod)
-    t_name, lo, hi = ident.termination
+    lo, hi = ident.termination
     allowed = [m for m in range(lo, hi + 1)
                if ident.branch is None or ident.branch(m)]
     n = allowed[rng.integers(0, len(allowed))]
     values.update(ident.solve(values, n, q))
-    return ParamPoint(Nome(q, p), values, {t_name: n})
+    return ParamPoint(Nome(q, p), values, n)
 
 
 def _is_finite(z) -> bool:
@@ -1046,9 +1046,8 @@ def _extend_point(ident: Identity, pt: ParamPoint) -> ParamPoint:
     nome = Nome(conv(pt.nome.q), conv(pt.nome.p))
     values = {name: conv(pt.values[name])
               for name in (*ident.extra_bases, *ident.free_params)}
-    n = pt.integers[ident.termination[0]]
-    values.update(ident.solve(values, n, nome.q))
-    return ParamPoint(nome, values, dict(pt.integers))
+    values.update(ident.solve(values, pt.n, nome.q))
+    return ParamPoint(nome, values, pt.n)
 
 
 MAX_RESAMPLES = 100
@@ -1343,7 +1342,7 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
         total_resamples += resamples
         err = trial_error(lhs, rhs, scale)
         errs.append(err)
-        dump = point_dump(pt.nome, pt.values, pt.integers)
+        dump = point_dump(pt.nome, pt.values, pt.n)
         if err > worst_err:
             worst_err = err
             worst_point = dump
@@ -1365,19 +1364,16 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
 
 
 def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
-                                region: SamplingRegion = DEFAULT_REGION,
-                                p_zero: bool = False) -> dict:
+                                region: SamplingRegion = DEFAULT_REGION) -> dict:
     """Agreement of the two gauge choices of each transformation's right side.
 
     The left side of the quadratic (resp. cubic) transformation does not
     involve the gauge parameter, so the two right-hand forms must agree at
     matched points; this is itself a ten-term transformation instance, run by
-    :func:`check_identity` as an unregistered record.  ``p_zero`` draws |p| = 0.
+    :func:`check_identity` as an unregistered record.
     Returns {pair name: max relative difference}; a pair that runs out of
     admissible draws raises :class:`SamplingExhausted`.
     """
-    if p_zero:
-        region = replace(region, p_mod=(0.0, 0.0))
     out = {}
     for pair_name, id_a, id_b in (
             ("quadratic", "etrafo_quadratic_gab", "etrafo_quadratic_gae"),
@@ -1387,8 +1383,8 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
         def rhs_b(pt):
             values = dict(pt.values)
             values.update(ident_b.solve({k: values[k] for k in ident_b.free_params},
-                                        pt.integers["n"], pt.nome.q))
-            return ident_b.rhs(ParamPoint(pt.nome, values, pt.integers))
+                                        pt.n, pt.nome.q))
+            return ident_b.rhs(ParamPoint(pt.nome, values, pt.n))
 
         pair = replace(ident_a, id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
         rep = check_identity(pair, trials, seed=seed, region=region)

@@ -27,7 +27,7 @@ from .kernel import (
     eval_E,
     pochhammer_e,
 )
-from .series import omega_sum
+from .series import _summed, omega_sum
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,9 @@ def check_orthogonality(pair: InversePair, n_max: int) -> float:
                 raise DegenerateParameters(f"entry (n={n}, k={k}): {exc}") from exc
     for n in range(n_max + 1):
         for l in range(n + 1):
-            terms = [finv[n, k] * f[k, l] for k in range(l, n + 1)]
-            total = sum(terms)
+            total, scale = _summed(finv[n, k] * f[k, l] for k in range(l, n + 1))
             target = 1.0 if n == l else 0.0
-            scale = max(max(abs(t) for t in terms), 1e-300)
-            worst = max(worst, float(abs(total - target) / scale))
+            worst = max(worst, float(abs(total - target) / max(scale, 1e-300)))
     return worst
 
 
@@ -212,9 +210,7 @@ def apply_pair(pair: InversePair, a_seq: Callable[[int], complex], n: int):
     """b_n = sum_{k=0}^{n} f_{n,k} a_k for a sequence evaluator a_seq."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0.0
-    for k in range(n + 1):
-        total = total + pair.f(n, k) * a_seq(k)
+    total, _ = _summed(pair.f(n, k) * a_seq(k) for k in range(n + 1))
     return total
 
 
@@ -237,14 +233,16 @@ def macdonald_sides(a: Sequence, b: Sequence, c: Sequence, d: Sequence, p):
     if not (len(b) == len(c) == len(d) == n + 1):
         raise ValueError("parameter sequences must share one length")
     E = lambda z: eval_E(z, p)
-    lhs = 0.0
-    for k in range(n + 1):
+
+    def term(k: int):
         t = b[k] / c[k] * E(a[k] * b[k]) * E(a[k] / b[k]) * E(c[k] * d[k]) * E(c[k] / d[k])
         for j in range(k):
             t *= E(a[j] * c[j]) * E(a[j] / c[j]) * E(b[j] * d[j]) * E(b[j] / d[j])
         for j in range(k + 1, n + 1):
             t *= E(a[j] * d[j]) * E(a[j] / d[j]) * E(b[j] * c[j]) * E(b[j] / c[j])
-        lhs = lhs + t
+        return t
+
+    lhs, _ = _summed(map(term, range(n + 1)))
     prod1 = 1.0
     prod2 = 1.0
     for j in range(n + 1):
@@ -281,14 +279,14 @@ def _replay_sides(r: int, a, b, nome: Nome, n: int, a_seq: Callable[[int], compl
     ``closed_dens``, each a (parameter, nome, length) shifted factorial.
     """
     pair = RStepPair(a, b, r, nome)
-    terms = [pair.f(n, k) * a_seq(k) for k in range(n + 1)]
+    total, scale = _summed(pair.f(n, k) * a_seq(k) for k in range(n + 1))
     (u, base, m), *nums = closed_nums
     closed = pochhammer_e(u, base, m)
     for u, base, m in nums:
         closed *= pochhammer_e(u, base, m)
     for u, base, m in closed_dens:
         closed /= pochhammer_e(u, base, m)
-    return sum(terms), closed, max(abs(t) for t in terms)
+    return total, closed, scale
 
 
 def quadratic_replay_sides(a, b, c, d, nome: Nome, n: int):

@@ -126,7 +126,7 @@ class Nome:
     def __post_init__(self) -> None:
         if self.q == 0:
             raise NonzeroRequired("base q must be nonzero")
-        if abs(self.p) >= 1:
+        if not abs(self.p) < 1:
             raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(self.p)}")
 
     def with_base(self, q) -> "Nome":
@@ -441,7 +441,7 @@ def _qinf_pair_mpc(x, p, setup, policy: TruncationPolicy, memo):
     """
     ctx, prec, rounding, wp, p_parts = setup
     p_abs = _float_abs(p)
-    if p_abs >= 1.0 and abs(p) >= 1:
+    if not p_abs < 1.0 and not abs(p) < 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     if not p:
         return 1.0 - x
@@ -556,7 +556,7 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
         value = _qinf_pair_mpc(x, p, setup, policy, memo)
     else:
         p_abs = abs(p)
-        if p_abs >= 1:
+        if not p_abs < 1:
             raise NomeOutOfRange(f"|p| must be < 1, got |p| = {p_abs}")
         if not p:
             return 1.0 - x
@@ -669,7 +669,7 @@ def theta1(z, p):
     The factor count of (p^2; p^2)_inf follows the type of p^2, as in
     :func:`eval_E`.
     """
-    if _float_abs(p) >= 1.0 and abs(p) >= 1:
+    if not _float_abs(p) < 1.0 and not abs(p) < 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     if not p:
         return 0.0 * z
@@ -686,37 +686,3 @@ def theta1(z, p):
 def binom2(n: int) -> int:
     """Binomial coefficient C(n, 2) = n(n-1)/2, valid for negative n too."""
     return n * (n - 1) // 2
-
-
-class CompensatedSum:
-    """Neumaier-compensated accumulator, per real/imaginary component.
-
-    Works on binary64 complex exactly; with wider scalar types the
-    compensation terms are simply tiny and harmless.
-    """
-
-    __slots__ = ("_sr", "_cr", "_si", "_ci")
-
-    def __init__(self) -> None:
-        self._sr = 0.0
-        self._cr = 0.0
-        self._si = 0.0
-        self._ci = 0.0
-
-    def add(self, z) -> None:
-        x, y = z.real, z.imag
-        t = self._sr + x
-        if abs(self._sr) >= abs(x):
-            self._cr += (self._sr - t) + x
-        else:
-            self._cr += (x - t) + self._sr
-        self._sr = t
-        t = self._si + y
-        if abs(self._si) >= abs(y):
-            self._ci += (self._si - t) + y
-        else:
-            self._ci += (y - t) + self._si
-        self._si = t
-
-    def value(self):
-        return (self._sr + self._cr) + 1j * (self._si + self._ci)

@@ -17,7 +17,6 @@ from .errors import BalanceViolation, DegenerateParameters
 from .kernel import (
     BALANCE_TOL,
     DELTA_DEGEN,
-    CompensatedSum,
     Nome,
     _check_degen,
     _residual,
@@ -25,7 +24,7 @@ from .kernel import (
     pochhammer_e,
     pochhammer_partition,
 )
-from .series import omega_terms
+from .series import _summed, omega_terms
 
 # Hard cap on brute-force n-fold sums: (N+1)^n terms.
 MAX_BRUTE_TERMS = 100_000
@@ -112,12 +111,11 @@ def _check_constraint(lhs, rhs, what: str) -> None:
         raise BalanceViolation(f"{what}: relative residual {res:.3e}")
 
 
-def cn_jackson_sides(pt: CnPoint, reverse_order: bool = False):
+def cn_jackson_sides(pt: CnPoint):
     """(brute-force n-fold sum, closed-form product) of the C_n Jackson sum.
 
     Requires a^2 q^{N - n + 2} = b c d e.  The left side iterates over all
-    (k_1..k_n) in [0, N]^n, so (N+1)^n is capped.  ``reverse_order`` walks
-    the lattice backwards; the compensated total must not depend on it.
+    (k_1..k_n) in [0, N]^n, so (N+1)^n is capped.
     """
     n, N = pt.n, pt.N
     xs = pt.x if isinstance(pt.x, (tuple, list)) else (pt.x,)
@@ -161,13 +159,7 @@ def cn_jackson_sides(pt: CnPoint, reverse_order: bool = False):
             val *= q ** ((i + 1) * ki)
         return val
 
-    lattice = list(itertools.product(range(N + 1), repeat=n))
-    if reverse_order:
-        lattice.reverse()
-    acc = CompensatedSum()
-    for ks in lattice:
-        acc.add(summand(ks))
-    lhs = acc.value()
+    lhs, _ = _summed(map(summand, itertools.product(range(N + 1), repeat=n)))
 
     rhs = 1.0
     for i in range(1, n + 1):
@@ -234,10 +226,9 @@ def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int):
     prod = math.prod(uppers_full, start=1.0)
     _check_constraint(prod * prod, a1 ** (r - 3) * q ** (r - 5) * x ** (2 - 2 * nparts),
                       "(a4...a_{r+1})^2 = a1^{r-3} q^{r-5} x^{2-2n}")
-    acc = CompensatedSum()
-    for lam in enumerate_partitions(nparts, N):
-        acc.add(_omega_summand(a1, uppers_full, nome, x, nparts, lam.parts))
-    return acc.value()
+    value, _ = _summed(_omega_summand(a1, uppers_full, nome, x, nparts, lam.parts)
+                       for lam in enumerate_partitions(nparts, N))
+    return value
 
 
 def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int):
@@ -249,13 +240,13 @@ def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int):
     q = nome.q
     uppers_full = tuple(upper) + (q ** (-N),)
     terms = omega_terms(a1, uppers_full, nome, N)
-    acc = CompensatedSum()
-    for lam in enumerate_partitions(nparts, N):
-        mult = math.factorial(nparts)
-        for m in lam.multiplicities(N):
-            mult //= math.factorial(m)
-        acc.add(math.prod((terms[part] for part in lam.parts), start=1.0 * mult))
-    return acc.value()
+
+    def summand(lam: Partition):
+        mult = math.factorial(nparts) // math.prod(map(math.factorial, lam.multiplicities(N)))
+        return math.prod((terms[part] for part in lam.parts), start=1.0 * mult)
+
+    value, _ = _summed(map(summand, enumerate_partitions(nparts, N)))
+    return value
 
 
 def _rectangle_ratio(nums, dens, pt: CnPoint):

@@ -70,11 +70,11 @@ class VerificationReport:
         return cls(**d)
 
 
-def point_dump(nome, values: dict, integers: dict) -> dict:
-    """JSON-ready dump of a sampled parameter point."""
+def point_dump(nome, values: dict, n: int) -> dict:
+    """JSON-ready dump of a sampled parameter point with termination index n."""
     return {
         "q": _cpair(nome.q),
         "p": _cpair(nome.p),
         "values": {k: _cpair(v) for k, v in sorted(values.items())},
-        "integers": {k: int(v) for k, v in sorted(integers.items())},
+        "integers": {"n": int(n)},
     }

@@ -22,7 +22,6 @@ from typing import Sequence
 from .errors import BalanceViolation
 from .kernel import (
     BALANCE_TOL,
-    CompensatedSum,
     Nome,
     _check_degen,
     _residual,
@@ -97,15 +96,31 @@ def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
 def _summed(terms) -> tuple:
     """Compensated left-to-right sum and the largest summand magnitude.
 
-    The magnitude is the summand scale zero-sided identity checks use to
-    normalize what "numerically zero" means.
+    The package's one summation routine: Neumaier's update (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 4) on the real and
+    imaginary parts, each a running sum s and its correction c.  Wider
+    scalar types pass through unchanged; their corrections are tiny and
+    harmless.  The magnitude is the summand scale zero-sided identity checks
+    use to normalize what "numerically zero" means.
     """
-    acc = CompensatedSum()
+    sr = cr = si = ci = 0.0
     scale = 0.0
-    for t in terms:
-        acc.add(t)
-        scale = max(scale, float(abs(t)))
-    return acc.value(), scale
+    for z in terms:
+        x, y = z.real, z.imag
+        t = sr + x
+        if abs(sr) >= abs(x):
+            cr += (sr - t) + x
+        else:
+            cr += (x - t) + sr
+        sr = t
+        t = si + y
+        if abs(si) >= abs(y):
+            ci += (si - t) + y
+        else:
+            ci += (y - t) + si
+        si = t
+        scale = max(scale, float(abs(z)))
+    return (sr + cr) + 1j * (si + ci), scale
 
 
 def vwp_sum(prefactor, num_groups: Sequence, den_groups: Sequence, weight,

@@ -462,7 +462,8 @@ def run_determinants_suite(trials: int = 20, seed: int = 1,
         corollary_determ_product,
         det_lemma_matrix,
         det_lemma_product,
-        theta_det_sides,
+        theta_det_matrix,
+        theta_det_product,
     )
 
     checks = [
@@ -476,7 +477,7 @@ def run_determinants_suite(trials: int = 20, seed: int = 1,
         Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
               partial(_det_rel, det_lemma_matrix, det_lemma_product), 1e-8),
         Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
-              partial(_sides_rel, theta_det_sides), 1e-8),
+              partial(_det_rel, theta_det_matrix, theta_det_product), 1e-8),
     ]
     return run_checks(checks, trials, seed, region, only)
 

@@ -108,7 +108,7 @@ def test_criterion_06_classical_degenerations():
     for seed in range(20):
         ident = get_identity("e87")
         pt = sample_point(ident, seed=seed, region=region)
-        v, n, q = pt.values, pt.integers["n"], pt.nome.q
+        v, n, q = pt.values, pt.n, pt.nome.q
         lhs, _ = ident.lhs(pt)
         want = classical_w_sum(v["a"], (v["b"], v["c"], v["d"], v["e"],
                                         q ** (-n)), q, n)
@@ -116,7 +116,7 @@ def test_criterion_06_classical_degenerations():
 
         ident = get_identity("e109")
         pt = sample_point(ident, seed=seed, region=region)
-        v, n, q = pt.values, pt.integers["n"], pt.nome.q
+        v, n, q = pt.values, pt.n, pt.nome.q
         lhs, _ = ident.lhs(pt)
         want = classical_w_sum(v["a"], (v["b"], v["c"], v["d"], v["e"], v["f"],
                                         v["g"], q ** (-n)), q, n)

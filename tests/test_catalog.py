@@ -71,7 +71,7 @@ class TestSampling:
         pt = sample_point(ident, seed=5)
         v = pt.values
         spec = OmegaSpec(v["a"], (v["b"], v["c"], v["d"], v["e"]), pt.nome,
-                         pt.integers["n"])
+                         pt.n)
         assert balance_residual(spec) <= 1e-12
 
     def test_same_seed_identical_point(self):
@@ -79,13 +79,13 @@ class TestSampling:
         p1 = sample_point(ident, seed=99)
         p2 = sample_point(ident, seed=99)
         assert p1.nome == p2.nome
-        assert p1.values == p2.values and p1.integers == p2.integers
+        assert p1.values == p2.values and p1.n == p2.n
 
     def test_branch_filter_respected(self):
         ident = get_identity("etrafo5_b0")
         for seed in range(12):
             pt = sample_point(ident, seed=seed)
-            assert pt.integers["n"] % 3 != 2
+            assert pt.n % 3 != 2
 
     def test_moduli_in_region(self):
         ident = get_identity("e87")
@@ -141,7 +141,7 @@ def _two_call_draw(rng, bounds):
 
 def _point_bits(pt):
     numbers = [pt.nome.q, pt.nome.p, *(pt.values[name] for name in sorted(pt.values))]
-    return [bits(z) for z in numbers], sorted(pt.values), pt.integers
+    return [bits(z) for z in numbers], sorted(pt.values), pt.n
 
 
 _SEEDS = random.Random(15)
@@ -245,7 +245,7 @@ class TestCheckIdentity:
         ident = get_identity("e109")
         region = SamplingRegion(p_mod=(0.0, 0.0))
         pt = sample_point(ident, seed=11, region=region)
-        v, n, q = pt.values, pt.integers["n"], pt.nome.q
+        v, n, q = pt.values, pt.n, pt.nome.q
         lhs, _ = ident.lhs(pt)
         want = classical_w_sum(v["a"],
                                (v["b"], v["c"], v["d"], v["e"], v["f"], v["g"],
@@ -257,7 +257,7 @@ class TestCheckIdentity:
         found_zero = False
         for seed in range(20):
             pt = sample_point(ident, seed=seed)
-            if pt.integers["n"] % 2 == 1:
+            if pt.n % 2 == 1:
                 lhs, scale = ident.lhs(pt)
                 rhs, _ = ident.rhs(pt)
                 assert rhs == 0.0
@@ -343,7 +343,7 @@ class TestEtrafo5Branches:
             hits = 0
             for seed in range(30):
                 pt = sample_point(ident_a, seed=seed)
-                if pt.integers["n"] % 3 != residue:
+                if pt.n % 3 != residue:
                     continue
                 ra, _ = ident_a.rhs(pt)
                 rb, _ = ident_b.rhs(pt)
@@ -371,7 +371,8 @@ class TestTransformPairs:
         assert out["cubic"] <= 1e-9
 
     def test_classical_degeneration(self):
-        out = cross_check_transform_pairs(trials=20, seed=1, p_zero=True)
+        out = cross_check_transform_pairs(
+            trials=20, seed=1, region=SamplingRegion(p_mod=(0.0, 0.0)))
         assert out["quadratic"] <= 1e-9
         assert out["cubic"] <= 1e-9
 
@@ -398,8 +399,8 @@ class TestSmallNomeContinuity:
 
         region = SamplingRegion(q_mod=(0.5, 0.8), p_mod=(0.0, 0.0))
         for ident in list_identities():
-            name, lo, hi = ident.termination
-            probe = dataclasses.replace(ident, termination=(name, lo, min(hi, 1)))
+            lo, hi = ident.termination
+            probe = dataclasses.replace(ident, termination=(lo, min(hi, 1)))
             hit = False
             for seed in range(12):
                 pt = sample_point(probe, seed=seed, region=region)
@@ -407,7 +408,7 @@ class TestSmallNomeContinuity:
                 if rhs0 == 0:
                     continue
                 lhs0, _ = ident.lhs(pt)
-                tiny = ParamPoint(Nome(pt.nome.q, 1e-6), pt.values, pt.integers)
+                tiny = ParamPoint(Nome(pt.nome.q, 1e-6), pt.values, pt.n)
                 lhs6, _ = ident.lhs(tiny)
                 rhs6, _ = ident.rhs(tiny)
                 assert rel_err(lhs6, lhs0) <= 1e-4, ident.id

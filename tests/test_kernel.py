@@ -25,7 +25,6 @@ from ellipsum.kernel import (
     DEFAULT_POLICY,
     DELTA_DEGEN,
     EXTENDED_POLICY,
-    CompensatedSum,
     binom2,
     pochhammer_frac,
 )
@@ -598,19 +597,34 @@ class TestNome:
         assert Nome(0.5, 0.0).p == 0.0
 
 
-class TestCompensatedSum:
-    def test_recovers_cancellation(self):
-        acc = CompensatedSum()
-        for x in (1.0, 1e-16, -1.0):
-            acc.add(complex(x, 0.0))
-        assert acc.value() == 1e-16 + 0.0j
+NAN = float("nan")
 
-    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                       allow_infinity=False), max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_plain_sum_to_roundoff(self, values):
-        acc = CompensatedSum()
-        for z in values:
-            acc.add(z)
-        plain = sum(values, 0.0 + 0.0j)
-        assert abs(acc.value() - plain) <= 1e-9 * (1 + abs(plain))
+
+class TestNanNome:
+    # A NaN nome fails every range test, so each one is written as
+    # "not |p| < 1" and rejects it before any factor count is taken.
+    def test_nome_rejects_nan(self):
+        with pytest.raises(NomeOutOfRange):
+            Nome(0.5, NAN)
+        with pytest.raises(NomeOutOfRange):
+            Nome(0.5, complex(0.1, NAN))
+
+    def test_binary64_rejects_nan(self):
+        with pytest.raises(NomeOutOfRange):
+            eval_E(0.5, NAN)
+        with pytest.raises(NomeOutOfRange):
+            eval_E(0.5 + 0.1j, complex(NAN, 0.0))
+        with pytest.raises(NomeOutOfRange):
+            theta1(0.3, NAN)
+
+    def test_mpc_rejects_nan(self):
+        with mpmath.workdps(50):
+            nan = mpmath.mpc(mpmath.nan)
+            with pytest.raises(NomeOutOfRange):
+                Nome(0.5, nan)
+            with pytest.raises(NomeOutOfRange):
+                eval_E(mpmath.mpc("0.5"), nan)
+            with pytest.raises(NomeOutOfRange):
+                eval_E(mpmath.mpc("0.5"), NAN)
+            with pytest.raises(NomeOutOfRange):
+                theta1(mpmath.mpc("0.3"), nan)

@@ -1,9 +1,13 @@
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipsum import BalanceViolation, DegenerateParameters, Nome
 from ellipsum.kernel import eval_E
 from ellipsum.series import (
     OmegaSpec,
+    _summed,
     balance_residual,
     eval_omega,
     omega_sum,
@@ -180,3 +184,39 @@ class TestEngine:
         spec = jackson_spec(rnd, n=3)
         terms = omega_terms(spec.a1, spec.full_upper(), spec.nome, 3)
         assert terms[0] == 1.0
+
+
+FINITE = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestSummed:
+    def test_recovers_cancellation(self):
+        # A plain left-to-right sum misses the 1e-16 in either order.
+        for terms in ([1.0, 1e-16, -1.0], [-1.0, 1e-16, 1.0]):
+            assert sum(terms) != 1e-16
+            assert _summed(complex(x, -x) for x in terms) == (1e-16 - 1e-16j, abs(1 - 1j))
+
+    @given(st.lists(FINITE, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_sum_to_roundoff(self, values):
+        value, scale = _summed(values)
+        plain = sum(values, 0.0 + 0.0j)
+        assert abs(value - plain) <= 1e-9 * (1 + abs(plain))
+        assert scale == max((abs(z) for z in values), default=0.0)
+
+    @given(st.lists(FINITE, min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_reversed_order(self, values):
+        # Neumaier's bound, 2u|s| + O(n u^2) sum |t|, holds in any order,
+        # so two orders differ by rounding of the total, not of the terms.
+        forward, scale = _summed(values)
+        backward, _ = _summed(reversed(values))
+        assert abs(forward - backward) <= 1e-15 * abs(forward) + 1e-28 * len(values) * scale
+
+    def test_mpc_terms_keep_their_precision(self):
+        with mpmath.workdps(50):
+            terms = [mpmath.mpc(1), mpmath.mpc("1e-40", "1e-45"), mpmath.mpc(-1)]
+            value, scale = _summed(terms)
+            assert isinstance(value, mpmath.mpc)
+            assert value == mpmath.mpc("1e-40", "1e-45")
+        assert scale == 1.0

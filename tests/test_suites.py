@@ -80,23 +80,47 @@ class TestRunChecks:
         assert res.trials == 7 and res.resamples == 0
 
 
+def _patch_det_numeric(monkeypatch, replacement):
+    real = determinants.det_numeric
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ellipsum") and \
+                vars(module).get("det_numeric") is real:
+            monkeypatch.setattr(module, "det_numeric", replacement)
+    return real
+
+
 @pytest.mark.parametrize("name", ["quadratic_base_determinant",
                                   "factorial_ratio_determinant",
-                                  "periodic_family_determinant"])
+                                  "periodic_family_determinant",
+                                  "theta_determinant_2x2"])
 def test_guarded_determinant_row_factors_each_draw_once(name, monkeypatch):
     # One LU per draw: the guarded determinant is the side that is compared.
-    real = determinants.det_numeric
     calls = []
 
     def spy(matrix):
         calls.append(1)
         return real(matrix)
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("ellipsum") and \
-                vars(module).get("det_numeric") is real:
-            monkeypatch.setattr(module, "det_numeric", spy)
+    real = _patch_det_numeric(monkeypatch, spy)
     (res,) = run_determinants_suite(trials=20, seed=5, only=(name,))
     assert res.passed
     assert len(calls) == res.trials + res.resamples
+
+
+def test_theta_determinant_row_resamples_ill_conditioned_draw(monkeypatch):
+    # The theta row applies the COND_LIMIT guard like every other row: a
+    # first draw reported at kappa_1 = 1e9 is redrawn, not compared.
+    only = ("theta_determinant_2x2",)
+    (plain,) = run_determinants_suite(trials=3, seed=1, only=only)
+    calls = []
+
+    def ill_conditioned_first(matrix):
+        calls.append(1)
+        det, cond = real(matrix)
+        return det, (1e9 if len(calls) == 1 else cond)
+
+    real = _patch_det_numeric(monkeypatch, ill_conditioned_first)
+    (res,) = run_determinants_suite(trials=3, seed=1, only=only)
+    assert res.passed and res.trials == plain.trials
+    assert res.resamples == plain.resamples + 1
 
