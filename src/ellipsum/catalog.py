@@ -24,6 +24,7 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -1068,17 +1069,29 @@ CONDITION_LIMIT = 1e6
 CONDITION_LIMIT_EXTENDED = 1e30
 
 
-def _resample(draw, evaluate, label: str):
-    """The sampling loop: (args, evaluate(*args), rejected draws) for the first
-    args = draw() that raises none of REJECTED, within MAX_RESAMPLES redraws."""
-    for rejected in range(MAX_RESAMPLES + 1):
-        try:
-            args = draw()
-            return args, evaluate(*args), rejected
-        except REJECTED:
-            pass
-    raise SamplingExhausted(
-        f"{label}: no admissible point after {MAX_RESAMPLES} resamples")
+def _trials(label: str, trials: int, stream, draw, evaluate):
+    """The sampling loop of every check: ``(values, resamples, error)``.
+
+    Trial t takes ``evaluate(args)`` of the first ``args = draw(stream(t))``
+    that raises none of REJECTED, within MAX_RESAMPLES redraws.  A trial
+    whose draws are all rejected ends the loop: ``values`` keeps the
+    completed trials and ``error`` says why; otherwise ``error`` is None.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    values, resamples = [], 0
+    for trial in range(trials):
+        rng = stream(trial)
+        for _ in range(MAX_RESAMPLES + 1):
+            try:
+                values.append(evaluate(draw(rng)))
+                break
+            except REJECTED:
+                resamples += 1
+        else:
+            return values, resamples, (
+                f"{label}: no admissible point after {MAX_RESAMPLES} resamples")
+    return values, resamples, None
 
 
 def _worker_count(units: int) -> int:
@@ -1248,16 +1261,18 @@ def _exit_cause(status: int) -> str:
     return f"was killed by signal {-code}"
 
 
-def _admissible_trial(ident: Identity, seed: int, trial: int,
-                      region: SamplingRegion, precision: str):
-    """Draw until both sides evaluate cleanly; returns point, values, count.
+def _identity_trials(ident: Identity, trials: int, seed: int,
+                     region: SamplingRegion, precision: str):
+    """:func:`_trials` of an identity: values ``(pt, lhs, rhs, scale)``.
 
-    Extended trials widen the point and evaluate both sides under
-    ``mpmath.workdps(EXTENDED_DPS)``, which leaves the process-wide mpmath
-    precision as it was.  Each side of each draw gets its own kernel memo, so
-    the right side never reads an E value the left side computed.
+    Trial t draws from ``_rng_for(ident.id, seed, t)``.  Extended trials widen
+    the point and evaluate both sides under ``mpmath.workdps(EXTENDED_DPS)``,
+    which leaves the process-wide mpmath precision as it was.  Each side of
+    each draw gets its own kernel memo, so the right side never reads an E
+    value the left side computed.
     """
-    rng = _rng_for(ident.id, seed, trial)
+    if precision not in ("double", "extended"):
+        raise ValueError(f"precision must be 'double' or 'extended', not {precision!r}")
     extended = precision == "extended"
     cond_limit = CONDITION_LIMIT_EXTENDED if extended else CONDITION_LIMIT
     if extended:
@@ -1280,11 +1295,11 @@ def _admissible_trial(ident: Identity, seed: int, trial: int,
                     cond_limit * float(abs(lhs) + abs(rhs)):
                 raise DegenerateParameters(
                     "cancellation-dominated draw, value far below summand scale")
-            return lhs, rhs, scale
+            return pt, lhs, rhs, scale
 
-    (pt,), (lhs, rhs, scale), resamples = _resample(
-        lambda: (_draw_point(ident, rng, region),), evaluate, ident.id)
-    return pt, lhs, rhs, scale, resamples
+    # _draw_point is looked up per draw, so tests can patch it
+    return _trials(ident.id, trials, partial(_rng_for, ident.id, seed),
+                   lambda rng: _draw_point(ident, rng, region), evaluate)
 
 
 def sample_point(ident: Identity, seed: int,
@@ -1292,10 +1307,12 @@ def sample_point(ident: Identity, seed: int,
     """An admissible parameter point for the identity; deterministic in seed.
 
     The point returned is the one trial 0 of :func:`check_identity` would
-    use with the same seed.
+    use with the same seed, or :class:`SamplingExhausted` is raised.
     """
-    pt, _, _, _, _ = _admissible_trial(ident, seed, 0, region, "double")
-    return pt
+    values, _, error = _identity_trials(ident, 1, seed, region, "double")
+    if error is not None:
+        raise SamplingExhausted(error)
+    return values[0][0]
 
 
 def _rel_diff(a, b) -> float:
@@ -1318,28 +1335,16 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
     Extended trials work in ``mpmath.mpc`` at EXTENDED_DPS digits, a type
     that also takes the kernel's products to the extended tail.  A trial
     that runs out of admissible draws ends the run: the report then fails
-    with the :class:`SamplingExhausted` message as its ``error`` and counts
-    the completed trials, and nothing is raised.
+    with the exhaustion message as its ``error`` and counts the completed
+    trials, and nothing is raised.  ``trials`` below 1 and a ``precision``
+    other than "double" or "extended" raise :class:`ValueError`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     started = perf_counter()
-    errs = []
-    failures = []
-    total_resamples = 0
-    worst_err = -1.0
-    worst_point = None
-    error = None
-    for trial in range(trials):
-        try:
-            pt, lhs, rhs, scale, resamples = _admissible_trial(
-                ident, seed, trial, region, precision)
-        except SamplingExhausted as exc:
-            # every draw of the exhausted trial was rejected
-            error = str(exc)
-            total_resamples += MAX_RESAMPLES + 1
-            break
-        total_resamples += resamples
+    outcomes, resamples, error = _identity_trials(ident, trials, seed, region,
+                                                  precision)
+    errs, failures, worst_err, worst_point = [], [], -1.0, None
+    for trial, (pt, lhs, rhs, scale) in enumerate(outcomes):
+        # at the caller's precision, outside the extended scope
         err = trial_error(lhs, rhs, scale)
         errs.append(err)
         dump = point_dump(pt.nome, pt.values, pt.n)
@@ -1356,7 +1361,7 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
         max_rel_err=max(errs, default=0.0),
         mean_rel_err=sum(errs) / len(errs) if errs else 0.0,
         failures=failures,
-        resamples=total_resamples,
+        resamples=resamples,
         wall_time_ms=(perf_counter() - started) * 1e3,
         worst_point=worst_point,
         error=error,

@@ -36,8 +36,9 @@ class BalanceViolation(EllipticError):
 class SamplingExhausted(EllipticError):
     """Could not draw an admissible parameter point within the resample budget.
 
-    The sampling loop raises it; :func:`ellipsum.catalog.check_identity` and
-    :func:`ellipsum.suites.run_checks` turn it into a failed record with this
+    :func:`ellipsum.catalog.sample_point` and
+    :func:`ellipsum.catalog.cross_check_transform_pairs` raise it.  Checks do
+    not: an exhausted identity or suite check is a failed record with this
     message as its ``error``, and the run goes on.
     """
 

@@ -160,21 +160,17 @@ class KrattenthalerPair:
 InversePair = RStepPair | RawRPair | KrattenthalerPair
 
 
-def f_entry(pair: InversePair, n: int, k: int, lenient: bool = False):
-    """Entry f_{n,k} of the pair's first matrix; structural zero above the
-    diagonal (exact, no floating evaluation)."""
+def f_entry(pair: InversePair, n: int, k: int):
+    """Entry f_{n,k} of the pair's first matrix.  Above the diagonal, where
+    the entry is a structural zero, it raises :class:`IndexOutOfTriangle`."""
     if k > n:
-        if lenient:
-            return 0.0
         raise IndexOutOfTriangle(f"f({n},{k}) lies above the diagonal")
     return pair.f(n, k)
 
 
-def f_inv_entry(pair: InversePair, n: int, k: int, lenient: bool = False):
+def f_inv_entry(pair: InversePair, n: int, k: int):
     """Entry f^{-1}_{n,k} of the pair's inverse matrix."""
     if k > n:
-        if lenient:
-            return 0.0
         raise IndexOutOfTriangle(f"f_inv({n},{k}) lies above the diagonal")
     return pair.f_inv(n, k)
 

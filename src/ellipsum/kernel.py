@@ -101,7 +101,7 @@ class TruncationPolicy:
         k = int(math.ceil(log_target / log_p)) + MARGIN
         if k > self.max_terms:
             raise TruncationLimit(
-                f"|p| = {p_abs:.6g} needs {k} product factors for a tail below "
+                f"|p| = {p_abs!r} needs {k} product factors for a tail below "
                 f"{self.tail_bound:g}, more than the cap of {self.max_terms}")
         return max(30, k)
 

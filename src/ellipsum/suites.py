@@ -4,16 +4,17 @@ cn, conjecture.
 Each suite is a table of :class:`Check` records: a named relation with
 ``draw(rng, region)``, which returns the arguments of one trial, and
 ``evaluate(*args)``, which returns their relative error.  One runner,
-:func:`run_checks`, executes a table.  Each check draws from its own seeded
-stream ``_rng_for(tag, seed, 0)``, so its result does not depend on which
-other checks ran, or in which process, and each trial goes through the
-catalog's sampling loop, which redraws rejected points (near poles,
-ill-conditioned, overflowing or with a non-finite error).  Each draw is
-evaluated in a kernel memo of its own: a check computes its relations
-inline, so the draw is its smallest unit, and the memo holds only E values
-keyed on exact arguments.  A check passes when its worst error stays within
-its tolerance.  Every suite runner takes the same keywords; ``sizes`` only
-matters to cn and conjecture.
+:func:`run_checks`, executes a table, and its trials go through
+:func:`~ellipsum.catalog._trials`, the sampling loop of catalog identities
+too.  Each check draws every trial from its own seeded stream
+``_rng_for(tag, seed, 0)``, so its result does not depend on which other
+checks ran, or in which process; a rejected draw (near a pole,
+ill-conditioned, overflowing or with a non-finite error) shifts the draws
+after it.  Each draw is evaluated in a kernel memo of its own: a check
+computes its relations inline, so the draw is its smallest unit, and the
+memo holds only E values keyed on exact arguments.  A check passes when its
+worst error stays within its tolerance.  Every suite runner takes the same
+keywords; ``sizes`` only matters to cn and conjecture.
 
 The stream is a :class:`~ellipsum.stream.PhiloxStream` (``rng.pair()`` for
 two uniforms, ``rng.integers(lo, hi)``).  Importing this module, as
@@ -36,17 +37,16 @@ from typing import Callable
 from .catalog import (
     CONDITION_LIMIT,
     DEFAULT_REGION,
-    MAX_RESAMPLES,
     TINY,
     SamplingRegion,
     _draw_complex,
     _map_units,
     _rel_diff,
-    _resample,
     _rng_for,
+    _trials,
     _uniform_pair,
 )
-from .errors import DegenerateParameters, SamplingExhausted
+from .errors import DegenerateParameters
 from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
 
 # Largest n of the inverse-pair orthogonality checks.
@@ -116,25 +116,16 @@ def _sides_rel(sides, *args) -> float:
 def _run_check(check: Check, trials: int, seed: int,
                region: SamplingRegion) -> CheckResult:
     rng = _rng_for(check.tag, seed, 0)
-    trials = check.trials or trials
-    worst = 0.0
-    resamples = 0
 
-    def evaluate(*args):
+    def evaluate(args):
         with EMemo():
             return _finite(check.evaluate(*args))
 
-    for trial in range(trials):
-        try:
-            _, err, rejected = _resample(lambda: check.draw(rng, region), evaluate,
-                                         check.name)
-        except SamplingExhausted as exc:
-            # the completed trials, and every draw of the exhausted one rejected
-            return CheckResult(check.name, trial, check.tol, worst,
-                               resamples + MAX_RESAMPLES + 1, str(exc))
-        resamples += rejected
-        worst = max(worst, err)
-    return CheckResult(check.name, trials, check.tol, worst, resamples)
+    errs, resamples, error = _trials(check.name, check.trials or trials,
+                                     lambda trial: rng,     # one stream for all
+                                     lambda rng: check.draw(rng, region), evaluate)
+    return CheckResult(check.name, len(errs), check.tol, max(errs, default=0.0),
+                       resamples, error)
 
 
 def run_checks(checks, trials: int, seed: int = 1,
@@ -146,7 +137,8 @@ def run_checks(checks, trials: int, seed: int = 1,
     ``taskset -c 0`` gives a serial run); records come back in table order,
     and a worker that dies raises :class:`~ellipsum.errors.WorkerError`.
     A check that runs out of admissible draws returns a failed record with an
-    ``error`` instead of raising, and the other checks still run.
+    ``error`` instead of raising, and the other checks still run.  A check
+    run for fewer than one trial raises :class:`ValueError`.
     """
     return _map_units([partial(_run_check, check, trials, seed, region)
                        for check in checks if only is None or check.name in only])

@@ -21,9 +21,10 @@ from ellipsum.catalog import (
 from ellipsum.catalog import _draw_complex, _rng_for, _uniform_pair
 from ellipsum.errors import DegenerateParameters, SamplingExhausted
 from ellipsum.kernel import TruncationPolicy
-from ellipsum.report import VerificationReport
+from ellipsum.report import VerificationReport, point_dump
 from ellipsum.series import OmegaSpec, balance_residual
 from ellipsum.stream import PhiloxStream
+from ellipsum.suites import Check, run_checks, run_kernel_suite
 
 from conftest import bits, rel_err
 from oracles import classical_w_sum
@@ -312,6 +313,10 @@ class TestCheckIdentity:
         assert all(f["rel_err"] > rep.tol for f in rep.failures)
         assert (rep.max_rel_err > rep.tol) == bool(rep.failures)
 
+    def test_unknown_precision_raises(self):
+        with pytest.raises(ValueError, match="precision"):
+            check_identity(get_identity("e87"), trials=1, precision="Extended")
+
     @pytest.mark.parametrize("admitted", [0, 2])
     def test_exhausted_run_is_a_failed_record(self, admitted, monkeypatch):
         # e87 at seed 1 takes its first draw in each of trials 0 and 1; at
@@ -330,6 +335,81 @@ class TestCheckIdentity:
         assert record["resamples"] == catalog.MAX_RESAMPLES + 1
         again = VerificationReport.from_dict(json.loads(json.dumps(record)))
         assert again.to_dict() == record and not again.passed
+
+
+class TestTrials:
+    """The one sampling loop behind identities, sample_point and suite checks."""
+
+    def test_identity_rejection_leaves_next_trial_alone(self, monkeypatch):
+        # one stream per trial: a redraw in trial 0 does not move trial 1
+        def drawn(reject_first):
+            real, dumps = catalog._draw_point, []
+
+            def draw_point(ident, rng, region):
+                pt = real(ident, rng, region)
+                dumps.append(point_dump(pt.nome, pt.values, pt.n))
+                if reject_first and len(dumps) == 1:
+                    raise DegenerateParameters("rejected")
+                return pt
+
+            with monkeypatch.context() as patch:
+                patch.setattr(catalog, "_draw_point", draw_point)
+                rep = check_identity(get_identity("e87"), trials=2)
+            return dumps, rep
+
+        clean, clean_rep = drawn(False)
+        redrawn, rep = drawn(True)
+        assert (clean_rep.resamples, rep.resamples, rep.trials) == (0, 1, 2)
+        assert redrawn[0] == clean[0] != redrawn[1]
+        assert redrawn[2] == clean[1]
+
+    def test_suite_rejection_shifts_next_trial(self):
+        # one stream per check: trial 1 takes the draw after trial 0's redraw
+        def drawn(reject_first, trials):
+            seen = []
+
+            def draw(rng, region):
+                seen.append(rng.pair())
+                return ()
+
+            def evaluate():
+                if reject_first and len(seen) == 1:
+                    raise DegenerateParameters("rejected")
+                return 0.0
+
+            (res,) = run_checks([Check("shift", "test.shift", draw, evaluate, 1e-8)],
+                                trials=trials)
+            return seen, res
+
+        clean, _ = drawn(False, 3)
+        shifted, res = drawn(True, 2)
+        assert res.trials == 2 and res.resamples == 1
+        assert shifted == clean
+
+    @pytest.mark.parametrize("completed", [0, 2])
+    def test_exhausted_trial_keeps_completed_trials(self, completed):
+        calls = []
+
+        def evaluate(args):
+            calls.append(args)
+            if len(calls) > completed:
+                raise DegenerateParameters("rejected")
+            return len(calls)
+
+        values, resamples, error = catalog._trials(
+            "loop", 5, lambda trial: trial, lambda rng: rng, evaluate)
+        assert values == list(range(1, completed + 1))
+        assert resamples == catalog.MAX_RESAMPLES + 1
+        assert error == "loop: no admissible point after 100 resamples"
+        # the exhausted trial drew from its own stream every time
+        assert calls[completed:] == [completed] * (catalog.MAX_RESAMPLES + 1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_an_error(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            check_identity(get_identity("e87"), trials=trials)
+        with pytest.raises(ValueError, match="trials"):
+            run_kernel_suite(trials=trials)
 
 
 class TestEtrafo5Branches:

@@ -226,6 +226,14 @@ class TestUsageErrors:
         assert code == 2
         assert "|p| = 0.99" in err
 
+    def test_truncation_message_keeps_every_digit_of_p(self, capsys):
+        # HI < 1 is required of --p-mod, so the message must not round |p| to 1
+        code = main(["run", "--suite", "kernel", "--trials", "2",
+                     "--p-mod", "0.9999995,0.9999996"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "|p| = 0.999999" in err and "|p| = 1 " not in err
+
     def test_overflow_from_q_names_q_mod(self, capsys):
         code = main(["run", "--suite", "determinants", "--trials", "2",
                      "--q-mod", "1e-100,1e-100"])
