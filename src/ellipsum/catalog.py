@@ -105,6 +105,8 @@ def _eprefactor(a1, gap: int, q, p):
     e_a1 = _check_degen(eval_E(a1, p), "E(a1)")
 
     def pref(k: int):
+        if k == 0:
+            return a1 * 0 + 1.0  # t_0 is exactly 1, in the type of the parameters
         return eval_E(a1 * q ** (gap * k), p) / e_a1
 
     return pref

@@ -11,13 +11,16 @@ the reciprocal convention, and to partition indices row by row.
 All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
 default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 ``+ - * /`` and integer powers are used on parameters, so both types flow
-through unchanged.  The exception is E of an ``mpmath.mpc`` argument,
-which runs on fixed-point Gaussian integers: by the triple product series of
-:func:`_qinf_pair_mpc`, or near its zeros by the factor loop
-:func:`_qinf_mpc`, with factor counts from binary64 moduli (:func:`_float_abs`).
-The type also sets how far the infinite products run: DEFAULT_POLICY for
-binary64, EXTENDED_POLICY for ``mpmath.mpc``.  Only :func:`eval_E` takes a
-policy argument, so that tests can sweep the tail.
+through unchanged.  The exception is E itself, which both types compute
+by Jacobi's triple product series over tables of the nome, and near its
+zeros by factor loops: binary64 by :func:`_theta_float` over
+:func:`_float_tables`, or the loops of :func:`_qinf`; an ``mpmath.mpc``
+argument on fixed-point Gaussian integers, by :func:`_qinf_pair_mpc` or the
+loop :func:`_qinf_mpc`, with factor counts from binary64 moduli
+(:func:`_float_abs`).  The type also sets how far the infinite products run:
+DEFAULT_POLICY for binary64, EXTENDED_POLICY for ``mpmath.mpc``.  Only
+:func:`eval_E` takes a policy argument, so that tests can sweep the tail;
+with one, binary64 E runs the factor loops.
 An :class:`EMemo` scope changes how often E is computed, never its value.
 """
 
@@ -193,6 +196,81 @@ def _qinf(x, p, n: int):
         result = result * (1.0 - y)
         y = y * p
     return result
+
+
+def _qinf_pair(x, p, p_abs: float, policy: TruncationPolicy):
+    """(x; p)_n1 (p/x; p)_n2 in binary64, with the policy's factor counts."""
+    log_p = math.log(p_abs)
+    n1 = policy.num_factors(p_abs, float(abs(x)), log_p)
+    y = p / x
+    n2 = policy.num_factors(p_abs, float(abs(y)), log_p)
+    return _qinf(x, p, n1) * _qinf(y, p, n2)
+
+
+# Binary64 theta sums whose modulus falls below this, a loss of more than
+# four bits to cancellation, give way to the factor loops.
+LOSS_FLOOR = 1 / 16
+
+
+def _float_tables(p, p_abs: float, memo):
+    """The binary64 series tables of p: ``(coeffs, (p; p)_inf)``.
+
+    ``coeffs`` holds (-1)^n p^C(n,2) from the last n with modulus 2^-60 or
+    more down to n = 0, in Horner's order, and (p; p)_inf has the factor count
+    of DEFAULT_POLICY at scale 1, which raises TruncationLimit near |p| = 1.
+    The tables are kept in ``memo`` under (type of p, p) when a memo is open.
+    """
+    key = (p.__class__, p)
+    tables = memo.nomes.get(key) if memo is not None else None
+    if tables is None:
+        pp_inf = _qinf(p, p, DEFAULT_POLICY.num_factors(p_abs, 1.0))
+        coeffs, c, power = [], 1.0, 1.0
+        while abs(c) >= 2.0 ** -60:
+            # c = (-1)^n p^C(n,2) and power = p^n
+            coeffs.append(c)
+            c, power = -c * power, power * p
+        tables = coeffs[::-1], pp_inf
+        if memo is not None:
+            memo.nomes[key] = tables
+    return tables
+
+
+def _theta_float(x, p, coeffs):
+    """theta(x) = sum_n (-1)^n p^C(n,2) x^n in binary64, or None near its zeros.
+
+    By Jacobi's triple product, theta(x) = (p; p)_inf E(x; p).  theta(x) =
+    theta(p/x); of x and p/x, z is the larger, and k steps of
+    theta(z) = -z theta(z p) bring it to |z| <= 1.  There theta(z) =
+    A(z) + A(p/z) - 1 with A(w) = sum_{n>=0} (-1)^n p^C(n,2) w^n, both by
+    Horner's rule over ``coeffs`` from :func:`_float_tables`.  Every term is
+    at most 1 in modulus, so where the sum falls below LOSS_FLOOR, or is not
+    finite, the caller runs the factor loops instead; that keeps the zeros of
+    E, x = p^k, exact.
+    """
+    y = p / x
+    if abs(x) >= abs(y):
+        z = x
+    else:
+        z, y = y, x
+    step = 1.0
+    # past max_terms steps the factor loops need more factors than their cap
+    for k in range(DEFAULT_POLICY.max_terms):
+        if not abs(z) > 1.0:
+            break
+        step, z = -step * z, z * p
+    else:
+        return None
+    if k:
+        y = p / z
+    a = b = 0.0
+    for c in coeffs:
+        a = a * z + c
+        b = b * y + c
+    s = a + b - 1.0
+    if not abs(s) >= LOSS_FLOOR:
+        return None
+    theta = step * s
+    return theta if cmath.isfinite(theta) else None
 
 
 @functools.cache
@@ -503,13 +581,15 @@ class EMemo:
 
     Inside the scope, eval_E keys its results in a table that starts empty:
     an ``mpmath.mpc`` x on (x._mpc_, raw parts of p in its context, policy),
-    any other x on (type of x, type of p, x, p, policy).  On exit the memo
-    open before is restored, also when the block raises.  A hit returns the
-    value a recomputation would give, bit for bit, since E is a pure function
-    of its arguments at a fixed mpmath precision (a scope must not span a
-    precision change).  ``hits`` counts the calls the table answered.
-    ``nomes`` keeps the series tables of each nome under (raw parts of p,
-    working precision), apart from ``table`` and ``hits``.
+    any other x on (type of x, type of p, x, p, policy as passed or None).
+    On exit the memo open before is restored, also when the block raises.
+    A hit returns the value a recomputation would give, bit for bit, since E
+    is a pure function of its arguments at a fixed mpmath precision (a scope
+    must not span a precision change).  ``hits`` counts the calls the table
+    answered.
+    ``nomes`` keeps the series tables of each nome apart from ``table`` and
+    ``hits``: for the mpc series under (raw parts of p, working precision),
+    for the binary64 series under (type of p, p).
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
@@ -532,8 +612,10 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
 
     Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Without a
     ``policy`` the type of x picks the truncation: EXTENDED_POLICY for an
-    ``mpmath.mpc``, DEFAULT_POLICY otherwise.  Inside an :class:`EMemo`
-    scope a repeated argument is looked up, not recomputed.
+    ``mpmath.mpc``, DEFAULT_POLICY otherwise, where binary64 E is the
+    series of :func:`_theta_float` and DEFAULT_POLICY counts the factor
+    loops near its zeros; with one, binary64 E runs the loops.  Inside an
+    :class:`EMemo` scope a repeated argument is looked up, not recomputed.
     """
     memo = _memo
     setup = None
@@ -541,10 +623,8 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
         setup = _mpc_setup(x, p)
         policy = policy or EXTENDED_POLICY
         key = (x._mpc_, setup[4], policy)
-    else:
-        policy = policy or DEFAULT_POLICY
-        if memo is not None:
-            key = (x.__class__, p.__class__, x, p, policy)
+    elif memo is not None:
+        key = (x.__class__, p.__class__, x, p, policy)
     if memo is not None:
         value = memo.table.get(key)
         if value is not None:
@@ -561,11 +641,14 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
         if not p:
             return 1.0 - x
         p_abs = float(p_abs)
-        log_p = math.log(p_abs)
-        n1 = policy.num_factors(p_abs, float(abs(x)), log_p)
-        y = p / x
-        n2 = policy.num_factors(p_abs, float(abs(y)), log_p)
-        value = _qinf(x, p, n1) * _qinf(y, p, n2)
+        theta = None
+        if policy is None:
+            coeffs, pp_inf = _float_tables(p, p_abs, memo)
+            theta = _theta_float(x, p, coeffs)
+        if theta is None:
+            value = _qinf_pair(x, p, p_abs, policy or DEFAULT_POLICY)
+        else:
+            value = theta / pp_inf
     if memo is not None:
         memo.table[key] = value
     return value
@@ -666,21 +749,30 @@ def theta1(z, p):
     theta_1(z) = i p^{1/4} e^{-iz} (p^2; p^2)_inf E(e^{2iz}; p^2), with the
     principal branch of p^{1/4}.  The branch choice drops out of identities
     in this package because theta_1 factors only appear in balanced ratios.
-    The factor count of (p^2; p^2)_inf follows the type of p^2, as in
-    :func:`eval_E`.
+    In binary64 the last two factors are theta(e^{2iz}; p^2) of
+    :func:`_theta_float`, over the tables of p^2, or near its zeros (p^2;
+    p^2)_inf from those tables times the factor loops of E.  For an
+    ``mpmath.mpc`` p^2 the factor count of (p^2; p^2)_inf follows the type,
+    as in :func:`eval_E`.
     """
     if not _float_abs(p) < 1.0 and not abs(p) < 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     if not p:
         return 0.0 * z
     w = _cexp(2j * z)
-    root = p ** 0.25
     p2 = p * p
-    mpc = hasattr(p2, "_mpc_")
-    policy = EXTENDED_POLICY if mpc else DEFAULT_POLICY
-    n = policy.num_factors(_float_abs(p2), 1.0)  # the prefix scale of (p2; p2) is 1
-    loop = _qinf_mpc if mpc else _qinf
-    return 1j * root * _cexp(-1j * z) * loop(p2, p2, n) * eval_E(w, p2)
+    if hasattr(p2, "_mpc_"):
+        n = EXTENDED_POLICY.num_factors(_float_abs(p2), 1.0)  # the prefix scale of (p2; p2) is 1
+        return 1j * p ** 0.25 * _cexp(-1j * z) * _qinf_mpc(p2, p2, n) * eval_E(w, p2)
+    p2_abs = float(abs(p2))
+    coeffs, pp_inf = _float_tables(p2, p2_abs, _memo)
+    factor = 1j * p ** 0.25 * _cexp(-1j * z)
+    if not w:
+        raise NonzeroRequired("E(x; p) requires x != 0")
+    theta = _theta_float(w, p2, coeffs)
+    if theta is None:
+        theta = pp_inf * _qinf_pair(w, p2, p2_abs, DEFAULT_POLICY)
+    return factor * theta
 
 
 def binom2(n: int) -> int:

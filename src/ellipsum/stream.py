@@ -38,6 +38,20 @@ def _words(n) -> list:
     return words
 
 
+def _powers(init: int, mult: int, count: int) -> tuple:
+    """init * mult^k mod 2^32 for k = 0..count, the constants of SeedSequence's hashmix."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & M32)
+    return tuple(out)
+
+
+# hashmix call j xors its word with _HASH_A[j] and multiplies it by
+# _HASH_A[j + 1]; these cover an entropy of 8 words, 32 calls
+_HASH_A = _powers(_INIT_A, _MULT_A, 32)
+_HASH_B = _powers(_INIT_B, _MULT_B, 4)
+
+
 def _seed_key(seed, spawn_key) -> tuple:
     """``SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, uint64)``."""
     entropy = _words(seed)
@@ -45,32 +59,30 @@ def _seed_key(seed, spawn_key) -> tuple:
     if spawn:
         entropy += [0] * (4 - len(entropy))  # numpy pads the run entropy to the pool
     entropy += spawn
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & M32
-        value = value * const & M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & M32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    entropy += [0] * (4 - len(entropy))
+    calls = 4 * len(entropy)  # 4 to fill the pool, 12 to mix it, 4 a further word
+    hash_a = _HASH_A if calls < len(_HASH_A) else _powers(_INIT_A, _MULT_A, calls)
+    pool = []
+    for j in range(4):
+        h = (entropy[j] ^ hash_a[j]) * hash_a[j + 1] & M32
+        pool.append(h ^ h >> 16)
+    j = 4
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                h = (pool[src] ^ hash_a[j]) * hash_a[j + 1] & M32
+                j += 1
+                r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & M32
+                pool[dst] = r ^ r >> 16
     for word in entropy[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, state = _INIT_B, []
-    for word in pool:
-        word ^= const
-        const = const * _MULT_B & M32
-        word = word * const & M32
+            h = (word ^ hash_a[j]) * hash_a[j + 1] & M32
+            j += 1
+            r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & M32
+            pool[dst] = r ^ r >> 16
+    state = []
+    for j, word in enumerate(pool):
+        word = (word ^ _HASH_B[j]) * _HASH_B[j + 1] & M32
         state.append(word ^ word >> 16)
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 

@@ -1,7 +1,10 @@
+import cmath
 import json
+import math
 import random
 import zlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -232,6 +235,28 @@ class TestSamplingStream:
         assert len(recorded) == 31 * len(seeds)
         assert [_point_bits(sample_point(ident, seed))
                 for ident in list_identities() for seed in seeds] == recorded
+
+
+def test_long_entropy_stream_matches_numpy():
+    # seed and spawn key words past the eight that the hashmix table covers
+    for seed, spawn_key in ((2**200 + 3, (2**100, 5)), (7, (2**300,)), (2**400, ())):
+        new, old = PhiloxStream(seed, spawn_key), _numpy_stream(seed, spawn_key)
+        for lo, hi in INTEGER_RANGES:
+            assert new.pair() == tuple(old.random(2).tolist())
+            assert new.integers(lo, hi) == int(old.integers(lo, hi))
+
+
+def test_eprefactor_first_term_is_exactly_one():
+    # E(a1) / E(a1) rounds away from 1 for some binary64 a1
+    state = random.Random(20261023)
+    draw = lambda lo, hi: cmath.rect(state.uniform(lo, hi), state.uniform(0.0, 2.0 * math.pi))
+    firsts = [catalog._eprefactor(draw(0.5, 2.0), 3, draw(0.3, 0.9), draw(0.05, 0.3))(0)
+              for _ in range(200)]
+    assert all(type(t) is complex and t == 1 for t in firsts)
+    with mpmath.workdps(50):
+        a1, q, p = (mpmath.mpc(z) for z in (0.7 + 0.3j, 0.5 - 0.2j, 0.2j))
+        first = catalog._eprefactor(a1, 4, q, p)(0)
+    assert isinstance(first, mpmath.mpc) and first == 1
 
 
 class TestCheckIdentity:

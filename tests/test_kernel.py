@@ -20,7 +20,7 @@ from ellipsum import (
     pochhammer_partition,
     theta1,
 )
-from ellipsum import kernel
+from ellipsum import kernel, suites
 from ellipsum.kernel import (
     DEFAULT_POLICY,
     DELTA_DEGEN,
@@ -231,6 +231,76 @@ class TestBinary64ProductLoop:
     def test_edge_products(self, x, p):
         for n in (1, 5, 10, 11, 30, 60):
             assert bits(kernel._qinf(x, p, n)) == bits(_plain_qinf(x, p, n)), n
+
+
+def _loop_value(x, p, policy):
+    """E(x; p) by the two factor loops with the policy's counts, or None where they raise."""
+    try:
+        n1, n2 = (policy.num_factors(abs(p), abs(v)) for v in (x, p / x))
+    except TruncationLimit:
+        return None
+    return kernel._qinf(x, p, n1) * kernel._qinf(p / x, p, n2)
+
+
+# The regions of TestEvalEEdges: a modulus range of x and of p, each log-uniform or not.
+SERIES_REGIONS = {
+    "vanishing_nome": ((0.4, 2.2, False), (1e-6, 1e-3, True)),
+    "nome_near_the_truncation_cap": ((0.4, 2.2, False), (0.6, 0.9, False)),
+    "arguments_far_from_the_unit_circle": ((1e-3, 1e3, True), (0.02, 0.4, False)),
+}
+
+
+def _polar(state, lo, hi, log):
+    modulus = 10.0 ** state.uniform(math.log10(lo), math.log10(hi)) if log else state.uniform(lo, hi)
+    return cmath.rect(modulus, state.uniform(0.0, 2.0 * math.pi))
+
+
+class TestBinary64Series:
+    """Binary64 E by the triple product series, with the factor loops near its zeros."""
+
+    @pytest.mark.parametrize("region", list(SERIES_REGIONS))
+    def test_series_meets_the_product_bound(self, region):
+        x_range, p_range = SERIES_REGIONS[region]
+        state = random.Random(20261019)
+        served = 0
+        for _ in range(300):
+            x, p = _polar(state, *x_range), _polar(state, *p_range)
+            coeffs, pp_inf = kernel._float_tables(p, abs(p), None)
+            theta = kernel._theta_float(x, p, coeffs)
+            if theta is None:
+                continue
+            served += 1
+            got = eval_E(x, p)
+            assert got == theta / pp_inf
+            want = truncated_product_E(x, p, ORACLE_TERMS)
+            assert abs(got - want) <= 1e-13 * _factor_scale(x, p)
+        assert served >= 270
+
+    def test_near_zeros_and_explicit_policies_take_the_factor_loops(self):
+        cases = 0
+        for i, (x, p) in enumerate(_sweep_points(3000, 20261021)):
+            near_zero = i % 3 == 2
+            for policy in (None, *SWEEP_POLICIES) if near_zero else SWEEP_POLICIES:
+                want = _loop_value(x, p, policy or DEFAULT_POLICY)
+                if want is None:
+                    with pytest.raises(TruncationLimit):
+                        eval_E(x, p, policy)
+                    continue
+                assert bits(eval_E(x, p, policy)) == bits(want), (x, p, policy)
+                cases += 1
+        assert cases >= 7000
+
+    @pytest.mark.parametrize("one", [1, 1.0, 1 + 0j])
+    @pytest.mark.parametrize("p", [0.3, -0.6, 0.2 - 0.5j, 1e-5j])
+    def test_zero_at_one_stays_exact(self, one, p):
+        assert eval_E(one, p) == 0
+
+    def test_theta1_matches_the_suite_series(self):
+        state = random.Random(20261022)
+        for _ in range(2000):
+            p = _polar(state, 0.05, 0.5, False)
+            z = complex(state.uniform(0.1, 3.0), state.uniform(-0.4, 0.4))
+            assert suites._theta_product_vs_series(z, p) <= 1e-14, (z, p)
 
 
 class TestTruncationPolicy:

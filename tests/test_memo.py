@@ -250,3 +250,37 @@ class TestNomeTables:
         again, _, _ = self._memo_after(1)
         assert again.nomes[key] is not first.nomes[key]
         assert kernel._memo is None
+
+
+class TestBinary64Tables:
+    """Binary64 nomes keep their series tables in ``nomes`` too, one per nome."""
+
+    def test_one_table_per_nome_in_a_scope(self, monkeypatch):
+        builds = []
+        build = kernel._qinf
+
+        def counting(x, p, n):
+            if x is p:
+                builds.append(p)  # (p; p)_inf, built once per table
+            return build(x, p, n)
+
+        monkeypatch.setattr(kernel, "_qinf", counting)
+        q = 0.5 + 0.25j
+        with EMemo() as memo:
+            values = [eval_E(x, p) for p in (P, q) for x in (X, 2 * X, X, 3 * X)]
+            theta = kernel.theta1(0.3 + 0.1j, q)
+            tables = dict(memo.nomes)
+            assert eval_E(X, q) == values[4] and memo.nomes == tables
+        assert builds == [P, q, q * q]
+        assert list(tables) == [(complex, P), (complex, q), (complex, q * q)]
+        assert theta == kernel.theta1(0.3 + 0.1j, q)
+        assert values == [eval_E(x, p) for p in (P, q) for x in (X, 2 * X, X, 3 * X)]
+
+    def test_binary64_and_mpc_tables_are_apart(self):
+        with mpmath.workdps(50):
+            p_mpc = mpmath.mpc(P)
+            with EMemo() as memo:
+                eval_E(X, P)
+                eval_E(mpmath.mpc(X), p_mpc)
+            wp = mpmath.mp.prec + GUARD_BITS
+        assert set(memo.nomes) == {(complex, P), (p_mpc._mpc_, wp)}
