@@ -15,12 +15,14 @@ through unchanged.  The exception is E itself, which both types compute
 by Jacobi's triple product series over tables of the nome, and near its
 zeros by factor loops: binary64 by :func:`_theta_float` over
 :func:`_float_tables`, or the loops of :func:`_qinf`; an ``mpmath.mpc``
-argument on fixed-point Gaussian integers, by :func:`_qinf_pair_mpc` or the
-loop :func:`_qinf_mpc`, with factor counts from binary64 moduli
-(:func:`_float_abs`).  The type also sets how far the infinite products run:
-DEFAULT_POLICY for binary64, EXTENDED_POLICY for ``mpmath.mpc``.  Only
-:func:`eval_E` takes a policy argument, so that tests can sweep the tail;
-with one, binary64 E runs the factor loops.
+argument on fixed-point Gaussian integers, by :func:`_series_mpc` over
+:class:`_NomeTables`, or the loops of :func:`_qinf_mpc`.  The mpc series is
+the infinite product to working precision; binary64 E and every factor
+loop stop at the tail of a truncation policy: DEFAULT_POLICY for binary64,
+EXTENDED_POLICY for the loops of ``mpmath.mpc``, with factor counts from
+binary64 moduli (:func:`_float_abs`).  Only :func:`eval_E` takes a policy
+argument, so that tests can sweep the tail; with one, E runs the loops in
+both types.
 An :class:`EMemo` scope changes how often E is computed, never its value.
 """
 
@@ -111,7 +113,7 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
-# The policy of mpmath.mpc arguments: a smaller tail for 50-digit arithmetic.
+# The policy of the mpc factor loops: a smaller tail for 50-digit arithmetic.
 EXTENDED_POLICY = TruncationPolicy(max_terms=20000, tail_bound=1e-40)
 
 
@@ -313,6 +315,14 @@ def _mpc_setup(x, p):
     return ctx, prec, rounding, prec + GUARD_BITS, p_parts
 
 
+def _to_mpc(setup, re: int, im: int, bits: int):
+    """(re + i im) 2^-bits as an mpc at the context, precision and rounding of ``setup``."""
+    ctx, prec, rounding = setup[:3]
+    from_man_exp = _libmp().from_man_exp
+    return ctx.make_mpc((from_man_exp(re, -bits, prec, rounding),
+                         from_man_exp(im, -bits, prec, rounding)))
+
+
 def _qinf_mpc(x, p, n: int):
     """The first n factors of (x; p)_inf for an ``mpmath.mpc`` x.
 
@@ -323,18 +333,38 @@ def _qinf_mpc(x, p, n: int):
     exponent, cut back to ``wp`` bits after each factor.  Only the result
     is rounded to the working precision.
     """
-    libmp = _libmp()
-    ctx, prec, rounding, wp, p_parts = _mpc_setup(x, p)
-    pr, pi, p_bits = _scaled(p_parts, wp)
-    yr, yi = (libmp.to_fixed(part, wp) for part in x._mpc_)
+    setup = _mpc_setup(x, p)
+    wp = setup[3]
+    pr, pi, p_bits = _scaled(setup[4], wp)
+    yr, yi = (_libmp().to_fixed(part, wp) for part in x._mpc_)
     one = 1 << wp
     re, im, bits = 1, 0, n * wp
     for _ in range(n):
         fr = one - yr
         re, im, bits = _trim(re * fr + im * yi, im * fr - re * yi, bits, wp)
         yr, yi = (yr * pr - yi * pi) >> p_bits, (yr * pi + yi * pr) >> p_bits
-    return ctx.make_mpc((libmp.from_man_exp(re, -bits, prec, rounding),
-                         libmp.from_man_exp(im, -bits, prec, rounding)))
+    return _to_mpc(setup, re, im, bits)
+
+
+def _nome_abs(p) -> float:
+    """|p| in binary64 (:func:`_float_abs`), after checking that p lies in the unit disk."""
+    p_abs = _float_abs(p)
+    if not p_abs < 1.0 and not abs(p) < 1:
+        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
+    return p_abs
+
+
+def _loops_mpc(x, p, p_abs: float, x_abs: float, policy: TruncationPolicy):
+    """(x; p)_n1 (p/x; p)_n2 by the factor loops, with the policy's counts.
+
+    The counts take binary64 moduli, |p/x| as p_abs / x_abs, and raise
+    TruncationLimit for one outside the binary64 range.  p = 0 gives 1 - x.
+    """
+    if not p:
+        return 1.0 - x
+    n1 = policy.num_factors(p_abs, x_abs)
+    n2 = policy.num_factors(p_abs, p_abs / x_abs if x_abs else math.inf)
+    return _qinf_mpc(x, p, n1) * _qinf_mpc(p / x, p, n2)
 
 
 def _trim(re, im, bits: int, wp: int):
@@ -353,36 +383,10 @@ def _fixed(z, wp: int):
     return re << (wp - bits), im << (wp - bits)
 
 
-def _div_shifted(num: int, den: int, shift: int) -> int:
-    """floor(num 2^shift / den) for den > 0 and a shift of either sign."""
-    return (num << max(shift, 0)) // (den << max(-shift, 0))
-
-
 def _quotient(nr, ni, dr, di, shift: int):
     """(n / d) 2^shift for Gaussian integers n and d != 0, each part floored."""
-    den = dr * dr + di * di
-    return (_div_shifted(nr * dr + ni * di, den, shift),
-            _div_shifted(ni * dr - nr * di, den, shift))
-
-
-def _nome_power(nome, n: int, wp: int):
-    """p^n for n >= 1 by binary powering, each part cut back to ``wp`` bits.
-
-    ``nome`` and the result are (re, im, bits) as from :func:`_scaled`.
-    """
-    pr, pi, bits = nome
-    power = None
-    while True:
-        if n & 1:
-            if power is None:
-                power = pr, pi, bits
-            else:
-                rr, ri, rbits = power
-                power = _trim(rr * pr - ri * pi, rr * pi + ri * pr, rbits + bits, wp)
-        n >>= 1
-        if not n:
-            return power
-        pr, pi, bits = _trim(pr * pr - pi * pi, 2 * pr * pi, 2 * bits, wp)
+    up, den = max(shift, 0), (dr * dr + di * di) << max(-shift, 0)
+    return ((nr * dr + ni * di) << up) // den, ((ni * dr - nr * di) << up) // den
 
 
 def _run_length(log_z: float, log_q: float, wp: int) -> int:
@@ -430,146 +434,131 @@ def _horner(zr, zi, coeffs, count: int, wp: int):
 class _NomeTables:
     """The constants of the mpc series for one nome p, with ``wp`` fractional bits.
 
-    ``theta[n]`` = (-1)^n p^C(n,2) and ``euler[k]`` = (-1)^k p^C(k,2) / (p; p)_k,
-    the coefficients of the theta sum and of Euler's series
-    (w; p)_inf = sum_k euler[k] w^k, up to the last index at which a point of
-    modulus 1 still has a term of 2^-wp.  ``pp_inf`` is (p; p)_inf, the
-    partial product (p; p)_{N+1} left over from the euler table times its
-    tail (p^(N+2); p)_inf by Euler's series.  :meth:`power` caches p^n.
+    ``abs`` and ``log2`` are |p| in binary64 and its log2; :meth:`power`
+    caches p^n as from :func:`_scaled`.  ``theta[n]`` = (-1)^n p^C(n,2) are
+    the coefficients of the theta sum, up to the last index at which a
+    point of modulus 1 still has a term of 2^-wp.  ``pp_inf`` is (p; p)_inf
+    by Euler's pentagonal series, sum_k (-1)^k p^(k(3k-1)/2) over all
+    integers k (DLMF 27.14.3): as k(3k-1)/2 = 3 C(k,2) + k, that is the
+    theta sum of nome p^3 at p, whose runs start at p and at p^2.  ``recip``
+    is 1 / (p; p)_inf as (re, im, bits).
+
+    ``theta`` is None, and every call takes the factor loops, for p = 0, a
+    |p| below the binary64 range, or a (p; p)_inf that has lost more than
+    GUARD_BITS - 8 bits to cancellation (|p| near 1).  Since any call may
+    need the loops, a |p| whose loops exceed the cap of EXTENDED_POLICY at
+    |x| = 1 raises TruncationLimit here.
     """
 
-    __slots__ = ("wp", "log2", "scaled", "theta", "euler", "pp_inf", "_log2_gap", "_powers")
+    __slots__ = ("abs", "log2", "theta", "pp_inf", "recip", "_wp", "_powers")
 
-    def __init__(self, p_parts, log2_p: float, wp: int):
-        self.wp = wp
-        self.log2 = log2_p
-        self.scaled = pr, pi, bits = _scaled(p_parts, wp)
-        # |(p; p)_k| >= (1 - |p|)^k bounds the euler coefficients
-        self._log2_gap = math.log2(1.0 - 2.0 ** log2_p)
-        self._powers = {}
-        one = 1 << wp
-        last = _run_length(0.0, log2_p, wp)
-        self.theta = _theta_terms(one, 0, self.scaled, wp, last)[0]
-        self.euler = []
-        er, ei = pr >> (bits - wp), pi >> (bits - wp)
-        dr, di = one, 0
-        for cr, ci in self.theta:
-            # (p; p)_k in d, p^(k+1) in e
-            self.euler.append(_quotient(cr, ci, dr, di, wp))
-            fr = one - er
-            dr, di = (dr * fr + di * ei) >> wp, (di * fr - dr * ei) >> wp
-            er, ei = (er * pr - ei * pi) >> bits, (er * pi + ei * pr) >> bits
-        count = self.tail_length((last + 2) * log2_p)
-        if count > last:
-            # p is too near the unit circle for the tables; a zero (p; p)_inf
-            # sends every caller to the factor loops
-            self.pp_inf = 0, 0
-        else:
-            tr, ti = _horner(er, ei, self.euler, count, wp)
-            self.pp_inf = (dr * tr - di * ti) >> wp, (dr * ti + di * tr) >> wp
-
-    def tail_length(self, log2_w: float) -> int:
-        """The last euler index that (w; p)_inf needs for |w| = 2^log2_w."""
-        return _run_length(log2_w - self._log2_gap, self.log2, self.wp)
+    def __init__(self, p, p_parts, wp: int):
+        self.abs = p_abs = _nome_abs(p)
+        self.theta = None
+        if not p_abs:
+            return
+        EXTENDED_POLICY.num_factors(p_abs, 1.0)
+        self.log2 = log2_p = math.log2(p_abs)
+        self._wp = wp
+        self._powers = {1: _scaled(p_parts, wp)}
+        dr, di = -(1 << wp), 0
+        for n in (1, 2):
+            terms = _theta_terms(*_fixed(self.power(n), wp), self.power(3), wp,
+                                 _run_length(n * log2_p, 3 * log2_p, wp))[0]
+            dr, di = dr + sum(t[0] for t in terms), di + sum(t[1] for t in terms)
+        bits = (abs(dr) | abs(di)).bit_length()
+        if wp + 1 - bits > GUARD_BITS - 8:
+            return
+        self.pp_inf = dr, di
+        self.recip = (*_quotient(1, 0, dr, di, wp + bits), bits)
+        self.theta = _theta_terms(1 << wp, 0, self.power(1), wp, _run_length(0.0, log2_p, wp))[0]
 
     def power(self, n: int):
-        """p^n for n >= 1, as (re, im, bits) with parts of ``wp`` bits."""
+        """p^n for n >= 1 from p^(n // 2) p^(n - n // 2), with parts of ``wp`` bits."""
         value = self._powers.get(n)
         if value is None:
-            value = self._powers[n] = _nome_power(self.scaled, n, self.wp)
+            ar, ai, a_bits = self.power(n // 2)
+            br, bi, b_bits = self.power(n - n // 2)
+            value = self._powers[n] = _trim(ar * br - ai * bi, ar * bi + ai * br,
+                                            a_bits + b_bits, self._wp)
         return value
 
 
-def _nome_tables(p_parts, log2_p: float, wp: int, memo) -> _NomeTables:
+def _nome_tables(p, p_parts, wp: int, memo) -> _NomeTables:
     """The tables of p, kept in ``memo`` under (raw parts of p, wp) when a memo is open."""
     if memo is None:
-        return _NomeTables(p_parts, log2_p, wp)
+        return _NomeTables(p, p_parts, wp)
     key = (p_parts, wp)
     tables = memo.nomes.get(key)
     if tables is None:
-        tables = memo.nomes[key] = _NomeTables(p_parts, log2_p, wp)
+        tables = memo.nomes[key] = _NomeTables(p, p_parts, wp)
     return tables
 
 
-def _qinf_pair_mpc(x, p, setup, policy: TruncationPolicy, memo):
-    """(x; p)_n1 (p/x; p)_n2 for an ``mpmath.mpc`` x, with the policy's factor counts.
+def _series_mpc(x, p, setup, memo):
+    """E(x; p) = (x; p)_inf (p/x; p)_inf for an ``mpmath.mpc`` x, to working precision.
 
-    ``setup`` is from :func:`_mpc_setup`; binary64 moduli (:func:`_float_abs`)
-    set every count.  By Jacobi's triple product,
-
-        (x; p)_n1 (p/x; p)_n2 = theta(x) / [(p; p)_inf (x p^n1; p)_inf (p^(n2+1)/x; p)_inf],
-        theta(x) = sum_n (-1)^n p^C(n,2) x^n,
-
-    the product of the two factor loops, from about 30 series terms instead
-    of n1 + n2 factors.  Every part runs on fixed-point Gaussian integers
-    with working precision plus GUARD_BITS fractional bits, and only the
-    quotient is rounded.
+    ``setup`` is from :func:`_mpc_setup`.  By Jacobi's triple product, E(x)
+    = theta(x) / (p; p)_inf with theta(x) = sum_n (-1)^n p^C(n,2) x^n.  Every
+    part runs on fixed-point Gaussian integers with working precision plus
+    GUARD_BITS fractional bits, and only the result is rounded; the terms
+    that each run leaves out are below 2^-wp, so nothing is truncated.
 
     theta(x) = theta(p/x).  Of x and p/x, z is the larger; k steps of
     theta(z) = -z theta(z p) bring z' = z p^k into |p| < |z'| <= 1, and
     theta(z') is the sum of the runs n >= 0 from z' and from p/z', both by
-    Horner's rule.  p/z' comes from the exact parts of p and x, since near
-    a zero of E the two runs cancel and the rounding of p/x would set the
-    error.  The tails use Euler's series; the coefficients and (p; p)_inf
-    are kept in the open :class:`EMemo`.  Every term of theta(z') is at
-    most 1, so the bits that theta(z') falls short of 1 are lost to
-    cancellation.  Past GUARD_BITS - 8 of them, near x = p^k, or where
-    (p; p)_inf is that small, the factor loops run instead; that also keeps
-    exact zeros of the product exact.  Only they need p/x as an mpc.
+    Horner's rule.  p/z' is one quotient of exact parts, p / (x p^k) or
+    x / p^k, since near a zero of E the two runs cancel and the rounding of
+    p/x would set the error.  |p|, the coefficients, p^k and 1 / (p; p)_inf
+    come from :class:`_NomeTables`.  Every term of theta(z') is at most 1,
+    so the bits that the sum falls short of 1 are lost to cancellation.
+    Past GUARD_BITS - 8 of them (near x = p^k), where the tables give no
+    series, or for a |x| outside the binary64 range, the factor loops of
+    EXTENDED_POLICY run instead (:func:`_loops_mpc`); they keep exact zeros
+    exact, and raise TruncationLimit for such a |x|.
     """
-    ctx, prec, rounding, wp, p_parts = setup
-    p_abs = _float_abs(p)
-    if not p_abs < 1.0 and not abs(p) < 1:
-        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
-    if not p:
-        return 1.0 - x
-    log_p = math.log(p_abs)
+    wp = setup[3]
+    tables = _nome_tables(p, setup[4], wp, memo)
     x_abs = _float_abs(x)
-    y_abs = p_abs / x_abs if x_abs else math.inf
-    n1, n2 = (policy.num_factors(p_abs, scale, log_p) for scale in (x_abs, y_abs))
-    log2_p = log_p / math.log(2.0)
-    tables = _nome_tables(p_parts, log2_p, wp, memo)
-    pr, pi, p_bits = tables.scaled
-    one = 1 << wp
-    xs = xr, xi, x_bits = _scaled(x._mpc_, wp)
-    ys = (*_quotient(pr, pi, xr, xi, wp), wp + p_bits - x_bits)
-    log2_x, log2_y = math.log2(x_abs), math.log2(y_abs)
-    z, other, log2_z = (xs, ys, log2_x) if log2_x >= log2_y else (ys, xs, log2_y)
-    k = max(0, math.ceil(log2_z / -log2_p))
-    zr, zi = _fixed(z, wp)
+    if tables.theta is None or not 0.0 < x_abs < math.inf:
+        return _loops_mpc(x, p, tables.abs, x_abs, EXTENDED_POLICY)
+    log2_p = tables.log2
+    pr, pi, p_bits = tables.power(1)
+    xr, xi, x_bits = _scaled(x._mpc_, wp)
+    log2_x = math.log2(x_abs)
+    if 2 * log2_x >= log2_p:  # z = x and p/z' = p / (x p^k)
+        log2_z = log2_x
+        k = max(0, math.ceil(log2_z / -log2_p))
+        zr, zi = _fixed((xr, xi, x_bits), wp)
+        if k:
+            qr, qi, q_bits = tables.power(k)
+            xr, xi, x_bits = xr * qr - xi * qi, xr * qi + xi * qr, x_bits + q_bits
+        yr, yi = _quotient(pr, pi, xr, xi, wp + x_bits - p_bits)
+    else:  # z = p/x and p/z' = x / p^k
+        log2_z = log2_p - log2_x
+        k = max(0, math.ceil(log2_z / -log2_p))
+        zr, zi = _quotient(pr, pi, xr, xi, wp + x_bits - p_bits)
+        if k:
+            qr, qi, q_bits = tables.power(k)
+            yr, yi = _quotient(xr, xi, qr, qi, wp + q_bits - x_bits)
+        else:
+            yr, yi = _fixed((xr, xi, x_bits), wp)
     if k:
-        terms, zr, zi = _theta_terms(zr, zi, tables.scaled, wp, k)
-        tr, ti = terms[-1]
-        qr, qi, q_bits = tables.power(k)
-        yr, yi = _quotient(other[0], other[1], qr, qi, wp + q_bits - other[2])
-    else:
-        tr, ti = one, 0
-        yr, yi = _fixed(other, wp)
+        terms, zr, zi = _theta_terms(zr, zi, tables.power(1), wp, k)
     log2_z += k * log2_p
-    last = len(tables.theta) - 1
-    ar, ai = _horner(zr, zi, tables.theta, min(last, _run_length(log2_z, log2_p, wp)), wp)
-    br, bi = _horner(yr, yi, tables.theta,
-                     min(last, _run_length(log2_p - log2_z, log2_p, wp)), wp)
-    sr, si = ar + br - one, ai + bi
-    dr, di = tables.pp_inf
-    loss = wp + 1 - min((abs(sr) | abs(si)).bit_length(), (abs(dr) | abs(di)).bit_length())
-    tails = [(_fixed(xs, wp), n1, tables.tail_length(log2_x + n1 * log2_p)),
-             (_fixed(ys, wp), n2, tables.tail_length(log2_y + n2 * log2_p))]
-    if loss > GUARD_BITS - 8 or max(count for _, _, count in tails) > last:
-        return _qinf_mpc(x, p, n1) * _qinf_mpc(p / x, p, n2)
-    for (zr, zi), n, count in tails:
-        # w = z p^n, the first point past the truncated product
-        qr, qi, q_bits = tables.power(n)
-        wr, wi = (zr * qr - zi * qi) >> q_bits, (zr * qi + zi * qr) >> q_bits
-        er, ei = _horner(wr, wi, tables.euler, count, wp)
-        dr, di = (dr * er - di * ei) >> wp, (dr * ei + di * er) >> wp
-    nr, ni = tr * sr - ti * si, tr * si + ti * sr
-    # t theta(z') / d with about wp bits in the larger part
-    shift = wp + (abs(dr) | abs(di)).bit_length() - (abs(nr) | abs(ni)).bit_length()
-    qr, qi = _quotient(nr, ni, dr, di, shift)
-    from_man_exp = _libmp().from_man_exp
-    return ctx.make_mpc((from_man_exp(qr, -shift - wp, prec, rounding),
-                         from_man_exp(qi, -shift - wp, prec, rounding)))
+    theta = tables.theta
+    last = len(theta) - 1
+    ar, ai = _horner(zr, zi, theta, min(last, _run_length(log2_z, log2_p, wp)), wp)
+    br, bi = _horner(yr, yi, theta, min(last, _run_length(log2_p - log2_z, log2_p, wp)), wp)
+    sr, si = ar + br - (1 << wp), ai + bi
+    if wp + 1 - (abs(sr) | abs(si)).bit_length() > GUARD_BITS - 8:
+        return _loops_mpc(x, p, tables.abs, x_abs, EXTENDED_POLICY)
+    rr, ri, bits = tables.recip
+    nr, ni, bits = sr * rr - si * ri, sr * ri + si * rr, bits + wp
+    if k:
+        tr, ti = terms[-1]
+        nr, ni, bits = tr * nr - ti * ni, tr * ni + ti * nr, bits + wp
+    return _to_mpc(setup, nr, ni, bits)
 
 
 # The open eval_E memo (see EMemo), or None outside every scope.
@@ -581,7 +570,7 @@ class EMemo:
 
     Inside the scope, eval_E keys its results in a table that starts empty:
     an ``mpmath.mpc`` x on (x._mpc_, raw parts of p in its context, policy),
-    any other x on (type of x, type of p, x, p, policy as passed or None).
+    any other x on (type of x, type of p, x, p, policy), policy as passed.
     On exit the memo open before is restored, also when the block raises.
     A hit returns the value a recomputation would give, bit for bit, since E
     is a pure function of its arguments at a fixed mpmath precision (a scope
@@ -589,7 +578,7 @@ class EMemo:
     answered.
     ``nomes`` keeps the series tables of each nome apart from ``table`` and
     ``hits``: for the mpc series under (raw parts of p, working precision),
-    for the binary64 series under (type of p, p).
+    with |p| and (p; p)_inf, for the binary64 series under (type of p, p).
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
@@ -611,17 +600,18 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
     Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Without a
-    ``policy`` the type of x picks the truncation: EXTENDED_POLICY for an
-    ``mpmath.mpc``, DEFAULT_POLICY otherwise, where binary64 E is the
-    series of :func:`_theta_float` and DEFAULT_POLICY counts the factor
-    loops near its zeros; with one, binary64 E runs the loops.  Inside an
-    :class:`EMemo` scope a repeated argument is looked up, not recomputed.
+    ``policy`` the type of x picks the method: an ``mpmath.mpc`` x gets the
+    infinite product to working precision from :func:`_series_mpc`, where
+    EXTENDED_POLICY counts only the factor loops near zeros and as |p|
+    nears 1; any other x gets the series of :func:`_theta_float`, where
+    DEFAULT_POLICY counts the factor loops near zeros.  With a policy, both
+    types run the loops with its counts.  Inside an :class:`EMemo` scope a
+    repeated argument is looked up, not recomputed.
     """
     memo = _memo
     setup = None
     if x.__class__ is not complex and hasattr(x, "_mpc_"):
         setup = _mpc_setup(x, p)
-        policy = policy or EXTENDED_POLICY
         key = (x._mpc_, setup[4], policy)
     elif memo is not None:
         key = (x.__class__, p.__class__, x, p, policy)
@@ -633,7 +623,10 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
     if not x:
         raise NonzeroRequired("E(x; p) requires x != 0")
     if setup is not None:
-        value = _qinf_pair_mpc(x, p, setup, policy, memo)
+        if policy is None:
+            value = _series_mpc(x, p, setup, memo)
+        else:
+            value = _loops_mpc(x, p, _nome_abs(p), _float_abs(x), policy)
     else:
         p_abs = abs(p)
         if not p_abs < 1:
@@ -752,18 +745,23 @@ def theta1(z, p):
     In binary64 the last two factors are theta(e^{2iz}; p^2) of
     :func:`_theta_float`, over the tables of p^2, or near its zeros (p^2;
     p^2)_inf from those tables times the factor loops of E.  For an
-    ``mpmath.mpc`` p^2 the factor count of (p^2; p^2)_inf follows the type,
-    as in :func:`eval_E`.
+    ``mpmath.mpc`` p^2, (p^2; p^2)_inf is the pentagonal series of the mpc
+    tables of p^2 (:class:`_NomeTables`), or the factor loop of
+    EXTENDED_POLICY where those tables give no series, times :func:`eval_E`.
     """
-    if not _float_abs(p) < 1.0 and not abs(p) < 1:
-        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
+    _nome_abs(p)
     if not p:
         return 0.0 * z
     w = _cexp(2j * z)
     p2 = p * p
     if hasattr(p2, "_mpc_"):
-        n = EXTENDED_POLICY.num_factors(_float_abs(p2), 1.0)  # the prefix scale of (p2; p2) is 1
-        return 1j * p ** 0.25 * _cexp(-1j * z) * _qinf_mpc(p2, p2, n) * eval_E(w, p2)
+        setup = _mpc_setup(w, p2)
+        tables = _nome_tables(p2, setup[4], setup[3], _memo)
+        if tables.theta is None:  # the prefix scale of (p2; p2) is 1
+            pp_inf = _qinf_mpc(p2, p2, EXTENDED_POLICY.num_factors(tables.abs, 1.0))
+        else:
+            pp_inf = _to_mpc(setup, *tables.pp_inf, setup[3])
+        return 1j * p ** 0.25 * _cexp(-1j * z) * pp_inf * eval_E(w, p2)
     p2_abs = float(abs(p2))
     coeffs, pp_inf = _float_tables(p2, p2_abs, _memo)
     factor = 1j * p ** 0.25 * _cexp(-1j * z)

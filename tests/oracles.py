@@ -2,8 +2,9 @@
 
 Nothing here imports evaluation code from the package beyond constructing
 inputs; each oracle recomputes its quantity from first principles (direct
-truncated products, (1-x)-based classical sums, cofactor expansion,
-sine-series theta), so an implementation bug cannot cancel itself.
+truncated products, mpmath's q-Pochhammer symbol, (1-x)-based classical
+sums, cofactor expansion, sine-series theta), so an implementation bug
+cannot cancel itself.
 """
 
 from __future__ import annotations
@@ -17,6 +18,14 @@ def truncated_product_E(x, p, terms: int = 50):
     for k in range(terms):
         val *= (1 - x * p ** k) * (1 - (p / x) * p ** k)
     return val
+
+
+def infinite_product_E(x, p, dps: int = 90):
+    """E(x; p) = (x; p)_inf (p/x; p)_inf by mpmath's q-Pochhammer symbol at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.qp(x, p) * mpmath.qp(p / x, p)
 
 
 def truncated_product_pair(x, p, n1: int, n2: int):

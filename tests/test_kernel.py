@@ -30,7 +30,12 @@ from ellipsum.kernel import (
 )
 
 from conftest import bits, rel_err
-from oracles import theta_sine_series, truncated_product_E, truncated_product_pair
+from oracles import (
+    infinite_product_E,
+    theta_sine_series,
+    truncated_product_E,
+    truncated_product_pair,
+)
 
 # Frozen from the independent 50-term product oracle.
 E_HALF_AT_P01 = 0.3695093618569191
@@ -88,8 +93,9 @@ class TestEvalE:
         with mpmath.workdps(50):
             p = 1 - mpmath.mpf("1e-30")
             for nome in (p, mpmath.mpc(p)):
-                with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
-                    eval_E(mpmath.mpc("0.5", "0.25"), nome, EXTENDED_POLICY)
+                for policy in (None, EXTENDED_POLICY):
+                    with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
+                        eval_E(mpmath.mpc("0.5", "0.25"), nome, policy)
             with pytest.raises(TruncationLimit):
                 theta1(mpmath.mpc("0.3"), mpmath.mpc(p))
 
@@ -391,11 +397,10 @@ def _factor_counts(x, p, policy):
             policy.num_factors(p_abs, float(abs(p / x))))
 
 
-def _pair_rel_err(got, x, p, policy):
-    """Relative error of a 50-digit E(x; p) against its truncated product at 90 digits."""
-    n1, n2 = _factor_counts(x, p, policy)
+def _pair_rel_err(got, x, p):
+    """Relative error of a 50-digit E(x; p) against the infinite product at 90 digits."""
     with mpmath.workdps(90):
-        want = truncated_product_pair(x, p, n1, n2)
+        want = infinite_product_E(x, p)
         return abs(got - want) / abs(want)
 
 
@@ -417,20 +422,36 @@ SERIES_POLICIES = [pytest.param(EXTENDED_POLICY, id="extended"),
                    pytest.param(TruncationPolicy(tail_bound=1e-5), id="tail_1e-5")]
 
 
+def _moduli_grid(seed):
+    """(x, p) with |x| from 1e-6 to 1e6 and |p| from 0.02 to 0.6, random phases."""
+    state = random.Random(seed)
+    for log_x in (-6, -4.5, -3, -1.5, 0, 1.5, 3, 4.5, 6):
+        for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
+            x = _mpc_polar(10 ** log_x, state.uniform(0, 2 * cmath.pi))
+            yield x, _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
+
+
 class TestEvalESeries:
-    """mpc E by the triple product series: the truncated product, by another route."""
+    """mpc E by the triple product series: the infinite product to working precision."""
+
+    def test_matches_the_infinite_product(self, factor_loops):
+        with mpmath.workdps(50):
+            for x, p in _moduli_grid(20261019):
+                assert _pair_rel_err(eval_E(x, p), x, p) <= 1e-48, (x, p)
+        assert factor_loops == []
 
     @pytest.mark.parametrize("policy", SERIES_POLICIES)
-    def test_matches_the_truncated_product(self, policy, factor_loops):
-        state = random.Random(20261019)
+    def test_explicit_policy_gives_the_truncated_product(self, policy, factor_loops):
+        want_counts = []
         with mpmath.workdps(50):
-            for log_x in (-6, -4.5, -3, -1.5, 0, 1.5, 3, 4.5, 6):
-                for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
-                    x = _mpc_polar(10 ** log_x, state.uniform(0, 2 * cmath.pi))
-                    p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
-                    got = eval_E(x, p, policy)
-                    assert _pair_rel_err(got, x, p, policy) <= 1e-48, (log_x, p_mod)
-        assert factor_loops == []
+            for x, p in _moduli_grid(20261019):
+                got = eval_E(x, p, policy)
+                n1, n2 = _factor_counts(x, p, policy)
+                want_counts += n1, n2
+                with mpmath.workdps(90):
+                    want = truncated_product_pair(x, p, n1, n2)
+                    assert abs(got - want) / abs(want) <= 1e-48, (x, p)
+        assert factor_loops == want_counts
 
     def test_zeros_give_the_factor_loop_value(self):
         with mpmath.workdps(50):
@@ -438,9 +459,9 @@ class TestEvalESeries:
             for x in (mpmath.mpc(1), p, p ** 2, 1 / p):
                 n1, n2 = _factor_counts(x, p, EXTENDED_POLICY)
                 want = kernel._qinf_mpc(x, p, n1) * kernel._qinf_mpc(p / x, p, n2)
-                assert eval_E(x, p, EXTENDED_POLICY) == want
-            assert eval_E(mpmath.mpc(1), p, EXTENDED_POLICY) == 0
-            assert eval_E(p, p, EXTENDED_POLICY) == 0
+                assert eval_E(x, p) == want
+            assert eval_E(mpmath.mpc(1), p) == 0
+            assert eval_E(p, p) == 0
 
     def test_near_degenerate_points_stay_on_the_series(self, factor_loops):
         # Near x = 1 and x = p, E(x) is about (1 - x) (p; p)_inf^2, so this
@@ -450,14 +471,14 @@ class TestEvalESeries:
             p = _mpc_polar(0.3, 2.3)
             offset = DELTA_DEGEN / abs(mpmath.qp(p)) ** 2 * mpmath.expjpi(0.3)
             for x in (1 + offset, 1 - offset, p * (1 + offset), p / (1 + offset)):
-                got = eval_E(x, p, EXTENDED_POLICY)
+                got = eval_E(x, p)
                 assert DELTA_DEGEN / 2 < abs(got) < 2 * DELTA_DEGEN
-                assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-45
+                assert _pair_rel_err(got, x, p) <= 1e-45
         assert factor_loops == []
 
     def test_series_path_takes_no_mpc_modulus_or_division(self, monkeypatch, factor_loops):
-        # The factor counts come from float-rounded parts, and p/x from the
-        # exact parts inside the series.
+        # |x| and |p| come from float-rounded parts, and p/x from the exact
+        # parts inside the series.
         calls = []
 
         def counting(name, method):
@@ -471,9 +492,9 @@ class TestEvalESeries:
             for name in ("__abs__", "__truediv__", "__rtruediv__"):
                 method = getattr(mpmath.mpc, name)
                 monkeypatch.setattr(mpmath.mpc, name, counting(name, method))
-            got = eval_E(x, p, EXTENDED_POLICY)
+            got = eval_E(x, p)
             assert calls == []
-            assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-48
+            assert _pair_rel_err(got, x, p) <= 1e-48
         # the wrappers are live: the oracle check takes moduli and quotients
         assert calls.count("__abs__") > 0 and calls.count("__truediv__") > 0
         assert factor_loops == []
@@ -501,13 +522,30 @@ class TestEvalESeries:
         assert counts == want
 
     def test_point_near_a_zero_takes_the_factor_loops(self, factor_loops):
-        # 1e-12 from x = 1 the theta runs cancel about 40 bits, past the guard.
+        # 1e-12 from x = 1 the theta runs cancel about 40 bits, past the
+        # guard; the loops stop at the 1e-40 tail of EXTENDED_POLICY.
         with mpmath.workdps(50):
             p = _mpc_polar(0.3, 2.3)
             x = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
-            got = eval_E(x, p, EXTENDED_POLICY)
-            assert _pair_rel_err(got, x, p, EXTENDED_POLICY) <= 1e-36
+            got = eval_E(x, p)
+            assert _pair_rel_err(got, x, p) <= 1e-36
         assert factor_loops == list(_factor_counts(x, p, EXTENDED_POLICY))
+
+    def test_nome_below_binary64_range_gives_one_factor_each(self):
+        # |p| rounds to 0.0 in binary64: one factor of each product is exact
+        # to far beyond the working precision.
+        with mpmath.workdps(50):
+            x, p = mpmath.mpc("0.5", "0.25"), mpmath.mpc("1e-400", "1e-400")
+            assert eval_E(x, p) == (1 - x) * (1 - p / x)
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(("1e-400", "1e-400"), id="below-range"),
+        pytest.param(("1e400", "0"), id="above-range"),
+    ])
+    def test_modulus_outside_binary64_range(self, x):
+        with mpmath.workdps(50):
+            with pytest.raises(TruncationLimit, match="outside the binary64 range"):
+                eval_E(mpmath.mpc(*x), mpmath.mpc("0.3", "0.1"))
 
 
 class TestPochhammer:
@@ -652,6 +690,28 @@ class TestTheta:
                 theta1(mpmath.mpc("0.3"), mpmath.mpc("0.6", "0.9"))
         assert isinstance(got, mpmath.mpc)
         assert rel_err(complex(got), THETA_03_AT_P02) <= 1e-13
+
+    def test_mpc_matches_jtheta(self, factor_loops):
+        # (p^2; p^2)_inf comes from the tables of p^2, so no factor loop runs.
+        state = random.Random(20261023)
+        with mpmath.workdps(50):
+            for _ in range(20):
+                p = _mpc_polar(state.uniform(0.05, 0.6), state.uniform(0, 2 * cmath.pi))
+                z = mpmath.mpc(state.uniform(0.1, 3.0), state.uniform(-0.4, 0.4))
+                got = theta1(z, p)
+                with mpmath.workdps(90):
+                    want = mpmath.jtheta(1, z, p)
+                    assert abs(got - want) / abs(want) <= 1e-45, (z, p)
+        assert factor_loops == []
+        # p^2 = 0.9409 is too near 1 for the series tables: (p^2; p^2)_inf
+        # and E take the factor loops, whose tails are 1e-40
+        z, p = mpmath.mpc("0.7", "0.1"), mpmath.mpc("0.97")
+        with mpmath.workdps(50):
+            got = theta1(z, p)
+            with mpmath.workdps(90):
+                want = mpmath.jtheta(1, z, p)
+                assert abs(got - want) / abs(want) <= 1e-38
+        assert len(factor_loops) == 3
 
 
 class TestNome:

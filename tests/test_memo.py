@@ -13,7 +13,6 @@ from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters
 from ellipsum.kernel import (
     DEFAULT_POLICY,
-    EXTENDED_POLICY,
     GUARD_BITS,
     EMemo,
     TruncationPolicy,
@@ -229,15 +228,15 @@ class TestNomeTables:
         with mpmath.workdps(50):
             x, p = mpmath.mpc(X), mpmath.mpc(P)
             with EMemo() as memo:
-                values = [eval_E(v, p, EXTENDED_POLICY) for v in (x, 2 * x, x, 3 * x)[:calls]]
+                values = [eval_E(v, p) for v in (x, 2 * x, x, 3 * x)[:calls]]
             return memo, values, (p._mpc_, mpmath.mp.prec + GUARD_BITS)
 
     def test_tables_leave_the_e_table_and_hits_alone(self, monkeypatch):
         memo, values, key = self._memo_after(4)
         assert list(memo.nomes) == [key]
         monkeypatch.setattr(kernel, "_nome_tables",
-                            lambda p_parts, log2_p, wp, memo:
-                            kernel._NomeTables(p_parts, log2_p, wp))
+                            lambda p, p_parts, wp, memo:
+                            kernel._NomeTables(p, p_parts, wp))
         uncached, uncached_values, _ = self._memo_after(4)
         assert uncached.nomes == {}
         assert memo.table == uncached.table and memo.hits == uncached.hits == 1
