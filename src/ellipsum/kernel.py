@@ -14,15 +14,16 @@ default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 through unchanged.  The exception is E itself, which both types compute
 by Jacobi's triple product series over tables of the nome, and near its
 zeros by factor loops: binary64 by :func:`_theta_float` over
-:func:`_float_tables`, or the loops of :func:`_qinf`; an ``mpmath.mpc``
-argument on fixed-point Gaussian integers, by :func:`_series_mpc` over
-:class:`_NomeTables`, or the loops of :func:`_qinf_mpc`.  The mpc series is
-the infinite product to working precision; binary64 E and every factor
-loop stop at the tail of a truncation policy: DEFAULT_POLICY for binary64,
-EXTENDED_POLICY for the loops of ``mpmath.mpc``, with factor counts from
-binary64 moduli (:func:`_float_abs`).  Only :func:`eval_E` takes a policy
-argument, so that tests can sweep the tail; with one, E runs the loops in
-both types.
+:func:`_float_tables`, or the loops of :func:`_qinf`; ``mpmath.mpc`` on
+fixed-point Gaussian integers, by :func:`_series_fixed` over
+:class:`_NomeTables`, or the loops of :func:`_qinf_mpc`.  mpc shifted
+factorials (:func:`running_products`) keep their points a q^t and products
+on those integers too.  The mpc series is the infinite product to working
+precision; binary64 E and every factor loop stop at the tail of a
+truncation policy: DEFAULT_POLICY for binary64, EXTENDED_POLICY for the
+loops of ``mpmath.mpc``, with factor counts from binary64 moduli
+(:func:`_float_abs`).  Only :func:`eval_E` takes a policy argument, so
+that tests can sweep the tail; with one, E runs the loops in both types.
 An :class:`EMemo` scope changes how often E is computed, never its value.
 """
 
@@ -306,13 +307,24 @@ def _float_abs(z) -> float:
     return math.hypot(*(libmp.to_float(part, False, libmp.round_nearest) for part in parts))
 
 
+def _log2_abs(re: int, im: int, bits: int) -> float:
+    """log2 |z| of z = (re + i im) 2^-bits at any exponent, -inf for z = 0."""
+    shift = max((abs(re) | abs(im)).bit_length() - 60, 0)
+    mag = math.hypot(re >> shift, im >> shift)
+    return math.log2(mag) + (shift - bits) if mag else -math.inf
+
+
+def _raw_parts(ctx, z):
+    """The raw mpf parts (re, im) of z, converted to the context ``ctx``."""
+    z = ctx.convert(z)
+    return getattr(z, "_mpc_", None) or (z._mpf_, _libmp().fzero)
+
+
 def _mpc_setup(x, p):
     """The context of x, its precision and rounding, wp and the raw parts of p."""
     ctx = x.context
     prec, rounding = ctx._prec_rounding
-    p = ctx.convert(p)
-    p_parts = getattr(p, "_mpc_", None) or (p._mpf_, _libmp().fzero)
-    return ctx, prec, rounding, prec + GUARD_BITS, p_parts
+    return ctx, prec, rounding, prec + GUARD_BITS, _raw_parts(ctx, p)
 
 
 def _to_mpc(setup, re: int, im: int, bits: int):
@@ -495,37 +507,28 @@ def _nome_tables(p, p_parts, wp: int, memo) -> _NomeTables:
     return tables
 
 
-def _series_mpc(x, p, setup, memo):
-    """E(x; p) = (x; p)_inf (p/x; p)_inf for an ``mpmath.mpc`` x, to working precision.
+def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables, wp: int):
+    """E(x; p) as (re, im, bits) for x = (xr + i xi) 2^-x_bits, with p from
+    ``tables``, which have a series; None where the factor loops must run.
 
-    ``setup`` is from :func:`_mpc_setup`.  By Jacobi's triple product, E(x)
-    = theta(x) / (p; p)_inf with theta(x) = sum_n (-1)^n p^C(n,2) x^n.  Every
-    part runs on fixed-point Gaussian integers with working precision plus
-    GUARD_BITS fractional bits, and only the result is rounded; the terms
-    that each run leaves out are below 2^-wp, so nothing is truncated.
-
-    theta(x) = theta(p/x).  Of x and p/x, z is the larger; k steps of
-    theta(z) = -z theta(z p) bring z' = z p^k into |p| < |z'| <= 1, and
-    theta(z') is the sum of the runs n >= 0 from z' and from p/z', both by
-    Horner's rule.  p/z' is one quotient of exact parts, p / (x p^k) or
-    x / p^k, since near a zero of E the two runs cancel and the rounding of
-    p/x would set the error.  |p|, the coefficients, p^k and 1 / (p; p)_inf
-    come from :class:`_NomeTables`.  Every term of theta(z') is at most 1,
-    so the bits that the sum falls short of 1 are lost to cancellation.
-    Past GUARD_BITS - 8 of them (near x = p^k), where the tables give no
-    series, or for a |x| outside the binary64 range, the factor loops of
-    EXTENDED_POLICY run instead (:func:`_loops_mpc`); they keep exact zeros
-    exact, and raise TruncationLimit for such a |x|.
+    By Jacobi's triple product, E(x) = theta(x) / (p; p)_inf with theta(x) =
+    sum_n (-1)^n p^C(n,2) x^n.  Every part runs on fixed-point Gaussian
+    integers with ``wp`` = working precision plus GUARD_BITS fractional bits;
+    the terms that each run leaves out are below 2^-wp, so nothing is
+    truncated.  theta(x) = theta(p/x).  Of x and p/x, z is the larger; k
+    steps of theta(z) = -z theta(z p) bring z' = z p^k into |p| < |z'| <= 1,
+    and theta(z') is the sum of the runs n >= 0 from z' and from p/z', both
+    by Horner's rule.  p/z' is one quotient of exact parts, p / (x p^k) or
+    x / p^k, since near a zero of E the two runs cancel.  Every term of
+    theta(z') is at most 1, so the bits that the sum falls short of 1 are
+    lost to cancellation.  Past GUARD_BITS - 8 of them (near x = p^k), or
+    for a |x| outside the binary64 range, the result is None.
     """
-    wp = setup[3]
-    tables = _nome_tables(p, setup[4], wp, memo)
-    x_abs = _float_abs(x)
-    if tables.theta is None or not 0.0 < x_abs < math.inf:
-        return _loops_mpc(x, p, tables.abs, x_abs, EXTENDED_POLICY)
+    log2_x = _log2_abs(xr, xi, x_bits)
+    if not -1075.0 < log2_x < 1024.0:
+        return None
     log2_p = tables.log2
     pr, pi, p_bits = tables.power(1)
-    xr, xi, x_bits = _scaled(x._mpc_, wp)
-    log2_x = math.log2(x_abs)
     if 2 * log2_x >= log2_p:  # z = x and p/z' = p / (x p^k)
         log2_z = log2_x
         k = max(0, math.ceil(log2_z / -log2_p))
@@ -552,13 +555,13 @@ def _series_mpc(x, p, setup, memo):
     br, bi = _horner(yr, yi, theta, min(last, _run_length(log2_p - log2_z, log2_p, wp)), wp)
     sr, si = ar + br - (1 << wp), ai + bi
     if wp + 1 - (abs(sr) | abs(si)).bit_length() > GUARD_BITS - 8:
-        return _loops_mpc(x, p, tables.abs, x_abs, EXTENDED_POLICY)
+        return None
     rr, ri, bits = tables.recip
     nr, ni, bits = sr * rr - si * ri, sr * ri + si * rr, bits + wp
     if k:
         tr, ti = terms[-1]
         nr, ni, bits = tr * nr - ti * ni, tr * ni + ti * nr, bits + wp
-    return _to_mpc(setup, nr, ni, bits)
+    return nr, ni, bits
 
 
 # The open eval_E memo (see EMemo), or None outside every scope.
@@ -579,6 +582,8 @@ class EMemo:
     ``nomes`` keeps the series tables of each nome apart from ``table`` and
     ``hits``: for the mpc series under (raw parts of p, working precision),
     with |p| and (p; p)_inf, for the binary64 series under (type of p, p).
+    mpc :func:`running_products` read only ``nomes``, except for the factors
+    they pass to eval_E.
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
@@ -601,9 +606,9 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
 
     Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Without a
     ``policy`` the type of x picks the method: an ``mpmath.mpc`` x gets the
-    infinite product to working precision from :func:`_series_mpc`, where
-    EXTENDED_POLICY counts only the factor loops near zeros and as |p|
-    nears 1; any other x gets the series of :func:`_theta_float`, where
+    infinite product to working precision from :func:`_series_fixed` of x
+    scaled, rounded, where EXTENDED_POLICY counts only the factor loops near
+    zeros and as |p| nears 1; any other x gets :func:`_theta_float`, where
     DEFAULT_POLICY counts the factor loops near zeros.  With a policy, both
     types run the loops with its counts.  Inside an :class:`EMemo` scope a
     repeated argument is looked up, not recomputed.
@@ -623,10 +628,12 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
     if not x:
         raise NonzeroRequired("E(x; p) requires x != 0")
     if setup is not None:
-        if policy is None:
-            value = _series_mpc(x, p, setup, memo)
-        else:
-            value = _loops_mpc(x, p, _nome_abs(p), _float_abs(x), policy)
+        wp, value = setup[3], None
+        tables = _nome_tables(p, setup[4], wp, memo) if policy is None else None
+        if tables is not None and tables.theta is not None:
+            value = _series_fixed(*_scaled(x._mpc_, wp), tables, wp)
+        value = (_to_mpc(setup, *value) if value is not None else
+                 _loops_mpc(x, p, _nome_abs(p), _float_abs(x), policy or EXTENDED_POLICY))
     else:
         p_abs = abs(p)
         if not p_abs < 1:
@@ -657,12 +664,70 @@ def _check_degen(value, label: str, *args):
     return value
 
 
+def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
+                     message=None):
+    """Generate P_0 = 1.0, ..., P_kmax, P_k = prod (a; base, p)_{step k} over
+    the (params, base, step) ``groups`` and a in params.
+
+    P_k is P_(k-1) times E(a base^t), t = step (k-1) .. step k - 1, group by
+    group and parameter by parameter.  A factor below ``floor`` in magnitude
+    raises DegenerateParameters(``message(k, a, t, magnitude)``).  For an
+    ``mpmath.mpc`` p whose tables have a series, a base^t steps by one
+    Gaussian integer multiply, E is :func:`_series_fixed`, the floor test
+    compares exponents, and P_k is block floating point, rounded once.
+    Factors that series declines, and every other p, take
+    ``eval_E(a * base ** t, p)``.
+    """
+    yield 1.0
+    setup = _mpc_setup(p, p) if kmax > 0 and hasattr(p, "_mpc_") else None
+    tables = setup and _nome_tables(p, setup[4], setup[3], _memo)
+    if tables is None or tables.theta is None:
+        result = 1.0
+        for k in range(1, kmax + 1):
+            for params, base, step in groups:
+                for a in params:
+                    for t in range(step * (k - 1), step * k):
+                        f = eval_E(a * base ** t, p)
+                        if floor is not None and abs(f) < floor:
+                            raise DegenerateParameters(message(k, a, t, float(abs(f))))
+                        result = result * f
+            yield result
+        return
+    ctx, wp = setup[0], setup[3]
+    log2_floor = math.log2(floor) if floor is not None and floor > 0 else None
+    points = [[a, base, _scaled(_raw_parts(ctx, base), wp),
+               _scaled(_raw_parts(ctx, a), wp), step]
+              for params, base, step in groups for a in params]
+    re, im, bits = 1, 0, 0
+    for k in range(1, kmax + 1):
+        for point in points:
+            a, base, (br, bi, b_bits), (yr, yi, y_bits), step = point
+            for t in range(step * (k - 1), step * k):
+                f = _series_fixed(yr, yi, y_bits, tables, wp)
+                if f is None:
+                    f = _scaled(_raw_parts(ctx, eval_E(a * base ** t, p)), wp)
+                if log2_floor is not None and _log2_abs(*f) < log2_floor:
+                    raise DegenerateParameters(message(k, a, t, 2.0 ** _log2_abs(*f)))
+                fr, fi, f_bits = f
+                re, im, bits = _trim(re * fr - im * fi, re * fi + im * fr, bits + f_bits, wp)
+                yr, yi, y_bits = _trim(yr * br - yi * bi, yr * bi + yi * br, y_bits + b_bits, wp)
+            point[3] = yr, yi, y_bits
+        yield _to_mpc(setup, re, im, bits)
+
+
 def _factors(a, y, nome: Nome, count: int, floor: float | None = None,
              label: str = "", offset: int = 0):
     """prod_{k<count} E(y q^k), y = a q^offset, the loop of every shifted
     factorial; a factor below ``floor`` in magnitude raises, as
-    ``<label>E(a*q^<offset + k>)``."""
+    ``<label>E(a*q^<offset + k>)``.  An ``mpmath.mpc`` y takes
+    :func:`running_products`."""
     q, p = nome.q, nome.p
+    if y.__class__ is not complex and hasattr(y, "_mpc_"):
+        *_, result = running_products(
+            (((y,), q, count),), min(count, 1), p, floor,
+            lambda k, y, t, magnitude: f"{label}E(a*q^{offset + t}) with a={a!r} "
+                                       f"has magnitude {magnitude:.3e}")
+        return result
     result = 1.0
     for k in range(count):
         f = eval_E(y, p)

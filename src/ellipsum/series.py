@@ -11,7 +11,8 @@ detected from floating parameter values.
 
 One engine, :func:`vwp_terms`, sums this series and the catalog's quadratic,
 cubic and quartic ones alike: each is a prefactor, a geometric weight and
-shifted factorials given as (params, base, step) groups.
+shifted factorials given as (params, base, step) groups, whose products the
+kernel forms term by term (:func:`ellipsum.kernel.running_products`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from typing import Sequence
 from .errors import BalanceViolation
 from .kernel import (
     BALANCE_TOL,
+    DELTA_DEGEN,
     Nome,
     _check_degen,
     _residual,
     eval_E,
+    running_products,
 )
 
 
@@ -71,23 +74,18 @@ def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
     Groups are (params, base, step) triples contributing the shifted
     factorials (a; base, p)_{step*k} to the numerator or denominator of the
     k-th summand; ``prefactor(k)`` supplies the leading E-ratio and
-    ``weight``^k the geometric part.  The products are accumulated one E
-    factor at a time; denominator factors below the degeneracy threshold
-    raise.
+    ``weight``^k the geometric part.  The numerator and denominator are the
+    running products of :func:`running_products`, taken k by k in turn;
+    denominator factors below the degeneracy threshold raise.
     """
+    nums = running_products(num_groups, kmax, p)
+    dens = running_products(den_groups, kmax, p, DELTA_DEGEN,
+                            lambda k, a, t, magnitude:
+                            f"denominator factor at k={k}: |E| = {magnitude:.3e}")
     terms = []
-    num = den = w = 1.0
-    for k in range(kmax + 1):
+    w = 1.0
+    for k, num, den in zip(range(kmax + 1), nums, dens):
         if k > 0:
-            for params, base, step in num_groups:
-                for a in params:
-                    for t in range(step * (k - 1), step * k):
-                        num = num * eval_E(a * base ** t, p)
-            for params, base, step in den_groups:
-                for a in params:
-                    for t in range(step * (k - 1), step * k):
-                        den = den * _check_degen(eval_E(a * base ** t, p),
-                                                 "denominator factor at k=%d", k)
             w = w * weight
         terms.append(prefactor(k) * num * w / den)
     return terms

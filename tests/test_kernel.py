@@ -21,6 +21,7 @@ from ellipsum import (
     theta1,
 )
 from ellipsum import kernel, suites
+from ellipsum.series import vwp_terms
 from ellipsum.kernel import (
     DEFAULT_POLICY,
     DELTA_DEGEN,
@@ -629,6 +630,196 @@ class TestPochhammer:
             for k in range(-n):
                 want /= 1 - a * q ** (n + k)
         assert rel_err(got, want) <= 1e-12
+
+
+def _random_groups(state):
+    """Groups of step 1 and 2, |a| log-uniform in 1e-3..1e3 and |base| in 0.3..1.5."""
+    def point(lo, hi):
+        return _mpc_polar(10 ** state.uniform(lo, hi), state.uniform(0, 2 * cmath.pi))
+    return [((point(-3, 3),), point(-0.52, 0.18), step) for step in (1, 2)]
+
+
+def _product_of(factor, groups, kmax):
+    """[P_0..P_kmax] of running_products, with each factor E(a base^t) from ``factor``."""
+    products = [1.0]
+    for k in range(1, kmax + 1):
+        value = products[-1]
+        for params, base, step in groups:
+            for a in params:
+                for t in range(step * (k - 1), step * k):
+                    value = value * factor(a * base ** t)
+        products.append(value)
+    return products
+
+
+def _degen_message(k, a, t, magnitude):
+    return f"denominator factor at k={k}: |E| = {magnitude:.3e}"
+
+
+class TestRunningProducts:
+    """kernel.running_products: the shifted factorials of a series term by term."""
+
+    def test_mpc_matches_the_infinite_product(self, factor_loops):
+        state = random.Random(20261102)
+        with mpmath.workdps(50):
+            for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
+                p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
+                groups = _random_groups(state)
+                kmax = state.randint(1, 10)
+                got = list(kernel.running_products(groups, kmax, p))
+                with mpmath.workdps(90):
+                    want = _product_of(lambda x: infinite_product_E(x, p), groups, kmax)
+                    assert got[0] == 1.0
+                    for k in range(1, kmax + 1):
+                        assert abs(got[k] - want[k]) / abs(want[k]) <= 1e-45, (p_mod, k)
+        assert factor_loops == []
+
+    def test_exact_zero_factor_gives_zero(self):
+        # E(p^k) = 0 takes the factor loops, whose zero is exact.
+        with mpmath.workdps(50):
+            p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
+            for a in (mpmath.mpc(1), p):
+                got = list(kernel.running_products([((mpmath.mpc("0.4", "0.2"), a), q, 1)], 3, p))
+                assert got[0] == 1.0 and all(value == 0 for value in got[1:])
+
+    def test_factor_near_a_zero_takes_the_factor_loops(self, factor_loops):
+        with mpmath.workdps(50):
+            p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
+            a = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
+            got = list(kernel.running_products([((a,), q, 1)], 1, p))
+            assert factor_loops == list(_factor_counts(a, p, EXTENDED_POLICY))
+            assert got[1] == eval_E(a, p)
+            assert _pair_rel_err(got[1], a, p) <= 1e-36
+
+    def test_classical_nome_gives_the_linear_factors(self):
+        state = random.Random(20261103)
+        with mpmath.workdps(50):
+            p = mpmath.mpc(0)
+            groups = _random_groups(state)
+            got = list(kernel.running_products(groups, 4, p))
+            assert got == _product_of(lambda x: 1.0 - x, groups, 4)
+
+    def test_nome_whose_tables_have_no_series(self, factor_loops):
+        # Real p = 0.97: (p; p)_inf cancels past the guard bits, so every
+        # factor takes the loops, whose tails are 1e-40.
+        with mpmath.workdps(50):
+            p, q = mpmath.mpc("0.97"), _mpc_polar(0.8, 0.3)
+            assert kernel._nome_tables(p, (p.real._mpf_, p.imag._mpf_),
+                                       mpmath.mp.prec + kernel.GUARD_BITS, None).theta is None
+            groups = [((_mpc_polar(0.6, 1.1),), q, 1)]
+            got = list(kernel.running_products(groups, 2, p))
+            with mpmath.workdps(90):
+                want = _product_of(lambda x: infinite_product_E(x, p), groups, 2)
+                assert all(abs(got[k] - want[k]) / abs(want[k]) <= 1e-36 for k in (1, 2))
+        assert len(factor_loops) == 4
+
+
+class TestDenominatorFloor:
+    """The floor test of running_products works on exponents at any magnitude."""
+
+    def test_factor_beyond_binary64_range_passes(self):
+        # |E(1e30; 0.5)| is about 2^5000: no binary64 power of two holds it.
+        with mpmath.workdps(50):
+            p, q = mpmath.mpc("0.5", "0.1"), _mpc_polar(0.7, 0.4)
+            x = mpmath.mpc("1e30", "1e29")
+            den = list(kernel.running_products([((x,), q, 1)], 1, p, DELTA_DEGEN, _degen_message))
+            assert abs(den[1]) > mpmath.mpf(2) ** 4000
+            assert _pair_rel_err(den[1], x, p) <= 1e-45
+            terms = vwp_terms(lambda k: 1.0, [], [((x,), q, 1)], q, 1, p)
+            assert terms[1] == q / den[1]
+
+    @pytest.mark.parametrize("offset", [
+        pytest.param("1e-12", id="factor-loops"),
+        pytest.param(None, id="series"),
+    ])
+    def test_factor_below_the_floor_raises(self, offset, factor_loops):
+        with mpmath.workdps(50):
+            p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
+            # None: |E| about DELTA_DEGEN / 4, which the series still serves
+            delta = mpmath.mpf(offset) if offset else DELTA_DEGEN / 4 / abs(mpmath.qp(p)) ** 2
+            a = 1 + delta * mpmath.expjpi(0.7)
+            assert abs(eval_E(a, p)) < DELTA_DEGEN
+            factor_loops.clear()
+            with pytest.raises(DegenerateParameters,
+                               match=r"^denominator factor at k=1: \|E\| = \d\.\d{3}e-"):
+                vwp_terms(lambda k: 1.0, [], [((a,), q, 1)], q, 1, p)
+            assert bool(factor_loops) == bool(offset)
+            with pytest.raises(DegenerateParameters,
+                               match=r"^reciprocal factor E\(a\*q\^-1\) with a=.* magnitude \d"):
+                pochhammer_e(a * q, Nome(q, p), -1)
+
+
+def _reference_factors(a, y, nome, count, floor=None, label="", offset=0):
+    """The shifted-factorial loop of kernel._factors, one eval_E at a time."""
+    result = 1.0
+    for k in range(count):
+        f = eval_E(y, nome.p)
+        if floor is not None and abs(f) < floor:
+            raise DegenerateParameters(
+                f"{label}E(a*q^{offset + k}) with a={a!r} has magnitude {float(abs(f)):.3e}")
+        result = result * f
+        y = y * nome.q
+    return result
+
+
+def _reference_vwp_terms(prefactor, num_groups, den_groups, weight, kmax, p):
+    """series.vwp_terms as a plain loop, one eval_E factor at a time."""
+    terms = []
+    num = den = w = 1.0
+    for k in range(kmax + 1):
+        if k > 0:
+            for params, base, step in num_groups:
+                for a in params:
+                    for t in range(step * (k - 1), step * k):
+                        num = num * eval_E(a * base ** t, p)
+            for params, base, step in den_groups:
+                for a in params:
+                    for t in range(step * (k - 1), step * k):
+                        den = den * kernel._check_degen(eval_E(a * base ** t, p),
+                                                        "denominator factor at k=%d", k)
+            w = w * weight
+        terms.append(prefactor(k) * num * w / den)
+    return terms
+
+
+def _outcome(function, *args):
+    """The bytes of a result, or the type and text of the error it raised."""
+    try:
+        value = function(*args)
+    except DegenerateParameters as exc:
+        return type(exc), str(exc)
+    if isinstance(value, tuple):
+        return tuple(bits(part) for part in value)
+    return [bits(term) for term in value] if isinstance(value, list) else bits(value)
+
+
+class TestBinary64Products:
+    """Binary64 shifted factorials equal the plain loops bit for bit."""
+
+    def test_equal_to_the_reference_loops(self):
+        state = random.Random(20261104)
+
+        def polar(lo, hi):
+            return 10 ** state.uniform(lo, hi) * cmath.exp(1j * state.uniform(0, 2 * cmath.pi))
+
+        for _ in range(200):
+            p, q = polar(-1.3, -0.5), polar(-0.5, 0.1)
+            nome = Nome(q, p)
+            a, n, kmax = polar(-1, 1), state.randint(-4, 6), state.randint(0, 5)
+            groups = [((polar(-1, 1), polar(-1, 1)), q, 1), ((polar(-1, 1),), q * q, 2)]
+            lowers = [((polar(-1, 1), polar(-1, 1)), q, 1), ((polar(-1, 1),), q, 2)]
+            prefactor = lambda k: eval_E(a * q ** (3 * k), p) / eval_E(a, p)
+            assert _outcome(vwp_terms, prefactor, groups, lowers, q, kmax, p) == \
+                _outcome(_reference_vwp_terms, prefactor, groups, lowers, q, kmax, p)
+            if n >= 0:
+                want_e = lambda: _reference_factors(a, a, nome, n, None, "factor ")
+                want_frac = lambda: (_reference_factors(a, a, nome, n), 1.0)
+            else:
+                want_e = lambda: 1.0 / _reference_factors(
+                    a, a * q ** n, nome, -n, DELTA_DEGEN, "reciprocal factor ", n)
+                want_frac = lambda: (1.0, _reference_factors(a, a * q ** n, nome, -n))
+            assert _outcome(pochhammer_e, a, nome, n) == _outcome(want_e)
+            assert _outcome(pochhammer_frac, a, nome, n) == _outcome(want_frac)
 
 
 class TestPartitionIndexed:
