@@ -14,10 +14,8 @@ from .errors import (
     WorkerError,
 )
 from .kernel import (
-    DEFAULT_POLICY,
     DELTA_DEGEN,
     Nome,
-    TruncationPolicy,
     eval_E,
     pochhammer_e,
     pochhammer_multi,
@@ -30,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceViolation",
-    "DEFAULT_POLICY",
     "DELTA_DEGEN",
     "DegenerateParameters",
     "EllipticError",
@@ -42,7 +39,6 @@ __all__ = [
     "SamplingExhausted",
     "SingularToWorkingPrecision",
     "TruncationLimit",
-    "TruncationPolicy",
     "WorkerError",
     "balance_residual",
     "eval_E",

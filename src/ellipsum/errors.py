@@ -14,10 +14,12 @@ class NomeOutOfRange(EllipticError):
 
 
 class TruncationLimit(EllipticError):
-    """An infinite product would need more factors than the policy's cap.
+    """E cannot be computed without a hidden truncation or past its range.
 
-    Raised instead of truncating early, which would return a wrong value
-    without any sign of it (for |p| close to 1).
+    Binary64 E raises it when its factor loops would need more factors than
+    their cap, the extended kernel for a |p| too close to 1, and both for a
+    modulus outside the binary64 range.  Raised instead of truncating early,
+    which would return a wrong value without any sign of it.
     """
 
 

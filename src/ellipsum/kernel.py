@@ -12,19 +12,17 @@ All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
 default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 ``+ - * /`` and integer powers are used on parameters, so both types flow
 through unchanged.  The exception is E itself, which both types compute
-by Jacobi's triple product series over tables of the nome, and near its
-zeros by factor loops: binary64 by :func:`_theta_float` over
-:func:`_float_tables`, or the loops of :func:`_qinf`; ``mpmath.mpc`` on
-fixed-point Gaussian integers, by :func:`_series_fixed` over
-:class:`_NomeTables`, or the loops of :func:`_qinf_mpc`.  mpc shifted
+by Jacobi's triple product series over tables of the nome.  Binary64 sums
+it by :func:`_theta_float` over :func:`_float_tables`, and near its zeros
+multiplies the factor loops of :func:`_qinf`, which stop at a 1e-18 tail
+(:func:`_num_factors`).  ``mpmath.mpc`` sums it on fixed-point Gaussian
+integers by :func:`_series_fixed` over :class:`_NomeTables`: the infinite
+product to working precision, with no truncation.  Where a sum cancels,
+near a zero of E or as |p| nears 1, the precision rises by the bits it
+lost, and an exact zero gives exactly 0 (:func:`_rerun`).  mpc shifted
 factorials (:func:`running_products`) keep their points a q^t and products
-on those integers too.  The mpc series is the infinite product to working
-precision; binary64 E and every factor loop stop at the tail of a
-truncation policy: DEFAULT_POLICY for binary64, EXTENDED_POLICY for the
-loops of ``mpmath.mpc``, with factor counts from binary64 moduli
-(:func:`_float_abs`).  Only :func:`eval_E` takes a policy argument, so
-that tests can sweep the tail; with one, E runs the loops in both types.
-An :class:`EMemo` scope changes how often E is computed, never its value.
+on those integers too.  An :class:`EMemo` scope changes how often E is
+computed, never its value.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -54,68 +52,44 @@ def _residual(lhs, rhs) -> float:
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
 
-# Factors that TruncationPolicy.num_factors adds past its tail bound.  The
-# binary64 loop (_qinf) skips them once they provably change no bit.
+# The factor loops of binary64 E keep the least count K with a tail
+# |p|^K max(1, |x|, |p/x|) below _TAIL_BOUND, plus MARGIN factors, at least
+# 30 in all; a K above _MAX_FACTORS raises TruncationLimit rather than
+# silently truncating the product.  _qinf skips the margin once its factors
+# provably change no bit.
+_TAIL_BOUND = 1e-18
+_LOG_TAIL = math.log(_TAIL_BOUND)
+_MAX_FACTORS = 5000
 MARGIN = 10
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Truncation control for the infinite products behind E and theta.
+def _num_factors(p_abs: float, scale: float, log_p: float | None = None) -> int:
+    """K for |p| = p_abs and prefix scale ``scale``; ``log_p`` is log(p_abs).
 
-    ``tail_bound`` is the target size of the neglected product tail; the
-    number of retained factors K is the least one with |p|^K * C <
-    tail_bound, where C = max(1, |x|, |p/x|) is the prefix scale of the
-    product, plus a margin of MARGIN factors (and at least 30 in all).  The
-    binary64 loop :func:`_qinf` stops the margin early once its factors
-    provably change no bit of the product.
-    ``max_terms`` is a hard cap: a K above it raises :class:`TruncationLimit`
-    rather than silently truncating the product, and so does a prefix scale
-    outside the binary64 range.  The hash is computed once, since the policy
-    is part of every :class:`EMemo` key.
+    A scale outside the binary64 range raises TruncationLimit, as a K above
+    the cap does.
     """
-
-    max_terms: int = 5000
-    tail_bound: float = 1e-18
-    _log_tail: float = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_log_tail", math.log(self.tail_bound))
-        object.__setattr__(self, "_hash", hash((self.max_terms, self.tail_bound)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def num_factors(self, p_abs: float, scale: float, log_p: float | None = None) -> int:
-        """K for |p| = p_abs and prefix scale ``scale``; ``log_p`` is log(p_abs)."""
-        if p_abs == 0.0:
-            return 1
-        if p_abs >= 1.0:  # a |p| < 1 can round to 1.0, where log |p| = 0
-            raise TruncationLimit(f"|p| = {p_abs!r} in binary64 gives no factor count")
-        if log_p is None:
-            log_p = math.log(p_abs)
-        if scale <= 1.0:
-            log_target = self._log_tail
-        else:
-            target = self.tail_bound / scale
-            if not target > 0.0:  # an infinite or NaN scale, or a quotient that underflows
-                raise TruncationLimit(
-                    f"modulus |x| or |p/x| = {scale!r} is outside the binary64 range "
-                    f"of the factor count for a tail below {self.tail_bound:g}")
-            log_target = math.log(target)
-        k = int(math.ceil(log_target / log_p)) + MARGIN
-        if k > self.max_terms:
+    if p_abs == 0.0:
+        return 1
+    if p_abs >= 1.0:  # a |p| < 1 can round to 1.0, where log |p| = 0
+        raise TruncationLimit(f"|p| = {p_abs!r} in binary64 gives no factor count")
+    if log_p is None:
+        log_p = math.log(p_abs)
+    if scale <= 1.0:
+        log_target = _LOG_TAIL
+    else:
+        target = _TAIL_BOUND / scale
+        if not target > 0.0:  # an infinite or NaN scale, or a quotient that underflows
             raise TruncationLimit(
-                f"|p| = {p_abs!r} needs {k} product factors for a tail below "
-                f"{self.tail_bound:g}, more than the cap of {self.max_terms}")
-        return max(30, k)
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-# The policy of the mpc factor loops: a smaller tail for 50-digit arithmetic.
-EXTENDED_POLICY = TruncationPolicy(max_terms=20000, tail_bound=1e-40)
+                f"modulus |x| or |p/x| = {scale!r} is outside the binary64 range "
+                f"of the factor count for a tail below {_TAIL_BOUND:g}")
+        log_target = math.log(target)
+    k = int(math.ceil(log_target / log_p)) + MARGIN
+    if k > _MAX_FACTORS:
+        raise TruncationLimit(
+            f"|p| = {p_abs!r} needs {k} product factors for a tail below "
+            f"{_TAIL_BOUND:g}, more than the cap of {_MAX_FACTORS}")
+    return max(30, k)
 
 
 @dataclass(frozen=True)
@@ -139,8 +113,9 @@ class Nome:
         return Nome(q, self.p)
 
 
-# Guard bits of the fixed-point mpc arithmetic (the product loop and the
-# triple product series): fractional bits kept beyond the working precision.
+# Guard bits of the fixed-point mpc arithmetic (the triple product series
+# and the running products): fractional bits kept beyond the working
+# precision.
 GUARD_BITS = 40
 
 
@@ -201,12 +176,12 @@ def _qinf(x, p, n: int):
     return result
 
 
-def _qinf_pair(x, p, p_abs: float, policy: TruncationPolicy):
-    """(x; p)_n1 (p/x; p)_n2 in binary64, with the policy's factor counts."""
+def _qinf_pair(x, p, p_abs: float):
+    """(x; p)_n1 (p/x; p)_n2 in binary64, with the counts of :func:`_num_factors`."""
     log_p = math.log(p_abs)
-    n1 = policy.num_factors(p_abs, float(abs(x)), log_p)
+    n1 = _num_factors(p_abs, float(abs(x)), log_p)
     y = p / x
-    n2 = policy.num_factors(p_abs, float(abs(y)), log_p)
+    n2 = _num_factors(p_abs, float(abs(y)), log_p)
     return _qinf(x, p, n1) * _qinf(y, p, n2)
 
 
@@ -220,13 +195,13 @@ def _float_tables(p, p_abs: float, memo):
 
     ``coeffs`` holds (-1)^n p^C(n,2) from the last n with modulus 2^-60 or
     more down to n = 0, in Horner's order, and (p; p)_inf has the factor count
-    of DEFAULT_POLICY at scale 1, which raises TruncationLimit near |p| = 1.
+    of :func:`_num_factors` at scale 1, which raises TruncationLimit near |p| = 1.
     The tables are kept in ``memo`` under (type of p, p) when a memo is open.
     """
     key = (p.__class__, p)
     tables = memo.nomes.get(key) if memo is not None else None
     if tables is None:
-        pp_inf = _qinf(p, p, DEFAULT_POLICY.num_factors(p_abs, 1.0))
+        pp_inf = _qinf(p, p, _num_factors(p_abs, 1.0))
         coeffs, c, power = [], 1.0, 1.0
         while abs(c) >= 2.0 ** -60:
             # c = (-1)^n p^C(n,2) and power = p^n
@@ -256,8 +231,8 @@ def _theta_float(x, p, coeffs):
     else:
         z, y = y, x
     step = 1.0
-    # past max_terms steps the factor loops need more factors than their cap
-    for k in range(DEFAULT_POLICY.max_terms):
+    # past _MAX_FACTORS steps the factor loops need more factors than their cap
+    for k in range(_MAX_FACTORS):
         if not abs(z) > 1.0:
             break
         step, z = -step * z, z * p
@@ -295,16 +270,11 @@ def _scaled(parts, wp: int):
     return to_fixed(parts[0], bits), to_fixed(parts[1], bits), bits
 
 
-def _float_abs(z) -> float:
-    """|z| in binary64, for an ``mpmath.mpc`` from its parts rounded to floats.
-
-    Fine for factor counts; a range check must confirm a result of 1.0.
-    """
-    parts = getattr(z, "_mpc_", None)
-    if parts is None:
-        return float(abs(z))
-    libmp = _libmp()
-    return math.hypot(*(libmp.to_float(part, False, libmp.round_nearest) for part in parts))
+def _exact(parts):
+    """Raw mpf parts (re, im) as (zr, zi, bits), z = (zr + i zi) 2^-bits exactly."""
+    to_fixed = _libmp().to_fixed
+    bits = -min((exp for _, man, exp, _ in parts if man), default=0)
+    return to_fixed(parts[0], bits), to_fixed(parts[1], bits), bits
 
 
 def _log2_abs(re: int, im: int, bits: int) -> float:
@@ -335,48 +305,21 @@ def _to_mpc(setup, re: int, im: int, bits: int):
                          from_man_exp(im, -bits, prec, rounding)))
 
 
-def _qinf_mpc(x, p, n: int):
-    """The first n factors of (x; p)_inf for an ``mpmath.mpc`` x.
-
-    The points y = x p^k are fixed-point Gaussian integers with ``wp`` =
-    working precision plus GUARD_BITS fractional bits; p is a Gaussian
-    integer scaled so that its larger part has ``wp`` bits.  The running
-    product is block floating point, (re + i im) 2^-bits with a shared
-    exponent, cut back to ``wp`` bits after each factor.  Only the result
-    is rounded to the working precision.
-    """
-    setup = _mpc_setup(x, p)
-    wp = setup[3]
-    pr, pi, p_bits = _scaled(setup[4], wp)
-    yr, yi = (_libmp().to_fixed(part, wp) for part in x._mpc_)
-    one = 1 << wp
-    re, im, bits = 1, 0, n * wp
-    for _ in range(n):
-        fr = one - yr
-        re, im, bits = _trim(re * fr + im * yi, im * fr - re * yi, bits, wp)
-        yr, yi = (yr * pr - yi * pi) >> p_bits, (yr * pi + yi * pr) >> p_bits
-    return _to_mpc(setup, re, im, bits)
-
-
 def _nome_abs(p) -> float:
-    """|p| in binary64 (:func:`_float_abs`), after checking that p lies in the unit disk."""
-    p_abs = _float_abs(p)
+    """|p| in binary64, after checking that p lies in the unit disk.
+
+    For an ``mpmath.mpc`` it is the modulus of its parts rounded to floats,
+    and a |p| that rounds to 1.0 is checked against 1 exactly.
+    """
+    parts = getattr(p, "_mpc_", None)
+    if parts is None:
+        p_abs = float(abs(p))
+    else:
+        libmp = _libmp()
+        p_abs = math.hypot(*(libmp.to_float(part, False, libmp.round_nearest) for part in parts))
     if not p_abs < 1.0 and not abs(p) < 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     return p_abs
-
-
-def _loops_mpc(x, p, p_abs: float, x_abs: float, policy: TruncationPolicy):
-    """(x; p)_n1 (p/x; p)_n2 by the factor loops, with the policy's counts.
-
-    The counts take binary64 moduli, |p/x| as p_abs / x_abs, and raise
-    TruncationLimit for one outside the binary64 range.  p = 0 gives 1 - x.
-    """
-    if not p:
-        return 1.0 - x
-    n1 = policy.num_factors(p_abs, x_abs)
-    n2 = policy.num_factors(p_abs, p_abs / x_abs if x_abs else math.inf)
-    return _qinf_mpc(x, p, n1) * _qinf_mpc(p / x, p, n2)
 
 
 def _trim(re, im, bits: int, wp: int):
@@ -443,47 +386,63 @@ def _horner(zr, zi, coeffs, count: int, wp: int):
     return sr, si
 
 
+# log2 of the largest |p| of the mpc series, 0.99540...: the nome at which a
+# product with a 1e-40 tail needs 20,000 factors.  Nearer 1 a real p loses
+# more than 500 bits to cancellation in (p; p)_inf, and a nome there raises
+# TruncationLimit.
+_LOG2_P_MAX = math.log2(1e-40) / 19990
+
+
 class _NomeTables:
-    """The constants of the mpc series for one nome p, with ``wp`` fractional bits.
+    """The constants of the mpc series for one nome p, at working precision ``wp``.
 
-    ``abs`` and ``log2`` are |p| in binary64 and its log2; :meth:`power`
-    caches p^n as from :func:`_scaled`.  ``theta[n]`` = (-1)^n p^C(n,2) are
-    the coefficients of the theta sum, up to the last index at which a
-    point of modulus 1 still has a term of 2^-wp.  ``pp_inf`` is (p; p)_inf
-    by Euler's pentagonal series, sum_k (-1)^k p^(k(3k-1)/2) over all
-    integers k (DLMF 27.14.3): as k(3k-1)/2 = 3 C(k,2) + k, that is the
-    theta sum of nome p^3 at p, whose runs start at p and at p^2.  ``recip``
-    is 1 / (p; p)_inf as (re, im, bits).
+    ``log2`` is log2|p| from the scaled parts; :meth:`power` caches p^n as
+    from :func:`_scaled`.  ``theta[n]`` = (-1)^n p^C(n,2) are the
+    coefficients of the theta sum, up to the last index at which a point of
+    modulus 1 still has a term of 2^-wp.  ``pp_inf`` is (p; p)_inf as
+    (re, im, wp), by Euler's pentagonal series, sum_k (-1)^k p^(k(3k-1)/2)
+    over all integers k (DLMF 27.14.3): as k(3k-1)/2 = 3 C(k,2) + k, that is
+    the theta sum of nome p^3 at p, whose runs start at p and at p^2.
+    ``recip`` is 1 / (p; p)_inf as (re, im, bits).
 
-    ``theta`` is None, and every call takes the factor loops, for p = 0, a
-    |p| below the binary64 range, or a (p; p)_inf that has lost more than
-    GUARD_BITS - 8 bits to cancellation (|p| near 1).  Since any call may
-    need the loops, a |p| whose loops exceed the cap of EXTENDED_POLICY at
-    |x| = 1 raises TruncationLimit here.
+    Every series sum, the pentagonal one and each theta sum of
+    :func:`_series_fixed`, must keep ``need`` bits: the working precision
+    asked for, less GUARD_BITS - 9.  Where the pentagonal sum cancels below
+    that (|p| near 1), the tables are built again with the shortfall added
+    to ``wp``, which then exceeds the one asked for; :meth:`raised` gives
+    them at more bits still, for the same ``need``.  p must be nonzero, and
+    a log2|p| above _LOG2_P_MAX raises TruncationLimit.
     """
 
-    __slots__ = ("abs", "log2", "theta", "pp_inf", "recip", "_wp", "_powers")
+    __slots__ = ("log2", "need", "wp", "theta", "pp_inf", "recip", "_nome", "_powers")
 
-    def __init__(self, p, p_parts, wp: int):
-        self.abs = p_abs = _nome_abs(p)
-        self.theta = None
-        if not p_abs:
-            return
-        EXTENDED_POLICY.num_factors(p_abs, 1.0)
-        self.log2 = log2_p = math.log2(p_abs)
-        self._wp = wp
-        self._powers = {1: _scaled(p_parts, wp)}
-        dr, di = -(1 << wp), 0
-        for n in (1, 2):
-            terms = _theta_terms(*_fixed(self.power(n), wp), self.power(3), wp,
-                                 _run_length(n * log2_p, 3 * log2_p, wp))[0]
-            dr, di = dr + sum(t[0] for t in terms), di + sum(t[1] for t in terms)
-        bits = (abs(dr) | abs(di)).bit_length()
-        if wp + 1 - bits > GUARD_BITS - 8:
-            return
-        self.pp_inf = dr, di
+    def __init__(self, p, p_parts, wp: int, need: int | None = None):
+        p_abs = _nome_abs(p)
+        self._nome = p, p_parts
+        self.need = need = wp - GUARD_BITS + 9 if need is None else need
+        self.log2 = log2_p = _log2_abs(*_scaled(p_parts, wp))
+        if log2_p > _LOG2_P_MAX:
+            raise TruncationLimit(f"|p| = {p_abs!r} is too close to 1: the extended "
+                                  f"kernel takes |p| up to {2 ** _LOG2_P_MAX:.5f}")
+        while True:
+            self.wp = wp
+            self._powers = {1: _scaled(p_parts, wp)}
+            dr, di = -(1 << wp), 0
+            for n in (1, 2):
+                terms = _theta_terms(*_fixed(self.power(n), wp), self.power(3), wp,
+                                     _run_length(n * log2_p, 3 * log2_p, wp))[0]
+                dr, di = dr + sum(t[0] for t in terms), di + sum(t[1] for t in terms)
+            bits = (abs(dr) | abs(di)).bit_length()
+            if bits >= need:
+                break
+            wp += need - bits
+        self.pp_inf = dr, di, wp
         self.recip = (*_quotient(1, 0, dr, di, wp + bits), bits)
         self.theta = _theta_terms(1 << wp, 0, self.power(1), wp, _run_length(0.0, log2_p, wp))[0]
+
+    def raised(self, bits: int) -> "_NomeTables":
+        """The tables of the same p and ``need`` at ``bits`` more working precision."""
+        return _NomeTables(*self._nome, self.wp + bits, self.need)
 
     def power(self, n: int):
         """p^n for n >= 1 from p^(n // 2) p^(n - n // 2), with parts of ``wp`` bits."""
@@ -492,7 +451,7 @@ class _NomeTables:
             ar, ai, a_bits = self.power(n // 2)
             br, bi, b_bits = self.power(n - n // 2)
             value = self._powers[n] = _trim(ar * br - ai * bi, ar * bi + ai * br,
-                                            a_bits + b_bits, self._wp)
+                                            a_bits + b_bits, self.wp)
         return value
 
 
@@ -507,26 +466,31 @@ def _nome_tables(p, p_parts, wp: int, memo) -> _NomeTables:
     return tables
 
 
-def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables, wp: int):
+def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables):
     """E(x; p) as (re, im, bits) for x = (xr + i xi) 2^-x_bits, with p from
-    ``tables``, which have a series; None where the factor loops must run.
+    ``tables``; or, where the theta sum keeps fewer than ``tables.need``
+    bits, that shortfall as an int.
 
     By Jacobi's triple product, E(x) = theta(x) / (p; p)_inf with theta(x) =
     sum_n (-1)^n p^C(n,2) x^n.  Every part runs on fixed-point Gaussian
-    integers with ``wp`` = working precision plus GUARD_BITS fractional bits;
-    the terms that each run leaves out are below 2^-wp, so nothing is
-    truncated.  theta(x) = theta(p/x).  Of x and p/x, z is the larger; k
-    steps of theta(z) = -z theta(z p) bring z' = z p^k into |p| < |z'| <= 1,
-    and theta(z') is the sum of the runs n >= 0 from z' and from p/z', both
-    by Horner's rule.  p/z' is one quotient of exact parts, p / (x p^k) or
-    x / p^k, since near a zero of E the two runs cancel.  Every term of
-    theta(z') is at most 1, so the bits that the sum falls short of 1 are
-    lost to cancellation.  Past GUARD_BITS - 8 of them (near x = p^k), or
-    for a |x| outside the binary64 range, the result is None.
+    integers with wp = ``tables.wp`` fractional bits, at least the working
+    precision plus GUARD_BITS; the terms that each run leaves out are below
+    2^-wp, so nothing is truncated.  theta(x) = theta(p/x).  Of x and p/x,
+    z is the larger; k steps of theta(z) = -z theta(z p) bring z' = z p^k
+    into |p| < |z'| <= 1, and theta(z') is the sum of the runs n >= 0 from
+    z' and from p/z', both by Horner's rule.  p/z' is one quotient of exact
+    parts, p / (x p^k) or x / p^k, since near a zero of E the two runs
+    cancel.  Every term of theta(z') is at most 1, so the bits that the sum
+    falls short of 1 are lost to cancellation.  At the working precision
+    plus GUARD_BITS, more than GUARD_BITS - 8 of them (near x = p^m) leave
+    a shortfall, which :func:`_rerun` takes.  A |x| outside the binary64
+    range raises TruncationLimit.
     """
     log2_x = _log2_abs(xr, xi, x_bits)
     if not -1075.0 < log2_x < 1024.0:
-        return None
+        raise TruncationLimit(
+            f"modulus |x| = 2^{log2_x:.1f} is outside the binary64 range of the extended kernel")
+    wp = tables.wp
     log2_p = tables.log2
     pr, pi, p_bits = tables.power(1)
     if 2 * log2_x >= log2_p:  # z = x and p/z' = p / (x p^k)
@@ -554,14 +518,45 @@ def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables, wp: int):
     ar, ai = _horner(zr, zi, theta, min(last, _run_length(log2_z, log2_p, wp)), wp)
     br, bi = _horner(yr, yi, theta, min(last, _run_length(log2_p - log2_z, log2_p, wp)), wp)
     sr, si = ar + br - (1 << wp), ai + bi
-    if wp + 1 - (abs(sr) | abs(si)).bit_length() > GUARD_BITS - 8:
-        return None
+    short = tables.need - (abs(sr) | abs(si)).bit_length()
+    if short > 0:
+        return short
     rr, ri, bits = tables.recip
     nr, ni, bits = sr * rr - si * ri, sr * ri + si * rr, bits + wp
     if k:
         tr, ti = terms[-1]
         nr, ni, bits = tr * nr - ti * ni, tr * ni + ti * nr, bits + wp
     return nr, ni, bits
+
+
+def _rerun(x, tables: _NomeTables, short: int):
+    """E(x; p) as (re, im, bits) for an x = (re, im, bits) whose theta sum on
+    ``tables`` fell ``short`` bits short of ``tables.need``.
+
+    A zero of E, x = p^m with m the integer nearest log2|x| / log2|p|, gives
+    exactly 0: the test is exact, on Gaussian integers from the raw parts of
+    p.  Anywhere else the series runs again on tables raised by the
+    shortfall, until its sum keeps ``need`` bits.
+    """
+    m = round(_log2_abs(*x) / tables.log2)
+    pr, pi, p_bits = _exact(tables._nome[1])
+    ar, ai = 1, 0
+    for bit in bin(abs(m))[2:]:  # (pr + i pi)^|m| by squaring
+        ar, ai = ar * ar - ai * ai, 2 * ar * ai
+        if bit == "1":
+            ar, ai = ar * pr - ai * pi, ar * pi + ai * pr
+    lhs, rhs = x, (ar, ai, p_bits * abs(m))
+    if m < 0:  # x p^-m = 1
+        (xr, xi, x_bits), rhs = x, (1, 0, 0)
+        lhs = xr * ar - xi * ai, xr * ai + xi * ar, x_bits + p_bits * -m
+    bits = max(lhs[2], rhs[2])
+    if _fixed(lhs, bits) == _fixed(rhs, bits):
+        return 0, 0, 0
+    value = short
+    while isinstance(value, int):
+        tables = tables.raised(value)
+        value = _series_fixed(*x, tables)
+    return value
 
 
 # The open eval_E memo (see EMemo), or None outside every scope.
@@ -572,18 +567,18 @@ class EMemo:
     """A ``with`` scope in which :func:`eval_E` computes each value once.
 
     Inside the scope, eval_E keys its results in a table that starts empty:
-    an ``mpmath.mpc`` x on (x._mpc_, raw parts of p in its context, policy),
-    any other x on (type of x, type of p, x, p, policy), policy as passed.
+    an ``mpmath.mpc`` x on (x._mpc_, raw parts of p in its context), any
+    other x on (type of x, type of p, x, p).
     On exit the memo open before is restored, also when the block raises.
     A hit returns the value a recomputation would give, bit for bit, since E
     is a pure function of its arguments at a fixed mpmath precision (a scope
     must not span a precision change).  ``hits`` counts the calls the table
     answered.
     ``nomes`` keeps the series tables of each nome apart from ``table`` and
-    ``hits``: for the mpc series under (raw parts of p, working precision),
-    with |p| and (p; p)_inf, for the binary64 series under (type of p, p).
-    mpc :func:`running_products` read only ``nomes``, except for the factors
-    they pass to eval_E.
+    ``hits``: for the mpc series under (raw parts of p, working precision
+    asked for), with log2|p| and (p; p)_inf, for the binary64 series under
+    (type of p, p).  The raised tables of :func:`_rerun` are not kept.  mpc
+    :func:`running_products` read only ``nomes``.
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
@@ -601,25 +596,24 @@ class EMemo:
         _memo = self._outer
 
 
-def eval_E(x, p, policy: TruncationPolicy | None = None):
+def eval_E(x, p):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
-    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  Without a
-    ``policy`` the type of x picks the method: an ``mpmath.mpc`` x gets the
-    infinite product to working precision from :func:`_series_fixed` of x
-    scaled, rounded, where EXTENDED_POLICY counts only the factor loops near
-    zeros and as |p| nears 1; any other x gets :func:`_theta_float`, where
-    DEFAULT_POLICY counts the factor loops near zeros.  With a policy, both
-    types run the loops with its counts.  Inside an :class:`EMemo` scope a
+    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  The type of x
+    picks the method: an ``mpmath.mpc`` x gets the infinite product to
+    working precision, from :func:`_series_fixed` of x scaled, or near a
+    zero from :func:`_rerun` of its exact parts, rounded once; any other x
+    gets :func:`_theta_float`, or near its zeros the factor loops with the
+    counts of :func:`_num_factors`.  Inside an :class:`EMemo` scope a
     repeated argument is looked up, not recomputed.
     """
     memo = _memo
     setup = None
     if x.__class__ is not complex and hasattr(x, "_mpc_"):
         setup = _mpc_setup(x, p)
-        key = (x._mpc_, setup[4], policy)
+        key = (x._mpc_, setup[4])
     elif memo is not None:
-        key = (x.__class__, p.__class__, x, p, policy)
+        key = (x.__class__, p.__class__, x, p)
     if memo is not None:
         value = memo.table.get(key)
         if value is not None:
@@ -628,12 +622,13 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
     if not x:
         raise NonzeroRequired("E(x; p) requires x != 0")
     if setup is not None:
-        wp, value = setup[3], None
-        tables = _nome_tables(p, setup[4], wp, memo) if policy is None else None
-        if tables is not None and tables.theta is not None:
-            value = _series_fixed(*_scaled(x._mpc_, wp), tables, wp)
-        value = (_to_mpc(setup, *value) if value is not None else
-                 _loops_mpc(x, p, _nome_abs(p), _float_abs(x), policy or EXTENDED_POLICY))
+        if not p:
+            return 1.0 - x
+        tables = _nome_tables(p, setup[4], setup[3], memo)
+        value = _series_fixed(*_scaled(x._mpc_, tables.wp), tables)
+        if isinstance(value, int):
+            value = _rerun(_exact(x._mpc_), tables, value)
+        value = _to_mpc(setup, *value)
     else:
         p_abs = abs(p)
         if not p_abs < 1:
@@ -641,14 +636,9 @@ def eval_E(x, p, policy: TruncationPolicy | None = None):
         if not p:
             return 1.0 - x
         p_abs = float(p_abs)
-        theta = None
-        if policy is None:
-            coeffs, pp_inf = _float_tables(p, p_abs, memo)
-            theta = _theta_float(x, p, coeffs)
-        if theta is None:
-            value = _qinf_pair(x, p, p_abs, policy or DEFAULT_POLICY)
-        else:
-            value = theta / pp_inf
+        coeffs, pp_inf = _float_tables(p, p_abs, memo)
+        theta = _theta_float(x, p, coeffs)
+        value = _qinf_pair(x, p, p_abs) if theta is None else theta / pp_inf
     if memo is not None:
         memo.table[key] = value
     return value
@@ -671,17 +661,15 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
 
     P_k is P_(k-1) times E(a base^t), t = step (k-1) .. step k - 1, group by
     group and parameter by parameter.  A factor below ``floor`` in magnitude
-    raises DegenerateParameters(``message(k, a, t, magnitude)``).  For an
-    ``mpmath.mpc`` p whose tables have a series, a base^t steps by one
-    Gaussian integer multiply, E is :func:`_series_fixed`, the floor test
-    compares exponents, and P_k is block floating point, rounded once.
-    Factors that series declines, and every other p, take
+    raises DegenerateParameters(``message(k, a, t, magnitude)``).  For a
+    nonzero ``mpmath.mpc`` p, a base^t steps by one Gaussian integer
+    multiply, E is :func:`_series_fixed` at that point, or :func:`_rerun`
+    near a zero, the floor test compares exponents, and P_k is block
+    floating point, rounded once.  Every other p takes
     ``eval_E(a * base ** t, p)``.
     """
     yield 1.0
-    setup = _mpc_setup(p, p) if kmax > 0 and hasattr(p, "_mpc_") else None
-    tables = setup and _nome_tables(p, setup[4], setup[3], _memo)
-    if tables is None or tables.theta is None:
+    if kmax < 1 or not hasattr(p, "_mpc_") or not p:
         result = 1.0
         for k in range(1, kmax + 1):
             for params, base, step in groups:
@@ -693,25 +681,28 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
                         result = result * f
             yield result
         return
-    ctx, wp = setup[0], setup[3]
+    setup = _mpc_setup(p, p)
+    ctx = setup[0]
+    tables = _nome_tables(p, setup[4], setup[3], _memo)
+    wp = tables.wp
     log2_floor = math.log2(floor) if floor is not None and floor > 0 else None
-    points = [[a, base, _scaled(_raw_parts(ctx, base), wp),
-               _scaled(_raw_parts(ctx, a), wp), step]
+    points = [[a, _scaled(_raw_parts(ctx, base), wp), _scaled(_raw_parts(ctx, a), wp), step]
               for params, base, step in groups for a in params]
     re, im, bits = 1, 0, 0
     for k in range(1, kmax + 1):
         for point in points:
-            a, base, (br, bi, b_bits), (yr, yi, y_bits), step = point
+            a, (br, bi, b_bits), y, step = point
             for t in range(step * (k - 1), step * k):
-                f = _series_fixed(yr, yi, y_bits, tables, wp)
-                if f is None:
-                    f = _scaled(_raw_parts(ctx, eval_E(a * base ** t, p)), wp)
+                f = _series_fixed(*y, tables)
+                if isinstance(f, int):
+                    f = _rerun(y, tables, f)
                 if log2_floor is not None and _log2_abs(*f) < log2_floor:
                     raise DegenerateParameters(message(k, a, t, 2.0 ** _log2_abs(*f)))
                 fr, fi, f_bits = f
                 re, im, bits = _trim(re * fr - im * fi, re * fi + im * fr, bits + f_bits, wp)
-                yr, yi, y_bits = _trim(yr * br - yi * bi, yr * bi + yi * br, y_bits + b_bits, wp)
-            point[3] = yr, yi, y_bits
+                yr, yi, y_bits = y
+                y = _trim(yr * br - yi * bi, yr * bi + yi * br, y_bits + b_bits, wp)
+            point[2] = y
         yield _to_mpc(setup, re, im, bits)
 
 
@@ -811,8 +802,7 @@ def theta1(z, p):
     :func:`_theta_float`, over the tables of p^2, or near its zeros (p^2;
     p^2)_inf from those tables times the factor loops of E.  For an
     ``mpmath.mpc`` p^2, (p^2; p^2)_inf is the pentagonal series of the mpc
-    tables of p^2 (:class:`_NomeTables`), or the factor loop of
-    EXTENDED_POLICY where those tables give no series, times :func:`eval_E`.
+    tables of p^2 (:class:`_NomeTables`), times :func:`eval_E`.
     """
     _nome_abs(p)
     if not p:
@@ -821,11 +811,7 @@ def theta1(z, p):
     p2 = p * p
     if hasattr(p2, "_mpc_"):
         setup = _mpc_setup(w, p2)
-        tables = _nome_tables(p2, setup[4], setup[3], _memo)
-        if tables.theta is None:  # the prefix scale of (p2; p2) is 1
-            pp_inf = _qinf_mpc(p2, p2, EXTENDED_POLICY.num_factors(tables.abs, 1.0))
-        else:
-            pp_inf = _to_mpc(setup, *tables.pp_inf, setup[3])
+        pp_inf = _to_mpc(setup, *_nome_tables(p2, setup[4], setup[3], _memo).pp_inf)
         return 1j * p ** 0.25 * _cexp(-1j * z) * pp_inf * eval_E(w, p2)
     p2_abs = float(abs(p2))
     coeffs, pp_inf = _float_tables(p2, p2_abs, _memo)
@@ -834,7 +820,7 @@ def theta1(z, p):
         raise NonzeroRequired("E(x; p) requires x != 0")
     theta = _theta_float(w, p2, coeffs)
     if theta is None:
-        theta = pp_inf * _qinf_pair(w, p2, p2_abs, DEFAULT_POLICY)
+        theta = pp_inf * _qinf_pair(w, p2, p2_abs)
     return factor * theta
 
 

@@ -28,16 +28,6 @@ def infinite_product_E(x, p, dps: int = 90):
         return mpmath.qp(x, p) * mpmath.qp(p / x, p)
 
 
-def truncated_product_pair(x, p, n1: int, n2: int):
-    """(x; p)_n1 (p/x; p)_n2, the product oracle with its own count per side."""
-    val = 1.0
-    for k in range(n1):
-        val *= 1 - x * p ** k
-    for k in range(n2):
-        val *= 1 - (p / x) * p ** k
-    return val
-
-
 def classical_pochhammer(a, q, n: int):
     """(a; q)_n via 1 - a q^k factors, any integer n."""
     if n >= 0:

@@ -322,8 +322,9 @@ class TestCheckIdentity:
             assert rep.passed, (ident.id, rep.max_rel_err)
 
     def test_extended_trials_stay_off_the_binary64_loop(self, monkeypatch):
-        # The scalar type picks the truncation tail, so a binary64 value
-        # leaking into an extended trial would get the 1e-18 tail unnoticed.
+        # Binary64 E stops its factor loops at a 1e-18 tail and mpc E has no
+        # tail, so a binary64 value leaking into an extended trial would
+        # lose digits unnoticed.
         def binary64_loop(x, p, n):
             raise AssertionError(f"binary64 product loop reached at x={x!r}")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -233,6 +234,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "|p| = 0.999999" in err and "|p| = 1 " not in err
+
+    @pytest.mark.parametrize("p_mod", ["0.996,0.999", "0.9999995,0.9999996"])
+    def test_extended_nome_near_one_exits_2(self, p_mod, capsys):
+        # The extended kernel takes |p| up to 0.99540; the message prints
+        # every digit of the drawn |p|.
+        code = main(["run", "--suite", "catalog", "--precision", "extended",
+                     "--trials", "1", "--p-mod", p_mod])
+        err = capsys.readouterr().err
+        assert code == 2
+        shown = re.search(r"\|p\| = (\S+) is too close to 1", err).group(1)
+        lo, hi = map(float, p_mod.split(","))
+        assert lo <= float(shown) <= hi and len(shown) > 12, err
 
     def test_overflow_from_q_names_q_mod(self, capsys):
         code = main(["run", "--suite", "determinants", "--trials", "2",

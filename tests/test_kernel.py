@@ -13,7 +13,6 @@ from ellipsum import (
     NomeOutOfRange,
     NonzeroRequired,
     TruncationLimit,
-    TruncationPolicy,
     eval_E,
     pochhammer_e,
     pochhammer_multi,
@@ -22,20 +21,13 @@ from ellipsum import (
 )
 from ellipsum import kernel, suites
 from ellipsum.series import vwp_terms
-from ellipsum.kernel import (
-    DEFAULT_POLICY,
-    DELTA_DEGEN,
-    EXTENDED_POLICY,
-    binom2,
-    pochhammer_frac,
-)
+from ellipsum.kernel import DELTA_DEGEN, binom2, pochhammer_frac
 
 from conftest import bits, rel_err
 from oracles import (
     infinite_product_E,
     theta_sine_series,
     truncated_product_E,
-    truncated_product_pair,
 )
 
 # Frozen from the independent 50-term product oracle.
@@ -77,9 +69,8 @@ class TestEvalE:
     def test_truncation_adapts_to_large_arguments(self):
         # |x| >> 1 needs more factors than the |x| ~ 1 default.
         x, p = 1e8 + 0.0j, 0.3
-        loose = eval_E(x, p, TruncationPolicy(max_terms=5000, tail_bound=1e-18))
-        tight = eval_E(x, p, TruncationPolicy(max_terms=5000, tail_bound=1e-30))
-        assert rel_err(loose, tight) <= 1e-12
+        assert kernel._num_factors(p, abs(x)) > kernel._num_factors(p, 1.0)
+        assert rel_err(kernel._qinf_pair(x, p, p), truncated_product_E(x, p, 200)) <= 1e-12
 
     def test_truncation_beyond_cap_raises(self):
         # 0.999 needs about 41k factors for the default 1e-18 tail; the cap is 5000.
@@ -88,15 +79,15 @@ class TestEvalE:
 
     def test_nome_that_rounds_to_one_raises_truncation_limit(self):
         # |p| = 1 - 1e-30 is inside the disk, but 1.0 in binary64, where
-        # log |p| = 0 leaves no factor count.
+        # log |p| = 0 leaves no factor count, and log2 |p| from the top bits
+        # of its parts is 0, past the nomes of the mpc series.
         with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
-            EXTENDED_POLICY.num_factors(1.0, 1.0)
+            kernel._num_factors(1.0, 1.0)
         with mpmath.workdps(50):
             p = 1 - mpmath.mpf("1e-30")
             for nome in (p, mpmath.mpc(p)):
-                for policy in (None, EXTENDED_POLICY):
-                    with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
-                        eval_E(mpmath.mpc("0.5", "0.25"), nome, policy)
+                with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 is too close to 1"):
+                    eval_E(mpmath.mpc("0.5", "0.25"), nome)
             with pytest.raises(TruncationLimit):
                 theta1(mpmath.mpc("0.3"), mpmath.mpc(p))
 
@@ -175,8 +166,8 @@ def _plain_qinf(x, p, n):
     return result
 
 
-SWEEP_POLICIES = (DEFAULT_POLICY, TruncationPolicy(tail_bound=1e-30),
-                  TruncationPolicy(tail_bound=1e-5))
+# Tail bounds of the sweep: kernel._num_factors' own, and two more.
+SWEEP_TAILS = (1e-18, 1e-30, 1e-5)
 
 
 def _sweep_points(count, seed):
@@ -206,15 +197,20 @@ def _sweep_points(count, seed):
 class TestBinary64ProductLoop:
     """kernel._qinf stops before its last factors only where they change no bit."""
 
-    def test_matches_the_plain_loop_bitwise(self):
-        cases, mismatches = 0, []
-        for x, p in _sweep_points(34000, 20261018):
-            counts = []
-            for policy in SWEEP_POLICIES:
+    def test_matches_the_plain_loop_bitwise(self, monkeypatch):
+        points = list(_sweep_points(34000, 20261018))
+        sweep = [[] for _ in points]
+        for tail in SWEEP_TAILS:
+            monkeypatch.setattr(kernel, "_TAIL_BOUND", tail)
+            monkeypatch.setattr(kernel, "_LOG_TAIL", math.log(tail))
+            for (x, p), counts in zip(points, sweep):
                 try:
-                    counts.append(policy.num_factors(abs(p), abs(x)))
+                    counts.append(kernel._num_factors(abs(p), abs(x)))
                 except TruncationLimit:
                     pass
+        monkeypatch.undo()
+        cases, mismatches = 0, []
+        for (x, p), counts in zip(points, sweep):
             # one plain loop up to the largest count, read at each count
             want = {}
             result, y = 1.0, x
@@ -240,10 +236,10 @@ class TestBinary64ProductLoop:
             assert bits(kernel._qinf(x, p, n)) == bits(_plain_qinf(x, p, n)), n
 
 
-def _loop_value(x, p, policy):
-    """E(x; p) by the two factor loops with the policy's counts, or None where they raise."""
+def _loop_value(x, p):
+    """E(x; p) by the two factor loops with their counts, or None where they raise."""
     try:
-        n1, n2 = (policy.num_factors(abs(p), abs(v)) for v in (x, p / x))
+        n1, n2 = (kernel._num_factors(abs(p), abs(v)) for v in (x, p / x))
     except TruncationLimit:
         return None
     return kernel._qinf(x, p, n1) * kernel._qinf(p / x, p, n2)
@@ -283,19 +279,19 @@ class TestBinary64Series:
             assert abs(got - want) <= 1e-13 * _factor_scale(x, p)
         assert served >= 270
 
-    def test_near_zeros_and_explicit_policies_take_the_factor_loops(self):
+    def test_near_zeros_take_the_factor_loops(self):
         cases = 0
-        for i, (x, p) in enumerate(_sweep_points(3000, 20261021)):
-            near_zero = i % 3 == 2
-            for policy in (None, *SWEEP_POLICIES) if near_zero else SWEEP_POLICIES:
-                want = _loop_value(x, p, policy or DEFAULT_POLICY)
-                if want is None:
-                    with pytest.raises(TruncationLimit):
-                        eval_E(x, p, policy)
-                    continue
-                assert bits(eval_E(x, p, policy)) == bits(want), (x, p, policy)
-                cases += 1
-        assert cases >= 7000
+        for i, (x, p) in enumerate(_sweep_points(9000, 20261021)):
+            if i % 3 != 2:  # x = p^k (1 + 1e-12)
+                continue
+            want = _loop_value(x, p)
+            if want is None:
+                with pytest.raises(TruncationLimit):
+                    eval_E(x, p)
+                continue
+            assert bits(eval_E(x, p)) == bits(want), (x, p)
+            cases += 1
+        assert cases >= 2500
 
     @pytest.mark.parametrize("one", [1, 1.0, 1 + 0j])
     @pytest.mark.parametrize("p", [0.3, -0.6, 0.2 - 0.5j, 1e-5j])
@@ -311,21 +307,18 @@ class TestBinary64Series:
 
 
 class TestTruncationPolicy:
-    def test_hash_is_that_of_the_fields(self):
-        policy = TruncationPolicy(max_terms=700, tail_bound=1e-12)
-        assert hash(policy) == hash((700, 1e-12))
-        assert policy == TruncationPolicy(max_terms=700, tail_bound=1e-12)
-        assert {policy: 1}[TruncationPolicy(max_terms=700, tail_bound=1e-12)] == 1
-        assert policy != TruncationPolicy(max_terms=700, tail_bound=1e-13)
+    """The limits past which E raises TruncationLimit instead of truncating."""
 
     @pytest.mark.parametrize("x, p", [
         pytest.param(("1e-400", "1e-400"), ("0.3", "0.1"), id="mpc-below-range"),
         pytest.param(("1e400", "0"), ("0.3", "0.1"), id="mpc-above-range"),
     ])
     def test_mpc_modulus_outside_binary64_range(self, x, p):
+        # the mpc shifted factorials raise as eval_E does
         with mpmath.workdps(50):
+            groups = [((mpmath.mpc(*x),), mpmath.mpc("0.7", "0.1"), 1)]
             with pytest.raises(TruncationLimit, match="outside the binary64 range"):
-                eval_E(mpmath.mpc(*x), mpmath.mpc(*p), EXTENDED_POLICY)
+                list(kernel.running_products(groups, 1, mpmath.mpc(*p)))
 
     def test_binary64_modulus_outside_range(self):
         # p / x overflows to an infinite modulus
@@ -333,8 +326,8 @@ class TestTruncationPolicy:
             eval_E(1e-320 + 0j, 0.3 + 0.1j)
 
     def test_counts_inside_the_range(self):
-        assert DEFAULT_POLICY.num_factors(0.5, 1e300) == 1067
-        assert DEFAULT_POLICY.num_factors(0.5, 0.5) == 70
+        assert kernel._num_factors(0.5, 1e300) == 1067
+        assert kernel._num_factors(0.5, 0.5) == 70
 
 
 def _mpc_polar(modulus, phase):
@@ -349,7 +342,7 @@ def _mpc_rel_err(got, x, p, terms):
 
 
 class TestEvalEExtended:
-    """The fixed-point product loop that serves mpmath.mpc arguments."""
+    """mpmath.mpc E against the 400-term product oracle."""
 
     def test_matches_oracle_over_moduli(self):
         # 400 oracle terms: at |x| = 1e6, |p| = 0.6 the factor x p^200 is still 4e-39.
@@ -359,7 +352,7 @@ class TestEvalEExtended:
                 for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
                     x = _mpc_polar(10 ** log_x, state.uniform(0, 2 * cmath.pi))
                     p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
-                    got = eval_E(x, p, EXTENDED_POLICY)
+                    got = eval_E(x, p)
                     assert isinstance(got, mpmath.mpc)
                     assert _mpc_rel_err(got, x, p, 400) <= 1e-40, (log_x, p_mod)
 
@@ -369,7 +362,7 @@ class TestEvalEExtended:
                 p = _mpc_polar(p_mod, 1.1)
                 for k in range(-3, 4):
                     x = p ** k * (1 + mpmath.mpf("1e-9"))
-                    got = eval_E(x, p, EXTENDED_POLICY)
+                    got = eval_E(x, p)
                     assert _mpc_rel_err(got, x, p, 400) <= 1e-40, (p_mod, k)
 
     def test_classical_case_is_exact(self):
@@ -377,50 +370,26 @@ class TestEvalEExtended:
             x = mpmath.mpc("0.3", "-1.7")
             assert eval_E(x, mpmath.mpc(0)) == 1 - x
 
-    def test_runs_exactly_the_policy_factor_count(self):
-        # |x| = 1 gives both products of E the same count n, so E must agree
-        # with the n-factor oracle at 50 digits and tell n - 1 and n + 1 apart.
-        policy = TruncationPolicy(tail_bound=1e-5)
-        with mpmath.workdps(50):
-            x = _mpc_polar(1, 0.7)
-            p = _mpc_polar(0.6, 2.3)
-            n = policy.num_factors(float(abs(p)), float(abs(x)))
-            got = eval_E(x, p, policy)
-        assert _mpc_rel_err(got, x, p, n) <= 1e-48
-        assert _mpc_rel_err(got, x, p, n - 1) > 1e-12
-        assert _mpc_rel_err(got, x, p, n + 1) > 1e-12
 
-
-def _factor_counts(x, p, policy):
-    """The factor counts n1, n2 of E's two products, as eval_E takes them."""
-    p_abs = float(abs(p))
-    return (policy.num_factors(p_abs, float(abs(x))),
-            policy.num_factors(p_abs, float(abs(p / x))))
-
-
-def _pair_rel_err(got, x, p):
-    """Relative error of a 50-digit E(x; p) against the infinite product at 90 digits."""
-    with mpmath.workdps(90):
-        want = infinite_product_E(x, p)
+def _pair_rel_err(got, x, p, dps=90):
+    """Relative error of a 50-digit E(x; p) against the infinite product at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        want = infinite_product_E(x, p, dps)
         return abs(got - want) / abs(want)
 
 
 @pytest.fixture
-def factor_loops(monkeypatch):
-    """The factor counts of every call of the mpc factor loop, in order."""
-    counts = []
-    loop = kernel._qinf_mpc
+def reruns(monkeypatch):
+    """The shortfall of every precision rerun of the mpc series, in order."""
+    shortfalls = []
+    rerun = kernel._rerun
 
-    def counting(x, p, n):
-        counts.append(n)
-        return loop(x, p, n)
+    def counting(x, tables, short):
+        shortfalls.append(short)
+        return rerun(x, tables, short)
 
-    monkeypatch.setattr(kernel, "_qinf_mpc", counting)
-    return counts
-
-
-SERIES_POLICIES = [pytest.param(EXTENDED_POLICY, id="extended"),
-                   pytest.param(TruncationPolicy(tail_bound=1e-5), id="tail_1e-5")]
+    monkeypatch.setattr(kernel, "_rerun", counting)
+    return shortfalls
 
 
 def _moduli_grid(seed):
@@ -435,36 +404,23 @@ def _moduli_grid(seed):
 class TestEvalESeries:
     """mpc E by the triple product series: the infinite product to working precision."""
 
-    def test_matches_the_infinite_product(self, factor_loops):
+    def test_matches_the_infinite_product(self, reruns):
         with mpmath.workdps(50):
             for x, p in _moduli_grid(20261019):
                 assert _pair_rel_err(eval_E(x, p), x, p) <= 1e-48, (x, p)
-        assert factor_loops == []
+        assert reruns == []
 
-    @pytest.mark.parametrize("policy", SERIES_POLICIES)
-    def test_explicit_policy_gives_the_truncated_product(self, policy, factor_loops):
-        want_counts = []
-        with mpmath.workdps(50):
-            for x, p in _moduli_grid(20261019):
-                got = eval_E(x, p, policy)
-                n1, n2 = _factor_counts(x, p, policy)
-                want_counts += n1, n2
-                with mpmath.workdps(90):
-                    want = truncated_product_pair(x, p, n1, n2)
-                    assert abs(got - want) / abs(want) <= 1e-48, (x, p)
-        assert factor_loops == want_counts
-
-    def test_zeros_give_the_factor_loop_value(self):
+    def test_zeros_are_exact(self, reruns):
+        # p^2 and 1/p are rounded, so E there is a tiny value, not a zero.
         with mpmath.workdps(50):
             p = _mpc_polar(0.3, 2.3)
-            for x in (mpmath.mpc(1), p, p ** 2, 1 / p):
-                n1, n2 = _factor_counts(x, p, EXTENDED_POLICY)
-                want = kernel._qinf_mpc(x, p, n1) * kernel._qinf_mpc(p / x, p, n2)
-                assert eval_E(x, p) == want
             assert eval_E(mpmath.mpc(1), p) == 0
             assert eval_E(p, p) == 0
+            for x in (p ** 2, 1 / p):
+                assert _pair_rel_err(eval_E(x, p), x, p, 150) <= 1e-48
+        assert len(reruns) == 4
 
-    def test_near_degenerate_points_stay_on_the_series(self, factor_loops):
+    def test_near_degenerate_points_stay_on_the_series(self, reruns):
         # Near x = 1 and x = p, E(x) is about (1 - x) (p; p)_inf^2, so this
         # offset puts |E| at about DELTA_DEGEN, where the theta runs cancel
         # about 27 bits.
@@ -475,9 +431,9 @@ class TestEvalESeries:
                 got = eval_E(x, p)
                 assert DELTA_DEGEN / 2 < abs(got) < 2 * DELTA_DEGEN
                 assert _pair_rel_err(got, x, p) <= 1e-45
-        assert factor_loops == []
+        assert reruns == []
 
-    def test_series_path_takes_no_mpc_modulus_or_division(self, monkeypatch, factor_loops):
+    def test_series_path_takes_no_mpc_modulus_or_division(self, monkeypatch, reruns):
         # |x| and |p| come from float-rounded parts, and p/x from the exact
         # parts inside the series.
         calls = []
@@ -498,43 +454,63 @@ class TestEvalESeries:
             assert _pair_rel_err(got, x, p) <= 1e-48
         # the wrappers are live: the oracle check takes moduli and quotients
         assert calls.count("__abs__") > 0 and calls.count("__truediv__") > 0
-        assert factor_loops == []
+        assert reruns == []
 
-    @pytest.mark.parametrize("policy", SERIES_POLICIES)
-    def test_float_part_counts_match_the_exact_moduli(self, policy):
-        # eval_E takes the factor counts from binary64 moduli of the raw parts;
-        # _factor_counts takes them from the 169-bit moduli, rounded.
-        counts = []
-
-        class Recording(TruncationPolicy):
-            def num_factors(self, *args):
-                counts.append(super().num_factors(*args))
-                return counts[-1]
-
-        recording = Recording(policy.max_terms, policy.tail_bound)
-        state = random.Random(20261020)
-        want = []
-        with mpmath.workdps(50):
-            for _ in range(2000):
-                x = _mpc_polar(10 ** state.uniform(-6, 6), state.uniform(0, 2 * cmath.pi))
-                p = _mpc_polar(state.uniform(0.02, 0.6), state.uniform(0, 2 * cmath.pi))
-                eval_E(x, p, recording)
-                want += _factor_counts(x, p, policy)
-        assert counts == want
-
-    def test_point_near_a_zero_takes_the_factor_loops(self, factor_loops):
+    def test_point_near_a_zero_takes_a_rerun(self, reruns):
         # 1e-12 from x = 1 the theta runs cancel about 40 bits, past the
-        # guard; the loops stop at the 1e-40 tail of EXTENDED_POLICY.
+        # guard, so the series runs again with the shortfall added.
         with mpmath.workdps(50):
             p = _mpc_polar(0.3, 2.3)
             x = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
             got = eval_E(x, p)
-            assert _pair_rel_err(got, x, p) <= 1e-36
-        assert factor_loops == list(_factor_counts(x, p, EXTENDED_POLICY))
+            assert _pair_rel_err(got, x, p) <= 1e-48
+        assert len(reruns) == 1 and reruns[0] > 0
+
+    @pytest.mark.parametrize("delta", ["1e-12", "1e-20", "1e-30", "1e-45"])
+    @pytest.mark.parametrize("power", [0, 2])
+    def test_near_zeros_match_the_infinite_product(self, delta, power):
+        # x = p^power (1 + delta e^(0.7 pi i)) at 50 digits: E is about delta
+        # times a constant, and every digit of x counts.
+        with mpmath.workdps(50):
+            p = _mpc_polar(0.3, 2.3)
+            x = p ** power * (1 + mpmath.mpf(delta) * mpmath.expjpi(0.7))
+            assert _pair_rel_err(eval_E(x, p), x, p, 150) <= 1e-48
+
+    @pytest.mark.parametrize("nome", ["0.97", "0.99", "-0.99"])
+    def test_real_nome_near_one(self, nome):
+        # (p; p)_inf cancels 55 to 231 bits here, which the tables of p add
+        # to their working precision.
+        with mpmath.workdps(50):
+            p, x = mpmath.mpc(nome), _mpc_polar(0.6, 1.1)
+            got = eval_E(x, p)
+            with mpmath.workdps(80):
+                want = truncated_product_E(x, p, 20000)
+                assert abs(got - want) / abs(want) <= 1e-45
+
+    @pytest.mark.parametrize("nome", [("0.5", "0.5"), ("0.75", "0"), ("0.5", "0"),
+                                      ("-0.375", "0.125")])
+    def test_powers_of_the_nome(self, nome):
+        # x = p^m is an exact zero where the 50-digit power is exact, and
+        # its neighbours one unit in the last place away are not zeros.
+        with mpmath.workdps(50):
+            p = mpmath.mpc(*nome)
+            for m in range(-3, 5):
+                x = p ** m
+                with mpmath.workdps(200):
+                    exact = p ** m == x
+                if exact:
+                    assert eval_E(x, p) == 0, m
+                else:
+                    assert _pair_rel_err(eval_E(x, p), x, p, 150) <= 1e-48, m
+                ulp = mpmath.ldexp(1, mpmath.mag(x) - mpmath.mp.prec)
+                for y in (x + ulp, x - ulp):
+                    got = eval_E(y, p)
+                    assert got != 0 and _pair_rel_err(got, y, p, 150) <= 1e-48, m
 
     def test_nome_below_binary64_range_gives_one_factor_each(self):
-        # |p| rounds to 0.0 in binary64: one factor of each product is exact
-        # to far beyond the working precision.
+        # |p| rounds to 0.0 in binary64, but log2 |p| comes from its parts,
+        # so the series runs: one factor of each product is exact to far
+        # beyond the working precision.
         with mpmath.workdps(50):
             x, p = mpmath.mpc("0.5", "0.25"), mpmath.mpc("1e-400", "1e-400")
             assert eval_E(x, p) == (1 - x) * (1 - p / x)
@@ -580,7 +556,7 @@ class TestPochhammer:
             q, p = mpmath.mpc("0.5", "0.1"), mpmath.mpc("0.1", "-0.05")
             nome = Nome(q, p)
             near_one = 1 + mpmath.mpc("1e-12", "1e-12")
-            value = eval_E(near_one, p, EXTENDED_POLICY)
+            value = eval_E(near_one, p)
             assert isinstance(value, mpmath.mpc) and abs(value) < DELTA_DEGEN
             with pytest.raises(DegenerateParameters, match=r"E\(a\): \|E\| = \d\.\d{3}e-"):
                 kernel._check_degen(value, "E(%s)", "a")
@@ -659,7 +635,7 @@ def _degen_message(k, a, t, magnitude):
 class TestRunningProducts:
     """kernel.running_products: the shifted factorials of a series term by term."""
 
-    def test_mpc_matches_the_infinite_product(self, factor_loops):
+    def test_mpc_matches_the_infinite_product(self, reruns):
         state = random.Random(20261102)
         with mpmath.workdps(50):
             for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
@@ -672,24 +648,23 @@ class TestRunningProducts:
                     assert got[0] == 1.0
                     for k in range(1, kmax + 1):
                         assert abs(got[k] - want[k]) / abs(want[k]) <= 1e-45, (p_mod, k)
-        assert factor_loops == []
+        assert reruns == []
 
     def test_exact_zero_factor_gives_zero(self):
-        # E(p^k) = 0 takes the factor loops, whose zero is exact.
+        # E(p^k) = 0 exactly, by the exact test of a rerun.
         with mpmath.workdps(50):
             p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
             for a in (mpmath.mpc(1), p):
                 got = list(kernel.running_products([((mpmath.mpc("0.4", "0.2"), a), q, 1)], 3, p))
                 assert got[0] == 1.0 and all(value == 0 for value in got[1:])
 
-    def test_factor_near_a_zero_takes_the_factor_loops(self, factor_loops):
+    def test_factor_near_a_zero_takes_a_rerun(self, reruns):
         with mpmath.workdps(50):
             p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
             a = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
             got = list(kernel.running_products([((a,), q, 1)], 1, p))
-            assert factor_loops == list(_factor_counts(a, p, EXTENDED_POLICY))
-            assert got[1] == eval_E(a, p)
-            assert _pair_rel_err(got[1], a, p) <= 1e-36
+            assert len(reruns) == 1
+            assert _pair_rel_err(got[1], a, p) <= 1e-45
 
     def test_classical_nome_gives_the_linear_factors(self):
         state = random.Random(20261103)
@@ -699,19 +674,18 @@ class TestRunningProducts:
             got = list(kernel.running_products(groups, 4, p))
             assert got == _product_of(lambda x: 1.0 - x, groups, 4)
 
-    def test_nome_whose_tables_have_no_series(self, factor_loops):
-        # Real p = 0.97: (p; p)_inf cancels past the guard bits, so every
-        # factor takes the loops, whose tails are 1e-40.
+    def test_nome_near_one_raises_the_table_precision(self):
+        # Real p = 0.97: (p; p)_inf cancels past the guard bits, so the
+        # tables of p are built again with the lost bits added.
         with mpmath.workdps(50):
             p, q = mpmath.mpc("0.97"), _mpc_polar(0.8, 0.3)
-            assert kernel._nome_tables(p, (p.real._mpf_, p.imag._mpf_),
-                                       mpmath.mp.prec + kernel.GUARD_BITS, None).theta is None
+            wp = mpmath.mp.prec + kernel.GUARD_BITS
+            assert kernel._nome_tables(p, (p.real._mpf_, p.imag._mpf_), wp, None).wp > wp
             groups = [((_mpc_polar(0.6, 1.1),), q, 1)]
             got = list(kernel.running_products(groups, 2, p))
             with mpmath.workdps(90):
                 want = _product_of(lambda x: infinite_product_E(x, p), groups, 2)
-                assert all(abs(got[k] - want[k]) / abs(want[k]) <= 1e-36 for k in (1, 2))
-        assert len(factor_loops) == 4
+                assert all(abs(got[k] - want[k]) / abs(want[k]) <= 1e-45 for k in (1, 2))
 
 
 class TestDenominatorFloor:
@@ -729,21 +703,21 @@ class TestDenominatorFloor:
             assert terms[1] == q / den[1]
 
     @pytest.mark.parametrize("offset", [
-        pytest.param("1e-12", id="factor-loops"),
+        pytest.param("1e-12", id="rerun"),
         pytest.param(None, id="series"),
     ])
-    def test_factor_below_the_floor_raises(self, offset, factor_loops):
+    def test_factor_below_the_floor_raises(self, offset, reruns):
         with mpmath.workdps(50):
             p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
             # None: |E| about DELTA_DEGEN / 4, which the series still serves
             delta = mpmath.mpf(offset) if offset else DELTA_DEGEN / 4 / abs(mpmath.qp(p)) ** 2
             a = 1 + delta * mpmath.expjpi(0.7)
             assert abs(eval_E(a, p)) < DELTA_DEGEN
-            factor_loops.clear()
+            reruns.clear()
             with pytest.raises(DegenerateParameters,
                                match=r"^denominator factor at k=1: \|E\| = \d\.\d{3}e-"):
                 vwp_terms(lambda k: 1.0, [], [((a,), q, 1)], q, 1, p)
-            assert bool(factor_loops) == bool(offset)
+            assert bool(reruns) == bool(offset)
             with pytest.raises(DegenerateParameters,
                                match=r"^reciprocal factor E\(a\*q\^-1\) with a=.* magnitude \d"):
                 pochhammer_e(a * q, Nome(q, p), -1)
@@ -882,8 +856,8 @@ class TestTheta:
         assert isinstance(got, mpmath.mpc)
         assert rel_err(complex(got), THETA_03_AT_P02) <= 1e-13
 
-    def test_mpc_matches_jtheta(self, factor_loops):
-        # (p^2; p^2)_inf comes from the tables of p^2, so no factor loop runs.
+    def test_mpc_matches_jtheta(self, reruns):
+        # (p^2; p^2)_inf comes from the tables of p^2, and no sum cancels.
         state = random.Random(20261023)
         with mpmath.workdps(50):
             for _ in range(20):
@@ -893,16 +867,16 @@ class TestTheta:
                 with mpmath.workdps(90):
                     want = mpmath.jtheta(1, z, p)
                     assert abs(got - want) / abs(want) <= 1e-45, (z, p)
-        assert factor_loops == []
-        # p^2 = 0.9409 is too near 1 for the series tables: (p^2; p^2)_inf
-        # and E take the factor loops, whose tails are 1e-40
+        assert reruns == []
+        # p^2 = 0.9409 is near 1: (p^2; p^2)_inf cancels past the guard
+        # bits, so the tables of p^2 are built again with the lost bits added
         z, p = mpmath.mpc("0.7", "0.1"), mpmath.mpc("0.97")
         with mpmath.workdps(50):
             got = theta1(z, p)
             with mpmath.workdps(90):
                 want = mpmath.jtheta(1, z, p)
-                assert abs(got - want) / abs(want) <= 1e-38
-        assert len(factor_loops) == 3
+                assert abs(got - want) / abs(want) <= 1e-45
+        assert reruns == []
 
 
 class TestNome:

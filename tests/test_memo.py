@@ -11,13 +11,7 @@ from ellipsum import catalog, kernel, suites
 from ellipsum.catalog import check_identity, get_identity
 from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters
-from ellipsum.kernel import (
-    DEFAULT_POLICY,
-    GUARD_BITS,
-    EMemo,
-    TruncationPolicy,
-    eval_E,
-)
+from ellipsum.kernel import GUARD_BITS, EMemo, eval_E
 from ellipsum.suites import KERNEL_CHECKS, SUITES, Check, run_checks, run_kernel_suite
 
 X, P = 0.7 + 0.2j, 0.1 - 0.15j
@@ -193,17 +187,6 @@ class TestKeys:
             cplx = eval_E(0.5 + 0j, 0.125 + 0j)
         assert memo.hits == 0 and len(memo.table) == 2
         assert type(real) is float and type(cplx) is complex
-
-    def test_policies_are_apart(self):
-        # at |p| = 0.58 a tail of 1e-5 keeps 33 factors, the default 91
-        p = 0.5 + 0.3j
-        loose = TruncationPolicy(tail_bound=1e-5)
-        want = eval_E(X, p, loose)
-        with EMemo() as memo:
-            default = eval_E(X, p, DEFAULT_POLICY)
-            got = eval_E(X, p, loose)
-        assert memo.hits == 0 and len(memo.table) == 2
-        assert got == want and got != default
 
 
 def test_hits_do_not_depend_on_earlier_checks(monkeypatch):

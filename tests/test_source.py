@@ -3,9 +3,8 @@
 Every module-level private name of the package is used somewhere in the
 package, and every public one in the package or its tests, so a helper whose
 last caller goes is deleted with it; the test oracles import nothing from
-the package they check; no module imports numpy; and the truncation policy
-of the infinite products is named in the kernel alone, where the scalar type
-picks it.
+the package they check; no module imports numpy; and E takes no truncation
+policy: the scalar type alone picks its method.
 """
 
 from __future__ import annotations
@@ -124,36 +123,14 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
-# Modules allowed to name the truncation policies: the kernel picks one from
-# the scalar type, and the package root re-exports it.
-POLICY_MODULES = ("kernel.py", "__init__.py")
+def test_eval_E_takes_no_policy_and_the_package_exports_none():
+    kernel = _parse(PACKAGE / "kernel.py")
+    (eval_e,) = [node for node in kernel.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "eval_E"]
+    args = eval_e.args
+    assert [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == ["x", "p"]
+    assert args.vararg is None and args.kwarg is None
+    import ellipsum
 
-
-def test_no_module_above_the_kernel_names_a_policy():
-    names = {"TruncationPolicy", "DEFAULT_POLICY", "EXTENDED_POLICY"}
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in POLICY_MODULES:
-            continue
-        for node in ast.walk(_parse(path)):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
-            if name in names:
-                found.append(f"{path.name}:{node.lineno}:{name}")
-    assert found == []
-
-
-def test_no_function_outside_the_kernel_takes_a_policy():
-    takers = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "kernel.py":
-            continue
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
-                          args.vararg, args.kwarg]
-                if any(arg is not None and arg.arg == "policy" for arg in params):
-                    takers.append(f"{path.name}:{node.lineno}")
-    assert takers == []
+    assert "eval_E" in ellipsum.__all__
+    assert [name for name in dir(ellipsum) if "polic" in name.lower()] == []
