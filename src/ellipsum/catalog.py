@@ -993,8 +993,16 @@ def _uniform_pair(rng: PhiloxStream, lo1: float, hi1: float,
     return lo1 + (hi1 - lo1) * u, lo2 + (hi2 - lo2) * v
 
 
+_TWO_PI = 2.0 * math.pi
+
+
 def _draw_complex(rng: PhiloxStream, bounds: tuple) -> complex:
-    mod, phase = _uniform_pair(rng, bounds[0], bounds[1], 0.0, 2.0 * math.pi)
+    """A modulus in ``bounds`` and a phase in [0, 2 pi), bit for bit
+    :func:`_uniform_pair` with the second range (0.0, _TWO_PI): its
+    ``0.0 + x`` is x for the phase's x >= 0."""
+    lo, hi = bounds
+    u, v = rng.pair()
+    mod, phase = lo + (hi - lo) * u, _TWO_PI * v
     return complex(mod * math.cos(phase), mod * math.sin(phase))
 
 
@@ -1271,7 +1279,8 @@ def _identity_trials(ident: Identity, trials: int, seed: int,
     the point and evaluate both sides under ``mpmath.workdps(EXTENDED_DPS)``,
     which leaves the process-wide mpmath precision as it was.  Each side of
     each draw gets its own kernel memo, so the right side never reads an E
-    value the left side computed.
+    value the left side computed; the two share only the series tables of
+    each nome, which depend on p alone.
     """
     if precision not in ("double", "extended"):
         raise ValueError(f"precision must be 'double' or 'extended', not {precision!r}")
@@ -1287,9 +1296,10 @@ def _identity_trials(ident: Identity, trials: int, seed: int,
     def evaluate(pt):
         with scope:
             work = _extend_point(ident, pt) if extended else pt
-            with EMemo():
+            nomes = {}
+            with EMemo(nomes):
                 lhs, scale = ident.lhs(work)
-            with EMemo():
+            with EMemo(nomes):
                 rhs, rhs_scale = ident.rhs(work)
             if not (_is_finite(lhs) and _is_finite(rhs)):
                 raise DegenerateParameters("non-finite value at working precision")

@@ -578,16 +578,20 @@ class EMemo:
     ``hits``: for the mpc series under (raw parts of p, working precision
     asked for), with log2|p| and (p; p)_inf, for the binary64 series under
     (type of p, p).  The raised tables of :func:`_rerun` are not kept.  mpc
-    :func:`running_products` read only ``nomes``.
+    :func:`running_products` read only ``nomes``.  The tables depend on p
+    alone, so scopes may share them: ``EMemo(nomes)`` keeps its tables in the
+    dict given, which starts empty when none is.
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
+
+    def __init__(self, nomes: dict | None = None):
+        self.nomes = {} if nomes is None else nomes
 
     def __enter__(self) -> "EMemo":
         global _memo
         self.table = {}
         self.hits = 0
-        self.nomes = {}
         self._outer, _memo = _memo, self
         return self
 

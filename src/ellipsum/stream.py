@@ -9,13 +9,17 @@ numpy's: SeedSequence hashes the entropy words into a pool of four 32-bit
 words and derives the 128-bit key from it; Philox4x64-10 (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011) encrypts a
 pre-incremented 256-bit counter into four 64-bit outputs, handed out in
-order; ``integers`` runs Lemire's bounded method on the 32-bit halves of
-those outputs, low half first, keeping the high half for the next call.
+order.  A block is a pure function of its counter, so the stream encrypts
+consecutive counters in batches, all lanes of a batch in one pass over packed
+integers, and hands out the same words in the same order.  ``integers``
+runs Lemire's bounded method on the 32-bit halves of those outputs, low half
+first, keeping the high half for the next call.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 
 M32, M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
 _TWO_M53 = 2.0 ** -53
@@ -87,48 +91,70 @@ def _seed_key(seed, spawn_key) -> tuple:
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
+# Blocks are encrypted in batches: counter i of a batch sits in the 128-bit
+# lane i of one int, so each multiply of a round forms every lane's 128-bit
+# product with no carry between lanes.  A stream's first refill takes
+# _FIRST_LANES counters and each later one twice as many, up to _MAX_LANES: a
+# stream read for a few blocks computes few spare ones, and a long one runs at
+# the widest batch.
+_FIRST_LANES, _MAX_LANES = 4, 32
+
+
+def _lane_consts(n: int) -> tuple:
+    """REP = 1 in each of n lanes, LO = M64 in each lane, RAMP = i in lane i,
+    and the unpacking of 2 n little-endian words."""
+    rep = sum(1 << 128 * i for i in range(n))
+    return rep, rep * M64, sum(i << 128 * i for i in range(n)), struct.Struct(f"<{2 * n}Q").unpack
+
+
+_LANE_CONSTS = {n: _lane_consts(n) for n in (4, 8, 16, 32)}
+
+
 class PhiloxStream:
     """A seeded Philox4x64-10 stream with numpy's ``random(2)`` and ``integers``."""
 
-    __slots__ = ("_keys", "_ctr", "_buf", "_pos", "_half")
+    __slots__ = ("_keys", "_lanes", "_ctr", "_buf", "_pos", "_half")
 
     def __init__(self, seed, spawn_key):
         k0, k1 = _seed_key(seed, spawn_key)
-        # the round keys, bumped once per round
-        self._keys = tuple(k for r in range(10)
-                           for k in ((k0 + r * _PW0) & M64, (k1 + r * _PW1) & M64))
-        self._ctr, self._buf, self._pos, self._half = 0, (), 4, None
+        # the round keys, bumped once per round, in each of _lanes lanes
+        self._lanes = _FIRST_LANES
+        rep = _LANE_CONSTS[_FIRST_LANES][0]
+        self._keys = tuple((((k0 + r * _PW0) & M64) * rep, ((k1 + r * _PW1) & M64) * rep)
+                           for r in range(10))
+        self._ctr, self._buf, self._pos, self._half = 0, (), 0, None
 
-    def _block(self) -> None:
-        n = self._ctr = self._ctr + 1
-        c0, c1, c2, c3 = n & M64, n >> 64 & M64, n >> 128 & M64, n >> 192
-        x0, y0, x1, y1, x2, y2, x3, y3, x4, y4, \
-            x5, y5, x6, y6, x7, y7, x8, y8, x9, y9 = self._keys
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x0, b & M64, a >> 64 ^ c3 ^ y0, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x1, b & M64, a >> 64 ^ c3 ^ y1, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x2, b & M64, a >> 64 ^ c3 ^ y2, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x3, b & M64, a >> 64 ^ c3 ^ y3, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x4, b & M64, a >> 64 ^ c3 ^ y4, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x5, b & M64, a >> 64 ^ c3 ^ y5, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x6, b & M64, a >> 64 ^ c3 ^ y6, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x7, b & M64, a >> 64 ^ c3 ^ y7, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        c0, c1, c2, c3 = b >> 64 ^ c1 ^ x8, b & M64, a >> 64 ^ c3 ^ y8, a & M64
-        a, b = _PM0 * c0, _PM1 * c2
-        self._buf = b >> 64 ^ c1 ^ x9, b & M64, a >> 64 ^ c3 ^ y9, a & M64
-        self._pos = 0
+    def _refill(self) -> None:
+        """Encrypt the next counters into ``_buf``, block i of the batch as
+        ``_buf[4 i:4 i + 4]``; each refill after the first doubles the lanes
+        up to _MAX_LANES."""
+        n = self._lanes
+        if self._buf and n < _MAX_LANES:
+            self._keys = tuple((x | x << 128 * n, y | y << 128 * n) for x, y in self._keys)
+            n = self._lanes = 2 * n
+        rep, lo, ramp, unpack = _LANE_CONSTS[n]
+        first = self._ctr + 1
+        self._ctr += n
+        if (first & M64) + n <= 1 << 64:
+            # no lane's counter carries out of its low word
+            c0, c1, c2, c3 = ((first & M64) * rep + ramp, (first >> 64 & M64) * rep,
+                              (first >> 128 & M64) * rep, (first >> 192 & M64) * rep)
+        else:
+            c0, c1, c2, c3 = (sum(((first + i) >> shift & M64) << 128 * i for i in range(n))
+                              for shift in (0, 64, 128, 192))
+        for x, y in self._keys:
+            a, b = _PM0 * c0, _PM1 * c2
+            c0, c1, c2, c3 = b >> 64 & lo ^ c1 ^ x, b & lo, a >> 64 & lo ^ c3 ^ y, a & lo
+        # lane i of c0 | c1 << 64 holds words 0 and 1 of block i
+        w01 = unpack((c0 | c1 << 64).to_bytes(16 * n, "little"))
+        w23 = unpack((c2 | c3 << 64).to_bytes(16 * n, "little"))
+        buf = [0] * (4 * n)
+        buf[0::4], buf[1::4], buf[2::4], buf[3::4] = w01[0::2], w01[1::2], w23[0::2], w23[1::2]
+        self._buf, self._pos = buf, 0
 
     def _next64(self) -> int:
-        if self._pos == 4:
-            self._block()
+        if self._pos == len(self._buf):
+            self._refill()
         pos = self._pos
         self._pos = pos + 1
         return self._buf[pos]
@@ -144,9 +170,8 @@ class PhiloxStream:
 
     def pair(self) -> tuple:
         """Two doubles in [0, 1), as ``Generator.random(2).tolist()``."""
-        pos = self._pos
-        if pos <= 2:
-            buf = self._buf
+        pos, buf = self._pos, self._buf
+        if pos + 2 <= len(buf):
             self._pos = pos + 2
             return (buf[pos] >> 11) * _TWO_M53, (buf[pos + 1] >> 11) * _TWO_M53
         return (self._next64() >> 11) * _TWO_M53, (self._next64() >> 11) * _TWO_M53

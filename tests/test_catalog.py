@@ -210,6 +210,56 @@ class TestSamplingStream:
                 assert new.pair() == tuple(old.random(2).tolist())
                 assert new.integers(lo, hi) == int(old.integers(lo, hi))
 
+    def test_long_entropy_stream_matches_numpy(self):
+        # seed and spawn key words past the eight that the hashmix table covers
+        for seed, spawn_key in ((2**200 + 3, (2**100, 5)), (7, (2**300,)), (2**400, ())):
+            new, old = PhiloxStream(seed, spawn_key), _numpy_stream(seed, spawn_key)
+            for lo, hi in INTEGER_RANGES:
+                assert new.pair() == tuple(old.random(2).tolist())
+                assert new.integers(lo, hi) == int(old.integers(lo, hi))
+
+    @pytest.mark.parametrize("odd_word", [False, True])
+    def test_across_every_refill(self, odd_word):
+        # refills of 4, 8, 16, 32 and 32 blocks end at words 16, 48, 112, 240
+        # and 368; after one word taken as two 32-bit halves, a pair
+        # straddles each end
+        new, old = PhiloxStream(7919, (3,)), _numpy_stream(7919, (3,))
+        if odd_word:
+            for _ in range(2):
+                assert new.integers(0, 2**32) == int(old.integers(0, 2**32))
+        for _ in range(190):
+            assert new.pair() == tuple(old.random(2).tolist())
+        assert new._ctr == 4 + 8 + 16 + 32 + 32 + 32
+        for _ in range(1000):
+            # integers calls across the next refills, an odd number of halves
+            # apart where a Lemire draw is rejected
+            assert new.integers(0, 3 * 2**30) == int(old.integers(0, 3 * 2**30))
+        assert new._ctr > 124 + 2 * 32
+        assert new.pair() == tuple(old.random(2).tolist())
+
+    @pytest.mark.parametrize("blocks", [1, 3, 5])
+    def test_short_streams(self, blocks):
+        for trial in range(3):
+            new, old = _rng_for("e87", 5, trial), _numpy_rng_for("e87", 5, trial)
+            for _ in range(2 * blocks):
+                assert new.pair() == tuple(old.random(2).tolist())
+
+    @pytest.mark.parametrize("carry", [2**64, 2**128])
+    @pytest.mark.parametrize("before", [1, 3, 20, 50])
+    def test_counter_carry(self, carry, before):
+        # the stream's next counter is carry - before + 1, so the carry falls
+        # in its first batch, on its first block, or in a later batch
+        new, old = PhiloxStream(11, (2,)), _numpy_stream(11, (2,))
+        ctr = carry - before
+        new._ctr = ctr
+        state = old.bit_generator.state
+        state["state"]["counter"] = np.array([ctr >> shift & 2**64 - 1
+                                              for shift in (0, 64, 128, 192)], dtype=np.uint64)
+        old.bit_generator.state = state
+        for _ in range(2 * (before + 40)):
+            assert new.pair() == tuple(old.random(2).tolist())
+        assert new._ctr >= carry + 40
+
     @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (0, 2**32 + 1)])
     def test_empty_or_wider_than_32_bit_ranges_raise(self, lo, hi):
         with pytest.raises(ValueError):
@@ -234,15 +284,6 @@ class TestSamplingStream:
         assert len(recorded) == 31 * len(seeds)
         assert [_point_bits(sample_point(ident, seed))
                 for ident in list_identities() for seed in seeds] == recorded
-
-
-def test_long_entropy_stream_matches_numpy():
-    # seed and spawn key words past the eight that the hashmix table covers
-    for seed, spawn_key in ((2**200 + 3, (2**100, 5)), (7, (2**300,)), (2**400, ())):
-        new, old = PhiloxStream(seed, spawn_key), _numpy_stream(seed, spawn_key)
-        for lo, hi in INTEGER_RANGES:
-            assert new.pair() == tuple(old.random(2).tolist())
-            assert new.integers(lo, hi) == int(old.integers(lo, hi))
 
 
 def test_eprefactor_first_term_is_exactly_one():

@@ -266,3 +266,41 @@ class TestBinary64Tables:
                 eval_E(mpmath.mpc(X), p_mpc)
             wp = mpmath.mp.prec + GUARD_BITS
         assert set(memo.nomes) == {(complex, P), (p_mpc._mpc_, wp)}
+
+
+def test_sides_of_a_trial_share_nome_tables_only(monkeypatch):
+    # Both sides of an extended trial evaluate at the same p: one table per
+    # nome serves the trial, built once, while each side keeps its own E
+    # values and hits.  Built per side, the run took 55 builds for 31 nomes.
+    trials = []
+    real_extend, real_tables = catalog._extend_point, kernel._NomeTables
+
+    def extend_point(ident, pt):
+        trials.append(([], []))  # (scopes, tables built) of one evaluated draw
+        return real_extend(ident, pt)
+
+    class Recording(EMemo):
+        def __enter__(self):
+            trials[-1][0].append(self)
+            return super().__enter__()
+
+    class Counting(real_tables):
+        __slots__ = ()
+
+        def __init__(self, p, p_parts, wp, need=None):
+            if need is None:  # not the raised tables of _rerun
+                trials[-1][1].append((p_parts, wp))
+            super().__init__(p, p_parts, wp, need)
+
+    monkeypatch.setattr(catalog, "_extend_point", extend_point)
+    monkeypatch.setattr(kernel, "_NomeTables", Counting)
+    _use_memo(monkeypatch, Recording)
+    _serial(monkeypatch)
+    for ident in catalog.list_identities():
+        check_identity(ident, trials=1, seed=1, precision="extended")
+    assert sum(len(built) for _, built in trials) == 31
+    for scopes, built in trials:
+        assert len(built) == len(set(built))
+        lhs, rhs = scopes
+        assert lhs.nomes is rhs.nomes and set(built) <= set(lhs.nomes)
+        assert lhs.table is not rhs.table
