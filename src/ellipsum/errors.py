@@ -16,10 +16,10 @@ class NomeOutOfRange(EllipticError):
 class TruncationLimit(EllipticError):
     """E cannot be computed without a hidden truncation or past its range.
 
-    Binary64 E raises it when its factor loops would need more factors than
-    their cap, the extended kernel for a |p| too close to 1, and both for a
-    modulus outside the binary64 range.  Raised instead of truncating early,
-    which would return a wrong value without any sign of it.
+    Both precisions raise it for a |p| too close to 1, past the largest
+    nome of the kernel, and for an argument whose modulus is outside the
+    binary64 range.  Raised instead of truncating early, which would return
+    a wrong value without any sign of it.
     """
 
 

@@ -12,17 +12,20 @@ All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
 default, ``mpmath.mpc`` when the extended precision mode is active.  Only
 ``+ - * /`` and integer powers are used on parameters, so both types flow
 through unchanged.  The exception is E itself, which both types compute
-by Jacobi's triple product series over tables of the nome.  Binary64 sums
-it by :func:`_theta_float` over :func:`_float_tables`, and near its zeros
-multiplies the factor loops of :func:`_qinf`, which stop at a 1e-18 tail
-(:func:`_num_factors`).  ``mpmath.mpc`` sums it on fixed-point Gaussian
-integers by :func:`_series_fixed` over :class:`_NomeTables`: the infinite
-product to working precision, with no truncation.  Where a sum cancels,
-near a zero of E or as |p| nears 1, the precision rises by the bits it
-lost, and an exact zero gives exactly 0 (:func:`_rerun`).  mpc shifted
-factorials (:func:`running_products`) keep their points a q^t and products
-on those integers too.  An :class:`EMemo` scope changes how often E is
-computed, never its value.
+by Jacobi's triple product series over tables of the nome, in one engine:
+:func:`_series_fixed` over :class:`_NomeTables` sums it on fixed-point
+Gaussian integers, the infinite product to working precision, with no
+truncation.  Where a sum cancels, near a zero of E or as |p| nears 1, the
+precision rises by the bits it lost, and an exact zero gives exactly 0
+(:func:`_rerun`).  ``mpmath.mpc`` values take it at the precision of their
+context.  Binary64 values first sum in floating point by
+:func:`_theta_float` over :func:`_float_tables`, with (p; p)_inf from
+Euler's pentagonal series, and where a sum cancels take the engine at 53 +
+GUARD_BITS bits on the exact binary parts of x and p, rounded once
+(:func:`_series_binary64`).  mpc shifted factorials
+(:func:`running_products`) keep their points a q^t and products on those
+integers too.  An :class:`EMemo` scope changes how often E is computed,
+never its value.
 """
 
 from __future__ import annotations
@@ -52,46 +55,6 @@ def _residual(lhs, rhs) -> float:
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
 
-# The factor loops of binary64 E keep the least count K with a tail
-# |p|^K max(1, |x|, |p/x|) below _TAIL_BOUND, plus MARGIN factors, at least
-# 30 in all; a K above _MAX_FACTORS raises TruncationLimit rather than
-# silently truncating the product.  _qinf skips the margin once its factors
-# provably change no bit.
-_TAIL_BOUND = 1e-18
-_LOG_TAIL = math.log(_TAIL_BOUND)
-_MAX_FACTORS = 5000
-MARGIN = 10
-
-
-def _num_factors(p_abs: float, scale: float, log_p: float | None = None) -> int:
-    """K for |p| = p_abs and prefix scale ``scale``; ``log_p`` is log(p_abs).
-
-    A scale outside the binary64 range raises TruncationLimit, as a K above
-    the cap does.
-    """
-    if p_abs == 0.0:
-        return 1
-    if p_abs >= 1.0:  # a |p| < 1 can round to 1.0, where log |p| = 0
-        raise TruncationLimit(f"|p| = {p_abs!r} in binary64 gives no factor count")
-    if log_p is None:
-        log_p = math.log(p_abs)
-    if scale <= 1.0:
-        log_target = _LOG_TAIL
-    else:
-        target = _TAIL_BOUND / scale
-        if not target > 0.0:  # an infinite or NaN scale, or a quotient that underflows
-            raise TruncationLimit(
-                f"modulus |x| or |p/x| = {scale!r} is outside the binary64 range "
-                f"of the factor count for a tail below {_TAIL_BOUND:g}")
-        log_target = math.log(target)
-    k = int(math.ceil(log_target / log_p)) + MARGIN
-    if k > _MAX_FACTORS:
-        raise TruncationLimit(
-            f"|p| = {p_abs!r} needs {k} product factors for a tail below "
-            f"{_TAIL_BOUND:g}, more than the cap of {_MAX_FACTORS}")
-    return max(30, k)
-
-
 @dataclass(frozen=True)
 class Nome:
     """The pair of bases (q, p) with q != 0 and |p| < 1.
@@ -113,101 +76,51 @@ class Nome:
         return Nome(q, self.p)
 
 
-# Guard bits of the fixed-point mpc arithmetic (the triple product series
-# and the running products): fractional bits kept beyond the working
+# Guard bits of the fixed-point arithmetic (the triple product series and
+# the mpc running products): fractional bits kept beyond the working
 # precision.
 GUARD_BITS = 40
 
 
-# The early exit of _qinf: a running product r = a + ib is final when
-# min(|a|, |b|) > _EXIT_FLOOR and
-# (|Re y| + |Im y| + _EXIT_SLACK) max(|a|, |b|) < _EXIT_RATIO min(|a|, |b|).
-_EXIT_RATIO = 2.0 ** -56
-_EXIT_FLOOR = 2.0 ** -900
-_EXIT_SLACK = 2.0 ** -1000
-
-
-def _qinf(x, p, n: int):
-    """The first n factors of (x; p)_inf = prod_{k>=0} (1 - x p^k), in binary64.
-
-    The loop stops before the last MARGIN factors when they provably change
-    no bit of the product, so the result equals that of all n factors, bit
-    for bit.  The argument is the rounding model of Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 2-3, with u = 2^-53.  After
-    n - MARGIN factors, let r = a + ib be the product and y the next point,
-    and suppose the test above holds; write m = min(|a|, |b|) > 2^-900 and
-    L = max(|a|, |b|).
-
-    * The test is computed in floating point.  Its right side is exact as
-      m > 2^-900, its left side is off by at most three roundings, an
-      underflow there only hides a value below the right side, and an
-      overflow or a NaN part fails the test.  So
-      (|Re y| + |Im y| + 2^-1000) L < 2^-56 m (1 + 4u).
-    * Later points stay small.  With |p| < 1, y' = fl(y p) has
-      |y'| <= |y| (1 + sqrt(5) u) plus at most sqrt(2) 2^-1074 from an
-      underflow, and |y| <= |Re y| + |Im y|.  Over MARGIN steps the
-      underflows add less than 2^-1070, which _EXIT_SLACK covers, and the
-      growth factor (1 + sqrt(5) u)^10 is covered by the factor of 2
-      between 2^-56 and 2^-55.  So every later point has |y_k| L < 2^-55 m.
-    * Hence |Re y_k| < 2^-55 and fl(1 - Re y_k) = 1.0.  The factor is
-      1 + id with |d| = |Im y_k|, and r (1 - y_k) rounds a - b d and
-      b + a d.  Each cross term, rounded, is below 2^-55 m (an underflow
-      of 2^-1075 fits in, as m > 2^-900), which is under half the spacing
-      of the floats next to a (and next to b), even where a is a power of
-      2.  So both parts round back to a and b, with or without a fused
-      multiply-add.
-    * Zero parts fail the test: a part b = 0 would take the nonzero
-      imaginary part a d.  A real product never exits early and costs one
-      test more than the full loop.
-    """
-    result = 1.0
-    y = x
-    for _ in range(n - MARGIN):
-        result = result * (1.0 - y)
-        y = y * p
-    lo, hi = abs(result.real), abs(result.imag)
-    if hi < lo:
-        lo, hi = hi, lo
-    if lo > _EXIT_FLOOR and (abs(y.real) + abs(y.imag) + _EXIT_SLACK) * hi < _EXIT_RATIO * lo:
-        return result
-    for _ in range(min(n, MARGIN)):
-        result = result * (1.0 - y)
-        y = y * p
-    return result
-
-
-def _qinf_pair(x, p, p_abs: float):
-    """(x; p)_n1 (p/x; p)_n2 in binary64, with the counts of :func:`_num_factors`."""
-    log_p = math.log(p_abs)
-    n1 = _num_factors(p_abs, float(abs(x)), log_p)
-    y = p / x
-    n2 = _num_factors(p_abs, float(abs(y)), log_p)
-    return _qinf(x, p, n1) * _qinf(y, p, n2)
-
-
 # Binary64 theta sums whose modulus falls below this, a loss of more than
-# four bits to cancellation, give way to the factor loops.
+# four bits to cancellation, give way to the fixed-point series
+# (:func:`_series_binary64`), and so does a pentagonal sum for (p; p)_inf.
 LOSS_FLOOR = 1 / 16
 
 
-def _float_tables(p, p_abs: float, memo):
-    """The binary64 series tables of p: ``(coeffs, (p; p)_inf)``.
+def _pentagonal(p):
+    """(p; p)_inf in binary64 by Euler's pentagonal series (DLMF 27.14.3),
+    1 + sum_{k>=1} (-1)^k p^(k(3k-1)/2) (1 + p^k), down to a term below 2^-60."""
+    total, k, term = 1.0, 1, -p
+    while abs(term) >= 2.0 ** -60:
+        total += term * (1.0 + p ** k)
+        k += 1
+        term *= -p ** (3 * k - 2)
+    return total
 
-    ``coeffs`` holds (-1)^n p^C(n,2) from the last n with modulus 2^-60 or
-    more down to n = 0, in Horner's order, and (p; p)_inf has the factor count
-    of :func:`_num_factors` at scale 1, which raises TruncationLimit near |p| = 1.
-    The tables are kept in ``memo`` under (type of p, p) when a memo is open.
+
+def _float_tables(p, memo):
+    """The binary64 series tables of p: ``[coeffs, (p; p)_inf, fixed]``.
+
+    A |p| past the largest nome raises TruncationLimit first.  ``coeffs``
+    holds (-1)^n p^C(n,2) from the last n with modulus 2^-60 or more down to
+    n = 0, in Horner's order.  (p; p)_inf is :func:`_pentagonal`, or below
+    LOSS_FLOOR that of ``fixed``, the tables of :func:`_fixed_tables` (None
+    until built), rounded.  All are kept in ``memo`` under (type of p, p).
     """
     key = (p.__class__, p)
     tables = memo.nomes.get(key) if memo is not None else None
     if tables is None:
-        pp_inf = _qinf(p, p, _num_factors(p_abs, 1.0))
+        _check_nome(math.log2(abs(p)))
         coeffs, c, power = [], 1.0, 1.0
         while abs(c) >= 2.0 ** -60:
             # c = (-1)^n p^C(n,2) and power = p^n
             coeffs.append(c)
             c, power = -c * power, power * p
-        tables = coeffs[::-1], pp_inf
+        tables = [coeffs[::-1], _pentagonal(p), None]
+        if not abs(tables[1]) >= LOSS_FLOOR:
+            tables[1] = _to_binary64(*_fixed_tables(p, tables).pp_inf,
+                                     not isinstance(p, complex))
         if memo is not None:
             memo.nomes[key] = tables
     return tables
@@ -221,24 +134,21 @@ def _theta_float(x, p, coeffs):
     theta(z) = -z theta(z p) bring it to |z| <= 1.  There theta(z) =
     A(z) + A(p/z) - 1 with A(w) = sum_{n>=0} (-1)^n p^C(n,2) w^n, both by
     Horner's rule over ``coeffs`` from :func:`_float_tables`.  Every term is
-    at most 1 in modulus, so where the sum falls below LOSS_FLOOR, or is not
-    finite, the caller runs the factor loops instead; that keeps the zeros of
-    E, x = p^k, exact.
+    at most 1 in modulus, so where the sum falls below LOSS_FLOOR, or where
+    z or the result is not finite, the caller takes the fixed-point series
+    instead; that keeps the zeros of E, x = p^k, exact.
     """
     y = p / x
     if abs(x) >= abs(y):
         z = x
     else:
         z, y = y, x
-    step = 1.0
-    # past _MAX_FACTORS steps the factor loops need more factors than their cap
-    for k in range(_MAX_FACTORS):
-        if not abs(z) > 1.0:
-            break
-        step, z = -step * z, z * p
-    else:
+    if not cmath.isfinite(z):
         return None
-    if k:
+    step = 1.0
+    if abs(z) > 1.0:
+        while abs(z) > 1.0:
+            step, z = -step * z, z * p
         y = p / z
     a = b = 0.0
     for c in coeffs:
@@ -258,16 +168,13 @@ def _libmp():
     return libmp
 
 
-def _scaled(parts, wp: int):
-    """Raw mpf parts (re, im) as (zr, zi, bits), z = (zr + i zi) 2^-bits.
-
-    The larger part gets ``wp`` significant bits.
-    """
-    to_fixed = _libmp().to_fixed
-    # A raw mpf is (sign, man, exp, bc), and |part| < 2^(exp + bc).
-    mag = max((exp + bc for _, man, exp, bc in parts if man), default=0)
-    bits = wp - mag
-    return to_fixed(parts[0], bits), to_fixed(parts[1], bits), bits
+def _scaled(z, wp: int):
+    """z = (re, im, bits) with its larger part floored or padded to ``wp`` significant bits."""
+    re, im, bits = z
+    shift = (abs(re) | abs(im)).bit_length() - wp
+    if shift > 0:
+        return re >> shift, im >> shift, bits - shift
+    return re << -shift, im << -shift, bits - shift
 
 
 def _exact(parts):
@@ -320,14 +227,6 @@ def _nome_abs(p) -> float:
     if not p_abs < 1.0 and not abs(p) < 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     return p_abs
-
-
-def _trim(re, im, bits: int, wp: int):
-    """(re + i im) 2^-bits with the larger part cut back to ``wp`` bits."""
-    shift = (abs(re) | abs(im)).bit_length() - wp
-    if shift > 0:
-        return re >> shift, im >> shift, bits - shift
-    return re, im, bits
 
 
 def _fixed(z, wp: int):
@@ -386,16 +285,24 @@ def _horner(zr, zi, coeffs, count: int, wp: int):
     return sr, si
 
 
-# log2 of the largest |p| of the mpc series, 0.99540...: the nome at which a
+# log2 of the largest |p| of the kernel, 0.99540...: the nome at which a
 # product with a 1e-40 tail needs 20,000 factors.  Nearer 1 a real p loses
 # more than 500 bits to cancellation in (p; p)_inf, and a nome there raises
-# TruncationLimit.
+# TruncationLimit (:func:`_check_nome`).
 _LOG2_P_MAX = math.log2(1e-40) / 19990
 
 
-class _NomeTables:
-    """The constants of the mpc series for one nome p, at working precision ``wp``.
+def _check_nome(log2_p: float) -> None:
+    """Raise TruncationLimit for a log2|p| above _LOG2_P_MAX."""
+    if log2_p > _LOG2_P_MAX:
+        raise TruncationLimit(f"|p| = {2.0 ** log2_p!r} is too close to 1: the kernel "
+                              f"takes |p| up to {2 ** _LOG2_P_MAX:.5f}")
 
+
+class _NomeTables:
+    """The constants of the fixed-point series for one nome p, at precision ``wp``.
+
+    ``p`` is the nome as exact parts (re, im, bits), (re + i im) 2^-bits.
     ``log2`` is log2|p| from the scaled parts; :meth:`power` caches p^n as
     from :func:`_scaled`.  ``theta[n]`` = (-1)^n p^C(n,2) are the
     coefficients of the theta sum, up to the last index at which a point of
@@ -410,23 +317,20 @@ class _NomeTables:
     asked for, less GUARD_BITS - 9.  Where the pentagonal sum cancels below
     that (|p| near 1), the tables are built again with the shortfall added
     to ``wp``, which then exceeds the one asked for; :meth:`raised` gives
-    them at more bits still, for the same ``need``.  p must be nonzero, and
-    a log2|p| above _LOG2_P_MAX raises TruncationLimit.
+    them at more bits still, for the same ``need``.  p must lie in the unit
+    disk and be nonzero; a log2|p| above _LOG2_P_MAX raises TruncationLimit.
     """
 
-    __slots__ = ("log2", "need", "wp", "theta", "pp_inf", "recip", "_nome", "_powers")
+    __slots__ = ("p", "log2", "need", "wp", "theta", "pp_inf", "recip", "_powers")
 
-    def __init__(self, p, p_parts, wp: int, need: int | None = None):
-        p_abs = _nome_abs(p)
-        self._nome = p, p_parts
+    def __init__(self, p, wp: int, need: int | None = None):
+        self.p = p
         self.need = need = wp - GUARD_BITS + 9 if need is None else need
-        self.log2 = log2_p = _log2_abs(*_scaled(p_parts, wp))
-        if log2_p > _LOG2_P_MAX:
-            raise TruncationLimit(f"|p| = {p_abs!r} is too close to 1: the extended "
-                                  f"kernel takes |p| up to {2 ** _LOG2_P_MAX:.5f}")
+        self.log2 = log2_p = _log2_abs(*_scaled(p, wp))
+        _check_nome(log2_p)
         while True:
             self.wp = wp
-            self._powers = {1: _scaled(p_parts, wp)}
+            self._powers = {1: _scaled(p, wp)}
             dr, di = -(1 << wp), 0
             for n in (1, 2):
                 terms = _theta_terms(*_fixed(self.power(n), wp), self.power(3), wp,
@@ -442,7 +346,7 @@ class _NomeTables:
 
     def raised(self, bits: int) -> "_NomeTables":
         """The tables of the same p and ``need`` at ``bits`` more working precision."""
-        return _NomeTables(*self._nome, self.wp + bits, self.need)
+        return _NomeTables(self.p, self.wp + bits, self.need)
 
     def power(self, n: int):
         """p^n for n >= 1 from p^(n // 2) p^(n - n // 2), with parts of ``wp`` bits."""
@@ -450,19 +354,21 @@ class _NomeTables:
         if value is None:
             ar, ai, a_bits = self.power(n // 2)
             br, bi, b_bits = self.power(n - n // 2)
-            value = self._powers[n] = _trim(ar * br - ai * bi, ar * bi + ai * br,
-                                            a_bits + b_bits, self.wp)
+            value = self._powers[n] = _scaled((ar * br - ai * bi, ar * bi + ai * br,
+                                               a_bits + b_bits), self.wp)
         return value
 
 
 def _nome_tables(p, p_parts, wp: int, memo) -> _NomeTables:
-    """The tables of p, kept in ``memo`` under (raw parts of p, wp) when a memo is open."""
-    if memo is None:
-        return _NomeTables(p, p_parts, wp)
+    """The tables of an mpc-context p of raw parts ``p_parts``, kept in ``memo``
+    under (p_parts, wp); a p outside the unit disk raises NomeOutOfRange."""
     key = (p_parts, wp)
-    tables = memo.nomes.get(key)
+    tables = memo.nomes.get(key) if memo is not None else None
     if tables is None:
-        tables = memo.nomes[key] = _NomeTables(p, p_parts, wp)
+        _nome_abs(p)
+        tables = _NomeTables(_exact(p_parts), wp)
+        if memo is not None:
+            memo.nomes[key] = tables
     return tables
 
 
@@ -489,7 +395,7 @@ def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables):
     log2_x = _log2_abs(xr, xi, x_bits)
     if not -1075.0 < log2_x < 1024.0:
         raise TruncationLimit(
-            f"modulus |x| = 2^{log2_x:.1f} is outside the binary64 range of the extended kernel")
+            f"modulus |x| = 2^{log2_x:.1f} is outside the binary64 range of the kernel")
     wp = tables.wp
     log2_p = tables.log2
     pr, pi, p_bits = tables.power(1)
@@ -534,12 +440,12 @@ def _rerun(x, tables: _NomeTables, short: int):
     ``tables`` fell ``short`` bits short of ``tables.need``.
 
     A zero of E, x = p^m with m the integer nearest log2|x| / log2|p|, gives
-    exactly 0: the test is exact, on Gaussian integers from the raw parts of
-    p.  Anywhere else the series runs again on tables raised by the
+    exactly 0: the test is exact, on Gaussian integers from the exact parts
+    of p.  Anywhere else the series runs again on tables raised by the
     shortfall, until its sum keeps ``need`` bits.
     """
     m = round(_log2_abs(*x) / tables.log2)
-    pr, pi, p_bits = _exact(tables._nome[1])
+    pr, pi, p_bits = tables.p
     ar, ai = 1, 0
     for bit in bin(abs(m))[2:]:  # (pr + i pi)^|m| by squaring
         ar, ai = ar * ar - ai * ai, 2 * ar * ai
@@ -557,6 +463,61 @@ def _rerun(x, tables: _NomeTables, short: int):
         tables = tables.raised(value)
         value = _series_fixed(*x, tables)
     return value
+
+
+def _binary_parts(z):
+    """A finite binary64 z (int, float or complex) as exact parts (re, im, bits)."""
+    (rn, rd), (jn, jd) = float(z.real).as_integer_ratio(), float(z.imag).as_integer_ratio()
+    d = max(rd, jd)
+    return rn * (d // rd), jn * (d // jd), d.bit_length() - 1
+
+
+def _to_binary64(re: int, im: int, bits: int, real: bool):
+    """(re + i im) 2^-bits rounded once to binary64 by Python's correctly rounded
+    int division, a part past its range to an infinity; a float where ``real``."""
+    parts = []
+    for n in (re, im):
+        try:
+            parts.append(n / (1 << bits))
+        except OverflowError:
+            parts.append(math.inf if n > 0 else -math.inf)
+    return parts[0] if real else complex(*parts)
+
+
+def _fixed_tables(p, tables) -> _NomeTables:
+    """The tables of a binary64 p at 53 + GUARD_BITS bits, kept in its ``tables``."""
+    if tables[2] is None:
+        tables[2] = _NomeTables(_binary_parts(p), 53 + GUARD_BITS)
+    return tables[2]
+
+
+# log2 of the largest prefactor (-z)^k p^C(k,2) of _series_fixed that a
+# binary64 E runs the series under.  As |(p; p)_inf| < 2^258, a larger one
+# puts E past the binary64 range unless the theta sum cancels below 2^-2812,
+# right next to a zero of E; its integers grow with it, so E is infinite there.
+_LOG2_PREFIX_MAX = 4096
+
+
+def _series_binary64(x, p, tables):
+    """E(x; p) for a binary64 x and p by :func:`_series_fixed`, or near a zero
+    :func:`_rerun`, on the exact parts of x and the tables of
+    :func:`_fixed_tables`, rounded once.  A non-finite x raises TruncationLimit.
+    """
+    if not cmath.isfinite(x):
+        raise TruncationLimit(f"modulus |x| = {abs(x)!r} is outside the binary64 range")
+    real = not (isinstance(x, complex) or isinstance(p, complex))
+    fixed = _fixed_tables(p, tables)
+    x_parts = _binary_parts(x)
+    log2_p = fixed.log2
+    log2_x = _log2_abs(*x_parts)
+    log2_z = max(log2_x, log2_p - log2_x)
+    k = max(0, math.ceil(log2_z / -log2_p))
+    if k * log2_z + binom2(k) * log2_p > _LOG2_PREFIX_MAX:
+        return math.inf if real else complex(math.inf, math.inf)
+    value = _series_fixed(*x_parts, fixed)
+    if isinstance(value, int):
+        value = _rerun(x_parts, fixed, value)
+    return _to_binary64(*value, real)
 
 
 # The open eval_E memo (see EMemo), or None outside every scope.
@@ -577,7 +538,8 @@ class EMemo:
     ``nomes`` keeps the series tables of each nome apart from ``table`` and
     ``hits``: for the mpc series under (raw parts of p, working precision
     asked for), with log2|p| and (p; p)_inf, for the binary64 series under
-    (type of p, p).  The raised tables of :func:`_rerun` are not kept.  mpc
+    (type of p, p), with the fixed-point tables of p once a binary64 value
+    has needed them.  The raised tables of :func:`_rerun` are not kept.  mpc
     :func:`running_products` read only ``nomes``.  The tables depend on p
     alone, so scopes may share them: ``EMemo(nomes)`` keeps its tables in the
     dict given, which starts empty when none is.
@@ -604,12 +566,13 @@ def eval_E(x, p):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
     Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  The type of x
-    picks the method: an ``mpmath.mpc`` x gets the infinite product to
-    working precision, from :func:`_series_fixed` of x scaled, or near a
-    zero from :func:`_rerun` of its exact parts, rounded once; any other x
-    gets :func:`_theta_float`, or near its zeros the factor loops with the
-    counts of :func:`_num_factors`.  Inside an :class:`EMemo` scope a
-    repeated argument is looked up, not recomputed.
+    picks the precision, not the method: an ``mpmath.mpc`` x gets the
+    infinite product to working precision, from :func:`_series_fixed` of x
+    scaled, or near a zero from :func:`_rerun` of its exact parts, rounded
+    once; any other x gets :func:`_theta_float` in binary64, or where that
+    sum cancels or is not finite the same fixed-point engine on its exact
+    binary parts, rounded once (:func:`_series_binary64`).  Inside an
+    :class:`EMemo` scope a repeated argument is looked up, not recomputed.
     """
     memo = _memo
     setup = None
@@ -629,9 +592,10 @@ def eval_E(x, p):
         if not p:
             return 1.0 - x
         tables = _nome_tables(p, setup[4], setup[3], memo)
-        value = _series_fixed(*_scaled(x._mpc_, tables.wp), tables)
+        x_parts = _exact(x._mpc_)
+        value = _series_fixed(*_scaled(x_parts, tables.wp), tables)
         if isinstance(value, int):
-            value = _rerun(_exact(x._mpc_), tables, value)
+            value = _rerun(x_parts, tables, value)
         value = _to_mpc(setup, *value)
     else:
         p_abs = abs(p)
@@ -639,10 +603,9 @@ def eval_E(x, p):
             raise NomeOutOfRange(f"|p| must be < 1, got |p| = {p_abs}")
         if not p:
             return 1.0 - x
-        p_abs = float(p_abs)
-        coeffs, pp_inf = _float_tables(p, p_abs, memo)
-        theta = _theta_float(x, p, coeffs)
-        value = _qinf_pair(x, p, p_abs) if theta is None else theta / pp_inf
+        tables = _float_tables(p, memo)
+        theta = _theta_float(x, p, tables[0])
+        value = _series_binary64(x, p, tables) if theta is None else theta / tables[1]
     if memo is not None:
         memo.table[key] = value
     return value
@@ -690,7 +653,8 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
     tables = _nome_tables(p, setup[4], setup[3], _memo)
     wp = tables.wp
     log2_floor = math.log2(floor) if floor is not None and floor > 0 else None
-    points = [[a, _scaled(_raw_parts(ctx, base), wp), _scaled(_raw_parts(ctx, a), wp), step]
+    points = [[a, _scaled(_exact(_raw_parts(ctx, base)), wp),
+               _scaled(_exact(_raw_parts(ctx, a)), wp), step]
               for params, base, step in groups for a in params]
     re, im, bits = 1, 0, 0
     for k in range(1, kmax + 1):
@@ -703,9 +667,9 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
                 if log2_floor is not None and _log2_abs(*f) < log2_floor:
                     raise DegenerateParameters(message(k, a, t, 2.0 ** _log2_abs(*f)))
                 fr, fi, f_bits = f
-                re, im, bits = _trim(re * fr - im * fi, re * fi + im * fr, bits + f_bits, wp)
+                re, im, bits = _scaled((re * fr - im * fi, re * fi + im * fr, bits + f_bits), wp)
                 yr, yi, y_bits = y
-                y = _trim(yr * br - yi * bi, yr * bi + yi * br, y_bits + b_bits, wp)
+                y = _scaled((yr * br - yi * bi, yr * bi + yi * br, y_bits + b_bits), wp)
             point[2] = y
         yield _to_mpc(setup, re, im, bits)
 
@@ -802,11 +766,9 @@ def theta1(z, p):
     theta_1(z) = i p^{1/4} e^{-iz} (p^2; p^2)_inf E(e^{2iz}; p^2), with the
     principal branch of p^{1/4}.  The branch choice drops out of identities
     in this package because theta_1 factors only appear in balanced ratios.
-    In binary64 the last two factors are theta(e^{2iz}; p^2) of
-    :func:`_theta_float`, over the tables of p^2, or near its zeros (p^2;
-    p^2)_inf from those tables times the factor loops of E.  For an
-    ``mpmath.mpc`` p^2, (p^2; p^2)_inf is the pentagonal series of the mpc
-    tables of p^2 (:class:`_NomeTables`), times :func:`eval_E`.
+    (p^2; p^2)_inf is the pentagonal series of the tables of p^2 in the
+    precision of p^2 (:func:`_float_tables` or :class:`_NomeTables`), times
+    :func:`eval_E`.
     """
     _nome_abs(p)
     if not p:
@@ -816,16 +778,9 @@ def theta1(z, p):
     if hasattr(p2, "_mpc_"):
         setup = _mpc_setup(w, p2)
         pp_inf = _to_mpc(setup, *_nome_tables(p2, setup[4], setup[3], _memo).pp_inf)
-        return 1j * p ** 0.25 * _cexp(-1j * z) * pp_inf * eval_E(w, p2)
-    p2_abs = float(abs(p2))
-    coeffs, pp_inf = _float_tables(p2, p2_abs, _memo)
-    factor = 1j * p ** 0.25 * _cexp(-1j * z)
-    if not w:
-        raise NonzeroRequired("E(x; p) requires x != 0")
-    theta = _theta_float(w, p2, coeffs)
-    if theta is None:
-        theta = pp_inf * _qinf_pair(w, p2, p2_abs)
-    return factor * theta
+    else:
+        pp_inf = _float_tables(p2, _memo)[1]
+    return 1j * p ** 0.25 * _cexp(-1j * z) * pp_inf * eval_E(w, p2)
 
 
 def binom2(n: int) -> int:

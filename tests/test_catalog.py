@@ -363,13 +363,13 @@ class TestCheckIdentity:
             assert rep.passed, (ident.id, rep.max_rel_err)
 
     def test_extended_trials_stay_off_the_binary64_loop(self, monkeypatch):
-        # Binary64 E stops its factor loops at a 1e-18 tail and mpc E has no
-        # tail, so a binary64 value leaking into an extended trial would
-        # lose digits unnoticed.
-        def binary64_loop(x, p, n):
-            raise AssertionError(f"binary64 product loop reached at x={x!r}")
+        # Binary64 E keeps 53 bits and mpc E the working precision, so a
+        # binary64 value leaking into an extended trial would lose digits
+        # unnoticed.
+        def binary64_sum(x, p, coeffs):
+            raise AssertionError(f"binary64 theta sum reached at x={x!r}")
 
-        monkeypatch.setattr(kernel, "_qinf", binary64_loop)
+        monkeypatch.setattr(kernel, "_theta_float", binary64_sum)
         for ident in list_identities():
             rep = check_identity(ident, trials=1, precision="extended")
             assert rep.passed, (ident.id, rep.max_rel_err)

@@ -457,6 +457,20 @@ class TestWithoutNumpy:
             run = f"from ellipsum.suites import SUITES; SUITES[{suite!r}](trials=1)"
             assert _loaded_after(run) == [module], suite
 
+    @pytest.mark.parametrize("args, fixed", [
+        (["run", "--suite", "kernel", "--trials", "5", "--p-mod", "0.85,0.95"], True),
+        (["run", "--suite", "catalog", "--trials", "2"], False),
+    ])
+    def test_binary64_runs_leave_mpmath_out(self, args, fixed):
+        # The kernel run takes the fixed-point series where the float sum
+        # cancels.  Serial, since a worker-only import is invisible here.
+        run = ("from ellipsum import catalog, kernel\ncatalog._worker_count = lambda n: 1\n"
+               "series, calls = kernel._series_fixed, []\n"
+               "kernel._series_fixed = lambda *a: calls.append(a) or series(*a)\n"
+               f"from ellipsum.cli import main\nassert main({args!r}) == 0\n"
+               f"assert bool(calls) or not {fixed}")
+        assert "mpmath" not in _loaded_after(run)
+
     @pytest.mark.parametrize("args", [
         ["--suite", "kernel", "--trials", "3"],
         ["--suite", "inversion", "--trials", "2"],

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import time
 
 import mpmath
 import pytest
@@ -66,23 +68,47 @@ class TestEvalE:
     def test_zero_at_one_is_exact(self):
         assert eval_E(1.0, 0.37) == 0.0
 
-    def test_truncation_adapts_to_large_arguments(self):
-        # |x| >> 1 needs more factors than the |x| ~ 1 default.
-        x, p = 1e8 + 0.0j, 0.3
-        assert kernel._num_factors(p, abs(x)) > kernel._num_factors(p, 1.0)
-        assert rel_err(kernel._qinf_pair(x, p, p), truncated_product_E(x, p, 200)) <= 1e-12
+    def test_truncation_adapts_to_large_arguments(self, monkeypatch):
+        # |x| >> 1 takes k = ceil(log2|x| / -log2|p|) steps theta(z) =
+        # -z theta(z p) into |p| < |z'| <= 1 before the sums: the terms the
+        # series covers grow with |x|, and no tail is cut.
+        steps = []
+        theta_terms = kernel._theta_terms
+
+        def counting(zr, zi, nome, wp, count):
+            steps.append(count)
+            return theta_terms(zr, zi, nome, wp, count)
+
+        monkeypatch.setattr(kernel, "_theta_terms", counting)
+        p = 0.3
+        fixed = kernel._NomeTables(kernel._binary_parts(p), 53 + kernel.GUARD_BITS)
+        for x, k in ((2.0 + 0.0j, 1), (1e8 + 0.0j, 16)):
+            steps.clear()
+            value = kernel._series_fixed(*kernel._binary_parts(x), fixed)
+            assert steps == [k]
+            want = truncated_product_E(x, p, 200)
+            assert rel_err(kernel._to_binary64(*value, False), want) <= 1e-12
+            assert rel_err(eval_E(x, p), want) <= 1e-12
+        monkeypatch.undo()
+        # kind 0 of _sweep_points: complex x with |x| up to 1e6
+        paths = [_check_binary64(x, p) for i, (x, p) in enumerate(_sweep_points(1200, 20261021))
+                 if i % 3 == 0]
+        assert paths.count("float") >= 350
+        assert "overflow" in paths
 
     def test_truncation_beyond_cap_raises(self):
-        # 0.999 needs about 41k factors for the default 1e-18 tail; the cap is 5000.
-        with pytest.raises(TruncationLimit, match=r"\|p\| = 0.999"):
-            eval_E(0.3, 0.999)
+        # Past the largest nome, 0.99540, binary64 E raises before it builds
+        # any table: at 1 - 1e-12 the coefficient loop alone would run
+        # millions of terms.
+        for p in (0.999, 1 - 1e-12):
+            start = time.perf_counter()
+            with pytest.raises(TruncationLimit, match=r"\|p\| = 0\.999\d* is too close to 1"):
+                eval_E(0.3, p)
+            assert time.perf_counter() - start < 1.0
 
     def test_nome_that_rounds_to_one_raises_truncation_limit(self):
-        # |p| = 1 - 1e-30 is inside the disk, but 1.0 in binary64, where
-        # log |p| = 0 leaves no factor count, and log2 |p| from the top bits
-        # of its parts is 0, past the nomes of the mpc series.
-        with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 in binary64"):
-            kernel._num_factors(1.0, 1.0)
+        # |p| = 1 - 1e-30 is inside the disk, but log2 |p| from the top bits
+        # of its parts is 0, past the nomes of the series.
         with mpmath.workdps(50):
             p = 1 - mpmath.mpf("1e-30")
             for nome in (p, mpmath.mpc(p)):
@@ -156,20 +182,6 @@ class TestEvalEEdges:
         self._check(x, p)
 
 
-def _plain_qinf(x, p, n):
-    """The first n factors of (x; p)_inf by the plain loop, every factor multiplied."""
-    result = 1.0
-    y = x
-    for _ in range(n):
-        result = result * (1.0 - y)
-        y = y * p
-    return result
-
-
-# Tail bounds of the sweep: kernel._num_factors' own, and two more.
-SWEEP_TAILS = (1e-18, 1e-30, 1e-5)
-
-
 def _sweep_points(count, seed):
     """(x, p) with |x| log-uniform in [1e-6, 1e6] and |p| in [1e-6, 0.99].
 
@@ -194,55 +206,86 @@ def _sweep_points(count, seed):
             yield p ** state.randint(-top, top) * (1 + 1e-12), p
 
 
-class TestBinary64ProductLoop:
-    """kernel._qinf stops before its last factors only where they change no bit."""
+def _check_binary64(x, p):
+    """eval_E(x, p) against the 60-digit oracle on the exact x and p, by path.
 
-    def test_matches_the_plain_loop_bitwise(self, monkeypatch):
-        points = list(_sweep_points(34000, 20261018))
-        sweep = [[] for _ in points]
-        for tail in SWEEP_TAILS:
-            monkeypatch.setattr(kernel, "_TAIL_BOUND", tail)
-            monkeypatch.setattr(kernel, "_LOG_TAIL", math.log(tail))
-            for (x, p), counts in zip(points, sweep):
-                try:
-                    counts.append(kernel._num_factors(abs(p), abs(x)))
-                except TruncationLimit:
-                    pass
-        monkeypatch.undo()
-        cases, mismatches = 0, []
-        for (x, p), counts in zip(points, sweep):
-            # one plain loop up to the largest count, read at each count
-            want = {}
-            result, y = 1.0, x
-            for k in range(1, max(counts, default=0) + 1):
-                result = result * (1.0 - y)
-                y = y * p
-                if k in counts:
-                    want[k] = result
-            for n in counts:
-                cases += 1
-                if bits(kernel._qinf(x, p, n)) != bits(want[n]):
-                    mismatches.append((x, p, n))
-        assert cases >= 100_000
-        assert mismatches == [], mismatches[:5]
+    Where :func:`kernel._theta_float` gives way, E is the fixed-point series
+    rounded once, within 2^-52 relative (or half the least subnormal);
+    elsewhere the float sum holds 1e-12.  An E past the binary64 range
+    is infinite.  Returns "float", "fallback" or "overflow".
+    """
+    coeffs = kernel._float_tables(p, None)[0]
+    path = "float" if kernel._theta_float(x, p, coeffs) is not None else "fallback"
+    want = infinite_product_E(mpmath.mpc(x), mpmath.mpc(p), 60)
+    with mpmath.workdps(60):
+        if abs(want) > sys.float_info.max:
+            assert abs(eval_E(x, p)) == math.inf, (x, p)
+            return "overflow"
+        tol = 1e-12 if path == "float" else 2.0 ** -52
+        assert abs(eval_E(x, p) - want) <= max(tol * abs(want), mpmath.ldexp(1, -1075)), (x, p)
+    return path
+
+
+class TestBinary64ProductLoop:
+    """The binary64 loop of the shifted factorials where every E falls back."""
+
+    def test_matches_the_plain_loop_bitwise(self):
+        # a = p^k (1 + 1e-12) and q = p put every factor E(a q^j) next to a
+        # zero of E, on the fixed-point series.  Inside an EMemo scope the
+        # nome's tables are built once and shared; no bit may move.
+        cases = 0
+        for i, (a, p) in enumerate(_sweep_points(600, 20261018)):
+            if i % 3 != 2:
+                continue
+            nome = Nome(p, p)
+            want = _reference_factors(a, a, nome, 4)
+            with kernel.EMemo():
+                got = pochhammer_e(a, nome, 4)
+            assert bits(got) == bits(want), (a, p)
+            cases += kernel._theta_float(a, p, kernel._float_tables(p, None)[0]) is None
+        assert cases >= 150
+
+
+class TestBinary64Fallback:
+    """Where the float sum cancels, binary64 E is the fixed-point series."""
+
+    def test_near_zeros_take_the_fixed_series(self):
+        # Kind 2 of _sweep_points: x = p^k (1 + 1e-12), next to a zero of E.
+        paths = [_check_binary64(x, p) for i, (x, p) in enumerate(_sweep_points(1200, 20261021))
+                 if i % 3 == 2]
+        assert paths.count("fallback") >= 350
 
     @pytest.mark.parametrize("x, p", [
         (0.7 + 0.2j, 0.1 - 0.15j), (0.7, 0.3), (0.7 + 0j, 0.3 + 0j),
-        (1e-300 + 1e-300j, 0.5j), (1e300 + 1e300j, 0.9 - 0.1j),
-        (complex(math.nan, 1.0), 0.3j), (1.0 + 1e-320j, 1e-6),
+        (1e-300 + 1e-300j, 0.5j), (1e300 + 1e300j, 0.9 - 0.1j), (1.0 + 1e-320j, 1e-6),
+        (1e8 + 0j, 0.3), (0.3, 0.9),
     ])
-    def test_edge_products(self, x, p):
-        for n in (1, 5, 10, 11, 30, 60):
-            assert bits(kernel._qinf(x, p, n)) == bits(_plain_qinf(x, p, n)), n
+    def test_edge_arguments(self, x, p):
+        start = time.perf_counter()
+        eval_E(x, p)
+        assert time.perf_counter() - start < 1.0
+        _check_binary64(x, p)
 
+    def test_non_finite_argument_raises(self):
+        with pytest.raises(TruncationLimit, match="outside the binary64 range"):
+            eval_E(complex(math.nan, 1.0), 0.3j)
 
-def _loop_value(x, p):
-    """E(x; p) by the two factor loops with their counts, or None where they raise."""
-    try:
-        n1, n2 = (kernel._num_factors(abs(p), abs(v)) for v in (x, p / x))
-    except TruncationLimit:
-        return None
-    return kernel._qinf(x, p, n1) * kernel._qinf(p / x, p, n2)
+    @pytest.mark.parametrize("modulus", [0.05, 0.3, 0.6, 0.9, 0.95])
+    def test_pentagonal_nome_factor(self, modulus):
+        # (p; p)_inf by Euler's pentagonal series in binary64, or where that
+        # sum falls below LOSS_FLOOR (real p = 0.9), from the fixed tables.
+        state = random.Random(20261025)
+        losses = 0
+        for p in [modulus, -modulus] + [cmath.rect(modulus, state.uniform(0.0, 2.0 * math.pi))
+                                        for _ in range(40)]:
+            coeffs, pp_inf, fixed = kernel._float_tables(p, None)
+            loss = abs(kernel._pentagonal(p)) < kernel.LOSS_FLOOR
+            assert (fixed is not None) == loss
+            losses += loss
+            with mpmath.workdps(40):
+                want = mpmath.qp(mpmath.mpc(p))
+                assert abs(pp_inf - want) <= (2.0 ** -52 if loss else 1e-14) * abs(want), p
+        assert (losses > 0) == (modulus >= 0.9)
 
 
 # The regions of TestEvalEEdges: a modulus range of x and of p, each log-uniform or not.
@@ -259,7 +302,7 @@ def _polar(state, lo, hi, log):
 
 
 class TestBinary64Series:
-    """Binary64 E by the triple product series, with the factor loops near its zeros."""
+    """Binary64 E by the triple product series in floating point."""
 
     @pytest.mark.parametrize("region", list(SERIES_REGIONS))
     def test_series_meets_the_product_bound(self, region):
@@ -268,7 +311,7 @@ class TestBinary64Series:
         served = 0
         for _ in range(300):
             x, p = _polar(state, *x_range), _polar(state, *p_range)
-            coeffs, pp_inf = kernel._float_tables(p, abs(p), None)
+            coeffs, pp_inf, _ = kernel._float_tables(p, None)
             theta = kernel._theta_float(x, p, coeffs)
             if theta is None:
                 continue
@@ -278,20 +321,6 @@ class TestBinary64Series:
             want = truncated_product_E(x, p, ORACLE_TERMS)
             assert abs(got - want) <= 1e-13 * _factor_scale(x, p)
         assert served >= 270
-
-    def test_near_zeros_take_the_factor_loops(self):
-        cases = 0
-        for i, (x, p) in enumerate(_sweep_points(9000, 20261021)):
-            if i % 3 != 2:  # x = p^k (1 + 1e-12)
-                continue
-            want = _loop_value(x, p)
-            if want is None:
-                with pytest.raises(TruncationLimit):
-                    eval_E(x, p)
-                continue
-            assert bits(eval_E(x, p)) == bits(want), (x, p)
-            cases += 1
-        assert cases >= 2500
 
     @pytest.mark.parametrize("one", [1, 1.0, 1 + 0j])
     @pytest.mark.parametrize("p", [0.3, -0.6, 0.2 - 0.5j, 1e-5j])
@@ -320,14 +349,24 @@ class TestTruncationPolicy:
             with pytest.raises(TruncationLimit, match="outside the binary64 range"):
                 list(kernel.running_products(groups, 1, mpmath.mpc(*p)))
 
-    def test_binary64_modulus_outside_range(self):
-        # p / x overflows to an infinite modulus
-        with pytest.raises(TruncationLimit, match=r"\|p/x\| = inf"):
-            eval_E(1e-320 + 0j, 0.3 + 0.1j)
-
     def test_counts_inside_the_range(self):
-        assert kernel._num_factors(0.5, 1e300) == 1067
-        assert kernel._num_factors(0.5, 0.5) == 70
+        # Inside |p| <= 0.99540 the theta coefficients of a binary64 nome run
+        # to the last term of 2^-93; at real p = 0.995 (p; p)_inf cancels,
+        # and the tables rise to 532 bits.
+        for p, count, wp in ((0.5, 15, 93), (0.9, 36, 93), (0.995, 385, 532)):
+            tables = kernel._NomeTables(kernel._binary_parts(p), 53 + kernel.GUARD_BITS)
+            assert (len(tables.theta), tables.wp) == (count, wp)
+        # the fixed-point series at x = 0.3, against 20,000 factors at 40
+        # digits (mpmath.qp does not converge there)
+        assert kernel._theta_float(0.3, 0.995, kernel._float_tables(0.995, None)[0]) is None
+        with mpmath.workdps(40):
+            want = truncated_product_E(mpmath.mpf(0.3), mpmath.mpf(0.995), 20000)
+            assert abs(eval_E(0.3, 0.995) - want) <= 2.0 ** -52 * abs(want)
+
+    def test_binary64_modulus_outside_range(self):
+        # p / x overflows to an infinite modulus, and E itself, about
+        # 2^339000, is far past the binary64 range: it rounds to infinity
+        assert eval_E(1e-320 + 0j, 0.3 + 0.1j) == complex(math.inf, math.inf)
 
 
 def _mpc_polar(modulus, phase):

@@ -219,7 +219,7 @@ class TestNomeTables:
         assert list(memo.nomes) == [key]
         monkeypatch.setattr(kernel, "_nome_tables",
                             lambda p, p_parts, wp, memo:
-                            kernel._NomeTables(p, p_parts, wp))
+                            kernel._NomeTables(kernel._exact(p_parts), wp))
         uncached, uncached_values, _ = self._memo_after(4)
         assert uncached.nomes == {}
         assert memo.table == uncached.table and memo.hits == uncached.hits == 1
@@ -239,14 +239,13 @@ class TestBinary64Tables:
 
     def test_one_table_per_nome_in_a_scope(self, monkeypatch):
         builds = []
-        build = kernel._qinf
+        build = kernel._pentagonal
 
-        def counting(x, p, n):
-            if x is p:
-                builds.append(p)  # (p; p)_inf, built once per table
-            return build(x, p, n)
+        def counting(p):
+            builds.append(p)  # (p; p)_inf, built once per table
+            return build(p)
 
-        monkeypatch.setattr(kernel, "_qinf", counting)
+        monkeypatch.setattr(kernel, "_pentagonal", counting)
         q = 0.5 + 0.25j
         with EMemo() as memo:
             values = [eval_E(x, p) for p in (P, q) for x in (X, 2 * X, X, 3 * X)]
@@ -287,10 +286,10 @@ def test_sides_of_a_trial_share_nome_tables_only(monkeypatch):
     class Counting(real_tables):
         __slots__ = ()
 
-        def __init__(self, p, p_parts, wp, need=None):
+        def __init__(self, p, wp, need=None):
             if need is None:  # not the raised tables of _rerun
-                trials[-1][1].append((p_parts, wp))
-            super().__init__(p, p_parts, wp, need)
+                trials[-1][1].append((p, wp))
+            super().__init__(p, wp, need)
 
     monkeypatch.setattr(catalog, "_extend_point", extend_point)
     monkeypatch.setattr(kernel, "_NomeTables", Counting)
@@ -302,5 +301,6 @@ def test_sides_of_a_trial_share_nome_tables_only(monkeypatch):
     for scopes, built in trials:
         assert len(built) == len(set(built))
         lhs, rhs = scopes
-        assert lhs.nomes is rhs.nomes and set(built) <= set(lhs.nomes)
+        assert lhs.nomes is rhs.nomes
+        assert set(built) <= {(kernel._exact(parts), wp) for parts, wp in lhs.nomes}
         assert lhs.table is not rhs.table
