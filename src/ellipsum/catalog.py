@@ -23,10 +23,9 @@ import pickle
 import struct
 import sys
 import zlib
-from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     BalanceViolation,
@@ -51,8 +50,7 @@ from .stream import PhiloxStream
 TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class SamplingRegion:
+class SamplingRegion(NamedTuple):
     """Moduli bounds for the random parameter draws (phases are uniform)."""
 
     q_mod: tuple = (0.3, 0.8)
@@ -63,8 +61,7 @@ class SamplingRegion:
 DEFAULT_REGION = SamplingRegion()
 
 
-@dataclass
-class ParamPoint:
+class ParamPoint(NamedTuple):
     """A concrete sampled parameter point."""
 
     nome: Nome
@@ -72,8 +69,7 @@ class ParamPoint:
     n: int
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """One catalog record: what a draw needs and the two sides to compare.
 
     ``free_params`` are drawn at random and ``solve(values, n, q)`` returns
@@ -1403,7 +1399,7 @@ def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
                                         pt.n, pt.nome.q))
             return ident_b.rhs(ParamPoint(pt.nome, values, pt.n))
 
-        pair = replace(ident_a, id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
+        pair = ident_a._replace(id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
         rep = check_identity(pair, trials, seed=seed, region=region)
         if rep.error is not None:
             raise SamplingExhausted(rep.error)

@@ -17,8 +17,7 @@ zeros produced by negative indices are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import SingularToWorkingPrecision
 from .kernel import (
@@ -324,8 +323,7 @@ def theta_det_sides(xs: Sequence, a, b, c, p):
     return det_numeric(theta_det_matrix(*args))[0], theta_det_product(*args)
 
 
-@dataclass(frozen=True)
-class AndrewsStantonProblem:
+class AndrewsStantonProblem(NamedTuple):
     x: complex
     y: complex
     n: int
@@ -335,8 +333,7 @@ class AndrewsStantonProblem:
         return andrews_stanton_sides(self.x, self.y, self.nome, self.n)
 
 
-@dataclass(frozen=True)
-class CorollaryDetermProblem:
+class CorollaryDetermProblem(NamedTuple):
     xs: tuple
     a: complex
     b: complex
@@ -347,8 +344,7 @@ class CorollaryDetermProblem:
         return corollary_determ_sides(self.xs, self.a, self.b, self.c, self.nome)
 
 
-@dataclass(frozen=True)
-class EllipticDetLemmaProblem:
+class EllipticDetLemmaProblem(NamedTuple):
     """Lemma instance with the shipped shifted-factorial family (parameter b)."""
 
     xs: tuple
@@ -363,8 +359,7 @@ class EllipticDetLemmaProblem:
                                         family)
 
 
-@dataclass(frozen=True)
-class ThetaDetProblem:
+class ThetaDetProblem(NamedTuple):
     xs: tuple
     a: complex
     b: complex

@@ -17,8 +17,7 @@ and the formulas are the source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateParameters, IndexOutOfTriangle
 from .kernel import (
@@ -30,18 +29,22 @@ from .kernel import (
 from .series import _summed, omega_sum
 
 
-@dataclass(frozen=True)
-class RStepPair:
-    """Inverse pair with bases (q, q^r) for a positive integer step r."""
-
+class _RStepFields(NamedTuple):
     a: complex
     b: complex
     r: int
     nome: Nome
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+
+class RStepPair(_RStepFields):
+    """Inverse pair with bases (q, q^r) for a positive integer step r."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, r, nome):
+        if r < 1:
             raise ValueError("step r must be a positive integer")
+        return super().__new__(cls, a, b, r, nome)
 
     def f(self, n: int, k: int):
         a, b, r = self.a, self.b, self.r
@@ -76,8 +79,7 @@ class RStepPair:
         return val * q ** k
 
 
-@dataclass(frozen=True)
-class RawRPair:
+class RawRPair(NamedTuple):
     """Inverse pair with a free complex second base r (the pre-stretch form)."""
 
     a: complex
@@ -114,8 +116,7 @@ class RawRPair:
         return val
 
 
-@dataclass(frozen=True)
-class KrattenthalerPair:
+class KrattenthalerPair(NamedTuple):
     """General inverse pair from sequences b_i, c_i and a scalar a.
 
     Requires c_i distinct and a*c_i*c_j != 1 for the indices used.

@@ -33,8 +33,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateParameters,
@@ -55,22 +54,29 @@ def _residual(lhs, rhs) -> float:
     return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
 
-@dataclass(frozen=True)
-class Nome:
+# Records are NamedTuples.  A NamedTuple may not define __new__, so a record
+# that checks its fields subclasses the private NamedTuple of those fields
+# and checks them in its __new__ (``_replace`` does not call it).
+class _NomeFields(NamedTuple):
+    q: complex
+    p: complex
+
+
+class Nome(_NomeFields):
     """The pair of bases (q, p) with q != 0 and |p| < 1.
 
     |q| < 1 is deliberately not required: every series in this package
     terminates, so q only has to be nonzero.  p = 0 is the classical case.
     """
 
-    q: complex
-    p: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q == 0:
+    def __new__(cls, q, p):
+        if q == 0:
             raise NonzeroRequired("base q must be nonzero")
-        if not abs(self.p) < 1:
-            raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(self.p)}")
+        if not abs(p) < 1:
+            raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
+        return super().__new__(cls, q, p)
 
     def with_base(self, q) -> "Nome":
         return Nome(q, self.p)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BalanceViolation, DegenerateParameters
 from .kernel import (
@@ -30,19 +29,22 @@ from .series import _summed, omega_terms
 MAX_BRUTE_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing nonnegative integers with trailing zeros explicit."""
-
+class _PartitionFields(NamedTuple):
     parts: tuple
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", parts)
+
+class Partition(_PartitionFields):
+    """Weakly decreasing nonnegative integers with trailing zeros explicit."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts):
+        parts = tuple(int(x) for x in parts)
         if any(x < 0 for x in parts):
             raise ValueError("partition entries must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition entries must be weakly decreasing")
+        return super().__new__(cls, parts)
 
     @property
     def nparts(self) -> int:
@@ -84,8 +86,7 @@ def enumerate_partitions(nparts: int, cap: int) -> Iterator[Partition]:
     yield from rec((), nparts, cap)
 
 
-@dataclass(frozen=True)
-class CnPoint:
+class CnPoint(NamedTuple):
     """Parameter point for the multivariable sums.
 
     ``x`` is the vector (x_1..x_n) for the n-fold Jackson sum, or the single

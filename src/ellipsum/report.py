@@ -7,7 +7,7 @@ for complex values, so that identical runs produce byte-identical JSON
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -21,8 +21,7 @@ def _cpair(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-identity trial statistics with the worst point kept for replay.
 
     ``failures`` holds one ``{"trial_index", "rel_err", "point"}`` dict per
@@ -37,7 +36,7 @@ class VerificationReport:
     seed: int
     max_rel_err: float
     mean_rel_err: float
-    failures: list = field(default_factory=list)
+    failures: list
     resamples: int = 0
     wall_time_ms: float = 0.0
     worst_point: dict | None = None

@@ -17,8 +17,7 @@ kernel forms term by term (:func:`ellipsum.kernel.running_products`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BalanceViolation
 from .kernel import (
@@ -32,8 +31,14 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class OmegaSpec:
+class _OmegaFields(NamedTuple):
+    a1: complex
+    upper: tuple
+    nome: Nome
+    n_term: int
+
+
+class OmegaSpec(_OmegaFields):
     """A terminating very-well-poised balanced series.
 
     ``upper`` holds the upper parameters *except* the terminating one; the
@@ -41,15 +46,13 @@ class OmegaSpec:
     r = m + 3, i.e. a ``(r+1) omega r``.
     """
 
-    a1: complex
-    upper: tuple = field(default_factory=tuple)
-    nome: Nome = None
-    n_term: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple(self.upper))
-        if self.n_term < 0:
+    def __new__(cls, a1, upper=(), nome=None, n_term=0):
+        upper = tuple(upper)
+        if n_term < 0:
             raise ValueError("n_term must be a nonnegative integer")
+        return super().__new__(cls, a1, upper, nome, n_term)
 
     @property
     def r(self) -> int:

@@ -18,6 +18,7 @@ first, keeping the high half for the next call.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 
@@ -56,34 +57,55 @@ _HASH_A = _powers(_INIT_A, _MULT_A, 32)
 _HASH_B = _powers(_INIT_B, _MULT_B, 4)
 
 
-def _seed_key(seed, spawn_key) -> tuple:
-    """``SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, uint64)``."""
-    entropy = _words(seed)
-    spawn = [w for k in spawn_key for w in _words(k)]
-    if spawn:
-        entropy += [0] * (4 - len(entropy))  # numpy pads the run entropy to the pool
-    entropy += spawn
-    entropy += [0] * (4 - len(entropy))
-    calls = 4 * len(entropy)  # 4 to fill the pool, 12 to mix it, 4 a further word
-    hash_a = _HASH_A if calls < len(_HASH_A) else _powers(_INIT_A, _MULT_A, calls)
-    pool = []
-    for j in range(4):
-        h = (entropy[j] ^ hash_a[j]) * hash_a[j + 1] & M32
-        pool.append(h ^ h >> 16)
-    j = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h = (pool[src] ^ hash_a[j]) * hash_a[j + 1] & M32
-                j += 1
-                r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & M32
-                pool[dst] = r ^ r >> 16
-    for word in entropy[4:]:
+def _mixed(pool: list, words, j: int) -> int:
+    """Hash each of ``words`` into the four words of ``pool`` by SeedSequence's
+    hashmix calls j, j + 1, ...; the next call's index."""
+    end = j + 4 * len(words)
+    hash_a = _HASH_A if end < len(_HASH_A) else _powers(_INIT_A, _MULT_A, end)
+    for word in words:
         for dst in range(4):
             h = (word ^ hash_a[j]) * hash_a[j + 1] & M32
             j += 1
             r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & M32
             pool[dst] = r ^ r >> 16
+    return end
+
+
+@functools.lru_cache(maxsize=256)
+def _pool(head: tuple) -> tuple:
+    """SeedSequence's pool after hashing in the entropy words ``head``, four
+    or more, and the index of the next hashmix call."""
+    pool = []
+    for j in range(4):
+        h = (head[j] ^ _HASH_A[j]) * _HASH_A[j + 1] & M32
+        pool.append(h ^ h >> 16)
+    j = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h = (pool[src] ^ _HASH_A[j]) * _HASH_A[j + 1] & M32
+                j += 1
+                r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & M32
+                pool[dst] = r ^ r >> 16
+    j = _mixed(pool, head[4:], j)
+    return tuple(pool), j
+
+
+def _seed_key(seed, spawn_key) -> tuple:
+    """``SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(2, uint64)``.
+
+    numpy pads the seed words to the pool's four and mixes in the spawn
+    key's words after them, so the words of the spawn key's last entry mix
+    last: every trial of an identity, (crc32(id), trial), shares the cached
+    pool of the words before it and hashes only its own.
+    """
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    spawn = [_words(k) for k in spawn_key]
+    last = spawn.pop() if spawn else []
+    pool, j = _pool(tuple(entropy + [w for words in spawn for w in words]))
+    pool = list(pool)
+    _mixed(pool, last, j)
     state = []
     for j, word in enumerate(pool):
         word = (word ^ _HASH_B[j]) * _HASH_B[j + 1] & M32

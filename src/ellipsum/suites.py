@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .catalog import (
     CONDITION_LIMIT,
@@ -53,8 +52,7 @@ from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
 ORTHOGONALITY_N_MAX = 8
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """A check's record; ``error`` says why it stopped short of its trials."""
 
     name: str
@@ -82,8 +80,7 @@ class CheckResult:
         return record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One row of a suite table.
 
     ``tag`` names the check's random stream.  ``trials`` fixes the trial

@@ -21,10 +21,15 @@ def truncated_product_E(x, p, terms: int = 50):
 
 
 def infinite_product_E(x, p, dps: int = 90):
-    """E(x; p) = (x; p)_inf (p/x; p)_inf by mpmath's q-Pochhammer symbol at ``dps`` digits."""
+    """E(x; p) = (x; p)_inf (p/x; p)_inf by mpmath's q-Pochhammer symbol at ``dps`` digits.
+
+    x and p are taken exactly: p / x is formed at ``dps`` digits, also for
+    binary64 inputs.
+    """
     import mpmath
 
     with mpmath.workdps(dps):
+        x, p = mpmath.mpc(x), mpmath.mpc(p)
         return mpmath.qp(x, p) * mpmath.qp(p / x, p)
 
 

@@ -25,7 +25,7 @@ from ellipsum.catalog import _draw_complex, _rng_for, _uniform_pair
 from ellipsum.errors import DegenerateParameters, SamplingExhausted
 from ellipsum.report import VerificationReport, point_dump
 from ellipsum.series import OmegaSpec, balance_residual
-from ellipsum.stream import PhiloxStream
+from ellipsum.stream import PhiloxStream, _pool, _seed_key
 from ellipsum.suites import Check, run_checks, run_kernel_suite
 
 from conftest import bits, rel_err
@@ -243,6 +243,21 @@ class TestSamplingStream:
             new, old = _rng_for("e87", 5, trial), _numpy_rng_for("e87", 5, trial)
             for _ in range(2 * blocks):
                 assert new.pair() == tuple(old.random(2).tolist())
+
+    @pytest.mark.parametrize("seed", [7919, 2**32 + 3, 2**64 + 5])
+    def test_consecutive_trials_on_the_cached_pool(self, seed):
+        # After an identity's first trial the pool of its seed and crc32 word
+        # comes from the cache, and each trial hashes only its own word,
+        # which may take two 32-bit words.
+        trials = [0, 1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 4]
+        crc = zlib.crc32(b"e87")
+        hits = _pool.cache_info().hits
+        for trial in trials:
+            want = np.random.SeedSequence(entropy=seed, spawn_key=(crc, trial))
+            assert _seed_key(seed, (crc, trial)) == tuple(want.generate_state(2, np.uint64).tolist())
+            new, old = _rng_for("e87", seed, trial), _numpy_rng_for("e87", seed, trial)
+            assert new.pair() == tuple(old.random(2).tolist())
+        assert _pool.cache_info().hits - hits >= 2 * len(trials) - 1
 
     @pytest.mark.parametrize("carry", [2**64, 2**128])
     @pytest.mark.parametrize("before", [1, 3, 20, 50])
@@ -541,12 +556,10 @@ class TestSmallNomeContinuity:
         # The window presumes O(1) factor arguments, so the probe keeps the
         # termination index at <= 1 (large q^{-rn} arguments scale the
         # p-linear term past any fixed tolerance).
-        import dataclasses
-
         region = SamplingRegion(q_mod=(0.5, 0.8), p_mod=(0.0, 0.0))
         for ident in list_identities():
             lo, hi = ident.termination
-            probe = dataclasses.replace(ident, termination=(lo, min(hi, 1)))
+            probe = ident._replace(termination=(lo, min(hi, 1)))
             hit = False
             for seed in range(12):
                 pt = sample_point(probe, seed=seed, region=region)

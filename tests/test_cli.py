@@ -428,23 +428,35 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
 
 
 # Modules that only some runs need: the suites' own modules and mpmath for
-# extended precision; numpy, which no run needs, is watched as well.
+# extended precision; numpy, dataclasses and inspect, which no run needs,
+# are watched as well.
 _ON_DEMAND = ("ellipsum.determinants", "ellipsum.inversion", "ellipsum.multivar",
-              "numpy", "mpmath")
+              "numpy", "mpmath", "dataclasses", "inspect")
 
 
 def _loaded_after(code: str) -> list:
-    """The _ON_DEMAND modules loaded in a fresh interpreter after ``code``."""
+    """The _ON_DEMAND modules that ``code`` adds to a fresh interpreter.
+
+    Modules already loaded before it, by ``site`` say, do not count.
+    """
     proc = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport json, sys\nprint(json.dumps("
-                               f"[m for m in {_ON_DEMAND!r} if m in sys.modules]))"],
+        [sys.executable, "-c", f"import sys\nbefore = set(sys.modules)\n{code}\n"
+                               f"import json, sys\nprint(json.dumps("
+                               f"[m for m in {_ON_DEMAND!r} "
+                               f"if m in sys.modules and m not in before]))"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# Runs in the calling process: a module that only a forked worker imported
+# would be missing from the parent's sys.modules.
+_SERIAL = "from ellipsum import catalog, kernel\ncatalog._worker_count = lambda n: 1\n"
+
+
 class TestWithoutNumpy:
-    """No run loads numpy, and each suite loads its own modules in its runner."""
+    """No run loads numpy, dataclasses or inspect, and each suite loads its
+    own modules in its runner."""
 
     def test_cli_import_leaves_numpy_out(self):
         assert _loaded_after("import ellipsum.cli") == []
@@ -463,13 +475,17 @@ class TestWithoutNumpy:
     ])
     def test_binary64_runs_leave_mpmath_out(self, args, fixed):
         # The kernel run takes the fixed-point series where the float sum
-        # cancels.  Serial, since a worker-only import is invisible here.
-        run = ("from ellipsum import catalog, kernel\ncatalog._worker_count = lambda n: 1\n"
-               "series, calls = kernel._series_fixed, []\n"
+        # cancels.
+        run = (_SERIAL + "series, calls = kernel._series_fixed, []\n"
                "kernel._series_fixed = lambda *a: calls.append(a) or series(*a)\n"
                f"from ellipsum.cli import main\nassert main({args!r}) == 0\n"
                f"assert bool(calls) or not {fixed}")
-        assert "mpmath" not in _loaded_after(run)
+        assert _loaded_after(run) == []
+
+    def test_extended_run_loads_mpmath_alone(self):
+        args = ["run", "--identity", "e87", "--trials", "1", "--precision", "extended"]
+        run = _SERIAL + f"from ellipsum.cli import main\nassert main({args!r}) == 0"
+        assert _loaded_after(run) == ["mpmath"]
 
     @pytest.mark.parametrize("args", [
         ["--suite", "kernel", "--trials", "3"],

@@ -216,7 +216,7 @@ def _check_binary64(x, p):
     """
     coeffs = kernel._float_tables(p, None)[0]
     path = "float" if kernel._theta_float(x, p, coeffs) is not None else "fallback"
-    want = infinite_product_E(mpmath.mpc(x), mpmath.mpc(p), 60)
+    want = infinite_product_E(x, p, 60)
     with mpmath.workdps(60):
         if abs(want) > sys.float_info.max:
             assert abs(eval_E(x, p)) == math.inf, (x, p)
@@ -224,6 +224,13 @@ def _check_binary64(x, p):
         tol = 1e-12 if path == "float" else 2.0 ** -52
         assert abs(eval_E(x, p) - want) <= max(tol * abs(want), mpmath.ldexp(1, -1075)), (x, p)
     return path
+
+
+def test_oracle_takes_binary64_inputs_exactly():
+    # Next to a zero of E, a p / x rounded to binary64 would move E by 5e-5.
+    p = complex(-0.0109, 0.0685)
+    x = p ** 2 * (1 + 1e-12)
+    assert infinite_product_E(x, p, 60) == infinite_product_E(mpmath.mpc(x), mpmath.mpc(p), 60)
 
 
 class TestBinary64ProductLoop:

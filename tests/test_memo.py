@@ -1,7 +1,6 @@
 """The eval_E memo: its scopes, its keys, and output equal to the program without it."""
 
 import contextlib
-import dataclasses
 import json
 
 import mpmath
@@ -132,7 +131,7 @@ def test_each_catalog_side_gets_a_fresh_scope():
 
         return evaluate
 
-    check_identity(dataclasses.replace(ident, lhs=spy("lhs"), rhs=spy("rhs")),
+    check_identity(ident._replace(lhs=spy("lhs"), rhs=spy("rhs")),
                    trials=3, seed=1)
     assert [side for side, _, _ in seen] == ["lhs", "rhs"] * 3
     assert len({id(memo) for _, memo, _ in seen}) == len(seen)

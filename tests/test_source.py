@@ -96,30 +96,53 @@ def test_no_module_imports_numpy():
     assert imports == []
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-    return False
+# Every record of the package: a NamedTuple, or a subclass of a private
+# NamedTuple of its fields that validates them in __new__.
+RECORDS = {
+    "kernel": ["Nome"],
+    "catalog": ["SamplingRegion", "ParamPoint", "Identity"],
+    "report": ["VerificationReport"],
+    "series": ["OmegaSpec"],
+    "suites": ["Check", "CheckResult"],
+    "determinants": ["AndrewsStantonProblem", "CorollaryDetermProblem",
+                     "EllipticDetLemmaProblem", "ThetaDetProblem"],
+    "inversion": ["RStepPair", "RawRPair", "KrattenthalerPair"],
+    "multivar": ["Partition", "CnPoint"],
+}
 
 
-def test_every_dataclass_field_is_read():
+def _record_fields(tree: ast.Module) -> dict:
+    """{record name: its field names} of the records a module defines."""
+    fields = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = [base.id for base in node.bases if isinstance(base, ast.Name)]
+        if "NamedTuple" in bases:
+            fields[node.name] = [stmt.target.id for stmt in node.body
+                                 if isinstance(stmt, ast.AnnAssign)
+                                 and isinstance(stmt.target, ast.Name)]
+        elif len(bases) == 1 and bases[0] in fields:
+            fields[node.name] = fields.pop(bases[0])
+    return fields
+
+
+def test_every_record_field_is_read():
     """A field that no code reads as an attribute is dead weight on every
     record that sets it; the package and its tests are the readers."""
-    fields = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields += [(node.name, stmt.target.id) for stmt in node.body
-                           if isinstance(stmt, ast.AnnAssign)
-                           and isinstance(stmt.target, ast.Name)]
+    records = {path.stem: _record_fields(_parse(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: sorted(fields) for module, fields in records.items()
+            if fields} == {module: sorted(names) for module, names in RECORDS.items()}
     read = set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]:
         read.update(node.attr for node in ast.walk(_parse(path))
                     if isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load))
-    unread = [f"{cls}.{name}" for cls, name in fields if name not in read]
+    unread = [f"{cls}.{name}" for fields in records.values()
+              for cls, names in fields.items() for name in names
+              if name not in read]
+    assert all(names for fields in records.values() for names in fields.values())
     assert unread == []
 
 
