@@ -5,10 +5,8 @@ from .errors import (
     BalanceViolation,
     DegenerateParameters,
     EllipticError,
-    IndexOutOfTriangle,
     NomeOutOfRange,
     NonzeroRequired,
-    SamplingExhausted,
     SingularToWorkingPrecision,
     TruncationLimit,
     WorkerError,
@@ -31,12 +29,10 @@ __all__ = [
     "DELTA_DEGEN",
     "DegenerateParameters",
     "EllipticError",
-    "IndexOutOfTriangle",
     "Nome",
     "NomeOutOfRange",
     "NonzeroRequired",
     "OmegaSpec",
-    "SamplingExhausted",
     "SingularToWorkingPrecision",
     "TruncationLimit",
     "WorkerError",

@@ -31,7 +31,6 @@ from .errors import (
     BalanceViolation,
     DegenerateParameters,
     NonzeroRequired,
-    SamplingExhausted,
     SingularToWorkingPrecision,
     WorkerError,
 )
@@ -712,18 +711,6 @@ def _prefactor_rhs(prefactor):
     return rhs
 
 
-def cor_etrafo3_fa_sigma_rhs(pt):
-    """The equivalent residue-indexed closed form of the same summation."""
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
-    q = nome.q
-    n2 = nome.with_base(q * q)
-    s = n % 2
-    m = (n + s) // 2
-    base = a * q ** (2 - s)
-    return _eight_term(base, base, b, c, d, n2, m)
-
-
 _register(Identity(
     id="cor_etrafo3_fa",
     description="quadratic-base summation from pinning the inner series",
@@ -1310,19 +1297,6 @@ def _identity_trials(ident: Identity, trials: int, seed: int,
                    lambda rng: _draw_point(ident, rng, region), evaluate)
 
 
-def sample_point(ident: Identity, seed: int,
-                 region: SamplingRegion = DEFAULT_REGION) -> ParamPoint:
-    """An admissible parameter point for the identity; deterministic in seed.
-
-    The point returned is the one trial 0 of :func:`check_identity` would
-    use with the same seed, or :class:`SamplingExhausted` is raised.
-    """
-    values, _, error = _identity_trials(ident, 1, seed, region, "double")
-    if error is not None:
-        raise SamplingExhausted(error)
-    return values[0][0]
-
-
 def _rel_diff(a, b) -> float:
     """|a - b| / (|a| + |b|), the relative difference of two values."""
     return float(abs(a - b) / (abs(a) + abs(b) + TINY))
@@ -1375,33 +1349,3 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
         error=error,
     )
 
-
-def cross_check_transform_pairs(trials: int = 20, seed: int = 1,
-                                region: SamplingRegion = DEFAULT_REGION) -> dict:
-    """Agreement of the two gauge choices of each transformation's right side.
-
-    The left side of the quadratic (resp. cubic) transformation does not
-    involve the gauge parameter, so the two right-hand forms must agree at
-    matched points; this is itself a ten-term transformation instance, run by
-    :func:`check_identity` as an unregistered record.
-    Returns {pair name: max relative difference}; a pair that runs out of
-    admissible draws raises :class:`SamplingExhausted`.
-    """
-    out = {}
-    for pair_name, id_a, id_b in (
-            ("quadratic", "etrafo_quadratic_gab", "etrafo_quadratic_gae"),
-            ("cubic", "etrafo2_cubic_fab", "etrafo2_cubic_fae")):
-        ident_a, ident_b = get_identity(id_a), get_identity(id_b)
-
-        def rhs_b(pt):
-            values = dict(pt.values)
-            values.update(ident_b.solve({k: values[k] for k in ident_b.free_params},
-                                        pt.n, pt.nome.q))
-            return ident_b.rhs(ParamPoint(pt.nome, values, pt.n))
-
-        pair = ident_a._replace(id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
-        rep = check_identity(pair, trials, seed=seed, region=region)
-        if rep.error is not None:
-            raise SamplingExhausted(rep.error)
-        out[pair_name] = rep.max_rel_err
-    return out

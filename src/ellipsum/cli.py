@@ -1,8 +1,9 @@
 """Command-line harness: list checks, run them, emit JSON reports.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 usage error.  A check or identity that runs out of admissible draws fails,
-with an ``error`` in its record, and the run goes on.
+2 usage error or a ``--json`` report that cannot be written.  A check or
+identity that runs out of admissible draws fails, with an ``error`` in its
+record, and the run goes on.
 
 Independent checks and identities run on one worker per CPU in the
 process's affinity mask (``taskset -c 0 verify run ...`` runs serially), and
@@ -221,16 +222,17 @@ def main(argv=None) -> int:
         return 2
 
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.json_path!r}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
 
     print("result: " + ("FAIL" if failed else "ok"))
     return 1 if failed else 0
-
-
-# Alias under the harness-facing operation name.
-cli_run = main
 
 
 if __name__ == "__main__":

@@ -5,19 +5,20 @@ Four families are covered:
 * the quadratic-base determinant whose LU factorization is carried out
   explicitly (``andrews_stanton_*``),
 * the general elliptic determinant lemma with a row-periodic function family
-  (``elliptic_det_lemma_sides``),
-* its shifted-factorial corollary (``corollary_determ_sides``),
-* the same corollary rewritten in theta functions (``theta_det_sides``).
+  (``det_lemma_*``),
+* its shifted-factorial corollary (``corollary_determ_*``),
+* the same corollary rewritten in theta functions (``theta_det_*``).
 
-Each family has one matrix builder and one closed-form product.  Matrix
-entries are assembled from unreduced Pochhammer fractions so the structural
-zeros produced by negative indices are exact.
+Each family has one matrix builder and one closed-form product; a check
+compares :func:`det_numeric` of the one with the other.  Matrix entries are
+assembled from unreduced Pochhammer fractions so the structural zeros
+produced by negative indices are exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import SingularToWorkingPrecision
 from .kernel import (
@@ -135,12 +136,6 @@ def andrews_stanton_product(x, y, nome: Nome, n: int):
     return prod
 
 
-def andrews_stanton_sides(x, y, nome: Nome, n: int):
-    """(det of the n x n matrix, closed-form double product)."""
-    args = (x, y, nome, n)
-    return det_numeric(andrews_stanton_matrix(*args))[0], andrews_stanton_product(*args)
-
-
 def andrews_stanton_lu(x, y, nome: Nome, n: int):
     """The explicit unit-upper-triangular U and diagonal of L = M U.
 
@@ -225,20 +220,6 @@ def det_lemma_product(xs: Sequence, a_values: Sequence, c, nome: Nome,
     return rhs
 
 
-def elliptic_det_lemma_sides(xs: Sequence, a_values: Sequence, c, nome: Nome,
-                             family: Sequence[Callable]):
-    """(LHS determinant, RHS product) of the elliptic determinant lemma.
-
-    ``a_values`` is the full list A_1..A_n; A_1 only enters through
-    P_0(1/A_1), which is constant for any admissible family.  ``family``
-    holds the n callables P_0..P_{n-1}.
-    """
-    if not len(a_values) == len(family) == len(xs):
-        raise ValueError("xs, a_values and family must share length n")
-    args = (xs, a_values, c, nome, family)
-    return det_numeric(det_lemma_matrix(*args))[0], det_lemma_product(*args)
-
-
 def corollary_determ_matrix(xs: Sequence, a, b, c, nome: Nome) -> list:
     n = len(xs)
     matrix = []
@@ -269,12 +250,6 @@ def corollary_determ_product(xs: Sequence, a, b, c, nome: Nome):
         rhs /= pochhammer_e(b * xs[i - 1], nome, n - 1)
         rhs /= pochhammer_e(b * c / xs[i - 1], nome, n - 1)
     return rhs
-
-
-def corollary_determ_sides(xs: Sequence, a, b, c, nome: Nome):
-    """(det of the shifted-factorial ratio matrix, closed-form product)."""
-    args = (xs, a, b, c, nome)
-    return det_numeric(corollary_determ_matrix(*args))[0], corollary_determ_product(*args)
 
 
 def _binom3(n: int) -> int:
@@ -315,56 +290,3 @@ def theta_det_product(xs: Sequence, a, b, c, p):
         rhs *= theta_product_chain(b - a, i - 1, p)
         rhs *= theta_product_chain(a + b + c + 2 * n - 2 * i, i - 1, p)
     return rhs
-
-
-def theta_det_sides(xs: Sequence, a, b, c, p):
-    """(det, product) of the theta-function determinant identity."""
-    args = (xs, a, b, c, p)
-    return det_numeric(theta_det_matrix(*args))[0], theta_det_product(*args)
-
-
-class AndrewsStantonProblem(NamedTuple):
-    x: complex
-    y: complex
-    n: int
-    nome: Nome
-
-    def sides(self):
-        return andrews_stanton_sides(self.x, self.y, self.nome, self.n)
-
-
-class CorollaryDetermProblem(NamedTuple):
-    xs: tuple
-    a: complex
-    b: complex
-    c: complex
-    nome: Nome
-
-    def sides(self):
-        return corollary_determ_sides(self.xs, self.a, self.b, self.c, self.nome)
-
-
-class EllipticDetLemmaProblem(NamedTuple):
-    """Lemma instance with the shipped shifted-factorial family (parameter b)."""
-
-    xs: tuple
-    a_values: tuple
-    b: complex
-    c: complex
-    nome: Nome
-
-    def sides(self):
-        family = shifted_product_family(self.b, self.c, self.nome, len(self.xs))
-        return elliptic_det_lemma_sides(self.xs, self.a_values, self.c, self.nome,
-                                        family)
-
-
-class ThetaDetProblem(NamedTuple):
-    xs: tuple
-    a: complex
-    b: complex
-    c: complex
-    p: complex
-
-    def sides(self):
-        return theta_det_sides(self.xs, self.a, self.b, self.c, self.p)

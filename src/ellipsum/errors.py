@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package.
+
+A check's sampling loop treats :class:`DegenerateParameters`,
+:class:`BalanceViolation`, :class:`SingularToWorkingPrecision` and
+:class:`NonzeroRequired` raised by a draw as a rejected draw, and redraws.
+A check that runs out of redraws is not an exception: it is a failed record
+with an ``error``, and the run goes on.
+"""
 
 
 class EllipticError(Exception):
@@ -24,25 +31,18 @@ class TruncationLimit(EllipticError):
 
 
 class DegenerateParameters(EllipticError):
-    """A denominator factor came too close to a zero of the elliptic kernel.
+    """A draw that a check cannot use.
 
-    Identity checks must distinguish poles from bugs, so near-zero reciprocal
-    factors raise instead of silently producing huge values.
+    The kernel raises it for a denominator factor too close to a zero of E:
+    identity checks must tell poles from bugs, so near-zero reciprocal
+    factors raise instead of silently producing huge values.  The checks
+    raise it for a non-finite value, a cancellation-dominated sum, an
+    ill-conditioned matrix, or a q whose powers come too close to p's.
     """
 
 
 class BalanceViolation(EllipticError):
     """The very-well-poised balancing constraint is violated beyond tolerance."""
-
-
-class SamplingExhausted(EllipticError):
-    """Could not draw an admissible parameter point within the resample budget.
-
-    :func:`ellipsum.catalog.sample_point` and
-    :func:`ellipsum.catalog.cross_check_transform_pairs` raise it.  Checks do
-    not: an exhausted identity or suite check is a failed record with this
-    message as its ``error``, and the run goes on.
-    """
 
 
 class WorkerError(EllipticError):
@@ -51,8 +51,6 @@ class WorkerError(EllipticError):
 
 
 class SingularToWorkingPrecision(EllipticError):
-    """A matrix was numerically singular at working precision."""
+    """A matrix had a zero pivot, or a non-finite determinant or condition
+    number, at working precision."""
 
-
-class IndexOutOfTriangle(EllipticError):
-    """A lower-triangular matrix entry above the diagonal was requested."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DegenerateParameters, IndexOutOfTriangle
+from .errors import DegenerateParameters
 from .kernel import (
     Nome,
     binom2,
@@ -161,21 +161,6 @@ class KrattenthalerPair(NamedTuple):
 InversePair = RStepPair | RawRPair | KrattenthalerPair
 
 
-def f_entry(pair: InversePair, n: int, k: int):
-    """Entry f_{n,k} of the pair's first matrix.  Above the diagonal, where
-    the entry is a structural zero, it raises :class:`IndexOutOfTriangle`."""
-    if k > n:
-        raise IndexOutOfTriangle(f"f({n},{k}) lies above the diagonal")
-    return pair.f(n, k)
-
-
-def f_inv_entry(pair: InversePair, n: int, k: int):
-    """Entry f^{-1}_{n,k} of the pair's inverse matrix."""
-    if k > n:
-        raise IndexOutOfTriangle(f"f_inv({n},{k}) lies above the diagonal")
-    return pair.f_inv(n, k)
-
-
 def check_orthogonality(pair: InversePair, n_max: int) -> float:
     """max over 0 <= l <= n <= n_max of the normalized orthogonality residual.
 
@@ -201,14 +186,6 @@ def check_orthogonality(pair: InversePair, n_max: int) -> float:
             target = 1.0 if n == l else 0.0
             worst = max(worst, float(abs(total - target) / max(scale, 1e-300)))
     return worst
-
-
-def apply_pair(pair: InversePair, a_seq: Callable[[int], complex], n: int):
-    """b_n = sum_{k=0}^{n} f_{n,k} a_k for a sequence evaluator a_seq."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    total, _ = _summed(pair.f(n, k) * a_seq(k) for k in range(n + 1))
-    return total
 
 
 def esum_sides(u, v, x, y, p):
@@ -246,26 +223,6 @@ def macdonald_sides(a: Sequence, b: Sequence, c: Sequence, d: Sequence, p):
         prod1 *= E(a[j] * c[j]) * E(a[j] / c[j]) * E(b[j] * d[j]) * E(b[j] / d[j])
         prod2 *= E(a[j] * d[j]) * E(a[j] / d[j]) * E(b[j] * c[j]) * E(b[j] / c[j])
     return lhs, prod1 - prod2
-
-
-def sum1_term(a, b, c, r, nome: Nome, n: int, k: int):
-    """k-th summand of the two-base telescoping sum at its d = r^n point."""
-    q, p = nome.q, nome.p
-    nr = nome.with_base(r)
-    val = eval_E(a * (q * r) ** k, p) * eval_E(b * r ** k * q ** (-k), p)
-    val /= eval_E(a, p) * eval_E(b, p)
-    val *= pochhammer_e(a / c, nome, k) * pochhammer_e(c / b, nome, k)
-    val *= pochhammer_e(a * b * r ** n, nr, k) * pochhammer_e(r ** (-n), nr, k)
-    val /= pochhammer_e(c * r, nr, k) * pochhammer_e(a * b * r / c, nr, k)
-    val /= pochhammer_e(q * r ** (-n) / b, nome, k)
-    val /= pochhammer_e(a * q * r ** n, nome, k)
-    return val * q ** k
-
-
-def shifted_sum1_params(a, b, r, l: int, q):
-    """The parameter shift (c = 1, a -> a q^l r^l, b -> b q^{-l} r^l) that
-    turns the telescoping sum into the orthogonality relation at offset l."""
-    return a * (q * r) ** l, b * r ** l * q ** (-l), 1.0
 
 
 def _replay_sides(r: int, a, b, nome: Nome, n: int, a_seq: Callable[[int], complex],

@@ -3,7 +3,7 @@
 Two objects live here: the n-fold Jackson-type sum over integer vectors in
 [0, N]^n, and the partition-indexed series Omega whose transformation is
 tested numerically (the one-variable case reduces to the proven ten-term
-transformation, the x -> 1 case collapses to a multinomial power).
+transformation).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .kernel import (
     pochhammer_e,
     pochhammer_partition,
 )
-from .series import _summed, omega_terms
+from .series import _summed
 
 # Hard cap on brute-force n-fold sums: (N+1)^n terms.
 MAX_BRUTE_TERMS = 100_000
@@ -47,10 +47,6 @@ class Partition(_PartitionFields):
         return super().__new__(cls, parts)
 
     @property
-    def nparts(self) -> int:
-        return len(self.parts)
-
-    @property
     def weight(self) -> int:
         """|lambda|, the sum of the parts."""
         return sum(self.parts)
@@ -59,13 +55,6 @@ class Partition(_PartitionFields):
     def n_weight(self) -> int:
         """n(lambda) = sum_i (i - 1) lambda_i."""
         return sum(i * x for i, x in enumerate(self.parts))
-
-    def multiplicities(self, cap: int) -> list:
-        """Number of parts of each size 0..cap."""
-        m = [0] * (cap + 1)
-        for x in self.parts:
-            m[x] += 1
-        return m
 
 
 def enumerate_partitions(nparts: int, cap: int) -> Iterator[Partition]:
@@ -229,24 +218,6 @@ def eval_Omega(a1, upper: Sequence, nome: Nome, x, nparts: int, N: int):
                       "(a4...a_{r+1})^2 = a1^{r-3} q^{r-5} x^{2-2n}")
     value, _ = _summed(_omega_summand(a1, uppers_full, nome, x, nparts, lam.parts)
                        for lam in enumerate_partitions(nparts, N))
-    return value
-
-
-def eval_Omega_at_x1(a1, upper: Sequence, nome: Nome, nparts: int, N: int):
-    """x = 1 collapse: multinomial-weighted products of one-variable terms.
-
-    Equals the nparts-th power of the one-variable series by the multinomial
-    theorem; computed here as the explicit partition sum.
-    """
-    q = nome.q
-    uppers_full = tuple(upper) + (q ** (-N),)
-    terms = omega_terms(a1, uppers_full, nome, N)
-
-    def summand(lam: Partition):
-        mult = math.factorial(nparts) // math.prod(map(math.factorial, lam.multiplicities(N)))
-        return math.prod((terms[part] for part in lam.parts), start=1.0 * mult)
-
-    value, _ = _summed(map(summand, enumerate_partitions(nparts, N)))
     return value
 
 

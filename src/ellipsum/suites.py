@@ -135,8 +135,13 @@ def run_checks(checks, trials: int, seed: int = 1,
     and a worker that dies raises :class:`~ellipsum.errors.WorkerError`.
     A check that runs out of admissible draws returns a failed record with an
     ``error`` instead of raising, and the other checks still run.  A check
-    run for fewer than one trial raises :class:`ValueError`.
+    run for fewer than one trial, and a name in ``only`` that the table
+    lacks, raise :class:`ValueError`.
     """
+    if only is not None:
+        names = {check.name for check in checks}
+        if unknown := [name for name in only if name not in names]:
+            raise ValueError(f"no such checks: {', '.join(map(repr, unknown))}")
     return _map_units([partial(_run_check, check, trials, seed, region)
                        for check in checks if only is None or check.name in only])
 

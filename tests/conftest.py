@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import cmath
+import math
 import os
 import random
 import struct
+from collections import Counter
 
 import pytest
+
+from ellipsum import catalog
+from ellipsum.multivar import enumerate_partitions
+from ellipsum.series import _summed, omega_terms
 
 
 @pytest.fixture
@@ -28,6 +34,64 @@ def rel_err(a, b) -> float:
 def bits(z) -> bytes:
     """The bytes of both parts of a number, so that signed zeros and NaNs compare too."""
     return struct.pack("<dd", z.real, z.imag)
+
+
+def sample_point(ident: catalog.Identity, seed: int,
+                 region: catalog.SamplingRegion = catalog.DEFAULT_REGION):
+    """The admissible point that trial 0 of ``check_identity`` draws for
+    ``ident`` at ``seed``."""
+    values, _, error = catalog._identity_trials(ident, 1, seed, region, "double")
+    assert error is None, error
+    return values[0][0]
+
+
+def gauge_pair_errors(trials: int, seed: int,
+                      region: catalog.SamplingRegion = catalog.DEFAULT_REGION) -> dict:
+    """{pair: max relative difference} of the two gauge forms of the quadratic
+    and cubic transformations' right sides at matched points.
+
+    A transformation's left side does not involve its gauge parameter, so the
+    two right-hand forms must agree.  Each pair runs through
+    ``check_identity`` as an unregistered row whose sides are the two forms,
+    the second with its own gauge parameter solved again.  A pair that runs
+    out of admissible draws fails the assertion instead of reading as 0.
+    """
+    out = {}
+    for pair_name, id_a, id_b in (
+            ("quadratic", "etrafo_quadratic_gab", "etrafo_quadratic_gae"),
+            ("cubic", "etrafo2_cubic_fab", "etrafo2_cubic_fae")):
+        ident_a, ident_b = catalog.get_identity(id_a), catalog.get_identity(id_b)
+
+        def rhs_b(pt):
+            values = dict(pt.values)
+            values.update(ident_b.solve({k: values[k] for k in ident_b.free_params},
+                                        pt.n, pt.nome.q))
+            return ident_b.rhs(catalog.ParamPoint(pt.nome, values, pt.n))
+
+        pair = ident_a._replace(id=pair_name, lhs=ident_a.rhs, rhs=rhs_b)
+        rep = catalog.check_identity(pair, trials, seed=seed, region=region)
+        assert rep.error is None, rep.error
+        out[pair_name] = rep.max_rel_err
+    return out
+
+
+def omega_at_x1(a1, upper, nome, nparts: int, N: int):
+    """The partition series Omega at x = 1, ``upper`` without q^-N.
+
+    There a partition with part multiplicities m_0..m_N weighs
+    nparts! / (m_0! ... m_N!) times the product of one-variable terms, one per
+    part, so the sum is the nparts-th power of the one-variable series by the
+    multinomial theorem.
+    """
+    terms = omega_terms(a1, (*upper, nome.q ** (-N)), nome, N)
+
+    def summand(lam):
+        mult = math.factorial(nparts) // math.prod(
+            map(math.factorial, Counter(lam.parts).values()))
+        return math.prod((terms[part] for part in lam.parts), start=1.0 * mult)
+
+    value, _ = _summed(map(summand, enumerate_partitions(nparts, N)))
+    return value
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -14,13 +14,11 @@ import pytest
 from ellipsum import Nome
 from ellipsum.catalog import (
     check_identity,
-    cross_check_transform_pairs,
     get_identity,
     list_identities,
-    sample_point,
     SamplingRegion,
 )
-from ellipsum.multivar import eval_Omega, eval_Omega_at_x1
+from ellipsum.multivar import eval_Omega
 from ellipsum.series import omega_sum
 from ellipsum.suites import (
     run_cn_suite,
@@ -30,7 +28,7 @@ from ellipsum.suites import (
     run_kernel_suite,
 )
 
-from conftest import rel_err
+from conftest import gauge_pair_errors, omega_at_x1, rel_err, sample_point
 from oracles import classical_w_sum
 
 
@@ -128,7 +126,7 @@ def test_criterion_06_classical_degenerations():
 
 
 def test_criterion_07_transform_pair_consistency():
-    out = cross_check_transform_pairs(trials=20, seed=1)
+    out = gauge_pair_errors(trials=20, seed=1)
     worst = max(out.values())
     verdict(7, "gauge-pair right sides agree at matched points", worst <= 1e-9,
             f"quadratic {out['quadratic']:.2e}, cubic {out['cubic']:.2e}")
@@ -183,7 +181,7 @@ def test_criterion_10_partition_series_degenerations():
         exact_zero_cap &= eval_Omega(a, (b, c, d,
                                          a * a * q * 0.9 ** (1 - n) / (b * c * d)),
                                      nome, 0.9, n, 0) == 1.0
-        collapsed = eval_Omega_at_x1(a, (b, c, d, e), nome, n, N)
+        collapsed = omega_at_x1(a, (b, c, d, e), nome, n, N)
         worst_collapse = max(worst_collapse, rel_err(collapsed, want ** n))
     ok = worst_single <= 1e-12 and exact_zero_cap and worst_collapse <= 1e-10
     verdict(10, "partition-series degenerations", ok,

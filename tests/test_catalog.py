@@ -14,21 +14,19 @@ from ellipsum.catalog import (
     ParamPoint,
     SamplingRegion,
     check_identity,
-    cor_etrafo3_fa_sigma_rhs,
-    cross_check_transform_pairs,
     get_identity,
     list_identities,
-    sample_point,
     trial_error,
 )
-from ellipsum.catalog import _draw_complex, _rng_for, _uniform_pair
-from ellipsum.errors import DegenerateParameters, SamplingExhausted
+from ellipsum.catalog import (
+    _draw_complex, _eight_term, _pt_unpack, _rng_for, _uniform_pair)
+from ellipsum.errors import DegenerateParameters
 from ellipsum.report import VerificationReport, point_dump
 from ellipsum.series import OmegaSpec, balance_residual
 from ellipsum.stream import PhiloxStream, _pool, _seed_key
 from ellipsum.suites import Check, run_checks, run_kernel_suite
 
-from conftest import bits, rel_err
+from conftest import bits, gauge_pair_errors, rel_err, sample_point
 from oracles import classical_w_sum
 
 ALL_IDS = [ident.id for ident in list_identities()]
@@ -419,7 +417,7 @@ class TestCheckIdentity:
 
 
 class TestTrials:
-    """The one sampling loop behind identities, sample_point and suite checks."""
+    """The one sampling loop behind identities and suite checks."""
 
     def test_identity_rejection_leaves_next_trial_alone(self, monkeypatch):
         # one stream per trial: a redraw in trial 0 does not move trial 1
@@ -515,6 +513,19 @@ class TestEtrafo5Branches:
             assert hits >= 1
 
 
+def cor_etrafo3_fa_sigma_rhs(pt):
+    """cor_etrafo3_fa's closed form indexed by the residue of n mod 2, a
+    second evaluation of the same summation."""
+    v, n, nome = _pt_unpack(pt)
+    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
+    q = nome.q
+    n2 = nome.with_base(q * q)
+    s = n % 2
+    m = (n + s) // 2
+    base = a * q ** (2 - s)
+    return _eight_term(base, base, b, c, d, n2, m)
+
+
 class TestSigmaBookkeeping:
     def test_sigma_form_matches_direct_form(self):
         ident = get_identity("cor_etrafo3_fa")
@@ -527,12 +538,12 @@ class TestSigmaBookkeeping:
 
 class TestTransformPairs:
     def test_matched_right_sides_agree(self):
-        out = cross_check_transform_pairs(trials=20, seed=1)
+        out = gauge_pair_errors(trials=20, seed=1)
         assert out["quadratic"] <= 1e-9
         assert out["cubic"] <= 1e-9
 
     def test_classical_degeneration(self):
-        out = cross_check_transform_pairs(
+        out = gauge_pair_errors(
             trials=20, seed=1, region=SamplingRegion(p_mod=(0.0, 0.0)))
         assert out["quadratic"] <= 1e-9
         assert out["cubic"] <= 1e-9
@@ -540,14 +551,14 @@ class TestTransformPairs:
     def test_second_gauge_is_re_solved(self):
         # Both gauges share one right-side function; without the re-solved
         # gauge parameter the pair would compare it with itself, exactly.
-        out = cross_check_transform_pairs(trials=3, seed=1)
+        out = gauge_pair_errors(trials=3, seed=1)
         assert out["quadratic"] > 0 and out["cubic"] > 0
 
     def test_exhausted_pair_raises(self, monkeypatch):
         # a pair that was never exercised must not read as agreement, 0.0
         _admit_draws(0, monkeypatch)
-        with pytest.raises(SamplingExhausted, match="^quadratic: no admissible point"):
-            cross_check_transform_pairs(trials=2, seed=1)
+        with pytest.raises(AssertionError, match="^quadratic: no admissible point"):
+            gauge_pair_errors(trials=2, seed=1)
 
 
 class TestSmallNomeContinuity:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ellipsum import catalog, cli, suites
+from ellipsum import catalog, suites
 from ellipsum.catalog import _map_units
 from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters, TruncationLimit, WorkerError
@@ -219,6 +219,17 @@ class TestUsageErrors:
             main(["run", *args])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_that_cannot_be_written_exits_2(self, capsys):
+        # the path passes the early check; the write itself fails at the end
+        code = main(["run", "--suite", "kernel", "--trials", "2", "--json", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: cannot write the report to '/dev/full': "
+                                "No space left on device\n")
+        assert captured.out.count("pass  ") == len(suites.KERNEL_CHECKS)
+        assert "result:" not in captured.out
 
     def test_nome_beyond_truncation_cap_exits_2(self, capsys):
         code = main(["run", "--suite", "kernel", "--p-mod", "0.995,0.999",
@@ -506,9 +517,6 @@ class TestWithoutNumpy:
 
 
 class TestConsoleEntry:
-    def test_harness_alias(self):
-        assert cli.cli_run is cli.main
-
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ellipsum.cli", "list"],

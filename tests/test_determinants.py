@@ -6,25 +6,28 @@ import pytest
 
 from ellipsum import Nome
 from ellipsum.determinants import (
-    AndrewsStantonProblem,
-    CorollaryDetermProblem,
-    EllipticDetLemmaProblem,
-    ThetaDetProblem,
     andrews_stanton_lu,
     andrews_stanton_matrix,
-    andrews_stanton_sides,
-    corollary_determ_sides,
+    andrews_stanton_product,
+    corollary_determ_matrix,
+    corollary_determ_product,
     det_lemma_matrix,
+    det_lemma_product,
     det_numeric,
-    elliptic_det_lemma_sides,
     shifted_product_family,
-    theta_det_sides,
+    theta_det_matrix,
+    theta_det_product,
 )
 from ellipsum.errors import SingularToWorkingPrecision
 from ellipsum.kernel import eval_E, theta1
 
 from conftest import rel_err
 from oracles import cofactor_det
+
+
+def det_and_product(matrix, product, *args):
+    """(det_numeric of a family's matrix, the family's closed-form product)."""
+    return det_numeric(matrix(*args))[0], product(*args)
 
 
 class TestDetNumeric:
@@ -83,19 +86,22 @@ class TestDetNumeric:
 class TestQuadraticBaseDeterminant:
     def test_one_by_one(self, rnd):
         nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
-        det, prod = andrews_stanton_sides(rnd(), rnd(), nome, 1)
+        det, prod = det_and_product(andrews_stanton_matrix, andrews_stanton_product,
+                                    rnd(), rnd(), nome, 1)
         assert rel_err(det, prod) <= 1e-12
 
     def test_small_sizes_random(self, rnd):
         for n in range(1, 6):
             nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
-            det, prod = andrews_stanton_sides(rnd(0.7, 1.4), rnd(0.7, 1.4), nome, n)
+            det, prod = det_and_product(andrews_stanton_matrix, andrews_stanton_product,
+                                        rnd(0.7, 1.4), rnd(0.7, 1.4), nome, n)
             assert rel_err(det, prod) <= 1e-8
 
     def test_classical_case(self, rnd):
         for n in range(1, 6):
             nome = Nome(rnd(0.3, 0.8), 0.0)
-            det, prod = andrews_stanton_sides(rnd(0.7, 1.4), rnd(0.7, 1.4), nome, n)
+            det, prod = det_and_product(andrews_stanton_matrix, andrews_stanton_product,
+                                        rnd(0.7, 1.4), rnd(0.7, 1.4), nome, n)
             assert rel_err(det, prod) <= 1e-8
 
     def test_structural_zeros_far_above_diagonal(self, rnd):
@@ -133,7 +139,8 @@ class TestPeriodicFamilyDeterminant:
     def test_one_by_one_is_trivial(self, rnd):
         nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
         fam = shifted_product_family(rnd(), rnd(), nome, 1)
-        det, prod = elliptic_det_lemma_sides([rnd()], [rnd()], rnd(), nome, fam)
+        det, prod = det_and_product(det_lemma_matrix, det_lemma_product,
+                                    [rnd()], [rnd()], rnd(), nome, fam)
         assert det == prod == 1.0
 
     def test_family_periodicity_and_symmetry(self, rnd):
@@ -161,7 +168,8 @@ class TestPeriodicFamilyDeterminant:
             fam = shifted_product_family(rnd(), c, nome, n)
             xs = [rnd() for _ in range(n)]
             avs = [rnd() for _ in range(n)]
-            det, prod = elliptic_det_lemma_sides(xs, avs, c, nome, fam)
+            det, prod = det_and_product(det_lemma_matrix, det_lemma_product,
+                                        xs, avs, c, nome, fam)
             assert rel_err(det, prod) <= 1e-8
 
     def test_classical_case(self, rnd):
@@ -173,7 +181,8 @@ class TestPeriodicFamilyDeterminant:
             fam = shifted_product_family(rnd(), c, nome, n)
             xs = [rnd() for _ in range(n)]
             avs = [rnd() for _ in range(n)]
-            det, prod = elliptic_det_lemma_sides(xs, avs, c, nome, fam)
+            det, prod = det_and_product(det_lemma_matrix, det_lemma_product,
+                                        xs, avs, c, nome, fam)
             assert rel_err(det, prod) <= 1e-10
 
     def test_reciprocal_specialization_triangularizes(self, rnd):
@@ -186,7 +195,8 @@ class TestPeriodicFamilyDeterminant:
         xs = [1.0 / av for av in avs]
         b, c = rnd(), rnd()
         fam = shifted_product_family(b, c, nome, n)
-        det, prod = elliptic_det_lemma_sides(xs, avs, c, nome, fam)
+        det, prod = det_and_product(det_lemma_matrix, det_lemma_product,
+                                    xs, avs, c, nome, fam)
         tri = 1.0
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -221,21 +231,24 @@ class TestPeriodicFamilyDeterminant:
         fam = shifted_product_family(rnd(), c, nome, n)
         xs = [rnd(), rnd()]
         avs = [rnd(), rnd()]
-        det, prod = elliptic_det_lemma_sides(xs, avs, c, nome, fam)
+        det, prod = det_and_product(det_lemma_matrix, det_lemma_product,
+                                    xs, avs, c, nome, fam)
         assert rel_err(det, prod) <= 1e-10
 
 
 class TestFactorialRatioDeterminant:
     def test_one_by_one(self, rnd):
         nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
-        det, prod = corollary_determ_sides([rnd()], rnd(), rnd(), rnd(), nome)
+        det, prod = det_and_product(corollary_determ_matrix, corollary_determ_product,
+                                    [rnd()], rnd(), rnd(), rnd(), nome)
         assert det == prod == 1.0
 
     def test_small_sizes_random(self, rnd):
         for n in range(2, 6):
             nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
             xs = [rnd() for _ in range(n)]
-            det, prod = corollary_determ_sides(xs, rnd(), rnd(), rnd(), nome)
+            det, prod = det_and_product(corollary_determ_matrix, corollary_determ_product,
+                                        xs, rnd(), rnd(), rnd(), nome)
             assert rel_err(det, prod) <= 1e-8
 
 
@@ -250,7 +263,8 @@ class TestThetaDeterminant:
     def test_two_by_two_random(self, rnd):
         for _ in range(5):
             xs, a, b, c, p = self.theta_args(rnd, 2)
-            det, prod = theta_det_sides(xs, a, b, c, p)
+            det, prod = det_and_product(theta_det_matrix, theta_det_product,
+                                        xs, a, b, c, p)
             assert rel_err(det, prod) <= 1e-8
 
     def test_two_by_two_is_four_theta_addition(self, rnd):
@@ -266,24 +280,6 @@ class TestThetaDeterminant:
 
     def test_three_by_three_random(self, rnd):
         xs, a, b, c, p = self.theta_args(rnd, 3)
-        det, prod = theta_det_sides(xs, a, b, c, p)
+        det, prod = det_and_product(theta_det_matrix, theta_det_product, xs, a, b, c, p)
         assert rel_err(det, prod) <= 1e-8
 
-
-class TestProblemBundles:
-    def test_each_kind_round_trips(self, rnd):
-        nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
-        problems = [
-            AndrewsStantonProblem(rnd(0.7, 1.4), rnd(0.7, 1.4), 3, nome),
-            CorollaryDetermProblem(tuple(rnd() for _ in range(3)),
-                                   rnd(), rnd(), rnd(), nome),
-            EllipticDetLemmaProblem(tuple(rnd() for _ in range(3)),
-                                    tuple(rnd() for _ in range(3)),
-                                    rnd(), rnd(), nome),
-            ThetaDetProblem(tuple(complex(abs(rnd(0.3, 2.5)), 0.1)
-                                  for _ in range(2)),
-                            0.9, 1.1, 0.7, rnd(0.05, 0.4)),
-        ]
-        for prob in problems:
-            det, prod = prob.sides()
-            assert rel_err(det, prod) <= 1e-8

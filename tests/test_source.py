@@ -1,10 +1,11 @@
 """Static checks on the source tree.
 
-Every module-level private name of the package is used somewhere in the
-package, and every public one in the package or its tests, so a helper whose
-last caller goes is deleted with it; the test oracles import nothing from
-the package they check; no module imports numpy; and E takes no truncation
-policy: the scalar type alone picks its method.
+Every module-level name of the package is used somewhere in the package,
+or is public and exported in ``ellipsum.__all__``, so a helper whose last
+caller goes is deleted with it, and one that only tests call lives in the
+tests; the test oracles import nothing from the package they check; no
+module imports numpy; and E takes no truncation policy: the scalar type
+alone picks its method.
 """
 
 from __future__ import annotations
@@ -61,12 +62,20 @@ def test_every_private_module_name_is_used():
     assert unused == []
 
 
+def _exported(tree: ast.Module) -> list:
+    """The names a module's ``__all__`` lists."""
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    return ast.literal_eval(value)
+
+
 def test_every_public_module_name_is_used():
-    """Public names may be read by the tests alone; an import is not a read."""
+    """A public name counts as used when the package reads it or
+    ``ellipsum.__all__`` lists it; a test's read does not count, nor does an
+    import."""
     trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    used = set()
-    for tree in [*trees.values(),
-                 *map(_parse, sorted((ROOT / "tests").glob("*.py")))]:
+    used = set(_exported(trees["__init__"]))
+    for tree in trees.values():
         used.update(_used_names(tree))
     unused = sorted(f"{module}:{name}" for module, tree in trees.items()
                     for name in set(_bound_names(tree.body))
@@ -104,8 +113,6 @@ RECORDS = {
     "report": ["VerificationReport"],
     "series": ["OmegaSpec"],
     "suites": ["Check", "CheckResult"],
-    "determinants": ["AndrewsStantonProblem", "CorollaryDetermProblem",
-                     "EllipticDetLemmaProblem", "ThetaDetProblem"],
     "inversion": ["RStepPair", "RawRPair", "KrattenthalerPair"],
     "multivar": ["Partition", "CnPoint"],
 }

@@ -56,6 +56,10 @@ class TestSuiteRunners:
 
 
 class TestRunChecks:
+    def test_unknown_names_in_only_raise(self):
+        with pytest.raises(ValueError, match="^no such checks: 'reflexion', 'nope'$"):
+            run_kernel_suite(trials=2, only=("reflection", "reflexion", "nope"))
+
     def test_nan_error_never_passes(self):
         check = Check("always_nan", "test.nan", _no_args, lambda: float("nan"), 1e-8)
         (res,) = run_checks([check], trials=3)
