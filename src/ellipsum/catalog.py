@@ -1021,22 +1021,21 @@ def _draw_point(ident: Identity, rng: PhiloxStream,
 
 
 def _is_finite(z) -> bool:
-    try:
-        return math.isfinite(complex(z).real) and math.isfinite(complex(z).imag)
-    except (OverflowError, TypeError):
-        return True  # wide scalar types do not overflow
+    z = complex(z)
+    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 def _extend_point(ident: Identity, pt: ParamPoint) -> ParamPoint:
-    """Extended-precision view of a sampled point, at the current mpmath precision.
+    """Extended-precision view of a sampled point, at the current precision
+    of :data:`ellipsum.wide.ctx`.
 
     Free parameters and bases are widened and the constrained parameters are
     re-solved at full precision, so extended runs measure the identity itself
     rather than the binary64 rounding of the constraint solver.
     """
-    import mpmath
+    from .wide import ctx
 
-    conv = lambda z: mpmath.mpc(z)
+    conv = ctx.convert
     nome = Nome(conv(pt.nome.q), conv(pt.nome.p))
     values = {name: conv(pt.values[name])
               for name in (*ident.extra_bases, *ident.free_params)}
@@ -1259,20 +1258,20 @@ def _identity_trials(ident: Identity, trials: int, seed: int,
     """:func:`_trials` of an identity: values ``(pt, lhs, rhs, scale)``.
 
     Trial t draws from ``_rng_for(ident.id, seed, t)``.  Extended trials widen
-    the point and evaluate both sides under ``mpmath.workdps(EXTENDED_DPS)``,
-    which leaves the process-wide mpmath precision as it was.  Each side of
-    each draw gets its own kernel memo, so the right side never reads an E
-    value the left side computed; the two share only the series tables of
-    each nome, which depend on p alone.
+    the point and evaluate both sides under ``wide.workdps(EXTENDED_DPS)``,
+    which leaves the precision of :data:`ellipsum.wide.ctx` as it was.  Each
+    side of each draw gets its own kernel memo, so the right side never reads
+    an E value the left side computed; the two share only the series tables
+    of each nome, which depend on p alone.
     """
     if precision not in ("double", "extended"):
         raise ValueError(f"precision must be 'double' or 'extended', not {precision!r}")
     extended = precision == "extended"
     cond_limit = CONDITION_LIMIT_EXTENDED if extended else CONDITION_LIMIT
     if extended:
-        import mpmath
+        from .wide import workdps
 
-        scope = mpmath.workdps(EXTENDED_DPS)
+        scope = workdps(EXTENDED_DPS)
     else:
         scope = contextlib.nullcontext()
 
@@ -1314,12 +1313,14 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
                    precision: str = "double") -> VerificationReport:
     """Randomized verification of one identity over independent trials.
 
-    Extended trials work in ``mpmath.mpc`` at EXTENDED_DPS digits, a type
-    that also takes the kernel's products to the extended tail.  A trial
-    that runs out of admissible draws ends the run: the report then fails
-    with the exhaustion message as its ``error`` and counts the completed
-    trials, and nothing is raised.  ``trials`` below 1 and a ``precision``
-    other than "double" or "extended" raise :class:`ValueError`.
+    Extended trials work in :class:`ellipsum.wide.mpc` at EXTENDED_DPS
+    digits, the arithmetic of ``mpmath.mpc`` bit for bit without importing
+    mpmath, a type that also takes the kernel's products to the extended
+    tail.  A trial that runs out of admissible draws ends the run: the
+    report then fails with the exhaustion message as its ``error`` and
+    counts the completed trials, and nothing is raised.  ``trials`` below 1
+    and a ``precision`` other than "double" or "extended" raise
+    :class:`ValueError`.
     """
     started = perf_counter()
     outcomes, resamples, error = _identity_trials(ident, trials, seed, region,

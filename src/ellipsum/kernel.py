@@ -9,20 +9,22 @@ with E(x; 0) = 1 - x recovering the classical q-case.  Shifted factorials
 the reciprocal convention, and to partition indices row by row.
 
 All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
-default, ``mpmath.mpc`` when the extended precision mode is active.  Only
-``+ - * /`` and integer powers are used on parameters, so both types flow
-through unchanged.  The exception is E itself, which both types compute
-by Jacobi's triple product series over tables of the nome, in one engine:
-:func:`_series_fixed` over :class:`_NomeTables` sums it on fixed-point
-Gaussian integers, the infinite product to working precision, with no
-truncation.  Where a sum cancels, near a zero of E or as |p| nears 1, the
-precision rises by the bits it lost, and an exact zero gives exactly 0
-(:func:`_rerun`).  ``mpmath.mpc`` values take it at the precision of their
-context.  Binary64 values first sum in floating point by
-:func:`_theta_float` over :func:`_float_tables`, with (p; p)_inf from
-Euler's pentagonal series, and where a sum cancels take the engine at 53 +
-GUARD_BITS bits on the exact binary parts of x and p, rounded once
-(:func:`_series_binary64`).  mpc shifted factorials
+default, an extended ``mpc`` when the extended precision mode is active:
+:class:`ellipsum.wide.mpc`, whose arithmetic is mpmath's bit for bit, or an
+``mpmath.mpc`` from a caller, both read through their raw parts ``_mpc_``
+and their context.  Only ``+ - * /`` and integer powers are used on
+parameters, so every type flows through unchanged.  The exception is E
+itself, which all types compute by Jacobi's triple product series over
+tables of the nome, in one engine: :func:`_series_fixed` over
+:class:`_NomeTables` sums it on fixed-point Gaussian integers, the infinite
+product to working precision, with no truncation.  Where a sum cancels,
+near a zero of E or as |p| nears 1, the precision rises by the bits it
+lost, and an exact zero gives exactly 0 (:func:`_rerun`).  mpc values take
+it at the precision of their context.  Binary64 values first sum in
+floating point by :func:`_theta_float` over :func:`_float_tables`, with
+(p; p)_inf from Euler's pentagonal series, and where a sum cancels take the
+engine at 53 + GUARD_BITS bits on the exact binary parts of x and p,
+rounded once (:func:`_series_binary64`).  mpc shifted factorials
 (:func:`running_products`) keep their points a q^t and products on those
 integers too.  An :class:`EMemo` scope changes how often E is computed,
 never its value.
@@ -168,10 +170,11 @@ def _theta_float(x, p, coeffs):
 
 
 @functools.cache
-def _libmp():
-    """``mpmath.libmp``, imported at the first mpc call so binary64 runs need not load it."""
-    from mpmath import libmp
-    return libmp
+def _wide():
+    """:mod:`ellipsum.wide`, whose raw-part helpers match ``mpmath.libmp``'s,
+    imported at the first mpc call so binary64 runs need not load it."""
+    from . import wide
+    return wide
 
 
 def _scaled(z, wp: int):
@@ -185,7 +188,7 @@ def _scaled(z, wp: int):
 
 def _exact(parts):
     """Raw mpf parts (re, im) as (zr, zi, bits), z = (zr + i zi) 2^-bits exactly."""
-    to_fixed = _libmp().to_fixed
+    to_fixed = _wide().to_fixed
     bits = -min((exp for _, man, exp, _ in parts if man), default=0)
     return to_fixed(parts[0], bits), to_fixed(parts[1], bits), bits
 
@@ -200,7 +203,7 @@ def _log2_abs(re: int, im: int, bits: int) -> float:
 def _raw_parts(ctx, z):
     """The raw mpf parts (re, im) of z, converted to the context ``ctx``."""
     z = ctx.convert(z)
-    return getattr(z, "_mpc_", None) or (z._mpf_, _libmp().fzero)
+    return getattr(z, "_mpc_", None) or (z._mpf_, _wide().fzero)
 
 
 def _mpc_setup(x, p):
@@ -213,7 +216,7 @@ def _mpc_setup(x, p):
 def _to_mpc(setup, re: int, im: int, bits: int):
     """(re + i im) 2^-bits as an mpc at the context, precision and rounding of ``setup``."""
     ctx, prec, rounding = setup[:3]
-    from_man_exp = _libmp().from_man_exp
+    from_man_exp = _wide().from_man_exp
     return ctx.make_mpc((from_man_exp(re, -bits, prec, rounding),
                          from_man_exp(im, -bits, prec, rounding)))
 
@@ -221,15 +224,15 @@ def _to_mpc(setup, re: int, im: int, bits: int):
 def _nome_abs(p) -> float:
     """|p| in binary64, after checking that p lies in the unit disk.
 
-    For an ``mpmath.mpc`` it is the modulus of its parts rounded to floats,
+    For an mpc it is the modulus of its parts rounded to floats,
     and a |p| that rounds to 1.0 is checked against 1 exactly.
     """
     parts = getattr(p, "_mpc_", None)
     if parts is None:
         p_abs = float(abs(p))
     else:
-        libmp = _libmp()
-        p_abs = math.hypot(*(libmp.to_float(part, False, libmp.round_nearest) for part in parts))
+        to_float = _wide().to_float
+        p_abs = math.hypot(*(to_float(part) for part in parts))
     if not p_abs < 1.0 and not abs(p) < 1:
         raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     return p_abs
@@ -510,7 +513,7 @@ def _series_binary64(x, p, tables):
     :func:`_fixed_tables`, rounded once.  A non-finite x raises TruncationLimit.
     """
     if not cmath.isfinite(x):
-        raise TruncationLimit(f"modulus |x| = {abs(x)!r} is outside the binary64 range")
+        raise TruncationLimit(f"x = {x!r} is not finite")
     real = not (isinstance(x, complex) or isinstance(p, complex))
     fixed = _fixed_tables(p, tables)
     x_parts = _binary_parts(x)
@@ -534,11 +537,11 @@ class EMemo:
     """A ``with`` scope in which :func:`eval_E` computes each value once.
 
     Inside the scope, eval_E keys its results in a table that starts empty:
-    an ``mpmath.mpc`` x on (x._mpc_, raw parts of p in its context), any
+    an mpc x on (x._mpc_, raw parts of p in its context), any
     other x on (type of x, type of p, x, p).
     On exit the memo open before is restored, also when the block raises.
     A hit returns the value a recomputation would give, bit for bit, since E
-    is a pure function of its arguments at a fixed mpmath precision (a scope
+    is a pure function of its arguments at a fixed context precision (a scope
     must not span a precision change).  ``hits`` counts the calls the table
     answered.
     ``nomes`` keeps the series tables of each nome apart from ``table`` and
@@ -572,7 +575,7 @@ def eval_E(x, p):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
     Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  The type of x
-    picks the precision, not the method: an ``mpmath.mpc`` x gets the
+    picks the precision, not the method: an mpc x gets the
     infinite product to working precision, from :func:`_series_fixed` of x
     scaled, or near a zero from :func:`_rerun` of its exact parts, rounded
     once; any other x gets :func:`_theta_float` in binary64, or where that
@@ -598,7 +601,7 @@ def eval_E(x, p):
         if not p:
             return 1.0 - x
         tables = _nome_tables(p, setup[4], setup[3], memo)
-        x_parts = _exact(x._mpc_)
+        x_parts = _exact(key[0])    # x._mpc_
         value = _series_fixed(*_scaled(x_parts, tables.wp), tables)
         if isinstance(value, int):
             value = _rerun(x_parts, tables, value)
@@ -635,7 +638,7 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
     P_k is P_(k-1) times E(a base^t), t = step (k-1) .. step k - 1, group by
     group and parameter by parameter.  A factor below ``floor`` in magnitude
     raises DegenerateParameters(``message(k, a, t, magnitude)``).  For a
-    nonzero ``mpmath.mpc`` p, a base^t steps by one Gaussian integer
+    nonzero mpc p, a base^t steps by one Gaussian integer
     multiply, E is :func:`_series_fixed` at that point, or :func:`_rerun`
     near a zero, the floor test compares exponents, and P_k is block
     floating point, rounded once.  Every other p takes
@@ -684,7 +687,7 @@ def _factors(a, y, nome: Nome, count: int, floor: float | None = None,
              label: str = "", offset: int = 0):
     """prod_{k<count} E(y q^k), y = a q^offset, the loop of every shifted
     factorial; a factor below ``floor`` in magnitude raises, as
-    ``<label>E(a*q^<offset + k>)``.  An ``mpmath.mpc`` y takes
+    ``<label>E(a*q^<offset + k>)``.  An mpc y takes
     :func:`running_products`."""
     q, p = nome.q, nome.p
     if y.__class__ is not complex and hasattr(y, "_mpc_"):

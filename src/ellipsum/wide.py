@@ -1,0 +1,648 @@
+"""Extended-precision real and complex numbers, bit for bit mpmath 1.3.0's.
+
+Extended runs carry their parameters and E values as :class:`mpc`, at the
+precision of :data:`ctx`: 53 bits, or mpmath's precision for ``dps``
+decimal digits inside a :class:`workdps` scope.  Every operation below gives
+the parts mpmath's ``mpc`` and ``mpf`` give for the same operands at the
+same precision, by the same algorithms, so a run needs no mpmath:
+
+- mpc with mpc, complex, mpf, int or float: ``+ - * /``, reflected forms
+  included, and ``==``/``!=``; ``mpc ** int``; ``abs``, ``bool``,
+  ``complex()``, ``.real`` and ``.imag``;
+- mpf with mpf, int or float: ``+ - * /``, reflected forms included, and
+  ``== != < <= > >=``; with mpc or complex: ``+ - * /``, ``==`` and ``!=``;
+  ``abs``, ``bool`` and ``float()``.
+
+Both hash as Python hashes an equal int, float or complex, so equal numbers
+of any of these types are one key of a set or dict.  Anything else raises
+TypeError.  A number is a pair (man, exp), the value
+man 2^exp, with man a signed int that is odd, or man = exp = 0; mpmath's raw
+parts (sign, |man|, exp, bit count) are ``_mpf_`` and ``_mpc_``.  Each part
+of a result is rounded once, to nearest with ties to even.  Where mpmath
+rounds an intermediate sum, so does this module, toward zero at mpmath's
+extra bits: a quotient sums |w|^2 and its numerators at prec + 10 bits, a
+modulus sums the squares at prec + 4 before the square root, and a power
+n < -1 is the reciprocal of the power -n at prec + 4.  A sum whose terms lie
+more than prec + 4 bits apart, with exponents more than 100 apart, rounds
+the larger term nudged by one unit toward the smaller, as mpmath's
+``mpf_add`` does.  One branch is not copied: a power of an mpc whose parts
+lie 10000 / n bits apart or more, where mpmath takes exp(n log z), defers
+to mpmath itself.
+
+The kernel reads and builds parts through :func:`to_fixed`,
+:func:`from_man_exp` and :func:`to_float`, which match ``mpmath.libmp``'s on
+raw parts of either type, and through ``ctx.convert``, ``ctx.make_mpc`` and
+``ctx._prec_rounding``, as on an mpmath context.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+ROUND_NEAREST = "n"
+ROUND_DOWN = "d"    # toward zero
+
+fzero = (0, 0, 0, 0)
+
+_ZERO = (0, 0)
+_ONE = (1, 0)
+
+
+def dps_to_prec(dps: int) -> int:
+    """Bits for ``dps`` decimal digits, as mpmath counts them (50 -> 169)."""
+    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
+
+
+def _round(m: int, e: int, prec: int, down: bool = False):
+    """m 2^e rounded to ``prec`` bits, to nearest with ties to even or, where
+    ``down``, toward zero; as (man, exp) with man odd or zero."""
+    n = m.bit_length() - prec
+    if n > 0:
+        a = -m if m < 0 else m
+        if down:
+            a >>= n
+        else:
+            t = a >> (n - 1)
+            a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)) else t >> 1
+        m = -a if m < 0 else a
+        e += n
+    if m & 1:
+        return m, e
+    if not m:
+        return _ZERO
+    z = (m & -m).bit_length() - 1
+    return m >> z, e + z
+
+
+def _raw(x) -> tuple:
+    """(man, exp) as mpmath's raw parts (sign, |man|, exp, bit count)."""
+    m, e = x
+    if not m:
+        return fzero
+    return (1, -m, e, (-m).bit_length()) if m < 0 else (0, m, e, m.bit_length())
+
+
+def _unraw(s) -> tuple:
+    """mpmath's raw parts of a finite number as (man, exp)."""
+    sign, man, exp, _ = s
+    if not man:
+        if exp:
+            raise ValueError("only finite numbers are supported")
+        return _ZERO
+    return (-man if sign else man), exp
+
+
+def _from_int(n: int):
+    return _round(n, 0, n.bit_length())    # exact: trailing zeros stripped
+
+
+def _from_float(x: float):
+    if not math.isfinite(x):
+        raise ValueError(f"only finite numbers are supported, not {x!r}")
+    n, d = x.as_integer_ratio()
+    return _from_int(n) if d == 1 else (n, 1 - d.bit_length())
+
+
+def _mul(x, y):
+    """x y exactly."""
+    m = x[0] * y[0]
+    return (m, x[1] + y[1]) if m else _ZERO
+
+
+def _add(x, y, prec: int, down: bool = False):
+    """x + y rounded to ``prec`` bits: mpmath's ``mpf_add``."""
+    sm, se = x
+    tm, te = y
+    if not (sm and tm):
+        return _round(sm, se, prec, down) if sm else _round(tm, te, prec, down)
+    offset = se - te
+    if offset > 100 and sm.bit_length() - tm.bit_length() + offset > prec + 4:
+        return _round((sm << prec + 4) + (1 if tm > 0 else -1), se - prec - 4, prec, down)
+    if offset < -100 and tm.bit_length() - sm.bit_length() - offset > prec + 4:
+        return _round((tm << prec + 4) + (1 if sm > 0 else -1), te - prec - 4, prec, down)
+    if offset >= 0:
+        return _round(tm + (sm << offset), te, prec, down)
+    return _round(sm + (tm << -offset), se, prec, down)
+
+
+def _sub(x, y, prec: int, down: bool = False):
+    return _add(x, (-y[0], y[1]), prec, down)
+
+
+def _div(x, y, prec: int, down: bool = False):
+    """x / y rounded to ``prec`` bits: mpmath's ``mpf_div``, a quotient of at
+    least prec + 5 bits with a sticky bit for any remainder."""
+    sm, se = x
+    tm, te = y
+    if not tm:
+        raise ZeroDivisionError
+    if not sm:
+        return _ZERO
+    sa, ta = abs(sm), abs(tm)
+    extra = max(prec - sa.bit_length() + ta.bit_length() + 5, 5)
+    quot, rem = divmod(sa << extra, ta)
+    if rem:
+        quot = quot << 1 | 1
+        extra += 1
+    return _round(quot if (sm < 0) == (tm < 0) else -quot, se - te - extra, prec, down)
+
+
+def _sqrt(x, prec: int):
+    """sqrt(x) for x > 0, rounded to nearest: mpmath's ``mpf_sqrt``."""
+    m, e = x
+    if e & 1:
+        m, e = m << 1, e - 1
+    elif m == 1:
+        return 1, e // 2
+    shift = max(4, 2 * prec - m.bit_length() + 4)
+    shift += shift & 1
+    m <<= shift
+    r = math.isqrt(m)
+    if m - r * r:
+        r = r << 1 | 1
+        shift += 2
+    return _round(r, (e - shift) // 2, prec)
+
+
+def _hypot(a, b, prec: int):
+    """|a + i b|: mpmath's ``mpf_hypot``, the squares summed at prec + 4 bits."""
+    if not b[0]:
+        return _round(abs(a[0]), a[1], prec)
+    if not a[0]:
+        return _round(abs(b[0]), b[1], prec)
+    return _sqrt(_add(_mul(a, a), _mul(b, b), prec + 4, True), prec)
+
+
+def _rpow(x, n: int, prec: int, down: bool = False):
+    """x^n for an int n: mpmath's ``mpf_pow_int``.  An exact power where the
+    mantissa has fewer than 1000 bits, else squarings truncated to
+    prec + 4 bitcount(n) + 4 bits; n < -1 divides 1 by the power -n at
+    prec + 5 bits, rounded to nearest (as rounding toward zero never asks)."""
+    m, e = x
+    if n == 0:
+        return _ONE
+    if n == 1:
+        return _round(m, e, prec, down)
+    if n == 2:
+        return _round(m * m, 2 * e, prec, down) if m else _ZERO
+    if n == -1:
+        return _div(_ONE, x, prec, down)
+    if n < 0:
+        return _div(_ONE, _rpow(x, -n, prec + 5), prec, down)
+    negative = m < 0 and n & 1
+    a = abs(m)
+    if a.bit_length() * n < 1000:
+        p = a ** n
+        return _round(-p if negative else p, e * n, prec, down)
+    work = prec + 4 * n.bit_length() + 4
+    pm, pe = 1, 0
+    while True:
+        if n & 1:
+            pm, pe = pm * a, pe + e
+            cut = pm.bit_length() - work
+            if cut > 0:
+                pm, pe = pm >> cut, pe + cut
+            n -= 1
+            if not n:
+                break
+        a, e = a * a, e + e
+        cut = a.bit_length() - work
+        if cut > 0:
+            a, e = a >> cut, e + cut
+        n //= 2
+    return _round(-pm if negative else pm, pe, prec, down)
+
+
+def _cmul(a, b, c, d, prec: int):
+    """(a + i b)(c + i d): mpmath's ``mpc_mul``, from exact products."""
+    return (_sub(_mul(a, c), _mul(b, d), prec),
+            _add(_mul(a, d), _mul(b, c), prec))
+
+
+def _cdiv(a, b, c, d, prec: int):
+    """(a + i b) / (c + i d): mpmath's ``mpc_div``, numerators and |w|^2 at
+    prec + 10 bits, rounded toward zero."""
+    wp = prec + 10
+    mag = _add(_mul(c, c), _mul(d, d), wp, True)
+    return (_div(_add(_mul(a, c), _mul(b, d), wp, True), mag, prec),
+            _div(_sub(_mul(b, c), _mul(a, d), wp, True), mag, prec))
+
+
+def _real_cdiv(x, c, d, prec: int, down: bool = False):
+    """x / (c + i d) for a real x: mpmath's ``mpc_mpf_div`` (``mpc_reciprocal``
+    for x = 1, where c x and d x are exact)."""
+    mag = _add(_mul(c, c), _mul(d, d), prec + 10, True)
+    im = _div(_mul(d, x), mag, prec, down)
+    return _div(_mul(c, x), mag, prec, down), (-im[0], im[1])
+
+
+def _cpow(a, b, n: int, prec: int, down: bool = False):
+    """(a + i b)^n for an int n: mpmath's ``mpc_pow_int``."""
+    if not b[0]:
+        return _rpow(a, n, prec, down), _ZERO
+    if not a[0]:
+        v = _rpow(b, n, prec, down)
+        neg = (-v[0], v[1])
+        return ((v, _ZERO), (_ZERO, v), (neg, _ZERO), (_ZERO, neg))[n % 4]
+    if n == 0:
+        return _ONE, _ZERO
+    if n == 1:
+        return _round(*a, prec, down), _round(*b, prec, down)
+    if n == 2:
+        im = _round(a[0] * b[0], a[1] + b[1], prec, down)
+        return _sub(_mul(a, a), _mul(b, b), prec, down), (im[0], im[1] + 1)
+    if n < 0:
+        if n < -1:
+            a, b = _cpow(a, b, -n, prec + 4, True)
+        return _real_cdiv(_ONE, a, b, prec, down)
+    (am, ae), (bm, be) = a, b
+    gap = ae - be
+    if n * (abs(gap) + max(am.bit_length(), bm.bit_length())) >= 10000:
+        # Here mpmath takes exp(n log z), which this module does not copy;
+        # it needs parts about 10000 / n bits apart, which no sampled point
+        # has, and mpmath itself gives the value.
+        from mpmath.libmp import mpc_pow_int
+
+        re, im = mpc_pow_int((_raw(a), _raw(b)), n, prec, ROUND_DOWN if down else ROUND_NEAREST)
+        return _unraw(re), _unraw(im)
+    if gap > 0:
+        am, ae = am << gap, be
+    else:
+        bm <<= -gap
+    exp, re, im = n * ae, 1, 0
+    while n:    # (am + i bm)^n, exactly
+        if n & 1:
+            re, im = re * am - im * bm, im * am + re * bm
+            n -= 1
+        am, bm = am * am - bm * bm, 2 * am * bm
+        n //= 2
+    return _round(re, exp, prec, down), _round(im, exp, prec, down)
+
+
+def _hash(x) -> int:
+    """Python's hash of the number man 2^exp, that of an equal int or float."""
+    m, e = x
+    modulus = sys.hash_info.modulus     # a Mersenne prime, 2^61 - 1 on 64 bits
+    h = abs(m) % modulus * pow(2, e, modulus) % modulus
+    h = -h if m < 0 else h
+    return -2 if h == -1 else h
+
+
+def _complex_hash(a, b) -> int:
+    """Python's hash of the complex number a + i b, from those of its parts."""
+    width = sys.hash_info.width
+    h = (_hash(a) + sys.hash_info.imag * _hash(b)) % (1 << width)
+    h = h - (1 << width) if h >> (width - 1) else h
+    return -2 if h == -1 else h
+
+
+# The precision and rounding of ``ctx``, read by every operation.
+_PREC_ROUNDING = [53, ROUND_NEAREST]
+
+
+def _real_part(x):
+    """An mpf, int or float as (man, exp); None for any other type."""
+    if x.__class__ is mpf:
+        return x._v
+    if isinstance(x, int):
+        return _from_int(x)
+    if isinstance(x, float):
+        return _from_float(x)
+    return None
+
+
+def _complex_parts(x):
+    """An mpc or complex as its parts ((man, exp), (man, exp)); None otherwise."""
+    if x.__class__ is mpc:
+        return x._a, x._b
+    if isinstance(x, complex):
+        return _from_float(x.real), _from_float(x.imag)
+    return None
+
+
+def _as_complex(x):
+    """:func:`_complex_parts` of x, or those of a real x with imaginary part 0."""
+    z = _complex_parts(x)
+    if z is None:
+        y = _real_part(x)
+        z = None if y is None else (y, _ZERO)
+    return z
+
+
+def _new_mpf(v) -> "mpf":
+    x = object.__new__(mpf)
+    x._v = v
+    return x
+
+
+def _new_mpc(a, b) -> "mpc":
+    z = object.__new__(mpc)
+    z._a, z._b = a, b
+    return z
+
+
+class mpf:
+    """A real number (man, exp) of this module; see the module docstring."""
+
+    __slots__ = ("_v",)
+
+    @property
+    def _mpf_(self):
+        return _raw(self._v)
+
+    def __add__(self, other):
+        prec = _PREC_ROUNDING[0]
+        y = _real_part(other)
+        if y is not None:
+            return _new_mpf(_add(self._v, y, prec))
+        z = _complex_parts(other)   # mpmath's mpc_add_mpf: the imaginary part as it is
+        return NotImplemented if z is None else _new_mpc(_add(z[0], self._v, prec), z[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        prec = _PREC_ROUNDING[0]
+        y = _real_part(other)
+        if y is not None:
+            return _new_mpf(_sub(self._v, y, prec))
+        z = _complex_parts(other)
+        return NotImplemented if z is None else _new_mpc(_sub(self._v, z[0], prec),
+                                                         _sub(_ZERO, z[1], prec))
+
+    def __rsub__(self, other):
+        prec = _PREC_ROUNDING[0]
+        y = _real_part(other)
+        if y is not None:
+            return _new_mpf(_sub(y, self._v, prec))
+        z = _complex_parts(other)   # mpmath's mpc_sub_mpf
+        return NotImplemented if z is None else _new_mpc(_sub(z[0], self._v, prec), z[1])
+
+    def __mul__(self, other):
+        prec = _PREC_ROUNDING[0]
+        y = _real_part(other)
+        v = self._v
+        if y is not None:
+            return _new_mpf(_round(v[0] * y[0], v[1] + y[1], prec))
+        z = _complex_parts(other)
+        if z is None:
+            return NotImplemented
+        (am, ae), (bm, be) = z
+        return _new_mpc(_round(am * v[0], ae + v[1], prec), _round(bm * v[0], be + v[1], prec))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        prec = _PREC_ROUNDING[0]
+        y = _real_part(other)
+        if y is not None:
+            return _new_mpf(_div(self._v, y, prec))
+        z = _complex_parts(other)
+        return NotImplemented if z is None else _new_mpc(*_real_cdiv(self._v, *z, prec))
+
+    def __rtruediv__(self, other):
+        prec = _PREC_ROUNDING[0]
+        y = _real_part(other)
+        if y is not None:
+            return _new_mpf(_div(y, self._v, prec))
+        z = _complex_parts(other)   # mpmath's mpc_div_mpf
+        return NotImplemented if z is None else _new_mpc(_div(z[0], self._v, prec),
+                                                         _div(z[1], self._v, prec))
+
+    def __abs__(self):
+        m, e = self._v
+        return _new_mpf(_round(abs(m), e, _PREC_ROUNDING[0]))
+
+    def __bool__(self):
+        return self._v[0] != 0
+
+    def __hash__(self):
+        return _hash(self._v)
+
+    def __float__(self):
+        return _to_float(*self._v)
+
+    def _compare(self, other):
+        """The sign of self - other, or None for another type: that of the
+        difference rounded to one bit, which rounding never changes."""
+        y = _real_part(other)
+        return None if y is None else _sub(self._v, y, 1)[0]
+
+    def __eq__(self, other):
+        z = _as_complex(other)
+        return NotImplemented if z is None else (self._v, _ZERO) == z
+
+    def __ne__(self, other):
+        z = _as_complex(other)
+        return NotImplemented if z is None else (self._v, _ZERO) != z
+
+    def __lt__(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else c >= 0
+
+
+class mpc:
+    """A complex number of two parts (man, exp); see the module docstring."""
+
+    __slots__ = ("_a", "_b")
+
+    @property
+    def _mpc_(self):
+        return _raw(self._a), _raw(self._b)
+
+    @property
+    def real(self) -> mpf:
+        return _new_mpf(self._a)
+
+    @property
+    def imag(self) -> mpf:
+        return _new_mpf(self._b)
+
+    def __add__(self, other):
+        prec = _PREC_ROUNDING[0]
+        z = _complex_parts(other)
+        if z is not None:
+            return _new_mpc(_add(self._a, z[0], prec), _add(self._b, z[1], prec))
+        y = _real_part(other)   # mpmath's mpc_add_mpf: the imaginary part as it is
+        return NotImplemented if y is None else _new_mpc(_add(self._a, y, prec), self._b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        prec = _PREC_ROUNDING[0]
+        z = _complex_parts(other)
+        if z is not None:
+            return _new_mpc(_sub(self._a, z[0], prec), _sub(self._b, z[1], prec))
+        y = _real_part(other)   # mpmath's mpc_sub_mpf
+        return NotImplemented if y is None else _new_mpc(_sub(self._a, y, prec), self._b)
+
+    def __rsub__(self, other):
+        prec = _PREC_ROUNDING[0]
+        z = _as_complex(other)
+        if z is None:
+            return NotImplemented
+        return _new_mpc(_sub(z[0], self._a, prec), _sub(z[1], self._b, prec))
+
+    def __mul__(self, other):
+        prec = _PREC_ROUNDING[0]
+        z = _complex_parts(other)
+        if z is not None:
+            return _new_mpc(*_cmul(self._a, self._b, *z, prec))
+        y = _real_part(other)
+        if y is None:
+            return NotImplemented
+        (am, ae), (bm, be) = self._a, self._b
+        return _new_mpc(_round(am * y[0], ae + y[1], prec), _round(bm * y[0], be + y[1], prec))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        prec = _PREC_ROUNDING[0]
+        z = _complex_parts(other)
+        if z is not None:
+            return _new_mpc(*_cdiv(self._a, self._b, *z, prec))
+        y = _real_part(other)
+        return NotImplemented if y is None else _new_mpc(_div(self._a, y, prec),
+                                                         _div(self._b, y, prec))
+
+    def __rtruediv__(self, other):
+        prec = _PREC_ROUNDING[0]
+        z = _complex_parts(other)
+        if z is not None:
+            return _new_mpc(*_cdiv(*z, self._a, self._b, prec))
+        y = _real_part(other)
+        return NotImplemented if y is None else _new_mpc(*_real_cdiv(y, self._a, self._b, prec))
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        return _new_mpc(*_cpow(self._a, self._b, n, _PREC_ROUNDING[0]))
+
+    def __abs__(self) -> mpf:
+        return _new_mpf(_hypot(self._a, self._b, _PREC_ROUNDING[0]))
+
+    def __bool__(self):
+        return bool(self._a[0] or self._b[0])
+
+    def __hash__(self):
+        return _complex_hash(self._a, self._b)
+
+    def __complex__(self):
+        return complex(_to_float(*self._a), _to_float(*self._b))
+
+    def __eq__(self, other):
+        z = _as_complex(other)
+        return NotImplemented if z is None else (self._a, self._b) == z
+
+    def __ne__(self, other):
+        z = _as_complex(other)
+        return NotImplemented if z is None else (self._a, self._b) != z
+
+
+class _Context:
+    """The precision of this module's numbers, with the parts of mpmath's
+    context interface that the kernel uses."""
+
+    __slots__ = ("_prec_rounding",)
+
+    def __init__(self):
+        self._prec_rounding = _PREC_ROUNDING
+
+    @property
+    def prec(self) -> int:
+        return self._prec_rounding[0]
+
+    def convert(self, x):
+        """x as an mpf or mpc: unchanged if it is one, else an int, a float or
+        a complex, exactly."""
+        if x.__class__ is mpf or x.__class__ is mpc:
+            return x
+        z = _complex_parts(x)
+        if z is not None:
+            return _new_mpc(*z)
+        y = _real_part(x)
+        if y is None:
+            raise TypeError(f"cannot convert {type(x).__name__} to a wide number")
+        return _new_mpf(y)
+
+    def make_mpc(self, parts) -> mpc:
+        """The mpc of mpmath's raw parts (re, im)."""
+        return _new_mpc(_unraw(parts[0]), _unraw(parts[1]))
+
+
+ctx = _Context()
+mpc.context = ctx
+
+
+class workdps:
+    """``with workdps(dps):`` runs its block at ``dps_to_prec(dps)`` bits and
+    restores the precision before it on exit, also when the block raises.
+    One instance may be entered again once it has exited."""
+
+    __slots__ = ("prec", "_outer")
+
+    def __init__(self, dps: int):
+        self.prec = dps_to_prec(dps)
+
+    def __enter__(self):
+        self._outer, _PREC_ROUNDING[0] = _PREC_ROUNDING[0], self.prec
+
+    def __exit__(self, *exc):
+        _PREC_ROUNDING[0] = self._outer
+
+
+# The raw-part helpers of the kernel, as in mpmath.libmp.
+
+# mpmath's raw zero and infinities; any other part with a zero mantissa is NaN.
+_SPECIAL_FLOATS = {fzero: 0.0, (0, 0, -456, -2): math.inf, (1, 0, -789, -3): -math.inf}
+
+
+def to_fixed(s, prec: int) -> int:
+    """The raw parts ``s`` as an int with ``prec`` fractional bits, floored."""
+    sign, man, exp, _ = s
+    offset = exp + prec
+    if sign:
+        man = -man
+    return man << offset if offset >= 0 else man >> -offset
+
+
+def from_man_exp(man: int, exp: int, prec: int, rnd: str) -> tuple:
+    """The raw parts of man 2^exp rounded to ``prec`` >= 1 bits by ``rnd``,
+    ROUND_NEAREST or ROUND_DOWN."""
+    if rnd not in (ROUND_NEAREST, ROUND_DOWN):
+        raise ValueError(f"rounding {rnd!r} is not supported")
+    return _raw(_round(man, exp, prec, rnd == ROUND_DOWN))
+
+
+def to_float(s) -> float:
+    """The raw parts ``s`` as a float, as :func:`_to_float` rounds them;
+    mpmath's infinities and NaN give a float's."""
+    sign, man, exp, _ = s
+    if not man:
+        return _SPECIAL_FLOATS.get(s, math.nan)
+    return _to_float(-man if sign else man, exp)
+
+
+def _to_float(m: int, e: int) -> float:
+    """m 2^e rounded to 53 bits, to nearest, then by ``math.ldexp``: past the
+    float range an infinity, and below it 0.0 (mpmath's ``to_float``)."""
+    if m.bit_length() > 53:
+        m, e = _round(m, e, 53)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        if e + m.bit_length() > 0:
+            return math.inf if m > 0 else -math.inf
+        return 0.0

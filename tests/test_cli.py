@@ -238,6 +238,14 @@ class TestUsageErrors:
         assert code == 2
         assert "|p| = 0.99" in err
 
+    def test_non_finite_argument_exits_2(self, capsys):
+        # At |q| up to 1e308 some kernel-suite arguments are NaN; the message
+        # called their modulus nan outside the binary64 range.
+        code = main(["run", "--suite", "kernel", "--q-mod", "1e300,1e308", "--trials", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"error: x = \S+ is not finite; narrow --q-mod or --p-mod\n", err), err
+
     def test_truncation_message_keeps_every_digit_of_p(self, capsys):
         # HI < 1 is required of --p-mod, so the message must not round |p| to 1
         code = main(["run", "--suite", "kernel", "--trials", "2",
@@ -438,11 +446,11 @@ _NUMPY_BLOCKED = ("import sys; sys.modules['numpy'] = None; "
                   "from ellipsum.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-# Modules that only some runs need: the suites' own modules and mpmath for
-# extended precision; numpy, dataclasses and inspect, which no run needs,
-# are watched as well.
+# Modules that only some runs need: the suites' own modules and
+# ellipsum.wide for extended precision; numpy, mpmath, dataclasses and
+# inspect, which no run needs, are watched as well.
 _ON_DEMAND = ("ellipsum.determinants", "ellipsum.inversion", "ellipsum.multivar",
-              "numpy", "mpmath", "dataclasses", "inspect")
+              "ellipsum.wide", "numpy", "mpmath", "dataclasses", "inspect")
 
 
 def _loaded_after(code: str) -> list:
@@ -493,11 +501,6 @@ class TestWithoutNumpy:
                f"assert bool(calls) or not {fixed}")
         assert _loaded_after(run) == []
 
-    def test_extended_run_loads_mpmath_alone(self):
-        args = ["run", "--identity", "e87", "--trials", "1", "--precision", "extended"]
-        run = _SERIAL + f"from ellipsum.cli import main\nassert main({args!r}) == 0"
-        assert _loaded_after(run) == ["mpmath"]
-
     @pytest.mark.parametrize("args", [
         ["--suite", "kernel", "--trials", "3"],
         ["--suite", "inversion", "--trials", "2"],
@@ -514,6 +517,30 @@ class TestWithoutNumpy:
         assert blocked.returncode == 0, blocked.stderr
         assert free.returncode == 0
         assert blocked.stdout == free.stdout
+
+
+class TestWithoutMpmath:
+    """Extended runs compute in ellipsum.wide, which loads with the first
+    extended trial; no run loads mpmath."""
+
+    def test_extended_run_loads_wide_alone(self):
+        args = ["run", "--identity", "e87", "--trials", "1", "--precision", "extended"]
+        run = _SERIAL + f"from ellipsum.cli import main\nassert main({args!r}) == 0"
+        assert _loaded_after(run) == ["ellipsum.wide"]
+
+    def test_serial_extended_catalog_leaves_mpmath_out(self):
+        args = ["run", "--suite", "catalog", "--precision", "extended", "--trials", "1"]
+        run = (_SERIAL + f"from ellipsum.cli import main\nassert main({args!r}) == 0\n"
+               "assert 'mpmath' not in sys.modules")
+        assert _loaded_after(run) == ["ellipsum.wide"]
+
+    def test_extended_run_restores_wide_precision(self):
+        from ellipsum import wide
+
+        assert wide.ctx.prec == 53
+        catalog.check_identity(catalog.get_identity("e87"), trials=1, seed=7,
+                               precision="extended")
+        assert wide.ctx.prec == 53
 
 
 class TestConsoleEntry:

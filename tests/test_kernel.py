@@ -274,7 +274,7 @@ class TestBinary64Fallback:
         _check_binary64(x, p)
 
     def test_non_finite_argument_raises(self):
-        with pytest.raises(TruncationLimit, match="outside the binary64 range"):
+        with pytest.raises(TruncationLimit, match=r"^x = \(nan\+1j\) is not finite$"):
             eval_E(complex(math.nan, 1.0), 0.3j)
 
     @pytest.mark.parametrize("modulus", [0.05, 0.3, 0.6, 0.9, 0.95])

@@ -1,0 +1,261 @@
+"""ellipsum.wide against mpmath 1.3.0, the arithmetic it copies.
+
+Every operation that extended runs use must give mpmath's raw parts
+(sign, man, exp, bc) bit for bit, at 53 bits and at the 169 bits of 50
+digits, on operands that include zero, exact cancellation, parts whose
+exponents lie hundreds of bits apart and mantissas longer than the working
+precision; the raw-part helpers of the kernel must match libmp's.
+"""
+
+from __future__ import annotations
+
+import operator
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import libmp
+
+from ellipsum import wide
+
+# Decimal digits of the two precisions, 53 and 169 bits on both sides.
+DPS = (15, 50)
+ARITH = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+EXAMPLES = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def raw_parts(draw, max_exp: int = 400):
+    """mpmath's raw parts of a finite number: zero, or a mantissa of up to
+    200 bits, of either sign, at an exponent within ``max_exp``."""
+    if draw(st.integers(0, 9)) == 0:
+        return libmp.fzero
+    bits = draw(st.integers(1, 200))
+    man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return libmp.from_man_exp(draw(st.sampled_from((man, -man))),
+                              draw(st.integers(-max_exp, max_exp)))
+
+
+def _related(draw, parts):
+    """Parts equal to ``parts``, their negation, or free."""
+    how = draw(st.sampled_from(("free", "same", "negated")))
+    if how == "free":
+        return draw(raw_parts())
+    return parts if how == "same" else libmp.mpf_neg(parts)
+
+
+def _mpf(parts):
+    return mpmath.mp.make_mpf(parts), wide.ctx.make_mpc((parts, libmp.fzero)).real
+
+
+def _mpc(parts):
+    return mpmath.mp.make_mpc(parts), wide.ctx.make_mpc(parts)
+
+
+@st.composite
+def reals(draw):
+    """An (mpmath, wide) mpf pair."""
+    return _mpf(draw(raw_parts()))
+
+
+@st.composite
+def complexes(draw):
+    """An (mpmath, wide) mpc pair."""
+    return _mpc((draw(raw_parts()), draw(raw_parts())))
+
+
+@st.composite
+def real_pairs(draw):
+    """Two mpf pairs; the second may cancel the first exactly."""
+    x = draw(raw_parts())
+    return _mpf(x), _mpf(_related(draw, x))
+
+
+@st.composite
+def complex_pairs(draw):
+    """Two mpc pairs; either part of the second may cancel the first's."""
+    re, im = draw(raw_parts()), draw(raw_parts())
+    return _mpc((re, im)), _mpc((_related(draw, re), _related(draw, im)))
+
+
+def _python(values):
+    """Python numbers as (mpmath, wide) pairs of themselves."""
+    return values.map(lambda v: (v, v))
+
+
+ints = _python(st.integers(-(1 << 80), 1 << 80))
+floats = _python(st.floats(allow_nan=False, allow_infinity=False))
+pycomplexes = _python(st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: the kind and raw parts of an mpf or mpc, the
+    type and repr of any other value, or the type of the exception raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc)
+    for kind in ("_mpc_", "_mpf_"):
+        if hasattr(value, kind):
+            return kind, getattr(value, kind)
+    return type(value), repr(value)
+
+
+def _agree(fns, *operands):
+    """Each of ``fns`` gives mpmath's outcome on the (mpmath, wide) operands,
+    at both precisions."""
+    for dps in DPS:
+        with mpmath.workdps(dps), wide.workdps(dps):
+            assert mpmath.mp.prec == wide.ctx.prec
+            for fn in fns:
+                want = _outcome(fn, *(m for m, _ in operands))
+                got = _outcome(fn, *(w for _, w in operands))
+                assert got == want, (fn, dps)
+
+
+def _both_ways(fns):
+    return (*fns, *(lambda a, b, fn=fn: fn(b, a) for fn in fns))
+
+
+class TestCensus:
+    """Every operation of the module docstring, in both operand orders where
+    Python may dispatch either way."""
+
+    @given(complex_pairs())
+    @EXAMPLES
+    def test_mpc_with_mpc(self, pair):
+        _agree((*ARITH, operator.eq, operator.ne), *pair)
+
+    @given(complexes(), st.one_of(ints, floats, reals()))
+    @EXAMPLES
+    def test_mpc_with_real(self, z, x):
+        _agree(_both_ways(ARITH), z, x)
+        _agree((operator.eq, operator.ne), z, x)
+
+    @given(complexes(), pycomplexes)
+    @EXAMPLES
+    def test_mpc_with_complex(self, z, c):
+        _agree(_both_ways(ARITH), z, c)
+
+    @given(st.one_of(real_pairs(), st.tuples(reals(), st.one_of(ints, floats))))
+    @EXAMPLES
+    def test_mpf_with_real(self, pair):
+        _agree((*_both_ways(ARITH), *ORDER), *pair)
+
+    @given(reals(), st.one_of(complexes(), pycomplexes))
+    @EXAMPLES
+    def test_mpf_with_complex(self, x, z):
+        _agree((*_both_ways(ARITH), operator.eq, operator.ne), x, z)
+
+    @given(complexes(), st.integers(-12, 12))
+    @EXAMPLES
+    def test_integer_powers(self, z, n):
+        _agree((lambda z: z ** n,), z)
+
+    @given(complexes(), reals())
+    @EXAMPLES
+    def test_unary(self, z, x):
+        _agree((abs, bool, complex, lambda z: z.real, lambda z: z.imag), z)
+        _agree((abs, bool, float), x)
+
+    @given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+    @EXAMPLES
+    def test_complex_converts_exactly(self, c):
+        for dps in DPS:
+            with mpmath.workdps(dps), wide.workdps(dps):
+                assert wide.ctx.convert(c)._mpc_ == mpmath.mpc(c)._mpc_ == mpmath.mp.convert(c)._mpc_
+
+    @given(raw_parts(), st.complex_numbers(allow_nan=False, allow_infinity=False))
+    @EXAMPLES
+    def test_hash_is_that_of_an_equal_python_number(self, s, c):
+        sign, man, exp, _ = s
+        x = wide.ctx.make_mpc((s, libmp.fzero))
+        assert hash(x.real) == hash(Fraction((-man if sign else man) * Fraction(2) ** exp))
+        assert hash(wide.ctx.convert(c)) == hash(c)
+        assert hash(wide.ctx.convert(c.real)) == hash(c.real)
+        assert hash(x) == hash(x.real) and x == x.real
+        assert len({wide.ctx.convert(3), wide.ctx.convert(3.0 + 0j), 3, 3.0}) == 1
+
+    def test_other_operations_raise_type_error(self):
+        z, x = wide.ctx.convert(1j), wide.ctx.convert(2.0)
+        for fn in (operator.neg, lambda z: z ** 0.5, lambda z: z < 1, lambda z: z % 2):
+            with pytest.raises(TypeError):
+                fn(z)
+        for fn in (operator.neg, lambda x: x ** 2):
+            with pytest.raises(TypeError):
+                fn(x)
+        with pytest.raises(TypeError):
+            wide.ctx.convert("1")
+
+
+class TestKernelHelpers:
+    """The raw-part helpers the kernel takes from the module, against libmp's."""
+
+    @given(raw_parts(max_exp=1200), st.integers(-300, 300))
+    @EXAMPLES
+    def test_to_fixed(self, s, prec):
+        assert wide.to_fixed(s, prec) == libmp.to_fixed(s, prec)
+
+    @given(st.integers(-(1 << 260), 1 << 260), st.integers(-400, 400),
+           st.integers(1, 300), st.sampled_from((wide.ROUND_NEAREST, wide.ROUND_DOWN)))
+    @EXAMPLES
+    def test_from_man_exp(self, man, exp, prec, rnd):
+        assert wide.from_man_exp(man, exp, prec, rnd) == libmp.from_man_exp(man, exp, prec, rnd)
+
+    @given(st.one_of(raw_parts(max_exp=1200),
+                     st.sampled_from((libmp.finf, libmp.fninf, libmp.fnan))))
+    @EXAMPLES
+    def test_to_float(self, s):
+        assert repr(wide.to_float(s)) == repr(libmp.to_float(s, False, libmp.round_nearest))
+
+    def test_constants(self):
+        assert wide.fzero == libmp.fzero
+        assert (wide.ROUND_NEAREST, wide.ROUND_DOWN) == (libmp.round_nearest, libmp.round_down)
+        assert [wide.dps_to_prec(d) for d in range(1, 120)] == \
+            [libmp.dps_to_prec(d) for d in range(1, 120)]
+
+
+def test_seeded_batch():
+    """2,000 fixed random pairs of mpc through every arithmetic operation, and
+    mantissas rounded at an exact tie, so that a change to any rounding step
+    shows on every run, not only on the examples hypothesis draws."""
+    state = random.Random(20261020)
+
+    def parts():
+        bits = state.randint(1, 200)
+        man = state.getrandbits(bits) | 1 << (bits - 1)
+        return libmp.from_man_exp(state.choice((man, -man)), state.randint(-400, 400))
+
+    for _ in range(2000):
+        re, im = parts(), parts()
+        z, w = _mpc((re, im)), _mpc((parts(), parts()))
+        n = state.randint(-12, 12)
+        _agree((*ARITH, lambda z, w: abs(z), lambda z, w: z ** n), z, w)
+        _agree((lambda z: z ** n,), _mpc((re, libmp.fzero)))
+        _agree((lambda z: z ** n,), _mpc((libmp.fzero, im)))
+    for prec in (53, 169):
+        for _ in range(200):
+            # s ends in 40 bits just below half a unit at ``prec`` bits, t
+            # lies 110 exponents and prec + 30 bits lower and would carry
+            # into it, so mpmath's nudged sum and the exact one round apart
+            man = (state.getrandbits(prec) | 1 << prec - 1) << 40 | (1 << 39) - 1
+            tiny = state.getrandbits(120) | 1 << 119
+            exp = state.randint(-400, 400)
+            s, t = (_mpf(libmp.from_man_exp(m, e)) for m, e in
+                    ((state.choice((man, -man)), exp), (state.choice((tiny, -tiny)), exp - 110)))
+            with mpmath.workprec(prec), wide.workdps(15 if prec == 53 else 50):
+                for fn in (operator.add, operator.sub):
+                    for x, y in ((s, t), (t, s)):
+                        assert fn(x[1], y[1])._mpf_ == fn(x[0], y[0])._mpf_
+    for _ in range(200):
+        # x 2^k + 2^(k-1), halfway between two neighbours of x.bit_length() bits
+        x, k = state.getrandbits(state.randint(1, 200)) | 1, state.randint(1, 60)
+        man = x << k | 1 << (k - 1)
+        for rnd in (wide.ROUND_NEAREST, wide.ROUND_DOWN):
+            for m in (man, -man, man << 1):
+                assert wide.from_man_exp(m, 3, x.bit_length(), rnd) == \
+                    libmp.from_man_exp(m, 3, x.bit_length(), rnd)
