@@ -8,23 +8,22 @@ with E(x; 0) = 1 - x recovering the classical q-case.  Shifted factorials
 (a; q, p)_n are finite products of E values, extended to negative n through
 the reciprocal convention, and to partition indices row by row.
 
-All arithmetic is generic over complex-like scalars: binary64 ``complex`` by
-default, an extended ``mpc`` when the extended precision mode is active:
-:class:`ellipsum.wide.mpc`, whose arithmetic is mpmath's bit for bit, or an
-``mpmath.mpc`` from a caller, both read through their raw parts ``_mpc_``
-and their context.  Only ``+ - * /`` and integer powers are used on
-parameters, so every type flows through unchanged.  The exception is E
-itself, which all types compute by Jacobi's triple product series over
-tables of the nome, in one engine: :func:`_series_fixed` over
+The arguments are binary64 (int, float or ``complex``, subclasses
+included) or extended: numbers of :mod:`ellipsum.wide`, the one extended
+type, read through its exact parts (:func:`_wide_of` picks the path; any
+other type, an ``mpmath.mpc`` too, raises TypeError).  Only ``+ - * /`` and
+integer powers are used on parameters, so both flow through unchanged.  The
+exception is E itself, which both compute by Jacobi's triple product series
+over tables of the nome, in one engine: :func:`_series_fixed` over
 :class:`_NomeTables` sums it on fixed-point Gaussian integers, the infinite
 product to working precision, with no truncation.  Where a sum cancels,
 near a zero of E or as |p| nears 1, the precision rises by the bits it
-lost, and an exact zero gives exactly 0 (:func:`_rerun`).  mpc values take
-it at the precision of their context.  Binary64 values first sum in
+lost, and an exact zero gives exactly 0 (:func:`_rerun`).  Extended values
+take it at the precision of ``wide.ctx``.  Binary64 values first sum in
 floating point by :func:`_theta_float` over :func:`_float_tables`, with
 (p; p)_inf from Euler's pentagonal series, and where a sum cancels take the
 engine at 53 + GUARD_BITS bits on the exact binary parts of x and p,
-rounded once (:func:`_series_binary64`).  mpc shifted factorials
+rounded once (:func:`_series_binary64`).  Extended shifted factorials
 (:func:`running_products`) keep their points a q^t and products on those
 integers too.  An :class:`EMemo` scope changes how often E is computed,
 never its value.
@@ -85,7 +84,7 @@ class Nome(_NomeFields):
 
 
 # Guard bits of the fixed-point arithmetic (the triple product series and
-# the mpc running products): fractional bits kept beyond the working
+# the extended running products): fractional bits kept beyond the working
 # precision.
 GUARD_BITS = 40
 
@@ -171,9 +170,28 @@ def _theta_float(x, p, coeffs):
 
 @functools.cache
 def _wide():
-    """:mod:`ellipsum.wide`, whose raw-part helpers match ``mpmath.libmp``'s,
-    imported at the first mpc call so binary64 runs need not load it."""
+    """:mod:`ellipsum.wide`, imported at the first extended call so binary64
+    runs need not load it."""
     from . import wide
+    return wide
+
+
+# The binary64 scalar types, most frequent first: isinstance tries them in turn.
+_BINARY64 = (complex, float, int)
+
+
+def _wide_of(*values):
+    """The precision of a call on ``values``: :mod:`ellipsum.wide` where any
+    of them is one of its numbers, None where all are binary64 (int, float or
+    complex, subclasses included).  Any other type raises TypeError.  Hot
+    callers test for all-``complex`` arguments first, a class test each."""
+    wide = None
+    for value in values:
+        if not isinstance(value, _BINARY64):
+            wide = _wide()
+            if value.__class__ is not wide.mpc and value.__class__ is not wide.mpf:
+                raise TypeError(f"{type(value).__name__} is not a scalar of the kernel: "
+                                f"it takes int, float, complex or ellipsum.wide numbers")
     return wide
 
 
@@ -186,56 +204,11 @@ def _scaled(z, wp: int):
     return re << -shift, im << -shift, bits - shift
 
 
-def _exact(parts):
-    """Raw mpf parts (re, im) as (zr, zi, bits), z = (zr + i zi) 2^-bits exactly."""
-    to_fixed = _wide().to_fixed
-    bits = -min((exp for _, man, exp, _ in parts if man), default=0)
-    return to_fixed(parts[0], bits), to_fixed(parts[1], bits), bits
-
-
 def _log2_abs(re: int, im: int, bits: int) -> float:
     """log2 |z| of z = (re + i im) 2^-bits at any exponent, -inf for z = 0."""
     shift = max((abs(re) | abs(im)).bit_length() - 60, 0)
     mag = math.hypot(re >> shift, im >> shift)
     return math.log2(mag) + (shift - bits) if mag else -math.inf
-
-
-def _raw_parts(ctx, z):
-    """The raw mpf parts (re, im) of z, converted to the context ``ctx``."""
-    z = ctx.convert(z)
-    return getattr(z, "_mpc_", None) or (z._mpf_, _wide().fzero)
-
-
-def _mpc_setup(x, p):
-    """The context of x, its precision and rounding, wp and the raw parts of p."""
-    ctx = x.context
-    prec, rounding = ctx._prec_rounding
-    return ctx, prec, rounding, prec + GUARD_BITS, _raw_parts(ctx, p)
-
-
-def _to_mpc(setup, re: int, im: int, bits: int):
-    """(re + i im) 2^-bits as an mpc at the context, precision and rounding of ``setup``."""
-    ctx, prec, rounding = setup[:3]
-    from_man_exp = _wide().from_man_exp
-    return ctx.make_mpc((from_man_exp(re, -bits, prec, rounding),
-                         from_man_exp(im, -bits, prec, rounding)))
-
-
-def _nome_abs(p) -> float:
-    """|p| in binary64, after checking that p lies in the unit disk.
-
-    For an mpc it is the modulus of its parts rounded to floats,
-    and a |p| that rounds to 1.0 is checked against 1 exactly.
-    """
-    parts = getattr(p, "_mpc_", None)
-    if parts is None:
-        p_abs = float(abs(p))
-    else:
-        to_float = _wide().to_float
-        p_abs = math.hypot(*(to_float(part) for part in parts))
-    if not p_abs < 1.0 and not abs(p) < 1:
-        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
-    return p_abs
 
 
 def _fixed(z, wp: int):
@@ -369,13 +342,16 @@ class _NomeTables:
 
 
 def _nome_tables(p, p_parts, wp: int, memo) -> _NomeTables:
-    """The tables of an mpc-context p of raw parts ``p_parts``, kept in ``memo``
-    under (p_parts, wp); a p outside the unit disk raises NomeOutOfRange."""
+    """The tables of an extended p of exact parts ``p_parts``, kept in
+    ``memo`` under (p_parts, wp).  A p outside the unit disk raises
+    NomeOutOfRange: |p| from its parts rounded to binary64, and where that
+    rounds to 1.0, checked exactly."""
     key = (p_parts, wp)
     tables = memo.nomes.get(key) if memo is not None else None
     if tables is None:
-        _nome_abs(p)
-        tables = _NomeTables(_exact(p_parts), wp)
+        if not abs(complex(p)) < 1.0 and not abs(p) < 1:
+            raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(complex(p))}")
+        tables = _NomeTables(p_parts, wp)
         if memo is not None:
             memo.nomes[key] = tables
     return tables
@@ -537,21 +513,22 @@ class EMemo:
     """A ``with`` scope in which :func:`eval_E` computes each value once.
 
     Inside the scope, eval_E keys its results in a table that starts empty:
-    an mpc x on (x._mpc_, raw parts of p in its context), any
-    other x on (type of x, type of p, x, p).
+    an extended call on the exact parts (re, im, bits) of x and of p, which
+    equal numbers share whatever their type (an mpf p and an mpc p of equal
+    value are one entry), a binary64 call on (type of x, type of p, x, p).
     On exit the memo open before is restored, also when the block raises.
     A hit returns the value a recomputation would give, bit for bit, since E
     is a pure function of its arguments at a fixed context precision (a scope
     must not span a precision change).  ``hits`` counts the calls the table
     answered.
     ``nomes`` keeps the series tables of each nome apart from ``table`` and
-    ``hits``: for the mpc series under (raw parts of p, working precision
-    asked for), with log2|p| and (p; p)_inf, for the binary64 series under
-    (type of p, p), with the fixed-point tables of p once a binary64 value
-    has needed them.  The raised tables of :func:`_rerun` are not kept.  mpc
-    :func:`running_products` read only ``nomes``.  The tables depend on p
-    alone, so scopes may share them: ``EMemo(nomes)`` keeps its tables in the
-    dict given, which starts empty when none is.
+    ``hits``: for the extended series under (exact parts of p, working
+    precision asked for), with log2|p| and (p; p)_inf, for the binary64
+    series under (type of p, p), with the fixed-point tables of p once a
+    binary64 value has needed them.  The raised tables of :func:`_rerun` are
+    not kept.  Extended :func:`running_products` read only ``nomes``.  The
+    tables depend on p alone, so scopes may share them: ``EMemo(nomes)``
+    keeps its tables in the dict given, which starts empty when none is.
     """
 
     __slots__ = ("table", "hits", "nomes", "_outer")
@@ -574,20 +551,20 @@ class EMemo:
 def eval_E(x, p):
     """The elliptic kernel E(x; p) = (x; p)_inf (p/x; p)_inf.
 
-    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  The type of x
-    picks the precision, not the method: an mpc x gets the
-    infinite product to working precision, from :func:`_series_fixed` of x
-    scaled, or near a zero from :func:`_rerun` of its exact parts, rounded
-    once; any other x gets :func:`_theta_float` in binary64, or where that
-    sum cancels or is not finite the same fixed-point engine on its exact
-    binary parts, rounded once (:func:`_series_binary64`).  Inside an
+    Exactly 1 - x when p = 0.  Zeros sit at x = p^k, k in Z.  The types of
+    x and p pick the precision, not the method (:func:`_wide_of`): where
+    either is a wide number, E is the infinite product to the precision of
+    ``wide.ctx``, from :func:`_series_fixed` of the exact parts of x scaled,
+    or near a zero from :func:`_rerun` of them, rounded once to an mpc; a
+    binary64 pair gets :func:`_theta_float` in binary64, or where that sum
+    cancels or is not finite the same fixed-point engine on its exact binary
+    parts, rounded once (:func:`_series_binary64`).  Inside an
     :class:`EMemo` scope a repeated argument is looked up, not recomputed.
     """
     memo = _memo
-    setup = None
-    if x.__class__ is not complex and hasattr(x, "_mpc_"):
-        setup = _mpc_setup(x, p)
-        key = (x._mpc_, setup[4])
+    wide = None if x.__class__ is complex and p.__class__ is complex else _wide_of(x, p)
+    if wide is not None:
+        key = wide.exact_parts(x), wide.exact_parts(p)
     elif memo is not None:
         key = (x.__class__, p.__class__, x, p)
     if memo is not None:
@@ -597,15 +574,15 @@ def eval_E(x, p):
             return value
     if not x:
         raise NonzeroRequired("E(x; p) requires x != 0")
-    if setup is not None:
+    if wide is not None:
         if not p:
-            return 1.0 - x
-        tables = _nome_tables(p, setup[4], setup[3], memo)
-        x_parts = _exact(key[0])    # x._mpc_
+            return 1.0 - wide.ctx.convert(x)
+        x_parts, p_parts = key
+        tables = _nome_tables(p, p_parts, wide.ctx.prec + GUARD_BITS, memo)
         value = _series_fixed(*_scaled(x_parts, tables.wp), tables)
         if isinstance(value, int):
             value = _rerun(x_parts, tables, value)
-        value = _to_mpc(setup, *value)
+        value = wide.from_parts(*value)
     else:
         p_abs = abs(p)
         if not p_abs < 1:
@@ -637,15 +614,17 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
 
     P_k is P_(k-1) times E(a base^t), t = step (k-1) .. step k - 1, group by
     group and parameter by parameter.  A factor below ``floor`` in magnitude
-    raises DegenerateParameters(``message(k, a, t, magnitude)``).  For a
-    nonzero mpc p, a base^t steps by one Gaussian integer
-    multiply, E is :func:`_series_fixed` at that point, or :func:`_rerun`
-    near a zero, the floor test compares exponents, and P_k is block
-    floating point, rounded once.  Every other p takes
+    raises DegenerateParameters(``message(k, a, t, magnitude)``).  Where p,
+    a parameter or a base is a wide number (:func:`_wide_of`) and p is
+    nonzero, a base^t steps by one Gaussian integer multiply on exact parts,
+    E is :func:`_series_fixed` at that point, or :func:`_rerun` near a zero,
+    the floor test compares exponents, and P_k is block floating point,
+    rounded once to an mpc.  Every other call takes
     ``eval_E(a * base ** t, p)``.
     """
     yield 1.0
-    if kmax < 1 or not hasattr(p, "_mpc_") or not p:
+    wide = _wide_of(p, *(value for params, base, _ in groups for value in (base, *params)))
+    if kmax < 1 or wide is None or not p:
         result = 1.0
         for k in range(1, kmax + 1):
             for params, base, step in groups:
@@ -657,13 +636,11 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
                         result = result * f
             yield result
         return
-    setup = _mpc_setup(p, p)
-    ctx = setup[0]
-    tables = _nome_tables(p, setup[4], setup[3], _memo)
+    parts = wide.exact_parts
+    tables = _nome_tables(p, parts(p), wide.ctx.prec + GUARD_BITS, _memo)
     wp = tables.wp
     log2_floor = math.log2(floor) if floor is not None and floor > 0 else None
-    points = [[a, _scaled(_exact(_raw_parts(ctx, base)), wp),
-               _scaled(_exact(_raw_parts(ctx, a)), wp), step]
+    points = [[a, _scaled(parts(base), wp), _scaled(parts(a), wp), step]
               for params, base, step in groups for a in params]
     re, im, bits = 1, 0, 0
     for k in range(1, kmax + 1):
@@ -680,17 +657,25 @@ def running_products(groups: Sequence, kmax: int, p, floor: float | None = None,
                 yr, yi, y_bits = y
                 y = _scaled((yr * br - yi * bi, yr * bi + yi * br, y_bits + b_bits), wp)
             point[2] = y
-        yield _to_mpc(setup, re, im, bits)
+        yield wide.from_parts(re, im, bits)
 
 
-def _factors(a, y, nome: Nome, count: int, floor: float | None = None,
+def _factors(a, nome: Nome, count: int, floor: float | None = None,
              label: str = "", offset: int = 0):
     """prod_{k<count} E(y q^k), y = a q^offset, the loop of every shifted
     factorial; a factor below ``floor`` in magnitude raises, as
-    ``<label>E(a*q^<offset + k>)``.  An mpc y takes
+    ``<label>E(a*q^<offset + k>)``.  Where a, q or p is a wide number
+    (:func:`_wide_of`), q is one too, and y and its factors are
     :func:`running_products`."""
     q, p = nome.q, nome.p
-    if y.__class__ is not complex and hasattr(y, "_mpc_"):
+    if a.__class__ is complex and q.__class__ is complex and p.__class__ is complex:
+        wide = None
+    else:
+        wide = _wide_of(a, q, p)
+    if wide is not None:
+        q = wide.ctx.convert(q)
+    y = a * q ** offset if offset else a
+    if wide is not None:
         *_, result = running_products(
             (((y,), q, count),), min(count, 1), p, floor,
             lambda k, y, t, magnitude: f"{label}E(a*q^{offset + t}) with a={a!r} "
@@ -716,10 +701,9 @@ def pochhammer_e(a, nome: Nome, n: int, min_factor: float | None = None):
     ``min_factor`` is given, direct factors too) must stay clear of zero.
     """
     if n >= 0:
-        return _factors(a, a, nome, n, min_factor, "factor ")
+        return _factors(a, nome, n, min_factor, "factor ")
     threshold = DELTA_DEGEN if min_factor is None else max(min_factor, DELTA_DEGEN)
-    return 1.0 / _factors(a, a * nome.q ** n, nome, -n, threshold,
-                          "reciprocal factor ", n)
+    return 1.0 / _factors(a, nome, -n, threshold, "reciprocal factor ", n)
 
 
 def pochhammer_frac(a, nome: Nome, n: int):
@@ -730,8 +714,8 @@ def pochhammer_frac(a, nome: Nome, n: int):
     poles cancel exactly (negative-index semantics in determinant entries).
     """
     if n >= 0:
-        return _factors(a, a, nome, n), 1.0
-    return 1.0, _factors(a, a * nome.q ** n, nome, -n)
+        return _factors(a, nome, n), 1.0
+    return 1.0, _factors(a, nome, -n, offset=n)
 
 
 def pochhammer_multi(values: Sequence, nome: Nome, n: int,
@@ -761,35 +745,25 @@ def pochhammer_partition(a, nome: Nome, x, parts: Sequence[int]):
     return result
 
 
-def _cexp(z):
-    if isinstance(z, (int, float, complex)):
-        return cmath.exp(z)
-    import mpmath
-
-    return mpmath.exp(z)
-
-
 def theta1(z, p):
-    """Odd Jacobi theta function via its product form.
+    """Odd Jacobi theta function via its product form, in binary64.
 
     theta_1(z) = i p^{1/4} e^{-iz} (p^2; p^2)_inf E(e^{2iz}; p^2), with the
     principal branch of p^{1/4}.  The branch choice drops out of identities
     in this package because theta_1 factors only appear in balanced ratios.
-    (p^2; p^2)_inf is the pentagonal series of the tables of p^2 in the
-    precision of p^2 (:func:`_float_tables` or :class:`_NomeTables`), times
-    :func:`eval_E`.
+    (p^2; p^2)_inf is the pentagonal series of the tables of p^2
+    (:func:`_float_tables`), times :func:`eval_E`.  z and p are int, float
+    or complex; any other type, a wide number too, raises TypeError.
     """
-    _nome_abs(p)
+    if _wide_of(z, p) is not None:
+        raise TypeError("theta1 is binary64 only: it takes int, float or complex")
+    if not abs(p) < 1:
+        raise NomeOutOfRange(f"|p| must be < 1, got |p| = {abs(p)}")
     if not p:
         return 0.0 * z
-    w = _cexp(2j * z)
     p2 = p * p
-    if hasattr(p2, "_mpc_"):
-        setup = _mpc_setup(w, p2)
-        pp_inf = _to_mpc(setup, *_nome_tables(p2, setup[4], setup[3], _memo).pp_inf)
-    else:
-        pp_inf = _float_tables(p2, _memo)[1]
-    return 1j * p ** 0.25 * _cexp(-1j * z) * pp_inf * eval_E(w, p2)
+    return (1j * p ** 0.25 * cmath.exp(-1j * z) * _float_tables(p2, _memo)[1]
+            * eval_E(cmath.exp(2j * z), p2))
 
 
 def binom2(n: int) -> int:

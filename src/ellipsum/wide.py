@@ -16,8 +16,7 @@ same precision, by the same algorithms, so a run needs no mpmath:
 Both hash as Python hashes an equal int, float or complex, so equal numbers
 of any of these types are one key of a set or dict.  Anything else raises
 TypeError.  A number is a pair (man, exp), the value
-man 2^exp, with man a signed int that is odd, or man = exp = 0; mpmath's raw
-parts (sign, |man|, exp, bit count) are ``_mpf_`` and ``_mpc_``.  Each part
+man 2^exp, with man a signed int that is odd, or man = exp = 0.  Each part
 of a result is rounded once, to nearest with ties to even.  Where mpmath
 rounds an intermediate sum, so does this module, toward zero at mpmath's
 extra bits: a quotient sums |w|^2 and its numerators at prec + 10 bits, a
@@ -29,21 +28,16 @@ the larger term nudged by one unit toward the smaller, as mpmath's
 lie 10000 / n bits apart or more, where mpmath takes exp(n log z), defers
 to mpmath itself.
 
-The kernel reads and builds parts through :func:`to_fixed`,
-:func:`from_man_exp` and :func:`to_float`, which match ``mpmath.libmp``'s on
-raw parts of either type, and through ``ctx.convert``, ``ctx.make_mpc`` and
-``ctx._prec_rounding``, as on an mpmath context.
+This is the package's one extended type: the kernel reads a number by
+:func:`exact_parts` and builds its results by :func:`from_parts`, on the
+fixed-point integers of its series; an mpmath number raises TypeError
+there, as in ``ctx.convert``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-ROUND_NEAREST = "n"
-ROUND_DOWN = "d"    # toward zero
-
-fzero = (0, 0, 0, 0)
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -79,7 +73,7 @@ def _raw(x) -> tuple:
     """(man, exp) as mpmath's raw parts (sign, |man|, exp, bit count)."""
     m, e = x
     if not m:
-        return fzero
+        return 0, 0, 0, 0
     return (1, -m, e, (-m).bit_length()) if m < 0 else (0, m, e, m.bit_length())
 
 
@@ -262,9 +256,9 @@ def _cpow(a, b, n: int, prec: int, down: bool = False):
         # Here mpmath takes exp(n log z), which this module does not copy;
         # it needs parts about 10000 / n bits apart, which no sampled point
         # has, and mpmath itself gives the value.
-        from mpmath.libmp import mpc_pow_int
+        from mpmath.libmp import mpc_pow_int, round_down, round_nearest
 
-        re, im = mpc_pow_int((_raw(a), _raw(b)), n, prec, ROUND_DOWN if down else ROUND_NEAREST)
+        re, im = mpc_pow_int((_raw(a), _raw(b)), n, prec, round_down if down else round_nearest)
         return _unraw(re), _unraw(im)
     if gap > 0:
         am, ae = am << gap, be
@@ -297,8 +291,8 @@ def _complex_hash(a, b) -> int:
     return -2 if h == -1 else h
 
 
-# The precision and rounding of ``ctx``, read by every operation.
-_PREC_ROUNDING = [53, ROUND_NEAREST]
+# The precision of ``ctx`` in bits, read by every operation.
+_PREC = [53]
 
 
 def _real_part(x):
@@ -347,12 +341,8 @@ class mpf:
 
     __slots__ = ("_v",)
 
-    @property
-    def _mpf_(self):
-        return _raw(self._v)
-
     def __add__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_add(self._v, y, prec))
@@ -362,7 +352,7 @@ class mpf:
     __radd__ = __add__
 
     def __sub__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_sub(self._v, y, prec))
@@ -371,7 +361,7 @@ class mpf:
                                                          _sub(_ZERO, z[1], prec))
 
     def __rsub__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_sub(y, self._v, prec))
@@ -379,7 +369,7 @@ class mpf:
         return NotImplemented if z is None else _new_mpc(_sub(z[0], self._v, prec), z[1])
 
     def __mul__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         y = _real_part(other)
         v = self._v
         if y is not None:
@@ -393,7 +383,7 @@ class mpf:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_div(self._v, y, prec))
@@ -401,7 +391,7 @@ class mpf:
         return NotImplemented if z is None else _new_mpc(*_real_cdiv(self._v, *z, prec))
 
     def __rtruediv__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_div(y, self._v, prec))
@@ -411,7 +401,7 @@ class mpf:
 
     def __abs__(self):
         m, e = self._v
-        return _new_mpf(_round(abs(m), e, _PREC_ROUNDING[0]))
+        return _new_mpf(_round(abs(m), e, _PREC[0]))
 
     def __bool__(self):
         return self._v[0] != 0
@@ -459,10 +449,6 @@ class mpc:
     __slots__ = ("_a", "_b")
 
     @property
-    def _mpc_(self):
-        return _raw(self._a), _raw(self._b)
-
-    @property
     def real(self) -> mpf:
         return _new_mpf(self._a)
 
@@ -471,7 +457,7 @@ class mpc:
         return _new_mpf(self._b)
 
     def __add__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(_add(self._a, z[0], prec), _add(self._b, z[1], prec))
@@ -481,7 +467,7 @@ class mpc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(_sub(self._a, z[0], prec), _sub(self._b, z[1], prec))
@@ -489,14 +475,14 @@ class mpc:
         return NotImplemented if y is None else _new_mpc(_sub(self._a, y, prec), self._b)
 
     def __rsub__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         z = _as_complex(other)
         if z is None:
             return NotImplemented
         return _new_mpc(_sub(z[0], self._a, prec), _sub(z[1], self._b, prec))
 
     def __mul__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(*_cmul(self._a, self._b, *z, prec))
@@ -509,7 +495,7 @@ class mpc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(*_cdiv(self._a, self._b, *z, prec))
@@ -518,7 +504,7 @@ class mpc:
                                                          _div(self._b, y, prec))
 
     def __rtruediv__(self, other):
-        prec = _PREC_ROUNDING[0]
+        prec = _PREC[0]
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(*_cdiv(*z, self._a, self._b, prec))
@@ -528,10 +514,10 @@ class mpc:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return _new_mpc(*_cpow(self._a, self._b, n, _PREC_ROUNDING[0]))
+        return _new_mpc(*_cpow(self._a, self._b, n, _PREC[0]))
 
     def __abs__(self) -> mpf:
-        return _new_mpf(_hypot(self._a, self._b, _PREC_ROUNDING[0]))
+        return _new_mpf(_hypot(self._a, self._b, _PREC[0]))
 
     def __bool__(self):
         return bool(self._a[0] or self._b[0])
@@ -552,17 +538,13 @@ class mpc:
 
 
 class _Context:
-    """The precision of this module's numbers, with the parts of mpmath's
-    context interface that the kernel uses."""
+    """The precision of this module's numbers, and conversion to them."""
 
-    __slots__ = ("_prec_rounding",)
-
-    def __init__(self):
-        self._prec_rounding = _PREC_ROUNDING
+    __slots__ = ()
 
     @property
     def prec(self) -> int:
-        return self._prec_rounding[0]
+        return _PREC[0]
 
     def convert(self, x):
         """x as an mpf or mpc: unchanged if it is one, else an int, a float or
@@ -577,13 +559,8 @@ class _Context:
             raise TypeError(f"cannot convert {type(x).__name__} to a wide number")
         return _new_mpf(y)
 
-    def make_mpc(self, parts) -> mpc:
-        """The mpc of mpmath's raw parts (re, im)."""
-        return _new_mpc(_unraw(parts[0]), _unraw(parts[1]))
-
 
 ctx = _Context()
-mpc.context = ctx
 
 
 class workdps:
@@ -597,42 +574,36 @@ class workdps:
         self.prec = dps_to_prec(dps)
 
     def __enter__(self):
-        self._outer, _PREC_ROUNDING[0] = _PREC_ROUNDING[0], self.prec
+        self._outer, _PREC[0] = _PREC[0], self.prec
 
     def __exit__(self, *exc):
-        _PREC_ROUNDING[0] = self._outer
+        _PREC[0] = self._outer
 
 
-# The raw-part helpers of the kernel, as in mpmath.libmp.
-
-# mpmath's raw zero and infinities; any other part with a zero mantissa is NaN.
-_SPECIAL_FLOATS = {fzero: 0.0, (0, 0, -456, -2): math.inf, (1, 0, -789, -3): -math.inf}
-
-
-def to_fixed(s, prec: int) -> int:
-    """The raw parts ``s`` as an int with ``prec`` fractional bits, floored."""
-    sign, man, exp, _ = s
-    offset = exp + prec
-    if sign:
-        man = -man
-    return man << offset if offset >= 0 else man >> -offset
-
-
-def from_man_exp(man: int, exp: int, prec: int, rnd: str) -> tuple:
-    """The raw parts of man 2^exp rounded to ``prec`` >= 1 bits by ``rnd``,
-    ROUND_NEAREST or ROUND_DOWN."""
-    if rnd not in (ROUND_NEAREST, ROUND_DOWN):
-        raise ValueError(f"rounding {rnd!r} is not supported")
-    return _raw(_round(man, exp, prec, rnd == ROUND_DOWN))
+def exact_parts(x):
+    """x, a number of this module or an int, float or complex, as exact
+    parts (re, im, bits): x = (re + i im) 2^-bits with the least ``bits``
+    that makes both parts integers, so equal numbers give equal parts.  Any
+    other type raises TypeError, and a float part that is not finite
+    ValueError."""
+    z = _as_complex(x)
+    if z is None:
+        raise TypeError(f"cannot convert {type(x).__name__} to a wide number")
+    (am, ae), (bm, be) = z
+    if not bm:
+        return am, 0, -ae
+    if not am:
+        return 0, bm, -be
+    if ae <= be:
+        return am, bm << (be - ae), -ae
+    return am << (ae - be), bm, -be
 
 
-def to_float(s) -> float:
-    """The raw parts ``s`` as a float, as :func:`_to_float` rounds them;
-    mpmath's infinities and NaN give a float's."""
-    sign, man, exp, _ = s
-    if not man:
-        return _SPECIAL_FLOATS.get(s, math.nan)
-    return _to_float(-man if sign else man, exp)
+def from_parts(re: int, im: int, bits: int) -> mpc:
+    """The mpc (re + i im) 2^-bits, each part rounded once to the precision
+    of :data:`ctx`, to nearest with ties to even."""
+    prec = _PREC[0]
+    return _new_mpc(_round(re, -bits, prec), _round(im, -bits, prec))
 
 
 def _to_float(m: int, e: int) -> float:

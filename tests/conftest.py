@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import os
 import random
 import struct
 from collections import Counter
 
+import mpmath
 import pytest
+from mpmath import libmp
 
-from ellipsum import catalog
+from ellipsum import catalog, wide
 from ellipsum.multivar import enumerate_partitions
 from ellipsum.series import _summed, omega_terms
 
@@ -34,6 +37,43 @@ def rel_err(a, b) -> float:
 def bits(z) -> bytes:
     """The bytes of both parts of a number, so that signed zeros and NaNs compare too."""
     return struct.pack("<dd", z.real, z.imag)
+
+
+@contextlib.contextmanager
+def workdps(dps: int):
+    """A scope at ``dps`` digits for mpmath and ``ellipsum.wide`` both, the
+    same bits on each side (169 at 50 digits)."""
+    with mpmath.workdps(dps), wide.workdps(dps):
+        yield
+
+
+def signed_parts(raw) -> tuple:
+    """mpmath's raw parts (sign, |man|, exp, bit count) as (man, exp)."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def to_wide(x):
+    """An mpmath mpf or mpc as the ``ellipsum.wide`` number of equal value,
+    an mpf or an mpc, exactly at any precision of either."""
+    if isinstance(x, mpmath.mpf):
+        return to_wide(mpmath.mp.make_mpc((x._mpf_, libmp.fzero))).real
+    parts = [signed_parts(part) for part in x._mpc_]
+    bits = -min((e for m, e in parts if m), default=0)
+    # from_parts rounds to the precision of wide.ctx: that of the longer
+    # mantissa keeps it exact
+    with wide.workdps(max(abs(m).bit_length() for m, _ in parts) + 1):
+        return wide.from_parts(*(m << (e + bits) if m else 0 for m, e in parts), bits)
+
+
+def to_mp(x):
+    """An ``ellipsum.wide`` mpf or mpc as the mpmath number of equal value,
+    exactly at any precision of either."""
+    re, im, bits = wide.exact_parts(x)
+    parts = libmp.from_man_exp(re, -bits), libmp.from_man_exp(im, -bits)
+    if isinstance(x, wide.mpf):
+        return mpmath.mp.make_mpf(parts[0])
+    return mpmath.mp.make_mpc(parts)
 
 
 def sample_point(ident: catalog.Identity, seed: int,

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ellipsum import Nome, catalog, kernel
+from ellipsum import Nome, catalog, kernel, wide
 from ellipsum.catalog import (
     DEFAULT_REGION,
     ParamPoint,
@@ -26,7 +26,7 @@ from ellipsum.series import OmegaSpec, balance_residual
 from ellipsum.stream import PhiloxStream, _pool, _seed_key
 from ellipsum.suites import Check, run_checks, run_kernel_suite
 
-from conftest import bits, gauge_pair_errors, rel_err, sample_point
+from conftest import bits, gauge_pair_errors, rel_err, sample_point, to_wide, workdps
 from oracles import classical_w_sum
 
 ALL_IDS = [ident.id for ident in list_identities()]
@@ -306,10 +306,10 @@ def test_eprefactor_first_term_is_exactly_one():
     firsts = [catalog._eprefactor(draw(0.5, 2.0), 3, draw(0.3, 0.9), draw(0.05, 0.3))(0)
               for _ in range(200)]
     assert all(type(t) is complex and t == 1 for t in firsts)
-    with mpmath.workdps(50):
-        a1, q, p = (mpmath.mpc(z) for z in (0.7 + 0.3j, 0.5 - 0.2j, 0.2j))
+    with workdps(50):
+        a1, q, p = (to_wide(mpmath.mpc(z)) for z in (0.7 + 0.3j, 0.5 - 0.2j, 0.2j))
         first = catalog._eprefactor(a1, 4, q, p)(0)
-    assert isinstance(first, mpmath.mpc) and first == 1
+    assert isinstance(first, wide.mpc) and first == 1
 
 
 class TestCheckIdentity:

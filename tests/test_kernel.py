@@ -21,11 +21,11 @@ from ellipsum import (
     pochhammer_partition,
     theta1,
 )
-from ellipsum import kernel, suites
+from ellipsum import kernel, suites, wide
 from ellipsum.series import vwp_terms
 from ellipsum.kernel import DELTA_DEGEN, binom2, pochhammer_frac
 
-from conftest import bits, rel_err
+from conftest import bits, rel_err, to_mp, to_wide, workdps
 from oracles import (
     infinite_product_E,
     theta_sine_series,
@@ -109,13 +109,11 @@ class TestEvalE:
     def test_nome_that_rounds_to_one_raises_truncation_limit(self):
         # |p| = 1 - 1e-30 is inside the disk, but log2 |p| from the top bits
         # of its parts is 0, past the nomes of the series.
-        with mpmath.workdps(50):
+        with workdps(50):
             p = 1 - mpmath.mpf("1e-30")
             for nome in (p, mpmath.mpc(p)):
                 with pytest.raises(TruncationLimit, match=r"\|p\| = 1\.0 is too close to 1"):
-                    eval_E(mpmath.mpc("0.5", "0.25"), nome)
-            with pytest.raises(TruncationLimit):
-                theta1(mpmath.mpc("0.3"), mpmath.mpc(p))
+                    eval_E(to_wide(mpmath.mpc("0.5", "0.25")), to_wide(nome))
 
     @given(complex_in(0.4, 2.2), complex_in(0.02, 0.4))
     @settings(max_examples=150, deadline=None)
@@ -350,11 +348,11 @@ class TestTruncationPolicy:
         pytest.param(("1e400", "0"), ("0.3", "0.1"), id="mpc-above-range"),
     ])
     def test_mpc_modulus_outside_binary64_range(self, x, p):
-        # the mpc shifted factorials raise as eval_E does
-        with mpmath.workdps(50):
-            groups = [((mpmath.mpc(*x),), mpmath.mpc("0.7", "0.1"), 1)]
+        # the extended shifted factorials raise as eval_E does
+        with workdps(50):
+            groups = [((to_wide(mpmath.mpc(*x)),), to_wide(mpmath.mpc("0.7", "0.1")), 1)]
             with pytest.raises(TruncationLimit, match="outside the binary64 range"):
-                list(kernel.running_products(groups, 1, mpmath.mpc(*p)))
+                list(kernel.running_products(groups, 1, to_wide(mpmath.mpc(*p))))
 
     def test_counts_inside_the_range(self):
         # Inside |p| <= 0.99540 the theta coefficients of a binary64 nome run
@@ -380,53 +378,59 @@ def _mpc_polar(modulus, phase):
     return mpmath.mpc(mpmath.rect(modulus, phase))
 
 
+def _wide_E(x, p):
+    """eval_E on the wide numbers of mpmath x and p, at the precision of wide.ctx."""
+    return eval_E(to_wide(x), to_wide(p))
+
+
 def _mpc_rel_err(got, x, p, terms):
-    """Relative error of a 50-digit E(x; p) against the 90-digit product oracle."""
+    """Relative error of a 50-digit wide E(x; p) against the 90-digit product oracle."""
     with mpmath.workdps(90):
         want = truncated_product_E(x, p, terms)
-        return abs(got - want) / abs(want)
+        return abs(to_mp(got) - want) / abs(want)
 
 
 class TestEvalEExtended:
-    """mpmath.mpc E against the 400-term product oracle."""
+    """wide E against the 400-term product oracle."""
 
     def test_matches_oracle_over_moduli(self):
         # 400 oracle terms: at |x| = 1e6, |p| = 0.6 the factor x p^200 is still 4e-39.
         state = random.Random(20261018)
-        with mpmath.workdps(50):
+        with workdps(50):
             for log_x in (-3, -1.5, 0, 1.5, 3, 4.5, 6):
                 for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
                     x = _mpc_polar(10 ** log_x, state.uniform(0, 2 * cmath.pi))
                     p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
-                    got = eval_E(x, p)
-                    assert isinstance(got, mpmath.mpc)
+                    got = _wide_E(x, p)
+                    assert isinstance(got, wide.mpc)
                     assert _mpc_rel_err(got, x, p, 400) <= 1e-40, (log_x, p_mod)
 
     def test_matches_oracle_near_zeros(self):
-        with mpmath.workdps(50):
+        with workdps(50):
             for p_mod in (0.02, 0.3, 0.6):
                 p = _mpc_polar(p_mod, 1.1)
                 for k in range(-3, 4):
                     x = p ** k * (1 + mpmath.mpf("1e-9"))
-                    got = eval_E(x, p)
+                    got = _wide_E(x, p)
                     assert _mpc_rel_err(got, x, p, 400) <= 1e-40, (p_mod, k)
 
     def test_classical_case_is_exact(self):
-        with mpmath.workdps(50):
-            x = mpmath.mpc("0.3", "-1.7")
-            assert eval_E(x, mpmath.mpc(0)) == 1 - x
+        with workdps(50):
+            x = to_wide(mpmath.mpc("0.3", "-1.7"))
+            assert eval_E(x, wide.ctx.convert(0j)) == 1 - x
 
 
 def _pair_rel_err(got, x, p, dps=90):
-    """Relative error of a 50-digit E(x; p) against the infinite product at ``dps`` digits."""
+    """Relative error of a 50-digit wide E(x; p) against the infinite product
+    at ``dps`` digits."""
     with mpmath.workdps(dps):
         want = infinite_product_E(x, p, dps)
-        return abs(got - want) / abs(want)
+        return abs(to_mp(got) - want) / abs(want)
 
 
 @pytest.fixture
 def reruns(monkeypatch):
-    """The shortfall of every precision rerun of the mpc series, in order."""
+    """The shortfall of every precision rerun of the extended series, in order."""
     shortfalls = []
     rerun = kernel._rerun
 
@@ -448,33 +452,33 @@ def _moduli_grid(seed):
 
 
 class TestEvalESeries:
-    """mpc E by the triple product series: the infinite product to working precision."""
+    """wide E by the triple product series: the infinite product to working precision."""
 
     def test_matches_the_infinite_product(self, reruns):
-        with mpmath.workdps(50):
+        with workdps(50):
             for x, p in _moduli_grid(20261019):
-                assert _pair_rel_err(eval_E(x, p), x, p) <= 1e-48, (x, p)
+                assert _pair_rel_err(_wide_E(x, p), x, p) <= 1e-48, (x, p)
         assert reruns == []
 
     def test_zeros_are_exact(self, reruns):
         # p^2 and 1/p are rounded, so E there is a tiny value, not a zero.
-        with mpmath.workdps(50):
+        with workdps(50):
             p = _mpc_polar(0.3, 2.3)
-            assert eval_E(mpmath.mpc(1), p) == 0
-            assert eval_E(p, p) == 0
+            assert _wide_E(mpmath.mpc(1), p) == 0
+            assert _wide_E(p, p) == 0
             for x in (p ** 2, 1 / p):
-                assert _pair_rel_err(eval_E(x, p), x, p, 150) <= 1e-48
+                assert _pair_rel_err(_wide_E(x, p), x, p, 150) <= 1e-48
         assert len(reruns) == 4
 
     def test_near_degenerate_points_stay_on_the_series(self, reruns):
         # Near x = 1 and x = p, E(x) is about (1 - x) (p; p)_inf^2, so this
         # offset puts |E| at about DELTA_DEGEN, where the theta runs cancel
         # about 27 bits.
-        with mpmath.workdps(50):
+        with workdps(50):
             p = _mpc_polar(0.3, 2.3)
             offset = DELTA_DEGEN / abs(mpmath.qp(p)) ** 2 * mpmath.expjpi(0.3)
             for x in (1 + offset, 1 - offset, p * (1 + offset), p / (1 + offset)):
-                got = eval_E(x, p)
+                got = _wide_E(x, p)
                 assert DELTA_DEGEN / 2 < abs(got) < 2 * DELTA_DEGEN
                 assert _pair_rel_err(got, x, p) <= 1e-45
         assert reruns == []
@@ -490,25 +494,25 @@ class TestEvalESeries:
                 return method(*args)
             return wrapper
 
-        with mpmath.workdps(50):
-            x, p = _mpc_polar(1.7, 0.4), _mpc_polar(0.3, 2.3)
+        with workdps(50):
+            x, p = to_wide(_mpc_polar(1.7, 0.4)), to_wide(_mpc_polar(0.3, 2.3))
             for name in ("__abs__", "__truediv__", "__rtruediv__"):
-                method = getattr(mpmath.mpc, name)
-                monkeypatch.setattr(mpmath.mpc, name, counting(name, method))
+                method = getattr(wide.mpc, name)
+                monkeypatch.setattr(wide.mpc, name, counting(name, method))
             got = eval_E(x, p)
             assert calls == []
-            assert _pair_rel_err(got, x, p) <= 1e-48
-        # the wrappers are live: the oracle check takes moduli and quotients
-        assert calls.count("__abs__") > 0 and calls.count("__truediv__") > 0
+            abs(x), x / p  # the wrappers are live
+        assert calls == ["__abs__", "__truediv__"]
+        assert _pair_rel_err(got, to_mp(x), to_mp(p)) <= 1e-48
         assert reruns == []
 
     def test_point_near_a_zero_takes_a_rerun(self, reruns):
         # 1e-12 from x = 1 the theta runs cancel about 40 bits, past the
         # guard, so the series runs again with the shortfall added.
-        with mpmath.workdps(50):
+        with workdps(50):
             p = _mpc_polar(0.3, 2.3)
             x = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
-            got = eval_E(x, p)
+            got = _wide_E(x, p)
             assert _pair_rel_err(got, x, p) <= 1e-48
         assert len(reruns) == 1 and reruns[0] > 0
 
@@ -517,18 +521,18 @@ class TestEvalESeries:
     def test_near_zeros_match_the_infinite_product(self, delta, power):
         # x = p^power (1 + delta e^(0.7 pi i)) at 50 digits: E is about delta
         # times a constant, and every digit of x counts.
-        with mpmath.workdps(50):
+        with workdps(50):
             p = _mpc_polar(0.3, 2.3)
             x = p ** power * (1 + mpmath.mpf(delta) * mpmath.expjpi(0.7))
-            assert _pair_rel_err(eval_E(x, p), x, p, 150) <= 1e-48
+            assert _pair_rel_err(_wide_E(x, p), x, p, 150) <= 1e-48
 
     @pytest.mark.parametrize("nome", ["0.97", "0.99", "-0.99"])
     def test_real_nome_near_one(self, nome):
         # (p; p)_inf cancels 55 to 231 bits here, which the tables of p add
         # to their working precision.
-        with mpmath.workdps(50):
+        with workdps(50):
             p, x = mpmath.mpc(nome), _mpc_polar(0.6, 1.1)
-            got = eval_E(x, p)
+            got = to_mp(_wide_E(x, p))
             with mpmath.workdps(80):
                 want = truncated_product_E(x, p, 20000)
                 assert abs(got - want) / abs(want) <= 1e-45
@@ -538,27 +542,27 @@ class TestEvalESeries:
     def test_powers_of_the_nome(self, nome):
         # x = p^m is an exact zero where the 50-digit power is exact, and
         # its neighbours one unit in the last place away are not zeros.
-        with mpmath.workdps(50):
+        with workdps(50):
             p = mpmath.mpc(*nome)
             for m in range(-3, 5):
                 x = p ** m
                 with mpmath.workdps(200):
                     exact = p ** m == x
                 if exact:
-                    assert eval_E(x, p) == 0, m
+                    assert _wide_E(x, p) == 0, m
                 else:
-                    assert _pair_rel_err(eval_E(x, p), x, p, 150) <= 1e-48, m
+                    assert _pair_rel_err(_wide_E(x, p), x, p, 150) <= 1e-48, m
                 ulp = mpmath.ldexp(1, mpmath.mag(x) - mpmath.mp.prec)
                 for y in (x + ulp, x - ulp):
-                    got = eval_E(y, p)
+                    got = _wide_E(y, p)
                     assert got != 0 and _pair_rel_err(got, y, p, 150) <= 1e-48, m
 
     def test_nome_below_binary64_range_gives_one_factor_each(self):
         # |p| rounds to 0.0 in binary64, but log2 |p| comes from its parts,
         # so the series runs: one factor of each product is exact to far
         # beyond the working precision.
-        with mpmath.workdps(50):
-            x, p = mpmath.mpc("0.5", "0.25"), mpmath.mpc("1e-400", "1e-400")
+        with workdps(50):
+            x, p = to_wide(mpmath.mpc("0.5", "0.25")), to_wide(mpmath.mpc("1e-400", "1e-400"))
             assert eval_E(x, p) == (1 - x) * (1 - p / x)
 
     @pytest.mark.parametrize("x", [
@@ -566,9 +570,9 @@ class TestEvalESeries:
         pytest.param(("1e400", "0"), id="above-range"),
     ])
     def test_modulus_outside_binary64_range(self, x):
-        with mpmath.workdps(50):
+        with workdps(50):
             with pytest.raises(TruncationLimit, match="outside the binary64 range"):
-                eval_E(mpmath.mpc(*x), mpmath.mpc("0.3", "0.1"))
+                _wide_E(mpmath.mpc(*x), mpmath.mpc("0.3", "0.1"))
 
 
 class TestPochhammer:
@@ -598,12 +602,12 @@ class TestPochhammer:
     def test_extended_poles_raise(self):
         # |E| of an mpc is an mpf, which a :.3e format spec rejects with a
         # TypeError; the messages format it as a float.
-        with mpmath.workdps(50):
-            q, p = mpmath.mpc("0.5", "0.1"), mpmath.mpc("0.1", "-0.05")
+        with workdps(50):
+            q, p = to_wide(mpmath.mpc("0.5", "0.1")), to_wide(mpmath.mpc("0.1", "-0.05"))
             nome = Nome(q, p)
-            near_one = 1 + mpmath.mpc("1e-12", "1e-12")
+            near_one = 1 + to_wide(mpmath.mpc("1e-12", "1e-12"))
             value = eval_E(near_one, p)
-            assert isinstance(value, mpmath.mpc) and abs(value) < DELTA_DEGEN
+            assert isinstance(value, wide.mpc) and abs(value) < DELTA_DEGEN
             with pytest.raises(DegenerateParameters, match=r"E\(a\): \|E\| = \d\.\d{3}e-"):
                 kernel._check_degen(value, "E(%s)", "a")
             with pytest.raises(DegenerateParameters, match=r"^factor .* magnitude \d"):
@@ -661,6 +665,11 @@ def _random_groups(state):
     return [((point(-3, 3),), point(-0.52, 0.18), step) for step in (1, 2)]
 
 
+def _wide_groups(groups):
+    """Groups of mpmath numbers as groups of their wide numbers."""
+    return [(tuple(map(to_wide, params)), to_wide(base), step) for params, base, step in groups]
+
+
 def _product_of(factor, groups, kmax):
     """[P_0..P_kmax] of running_products, with each factor E(a base^t) from ``factor``."""
     products = [1.0]
@@ -683,55 +692,57 @@ class TestRunningProducts:
 
     def test_mpc_matches_the_infinite_product(self, reruns):
         state = random.Random(20261102)
-        with mpmath.workdps(50):
+        with workdps(50):
             for p_mod in (0.02, 0.1, 0.3, 0.45, 0.6):
                 p = _mpc_polar(p_mod, state.uniform(0, 2 * cmath.pi))
                 groups = _random_groups(state)
                 kmax = state.randint(1, 10)
-                got = list(kernel.running_products(groups, kmax, p))
+                got = list(kernel.running_products(_wide_groups(groups), kmax, to_wide(p)))
                 with mpmath.workdps(90):
                     want = _product_of(lambda x: infinite_product_E(x, p), groups, kmax)
                     assert got[0] == 1.0
                     for k in range(1, kmax + 1):
-                        assert abs(got[k] - want[k]) / abs(want[k]) <= 1e-45, (p_mod, k)
+                        assert abs(to_mp(got[k]) - want[k]) / abs(want[k]) <= 1e-45, (p_mod, k)
         assert reruns == []
 
     def test_exact_zero_factor_gives_zero(self):
         # E(p^k) = 0 exactly, by the exact test of a rerun.
-        with mpmath.workdps(50):
+        with workdps(50):
             p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
             for a in (mpmath.mpc(1), p):
-                got = list(kernel.running_products([((mpmath.mpc("0.4", "0.2"), a), q, 1)], 3, p))
+                groups = _wide_groups([((mpmath.mpc("0.4", "0.2"), a), q, 1)])
+                got = list(kernel.running_products(groups, 3, to_wide(p)))
                 assert got[0] == 1.0 and all(value == 0 for value in got[1:])
 
     def test_factor_near_a_zero_takes_a_rerun(self, reruns):
-        with mpmath.workdps(50):
+        with workdps(50):
             p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
             a = 1 + mpmath.mpf("1e-12") * mpmath.expjpi(0.7)
-            got = list(kernel.running_products([((a,), q, 1)], 1, p))
+            got = list(kernel.running_products(_wide_groups([((a,), q, 1)]), 1, to_wide(p)))
             assert len(reruns) == 1
             assert _pair_rel_err(got[1], a, p) <= 1e-45
 
     def test_classical_nome_gives_the_linear_factors(self):
         state = random.Random(20261103)
-        with mpmath.workdps(50):
-            p = mpmath.mpc(0)
-            groups = _random_groups(state)
+        with workdps(50):
+            p = wide.ctx.convert(0j)
+            groups = _wide_groups(_random_groups(state))
             got = list(kernel.running_products(groups, 4, p))
             assert got == _product_of(lambda x: 1.0 - x, groups, 4)
 
     def test_nome_near_one_raises_the_table_precision(self):
         # Real p = 0.97: (p; p)_inf cancels past the guard bits, so the
         # tables of p are built again with the lost bits added.
-        with mpmath.workdps(50):
+        with workdps(50):
             p, q = mpmath.mpc("0.97"), _mpc_polar(0.8, 0.3)
-            wp = mpmath.mp.prec + kernel.GUARD_BITS
-            assert kernel._nome_tables(p, (p.real._mpf_, p.imag._mpf_), wp, None).wp > wp
+            p_wide = to_wide(p)
+            wp = wide.ctx.prec + kernel.GUARD_BITS
+            assert kernel._nome_tables(p_wide, wide.exact_parts(p_wide), wp, None).wp > wp
             groups = [((_mpc_polar(0.6, 1.1),), q, 1)]
-            got = list(kernel.running_products(groups, 2, p))
+            got = list(kernel.running_products(_wide_groups(groups), 2, p_wide))
             with mpmath.workdps(90):
                 want = _product_of(lambda x: infinite_product_E(x, p), groups, 2)
-                assert all(abs(got[k] - want[k]) / abs(want[k]) <= 1e-45 for k in (1, 2))
+                assert all(abs(to_mp(got[k]) - want[k]) / abs(want[k]) <= 1e-45 for k in (1, 2))
 
 
 class TestDenominatorFloor:
@@ -739,25 +750,27 @@ class TestDenominatorFloor:
 
     def test_factor_beyond_binary64_range_passes(self):
         # |E(1e30; 0.5)| is about 2^5000: no binary64 power of two holds it.
-        with mpmath.workdps(50):
+        with workdps(50):
             p, q = mpmath.mpc("0.5", "0.1"), _mpc_polar(0.7, 0.4)
             x = mpmath.mpc("1e30", "1e29")
-            den = list(kernel.running_products([((x,), q, 1)], 1, p, DELTA_DEGEN, _degen_message))
-            assert abs(den[1]) > mpmath.mpf(2) ** 4000
+            x_w, q_w, p_w = to_wide(x), to_wide(q), to_wide(p)
+            den = list(kernel.running_products([((x_w,), q_w, 1)], 1, p_w, DELTA_DEGEN,
+                                               _degen_message))
+            assert abs(to_mp(den[1])) > mpmath.mpf(2) ** 4000
             assert _pair_rel_err(den[1], x, p) <= 1e-45
-            terms = vwp_terms(lambda k: 1.0, [], [((x,), q, 1)], q, 1, p)
-            assert terms[1] == q / den[1]
+            terms = vwp_terms(lambda k: 1.0, [], [((x_w,), q_w, 1)], q_w, 1, p_w)
+            assert terms[1] == q_w / den[1]
 
     @pytest.mark.parametrize("offset", [
         pytest.param("1e-12", id="rerun"),
         pytest.param(None, id="series"),
     ])
     def test_factor_below_the_floor_raises(self, offset, reruns):
-        with mpmath.workdps(50):
+        with workdps(50):
             p, q = _mpc_polar(0.3, 2.3), _mpc_polar(0.7, 0.4)
             # None: |E| about DELTA_DEGEN / 4, which the series still serves
             delta = mpmath.mpf(offset) if offset else DELTA_DEGEN / 4 / abs(mpmath.qp(p)) ** 2
-            a = 1 + delta * mpmath.expjpi(0.7)
+            a, q, p = (to_wide(v) for v in (1 + delta * mpmath.expjpi(0.7), q, p))
             assert abs(eval_E(a, p)) < DELTA_DEGEN
             reruns.clear()
             with pytest.raises(DegenerateParameters,
@@ -893,36 +906,14 @@ class TestTheta:
         with pytest.raises(NomeOutOfRange):
             theta1(0.3, 1.2)
 
-    def test_mpc_nome_matches_binary64(self):
-        with mpmath.workdps(50):
-            got = theta1(mpmath.mpc("0.3"), mpmath.mpc("0.2"))
-            assert theta1(mpmath.mpc("0.3"), mpmath.mpc(0)) == 0
-            with pytest.raises(NomeOutOfRange):
-                theta1(mpmath.mpc("0.3"), mpmath.mpc("0.6", "0.9"))
-        assert isinstance(got, mpmath.mpc)
-        assert rel_err(complex(got), THETA_03_AT_P02) <= 1e-13
-
-    def test_mpc_matches_jtheta(self, reruns):
-        # (p^2; p^2)_inf comes from the tables of p^2, and no sum cancels.
-        state = random.Random(20261023)
-        with mpmath.workdps(50):
-            for _ in range(20):
-                p = _mpc_polar(state.uniform(0.05, 0.6), state.uniform(0, 2 * cmath.pi))
-                z = mpmath.mpc(state.uniform(0.1, 3.0), state.uniform(-0.4, 0.4))
-                got = theta1(z, p)
-                with mpmath.workdps(90):
-                    want = mpmath.jtheta(1, z, p)
-                    assert abs(got - want) / abs(want) <= 1e-45, (z, p)
-        assert reruns == []
-        # p^2 = 0.9409 is near 1: (p^2; p^2)_inf cancels past the guard
-        # bits, so the tables of p^2 are built again with the lost bits added
-        z, p = mpmath.mpc("0.7", "0.1"), mpmath.mpc("0.97")
-        with mpmath.workdps(50):
-            got = theta1(z, p)
-            with mpmath.workdps(90):
-                want = mpmath.jtheta(1, z, p)
-                assert abs(got - want) / abs(want) <= 1e-45
-        assert reruns == []
+    def test_rejects_wide_and_mpmath_numbers(self):
+        # theta1 is binary64 only (cmath.exp); an mpmath number is no scalar
+        # of the kernel at all
+        with workdps(50):
+            for z, p in ((to_wide(mpmath.mpc("0.3")), 0.2), (0.3, to_wide(mpmath.mpc("0.2"))),
+                         (mpmath.mpc("0.3"), 0.2)):
+                with pytest.raises(TypeError):
+                    theta1(z, p)
 
 
 class TestNome:
@@ -959,13 +950,70 @@ class TestNanNome:
             theta1(0.3, NAN)
 
     def test_mpc_rejects_nan(self):
-        with mpmath.workdps(50):
-            nan = mpmath.mpc(mpmath.nan)
-            with pytest.raises(NomeOutOfRange):
-                Nome(0.5, nan)
-            with pytest.raises(NomeOutOfRange):
-                eval_E(mpmath.mpc("0.5"), nan)
-            with pytest.raises(NomeOutOfRange):
-                eval_E(mpmath.mpc("0.5"), NAN)
-            with pytest.raises(NomeOutOfRange):
-                theta1(mpmath.mpc("0.3"), nan)
+        # A wide number is finite: a NaN nome in an extended call raises
+        # ValueError where its parts are read, before any table is built.
+        with workdps(50):
+            x = to_wide(mpmath.mpc("0.5"))
+            with pytest.raises(ValueError, match="finite"):
+                eval_E(x, NAN)
+            with pytest.raises(ValueError, match="finite"):
+                eval_E(x, complex(0.1, NAN))
+            with pytest.raises(ValueError, match="finite"):
+                wide.ctx.convert(NAN)
+
+
+def _parts(value):
+    """The type and exact parts of a wide number, equal only bit for bit."""
+    return type(value), wide.exact_parts(value)
+
+
+class TestScalarDispatch:
+    """One predicate on the scalars of a call picks its precision: a wide
+    number anywhere makes it extended, binary64 ones alone keep it binary64,
+    and any other type raises TypeError."""
+
+    X, Q, P, A = 0.3 + 0.2j, 0.5 - 0.2j, 0.2 + 0.1j, 0.7 + 0.3j
+
+    def test_mixed_pairs_equal_the_all_wide_values(self):
+        conv = wide.ctx.convert
+        with workdps(50):
+            want = eval_E(conv(self.X), conv(self.P))
+            assert _parts(eval_E(self.X, conv(self.P))) == _parts(want)
+            assert _parts(eval_E(conv(self.X), self.P)) == _parts(want)
+            all_wide, mixed = Nome(conv(self.Q), conv(self.P)), Nome(self.Q, conv(self.P))
+            for n in (-3, -2, -1, 2):
+                want = pochhammer_e(conv(self.A), all_wide, n)
+                want_frac = pochhammer_frac(conv(self.A), all_wide, n)[n < 0]
+                for a in (conv(self.A), self.A):
+                    assert _parts(pochhammer_e(a, mixed, n)) == _parts(want), (a, n)
+                    assert _parts(pochhammer_frac(a, mixed, n)[n < 0]) == _parts(want_frac)
+
+    def test_mixed_pair_and_all_wide_share_a_memo_entry(self):
+        conv = wide.ctx.convert
+        with workdps(50):
+            with kernel.EMemo() as memo:
+                first = eval_E(self.X, conv(self.P))
+                again = eval_E(conv(self.X), conv(self.P.real) + conv(self.P.imag * 1j))
+        assert memo.hits == 1 and len(memo.table) == 1 and again is first
+
+    def test_binary64_subclasses_stay_binary64(self):
+        np = pytest.importorskip("numpy")
+        want = eval_E(self.X, self.P)
+        # numpy's complex arithmetic rounds apart from Python's in places
+        got = eval_E(np.complex128(self.X), np.complex128(self.P))
+        assert isinstance(got, complex) and rel_err(got, want) <= 1e-14
+        assert type(eval_E(True, 0.2)) is float
+
+    def test_other_types_raise(self):
+        from fractions import Fraction
+
+        nome = Nome(self.Q, self.P)
+        with workdps(50):
+            for x, p in ((mpmath.mpc(self.X), self.P), (self.X, mpmath.mpf("0.2")),
+                         (Fraction(1, 3), self.P), (wide.ctx.convert(self.X), mpmath.mpc(self.P))):
+                with pytest.raises(TypeError, match="not a scalar of the kernel"):
+                    eval_E(x, p)
+            with pytest.raises(TypeError, match="not a scalar of the kernel"):
+                pochhammer_e(mpmath.mpc(self.A), nome, 2)
+            with pytest.raises(TypeError, match="not a scalar of the kernel"):
+                list(kernel.running_products([((mpmath.mpc(self.A),), self.Q, 1)], 2, self.P))

@@ -6,12 +6,14 @@ import json
 import mpmath
 import pytest
 
-from ellipsum import catalog, kernel, suites
+from ellipsum import catalog, kernel, suites, wide
 from ellipsum.catalog import check_identity, get_identity
 from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters
 from ellipsum.kernel import GUARD_BITS, EMemo, eval_E
 from ellipsum.suites import KERNEL_CHECKS, SUITES, Check, run_checks, run_kernel_suite
+
+from conftest import to_wide, workdps
 
 X, P = 0.7 + 0.2j, 0.1 - 0.15j
 
@@ -140,27 +142,27 @@ def test_each_catalog_side_gets_a_fresh_scope():
 
 
 class TestKeys:
-    # Equal values of different types hash alike (mpmath hashes an mpc like
-    # the complex of equal value when both parts are nonnegative), so only
-    # the types in the key keep them apart.
+    # Equal values of different types hash alike (a wide number hashes as
+    # the complex of equal value), so only the form of the key keeps them
+    # apart.
     def test_complex_and_mpc_of_equal_value_are_apart(self):
         x, p = 0.5 + 0.25j, 0.125 + 0.25j
-        with mpmath.workdps(50):
-            x_mp, p_mp = mpmath.mpc(x), mpmath.mpc(p)
-            assert (x_mp, p_mp) == (x, p) and hash((x_mp, p_mp)) == hash((x, p))
-            want_mpc = eval_E(x_mp, p_mp)
+        with workdps(50):
+            x_wide, p_wide = wide.ctx.convert(x), wide.ctx.convert(p)
+            assert (x_wide, p_wide) == (x, p) and hash((x_wide, p_wide)) == hash((x, p))
+            want_mpc = eval_E(x_wide, p_wide)
             want_complex = eval_E(x, p)
             with EMemo() as memo:
                 got_complex = eval_E(x, p)
-                got_mpc = eval_E(x_mp, p_mp)
+                got_mpc = eval_E(x_wide, p_wide)
         assert memo.hits == 0 and len(memo.table) == 2
         assert type(got_complex) is complex and got_complex == want_complex
-        assert isinstance(got_mpc, mpmath.mpc) and got_mpc == want_mpc
+        assert isinstance(got_mpc, wide.mpc) and got_mpc == want_mpc
 
     def test_mpc_built_two_ways_is_a_hit(self):
-        with mpmath.workdps(50):
-            x, p = mpmath.mpc("0.7", "0.2"), mpmath.mpc(P)
-            same = mpmath.mpf("0.7") + 1j * mpmath.mpf("0.2")
+        with workdps(50):
+            x, p = to_wide(mpmath.mpc("0.7", "0.2")), wide.ctx.convert(P)
+            same = to_wide(mpmath.mpf("0.7")) + 1j * to_wide(mpmath.mpf("0.2"))
             assert same is not x and same == x
             with EMemo() as memo:
                 first = eval_E(x, p)
@@ -169,9 +171,10 @@ class TestKeys:
         assert again == first
 
     def test_mpf_and_real_mpc_nome_give_equal_values(self):
-        with mpmath.workdps(50):
-            x = mpmath.mpc(X)
-            p_mpf, p_mpc = mpmath.mpf("0.3"), mpmath.mpc("0.3", 0)
+        with workdps(50):
+            x = wide.ctx.convert(X)
+            p_mpf, p_mpc = to_wide(mpmath.mpf("0.3")), to_wide(mpmath.mpc("0.3", 0))
+            assert isinstance(p_mpf, wide.mpf) and isinstance(p_mpc, wide.mpc)
             want = eval_E(x, p_mpc)
             assert eval_E(x, p_mpf) == want
             with EMemo() as memo:
@@ -207,18 +210,17 @@ class TestNomeTables:
     """The series tables of each nome, which the memo keeps apart from E values."""
 
     def _memo_after(self, calls):
-        with mpmath.workdps(50):
-            x, p = mpmath.mpc(X), mpmath.mpc(P)
+        with workdps(50):
+            x, p = wide.ctx.convert(X), wide.ctx.convert(P)
             with EMemo() as memo:
                 values = [eval_E(v, p) for v in (x, 2 * x, x, 3 * x)[:calls]]
-            return memo, values, (p._mpc_, mpmath.mp.prec + GUARD_BITS)
+            return memo, values, (wide.exact_parts(p), wide.ctx.prec + GUARD_BITS)
 
     def test_tables_leave_the_e_table_and_hits_alone(self, monkeypatch):
         memo, values, key = self._memo_after(4)
         assert list(memo.nomes) == [key]
         monkeypatch.setattr(kernel, "_nome_tables",
-                            lambda p, p_parts, wp, memo:
-                            kernel._NomeTables(kernel._exact(p_parts), wp))
+                            lambda p, p_parts, wp, memo: kernel._NomeTables(p_parts, wp))
         uncached, uncached_values, _ = self._memo_after(4)
         assert uncached.nomes == {}
         assert memo.table == uncached.table and memo.hits == uncached.hits == 1
@@ -257,13 +259,13 @@ class TestBinary64Tables:
         assert values == [eval_E(x, p) for p in (P, q) for x in (X, 2 * X, X, 3 * X)]
 
     def test_binary64_and_mpc_tables_are_apart(self):
-        with mpmath.workdps(50):
-            p_mpc = mpmath.mpc(P)
+        with workdps(50):
+            p_mpc = wide.ctx.convert(P)
             with EMemo() as memo:
                 eval_E(X, P)
-                eval_E(mpmath.mpc(X), p_mpc)
-            wp = mpmath.mp.prec + GUARD_BITS
-        assert set(memo.nomes) == {(complex, P), (p_mpc._mpc_, wp)}
+                eval_E(wide.ctx.convert(X), p_mpc)
+            wp = wide.ctx.prec + GUARD_BITS
+        assert set(memo.nomes) == {(complex, P), (wide.exact_parts(p_mpc), wp)}
 
 
 def test_sides_of_a_trial_share_nome_tables_only(monkeypatch):
@@ -301,5 +303,5 @@ def test_sides_of_a_trial_share_nome_tables_only(monkeypatch):
         assert len(built) == len(set(built))
         lhs, rhs = scopes
         assert lhs.nomes is rhs.nomes
-        assert set(built) <= {(kernel._exact(parts), wp) for parts, wp in lhs.nomes}
+        assert set(built) <= set(lhs.nomes)
         assert lhs.table is not rhs.table

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsum import BalanceViolation, DegenerateParameters, Nome
+from ellipsum import BalanceViolation, DegenerateParameters, Nome, wide
 from ellipsum.kernel import eval_E
 from ellipsum.series import (
     OmegaSpec,
@@ -16,7 +16,7 @@ from ellipsum.series import (
     vwp_terms,
 )
 
-from conftest import rel_err
+from conftest import rel_err, to_wide, workdps
 from oracles import classical_pochhammer, classical_w_sum, truncated_product_E
 
 # The balanced seven-term example: a1 = 0.2, uppers 0.3, 0.4 and the solved
@@ -214,9 +214,9 @@ class TestSummed:
         assert abs(forward - backward) <= 1e-15 * abs(forward) + 1e-28 * len(values) * scale
 
     def test_mpc_terms_keep_their_precision(self):
-        with mpmath.workdps(50):
-            terms = [mpmath.mpc(1), mpmath.mpc("1e-40", "1e-45"), mpmath.mpc(-1)]
-            value, scale = _summed(terms)
-            assert isinstance(value, mpmath.mpc)
-            assert value == mpmath.mpc("1e-40", "1e-45")
+        with workdps(50):
+            tiny = to_wide(mpmath.mpc("1e-40", "1e-45"))
+            value, scale = _summed([wide.ctx.convert(1 + 0j), tiny, wide.ctx.convert(-1 + 0j)])
+            assert isinstance(value, wide.mpc)
+            assert value == tiny
         assert scale == 1.0

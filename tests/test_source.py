@@ -4,7 +4,8 @@ Every module-level name of the package is used somewhere in the package,
 or is public and exported in ``ellipsum.__all__``, so a helper whose last
 caller goes is deleted with it, and one that only tests call lives in the
 tests; the test oracles import nothing from the package they check; no
-module imports numpy; and E takes no truncation policy: the scalar type
+module imports numpy, and none reads mpmath's raw parts or imports mpmath
+outside ``wide._cpow``; and E takes no truncation policy: the scalar type
 alone picks its method.
 """
 
@@ -164,3 +165,23 @@ def test_eval_E_takes_no_policy_and_the_package_exports_none():
 
     assert "eval_E" in ellipsum.__all__
     assert [name for name in dir(ellipsum) if "polic" in name.lower()] == []
+
+
+def test_one_extended_type_and_no_mpmath():
+    """The kernel reads ellipsum.wide numbers through their own parts: no
+    module reads mpmath's raw parts, the kernel tests no attribute for a
+    scalar type, and the one mpmath import is wide._cpow's deferral to
+    mpmath for the powers it does not copy."""
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    raw = [f"{module}:{node.lineno}" for module, tree in trees.items() for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and node.attr in ("_mpc_", "_mpf_")
+           or isinstance(node, ast.Constant) and node.value in ("_mpc_", "_mpf_")]
+    assert raw == []
+    imports = [f"{module}:{line}" for module, tree in trees.items()
+               for name, line in _imports(tree) if name == "mpmath"]
+    (cpow,) = [node for node in trees["wide"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "_cpow"]
+    assert imports == [f"wide:{line}" for name, line in _imports(cpow) if name == "mpmath"]
+    assert len(imports) == 1
+    assert [node.lineno for node in ast.walk(trees["kernel"]) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in ("hasattr", "getattr")] == []

@@ -4,11 +4,14 @@ Every operation that extended runs use must give mpmath's raw parts
 (sign, man, exp, bc) bit for bit, at 53 bits and at the 169 bits of 50
 digits, on operands that include zero, exact cancellation, parts whose
 exponents lie hundreds of bits apart and mantissas longer than the working
-precision; the raw-part helpers of the kernel must match libmp's.
+precision; the two part helpers of the kernel must match libmp's.  Numbers
+cross between the two libraries exactly, by ``conftest.to_wide`` and
+``conftest.to_mp``.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 import random
 from fractions import Fraction
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from ellipsum import wide
+
+from conftest import signed_parts, to_mp, to_wide
 
 # Decimal digits of the two precisions, 53 and 169 bits on both sides.
 DPS = (15, 50)
@@ -49,11 +54,13 @@ def _related(draw, parts):
 
 
 def _mpf(parts):
-    return mpmath.mp.make_mpf(parts), wide.ctx.make_mpc((parts, libmp.fzero)).real
+    x = mpmath.mp.make_mpf(parts)
+    return x, to_wide(x)
 
 
 def _mpc(parts):
-    return mpmath.mp.make_mpc(parts), wide.ctx.make_mpc(parts)
+    z = mpmath.mp.make_mpc(parts)
+    return z, to_wide(z)
 
 
 @st.composite
@@ -99,6 +106,8 @@ def _outcome(fn, *args):
         value = fn(*args)
     except Exception as exc:
         return type(exc)
+    if isinstance(value, (wide.mpc, wide.mpf)):
+        value = to_mp(value)
     for kind in ("_mpc_", "_mpf_"):
         if hasattr(value, kind):
             return kind, getattr(value, kind)
@@ -167,13 +176,14 @@ class TestCensus:
     def test_complex_converts_exactly(self, c):
         for dps in DPS:
             with mpmath.workdps(dps), wide.workdps(dps):
-                assert wide.ctx.convert(c)._mpc_ == mpmath.mpc(c)._mpc_ == mpmath.mp.convert(c)._mpc_
+                assert to_mp(wide.ctx.convert(c))._mpc_ == mpmath.mpc(c)._mpc_ == \
+                    mpmath.mp.convert(c)._mpc_
 
     @given(raw_parts(), st.complex_numbers(allow_nan=False, allow_infinity=False))
     @EXAMPLES
     def test_hash_is_that_of_an_equal_python_number(self, s, c):
         sign, man, exp, _ = s
-        x = wide.ctx.make_mpc((s, libmp.fzero))
+        x = to_wide(mpmath.mp.make_mpc((s, libmp.fzero)))
         assert hash(x.real) == hash(Fraction((-man if sign else man) * Fraction(2) ** exp))
         assert hash(wide.ctx.convert(c)) == hash(c)
         assert hash(wide.ctx.convert(c.real)) == hash(c.real)
@@ -193,28 +203,51 @@ class TestCensus:
 
 
 class TestKernelHelpers:
-    """The raw-part helpers the kernel takes from the module, against libmp's."""
+    """The part helpers the kernel takes from the module, against libmp's."""
 
-    @given(raw_parts(max_exp=1200), st.integers(-300, 300))
+    @given(raw_parts(max_exp=1200), raw_parts(max_exp=1200))
     @EXAMPLES
-    def test_to_fixed(self, s, prec):
-        assert wide.to_fixed(s, prec) == libmp.to_fixed(s, prec)
+    def test_to_fixed(self, re, im):
+        # exact_parts is libmp's to_fixed of both parts at the least bits
+        # that keeps them exact; an mpf, a real mpc and Python numbers of
+        # equal value give equal parts
+        z = to_wide(mpmath.mp.make_mpc((re, im)))
+        zr, zi, bits = wide.exact_parts(z)
+        assert (zr, zi) == (libmp.to_fixed(re, bits), libmp.to_fixed(im, bits))
+        assert (zr | zi) & 1 or zr == zi == bits == 0
+        real = wide.exact_parts(to_wide(mpmath.mp.make_mpf(re)))
+        assert real == wide.exact_parts(z.real) == \
+            wide.exact_parts(to_wide(mpmath.mp.make_mpc((re, libmp.fzero))))
+        c = complex(z)
+        if cmath.isfinite(c):
+            assert wide.exact_parts(c) == wide.exact_parts(wide.ctx.convert(c))
+            assert wide.exact_parts(c.real) == wide.exact_parts(wide.ctx.convert(c.real))
+        assert wide.exact_parts(6) == (3, 0, -1) and wide.exact_parts(-0.75j) == (0, -3, 2)
+        with pytest.raises(TypeError):
+            wide.exact_parts(mpmath.mp.make_mpc((re, im)))
 
-    @given(st.integers(-(1 << 260), 1 << 260), st.integers(-400, 400),
-           st.integers(1, 300), st.sampled_from((wide.ROUND_NEAREST, wide.ROUND_DOWN)))
+    @given(st.integers(-(1 << 260), 1 << 260), st.integers(-(1 << 260), 1 << 260),
+           st.integers(-400, 400))
     @EXAMPLES
-    def test_from_man_exp(self, man, exp, prec, rnd):
-        assert wide.from_man_exp(man, exp, prec, rnd) == libmp.from_man_exp(man, exp, prec, rnd)
+    def test_from_man_exp(self, re, im, bits):
+        # from_parts rounds each part once, to nearest, at the precision of ctx
+        for dps in DPS:
+            with wide.workdps(dps):
+                got = to_mp(wide.from_parts(re, im, bits))._mpc_
+                prec = wide.ctx.prec
+            assert got == tuple(libmp.from_man_exp(m, -bits, prec, libmp.round_nearest)
+                                for m in (re, im)), prec
 
-    @given(st.one_of(raw_parts(max_exp=1200),
-                     st.sampled_from((libmp.finf, libmp.fninf, libmp.fnan))))
+    @given(raw_parts(max_exp=1200), raw_parts(max_exp=1200))
     @EXAMPLES
-    def test_to_float(self, s):
-        assert repr(wide.to_float(s)) == repr(libmp.to_float(s, False, libmp.round_nearest))
+    def test_to_float(self, re, im):
+        # past the float range: infinities and zeros, as libmp gives them
+        z = to_wide(mpmath.mp.make_mpc((re, im)))
+        want = [libmp.to_float(part, False, libmp.round_nearest) for part in (re, im)]
+        assert repr(float(z.real)) == repr(want[0])
+        assert repr(complex(z)) == repr(complex(*want))
 
     def test_constants(self):
-        assert wide.fzero == libmp.fzero
-        assert (wide.ROUND_NEAREST, wide.ROUND_DOWN) == (libmp.round_nearest, libmp.round_down)
         assert [wide.dps_to_prec(d) for d in range(1, 120)] == \
             [libmp.dps_to_prec(d) for d in range(1, 120)]
 
@@ -250,12 +283,27 @@ def test_seeded_batch():
             with mpmath.workprec(prec), wide.workdps(15 if prec == 53 else 50):
                 for fn in (operator.add, operator.sub):
                     for x, y in ((s, t), (t, s)):
-                        assert fn(x[1], y[1])._mpf_ == fn(x[0], y[0])._mpf_
+                        assert to_mp(fn(x[1], y[1]))._mpf_ == fn(x[0], y[0])._mpf_
     for _ in range(200):
         # x 2^k + 2^(k-1), halfway between two neighbours of x.bit_length() bits
         x, k = state.getrandbits(state.randint(1, 200)) | 1, state.randint(1, 60)
         man = x << k | 1 << (k - 1)
-        for rnd in (wide.ROUND_NEAREST, wide.ROUND_DOWN):
+        for down, rnd in ((False, libmp.round_nearest), (True, libmp.round_down)):
             for m in (man, -man, man << 1):
-                assert wide.from_man_exp(m, 3, x.bit_length(), rnd) == \
-                    libmp.from_man_exp(m, 3, x.bit_length(), rnd)
+                assert wide._round(m, 3, x.bit_length(), down) == \
+                    signed_parts(libmp.from_man_exp(m, 3, x.bit_length(), rnd))
+
+
+@given(raw_parts(), raw_parts())
+@EXAMPLES
+def test_converters_round_trip(re, im):
+    """conftest.to_wide and to_mp carry a number across exactly both ways,
+    at 53 and 169 bits and for mantissas longer than either."""
+    for dps in DPS:
+        with mpmath.workdps(dps), wide.workdps(dps):
+            z = mpmath.mp.make_mpc((re, im))
+            w = to_wide(z)
+            assert isinstance(w, wide.mpc) and to_mp(w)._mpc_ == z._mpc_
+            assert wide.exact_parts(to_wide(to_mp(w))) == wide.exact_parts(w)
+            x = to_wide(mpmath.mp.make_mpf(re))
+            assert isinstance(x, wide.mpf) and to_mp(x)._mpf_ == re
