@@ -16,7 +16,9 @@ integer powers are used on parameters, so both flow through unchanged.  The
 exception is E itself, which both compute by Jacobi's triple product series
 over tables of the nome, in one engine: :func:`_series_fixed` over
 :class:`_NomeTables` sums it on fixed-point Gaussian integers, the infinite
-product to working precision, with no truncation.  Where a sum cancels,
+product to working precision, with no truncation.  Quasi-periodicity,
+theta(z) = (-z)^k p^C(k,2) theta(z p^k), brings x into |p| < |x| <= 1 at a
+cost of O(log k), by powers (:func:`_power`).  Where a sum cancels,
 near a zero of E or as |p| nears 1, the precision rises by the bits it
 lost, and an exact zero gives exactly 0 (:func:`_rerun`).  Extended values
 take it at the precision of ``wide.ctx``.  Binary64 values first sum in
@@ -238,7 +240,8 @@ def _run_length(log_z: float, log_q: float, wp: int) -> int:
 
 
 def _theta_terms(zr, zi, nome, wp: int, count: int):
-    """Terms 0..count of sum_n (-1)^n q^C(n,2) z^n, and z q^count.
+    """Terms 0..count of sum_n (-1)^n q^C(n,2) z^n, the series of the tables
+    of :class:`_NomeTables`.
 
     z and the terms have ``wp`` fractional bits; q = ``nome`` is as from
     :func:`_scaled`.  Term n is term n-1 times -z q^(n-1).
@@ -250,7 +253,24 @@ def _theta_terms(zr, zi, nome, wp: int, count: int):
         tr, ti = (ti * zi - tr * zr) >> wp, -(tr * zi + ti * zr) >> wp
         terms.append((tr, ti))
         zr, zi = (zr * qr - zi * qi) >> q_bits, (zr * qi + zi * qr) >> q_bits
-    return terms, zr, zi
+    return terms
+
+
+def _power(powers: dict, n: int, wp: int | None):
+    """z^n for an n >= 0 as (re, im, bits), z = ``powers[1]``.
+
+    The halving recursion z^n = z^(n // 2) z^(n - n // 2) takes O(log n)
+    products.  Each is kept in ``powers``, which holds z^1 before the first
+    call (and z^0 = (1, 0, 0) where n may be 0), and floored to ``wp``
+    significant bits by :func:`_scaled`, or kept exact where ``wp`` is None.
+    """
+    value = powers.get(n)
+    if value is None:
+        ar, ai, a_bits = _power(powers, n // 2, wp)
+        br, bi, b_bits = _power(powers, n - n // 2, wp)
+        value = ar * br - ai * bi, ar * bi + ai * br, a_bits + b_bits
+        powers[n] = value = value if wp is None else _scaled(value, wp)
+    return value
 
 
 def _horner(zr, zi, coeffs, count: int, wp: int):
@@ -285,8 +305,8 @@ class _NomeTables:
     """The constants of the fixed-point series for one nome p, at precision ``wp``.
 
     ``p`` is the nome as exact parts (re, im, bits), (re + i im) 2^-bits.
-    ``log2`` is log2|p| from the scaled parts; :meth:`power` caches p^n as
-    from :func:`_scaled`.  ``theta[n]`` = (-1)^n p^C(n,2) are the
+    ``log2`` is log2|p| from the scaled parts; ``powers`` caches the p^n of
+    :func:`_power` at ``wp`` bits.  ``theta[n]`` = (-1)^n p^C(n,2) are the
     coefficients of the theta sum, up to the last index at which a point of
     modulus 1 still has a term of 2^-wp.  ``pp_inf`` is (p; p)_inf as
     (re, im, wp), by Euler's pentagonal series, sum_k (-1)^k p^(k(3k-1)/2)
@@ -303,7 +323,7 @@ class _NomeTables:
     disk and be nonzero; a log2|p| above _LOG2_P_MAX raises TruncationLimit.
     """
 
-    __slots__ = ("p", "log2", "need", "wp", "theta", "pp_inf", "recip", "_powers")
+    __slots__ = ("p", "log2", "need", "wp", "theta", "pp_inf", "recip", "powers")
 
     def __init__(self, p, wp: int, need: int | None = None):
         self.p = p
@@ -312,11 +332,11 @@ class _NomeTables:
         _check_nome(log2_p)
         while True:
             self.wp = wp
-            self._powers = {1: _scaled(p, wp)}
+            self.powers = powers = {0: (1, 0, 0), 1: _scaled(p, wp)}
             dr, di = -(1 << wp), 0
             for n in (1, 2):
-                terms = _theta_terms(*_fixed(self.power(n), wp), self.power(3), wp,
-                                     _run_length(n * log2_p, 3 * log2_p, wp))[0]
+                terms = _theta_terms(*_fixed(_power(powers, n, wp), wp), _power(powers, 3, wp),
+                                     wp, _run_length(n * log2_p, 3 * log2_p, wp))
                 dr, di = dr + sum(t[0] for t in terms), di + sum(t[1] for t in terms)
             bits = (abs(dr) | abs(di)).bit_length()
             if bits >= need:
@@ -324,21 +344,11 @@ class _NomeTables:
             wp += need - bits
         self.pp_inf = dr, di, wp
         self.recip = (*_quotient(1, 0, dr, di, wp + bits), bits)
-        self.theta = _theta_terms(1 << wp, 0, self.power(1), wp, _run_length(0.0, log2_p, wp))[0]
+        self.theta = _theta_terms(1 << wp, 0, powers[1], wp, _run_length(0.0, log2_p, wp))
 
     def raised(self, bits: int) -> "_NomeTables":
         """The tables of the same p and ``need`` at ``bits`` more working precision."""
         return _NomeTables(self.p, self.wp + bits, self.need)
-
-    def power(self, n: int):
-        """p^n for n >= 1 from p^(n // 2) p^(n - n // 2), with parts of ``wp`` bits."""
-        value = self._powers.get(n)
-        if value is None:
-            ar, ai, a_bits = self.power(n // 2)
-            br, bi, b_bits = self.power(n - n // 2)
-            value = self._powers[n] = _scaled((ar * br - ai * bi, ar * bi + ai * br,
-                                               a_bits + b_bits), self.wp)
-        return value
 
 
 def _nome_tables(p, p_parts, wp: int, memo) -> _NomeTables:
@@ -367,9 +377,11 @@ def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables):
     integers with wp = ``tables.wp`` fractional bits, at least the working
     precision plus GUARD_BITS; the terms that each run leaves out are below
     2^-wp, so nothing is truncated.  theta(x) = theta(p/x).  Of x and p/x,
-    z is the larger; k steps of theta(z) = -z theta(z p) bring z' = z p^k
-    into |p| < |z'| <= 1, and theta(z') is the sum of the runs n >= 0 from
-    z' and from p/z', both by Horner's rule.  p/z' is one quotient of exact
+    z is the larger; k steps of theta(z) = -z theta(z p) give theta(z) =
+    (-z)^k p^C(k,2) theta(z') with z' = z p^k in |p| < |z'| <= 1.  The
+    prefactor and p^k are powers by :func:`_power`, O(log k) products at wp
+    significant bits, and theta(z') is the sum of the runs n >= 0 from z'
+    and from p/z', both by Horner's rule.  p/z' is one quotient of exact
     parts, p / (x p^k) or x / p^k, since near a zero of E the two runs
     cancel.  Every term of theta(z') is at most 1, so the bits that the sum
     falls short of 1 are lost to cancellation.  At the working precision
@@ -383,26 +395,28 @@ def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables):
             f"modulus |x| = 2^{log2_x:.1f} is outside the binary64 range of the kernel")
     wp = tables.wp
     log2_p = tables.log2
-    pr, pi, p_bits = tables.power(1)
-    if 2 * log2_x >= log2_p:  # z = x and p/z' = p / (x p^k)
+    powers = tables.powers
+    pr, pi, p_bits = powers[1]
+    if 2 * log2_x >= log2_p:  # z = x, z' = x p^k and p/z' = p / (x p^k)
         log2_z = log2_x
         k = max(0, math.ceil(log2_z / -log2_p))
-        zr, zi = _fixed((xr, xi, x_bits), wp)
         if k:
-            qr, qi, q_bits = tables.power(k)
+            minus_z = -xr, -xi, x_bits
+            qr, qi, q_bits = _power(powers, k, wp)
             xr, xi, x_bits = xr * qr - xi * qi, xr * qi + xi * qr, x_bits + q_bits
+        zr, zi = _fixed((xr, xi, x_bits), wp)
         yr, yi = _quotient(pr, pi, xr, xi, wp + x_bits - p_bits)
-    else:  # z = p/x and p/z' = x / p^k
+    else:  # z = p/x, z' = z p^k and p/z' = x / p^k
         log2_z = log2_p - log2_x
         k = max(0, math.ceil(log2_z / -log2_p))
         zr, zi = _quotient(pr, pi, xr, xi, wp + x_bits - p_bits)
         if k:
-            qr, qi, q_bits = tables.power(k)
+            minus_z = -zr, -zi, wp
+            qr, qi, q_bits = _power(powers, k, wp)
+            zr, zi = (zr * qr - zi * qi) >> q_bits, (zr * qi + zi * qr) >> q_bits
             yr, yi = _quotient(xr, xi, qr, qi, wp + q_bits - x_bits)
         else:
             yr, yi = _fixed((xr, xi, x_bits), wp)
-    if k:
-        terms, zr, zi = _theta_terms(zr, zi, tables.power(1), wp, k)
     log2_z += k * log2_p
     theta = tables.theta
     last = len(theta) - 1
@@ -414,9 +428,11 @@ def _series_fixed(xr, xi, x_bits: int, tables: _NomeTables):
         return short
     rr, ri, bits = tables.recip
     nr, ni, bits = sr * rr - si * ri, sr * ri + si * rr, bits + wp
-    if k:
-        tr, ti = terms[-1]
-        nr, ni, bits = tr * nr - ti * ni, tr * ni + ti * nr, bits + wp
+    if k:  # times (-z)^k p^C(k,2)
+        fr, fi, f_bits = _power({1: minus_z}, k, wp)
+        cr, ci, c_bits = _power(powers, binom2(k), wp)
+        tr, ti, t_bits = _scaled((fr * cr - fi * ci, fr * ci + fi * cr, f_bits + c_bits), wp)
+        nr, ni, bits = tr * nr - ti * ni, tr * ni + ti * nr, bits + t_bits
     return nr, ni, bits
 
 
@@ -430,16 +446,11 @@ def _rerun(x, tables: _NomeTables, short: int):
     shortfall, until its sum keeps ``need`` bits.
     """
     m = round(_log2_abs(*x) / tables.log2)
-    pr, pi, p_bits = tables.p
-    ar, ai = 1, 0
-    for bit in bin(abs(m))[2:]:  # (pr + i pi)^|m| by squaring
-        ar, ai = ar * ar - ai * ai, 2 * ar * ai
-        if bit == "1":
-            ar, ai = ar * pr - ai * pi, ar * pi + ai * pr
-    lhs, rhs = x, (ar, ai, p_bits * abs(m))
+    ar, ai, a_bits = rhs = _power({0: (1, 0, 0), 1: tables.p}, abs(m), None)
+    lhs = x
     if m < 0:  # x p^-m = 1
         (xr, xi, x_bits), rhs = x, (1, 0, 0)
-        lhs = xr * ar - xi * ai, xr * ai + xi * ar, x_bits + p_bits * -m
+        lhs = xr * ar - xi * ai, xr * ai + xi * ar, x_bits + a_bits
     bits = max(lhs[2], rhs[2])
     if _fixed(lhs, bits) == _fixed(rhs, bits):
         return 0, 0, 0
@@ -458,12 +469,13 @@ def _binary_parts(z):
 
 
 def _to_binary64(re: int, im: int, bits: int, real: bool):
-    """(re + i im) 2^-bits rounded once to binary64 by Python's correctly rounded
-    int division, a part past its range to an infinity; a float where ``real``."""
+    """(re + i im) 2^-bits, for any int ``bits``, rounded once to binary64 by
+    Python's correctly rounded int division or int conversion, a part past
+    its range to an infinity of its sign; a float where ``real``."""
     parts = []
     for n in (re, im):
         try:
-            parts.append(n / (1 << bits))
+            parts.append(n / (1 << bits) if bits >= 0 else float(n << -bits))
         except OverflowError:
             parts.append(math.inf if n > 0 else -math.inf)
     return parts[0] if real else complex(*parts)
@@ -476,13 +488,6 @@ def _fixed_tables(p, tables) -> _NomeTables:
     return tables[2]
 
 
-# log2 of the largest prefactor (-z)^k p^C(k,2) of _series_fixed that a
-# binary64 E runs the series under.  As |(p; p)_inf| < 2^258, a larger one
-# puts E past the binary64 range unless the theta sum cancels below 2^-2812,
-# right next to a zero of E; its integers grow with it, so E is infinite there.
-_LOG2_PREFIX_MAX = 4096
-
-
 def _series_binary64(x, p, tables):
     """E(x; p) for a binary64 x and p by :func:`_series_fixed`, or near a zero
     :func:`_rerun`, on the exact parts of x and the tables of
@@ -490,19 +495,12 @@ def _series_binary64(x, p, tables):
     """
     if not cmath.isfinite(x):
         raise TruncationLimit(f"x = {x!r} is not finite")
-    real = not (isinstance(x, complex) or isinstance(p, complex))
     fixed = _fixed_tables(p, tables)
     x_parts = _binary_parts(x)
-    log2_p = fixed.log2
-    log2_x = _log2_abs(*x_parts)
-    log2_z = max(log2_x, log2_p - log2_x)
-    k = max(0, math.ceil(log2_z / -log2_p))
-    if k * log2_z + binom2(k) * log2_p > _LOG2_PREFIX_MAX:
-        return math.inf if real else complex(math.inf, math.inf)
     value = _series_fixed(*x_parts, fixed)
     if isinstance(value, int):
         value = _rerun(x_parts, fixed, value)
-    return _to_binary64(*value, real)
+    return _to_binary64(*value, not (isinstance(x, complex) or isinstance(p, complex)))
 
 
 # The open eval_E memo (see EMemo), or None outside every scope.

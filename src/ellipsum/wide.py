@@ -24,9 +24,11 @@ modulus sums the squares at prec + 4 before the square root, and a power
 n < -1 is the reciprocal of the power -n at prec + 4.  A sum whose terms lie
 more than prec + 4 bits apart, with exponents more than 100 apart, rounds
 the larger term nudged by one unit toward the smaller, as mpmath's
-``mpf_add`` does.  One branch is not copied: a power of an mpc whose parts
-lie 10000 / n bits apart or more, where mpmath takes exp(n log z), defers
-to mpmath itself.
+``mpf_add`` does.  One branch is not copied: for a power z^n of an mpc
+whose parts lie 10000 / n bits apart or more, mpmath takes exp(n log z),
+and this module the exact power rounded once, as it does for every other
+mpc power; there mpmath's smaller part can be wrong, and the two differ.
+The ``repr`` of a number shows its value in decimal.
 
 This is the package's one extended type: the kernel reads a number by
 :func:`exact_parts` and builds its results by :func:`from_parts`, on the
@@ -67,24 +69,6 @@ def _round(m: int, e: int, prec: int, down: bool = False):
         return _ZERO
     z = (m & -m).bit_length() - 1
     return m >> z, e + z
-
-
-def _raw(x) -> tuple:
-    """(man, exp) as mpmath's raw parts (sign, |man|, exp, bit count)."""
-    m, e = x
-    if not m:
-        return 0, 0, 0, 0
-    return (1, -m, e, (-m).bit_length()) if m < 0 else (0, m, e, m.bit_length())
-
-
-def _unraw(s) -> tuple:
-    """mpmath's raw parts of a finite number as (man, exp)."""
-    sign, man, exp, _ = s
-    if not man:
-        if exp:
-            raise ValueError("only finite numbers are supported")
-        return _ZERO
-    return (-man if sign else man), exp
 
 
 def _from_int(n: int):
@@ -232,7 +216,8 @@ def _real_cdiv(x, c, d, prec: int, down: bool = False):
 
 
 def _cpow(a, b, n: int, prec: int, down: bool = False):
-    """(a + i b)^n for an int n: mpmath's ``mpc_pow_int``."""
+    """(a + i b)^n for an int n: mpmath's ``mpc_pow_int``, but with the
+    exact power rounded once also where mpmath takes exp(n log z)."""
     if not b[0]:
         return _rpow(a, n, prec, down), _ZERO
     if not a[0]:
@@ -252,14 +237,6 @@ def _cpow(a, b, n: int, prec: int, down: bool = False):
         return _real_cdiv(_ONE, a, b, prec, down)
     (am, ae), (bm, be) = a, b
     gap = ae - be
-    if n * (abs(gap) + max(am.bit_length(), bm.bit_length())) >= 10000:
-        # Here mpmath takes exp(n log z), which this module does not copy;
-        # it needs parts about 10000 / n bits apart, which no sampled point
-        # has, and mpmath itself gives the value.
-        from mpmath.libmp import mpc_pow_int, round_down, round_nearest
-
-        re, im = mpc_pow_int((_raw(a), _raw(b)), n, prec, round_down if down else round_nearest)
-        return _unraw(re), _unraw(im)
     if gap > 0:
         am, ae = am << gap, be
     else:
@@ -272,6 +249,21 @@ def _cpow(a, b, n: int, prec: int, down: bool = False):
         am, bm = am * am - bm * bm, 2 * am * bm
         n //= 2
     return _round(re, exp, prec, down), _round(im, exp, prec, down)
+
+
+def _decimal(x) -> str:
+    """The number (man, exp) in decimal, rounded once, with at least the
+    significant digits that tell it apart at its mantissa's bit length."""
+    m, e = x
+    if not m:
+        return "0.0"
+    a = abs(m)
+    # 10^shift |x| has the int(bits log10 2) + 2 digits that tell x apart, or one or two more
+    shift = int(a.bit_length() * 0.3010299956639812) + 2 - math.floor(
+        math.log10(a) + e * 0.3010299956639812)
+    num, den = (a << max(e, 0)) * 10 ** max(shift, 0), (1 << max(-e, 0)) * 10 ** max(-shift, 0)
+    s = str((2 * num + den) // (2 * den))
+    return f"{'-' if m < 0 else ''}{s[0]}.{s[1:].rstrip('0') or '0'}e{len(s) - 1 - shift}"
 
 
 def _hash(x) -> int:
@@ -403,6 +395,9 @@ class mpf:
         m, e = self._v
         return _new_mpf(_round(abs(m), e, _PREC[0]))
 
+    def __repr__(self):
+        return f"mpf('{_decimal(self._v)}')"
+
     def __bool__(self):
         return self._v[0] != 0
 
@@ -518,6 +513,9 @@ class mpc:
 
     def __abs__(self) -> mpf:
         return _new_mpf(_hypot(self._a, self._b, _PREC[0]))
+
+    def __repr__(self):
+        return f"mpc(real='{_decimal(self._a)}', imag='{_decimal(self._b)}')"
 
     def __bool__(self):
         return bool(self._a[0] or self._b[0])

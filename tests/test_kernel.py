@@ -71,21 +71,24 @@ class TestEvalE:
     def test_truncation_adapts_to_large_arguments(self, monkeypatch):
         # |x| >> 1 takes k = ceil(log2|x| / -log2|p|) steps theta(z) =
         # -z theta(z p) into |p| < |z'| <= 1 before the sums: the terms the
-        # series covers grow with |x|, and no tail is cut.
-        steps = []
-        theta_terms = kernel._theta_terms
-
-        def counting(zr, zi, nome, wp, count):
-            steps.append(count)
-            return theta_terms(zr, zi, nome, wp, count)
-
-        monkeypatch.setattr(kernel, "_theta_terms", counting)
+        # series covers grow with |x|, and no tail is cut.  The prefactor
+        # (-z)^k is one power by halving, O(log k) products.
         p = 0.3
         fixed = kernel._NomeTables(kernel._binary_parts(p), 53 + kernel.GUARD_BITS)
+        steps = []
+        power = kernel._power
+
+        def counting(powers, n, wp):
+            if powers is not fixed.powers:  # powers of z, not of the nome
+                steps.append(n)
+            return power(powers, n, wp)
+
+        monkeypatch.setattr(kernel, "_power", counting)
         for x, k in ((2.0 + 0.0j, 1), (1e8 + 0.0j, 16)):
             steps.clear()
             value = kernel._series_fixed(*kernel._binary_parts(x), fixed)
-            assert steps == [k]
+            assert steps[0] == max(steps) == k
+            assert len(steps) <= 2 * k.bit_length() + 1
             want = truncated_product_E(x, p, 200)
             assert rel_err(kernel._to_binary64(*value, False), want) <= 1e-12
             assert rel_err(eval_E(x, p), want) <= 1e-12
@@ -105,6 +108,25 @@ class TestEvalE:
             with pytest.raises(TruncationLimit, match=r"\|p\| = 0\.999\d* is too close to 1"):
                 eval_E(0.3, p)
             assert time.perf_counter() - start < 1.0
+
+    def test_prefactor_far_from_the_unit_circle(self):
+        # At x = 1e20 + 0.3j and p = 0.99, theta(x) = -x theta(x p) takes
+        # k = 4,583 steps, and the prefactor (-x)^k p^C(k,2) is about
+        # 10^45700.  As powers by halving it costs milliseconds; a loop of
+        # k steps on integers that grow with it took seconds.  By
+        # quasi-periodicity, E(x) = (-x)^k p^C(k,2) E(x p^k) for every k,
+        # here at the reduced point x p^k, which needs no prefactor.
+        with workdps(50):
+            x, p = mpmath.mpc(1e20, 0.3), mpmath.mpf(0.99)
+            start = time.perf_counter()
+            got = _wide_E(x, p)
+            assert time.perf_counter() - start < 1.0
+        with workdps(100):
+            k = int(mpmath.ceil(mpmath.log(abs(x)) / -mpmath.log(p)))
+            reduced = x * p ** k
+            assert p < abs(reduced) <= 1 and k == 4583
+            want = (-x) ** k * p ** binom2(k) * to_mp(_wide_E(reduced, p))
+            assert abs(to_mp(got) - want) <= 1e-45 * abs(want)
 
     def test_nome_that_rounds_to_one_raises_truncation_limit(self):
         # |p| = 1 - 1e-30 is inside the disk, but log2 |p| from the top bits
@@ -370,8 +392,13 @@ class TestTruncationPolicy:
 
     def test_binary64_modulus_outside_range(self):
         # p / x overflows to an infinite modulus, and E itself, about
-        # 2^339000, is far past the binary64 range: it rounds to infinity
-        assert eval_E(1e-320 + 0j, 0.3 + 0.1j) == complex(math.inf, math.inf)
+        # 2^339600, is far past the binary64 range: each part rounds to an
+        # infinity of its sign, which the product oracle gives
+        x, p = 1e-320 + 0j, 0.3 + 0.1j
+        got = eval_E(x, p)
+        assert repr(got) == repr(complex(-math.inf, -math.inf))
+        want = infinite_product_E(x, p, 30)
+        assert (want.real < 0, want.imag < 0) == (True, True)
 
 
 def _mpc_polar(modulus, phase):
@@ -614,6 +641,16 @@ class TestPochhammer:
                 pochhammer_e(near_one, nome, 2, min_factor=DELTA_DEGEN)
             with pytest.raises(DegenerateParameters, match=r"^reciprocal .* magnitude \d"):
                 pochhammer_e(near_one * q, nome, -1)
+
+    def test_extended_messages_show_the_value(self):
+        # a wide number in a message reads as its value, not its address
+        with workdps(50):
+            a = wide.ctx.convert(1 + 1e-12j)
+            q, p = wide.ctx.convert(0.5 + 0.1j), wide.ctx.convert(0.1 - 0.05j)
+            with pytest.raises(DegenerateParameters) as raised:
+                pochhammer_e(a * q, Nome(q, p), -1)
+        assert "object at" not in str(raised.value)
+        assert "with a=mpc(real='4.9999999999989999" in str(raised.value)
 
     def test_fraction_form_never_divides(self):
         nome = Nome(0.5, 0.1)

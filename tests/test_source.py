@@ -4,9 +4,9 @@ Every module-level name of the package is used somewhere in the package,
 or is public and exported in ``ellipsum.__all__``, so a helper whose last
 caller goes is deleted with it, and one that only tests call lives in the
 tests; the test oracles import nothing from the package they check; no
-module imports numpy, and none reads mpmath's raw parts or imports mpmath
-outside ``wide._cpow``; and E takes no truncation policy: the scalar type
-alone picks its method.
+module imports numpy, and none reads mpmath's raw parts, imports mpmath or
+calls it; and E takes no truncation policy: the scalar type alone picks its
+method.
 """
 
 from __future__ import annotations
@@ -167,11 +167,20 @@ def test_eval_E_takes_no_policy_and_the_package_exports_none():
     assert [name for name in dir(ellipsum) if "polic" in name.lower()] == []
 
 
+def _docstrings(tree: ast.Module) -> set:
+    """The ids of the docstring nodes of a module, its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
 def test_one_extended_type_and_no_mpmath():
     """The kernel reads ellipsum.wide numbers through their own parts: no
     module reads mpmath's raw parts, the kernel tests no attribute for a
-    scalar type, and the one mpmath import is wide._cpow's deferral to
-    mpmath for the powers it does not copy."""
+    scalar type, and no code imports mpmath, names it or passes its name as
+    a string (to ``importlib`` or ``__import__``); docstrings may cite it."""
     trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     raw = [f"{module}:{node.lineno}" for module, tree in trees.items() for node in ast.walk(tree)
            if isinstance(node, ast.Attribute) and node.attr in ("_mpc_", "_mpf_")
@@ -179,9 +188,15 @@ def test_one_extended_type_and_no_mpmath():
     assert raw == []
     imports = [f"{module}:{line}" for module, tree in trees.items()
                for name, line in _imports(tree) if name == "mpmath"]
-    (cpow,) = [node for node in trees["wide"].body
-               if isinstance(node, ast.FunctionDef) and node.name == "_cpow"]
-    assert imports == [f"wide:{line}" for name, line in _imports(cpow) if name == "mpmath"]
-    assert len(imports) == 1
+    assert imports == []
+    named = []
+    for module, tree in trees.items():
+        docstrings = _docstrings(tree)
+        named += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "mpmath"
+                  or isinstance(node, ast.Attribute) and node.attr == "mpmath"
+                  or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "mpmath" in node.value and id(node) not in docstrings]
+    assert named == []
     assert [node.lineno for node in ast.walk(trees["kernel"]) if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("hasattr", "getattr")] == []

@@ -4,7 +4,9 @@ Every operation that extended runs use must give mpmath's raw parts
 (sign, man, exp, bc) bit for bit, at 53 bits and at the 169 bits of 50
 digits, on operands that include zero, exact cancellation, parts whose
 exponents lie hundreds of bits apart and mantissas longer than the working
-precision; the two part helpers of the kernel must match libmp's.  Numbers
+precision; the two part helpers of the kernel must match libmp's.  The
+one exception is an mpc power where mpmath takes exp(n log z): there
+``wide`` gives the exact power rounded once (:func:`_mp_power`).  Numbers
 cross between the two libraries exactly, by ``conftest.to_wide`` and
 ``conftest.to_mp``.
 """
@@ -126,6 +128,34 @@ def _agree(fns, *operands):
                 assert got == want, (fn, dps)
 
 
+def _mp_power(z, n: int):
+    """z ** n for an mpmath mpc z at the current precision: mpmath's value,
+    except where mpmath takes exp(n log z), for parts 10000 / |n| bits apart
+    or more.  There it is the exact power, a product of |n| factors at a
+    precision that keeps it exact, with each part rounded once to nearest;
+    for n < 0 the reciprocal of the power -n rounded toward zero at 4 more
+    bits, as mpmath forms negative powers."""
+    (_, am, ae, ab), (_, bm, be, bb) = z._mpc_
+    size = abs(n) * (abs(ae - be) + max(ab, bb))
+    if not (abs(n) > 2 and am and bm and size >= 10000):
+        return z ** n
+    prec = mpmath.mp.prec
+    with mpmath.workprec(size + 10):
+        exact = z
+        for _ in range(abs(n) - 1):
+            exact *= z
+    if n > 0:
+        return mpmath.mp.make_mpc(tuple(libmp.mpf_pos(part, prec, libmp.round_nearest)
+                                        for part in exact._mpc_))
+    down = tuple(libmp.mpf_pos(part, prec + 4, libmp.round_down) for part in exact._mpc_)
+    return mpmath.mp.make_mpc(libmp.mpc_reciprocal(down, prec, libmp.round_nearest))
+
+
+def _power(n: int):
+    """z ** n on either side, with :func:`_mp_power` on the mpmath side."""
+    return lambda z, *_: _mp_power(z, n) if isinstance(z, mpmath.mpc) else z ** n
+
+
 def _both_ways(fns):
     return (*fns, *(lambda a, b, fn=fn: fn(b, a) for fn in fns))
 
@@ -163,7 +193,26 @@ class TestCensus:
     @given(complexes(), st.integers(-12, 12))
     @EXAMPLES
     def test_integer_powers(self, z, n):
-        _agree((lambda z: z ** n,), z)
+        _agree((_power(n),), z)
+
+    def test_powers_where_mpmath_takes_exp_log(self):
+        # parts 3,400 to 20,000 bits apart, past mpmath's 10000 / |n|: the
+        # exact power, rounded once, where mpmath's exp(n log z) can lose
+        # the smaller part of the result
+        state = random.Random(20261020)
+        moved = 0
+        for _ in range(100):
+            n = state.choice((-1, 1)) * state.randint(3, 12)
+            exp = state.randint(-400, 400)
+            big, small = (libmp.from_man_exp(state.choice((m, -m)), e) for m, e in (
+                (state.getrandbits(60) | 1, exp),
+                (state.getrandbits(60) | 1, exp - state.randint(3400, 20000))))
+            parts = (big, small) if state.random() < 0.5 else (small, big)
+            z = _mpc(parts)
+            _agree((_power(n),), z)
+            with mpmath.workdps(50):
+                moved += _mp_power(z[0], n) != z[0] ** n
+        assert moved > 0
 
     @given(complexes(), reals())
     @EXAMPLES
@@ -267,9 +316,9 @@ def test_seeded_batch():
         re, im = parts(), parts()
         z, w = _mpc((re, im)), _mpc((parts(), parts()))
         n = state.randint(-12, 12)
-        _agree((*ARITH, lambda z, w: abs(z), lambda z, w: z ** n), z, w)
-        _agree((lambda z: z ** n,), _mpc((re, libmp.fzero)))
-        _agree((lambda z: z ** n,), _mpc((libmp.fzero, im)))
+        _agree((*ARITH, lambda z, w: abs(z), _power(n)), z, w)
+        _agree((_power(n),), _mpc((re, libmp.fzero)))
+        _agree((_power(n),), _mpc((libmp.fzero, im)))
     for prec in (53, 169):
         for _ in range(200):
             # s ends in 40 bits just below half a unit at ``prec`` bits, t
@@ -307,3 +356,17 @@ def test_converters_round_trip(re, im):
             assert wide.exact_parts(to_wide(to_mp(w))) == wide.exact_parts(w)
             x = to_wide(mpmath.mp.make_mpf(re))
             assert isinstance(x, wide.mpf) and to_mp(x)._mpf_ == re
+
+
+@given(raw_parts(max_exp=3000), raw_parts(max_exp=3000))
+@EXAMPLES
+def test_repr_shows_the_value(re, im):
+    """A wide number's repr is its value in decimal, with the digits that
+    give it back exactly where mpmath parses it at its mantissa's bit length."""
+    texts = []
+    for part in (re, im):
+        text = repr(to_wide(mpmath.mp.make_mpf(part)))
+        with mpmath.workprec(max(part[3], 1)):
+            assert eval(text, {"mpf": mpmath.mpf}) == mpmath.mp.make_mpf(part), text
+        texts.append(text[4:-1])
+    assert repr(to_wide(mpmath.mp.make_mpc((re, im)))) == f"mpc(real={texts[0]}, imag={texts[1]})"
