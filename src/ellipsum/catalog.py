@@ -1054,6 +1054,11 @@ REJECTED = (DegenerateParameters, BalanceViolation, SingularToWorkingPrecision,
 # Decimal digits of the extended-precision mode.
 EXTENDED_DPS = 50
 
+# An extended trial error at or below 2^NOISE_BITS units of the last place
+# of the extended working precision, 2^(24 - 169) or about 2.2e-44, is
+# rounding noise: it does not pick the worst point (:func:`check_identity`).
+NOISE_BITS = 24
+
 # A nonzero identity value this far below the summand scale is numerically
 # indistinguishable from zero in binary64; such draws are resampled, in the
 # same spirit as the determinant condition-number guard.
@@ -1314,24 +1319,34 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
     """Randomized verification of one identity over independent trials.
 
     Extended trials work in :class:`ellipsum.wide.mpc` at EXTENDED_DPS
-    digits, the arithmetic of ``mpmath.mpc`` bit for bit without importing
-    mpmath, a type that also takes the kernel's products to the extended
-    tail.  A trial that runs out of admissible draws ends the run: the
-    report then fails with the exhaustion message as its ``error`` and
-    counts the completed trials, and nothing is raised.  ``trials`` below 1
-    and a ``precision`` other than "double" or "extended" raise
+    digits, each operation rounded once, a type that also takes the
+    kernel's products to the extended tail.  The worst point is that of the
+    first trial with the largest error, except that in extended runs a
+    trial whose error is at or below the rounding floor 2^(NOISE_BITS -
+    prec), prec the bits of EXTENDED_DPS digits, displaces no earlier
+    choice: where every error is rounding noise it is the first trial's
+    point, which a change in the last bits of the arithmetic does not move.
+    A trial that runs out of admissible draws ends the run: the report then
+    fails with the exhaustion message as its ``error`` and counts the
+    completed trials, and nothing is raised.  ``trials`` below 1 and a
+    ``precision`` other than "double" or "extended" raise
     :class:`ValueError`.
     """
     started = perf_counter()
     outcomes, resamples, error = _identity_trials(ident, trials, seed, region,
                                                   precision)
-    errs, failures, worst_err, worst_point = [], [], -1.0, None
+    floor = 0.0
+    if precision == "extended":
+        from .wide import dps_to_prec
+
+        floor = 2.0 ** (NOISE_BITS - dps_to_prec(EXTENDED_DPS))
+    errs, failures, worst_err, worst_point = [], [], 0.0, None
     for trial, (pt, lhs, rhs, scale) in enumerate(outcomes):
         # at the caller's precision, outside the extended scope
         err = trial_error(lhs, rhs, scale)
         errs.append(err)
         dump = point_dump(pt.nome, pt.values, pt.n)
-        if err > worst_err:
+        if worst_point is None or err > max(worst_err, floor):
             worst_err = err
             worst_point = dump
         if err > tol:

@@ -1,10 +1,9 @@
-"""Extended-precision real and complex numbers, bit for bit mpmath 1.3.0's.
+"""Extended-precision real and complex numbers, each operation rounded once.
 
 Extended runs carry their parameters and E values as :class:`mpc`, at the
-precision of :data:`ctx`: 53 bits, or mpmath's precision for ``dps``
-decimal digits inside a :class:`workdps` scope.  Every operation below gives
-the parts mpmath's ``mpc`` and ``mpf`` give for the same operands at the
-same precision, by the same algorithms, so a run needs no mpmath:
+precision of :data:`ctx`: 53 bits, or ``dps_to_prec(dps)`` bits for
+``dps`` decimal digits inside a :class:`workdps` scope (169 bits at 50).
+The operations are:
 
 - mpc with mpc, complex, mpf, int or float: ``+ - * /``, reflected forms
   included, and ``==``/``!=``; ``mpc ** int``; ``abs``, ``bool``,
@@ -15,20 +14,22 @@ same precision, by the same algorithms, so a run needs no mpmath:
 
 Both hash as Python hashes an equal int, float or complex, so equal numbers
 of any of these types are one key of a set or dict.  Anything else raises
-TypeError.  A number is a pair (man, exp), the value
-man 2^exp, with man a signed int that is odd, or man = exp = 0.  Each part
-of a result is rounded once, to nearest with ties to even.  Where mpmath
-rounds an intermediate sum, so does this module, toward zero at mpmath's
-extra bits: a quotient sums |w|^2 and its numerators at prec + 10 bits, a
-modulus sums the squares at prec + 4 before the square root, and a power
-n < -1 is the reciprocal of the power -n at prec + 4.  A sum whose terms lie
-more than prec + 4 bits apart, with exponents more than 100 apart, rounds
-the larger term nudged by one unit toward the smaller, as mpmath's
-``mpf_add`` does.  One branch is not copied: for a power z^n of an mpc
-whose parts lie 10000 / n bits apart or more, mpmath takes exp(n log z),
-and this module the exact power rounded once, as it does for every other
-mpc power; there mpmath's smaller part can be wrong, and the two differ.
-The ``repr`` of a number shows its value in decimal.
+TypeError.  A number is a pair (man, exp), the value man 2^exp, with man a
+signed int that is odd, or man = exp = 0.
+
+One rule holds for every operation: each part of the result is that part
+of the exact result rounded once, to nearest with ties to even, so it is
+within half a unit in its last place (correct rounding, as in Muller et
+al., *Handbook of Floating-Point Arithmetic*).  A quotient is the exact
+numerators over the exact |w|^2, a modulus the integer square root of the
+exact sum of squares, a power z^n the exact power and, for n < 0, its
+exact reciprocal; ``float()`` and ``complex()`` round to binary64, past its
+range to an infinity and below it to a zero, of the part's sign.  No
+intermediate result is rounded.  Where a term lies far below another, the
+work does not grow with the distance: a sticky bit stands in for it
+(:func:`_sum`), and a power whose parts lie far apart rounds its leading
+binomial terms with sticky bits for the rest (:func:`_far_power`).  The
+``repr`` of a number shows its value in decimal.
 
 This is the package's one extended type: the kernel reads a number by
 :func:`exact_parts` and builds its results by :func:`from_parts`, on the
@@ -50,17 +51,14 @@ def dps_to_prec(dps: int) -> int:
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
-def _round(m: int, e: int, prec: int, down: bool = False):
-    """m 2^e rounded to ``prec`` bits, to nearest with ties to even or, where
-    ``down``, toward zero; as (man, exp) with man odd or zero."""
+def _round(m: int, e: int, prec: int):
+    """m 2^e rounded to ``prec`` bits, to nearest with ties to even; as
+    (man, exp) with man odd or zero."""
     n = m.bit_length() - prec
     if n > 0:
         a = -m if m < 0 else m
-        if down:
-            a >>= n
-        else:
-            t = a >> (n - 1)
-            a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)) else t >> 1
+        t = a >> (n - 1)
+        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)) else t >> 1
         m = -a if m < 0 else a
         e += n
     if m & 1:
@@ -88,167 +86,165 @@ def _mul(x, y):
     return (m, x[1] + y[1]) if m else _ZERO
 
 
-def _add(x, y, prec: int, down: bool = False):
-    """x + y rounded to ``prec`` bits: mpmath's ``mpf_add``."""
-    sm, se = x
-    tm, te = y
-    if not (sm and tm):
-        return _round(sm, se, prec, down) if sm else _round(tm, te, prec, down)
-    offset = se - te
-    if offset > 100 and sm.bit_length() - tm.bit_length() + offset > prec + 4:
-        return _round((sm << prec + 4) + (1 if tm > 0 else -1), se - prec - 4, prec, down)
-    if offset < -100 and tm.bit_length() - sm.bit_length() - offset > prec + 4:
-        return _round((tm << prec + 4) + (1 if sm > 0 else -1), te - prec - 4, prec, down)
-    if offset >= 0:
-        return _round(tm + (sm << offset), te, prec, down)
-    return _round(sm + (tm << -offset), se, prec, down)
+def _common(x, y):
+    """x and y as ints at one exponent, the lesser of a nonzero one's:
+    (xm, ym, exp)."""
+    (xm, xe), (ym, ye) = x, y
+    if not xm:
+        return 0, ym, ye
+    if not ym:
+        return xm, 0, xe
+    if xe <= ye:
+        return xm, ym << (ye - xe), xe
+    return xm << (xe - ye), ym, ye
 
 
-def _sub(x, y, prec: int, down: bool = False):
-    return _add(x, (-y[0], y[1]), prec, down)
-
-
-def _div(x, y, prec: int, down: bool = False):
-    """x / y rounded to ``prec`` bits: mpmath's ``mpf_div``, a quotient of at
-    least prec + 5 bits with a sticky bit for any remainder."""
+def _sum(x, y, prec: int):
+    """x + y as an unrounded (man, exp) that rounds to ``prec`` bits as the
+    exact sum does: the exact sum, unless one term lies wholly below a unit
+    u, the other term's last bit or prec + 2 bits under its leading bit,
+    whichever is lower.  Then a sticky bit stands in for it: the other term
+    plus half a unit u of its sign, between the same two multiples of u as
+    the exact sum, where no rounding boundary falls."""
     sm, se = x
     tm, te = y
     if not tm:
-        raise ZeroDivisionError
+        return x
     if not sm:
-        return _ZERO
-    sa, ta = abs(sm), abs(tm)
-    extra = max(prec - sa.bit_length() + ta.bit_length() + 5, 5)
-    quot, rem = divmod(sa << extra, ta)
-    if rem:
-        quot = quot << 1 | 1
-        extra += 1
-    return _round(quot if (sm < 0) == (tm < 0) else -quot, se - te - extra, prec, down)
+        return y
+    if se < te:
+        sm, se, tm, te = tm, te, sm, se
+    offset = se - te
+    if offset > prec:   # else the exact sum is at most prec bits longer
+        u = min(se, se + sm.bit_length() - prec - 2)
+        if te + tm.bit_length() <= u:
+            return (sm << (se - u + 1)) + (1 if tm > 0 else -1), u - 1
+    return (sm << offset) + tm, te
 
 
-def _sqrt(x, prec: int):
-    """sqrt(x) for x > 0, rounded to nearest: mpmath's ``mpf_sqrt``."""
-    m, e = x
-    if e & 1:
-        m, e = m << 1, e - 1
-    elif m == 1:
-        return 1, e // 2
-    shift = max(4, 2 * prec - m.bit_length() + 4)
-    shift += shift & 1
-    m <<= shift
-    r = math.isqrt(m)
-    if m - r * r:
-        r = r << 1 | 1
-        shift += 2
-    return _round(r, (e - shift) // 2, prec)
+def _add(x, y, prec: int):
+    return _round(*_sum(x, y, prec), prec)
 
 
-def _hypot(a, b, prec: int):
-    """|a + i b|: mpmath's ``mpf_hypot``, the squares summed at prec + 4 bits."""
-    if not b[0]:
-        return _round(abs(a[0]), a[1], prec)
-    if not a[0]:
-        return _round(abs(b[0]), b[1], prec)
-    return _sqrt(_add(_mul(a, a), _mul(b, b), prec + 4, True), prec)
+def _sub(x, y, prec: int):
+    return _add(x, (-y[0], y[1]), prec)
 
 
-def _rpow(x, n: int, prec: int, down: bool = False):
-    """x^n for an int n: mpmath's ``mpf_pow_int``.  An exact power where the
-    mantissa has fewer than 1000 bits, else squarings truncated to
-    prec + 4 bitcount(n) + 4 bits; n < -1 divides 1 by the power -n at
-    prec + 5 bits, rounded to nearest (as rounding toward zero never asks)."""
-    m, e = x
-    if n == 0:
-        return _ONE
-    if n == 1:
-        return _round(m, e, prec, down)
-    if n == 2:
-        return _round(m * m, 2 * e, prec, down) if m else _ZERO
-    if n == -1:
-        return _div(_ONE, x, prec, down)
-    if n < 0:
-        return _div(_ONE, _rpow(x, -n, prec + 5), prec, down)
-    negative = m < 0 and n & 1
-    a = abs(m)
-    if a.bit_length() * n < 1000:
-        p = a ** n
-        return _round(-p if negative else p, e * n, prec, down)
-    work = prec + 4 * n.bit_length() + 4
-    pm, pe = 1, 0
-    while True:
-        if n & 1:
-            pm, pe = pm * a, pe + e
-            cut = pm.bit_length() - work
-            if cut > 0:
-                pm, pe = pm >> cut, pe + cut
-            n -= 1
-            if not n:
-                break
-        a, e = a * a, e + e
-        cut = a.bit_length() - work
-        if cut > 0:
-            a, e = a >> cut, e + cut
-        n //= 2
-    return _round(-pm if negative else pm, pe, prec, down)
+def _quotient(n: int, d: int, e: int, prec: int, tiny=None):
+    """(n / d) 2^e for ints n and d > 0, rounded once from a quotient of at
+    least prec + 2 bits and a sticky bit for its remainder.  With ``tiny``,
+    the value is that times 1 - eps for some 0 < eps < 2^-tiny, which the
+    sticky bit also stands for where eps n is below the quotient's last
+    bit; elsewhere it gives None."""
+    a = -n if n < 0 else n
+    shift = max(prec + 2 + d.bit_length() - a.bit_length(), 0)
+    q, r = divmod(a << shift, d)
+    if tiny is not None:
+        if tiny < a.bit_length() + shift:
+            return None
+        if not r:
+            q -= 1      # q (1 - eps) lies between q - 1 and q
+        r = 1
+    q = q << 1 | (r != 0)
+    return _round(-q if n < 0 else q, e - shift - 1, prec)
+
+
+def _div(x, y, prec: int):
+    (sm, se), (tm, te) = x, y
+    if not tm:
+        raise ZeroDivisionError
+    return _quotient(sm if tm > 0 else -sm, abs(tm), se - te, prec)
 
 
 def _cmul(a, b, c, d, prec: int):
-    """(a + i b)(c + i d): mpmath's ``mpc_mul``, from exact products."""
-    return (_sub(_mul(a, c), _mul(b, d), prec),
-            _add(_mul(a, d), _mul(b, c), prec))
+    """(a + i b)(c + i d), from exact products."""
+    return _sub(_mul(a, c), _mul(b, d), prec), _add(_mul(a, d), _mul(b, c), prec)
 
 
 def _cdiv(a, b, c, d, prec: int):
-    """(a + i b) / (c + i d): mpmath's ``mpc_div``, numerators and |w|^2 at
-    prec + 10 bits, rounded toward zero."""
-    wp = prec + 10
-    mag = _add(_mul(c, c), _mul(d, d), wp, True)
-    return (_div(_add(_mul(a, c), _mul(b, d), wp, True), mag, prec),
-            _div(_sub(_mul(b, c), _mul(a, d), wp, True), mag, prec))
+    """(a + i b) / (c + i d): the exact numerators a c + b d and b c - a d
+    over the exact c^2 + d^2."""
+    cm, dm, f = _common(c, d)
+    mag = cm * cm + dm * dm
+    if not mag:
+        raise ZeroDivisionError
+    am, bm, g = _common(a, b)
+    return (_quotient(am * cm + bm * dm, mag, g - f, prec),
+            _quotient(bm * cm - am * dm, mag, g - f, prec))
 
 
-def _real_cdiv(x, c, d, prec: int, down: bool = False):
-    """x / (c + i d) for a real x: mpmath's ``mpc_mpf_div`` (``mpc_reciprocal``
-    for x = 1, where c x and d x are exact)."""
-    mag = _add(_mul(c, c), _mul(d, d), prec + 10, True)
-    im = _div(_mul(d, x), mag, prec, down)
-    return _div(_mul(c, x), mag, prec, down), (-im[0], im[1])
+def _hypot(a, b, prec: int):
+    """|a + i b|: the integer square root of a^2 + b^2 read to 2 prec + 4
+    bits, a root of prec + 2 bits as :func:`_quotient` takes, with a sticky
+    bit for the rest (floor(sqrt(floor(x))) is floor(sqrt(x)))."""
+    m, e = _sum(_mul(a, a), _mul(b, b), 2 * prec + 4)
+    if not m:
+        return _ZERO
+    k = (e + m.bit_length() - 2 * prec - 4) >> 1
+    if 2 * k >= e:
+        n = m >> (2 * k - e)
+        rest = n << (2 * k - e) != m
+    else:
+        n, rest = m << (e - 2 * k), False
+    r = math.isqrt(n)
+    return _round(2 * r + (rest or r * r != n), k - 1, prec)
 
 
-def _cpow(a, b, n: int, prec: int, down: bool = False):
-    """(a + i b)^n for an int n: mpmath's ``mpc_pow_int``, but with the
-    exact power rounded once also where mpmath takes exp(n log z)."""
-    if not b[0]:
-        return _rpow(a, n, prec, down), _ZERO
-    if not a[0]:
-        v = _rpow(b, n, prec, down)
-        neg = (-v[0], v[1])
-        return ((v, _ZERO), (_ZERO, v), (neg, _ZERO), (_ZERO, neg))[n % 4]
+def _rotate(z, n: int):
+    """i^n z for parts z = (re, im)."""
+    (re, im) = z
+    return (z, ((-im[0], im[1]), re), ((-re[0], re[1]), (-im[0], im[1])),
+            (im, (-re[0], re[1])))[n % 4]
+
+
+def _far_power(a, b, n: int, prec: int):
+    """(a + i b)^n for a part b that lies far below a, from the leading
+    binomial terms: with t = b / a, (1 + i t)^n = (1 - eps) + i n t (1 - eps')
+    for alternating series with 0 <= eps, eps' < n^2 t^2, which
+    :func:`_quotient` takes as sticky bits.  None where the parts lie too
+    close for that, or one is zero; b far above a turns by i^n."""
+    (am, ae), (bm, be) = a, b
+    if not (am and bm):
+        return None
+    gap = ae + am.bit_length() - be - bm.bit_length()
+    if gap < 0:     # a + i b = i (b - i a)
+        z = _far_power(b, (-am, ae), n, prec)
+        return None if z is None else _rotate(z, n)
+    if gap <= prec:     # the exact power is at most about n prec bits longer
+        return None
+    tiny = 2 * gap - 2 * abs(n).bit_length() - 2      # |t| < 2^(1 - gap)
+    if n > 0:
+        num, den = (am ** n, n * bm * am ** (n - 1)), 1
+    else:
+        den = am ** (1 - n)     # a^n = a / a^(1 - n)
+        num = (am, n * bm) if den > 0 else (-am, -n * bm)
+        den = abs(den)
+    re = _quotient(num[0], den, ae * n, prec, None if n == 1 else tiny)
+    im = _quotient(num[1], den, be + ae * (n - 1), prec, None if n in (1, 2) else tiny)
+    return None if re is None or im is None else (re, im)
+
+
+def _cpow(a, b, n: int, prec: int):
+    """(a + i b)^n for an int n: the exact power, for n < 0 its exact
+    reciprocal, or :func:`_far_power`."""
     if n == 0:
         return _ONE, _ZERO
-    if n == 1:
-        return _round(*a, prec, down), _round(*b, prec, down)
-    if n == 2:
-        im = _round(a[0] * b[0], a[1] + b[1], prec, down)
-        return _sub(_mul(a, a), _mul(b, b), prec, down), (im[0], im[1] + 1)
-    if n < 0:
-        if n < -1:
-            a, b = _cpow(a, b, -n, prec + 4, True)
-        return _real_cdiv(_ONE, a, b, prec, down)
-    (am, ae), (bm, be) = a, b
-    gap = ae - be
-    if gap > 0:
-        am, ae = am << gap, be
-    else:
-        bm <<= -gap
-    exp, re, im = n * ae, 1, 0
-    while n:    # (am + i bm)^n, exactly
-        if n & 1:
+    z = _far_power(a, b, n, prec)
+    if z is not None:
+        return z
+    am, bm, e = _common(a, b)
+    re, im, k = 1, 0, abs(n)
+    while True:     # (am + i bm)^|n|, exactly
+        if k & 1:
             re, im = re * am - im * bm, im * am + re * bm
-            n -= 1
+        k >>= 1
+        if not k:
+            break
         am, bm = am * am - bm * bm, 2 * am * bm
-        n //= 2
-    return _round(re, exp, prec, down), _round(im, exp, prec, down)
+    e *= abs(n)
+    if n > 0:
+        return _round(re, e, prec), _round(im, e, prec)
+    return _cdiv(_ONE, _ZERO, (re, e), (im, e), prec)
 
 
 def _decimal(x) -> str:
@@ -338,8 +334,9 @@ class mpf:
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_add(self._v, y, prec))
-        z = _complex_parts(other)   # mpmath's mpc_add_mpf: the imaginary part as it is
-        return NotImplemented if z is None else _new_mpc(_add(z[0], self._v, prec), z[1])
+        z = _complex_parts(other)
+        return NotImplemented if z is None else _new_mpc(_add(z[0], self._v, prec),
+                                                         _round(*z[1], prec))
 
     __radd__ = __add__
 
@@ -357,8 +354,9 @@ class mpf:
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_sub(y, self._v, prec))
-        z = _complex_parts(other)   # mpmath's mpc_sub_mpf
-        return NotImplemented if z is None else _new_mpc(_sub(z[0], self._v, prec), z[1])
+        z = _complex_parts(other)
+        return NotImplemented if z is None else _new_mpc(_sub(z[0], self._v, prec),
+                                                         _round(*z[1], prec))
 
     def __mul__(self, other):
         prec = _PREC[0]
@@ -380,14 +378,14 @@ class mpf:
         if y is not None:
             return _new_mpf(_div(self._v, y, prec))
         z = _complex_parts(other)
-        return NotImplemented if z is None else _new_mpc(*_real_cdiv(self._v, *z, prec))
+        return NotImplemented if z is None else _new_mpc(*_cdiv(self._v, _ZERO, *z, prec))
 
     def __rtruediv__(self, other):
         prec = _PREC[0]
         y = _real_part(other)
         if y is not None:
             return _new_mpf(_div(y, self._v, prec))
-        z = _complex_parts(other)   # mpmath's mpc_div_mpf
+        z = _complex_parts(other)
         return NotImplemented if z is None else _new_mpc(_div(z[0], self._v, prec),
                                                          _div(z[1], self._v, prec))
 
@@ -456,8 +454,9 @@ class mpc:
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(_add(self._a, z[0], prec), _add(self._b, z[1], prec))
-        y = _real_part(other)   # mpmath's mpc_add_mpf: the imaginary part as it is
-        return NotImplemented if y is None else _new_mpc(_add(self._a, y, prec), self._b)
+        y = _real_part(other)
+        return NotImplemented if y is None else _new_mpc(_add(self._a, y, prec),
+                                                         _round(*self._b, prec))
 
     __radd__ = __add__
 
@@ -466,8 +465,9 @@ class mpc:
         z = _complex_parts(other)
         if z is not None:
             return _new_mpc(_sub(self._a, z[0], prec), _sub(self._b, z[1], prec))
-        y = _real_part(other)   # mpmath's mpc_sub_mpf
-        return NotImplemented if y is None else _new_mpc(_sub(self._a, y, prec), self._b)
+        y = _real_part(other)
+        return NotImplemented if y is None else _new_mpc(_sub(self._a, y, prec),
+                                                         _round(*self._b, prec))
 
     def __rsub__(self, other):
         prec = _PREC[0]
@@ -504,7 +504,7 @@ class mpc:
         if z is not None:
             return _new_mpc(*_cdiv(*z, self._a, self._b, prec))
         y = _real_part(other)
-        return NotImplemented if y is None else _new_mpc(*_real_cdiv(y, self._a, self._b, prec))
+        return NotImplemented if y is None else _new_mpc(*_cdiv(y, _ZERO, self._a, self._b, prec))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -587,14 +587,8 @@ def exact_parts(x):
     z = _as_complex(x)
     if z is None:
         raise TypeError(f"cannot convert {type(x).__name__} to a wide number")
-    (am, ae), (bm, be) = z
-    if not bm:
-        return am, 0, -ae
-    if not am:
-        return 0, bm, -be
-    if ae <= be:
-        return am, bm << (be - ae), -ae
-    return am << (ae - be), bm, -be
+    re, im, e = _common(*z)
+    return re, im, -e
 
 
 def from_parts(re: int, im: int, bits: int) -> mpc:
@@ -605,13 +599,13 @@ def from_parts(re: int, im: int, bits: int) -> mpc:
 
 
 def _to_float(m: int, e: int) -> float:
-    """m 2^e rounded to 53 bits, to nearest, then by ``math.ldexp``: past the
-    float range an infinity, and below it 0.0 (mpmath's ``to_float``)."""
-    if m.bit_length() > 53:
-        m, e = _round(m, e, 53)
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        if e + m.bit_length() > 0:
-            return math.inf if m > 0 else -math.inf
-        return 0.0
+    """m 2^e rounded once to binary64 by Python's correctly rounded int
+    division or conversion, as the kernel's ``_to_binary64`` does: past its
+    range an infinity, and below it a zero, of m's sign."""
+    top = e + m.bit_length()
+    if -1075 <= top <= 1025:     # else no int as long as the exponent
+        try:
+            return m / (1 << -e) if e < 0 else float(m << e)
+        except OverflowError:
+            pass
+    return (-1.0 if m < 0 else 1.0) * (math.inf if top > 0 else 0.0)

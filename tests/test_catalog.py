@@ -360,6 +360,27 @@ class TestCheckIdentity:
                              precision="extended")
         assert rep.max_rel_err <= 1e-35
 
+    def test_extended_worst_point_ignores_rounding_noise(self):
+        # every error of e87 at 50 digits is rounding noise, so the worst
+        # point stays that of trial 0, which a last-bit change cannot move;
+        # errors lifted above the floor pick the largest again
+        ident = get_identity("e87")
+        floor = 2.0 ** (catalog.NOISE_BITS - wide.dps_to_prec(catalog.EXTENDED_DPS))
+        first = check_identity(ident, trials=1, seed=7, precision="extended")
+        rep = check_identity(ident, trials=4, seed=7, precision="extended")
+        assert 0 < rep.max_rel_err <= floor
+        assert rep.worst_point == first.worst_point
+
+        def lifted(pt):
+            value, scale = ident.rhs(pt)
+            return value * (1 + 1e-40 * (pt.n + 1) * abs(pt.nome.q)), scale
+
+        rep = check_identity(ident._replace(rhs=lifted), trials=4, tol=1e-45, seed=7,
+                             precision="extended")
+        assert len(rep.failures) == 4 and min(f["rel_err"] for f in rep.failures) > floor
+        worst = max(rep.failures, key=lambda f: f["rel_err"])
+        assert rep.worst_point == worst["point"] != first.worst_point
+
     def test_extended_precision_leaves_mpmath_precision_alone(self):
         import mpmath
 

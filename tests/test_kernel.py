@@ -1054,3 +1054,31 @@ class TestScalarDispatch:
                 pochhammer_e(mpmath.mpc(self.A), nome, 2)
             with pytest.raises(TypeError, match="not a scalar of the kernel"):
                 list(kernel.running_products([((mpmath.mpc(self.A),), self.Q, 1)], 2, self.P))
+
+
+@st.composite
+def _raw_parts(draw, max_exp: int = 400):
+    """mpmath's raw parts of a finite number: zero, or a mantissa of up to
+    200 bits, of either sign, at an exponent within ``max_exp``."""
+    if draw(st.integers(0, 9)) == 0:
+        return mpmath.libmp.fzero
+    size = draw(st.integers(1, 200))
+    man = draw(st.integers(1 << (size - 1), (1 << size) - 1))
+    return mpmath.libmp.from_man_exp(draw(st.sampled_from((man, -man))),
+                                     draw(st.integers(-max_exp, max_exp)))
+
+
+@given(_raw_parts(), _raw_parts())
+@settings(max_examples=300, deadline=None)
+def test_converters_round_trip(re, im):
+    """conftest.to_wide and to_mp, which these tests use to compare with
+    mpmath, carry a number across exactly both ways, at 53 and 169 bits and
+    for mantissas longer than either."""
+    for dps in (15, 50):
+        with workdps(dps):
+            z = mpmath.mp.make_mpc((re, im))
+            w = to_wide(z)
+            assert isinstance(w, wide.mpc) and to_mp(w)._mpc_ == z._mpc_
+            assert wide.exact_parts(to_wide(to_mp(w))) == wide.exact_parts(w)
+            x = to_wide(mpmath.mp.make_mpf(re))
+            assert isinstance(x, wide.mpf) and to_mp(x)._mpf_ == re

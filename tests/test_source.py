@@ -5,8 +5,8 @@ or is public and exported in ``ellipsum.__all__``, so a helper whose last
 caller goes is deleted with it, and one that only tests call lives in the
 tests; the test oracles import nothing from the package they check; no
 module imports numpy, and none reads mpmath's raw parts, imports mpmath or
-calls it; and E takes no truncation policy: the scalar type alone picks its
-method.
+calls it; the tests of ellipsum.wide import no mpmath either; and E takes
+no truncation policy: the scalar type alone picks its method.
 """
 
 from __future__ import annotations
@@ -200,3 +200,16 @@ def test_one_extended_type_and_no_mpmath():
     assert named == []
     assert [node.lineno for node in ast.walk(trees["kernel"]) if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) in ("hasattr", "getattr")] == []
+
+
+def test_wide_tests_use_no_mpmath():
+    """tests/test_wide.py checks ellipsum.wide against exact rationals: it
+    imports no mpmath, directly or through conftest's mpmath helpers."""
+    tree = _parse(ROOT / "tests" / "test_wide.py")
+    assert [line for name, line in _imports(tree) if name == "mpmath"] == []
+    helpers = {"to_mp", "to_wide", "signed_parts", "workdps"}
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.module == "conftest"
+            and helpers & {alias.name for alias in node.names}] == []
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "mpmath"] == []
