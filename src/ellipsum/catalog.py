@@ -43,7 +43,7 @@ from .kernel import (
     pochhammer_e,
 )
 from .report import VerificationReport, point_dump
-from .series import omega_sum, vwp_sum
+from .series import _eprefactor, omega_sum, vwp_sum
 from .stream import PhiloxStream
 
 TINY = 1e-300
@@ -95,17 +95,6 @@ class Identity(NamedTuple):
 # --------------------------------------------------------------------------
 # Shared evaluation helpers
 # --------------------------------------------------------------------------
-
-def _eprefactor(a1, gap: int, q, p):
-    e_a1 = _check_degen(eval_E(a1, p), "E(a1)")
-
-    def pref(k: int):
-        if k == 0:
-            return a1 * 0 + 1.0  # t_0 is exactly 1, in the type of the parameters
-        return eval_E(a1 * q ** (gap * k), p) / e_a1
-
-    return pref
-
 
 def _poch_ratio(nums: Sequence, dens: Sequence, nome: Nome, n: int):
     val = 1.0
@@ -1055,8 +1044,9 @@ REJECTED = (DegenerateParameters, BalanceViolation, SingularToWorkingPrecision,
 EXTENDED_DPS = 50
 
 # An extended trial error at or below 2^NOISE_BITS units of the last place
-# of the extended working precision, 2^(24 - 169) or about 2.2e-44, is
-# rounding noise: it does not pick the worst point (:func:`check_identity`).
+# of the extended working precision, 2^(24 - 169) or about 2.2e-44, times
+# the cancellation of the trial's sides, is rounding noise: it does not pick
+# the worst point (:func:`_identity_trials`).
 NOISE_BITS = 24
 
 # A nonzero identity value this far below the summand scale is numerically
@@ -1260,23 +1250,30 @@ def _exit_cause(status: int) -> str:
 
 def _identity_trials(ident: Identity, trials: int, seed: int,
                      region: SamplingRegion, precision: str):
-    """:func:`_trials` of an identity: values ``(pt, lhs, rhs, scale)``.
+    """:func:`_trials` of an identity: values ``(pt, err, noise)``.
 
     Trial t draws from ``_rng_for(ident.id, seed, t)``.  Extended trials widen
     the point and evaluate both sides under ``wide.workdps(EXTENDED_DPS)``,
     which leaves the precision of :data:`ellipsum.wide.ctx` as it was.  Each
     side of each draw gets its own kernel memo, so the right side never reads
     an E value the left side computed; the two share only the series tables
-    of each nome, which depend on p alone.
+    of each nome, which depend on p alone.  ``err`` is :func:`trial_error`,
+    at the caller's precision.  ``noise`` is 0 in binary64; in extended
+    trials it is the rounding floor 2^(NOISE_BITS - prec), prec the bits of
+    EXTENDED_DPS digits, times the cancellation max(1, scale / |rhs|) of a
+    nonzero right side, scale the larger summand scale of the two sides (a
+    zero right side's error is already relative to the scale).
     """
     if precision not in ("double", "extended"):
         raise ValueError(f"precision must be 'double' or 'extended', not {precision!r}")
     extended = precision == "extended"
     cond_limit = CONDITION_LIMIT_EXTENDED if extended else CONDITION_LIMIT
+    floor = 0.0
     if extended:
-        from .wide import workdps
+        from .wide import dps_to_prec, workdps
 
         scope = workdps(EXTENDED_DPS)
+        floor = 2.0 ** (NOISE_BITS - dps_to_prec(EXTENDED_DPS))
     else:
         scope = contextlib.nullcontext()
 
@@ -1294,7 +1291,11 @@ def _identity_trials(ident: Identity, trials: int, seed: int,
                     cond_limit * float(abs(lhs) + abs(rhs)):
                 raise DegenerateParameters(
                     "cancellation-dominated draw, value far below summand scale")
-            return pt, lhs, rhs, scale
+            noise = floor
+            if floor and rhs != 0:
+                noise *= max(1.0, float(max(scale, rhs_scale) / abs(rhs)))
+        # the error at the caller's precision, outside the extended scope
+        return pt, trial_error(lhs, rhs, scale), noise
 
     # _draw_point is looked up per draw, so tests can patch it
     return _trials(ident.id, trials, partial(_rng_for, ident.id, seed),
@@ -1313,6 +1314,36 @@ def trial_error(lhs, rhs, scale: float) -> float:
     return _rel_diff(lhs, rhs)
 
 
+def _record(label: str, tol: float, seed: int, run, dump) -> VerificationReport:
+    """The record of one check, whose trials ``run()`` gives as
+    :func:`_trials` does, with values ``(args, err, noise)`` per trial.
+
+    The worst point is that of the first trial with the largest error,
+    except that a trial whose error is at or below its ``noise`` displaces no
+    earlier choice: where every error is noise it is the first trial's point,
+    which a change in the last bits of the arithmetic does not move.  Each
+    trial over ``tol`` is a failure kept with its point.  ``dump(args)``
+    gives a point, for the worst trial and the failures only.  ``label``
+    names the record; the wall time covers ``run()``.
+    """
+    started = perf_counter()
+    outcomes, resamples, error = run()
+    errs, failures, worst = [], [], None
+    for trial, (args, err, noise) in enumerate(outcomes):
+        errs.append(err)
+        if worst is None or err > worst[1] and err > noise:
+            worst = args, err
+        if err > tol:
+            failures.append({"trial_index": trial, "rel_err": err, "point": dump(args)})
+    return VerificationReport(
+        identity_id=label, trials=len(errs), tol=tol, seed=seed,
+        max_rel_err=max(errs, default=0.0),
+        mean_rel_err=sum(errs) / len(errs) if errs else 0.0,
+        failures=failures, resamples=resamples,
+        wall_time_ms=(perf_counter() - started) * 1e3,
+        worst_point=None if worst is None else dump(worst[0]), error=error)
+
+
 def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
                    seed: int = 1, region: SamplingRegion = DEFAULT_REGION,
                    precision: str = "double") -> VerificationReport:
@@ -1320,48 +1351,14 @@ def check_identity(ident: Identity, trials: int = 100, tol: float = 1e-8,
 
     Extended trials work in :class:`ellipsum.wide.mpc` at EXTENDED_DPS
     digits, each operation rounded once, a type that also takes the
-    kernel's products to the extended tail.  The worst point is that of the
-    first trial with the largest error, except that in extended runs a
-    trial whose error is at or below the rounding floor 2^(NOISE_BITS -
-    prec), prec the bits of EXTENDED_DPS digits, displaces no earlier
-    choice: where every error is rounding noise it is the first trial's
-    point, which a change in the last bits of the arithmetic does not move.
+    kernel's products to the extended tail; their worst point skips
+    rounding noise (:func:`_identity_trials`, :func:`_record`).
     A trial that runs out of admissible draws ends the run: the report then
     fails with the exhaustion message as its ``error`` and counts the
     completed trials, and nothing is raised.  ``trials`` below 1 and a
     ``precision`` other than "double" or "extended" raise
     :class:`ValueError`.
     """
-    started = perf_counter()
-    outcomes, resamples, error = _identity_trials(ident, trials, seed, region,
-                                                  precision)
-    floor = 0.0
-    if precision == "extended":
-        from .wide import dps_to_prec
-
-        floor = 2.0 ** (NOISE_BITS - dps_to_prec(EXTENDED_DPS))
-    errs, failures, worst_err, worst_point = [], [], 0.0, None
-    for trial, (pt, lhs, rhs, scale) in enumerate(outcomes):
-        # at the caller's precision, outside the extended scope
-        err = trial_error(lhs, rhs, scale)
-        errs.append(err)
-        dump = point_dump(pt.nome, pt.values, pt.n)
-        if worst_point is None or err > max(worst_err, floor):
-            worst_err = err
-            worst_point = dump
-        if err > tol:
-            failures.append({"trial_index": trial, "rel_err": err, "point": dump})
-    return VerificationReport(
-        identity_id=ident.id,
-        trials=len(errs),
-        tol=tol,
-        seed=seed,
-        max_rel_err=max(errs, default=0.0),
-        mean_rel_err=sum(errs) / len(errs) if errs else 0.0,
-        failures=failures,
-        resamples=resamples,
-        wall_time_ms=(perf_counter() - started) * 1e3,
-        worst_point=worst_point,
-        error=error,
-    )
-
+    return _record(ident.id, tol, seed,
+                   partial(_identity_trials, ident, trials, seed, region, precision),
+                   lambda pt: point_dump(pt.nome, pt.values, pt.n))

@@ -1,5 +1,9 @@
 """Command-line harness: list checks, run them, emit JSON reports.
 
+Every check, an identity or a suite check, gives one record of one shape
+(:class:`~ellipsum.report.VerificationReport`: ``reports`` or
+``suite_checks`` in the JSON) and one verdict line (:func:`_line`).
+
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
 2 usage error or a ``--json`` report that cannot be written.  A check or
 identity that runs out of admissible draws fails, with an ``error`` in its
@@ -127,7 +131,8 @@ def _region(args) -> SamplingRegion:
     )
 
 
-def _identity_line(rep) -> str:
+def _line(rep) -> str:
+    """The verdict line of an identity's or a suite check's record."""
     if rep.error is not None:
         return f"FAIL  {rep.identity_id:24s} sampling exhausted"
     return (f"{'pass' if rep.passed else 'FAIL'}  {rep.identity_id:24s} "
@@ -135,17 +140,12 @@ def _identity_line(rep) -> str:
             f"mean={rep.mean_rel_err:.3e} resamples={rep.resamples}")
 
 
-def _suite_line(res) -> str:
-    return (f"{'pass' if res.passed else 'FAIL'}  {res.name:38s} trials={res.trials} "
-            f"max={res.max_rel_err:.3e} tol={res.tol:.0e}")
-
-
-def _print_records(records, line) -> tuple:
+def _print_records(records) -> tuple:
     """Print each record's error and verdict line; (record dicts, any failed)."""
     for rec in records:
         if rec.error is not None:
             print(f"error: {rec.error}", file=sys.stderr)
-        print(line(rec))
+        print(_line(rec))
     return [rec.to_dict() for rec in records], not all(rec.passed for rec in records)
 
 
@@ -208,15 +208,15 @@ def main(argv=None) -> int:
         idents = None
     try:
         if idents is not None:
-            reports = _map_units([
+            key, records = "reports", _map_units([
                 partial(check_identity, ident, trials=args.trials, tol=args.tol,
                         seed=args.seed, region=region, precision=args.precision)
                 for ident in idents])
-            payload["reports"], failed = _print_records(reports, _identity_line)
         else:
-            checks = SUITES[args.suite](trials=args.trials, seed=args.seed,
-                                        region=region, sizes=((args.n, args.cap),))
-            payload["suite_checks"], failed = _print_records(checks, _suite_line)
+            key, records = "suite_checks", SUITES[args.suite](
+                trials=args.trials, seed=args.seed, region=region,
+                sizes=((args.n, args.cap),))
+        payload[key], failed = _print_records(records)
     except TruncationLimit as exc:
         print(f"error: {exc}; narrow --q-mod or --p-mod", file=sys.stderr)
         return 2

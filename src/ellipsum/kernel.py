@@ -471,9 +471,10 @@ def _binary_parts(z):
 def _to_binary64(re: int, im: int, bits: int, real: bool):
     """(re + i im) 2^-bits, for any int ``bits``, rounded once to binary64 by
     Python's correctly rounded int division or int conversion, a part past
-    its range to an infinity of its sign; a float where ``real``."""
+    its range to an infinity and below it to a zero, of its sign; a float
+    re 2^-bits where ``real``, which leaves ``im`` unread."""
     parts = []
-    for n in (re, im):
+    for n in (re,) if real else (re, im):
         try:
             parts.append(n / (1 << bits) if bits >= 0 else float(n << -bits))
         except OverflowError:

@@ -1,15 +1,17 @@
 """Machine-readable verification reports.
 
-Reports serialize to plain dicts with a stable key order and [re, im] pairs
-for complex values, so that identical runs produce byte-identical JSON
-(the wall-clock field is the one permitted difference).
+Every check, a catalog identity or a suite check, gives one record,
+:class:`VerificationReport`.  Records serialize to plain dicts with a stable
+key order and [re, im] pairs for complex values, so that identical runs
+produce byte-identical JSON (the wall-clock field is the one permitted
+difference).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # The sampling generator: Philox 4x64-10 keyed through numpy's SeedSequence
 # with spawn_key = (crc32(identity id), trial index).  stream.PhiloxStream
@@ -22,10 +24,11 @@ def _cpair(z) -> list:
 
 
 class VerificationReport(NamedTuple):
-    """Per-identity trial statistics with the worst point kept for replay.
+    """Per-check trial statistics with the worst point kept for replay.
 
-    ``failures`` holds one ``{"trial_index", "rel_err", "point"}`` dict per
-    trial over ``tol``.  ``error`` says why the run stopped short of its
+    ``identity_id`` names the identity or suite check.  ``failures`` holds
+    one ``{"trial_index", "rel_err", "point"}`` dict per trial over
+    ``tol``.  ``error`` says why the run stopped short of its
     trials; ``trials`` then counts the completed ones, and the record keeps
     their failures and worst point.
     """
@@ -77,3 +80,16 @@ def point_dump(nome, values: dict, n: int) -> dict:
         "values": {k: _cpair(v) for k, v in sorted(values.items())},
         "integers": {"n": int(n)},
     }
+
+
+def args_dump(value):
+    """JSON-ready dump of a suite trial's draw arguments: [re, im] for a
+    complex, a dict by field for a NamedTuple, a list for another tuple or
+    list, and anything else (an int, None) as it is."""
+    if isinstance(value, complex):
+        return _cpair(value)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: args_dump(part) for name, part in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return [args_dump(part) for part in value]
+    return value

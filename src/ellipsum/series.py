@@ -70,6 +70,18 @@ def balance_residual(spec: OmegaSpec) -> float:
     return _residual(prod * prod, spec.a1 ** (spec.r - 3) * spec.nome.q ** (spec.r - 5))
 
 
+def _eprefactor(a1, gap: int, q, p):
+    """The prefactor k -> E(a1 q^{gap k}) / E(a1) of a very-well-poised series."""
+    e_a1 = _check_degen(eval_E(a1, p), "E(a1)")
+
+    def pref(k: int):
+        if k == 0:
+            return a1 * 0 + 1.0  # t_0 is exactly 1, in the type of the parameters
+        return eval_E(a1 * q ** (gap * k), p) / e_a1
+
+    return pref
+
+
 def vwp_terms(prefactor, num_groups: Sequence, den_groups: Sequence, weight,
               kmax: int, p) -> list:
     """Summands t_0..t_kmax of a mixed-base very-well-poised series.
@@ -135,13 +147,7 @@ def omega_terms(a1, uppers: Sequence, nome: Nome, kmax: int) -> list:
     (complete) upper parameter list: :func:`vwp_terms` with base q throughout.
     """
     q, p = nome.q, nome.p
-    e_a1 = _check_degen(eval_E(a1, p), "E(a1)")
-
-    def prefactor(k: int):
-        if k == 0:
-            return a1 * 0 + 1.0  # t_0 is exactly 1, in the type of the parameters
-        return eval_E(a1 * q ** (2 * k), p) / e_a1
-
+    prefactor = _eprefactor(a1, 2, q, p)
     lowers = (q, *(a1 * q / a for a in uppers))
     return vwp_terms(prefactor, (((a1, *uppers), q, 1),), ((lowers, q, 1),), q, kmax, p)
 

@@ -4,17 +4,19 @@ cn, conjecture.
 Each suite is a table of :class:`Check` records: a named relation with
 ``draw(rng, region)``, which returns the arguments of one trial, and
 ``evaluate(*args)``, which returns their relative error.  One runner,
-:func:`run_checks`, executes a table, and its trials go through
-:func:`~ellipsum.catalog._trials`, the sampling loop of catalog identities
-too.  Each check draws every trial from its own seeded stream
+:func:`run_checks`, executes a table.  A check's trials go through the
+catalog's sampling loop and record builder (:func:`~ellipsum.catalog._record`),
+so its record is an identity's, named by its ``identity_id``, and its points
+are its draw arguments (:func:`~ellipsum.report.args_dump`), which replay
+from the JSON alone.  Each check draws every trial from its own seeded stream
 ``_rng_for(tag, seed, 0)``, so its result does not depend on which other
 checks ran, or in which process; a rejected draw (near a pole,
 ill-conditioned, overflowing or with a non-finite error) shifts the draws
 after it.  Each draw is evaluated in a kernel memo of its own: a check
 computes its relations inline, so the draw is its smallest unit, and the
-memo holds only E values keyed on exact arguments.  A check passes when its
-worst error stays within its tolerance.  Every suite runner takes the same
-keywords; ``sizes`` only matters to cn and conjecture.
+memo holds only E values keyed on exact arguments.  A check passes when no
+error exceeds its tolerance.  Every suite runner takes the same keywords;
+``sizes`` only matters to cn and conjecture.
 
 The stream is a :class:`~ellipsum.stream.PhiloxStream` (``rng.pair()`` for
 two uniforms, ``rng.integers(lo, hi)``).  Importing this module, as
@@ -40,6 +42,7 @@ from .catalog import (
     SamplingRegion,
     _draw_complex,
     _map_units,
+    _record,
     _rel_diff,
     _rng_for,
     _trials,
@@ -47,37 +50,10 @@ from .catalog import (
 )
 from .errors import DegenerateParameters
 from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
+from .report import VerificationReport, args_dump
 
 # Largest n of the inverse-pair orthogonality checks.
 ORTHOGONALITY_N_MAX = 8
-
-
-class CheckResult(NamedTuple):
-    """A check's record; ``error`` says why it stopped short of its trials."""
-
-    name: str
-    trials: int
-    tol: float
-    max_rel_err: float
-    resamples: int = 0
-    error: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.error is None and self.max_rel_err <= self.tol
-
-    def to_dict(self) -> dict:
-        record = {
-            "name": self.name,
-            "trials": self.trials,
-            "tol": self.tol,
-            "max_rel_err": self.max_rel_err,
-            "resamples": self.resamples,
-            "passed": self.passed,
-        }
-        if self.error is not None:
-            record["error"] = self.error
-        return record
 
 
 class Check(NamedTuple):
@@ -111,18 +87,18 @@ def _sides_rel(sides, *args) -> float:
 
 
 def _run_check(check: Check, trials: int, seed: int,
-               region: SamplingRegion) -> CheckResult:
+               region: SamplingRegion) -> VerificationReport:
     rng = _rng_for(check.tag, seed, 0)
 
     def evaluate(args):
         with EMemo():
-            return _finite(check.evaluate(*args))
+            return args, _finite(check.evaluate(*args)), 0.0
 
-    errs, resamples, error = _trials(check.name, check.trials or trials,
-                                     lambda trial: rng,     # one stream for all
-                                     lambda rng: check.draw(rng, region), evaluate)
-    return CheckResult(check.name, len(errs), check.tol, max(errs, default=0.0),
-                       resamples, error)
+    return _record(check.name, check.tol, seed,
+                   partial(_trials, check.name, check.trials or trials,
+                           lambda trial: rng,       # one stream for all
+                           lambda rng: check.draw(rng, region), evaluate),
+                   args_dump)
 
 
 def run_checks(checks, trials: int, seed: int = 1,
@@ -312,13 +288,18 @@ def _draw_pair(pair_type, r, rng, region):
 
 
 def _draw_krattenthaler(rng, region):
-    from .inversion import KrattenthalerPair
-
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     a = _draw_complex(rng, region.param_mod)
     bs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
     cs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
-    return (KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, Nome(q, p)),)
+    return a, bs, cs, Nome(q, p)
+
+
+def _krattenthaler_orthogonality(a, bs, cs, nome):
+    from .inversion import KrattenthalerPair, check_orthogonality
+
+    pair = KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, nome)
+    return check_orthogonality(pair, ORTHOGONALITY_N_MAX)
 
 
 def _draw_replay(nparams, rng, region):
@@ -366,7 +347,7 @@ def run_inversion_suite(trials: int = 20, seed: int = 1,
         Check("orthogonality_free_base", "suite.inversion.rawr",
               partial(_draw_pair, RawRPair, None), orthogonality, 1e-8),
         Check("orthogonality_sequence_pair", "suite.inversion.kratt",
-              _draw_krattenthaler, orthogonality, 1e-8),
+              _draw_krattenthaler, _krattenthaler_orthogonality, 1e-8),
         Check("replay_quadratic", "suite.inversion.replay_quadratic",
               partial(_draw_replay, 4), partial(_replay, quadratic_replay_sides), 1e-8),
         Check("replay_cubic", "suite.inversion.replay_cubic",
@@ -427,16 +408,19 @@ def _draw_factorial_ratio(rng, region):
 
 
 def _draw_periodic_family(rng, region):
-    from .determinants import shifted_product_family
-
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     n = rng.integers(1, 6)
-    nome = Nome(q, p)
     xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
     avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
     b, c = (_draw_complex(rng, region.param_mod) for _ in range(2))
-    fam = shifted_product_family(b, c, nome, n)
-    return xs, avs, c, nome, fam
+    return xs, avs, b, c, Nome(q, p)
+
+
+def _periodic_family_det(xs, avs, b, c, nome):
+    from .determinants import det_lemma_matrix, det_lemma_product, shifted_product_family
+
+    fam = shifted_product_family(b, c, nome, len(xs))
+    return _det_rel(det_lemma_matrix, det_lemma_product, xs, avs, c, nome, fam)
 
 
 def _draw_theta_det(rng, region):
@@ -454,8 +438,6 @@ def run_determinants_suite(trials: int = 20, seed: int = 1,
         andrews_stanton_product,
         corollary_determ_matrix,
         corollary_determ_product,
-        det_lemma_matrix,
-        det_lemma_product,
         theta_det_matrix,
         theta_det_product,
     )
@@ -469,7 +451,7 @@ def run_determinants_suite(trials: int = 20, seed: int = 1,
         Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
               partial(_det_rel, corollary_determ_matrix, corollary_determ_product), 1e-8),
         Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
-              partial(_det_rel, det_lemma_matrix, det_lemma_product), 1e-8),
+              _periodic_family_det, 1e-8),
         Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
               partial(_det_rel, theta_det_matrix, theta_det_product), 1e-8),
     ]

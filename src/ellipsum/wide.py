@@ -23,8 +23,9 @@ within half a unit in its last place (correct rounding, as in Muller et
 al., *Handbook of Floating-Point Arithmetic*).  A quotient is the exact
 numerators over the exact |w|^2, a modulus the integer square root of the
 exact sum of squares, a power z^n the exact power and, for n < 0, its
-exact reciprocal; ``float()`` and ``complex()`` round to binary64, past its
-range to an infinity and below it to a zero, of the part's sign.  No
+exact reciprocal; ``float()`` and ``complex()`` round to binary64 by the
+kernel's ``_to_binary64``, past its range to an infinity and below it to a
+zero, of the part's sign.  No
 intermediate result is rounded.  Where a term lies far below another, the
 work does not grow with the distance: a sticky bit stands in for it
 (:func:`_sum`), and a power whose parts lie far apart rounds its leading
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import math
 import sys
+
+from .kernel import _to_binary64
 
 _ZERO = (0, 0)
 _ONE = (1, 0)
@@ -403,7 +406,7 @@ class mpf:
         return _hash(self._v)
 
     def __float__(self):
-        return _to_float(*self._v)
+        return _to_binary64(self._v[0], 0, -self._v[1], True)
 
     def _compare(self, other):
         """The sign of self - other, or None for another type: that of the
@@ -524,7 +527,8 @@ class mpc:
         return _complex_hash(self._a, self._b)
 
     def __complex__(self):
-        return complex(_to_float(*self._a), _to_float(*self._b))
+        (ma, ea), (mb, eb) = self._a, self._b
+        return complex(_to_binary64(ma, 0, -ea, True), _to_binary64(mb, 0, -eb, True))
 
     def __eq__(self, other):
         z = _as_complex(other)
@@ -596,16 +600,3 @@ def from_parts(re: int, im: int, bits: int) -> mpc:
     of :data:`ctx`, to nearest with ties to even."""
     prec = _PREC[0]
     return _new_mpc(_round(re, -bits, prec), _round(im, -bits, prec))
-
-
-def _to_float(m: int, e: int) -> float:
-    """m 2^e rounded once to binary64 by Python's correctly rounded int
-    division or conversion, as the kernel's ``_to_binary64`` does: past its
-    range an infinity, and below it a zero, of m's sign."""
-    top = e + m.bit_length()
-    if -1075 <= top <= 1025:     # else no int as long as the exponent
-        try:
-            return m / (1 << -e) if e < 0 else float(m << e)
-        except OverflowError:
-            pass
-    return (-1.0 if m < 0 else 1.0) * (math.inf if top > 0 else 0.0)

@@ -45,7 +45,7 @@ def test_criterion_01_kernel_invariants():
     elapsed = time.perf_counter() - started
     wanted = {"reflection", "quasi_periodicity", "factorial_quasi_periodicity",
               "factorial_relations", "classical_reduction", "nome_doubling"}
-    got = {r.name: r for r in results}
+    got = {r.identity_id: r for r in results}
     ok = wanted <= set(got) and all(got[name].passed for name in wanted)
     ok = ok and elapsed < 1.0
     worst = max(got[name].max_rel_err for name in wanted)
@@ -54,7 +54,7 @@ def test_criterion_01_kernel_invariants():
 
 
 def test_criterion_02_addition_formula_and_lemma():
-    results = {r.name: r for r in run_inversion_suite(
+    results = {r.identity_id: r for r in run_inversion_suite(
         trials=20, seed=1, only=("addition_formula", "telescoped_addition_lemma"))}
     esum = results["addition_formula"]
     lemma = results["telescoped_addition_lemma"]
@@ -67,14 +67,14 @@ def test_criterion_03_orthogonality():
     names = ["orthogonality_step1", "orthogonality_step2", "orthogonality_step3",
              "orthogonality_step4", "orthogonality_free_base",
              "orthogonality_sequence_pair"]
-    results = {r.name: r for r in run_inversion_suite(trials=20, seed=2, only=names)}
+    results = {r.identity_id: r for r in run_inversion_suite(trials=20, seed=2, only=names)}
     worst = max(results[name].max_rel_err for name in names)
     verdict(3, "inverse-pair orthogonality (all kinds, n_max 8)", worst <= 1e-8,
             f"worst {worst:.2e}")
 
 
 def test_criterion_04_proof_replay():
-    results = {r.name: r for r in run_inversion_suite(
+    results = {r.identity_id: r for r in run_inversion_suite(
         trials=20, seed=3, only=("replay_quadratic", "replay_cubic"))}
     quad = results["replay_quadratic"]
     cubic = results["replay_cubic"]
@@ -133,7 +133,7 @@ def test_criterion_07_transform_pair_consistency():
 
 
 def test_criterion_08_determinants():
-    results = {r.name: r for r in run_determinants_suite(trials=20, seed=1)}
+    results = {r.identity_id: r for r in run_determinants_suite(trials=20, seed=1)}
     ratio_names = ["quadratic_base_determinant", "factorial_ratio_determinant",
                    "periodic_family_determinant", "theta_determinant_2x2"]
     ok = all(results[name].max_rel_err <= 1e-8 for name in ratio_names)
@@ -145,7 +145,7 @@ def test_criterion_08_determinants():
 
 
 def test_criterion_09_cn_jackson():
-    results = {r.name: r
+    results = {r.identity_id: r
                for r in run_cn_suite(trials=20, seed=1,
                                      sizes=((1, 4), (2, 3), (3, 2)))}
     names = ["cn_jackson_n1", "cn_jackson_n2", "cn_jackson_n3",
@@ -190,7 +190,7 @@ def test_criterion_10_partition_series_degenerations():
 
 
 def test_criterion_11_conjecture_evidence():
-    results = {r.name: r
+    results = {r.identity_id: r
                for r in run_conjecture_suite(trials=20, seed=1, sizes=((2, 2),))}
     conj = results["conjecture_n2"]
     rect = results["rectangle_evaluation_n2"]

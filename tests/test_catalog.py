@@ -381,6 +381,18 @@ class TestCheckIdentity:
         worst = max(rep.failures, key=lambda f: f["rel_err"])
         assert rep.worst_point == worst["point"] != first.worst_point
 
+    def test_extended_noise_floor_scales_with_cancellation(self):
+        # thmr_r3's trial 2 (n = 4) cancels 1.2e21 below its summands, so its
+        # 1.98e-28 lies under the scaled floor 2.7e-23: rounding noise that
+        # must not displace trial 0's point, the first and only one above
+        region = SamplingRegion(p_mod=(0.9, 0.95))
+        ident = get_identity("thmr_r3")
+        rep = check_identity(ident, trials=3, seed=1, region=region, precision="extended")
+        assert 1e-28 < rep.max_rel_err < 1e-27
+        first = check_identity(ident, trials=1, seed=1, region=region, precision="extended")
+        assert rep.worst_point == first.worst_point
+        assert rep.worst_point["integers"] == {"n": 1}
+
     def test_extended_precision_leaves_mpmath_precision_alone(self):
         import mpmath
 

@@ -40,7 +40,7 @@ class TestRun:
              "--tol", "1e-9", "--json", str(out_path)], capsys)
         assert code == 0
         payload = json.loads(out_path.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["rng"]
         rep = payload["reports"][0]
         assert rep["identity_id"] == "e87"
@@ -64,9 +64,23 @@ class TestRun:
              "--trials", "5", "--seed", "3", "--json", str(out_path)], capsys)
         assert code == 0
         payload = json.loads(out_path.read_text())
-        names = [c["name"] for c in payload["suite_checks"]]
+        names = [c["identity_id"] for c in payload["suite_checks"]]
         assert names == ["conjecture_n2", "rectangle_evaluation_n2"]
-        assert all(c["passed"] for c in payload["suite_checks"])
+        assert all(c["failures"] == [] for c in payload["suite_checks"])
+
+    def test_identity_and_suite_records_share_their_keys(self, tmp_path, capsys):
+        records = []
+        for target in (["--identity", "e87"], ["--suite", "kernel"]):
+            path = tmp_path / "out.json"
+            code, _ = run_cli(["run", *target, "--trials", "2", "--json", str(path)],
+                              capsys)
+            assert code == 0
+            payload = json.loads(path.read_text())
+            records.append(payload["reports"] + payload["suite_checks"])
+        reports, suite_checks = records
+        keys = {tuple(record) for record in reports + suite_checks}
+        assert len(keys) == 1 and len(suite_checks) == len(suites.KERNEL_CHECKS)
+        assert all(record["worst_point"] is not None for record in reports + suite_checks)
 
     def test_custom_sampling_region(self, capsys):
         code, out = run_cli(
@@ -160,7 +174,7 @@ class TestSamplingExhausted:
                             ["pass", "quasi_periodicity"]]
         assert captured.out.splitlines()[-1] == "result: FAIL"
         records = json.loads(path.read_text())["suite_checks"]
-        assert [r["passed"] for r in records] == [True, False, True]
+        assert [bool(r["failures"]) or "error" in r for r in records] == [False, True, False]
         assert [r["trials"] for r in records] == [2, 0, 2]
         assert records[1]["error"] == ("always_degenerate: no admissible point "
                                        "after 100 resamples")
@@ -297,7 +311,7 @@ def _run_at(workers, args, monkeypatch, capsys, tmp_path):
         code = main(["run", *args, "--json", str(path)])
     captured = capsys.readouterr()
     payload = json.loads(path.read_text()) if path.exists() else None
-    for rep in payload["reports"] if payload else ():
+    for rep in [*payload["reports"], *payload["suite_checks"]] if payload else ():
         rep.pop("wall_time_ms", None)
     return code, captured.out, captured.err, payload
 

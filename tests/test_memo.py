@@ -43,7 +43,7 @@ def _run(args, tmp_path, capsys):
     path = tmp_path / "out.json"
     code = main(["run", *args, "--json", str(path)])
     payload = json.loads(path.read_text())
-    for rep in payload["reports"]:
+    for rep in payload["reports"] + payload["suite_checks"]:
         rep.pop("wall_time_ms")
     return code, payload, capsys.readouterr().out
 

@@ -113,7 +113,7 @@ RECORDS = {
     "catalog": ["SamplingRegion", "ParamPoint", "Identity"],
     "report": ["VerificationReport"],
     "series": ["OmegaSpec"],
-    "suites": ["Check", "CheckResult"],
+    "suites": ["Check"],
     "inversion": ["RStepPair", "RawRPair", "KrattenthalerPair"],
     "multivar": ["Partition", "CnPoint"],
 }

@@ -1,9 +1,12 @@
+import json
 import sys
 
 import pytest
 
 from ellipsum import determinants
+from ellipsum.kernel import EMemo
 from ellipsum.suites import (
+    KERNEL_CHECKS,
     SUITES,
     Check,
     run_checks,
@@ -17,31 +20,37 @@ def _no_args(rng, region):
     return ()
 
 
+def _records(results) -> list:
+    """The records' dicts without their wall-clock field."""
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_time_ms"} for r in results]
+
+
 class TestSuiteRunners:
     def test_registry_names(self):
         assert sorted(SUITES) == ["cn", "conjecture", "determinants",
                                   "inversion", "kernel"]
 
     def test_kernel_suite_reproducible(self):
-        a = [r.to_dict() for r in run_kernel_suite(trials=30, seed=5)]
-        b = [r.to_dict() for r in run_kernel_suite(trials=30, seed=5)]
+        a = _records(run_kernel_suite(trials=30, seed=5))
+        b = _records(run_kernel_suite(trials=30, seed=5))
         assert a == b
 
     def test_check_result_shape(self):
         res = run_conjecture_suite(trials=3, seed=2)[0]
         d = res.to_dict()
-        assert set(d) == {"name", "trials", "tol", "max_rel_err", "resamples",
-                          "passed"}
-        assert d["passed"] == (d["max_rel_err"] <= d["tol"])
+        assert list(d) == ["identity_id", "trials", "tol", "seed", "max_rel_err",
+                           "mean_rel_err", "failures", "resamples", "worst_point",
+                           "wall_time_ms"]
+        assert res.passed == (d["max_rel_err"] <= d["tol"]) == (d["failures"] == [])
 
     def test_conjecture_suite_size_override(self):
         results = run_conjecture_suite(trials=2, seed=1, sizes=((1, 3),))
-        assert [r.name for r in results] == ["conjecture_n1",
+        assert [r.identity_id for r in results] == ["conjecture_n1",
                                              "rectangle_evaluation_n1"]
         assert all(r.passed for r in results)
 
     def test_check_names_unique_across_suites(self):
-        names = [r.name for run in SUITES.values() for r in run(trials=1, seed=1)]
+        names = [r.identity_id for run in SUITES.values() for r in run(trials=1, seed=1)]
         assert len(names) == len(set(names))
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -49,13 +58,27 @@ class TestSuiteRunners:
         # Each check draws from its own stream, so running it alone must
         # reproduce its record from the full run exactly.
         run = SUITES[suite]
-        full = [r.to_dict() for r in run(trials=2, seed=11)]
+        full = _records(run(trials=2, seed=11))
         for record in full:
-            alone = [r.to_dict() for r in run(trials=2, seed=11, only=(record["name"],))]
+            alone = _records(run(trials=2, seed=11, only=(record["identity_id"],)))
             assert alone == [record]
 
 
 class TestRunChecks:
+    def test_failure_points_replay_to_their_error(self):
+        # at tol 0 every trial with an error is a failure; each JSON point
+        # decodes to the draw that gives its rel_err again, bit for bit
+        (check,) = [c for c in KERNEL_CHECKS if c.name == "reflection"]
+        (rec,) = run_checks([check._replace(tol=0.0)], trials=5)
+        record = json.loads(json.dumps(rec.to_dict()))
+        assert len(record["failures"]) == rec.trials == 5
+        for failure in record["failures"]:
+            args = [complex(*pair) for pair in failure["point"]]
+            with EMemo():
+                assert check.evaluate(*args) == failure["rel_err"]
+        worst = max(record["failures"], key=lambda f: f["rel_err"])
+        assert record["worst_point"] == worst["point"]
+
     def test_unknown_names_in_only_raise(self):
         with pytest.raises(ValueError, match="^no such checks: 'reflexion', 'nope'$"):
             run_kernel_suite(trials=2, only=("reflection", "reflexion", "nope"))
