@@ -5,17 +5,18 @@ Every check, an identity or a suite check, gives one record of one shape
 ``suite_checks`` in the JSON) and one verdict line (:func:`_line`).
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 usage error or a ``--json`` report that cannot be written.  A check or
+2 usage error, a nome past the kernel's range (``TruncationLimit``), a
+worker that died (``WorkerError``) or a ``--json`` report that cannot be
+written; an exit 2 after the checks start writes no report.  A check or
 identity that runs out of admissible draws fails, with an ``error`` in its
 record, and the run goes on.
 
 Independent checks and identities run on one worker per CPU in the
 process's affinity mask (``taskset -c 0 verify run ...`` runs serially), and
 every verdict line is printed once all have finished.  The workers are plain
-forks fed unit indices through a pipe; a worker that dies ends the run with a
-:class:`~ellipsum.errors.WorkerError`.  Identical flags and seed produce
-byte-identical JSON and output apart from the wall-clock fields, whatever the
-number of CPUs.
+forks fed unit indices through a pipe (:func:`~ellipsum.sampling._map_units`).
+Identical flags and seed produce byte-identical JSON and output apart from
+the wall-clock fields, whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ import os
 import sys
 from functools import partial
 
-from .catalog import (
-    DEFAULT_REGION,
-    SamplingRegion,
-    _map_units,
-    check_identity,
-    get_identity,
-    list_identities,
-)
-from .errors import TruncationLimit
+from .catalog import check_identity, get_identity, list_identities
+from .errors import TruncationLimit, WorkerError
 from .report import RNG_ALGORITHM, SCHEMA_VERSION
+from .sampling import DEFAULT_REGION, SamplingRegion, _map_units
 from .suites import SUITES
 
 
@@ -219,6 +214,9 @@ def main(argv=None) -> int:
         payload[key], failed = _print_records(records)
     except TruncationLimit as exc:
         print(f"error: {exc}; narrow --q-mod or --p-mod", file=sys.stderr)
+        return 2
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.json_path:

@@ -12,15 +12,17 @@ Four families are covered:
 Each family has one matrix builder and one closed-form product; a check
 compares :func:`det_numeric` of the one with the other.  Matrix entries are
 assembled from unreduced Pochhammer fractions so the structural zeros
-produced by negative indices are exact.
+produced by negative indices are exact.  The determinants suite's draws and
+check table (``DETERMINANTS_CHECKS``) close the module.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
-from .errors import SingularToWorkingPrecision
+from .errors import DegenerateParameters, SingularToWorkingPrecision
 from .kernel import (
     Nome,
     binom2,
@@ -29,6 +31,8 @@ from .kernel import (
     pochhammer_frac,
     theta1,
 )
+from .sampling import TINY, _draw_complex, _uniform_pair
+from .suites import Check, _rel
 
 # Trials whose condition estimate exceeds this are resampled, not failed.
 COND_LIMIT = 1e8
@@ -290,3 +294,86 @@ def theta_det_product(xs: Sequence, a, b, c, p):
         rhs *= theta_product_chain(b - a, i - 1, p)
         rhs *= theta_product_chain(a + b + c + 2 * n - 2 * i, i - 1, p)
     return rhs
+
+
+# --------------------------------------------------------------------------
+# The determinants suite's checks (ellipsum.suites.run_determinants_suite)
+# --------------------------------------------------------------------------
+
+def _conditioned_det(matrix):
+    # Ill-conditioned matrices are resampled rather than failed.
+    det, cond = det_numeric(matrix)
+    if cond > COND_LIMIT:
+        raise DegenerateParameters(f"cond {cond:.2e}")
+    return det
+
+
+def _det_rel(matrix, product, *args):
+    # each side is built once: the guarded determinant against the product
+    return _rel(_conditioned_det(matrix(*args)), product(*args))
+
+
+def _draw_andrews_stanton(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    x = _draw_complex(rng, (0.7, 1.4))
+    y = _draw_complex(rng, (0.7, 1.4))
+    n = rng.integers(1, 6)
+    return x, y, Nome(q, p), n
+
+
+def _lu_factorization(x, y, nome, n):
+    M = andrews_stanton_matrix(x, y, nome, n)
+    det = _conditioned_det(M)
+    U, l_diag = andrews_stanton_lu(x, y, nome, n)
+    L = [[sum(M[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    err = 0.0
+    for i in range(n):
+        rowscale = max(abs(L[i][i]), TINY)
+        for j in range(i + 1, n):
+            err = max(err, abs(L[i][j]) / rowscale)
+        err = max(err, _rel(L[i][i], l_diag[i]))
+    return max(err, _rel(det, math.prod(l_diag, start=1.0)))
+
+
+def _draw_factorial_ratio(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    n = rng.integers(1, 6)
+    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
+    a, b, c = (_draw_complex(rng, region.param_mod) for _ in range(3))
+    return xs, a, b, c, Nome(q, p)
+
+
+def _draw_periodic_family(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    n = rng.integers(1, 6)
+    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
+    avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
+    b, c = (_draw_complex(rng, region.param_mod) for _ in range(2))
+    return xs, avs, b, c, Nome(q, p)
+
+
+def _periodic_family_det(xs, avs, b, c, nome):
+    fam = shifted_product_family(b, c, nome, len(xs))
+    return _det_rel(det_lemma_matrix, det_lemma_product, xs, avs, c, nome, fam)
+
+
+def _draw_theta_det(rng, region):
+    p = _draw_complex(rng, (0.05, 0.45))
+    xs = [complex(*_uniform_pair(rng, 0.3, 2.8, -0.3, 0.3)) for _ in range(2)]
+    a, b, c = (complex(*_uniform_pair(rng, 0.0, 2.0, -0.3, 0.3)) for _ in range(3))
+    return xs, a, b, c, p
+
+
+DETERMINANTS_CHECKS = [
+    Check("quadratic_base_determinant", "suite.det.quadratic_base",
+          _draw_andrews_stanton,
+          partial(_det_rel, andrews_stanton_matrix, andrews_stanton_product), 1e-8),
+    Check("lu_factorization", "suite.det.lu", _draw_andrews_stanton,
+          _lu_factorization, 1e-9),
+    Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
+          partial(_det_rel, corollary_determ_matrix, corollary_determ_product), 1e-8),
+    Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
+          _periodic_family_det, 1e-8),
+    Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
+          partial(_det_rel, theta_det_matrix, theta_det_product), 1e-8),
+]

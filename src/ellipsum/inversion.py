@@ -12,11 +12,13 @@ Three families of pairs (f, f^{-1}) with sum_{k=l}^{n} f^{-1}_{n,k} f_{k,l}
   sequences b_i, c_i and a scalar a.
 
 Matrices are realized as entry functions, never stored: entries are cheap
-and the formulas are the source of truth.
+and the formulas are the source of truth.  The inversion suite's draws and
+check table (``INVERSION_CHECKS``) close the module.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DegenerateParameters
@@ -26,7 +28,9 @@ from .kernel import (
     eval_E,
     pochhammer_e,
 )
+from .sampling import CONDITION_LIMIT, _draw_complex
 from .series import _summed, omega_sum
+from .suites import Check, _rel, _sides_rel
 
 
 class _RStepFields(NamedTuple):
@@ -289,3 +293,88 @@ def cubic_replay_sides(a, b, c, nome: Nome, n: int):
          (a * q / b, nome, 2 * n)),
         ((a, nome, n), (1.0 / b, nome, n), (a * c * q ** 3 / b, n3, n),
          (a * q ** 3 / c, n3, n), (b * q, nome, 2 * n)))
+
+
+# --------------------------------------------------------------------------
+# The inversion suite's checks (ellipsum.suites.run_inversion_suite)
+# --------------------------------------------------------------------------
+
+# Largest n of the inverse-pair orthogonality checks.
+ORTHOGONALITY_N_MAX = 8
+
+
+def _draw_esum(rng, region):
+    p = _draw_complex(rng, region.p_mod)
+    return tuple(_draw_complex(rng, region.param_mod) for _ in range(4)) + (p,)
+
+
+def _draw_macdonald(rng, region):
+    p = _draw_complex(rng, region.p_mod)
+    n = rng.integers(0, 7)
+    seqs = [[_draw_complex(rng, region.param_mod) for _ in range(n + 1)]
+            for _ in range(4)]
+    return (*seqs, p)
+
+
+def _draw_pair(pair_type, r, rng, region):
+    # r=None: a free second base, drawn between the nome and a, b
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    if r is None:
+        r = _draw_complex(rng, region.q_mod)
+    a = _draw_complex(rng, region.param_mod)
+    b = _draw_complex(rng, region.param_mod)
+    return (pair_type(a, b, r, Nome(q, p)),)
+
+
+def _draw_krattenthaler(rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    a = _draw_complex(rng, region.param_mod)
+    bs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
+    cs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
+    return a, bs, cs, Nome(q, p)
+
+
+def _krattenthaler_orthogonality(a, bs, cs, nome):
+    pair = KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, nome)
+    return check_orthogonality(pair, ORTHOGONALITY_N_MAX)
+
+
+def _draw_replay(nparams, rng, region):
+    # Fixed bounds: individual terms overflow binary64 at small |q|.
+    q = _draw_complex(rng, (0.55, 0.8))
+    p = _draw_complex(rng, (0.05, 0.25))
+    params = [_draw_complex(rng, (0.7, 1.4)) for _ in range(nparams)]
+    return (*params, Nome(q, p))
+
+
+def _replay(sides, *args):
+    # Cancellation can dominate; redraw on spread like the determinant
+    # condition guard.
+    err = 0.0
+    for n in range(6):
+        applied, closed, scale = sides(*args, n)
+        if not (scale < CONDITION_LIMIT * abs(closed)):
+            raise DegenerateParameters("cancellation-dominated")
+        err = max(err, _rel(applied, closed))
+    return err
+
+
+_orthogonality = partial(check_orthogonality, n_max=ORTHOGONALITY_N_MAX)
+
+INVERSION_CHECKS = [
+    Check("addition_formula", "suite.inversion.esum", _draw_esum,
+          partial(_sides_rel, esum_sides), 1e-10, trials=100),
+    Check("telescoped_addition_lemma", "suite.inversion.macdonald", _draw_macdonald,
+          partial(_sides_rel, macdonald_sides), 1e-10, trials=50),
+    *(Check(f"orthogonality_step{r}", f"suite.inversion.rstep{r}",
+            partial(_draw_pair, RStepPair, r), _orthogonality, 1e-8)
+      for r in (1, 2, 3, 4)),
+    Check("orthogonality_free_base", "suite.inversion.rawr",
+          partial(_draw_pair, RawRPair, None), _orthogonality, 1e-8),
+    Check("orthogonality_sequence_pair", "suite.inversion.kratt",
+          _draw_krattenthaler, _krattenthaler_orthogonality, 1e-8),
+    Check("replay_quadratic", "suite.inversion.replay_quadratic",
+          partial(_draw_replay, 4), partial(_replay, quadratic_replay_sides), 1e-8),
+    Check("replay_cubic", "suite.inversion.replay_cubic",
+          partial(_draw_replay, 3), partial(_replay, cubic_replay_sides), 1e-8),
+]

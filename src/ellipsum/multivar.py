@@ -3,13 +3,15 @@
 Two objects live here: the n-fold Jackson-type sum over integer vectors in
 [0, N]^n, and the partition-indexed series Omega whose transformation is
 tested numerically (the one-variable case reduces to the proven ten-term
-transformation).
+transformation).  The cn and conjecture suites' draws and check tables
+(:func:`cn_checks`, :func:`conjecture_checks`) close the module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BalanceViolation, DegenerateParameters
@@ -23,7 +25,9 @@ from .kernel import (
     pochhammer_e,
     pochhammer_partition,
 )
+from .sampling import _draw_complex
 from .series import _summed
+from .suites import Check, _rel, _sides_rel
 
 # Hard cap on brute-force n-fold sums: (N+1)^n terms.
 MAX_BRUTE_TERMS = 100_000
@@ -274,3 +278,75 @@ def omega87_sides(pt: CnPoint):
     return lhs, _rectangle_ratio(
         (a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)),
         (a * q / b, a * q / c, a * q / d, a * q / (b * c * d)), pt)
+
+
+# --------------------------------------------------------------------------
+# The cn and conjecture suites' checks (ellipsum.suites.run_cn_suite and
+# run_conjecture_suite)
+# --------------------------------------------------------------------------
+
+def _draw_cn(n, n_cap, rng, region):
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    N = rng.integers(0, n_cap + 1)
+    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
+    e = a * a * q ** (N - n + 2) / (b * c * d)
+    xs = tuple(_draw_complex(rng, (0.8, 1.25)) for _ in range(n))
+    return (CnPoint(Nome(q, p), n, N, xs, a=a, b=b, c=c, d=d, e=e),)
+
+
+def _cn_reduction(pt):
+    # the one-variable sum against the closed Jackson evaluation
+    lhs, _ = cn_jackson_sides(pt)
+    a, b, c, d, q, (x,) = pt.a, pt.b, pt.c, pt.d, pt.nome.q, pt.x
+    num = [a * x * x * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)]
+    den = [a * q / (b * c * d * x), a * q * x / b, a * q * x / c, a * q * x / d]
+    closed = 1.0
+    for u in num:
+        closed *= pochhammer_e(u, pt.nome, pt.N)
+    for u in den:
+        closed /= pochhammer_e(u, pt.nome, pt.N)
+    return _rel(lhs, closed)
+
+
+def cn_checks(sizes) -> list:
+    """The n-fold Jackson check of each (n, N cap) in ``sizes``, then its
+    one-variable reduction."""
+    checks = [Check(f"cn_jackson_n{n}", f"suite.cn.{n}", partial(_draw_cn, n, n_cap),
+                    partial(_sides_rel, cn_jackson_sides), 1e-8)
+              for n, n_cap in sizes]
+    checks.append(Check("cn_jackson_reduces_to_one_variable", "suite.cn.reduction",
+                        partial(_draw_cn, 1, 3), _cn_reduction, 1e-8))
+    return checks
+
+
+def _solve_conjecture(q, N, x, n, a, b, c, d, e, f):
+    return a ** 3 * q ** (N + 2) / (b * c * d * e * f * x ** (n - 1))
+
+
+def _solve_rectangle(q, N, x, n, a, b, c, d):
+    return a * a * q ** (N + 1) / (b * c * d * x ** (n - 1))
+
+
+def _draw_partition_point(free, solve, n, n_cap, rng, region):
+    # ``free`` letters a, b, ... are drawn; ``solve`` gives the constrained next one
+    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
+    N = rng.integers(0, n_cap + 1)
+    x = _draw_complex(rng, (0.75, 0.95))
+    letters = [_draw_complex(rng, region.param_mod) for _ in range(free)]
+    letters.append(solve(q, N, x, n, *letters))
+    return (CnPoint(Nome(q, p), n, N, x, **dict(zip("abcdefg", letters))),)
+
+
+def conjecture_checks(sizes) -> list:
+    """The conjecture and rectangle checks of each (n, N cap) in ``sizes``."""
+    checks = []
+    for n, n_cap in sizes:
+        checks += [
+            Check(f"conjecture_n{n}", "suite.conjecture.main",
+                  partial(_draw_partition_point, 6, _solve_conjecture, n, n_cap),
+                  partial(_sides_rel, conjecture_sides), 1e-7),
+            Check(f"rectangle_evaluation_n{n}", "suite.conjecture.rect",
+                  partial(_draw_partition_point, 4, _solve_rectangle, n, n_cap),
+                  partial(_sides_rel, omega87_sides), 1e-7),
+        ]
+    return checks

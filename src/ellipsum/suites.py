@@ -5,27 +5,25 @@ Each suite is a table of :class:`Check` records: a named relation with
 ``draw(rng, region)``, which returns the arguments of one trial, and
 ``evaluate(*args)``, which returns their relative error.  One runner,
 :func:`run_checks`, executes a table.  A check's trials go through the
-catalog's sampling loop and record builder (:func:`~ellipsum.catalog._record`),
-so its record is an identity's, named by its ``identity_id``, and its points
-are its draw arguments (:func:`~ellipsum.report.args_dump`), which replay
-from the JSON alone.  Each check draws every trial from its own seeded stream
-``_rng_for(tag, seed, 0)``, so its result does not depend on which other
-checks ran, or in which process; a rejected draw (near a pole,
-ill-conditioned, overflowing or with a non-finite error) shifts the draws
-after it.  Each draw is evaluated in a kernel memo of its own: a check
-computes its relations inline, so the draw is its smallest unit, and the
-memo holds only E values keyed on exact arguments.  A check passes when no
-error exceeds its tolerance.  Every suite runner takes the same keywords;
-``sizes`` only matters to cn and conjecture.
+sampling loop and record builder that identities use
+(:func:`~ellipsum.sampling._record`), so its record is an identity's, named
+by its ``identity_id``, and its points are its draw arguments
+(:func:`~ellipsum.report.args_dump`), which replay from the JSON alone.
+Each check draws every trial from its own seeded stream
+``_rng_for(tag, seed, 0)``, a :class:`~ellipsum.stream.PhiloxStream`
+(``rng.pair()`` for two uniforms, ``rng.integers(lo, hi)``), so its result
+does not depend on which other checks ran, or in which process; a rejected
+draw (near a pole, ill-conditioned, overflowing or with a non-finite error)
+shifts the draws after it.  Each draw is evaluated in a kernel memo of its
+own: a check computes its relations inline, so the draw is its smallest
+unit, and the memo holds only E values keyed on exact arguments.  A check
+passes when no error exceeds its tolerance.  Every suite runner takes the
+same keywords; ``sizes`` only matters to cn and conjecture.
 
-The stream is a :class:`~ellipsum.stream.PhiloxStream` (``rng.pair()`` for
-two uniforms, ``rng.integers(lo, hi)``).  Importing this module, as
-``import ellipsum.cli`` does, loads only the kernel table and the catalog
-layers below it.  The other suites build their tables in their runners,
-which first import the suite's own module (``inversion``, ``determinants``
-or ``multivar``), so the forked workers inherit it and never import it
-themselves.  The draw and evaluate helpers import the names they use where
-they use them.
+This module holds the kernel suite's table and loads no catalog.  The other
+suites' draws and tables live in the modules they check (``inversion``,
+``determinants``, ``multivar``); each runner imports its module before
+:func:`run_checks` forks, so the workers inherit it.
 """
 
 from __future__ import annotations
@@ -35,10 +33,11 @@ import math
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .catalog import (
-    CONDITION_LIMIT,
+from .errors import DegenerateParameters
+from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
+from .report import VerificationReport, args_dump
+from .sampling import (
     DEFAULT_REGION,
-    TINY,
     SamplingRegion,
     _draw_complex,
     _map_units,
@@ -48,12 +47,6 @@ from .catalog import (
     _trials,
     _uniform_pair,
 )
-from .errors import DegenerateParameters
-from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
-from .report import VerificationReport, args_dump
-
-# Largest n of the inverse-pair orthogonality checks.
-ORTHOGONALITY_N_MAX = 8
 
 
 class Check(NamedTuple):
@@ -106,7 +99,7 @@ def run_checks(checks, trials: int, seed: int = 1,
     """Run a check table; ``only`` restricts it to the checks so named.
 
     Checks run in parallel on forked workers fed through pipes when more than
-    one CPU is in the affinity mask (see :func:`~ellipsum.catalog._map_units`;
+    one CPU is in the affinity mask (see :func:`~ellipsum.sampling._map_units`;
     ``taskset -c 0`` gives a serial run); records come back in table order,
     and a worker that dies raises :class:`~ellipsum.errors.WorkerError`.
     A check that runs out of admissible draws returns a failed record with an
@@ -261,285 +254,41 @@ def run_kernel_suite(trials: int = 100, seed: int = 1,
 
 
 # --------------------------------------------------------------------------
-# inversion
+# inversion, determinants, cn and conjecture
 # --------------------------------------------------------------------------
-
-def _draw_esum(rng, region):
-    p = _draw_complex(rng, region.p_mod)
-    return tuple(_draw_complex(rng, region.param_mod) for _ in range(4)) + (p,)
-
-
-def _draw_macdonald(rng, region):
-    p = _draw_complex(rng, region.p_mod)
-    n = rng.integers(0, 7)
-    seqs = [[_draw_complex(rng, region.param_mod) for _ in range(n + 1)]
-            for _ in range(4)]
-    return (*seqs, p)
-
-
-def _draw_pair(pair_type, r, rng, region):
-    # r=None: a free second base, drawn between the nome and a, b
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    if r is None:
-        r = _draw_complex(rng, region.q_mod)
-    a = _draw_complex(rng, region.param_mod)
-    b = _draw_complex(rng, region.param_mod)
-    return (pair_type(a, b, r, Nome(q, p)),)
-
-
-def _draw_krattenthaler(rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    a = _draw_complex(rng, region.param_mod)
-    bs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
-    cs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
-    return a, bs, cs, Nome(q, p)
-
-
-def _krattenthaler_orthogonality(a, bs, cs, nome):
-    from .inversion import KrattenthalerPair, check_orthogonality
-
-    pair = KrattenthalerPair(a, bs.__getitem__, cs.__getitem__, nome)
-    return check_orthogonality(pair, ORTHOGONALITY_N_MAX)
-
-
-def _draw_replay(nparams, rng, region):
-    # Fixed bounds: individual terms overflow binary64 at small |q|.
-    q = _draw_complex(rng, (0.55, 0.8))
-    p = _draw_complex(rng, (0.05, 0.25))
-    params = [_draw_complex(rng, (0.7, 1.4)) for _ in range(nparams)]
-    return (*params, Nome(q, p))
-
-
-def _replay(sides, *args):
-    # Cancellation can dominate; redraw on spread like the determinant
-    # condition guard.
-    err = 0.0
-    for n in range(6):
-        applied, closed, scale = sides(*args, n)
-        if not (scale < CONDITION_LIMIT * abs(closed)):
-            raise DegenerateParameters("cancellation-dominated")
-        err = max(err, _rel(applied, closed))
-    return err
-
 
 def run_inversion_suite(trials: int = 20, seed: int = 1,
                         region: SamplingRegion = DEFAULT_REGION,
                         sizes=None, only=None) -> list:
-    from .inversion import (
-        RawRPair,
-        RStepPair,
-        check_orthogonality,
-        cubic_replay_sides,
-        esum_sides,
-        macdonald_sides,
-        quadratic_replay_sides,
-    )
+    from .inversion import INVERSION_CHECKS
 
-    orthogonality = partial(check_orthogonality, n_max=ORTHOGONALITY_N_MAX)
-    checks = [
-        Check("addition_formula", "suite.inversion.esum", _draw_esum,
-              partial(_sides_rel, esum_sides), 1e-10, trials=100),
-        Check("telescoped_addition_lemma", "suite.inversion.macdonald", _draw_macdonald,
-              partial(_sides_rel, macdonald_sides), 1e-10, trials=50),
-        *(Check(f"orthogonality_step{r}", f"suite.inversion.rstep{r}",
-                partial(_draw_pair, RStepPair, r), orthogonality, 1e-8)
-          for r in (1, 2, 3, 4)),
-        Check("orthogonality_free_base", "suite.inversion.rawr",
-              partial(_draw_pair, RawRPair, None), orthogonality, 1e-8),
-        Check("orthogonality_sequence_pair", "suite.inversion.kratt",
-              _draw_krattenthaler, _krattenthaler_orthogonality, 1e-8),
-        Check("replay_quadratic", "suite.inversion.replay_quadratic",
-              partial(_draw_replay, 4), partial(_replay, quadratic_replay_sides), 1e-8),
-        Check("replay_cubic", "suite.inversion.replay_cubic",
-              partial(_draw_replay, 3), partial(_replay, cubic_replay_sides), 1e-8),
-    ]
-    return run_checks(checks, trials, seed, region, only)
-
-
-# --------------------------------------------------------------------------
-# determinants
-# --------------------------------------------------------------------------
-
-def _conditioned_det(matrix):
-    # Ill-conditioned matrices are resampled rather than failed.
-    from .determinants import COND_LIMIT, det_numeric
-
-    det, cond = det_numeric(matrix)
-    if cond > COND_LIMIT:
-        raise DegenerateParameters(f"cond {cond:.2e}")
-    return det
-
-
-def _det_rel(matrix, product, *args):
-    # each side is built once: the guarded determinant against the product
-    return _rel(_conditioned_det(matrix(*args)), product(*args))
-
-
-def _draw_andrews_stanton(rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    x = _draw_complex(rng, (0.7, 1.4))
-    y = _draw_complex(rng, (0.7, 1.4))
-    n = rng.integers(1, 6)
-    return x, y, Nome(q, p), n
-
-
-def _lu_factorization(x, y, nome, n):
-    from .determinants import andrews_stanton_lu, andrews_stanton_matrix
-
-    M = andrews_stanton_matrix(x, y, nome, n)
-    det = _conditioned_det(M)
-    U, l_diag = andrews_stanton_lu(x, y, nome, n)
-    L = [[sum(M[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    err = 0.0
-    for i in range(n):
-        rowscale = max(abs(L[i][i]), TINY)
-        for j in range(i + 1, n):
-            err = max(err, abs(L[i][j]) / rowscale)
-        err = max(err, _rel(L[i][i], l_diag[i]))
-    return max(err, _rel(det, math.prod(l_diag, start=1.0)))
-
-
-def _draw_factorial_ratio(rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    n = rng.integers(1, 6)
-    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-    a, b, c = (_draw_complex(rng, region.param_mod) for _ in range(3))
-    return xs, a, b, c, Nome(q, p)
-
-
-def _draw_periodic_family(rng, region):
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    n = rng.integers(1, 6)
-    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-    avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-    b, c = (_draw_complex(rng, region.param_mod) for _ in range(2))
-    return xs, avs, b, c, Nome(q, p)
-
-
-def _periodic_family_det(xs, avs, b, c, nome):
-    from .determinants import det_lemma_matrix, det_lemma_product, shifted_product_family
-
-    fam = shifted_product_family(b, c, nome, len(xs))
-    return _det_rel(det_lemma_matrix, det_lemma_product, xs, avs, c, nome, fam)
-
-
-def _draw_theta_det(rng, region):
-    p = _draw_complex(rng, (0.05, 0.45))
-    xs = [complex(*_uniform_pair(rng, 0.3, 2.8, -0.3, 0.3)) for _ in range(2)]
-    a, b, c = (complex(*_uniform_pair(rng, 0.0, 2.0, -0.3, 0.3)) for _ in range(3))
-    return xs, a, b, c, p
+    return run_checks(INVERSION_CHECKS, trials, seed, region, only)
 
 
 def run_determinants_suite(trials: int = 20, seed: int = 1,
                            region: SamplingRegion = DEFAULT_REGION,
                            sizes=None, only=None) -> list:
-    from .determinants import (
-        andrews_stanton_matrix,
-        andrews_stanton_product,
-        corollary_determ_matrix,
-        corollary_determ_product,
-        theta_det_matrix,
-        theta_det_product,
-    )
+    from .determinants import DETERMINANTS_CHECKS
 
-    checks = [
-        Check("quadratic_base_determinant", "suite.det.quadratic_base",
-              _draw_andrews_stanton,
-              partial(_det_rel, andrews_stanton_matrix, andrews_stanton_product), 1e-8),
-        Check("lu_factorization", "suite.det.lu", _draw_andrews_stanton,
-              _lu_factorization, 1e-9),
-        Check("factorial_ratio_determinant", "suite.det.ratio", _draw_factorial_ratio,
-              partial(_det_rel, corollary_determ_matrix, corollary_determ_product), 1e-8),
-        Check("periodic_family_determinant", "suite.det.lemma", _draw_periodic_family,
-              _periodic_family_det, 1e-8),
-        Check("theta_determinant_2x2", "suite.det.theta", _draw_theta_det,
-              partial(_det_rel, theta_det_matrix, theta_det_product), 1e-8),
-    ]
-    return run_checks(checks, trials, seed, region, only)
-
-
-# --------------------------------------------------------------------------
-# cn and conjecture
-# --------------------------------------------------------------------------
-
-def _draw_cn(n, n_cap, rng, region):
-    from .multivar import CnPoint
-
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    N = rng.integers(0, n_cap + 1)
-    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
-    e = a * a * q ** (N - n + 2) / (b * c * d)
-    xs = tuple(_draw_complex(rng, (0.8, 1.25)) for _ in range(n))
-    return (CnPoint(Nome(q, p), n, N, xs, a=a, b=b, c=c, d=d, e=e),)
-
-
-def _cn_reduction(pt):
-    # the one-variable sum against the closed Jackson evaluation
-    from .multivar import cn_jackson_sides
-
-    lhs, _ = cn_jackson_sides(pt)
-    a, b, c, d, q, (x,) = pt.a, pt.b, pt.c, pt.d, pt.nome.q, pt.x
-    num = [a * x * x * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)]
-    den = [a * q / (b * c * d * x), a * q * x / b, a * q * x / c, a * q * x / d]
-    closed = 1.0
-    for u in num:
-        closed *= pochhammer_e(u, pt.nome, pt.N)
-    for u in den:
-        closed /= pochhammer_e(u, pt.nome, pt.N)
-    return _rel(lhs, closed)
+    return run_checks(DETERMINANTS_CHECKS, trials, seed, region, only)
 
 
 def run_cn_suite(trials: int = 20, seed: int = 1,
                  region: SamplingRegion = DEFAULT_REGION,
                  sizes: tuple = ((1, 4), (2, 3), (3, 2)), only=None) -> list:
     """``sizes`` lists the (n, N cap) pairs of the n-fold Jackson checks."""
-    from .multivar import cn_jackson_sides
+    from .multivar import cn_checks
 
-    checks = [Check(f"cn_jackson_n{n}", f"suite.cn.{n}", partial(_draw_cn, n, n_cap),
-                    partial(_sides_rel, cn_jackson_sides), 1e-8)
-              for n, n_cap in sizes]
-    checks.append(Check("cn_jackson_reduces_to_one_variable", "suite.cn.reduction",
-                        partial(_draw_cn, 1, 3), _cn_reduction, 1e-8))
-    return run_checks(checks, trials, seed, region, only)
-
-
-def _solve_conjecture(q, N, x, n, a, b, c, d, e, f):
-    return a ** 3 * q ** (N + 2) / (b * c * d * e * f * x ** (n - 1))
-
-
-def _solve_rectangle(q, N, x, n, a, b, c, d):
-    return a * a * q ** (N + 1) / (b * c * d * x ** (n - 1))
-
-
-def _draw_partition_point(free, solve, n, n_cap, rng, region):
-    # ``free`` letters a, b, ... are drawn; ``solve`` gives the constrained next one
-    from .multivar import CnPoint
-
-    q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    N = rng.integers(0, n_cap + 1)
-    x = _draw_complex(rng, (0.75, 0.95))
-    letters = [_draw_complex(rng, region.param_mod) for _ in range(free)]
-    letters.append(solve(q, N, x, n, *letters))
-    return (CnPoint(Nome(q, p), n, N, x, **dict(zip("abcdefg", letters))),)
+    return run_checks(cn_checks(sizes), trials, seed, region, only)
 
 
 def run_conjecture_suite(trials: int = 20, seed: int = 1,
                          region: SamplingRegion = DEFAULT_REGION,
                          sizes: tuple = ((2, 2),), only=None) -> list:
     """``sizes`` lists the (n, N cap) pairs; each gets both checks."""
-    from .multivar import conjecture_sides, omega87_sides
+    from .multivar import conjecture_checks
 
-    checks = []
-    for n, n_cap in sizes:
-        checks += [
-            Check(f"conjecture_n{n}", "suite.conjecture.main",
-                  partial(_draw_partition_point, 6, _solve_conjecture, n, n_cap),
-                  partial(_sides_rel, conjecture_sides), 1e-7),
-            Check(f"rectangle_evaluation_n{n}", "suite.conjecture.rect",
-                  partial(_draw_partition_point, 4, _solve_rectangle, n, n_cap),
-                  partial(_sides_rel, omega87_sides), 1e-7),
-        ]
-    return run_checks(checks, trials, seed, region, only)
+    return run_checks(conjecture_checks(sizes), trials, seed, region, only)
 
 
 SUITES = {

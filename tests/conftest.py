@@ -12,9 +12,22 @@ import mpmath
 import pytest
 from mpmath import libmp
 
-from ellipsum import catalog, wide
+from ellipsum import catalog, sampling, wide
 from ellipsum.multivar import enumerate_partitions
 from ellipsum.series import _summed, omega_terms
+
+
+def _no_fork():
+    raise AssertionError("a run at one worker forked")
+
+
+def at_workers(workers: int, monkeypatch) -> None:
+    """Run checks on ``workers`` forked workers, at most one per unit.  At
+    one worker a fork fails the test, so a patch that misses the engine's
+    worker count cannot pass for a serial run."""
+    monkeypatch.setattr(sampling, "_worker_count", lambda units: min(workers, units))
+    if workers == 1:
+        monkeypatch.setattr(os, "fork", _no_fork)
 
 
 @pytest.fixture
@@ -77,7 +90,7 @@ def to_mp(x):
 
 
 def sample_point(ident: catalog.Identity, seed: int,
-                 region: catalog.SamplingRegion = catalog.DEFAULT_REGION):
+                 region: sampling.SamplingRegion = sampling.DEFAULT_REGION):
     """The admissible point that trial 0 of ``check_identity`` draws for
     ``ident`` at ``seed``."""
     values, _, error = catalog._identity_trials(ident, 1, seed, region, "double")
@@ -86,7 +99,7 @@ def sample_point(ident: catalog.Identity, seed: int,
 
 
 def gauge_pair_errors(trials: int, seed: int,
-                      region: catalog.SamplingRegion = catalog.DEFAULT_REGION) -> dict:
+                      region: sampling.SamplingRegion = sampling.DEFAULT_REGION) -> dict:
     """{pair: max relative difference} of the two gauge forms of the quadratic
     and cubic transformations' right sides at matched points.
 

@@ -8,18 +8,22 @@ import mpmath
 import numpy as np
 import pytest
 
-from ellipsum import Nome, catalog, kernel, wide
+from ellipsum import Nome, catalog, kernel, sampling, wide
 from ellipsum.catalog import (
-    DEFAULT_REGION,
     ParamPoint,
-    SamplingRegion,
+    _eight_term,
+    _pt_unpack,
     check_identity,
     get_identity,
     list_identities,
+)
+from ellipsum.sampling import (
+    SamplingRegion,
+    _draw_complex,
+    _rng_for,
+    _uniform_pair,
     trial_error,
 )
-from ellipsum.catalog import (
-    _draw_complex, _eight_term, _pt_unpack, _rng_for, _uniform_pair)
 from ellipsum.errors import DegenerateParameters
 from ellipsum.report import VerificationReport, point_dump
 from ellipsum.series import OmegaSpec, balance_residual
@@ -117,7 +121,7 @@ class TestSampling:
 MODULUS_BOUNDS = [(0.3, 0.8), (0.05, 0.3), (0.5, 2.0), (0.05, 0.5), (0.05, 0.25),
                   (0.55, 0.8), (0.7, 1.4), (0.05, 0.45), (0.8, 1.25), (0.75, 0.95),
                   (0.98, 0.99), (1e-6, 1e-3)]
-# The rectangles of suites._draw_theta and suites._draw_theta_det.
+# The rectangles of suites._draw_theta and determinants._draw_theta_det.
 RECTANGLES = [((0.1, 3.0), (-0.4, 0.4)), ((0.3, 2.8), (-0.3, 0.3)),
               ((0.0, 2.0), (-0.3, 0.3))]
 
@@ -444,7 +448,7 @@ class TestCheckIdentity:
         assert record["failures"] == rep.failures
         assert (rep.worst_point is None) == (admitted == 0)
         assert record["worst_point"] == rep.worst_point
-        assert record["resamples"] == catalog.MAX_RESAMPLES + 1
+        assert record["resamples"] == sampling.MAX_RESAMPLES + 1
         again = VerificationReport.from_dict(json.loads(json.dumps(record)))
         assert again.to_dict() == record and not again.passed
 
@@ -508,13 +512,13 @@ class TestTrials:
                 raise DegenerateParameters("rejected")
             return len(calls)
 
-        values, resamples, error = catalog._trials(
+        values, resamples, error = sampling._trials(
             "loop", 5, lambda trial: trial, lambda rng: rng, evaluate)
         assert values == list(range(1, completed + 1))
-        assert resamples == catalog.MAX_RESAMPLES + 1
+        assert resamples == sampling.MAX_RESAMPLES + 1
         assert error == "loop: no admissible point after 100 resamples"
         # the exhausted trial drew from its own stream every time
-        assert calls[completed:] == [completed] * (catalog.MAX_RESAMPLES + 1)
+        assert calls[completed:] == [completed] * (sampling.MAX_RESAMPLES + 1)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_is_an_error(self, trials):

@@ -8,11 +8,13 @@ import time
 
 import pytest
 
-from ellipsum import catalog, suites
-from ellipsum.catalog import _map_units
+from ellipsum import catalog, sampling, suites
 from ellipsum.cli import main
 from ellipsum.errors import DegenerateParameters, TruncationLimit, WorkerError
+from ellipsum.sampling import _map_units
 from ellipsum.suites import SUITES, Check
+
+from conftest import at_workers
 
 
 def run_cli(args, capsys):
@@ -299,15 +301,11 @@ class TestUsageErrors:
         assert "exceeds the brute-force budget" in proc.stderr
 
 
-def _at_workers(workers, monkeypatch):
-    monkeypatch.setattr(catalog, "_worker_count", lambda units: min(workers, units))
-
-
 def _run_at(workers, args, monkeypatch, capsys, tmp_path):
     """(exit code, stdout, stderr, report without wall-clock fields)."""
     path = tmp_path / f"out{workers}.json"
     with monkeypatch.context() as patch:
-        _at_workers(workers, patch)
+        at_workers(workers, patch)
         code = main(["run", *args, "--json", str(path)])
     captured = capsys.readouterr()
     payload = json.loads(path.read_text()) if path.exists() else None
@@ -355,6 +353,14 @@ class TestWorkers:
         assert serial[0] == 1 and "e87" in serial[2]
         assert _run_at(2, args, monkeypatch, capsys, tmp_path) == serial
 
+    def test_dead_worker_is_an_error_line(self, monkeypatch, capsys, tmp_path):
+        # the worker that runs the second check exits without reporting it
+        dies = Check("dies", "test.dies", lambda rng, region: (), lambda: os._exit(3), 1e-8)
+        monkeypatch.setattr(suites, "KERNEL_CHECKS", [suites.KERNEL_CHECKS[0], dies])
+        assert _run_at(2, ["--suite", "kernel", "--trials", "2"], monkeypatch, capsys,
+                       tmp_path) == (2, "", "error: a worker exited with status 3 before "
+                                            "all of its units reported\n", None)
+
 
 class _TwoArgError(Exception):
     """Pickles, but cannot be unpickled: its constructor wants two arguments."""
@@ -369,9 +375,9 @@ def _run_script(body: str) -> str:
     a failure."""
     script = textwrap.dedent("""
         import os, signal
-        from ellipsum import catalog
+        from ellipsum import sampling
         from ellipsum.errors import WorkerError
-        catalog._worker_count = lambda units: min(2, units)
+        sampling._worker_count = lambda units: min(2, units)
         """) + textwrap.dedent(body) + textwrap.dedent("""
         try:
             os.waitpid(-1, os.WNOHANG)
@@ -386,14 +392,14 @@ def _run_script(body: str) -> str:
 
 class TestMapUnits:
     def test_results_in_table_order(self, monkeypatch):
-        _at_workers(2, monkeypatch)
+        at_workers(2, monkeypatch)
         units = [lambda: _sleep_then(0.2, "slow"), lambda: "fast", os.getpid]
         slow, fast, pid = _map_units(units)
         assert (slow, fast) == ("slow", "fast") and pid != os.getpid()
 
     def test_first_error_in_table_order(self, monkeypatch):
         # the second unit raises first, the first unit's error is raised
-        _at_workers(2, monkeypatch)
+        at_workers(2, monkeypatch)
         units = [lambda: _sleep_then(0.2, TruncationLimit("first")),
                  lambda: _sleep_then(0.0, TruncationLimit("second")),
                  lambda: "done"]
@@ -402,11 +408,11 @@ class TestMapUnits:
 
     @pytest.mark.parametrize("workers, units", [(1, 3), (2, 1)])
     def test_one_worker_or_unit_runs_in_process(self, workers, units, monkeypatch):
-        _at_workers(workers, monkeypatch)
+        at_workers(workers, monkeypatch)
         assert _map_units([os.getpid] * units) == [os.getpid()] * units
 
     def test_runs_in_process_without_fork(self, monkeypatch):
-        _at_workers(2, monkeypatch)
+        at_workers(2, monkeypatch)
         monkeypatch.delattr(os, "fork")
         assert _map_units([os.getpid] * 2) == [os.getpid()] * 2
 
@@ -419,7 +425,7 @@ class TestMapUnits:
     def test_dead_worker_raises(self, unit, cause):
         out = _run_script(f"""
             try:
-                catalog._map_units([lambda: 1, {unit}, lambda: 2])
+                sampling._map_units([lambda: 1, {unit}, lambda: 2])
             except WorkerError as exc:
                 print(exc)
             """)
@@ -430,7 +436,7 @@ class TestMapUnits:
         # 65,536-byte pipe buffer each: the parent must read while it writes
         out = _run_script("""
             units = [lambda index=index: (index, bytes(64)) for index in range(20_000)]
-            print(catalog._map_units(units) == [(index, bytes(64)) for index in range(20_000)])
+            print(sampling._map_units(units) == [(index, bytes(64)) for index in range(20_000)])
             """)
         assert out.splitlines() == ["True", "no child left"]
 
@@ -440,7 +446,7 @@ class TestMapUnits:
         (lambda: _sleep_then(0, _TwoArgError("a", "b")), "^unit 1: its result cannot be unpickled"),
     ], ids=["result", "error", "unpickling"])
     def test_result_that_cannot_cross_the_pipe(self, unit, message, monkeypatch):
-        _at_workers(2, monkeypatch)
+        at_workers(2, monkeypatch)
         with pytest.raises(WorkerError, match=message):
             _map_units([lambda: 1, unit, lambda: 3])
         # the other results still arrive: an earlier unit's error comes first
@@ -450,9 +456,9 @@ class TestMapUnits:
 
     def test_workers_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert [catalog._worker_count(n) for n in (1, 2, 3, 31)] == [1, 2, 3, 3]
+        assert [sampling._worker_count(n) for n in (1, 2, 3, 31)] == [1, 2, 3, 3]
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert catalog._worker_count(31) == 1
+        assert sampling._worker_count(31) == 1
 
 
 # A fresh interpreter in which ``import numpy`` raises ImportError.
@@ -484,7 +490,10 @@ def _loaded_after(code: str) -> list:
 
 # Runs in the calling process: a module that only a forked worker imported
 # would be missing from the parent's sys.modules.
-_SERIAL = "from ellipsum import catalog, kernel\ncatalog._worker_count = lambda n: 1\n"
+_SERIAL = ("import os\nfrom ellipsum import kernel, sampling\n"
+           "sampling._worker_count = lambda n: 1\n"
+           "def no_fork(): raise AssertionError('a run at one worker forked')\n"
+           "os.fork = no_fork\n")
 
 
 class TestWithoutNumpy:

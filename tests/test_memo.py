@@ -13,7 +13,7 @@ from ellipsum.errors import DegenerateParameters
 from ellipsum.kernel import GUARD_BITS, EMemo, eval_E
 from ellipsum.suites import KERNEL_CHECKS, SUITES, Check, run_checks, run_kernel_suite
 
-from conftest import to_wide, workdps
+from conftest import at_workers, to_wide, workdps
 
 X, P = 0.7 + 0.2j, 0.1 - 0.15j
 
@@ -36,7 +36,7 @@ def _use_memo(monkeypatch, memo):
 
 def _serial(monkeypatch):
     # Forked workers keep their memo hits; only in-process runs count them.
-    monkeypatch.setattr(catalog, "_worker_count", lambda units: 1)
+    at_workers(1, monkeypatch)
 
 
 def _run(args, tmp_path, capsys):

@@ -5,13 +5,19 @@ or is public and exported in ``ellipsum.__all__``, so a helper whose last
 caller goes is deleted with it, and one that only tests call lives in the
 tests; the test oracles import nothing from the package they check; no
 module imports numpy, and none reads mpmath's raw parts, imports mpmath or
-calls it; the tests of ellipsum.wide import no mpmath either; and E takes
-no truncation policy: the scalar type alone picks its method.
+calls it; the tests of ellipsum.wide import no mpmath either; E takes no
+truncation policy: the scalar type alone picks its method; and the layers
+stay apart: what checks share lives in ellipsum.sampling, not in the
+catalog, and ``import ellipsum.cli`` compiles no suite it does not run.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,8 +116,9 @@ def test_no_module_imports_numpy():
 # NamedTuple of its fields that validates them in __new__.
 RECORDS = {
     "kernel": ["Nome"],
-    "catalog": ["SamplingRegion", "ParamPoint", "Identity"],
+    "catalog": ["ParamPoint", "Identity"],
     "report": ["VerificationReport"],
+    "sampling": ["SamplingRegion"],
     "series": ["OmegaSpec"],
     "suites": ["Check"],
     "inversion": ["RStepPair", "RawRPair", "KrattenthalerPair"],
@@ -213,3 +220,67 @@ def test_wide_tests_use_no_mpmath():
             and helpers & {alias.name for alias in node.names}] == []
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "mpmath"] == []
+
+
+def test_no_module_imports_a_private_catalog_name():
+    """What the catalog shares with the suites and the CLI lives in
+    ellipsum.sampling; the catalog's own underscore names stay in it."""
+    imports = [f"{path.name}:{node.lineno}:{alias.name}"
+               for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(_parse(path))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module, node.level) in (("catalog", 1), ("ellipsum.catalog", 0))
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
+
+
+def _fresh(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_suites_import_leaves_the_catalog_out():
+    assert _fresh("""
+        import json, sys
+        import ellipsum.suites
+        print(json.dumps("ellipsum.catalog" in sys.modules))
+        """) is False
+
+
+# The stream tags of the four suites that ``import ellipsum.cli`` leaves out.
+_ON_DEMAND_TAGS = ("suite.inversion.", "suite.det.", "suite.cn.", "suite.conjecture.")
+
+
+def test_cli_import_loads_none_of_the_four_suites():
+    """The draws and tables of the inversion, determinants, cn and conjecture
+    checks lie outside every module that ``import ellipsum.cli`` loads: their
+    runners load them.  Each check's draw, partials unwrapped, is defined
+    elsewhere, and no loaded source holds one of their stream tags."""
+    found = _fresh("""
+        import json, sys
+        from functools import partial
+        import ellipsum.cli
+        from ellipsum import suites
+        loaded = {name: module.__file__ for name, module in sys.modules.items()
+                  if name.split(".")[0] == "ellipsum"}
+        tables = []
+        suites.run_checks = lambda checks, *args: tables.append(list(checks)) or []
+        for name in ("inversion", "determinants", "cn", "conjecture"):
+            suites.SUITES[name](trials=1)
+        assert len(tables) == 4 and all(tables)
+        draws = []
+        for check in sum(tables, []):
+            draw = check.draw
+            while isinstance(draw, partial):
+                draw = draw.func
+            draws.append([check.name, draw.__module__])
+        print(json.dumps({"loaded": loaded, "draws": draws}))
+        """)
+    assert [name for name, module in found["draws"] if module in found["loaded"]] == []
+    tags = [f"{name}:{node.lineno}" for name, path in sorted(found["loaded"].items())
+            for node in ast.walk(_parse(Path(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith(_ON_DEMAND_TAGS)]
+    assert tags == []
