@@ -16,11 +16,9 @@ from .kernel import (
     Nome,
     eval_E,
     pochhammer_e,
-    pochhammer_multi,
     pochhammer_partition,
     theta1,
 )
-from .series import OmegaSpec, balance_residual, eval_omega
 
 __version__ = "0.1.0"
 
@@ -32,15 +30,11 @@ __all__ = [
     "Nome",
     "NomeOutOfRange",
     "NonzeroRequired",
-    "OmegaSpec",
     "SingularToWorkingPrecision",
     "TruncationLimit",
     "WorkerError",
-    "balance_residual",
     "eval_E",
-    "eval_omega",
     "pochhammer_e",
-    "pochhammer_multi",
     "pochhammer_partition",
     "theta1",
     "__version__",

@@ -2,16 +2,18 @@
 
 Each entry bundles the free parameters, exact solvers for the constrained
 ones, the termination index and its sampling range, an optional residue-class
-filter, and independent left/right evaluators.  Left and right sides never
-share assembled shifted-factorial subexpressions; both go back to the kernel,
-so a shared bug cannot cancel itself.
+filter, and its two sides.  A side is data, a :class:`~ellipsum.series.Side`
+of products of shifted factorials and very-well-poised series whose
+parameters are monomials in the point's letters and q; one evaluator turns
+either side into (value, scale).  Each side is written from the paper, not
+derived from the other, and each is evaluated on its own, down to the
+kernel, so a shared bug cannot cancel itself.
 
-Both evaluators return (value, scale) where scale bounds the largest
-intermediate summand behind the value (for plain products it is just the
-magnitude).  Identities whose right side vanishes on part of their range are
-checked against the left scale instead of a meaningless relative error, and
-draws where either scale dwarfs the value are resampled as
-cancellation-dominated.
+The scale bounds the largest intermediate summand behind the value (for
+plain products it is just the magnitude).  Identities whose right side
+vanishes on part of their range are checked against the left scale instead
+of a meaningless relative error, and draws where either scale dwarfs the
+value are resampled as cancellation-dominated.
 
 This module holds the rows and how an identity draws and evaluates a
 point; the sampling loop, the record and the fork pool it runs on are
@@ -23,22 +25,16 @@ from __future__ import annotations
 import contextlib
 import math
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameters
-from .kernel import (
-    DELTA_DEGEN,
-    EMemo,
-    Nome,
-    _check_degen,
-    eval_E,
-    pochhammer_e,
-)
+from .kernel import EMemo, Nome
 from .report import VerificationReport, point_dump
 from .sampling import (
     CONDITION_LIMIT,
     CONDITION_LIMIT_EXTENDED,
     DEFAULT_REGION,
+    PARAM_MOD,
     SamplingRegion,
     _draw_complex,
     _record,
@@ -46,7 +42,7 @@ from .sampling import (
     _trials,
     trial_error,
 )
-from .series import _eprefactor, omega_sum, vwp_sum
+from .series import Omega, Product, Series, Side, Term
 from .stream import PhiloxStream
 
 
@@ -67,8 +63,9 @@ class Identity(NamedTuple):
     set, is a predicate on n which keeps only the residue classes the right
     side covers.  ``extra_bases`` name further bases, drawn like q and before
     the free parameters.  ``lhs`` and ``rhs`` map a point to
-    ``(value, scale)``; the scalar type of the point picks the truncation of
-    the products behind E (:func:`eval_E`).
+    ``(value, scale)``: in the catalog each is a
+    :class:`~ellipsum.series.Side`, and the scalar type of the point picks
+    the precision of the E values behind it.
     """
 
     id: str
@@ -80,126 +77,6 @@ class Identity(NamedTuple):
     solve: Callable
     branch: Callable | None = None
     extra_bases: tuple = ()
-
-
-# --------------------------------------------------------------------------
-# Shared evaluation helpers
-# --------------------------------------------------------------------------
-
-def _poch_ratio(nums: Sequence, dens: Sequence, nome: Nome, n: int):
-    val = 1.0
-    for a in nums:
-        val = val * pochhammer_e(a, nome, n)
-    for a in dens:
-        val = val / pochhammer_e(a, nome, n, min_factor=DELTA_DEGEN)
-    return val
-
-
-def _eight_term(hi, lo, b, c, d, nome: Nome, m: int):
-    """(hi, hi/bc, lo/bd, lo/cd)_m / (hi/b, hi/c, lo/d, lo/bcd)_m, the closed
-    form of the eight-term summation (hi = lo = aq) and of its cubic and
-    quadratic-base relatives."""
-    return _poch_ratio([hi, hi / (b * c), lo / (b * d), lo / (c * d)],
-                       [hi / b, hi / c, lo / d, lo / (b * c * d)], nome, m)
-
-
-def _sigma3(n: int) -> int:
-    return (3 - n % 3) % 3
-
-
-# --------------------------------------------------------------------------
-# Left-hand-side families
-# --------------------------------------------------------------------------
-
-def _lhs_quadratic(pt):
-    """Sum with E(a q^{3k}) prefactor and alternating q / q^2 factorials."""
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e, f = v["a"], v["b"], v["c"], v["d"], v["e"], v["f"]
-    q, p = nome.q, nome.p
-    q2 = q * q
-    num = [((b, c, d), q, 1), ((e, f, q ** (-2 * n)), q2, 1)]
-    den = [((a * q2 / b, a * q2 / c, a * q2 / d), q2, 1),
-           ((a * q / e, a * q / f, a * q ** (2 * n + 1)), q, 1)]
-    return vwp_sum(_eprefactor(a, 3, q, p), num, den, q, n, p)
-
-
-def _lhs_cubic(pt):
-    """Sum with E(a q^{4k}) prefactor, doubled-index middle factorial and a
-    q^3-base terminating block."""
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = v["a"], v["b"], v["c"], v["d"], v["e"]
-    q, p = nome.q, nome.p
-    q3 = q ** 3
-    num = [((b, c), q, 1), ((d,), q, 2), ((e, q ** (-3 * n)), q3, 1)]
-    den = [((a * q3 / b, a * q3 / c), q3, 1), ((a * q / d,), q, 2),
-           ((a * q / e, a * q ** (3 * n + 1)), q, 1)]
-    return vwp_sum(_eprefactor(a, 4, q, p), num, den, q, n, p)
-
-
-# The families below are shared by several records.  Each factory takes the
-# names of the point's parameters that fill its slots and returns the
-# side.  _lhs_family43 and _lhs_family_half always take "a" as
-# their base point.
-
-def _lhs_mixed32(*slots):
-    """Sum with E(a q^{3k}) prefactor and swapped q^2 / q factorial bases;
-    ``slots`` fill a, b, c, d, e, f."""
-    def lhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        a, b, c, d, e, f = (v[name] for name in slots)
-        q, p = nome.q, nome.p
-        q2 = q * q
-        num = [((b, c, d), q2, 1), ((e, f, q ** (-n)), q, 1)]
-        den = [((a * q / b, a * q / c, a * q / d), q, 1),
-               ((a * q2 / e, a * q2 / f, a * q ** (n + 2)), q2, 1)]
-        return vwp_sum(_eprefactor(a, 3, q, p), num, den, q, n, p)
-
-    return lhs
-
-
-def _lhs_family43(*slots):
-    """E(a q^{4k}) family with single doubled slot and q^3 tail block;
-    ``slots`` fill b1, b2, dslot, eslot."""
-    def lhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        b1, b2, dslot, eslot = (v[name] for name in slots)
-        a = v["a"]
-        q, p = nome.q, nome.p
-        q3 = q ** 3
-        num = [((b1, b2), q3, 1), ((dslot,), q, 2), ((eslot, q ** (-n)), q, 1)]
-        den = [((a * q / b1, a * q / b2), q, 1), ((a * q / dslot,), q, 2),
-               ((a * q3 / eslot, a * q ** (n + 3)), q3, 1)]
-        return vwp_sum(_eprefactor(a, 4, q, p), num, den, q, n, p)
-
-    return lhs
-
-
-def _lhs_family_half(*slots):
-    """E(a q^{4k}) family with doubled terminating factorial, k <= n/2;
-    ``slots`` fill b1, b2, d1, d2."""
-    def lhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        b1, b2, d1, d2 = (v[name] for name in slots)
-        a = v["a"]
-        q, p = nome.q, nome.p
-        q3 = q ** 3
-        num = [((b1, b2), q3, 1), ((q ** (-n),), q, 2), ((d1, d2), q, 1)]
-        den = [((a * q / b1, a * q / b2), q, 1), ((a * q ** (n + 1),), q, 2),
-               ((a * q3 / d1, a * q3 / d2), q3, 1)]
-        return vwp_sum(_eprefactor(a, 4, q, p), num, den, q, n // 2, p)
-
-    return lhs
-
-
-def _gr_prefactor(a, b, q, r, p):
-    ea = _check_degen(eval_E(a, p), "E(a)")
-    eb = _check_degen(eval_E(b, p), "E(b)")
-
-    def pref(k: int):
-        return eval_E(a * (q * r) ** k, p) * \
-            eval_E(b * r ** k * q ** (-k), p) / (ea * eb)
-
-    return pref
 
 
 # --------------------------------------------------------------------------
@@ -216,63 +93,41 @@ def _register(ident: Identity) -> Identity:
     return ident
 
 
-def _pt_unpack(pt: ParamPoint):
-    return pt.values, pt.n, pt.nome
+# Every side below is data (:mod:`ellipsum.series`): monomials over the
+# letters of the row's point and q, in text such as "a^2 q/b c d".  The left
+# sides of a family are written out once per assignment of its slots.
 
+# The closed form (hi, hi/b c, lo/b d, lo/c d) / (hi/b, hi/c, lo/d, lo/b c d)
+# of the eight-term summation and its cubic relatives, at (hi, lo) = (a q,
+# a q), (a q^2, a q) and (a q^3, a q^3): numerators and denominators.
+_EIGHT_AQ = (("a q", "a q/b c", "a q/b d", "a q/c d"), ("a q/b", "a q/c", "a q/d", "a q/b c d"))
+_EIGHT_AQ2_AQ = (("a q^2", "a q^2/b c", "a q/b d", "a q/c d"),
+                 ("a q^2/b", "a q^2/c", "a q/d", "a q/b c d"))
+_EIGHT_AQ3 = (("a q^3", "a q^3/b c", "a q^3/b d", "a q^3/c d"),
+              ("a q^3/b", "a q^3/c", "a q^3/d", "a q^3/b c d"))
 
 # ---- ten-term transformation and Jackson evaluation ----------------------
-
-def _omega_lhs(letters: str):
-    """The terminating omega series with base point a, the parameters named
-    by ``letters`` and q^{-n} as its upper parameters."""
-    def lhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        uppers = (*(v[name] for name in letters), nome.q ** (-n))
-        return omega_sum(v["a"], uppers, nome, n)
-
-    return lhs
-
-
-def _e109_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e, f, g = (v[k] for k in "abcdefg")
-    q = nome.q
-    lam = a * a * q / (b * c * d)
-    pref = _poch_ratio([a * q, a * q / (e * f), lam * q / e, lam * q / f],
-                       [a * q / e, a * q / f, lam * q / (e * f), lam * q],
-                       nome, n)
-    uppers = (lam * b / a, lam * c / a, lam * d / a, e, f, g, q ** (-n))
-    val, wscale = omega_sum(lam, uppers, nome, n)
-    return pref * val, abs(pref) * wscale
-
 
 _register(Identity(
     id="e109",
     description="ten-term very-well-poised transformation with shifted base point",
-    free_params=("a", "b", "c", "d", "e", "f"),
-    termination=(0, 5),
-    lhs=_omega_lhs("bcdefg"),
-    rhs=_e109_rhs,
+    free_params=("a", "b", "c", "d", "e", "f"), termination=(0, 5),
+    lhs=Side(Term(series=Omega("a", ("b", "c", "d", "e", "f", "g", "q^-n"), "q", "n"))),
+    rhs=Side(Term(
+        (Product(("a q", "a q/e f", "a^2 q^2/b c d e", "a^2 q^2/b c d f"),
+                 ("a q/e", "a q/f", "a^2 q^2/b c d e f", "a^2 q^2/b c d"), "q", "n"),),
+        Omega("a^2 q/b c d", ("a q/c d", "a q/b d", "a q/b c", "e", "f", "g", "q^-n"),
+              "q", "n"))),
     solve=lambda v, n, q: {"g": v["a"] ** 3 * q ** (n + 2) /
                            (v["b"] * v["c"] * v["d"] * v["e"] * v["f"])},
 ))
 
-
-def _e87_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
-    q = nome.q
-    val = _eight_term(a * q, a * q, b, c, d, nome, n)
-    return val, abs(val)
-
-
 _register(Identity(
     id="e87",
     description="eight-term very-well-poised summation in closed product form",
-    free_params=("a", "b", "c", "d"),
-    termination=(0, 6),
-    lhs=_omega_lhs("bcde"),
-    rhs=_e87_rhs,
+    free_params=("a", "b", "c", "d"), termination=(0, 6),
+    lhs=Side(Term(series=Omega("a", ("b", "c", "d", "e", "q^-n"), "q", "n"))),
+    rhs=Side(Term((Product(*_EIGHT_AQ, "q", "n"),))),
     solve=lambda v, n, q: {"e": v["a"] ** 2 * q ** (n + 1) /
                            (v["b"] * v["c"] * v["d"])},
 ))
@@ -280,67 +135,37 @@ _register(Identity(
 
 # ---- two-base telescoping sums --------------------------------------------
 
-def _gr_lhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, r = v["a"], v["b"], v["c"], v["d"], v["r"]
-    q, p = nome.q, nome.p
-    num = [((a / c, c / b), q, 1), ((a * b * d, 1.0 / d), r, 1)]
-    den = [((c * r, a * b * r / c), r, 1), ((q / (b * d), a * d * q), q, 1)]
-    return vwp_sum(_gr_prefactor(a, b, q, r, p), num, den, q, n, p)
-
-
-def _gr_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, r = v["a"], v["b"], v["c"], v["d"], v["r"]
-    q = nome.q
-    nr = nome.with_base(r)
-    first = _poch_ratio([c, a * b / c, a * d, b * d], [a, b, c * d, a * b * d / c],
-                        nome, 1)
-    ratio = _poch_ratio([a / c, b * q ** (-n) / c], [b * d * q ** (-n), a * d],
-                        nome, n + 1)
-    ratio *= _poch_ratio([a * b * d, d * r ** (-n)], [r ** (-n) / c, a * b / c],
-                         nr, n + 1)
-    val = first * (1.0 - ratio)
-    return val, abs(first) * max(1.0, float(abs(ratio)))
-
+# E(a (q r)^k) E(b (r/q)^k) / (E(a) E(b))
+_TWO_BASE = (("a", "q r", 1), ("b", "r/q", 1))
+_GR_FIRST = Product(("c", "a b/c", "a d", "b d"), ("a", "b", "c d", "a b d/c"), "q", "1")
 
 _register(Identity(
     id="gr_sum_general",
     description="two-base telescoping sum with free weight parameter",
-    free_params=("a", "b", "c", "d"),
-    termination=(0, 6),
-    lhs=_gr_lhs,
-    rhs=_gr_rhs,
+    free_params=("a", "b", "c", "d"), termination=(0, 6),
+    lhs=Side(Term(series=Series(
+        _TWO_BASE,
+        ((("a/c", "c/b"), "q", 1), (("a b d", "1/d"), "r", 1)),
+        ((("c r", "a b r/c"), "r", 1), (("q/b d", "a d q"), "q", 1))))),
+    # first * (1 - ratio), a sum of two products
+    rhs=Side(Term((_GR_FIRST,)), Term((
+        _GR_FIRST,
+        Product(("a/c", "b q^-n/c"), ("b d q^-n", "a d"), "q", "n+1"),
+        Product(("a b d", "d r^-n"), ("r^-n/c", "a b/c"), "r", "n+1")), sign=-1)),
     solve=lambda v, n, q: {},
     extra_bases=("r",),
 ))
 
-
-def _sum1_lhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, r = v["a"], v["b"], v["c"], v["r"]
-    q, p = nome.q, nome.p
-    num = [((a / c, c / b), q, 1), ((a * b * r ** n, r ** (-n)), r, 1)]
-    den = [((c * r, a * b * r / c), r, 1),
-           ((q * r ** (-n) / b, a * q * r ** n), q, 1)]
-    return vwp_sum(_gr_prefactor(a, b, q, r, p), num, den, q, n, p)
-
-
-def _sum1_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, r = v["a"], v["b"], v["c"], v["r"]
-    val = _poch_ratio([c, a * b / c, a * r ** n, b * r ** n],
-                      [a, b, c * r ** n, a * b * r ** n / c], nome, 1)
-    return val, abs(val)
-
-
 _register(Identity(
     id="sum1",
     description="two-base telescoping sum at the closing weight r^n",
-    free_params=("a", "b", "c"),
-    termination=(0, 6),
-    lhs=_sum1_lhs,
-    rhs=_sum1_rhs,
+    free_params=("a", "b", "c"), termination=(0, 6),
+    lhs=Side(Term(series=Series(
+        _TWO_BASE,
+        ((("a/c", "c/b"), "q", 1), (("a b r^n", "r^-n"), "r", 1)),
+        ((("c r", "a b r/c"), "r", 1), (("q r^-n/b", "a q r^n"), "q", 1))))),
+    rhs=Side(Term((Product(("c", "a b/c", "a r^n", "b r^n"),
+                           ("a", "b", "c r^n", "a b r^n/c"), "q", "1"),))),
     solve=lambda v, n, q: {},
     extra_bases=("r",),
 ))
@@ -348,111 +173,60 @@ _register(Identity(
 
 # ---- stretched-base summation family --------------------------------------
 
-def _make_thmr(r: int) -> Identity:
-    def lhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        a, b, c = v["a"], v["b"], v["c"]
-        q = nome.q
-        nr = nome.with_base(q ** r)
-        uppers = [c, a * b / c]
-        uppers += [b * q ** i for i in range(1, r + 1)]
-        uppers += [a * q ** (n + i) for i in range(r)]
-        uppers.append(q ** (-r * n))
-        return omega_sum(a * b, tuple(uppers), nr, n)
+_THMR_FIRST = Product(("a/c", "c/b"), ("a", "1/b"), "q", "n")
 
-    def rhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        a, b, c = v["a"], v["b"], v["c"]
-        q = nome.q
-        nr = nome.with_base(q ** r)
-        val = _poch_ratio([a / c, c / b], [a, 1.0 / b], nome, n)
-        val *= _poch_ratio([q ** r, a * b * q ** r],
-                           [c * q ** r, a * b * q ** r / c], nr, n)
-        return val, abs(val)
-
-    return Identity(
-        id=f"thmr_r{r}",
-        description=f"stretched-base (step {r}) very-well-poised summation",
-        free_params=("a", "b", "c"),
-        termination=(0, 5 if r <= 2 else (4 if r == 3 else 3)),
-        lhs=lhs,
-        rhs=rhs,
+for _r, _hi in ((1, 5), (2, 5), (3, 4), (4, 3)):
+    _qr = f"q^{_r}"
+    _register(Identity(
+        id=f"thmr_r{_r}",
+        description=f"stretched-base (step {_r}) very-well-poised summation",
+        free_params=("a", "b", "c"), termination=(0, _hi),
+        # uppers c, a b/c, b q^i for i = 1..r, a q^(n+i) for i = 0..r-1, q^-rn
+        lhs=Side(Term(series=Omega("a b", (
+            "c", "a b/c", *(f"b q^{i}" for i in range(1, _r + 1)),
+            *(f"a q^(n+{i})" for i in range(_r)), f"q^-{_r}n"), _qr, "n"))),
+        rhs=Side(Term((_THMR_FIRST,
+                       Product((_qr, f"a b {_qr}"), (f"c {_qr}", f"a b {_qr}/c"), _qr, "n")))),
         solve=lambda v, n, q: {},
-    )
-
-
-for _r in (1, 2, 3, 4):
-    _register(_make_thmr(_r))
+    ))
 
 
 # ---- quadratic transformation and its summation cases ----------------------
 
-def _solve_quad_transform(which: str):
-    def solve(v, n, q):
-        d = v["a"] * q / (v["b"] * v["c"])
-        f = v["a"] ** 2 * q ** (2 * n + 1) / v["e"]
-        g = v["a"] / v["b"] if which == "gab" else v["a"] / v["e"]
-        return {"d": d, "f": f, "g": g}
-
-    return solve
-
-
-def _quad_transform_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e, f, g = (v[k] for k in "abcdefg")
-    q = nome.q
-    q2 = q * q
-    n2 = nome.with_base(q2)
-    pref = _poch_ratio(
-        [a * q2, a * a * q2 / (b * c * e), a * a * q2 / (b * d * e * g),
-         a * g * q2 / (c * d)],
-        [a * a * q2 / (b * e * g), a * g * q2 / c, a * q2 / d,
-         a * a * q2 / (b * c * d * e)],
-        n2, n)
-    uppers = (a / c, g * q2 / c, b * e * g / a, d, f, g, q2 ** (-n))
-    val, wscale = omega_sum(a * g / c, uppers, n2, n)
-    return pref * val, abs(pref) * wscale
+# E(a q^{3k}) prefactor, alternating q / q^2 factorials
+_QUADRATIC = Side(Term(series=Series(
+    (("a", "q", 3),),
+    ((("b", "c", "d"), "q", 1), (("e", "f", "q^-2n"), "q^2", 1)),
+    ((("a q^2/b", "a q^2/c", "a q^2/d"), "q^2", 1), (("a q/e", "a q/f", "a q^(2n+1)"), "q", 1)))))
 
 
 for _which in ("gab", "gae"):
     _register(Identity(
         id=f"etrafo_quadratic_{_which}",
-        description="quadratic transformation into a ten-term series "
-                    f"(gauge {_which[-2:]})",
-        free_params=("a", "b", "c", "e"),
-        termination=(0, 5),
-        lhs=_lhs_quadratic,
-        rhs=_quad_transform_rhs,
-        solve=_solve_quad_transform(_which),
+        description=f"quadratic transformation into a ten-term series (gauge {_which[-2:]})",
+        free_params=("a", "b", "c", "e"), termination=(0, 5),
+        lhs=_QUADRATIC,
+        rhs=Side(Term(
+            (Product(("a q^2", "a^2 q^2/b c e", "a^2 q^2/b d e g", "a g q^2/c d"),
+                     ("a^2 q^2/b e g", "a g q^2/c", "a q^2/d", "a^2 q^2/b c d e"), "q^2", "n"),),
+            Omega("a g/c", ("a/c", "g q^2/c", "b e g/a", "d", "f", "g", "q^-2n"), "q^2", "n"))),
+        # the gauge parameter g is a/b or a/e
+        solve=lambda v, n, q, by=_which[-1]: {
+            "d": v["a"] * q / (v["b"] * v["c"]), "f": v["a"] ** 2 * q ** (2 * n + 1) / v["e"],
+            "g": v["a"] / v[by]},
     ))
 
-
-def _coalesced_rhs(step: int):
-    """Closed form of the summations left when two parameters of the
-    quadratic (step 2) or cubic (step 3) transformation coalesce."""
-    def rhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        a, b, c, d, e = (v[k] for k in "abcde")
-        qs = nome.q ** step
-        ns = nome.with_base(qs)
-        val = _poch_ratio(
-            [a * qs, a * a * qs / (b * c * e), a * a * qs / (b * d * e),
-             a * qs / (c * d)],
-            [a * a * qs / (b * e), a * qs / c, a * qs / d,
-             a * a * qs / (b * c * d * e)],
-            ns, n)
-        return val, abs(val)
-
-    return rhs
-
+# the closed form of the summations left when two parameters coalesce
+_COALESCED_Q2 = Side(Term((Product(
+    ("a q^2", "a^2 q^2/b c e", "a^2 q^2/b d e", "a q^2/c d"),
+    ("a^2 q^2/b e", "a q^2/c", "a q^2/d", "a^2 q^2/b c d e"), "q^2", "n"),)))
 
 _register(Identity(
     id="cor1_ba",
     description="quadratic summation, first-parameter coalescence",
-    free_params=("a", "c", "e"),
-    termination=(0, 6),
-    lhs=_lhs_quadratic,
-    rhs=_coalesced_rhs(2),
+    free_params=("a", "c", "e"), termination=(0, 6),
+    lhs=_QUADRATIC,
+    rhs=_COALESCED_Q2,
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
                            "f": v["a"] ** 2 * q ** (2 * n + 1) / v["e"]},
 ))
@@ -460,16 +234,23 @@ _register(Identity(
 _register(Identity(
     id="cor1_ea",
     description="quadratic summation, middle-parameter coalescence",
-    free_params=("a", "b", "c"),
-    termination=(0, 6),
-    lhs=_lhs_quadratic,
-    rhs=_coalesced_rhs(2),
+    free_params=("a", "b", "c"), termination=(0, 6),
+    lhs=_QUADRATIC,
+    rhs=_COALESCED_Q2,
     solve=lambda v, n, q: {"d": v["a"] * q / (v["b"] * v["c"]), "e": v["a"],
                            "f": v["a"] * q ** (2 * n + 1)},
 ))
 
 
 # ---- cubic transformation and its summation cases ---------------------------
+
+# E(a q^{4k}) prefactor, a doubled-index middle factorial and a q^3-base block
+_CUBIC = Side(Term(series=Series(
+    (("a", "q", 4),),
+    ((("b", "c"), "q", 1), (("d",), "q", 2), (("e", "q^-3n"), "q^3", 1)),
+    ((("a q^3/b", "a q^3/c"), "q^3", 1), (("a q/d",), "q", 2),
+     (("a q/e", "a q^(3n+1)"), "q", 1)))))
+
 
 def _solve_cubic_transform(which: str):
     def solve(v, n, q):
@@ -481,43 +262,29 @@ def _solve_cubic_transform(which: str):
     return solve
 
 
-def _cubic_transform_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e, f = (v[k] for k in "abcdef")
-    q = nome.q
-    q3 = q ** 3
-    n3 = nome.with_base(q3)
-    pref = _poch_ratio(
-        [a * q3, a * a * q3 / (b * c * e), a * a * q3 / (b * d * e * f),
-         a * f * q3 / (c * d)],
-        [a * a * q3 / (b * e * f), a * q3 * f / c, a * q3 / d,
-         a * a * q3 / (b * c * d * e)],
-        n3, n)
-    uppers = (a / c, f * q3 / c, b * e * f / a, d, d * q, f, q3 ** (-n))
-    val, wscale = omega_sum(a * f / c, uppers, n3, n)
-    return pref * val, abs(pref) * wscale
-
-
 for _which in ("fab", "fae"):
     _register(Identity(
         id=f"etrafo2_cubic_{_which}",
-        description="cubic transformation into a ten-term series "
-                    f"(gauge {_which[-2:]})",
-        free_params=("a", "b", "c"),
-        termination=(0, 5),
-        lhs=_lhs_cubic,
-        rhs=_cubic_transform_rhs,
+        description=f"cubic transformation into a ten-term series (gauge {_which[-2:]})",
+        free_params=("a", "b", "c"), termination=(0, 5),
+        lhs=_CUBIC,
+        rhs=Side(Term(
+            (Product(("a q^3", "a^2 q^3/b c e", "a^2 q^3/b d e f", "a f q^3/c d"),
+                     ("a^2 q^3/b e f", "a f q^3/c", "a q^3/d", "a^2 q^3/b c d e"), "q^3", "n"),),
+            Omega("a f/c", ("a/c", "f q^3/c", "b e f/a", "d", "d q", "f", "q^-3n"), "q^3", "n"))),
         solve=_solve_cubic_transform(_which),
     ))
 
+_COALESCED_Q3 = Side(Term((Product(
+    ("a q^3", "a^2 q^3/b c e", "a^2 q^3/b d e", "a q^3/c d"),
+    ("a^2 q^3/b e", "a q^3/c", "a q^3/d", "a^2 q^3/b c d e"), "q^3", "n"),)))
 
 _register(Identity(
     id="cor_cubic_ba",
     description="cubic summation, first-parameter coalescence",
-    free_params=("a", "c"),
-    termination=(0, 5),
-    lhs=_lhs_cubic,
-    rhs=_coalesced_rhs(3),
+    free_params=("a", "c"), termination=(0, 5),
+    lhs=_CUBIC,
+    rhs=_COALESCED_Q3,
     solve=lambda v, n, q: {"b": v["a"], "d": q / v["c"],
                            "e": v["a"] ** 2 * q ** (3 * n + 1) * v["c"] / q},
 ))
@@ -525,33 +292,20 @@ _register(Identity(
 _register(Identity(
     id="cor_cubic_ea",
     description="cubic summation, tail-parameter coalescence",
-    free_params=("a", "b"),
-    termination=(0, 3),
-    lhs=_lhs_cubic,
-    rhs=_coalesced_rhs(3),
+    free_params=("a", "b"), termination=(0, 3),
+    lhs=_CUBIC,
+    rhs=_COALESCED_Q3,
     solve=lambda v, n, q: {"c": q ** (-3 * n) / v["b"],
                            "d": v["a"] * q ** (3 * n + 1), "e": v["a"]},
 ))
 
-
-def _cor_cubic_da_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c = v["a"], v["b"], v["c"]
-    q = nome.q
-    q3 = q ** 3
-    n3 = nome.with_base(q3)
-    val = _poch_ratio([a * q * q, a * q3, b * q, c * q],
-                      [q, q * q, a * q3 / b, a * q3 / c], n3, n)
-    return val, abs(val)
-
-
 _register(Identity(
     id="cor_cubic_da",
     description="cubic summation with doubled-index slot pinned to the base point",
-    free_params=("a", "b"),
-    termination=(0, 5),
-    lhs=_lhs_cubic,
-    rhs=_cor_cubic_da_rhs,
+    free_params=("a", "b"), termination=(0, 5),
+    lhs=_CUBIC,
+    rhs=Side(Term((Product(("a q^2", "a q^3", "b q", "c q"),
+                           ("q", "q^2", "a q^3/b", "a q^3/c"), "q^3", "n"),))),
     solve=lambda v, n, q: {"c": q / v["b"], "d": v["a"],
                            "e": v["a"] * q ** (3 * n + 1)},
 ))
@@ -559,68 +313,41 @@ _register(Identity(
 
 # ---- mixed-base transformations -------------------------------------------
 
-def _etrafo3_prefactor(v, n, nome):
-    a, b, c = v["a"], v["b"], v["c"]
-    q = nome.q
-    n2 = nome.with_base(q * q)
-    val = _poch_ratio([a * q, a * q / (b * c)], [a * q / b, a * q / c],
-                      nome, n)
-    val *= _poch_ratio([a * q ** (1 - n) / b, a * q ** (1 - n) / c],
-                       [a * q ** (1 - n), a * q ** (1 - n) / (b * c)],
-                       n2, n)
-    return val
-
-
-def _etrafo3_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e, f = (v[k] for k in "abcdef")
-    q = nome.q
-    n2 = nome.with_base(q * q)
-    pref = _etrafo3_prefactor(v, n, nome)
-    uppers = (b, c, d, a / e, a / f, q ** (1 - n), q ** (-n))
-    val, wscale = omega_sum(a * a / (e * f), uppers, n2, n // 2)
-    return pref * val, abs(pref) * wscale
-
+# E(a q^{3k}) prefactor with swapped q^2 / q factorial bases
+_MIXED32 = Side(Term(series=Series(
+    (("a", "q", 3),),
+    ((("b", "c", "d"), "q^2", 1), (("e", "f", "q^-n"), "q", 1)),
+    ((("a q/b", "a q/c", "a q/d"), "q", 1), (("a q^2/e", "a q^2/f", "a q^(n+2)"), "q^2", 1)))))
+_ETRAFO3_PREFACTOR = (
+    Product(("a q", "a q/b c"), ("a q/b", "a q/c"), "q", "n"),
+    Product(("a q^(1-n)/b", "a q^(1-n)/c"), ("a q^(1-n)", "a q^(1-n)/b c"), "q^2", "n"))
 
 _register(Identity(
     id="etrafo3",
     description="quadratic-base transformation with halved inner series",
-    free_params=("a", "b", "c", "e"),
-    termination=(0, 8),
-    lhs=_lhs_mixed32("a", "b", "c", "d", "e", "f"),
-    rhs=_etrafo3_rhs,
+    free_params=("a", "b", "c", "e"), termination=(0, 8),
+    lhs=_MIXED32,
+    rhs=Side(Term(_ETRAFO3_PREFACTOR, Omega(
+        "a^2/e f", ("b", "c", "d", "a/e", "a/f", "q^(1-n)", "q^-n"), "q^2", "n//2"))),
     solve=lambda v, n, q: {"d": v["a"] ** 2 * q / (v["b"] * v["c"]),
                            "f": v["a"] * q ** (n + 1) / v["e"]},
 ))
 
-
-def _etrafo4_prefactor(v, n, nome):
-    a, b = v["a"], v["b"]
-    q = nome.q
-    n3 = nome.with_base(q ** 3)
-    val = _poch_ratio([a * q], [a * q / b], nome, n)
-    val *= _poch_ratio([a * q ** (2 - n) / b], [a * q ** (2 - n)], n3, n)
-    return val
-
-
-def _etrafo4_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d, e = (v[k] for k in "abcde")
-    q = nome.q
-    n3 = nome.with_base(q ** 3)
-    pref = _etrafo4_prefactor(v, n, nome)
-    uppers = (b, c, a / d, a / e, q ** (2 - n), q ** (1 - n), q ** (-n))
-    val, wscale = omega_sum(a * a / (d * e), uppers, n3, n // 3)
-    return pref * val, abs(pref) * wscale
-
+_ETRAFO4_PREFACTOR = (Product(("a q",), ("a q/b",), "q", "n"),
+                      Product(("a q^(2-n)/b",), ("a q^(2-n)",), "q^3", "n"))
 
 _register(Identity(
     id="etrafo4",
     description="cubic-base transformation over the half-range sum",
-    free_params=("a", "b", "d"),
-    termination=(0, 8),
-    lhs=_lhs_family_half("b", "c", "d", "e"),
-    rhs=_etrafo4_rhs,
+    free_params=("a", "b", "d"), termination=(0, 8),
+    # E(a q^{4k}) prefactor with a doubled terminating factorial, k <= n/2
+    lhs=Side(Term(series=Series(
+        (("a", "q", 4),),
+        ((("b", "c"), "q^3", 1), (("q^-n",), "q", 2), (("d", "e"), "q", 1)),
+        ((("a q/b", "a q/c"), "q", 1), (("a q^(n+1)",), "q", 2),
+         (("a q^3/d", "a q^3/e"), "q^3", 1)), "q", "n//2"))),
+    rhs=Side(Term(_ETRAFO4_PREFACTOR, Omega(
+        "a^2/d e", ("b", "c", "a/d", "a/e", "q^(2-n)", "q^(1-n)", "q^-n"), "q^3", "n//3"))),
     solve=lambda v, n, q: {"c": v["a"] ** 2 * q ** (n + 1) / v["b"],
                            "e": v["a"] * q ** (n + 1) / v["d"]},
 ))
@@ -632,35 +359,34 @@ def _etrafo5_solve(v, n, q):
     return {"c": c, "e": e}
 
 
-def _etrafo5_rhs(which: int):
-    """Right side of residue branch 0, 1 or 2: an eight-term prefactor times
-    an omega series in base q^3 over k <= n/3."""
-    def rhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        a, b, c, d, e = (v[k] for k in "abcde")
-        q = nome.q
-        n3 = nome.with_base(q ** 3)
-        s = _sigma3(n)
-        m = (n + s) // 3
-        hi = a * q ** (3 - s)
-        if which == 0:
-            pref = _eight_term(hi, hi, b, c, d, n3, m)
-            uppers = (a / (d * q), a / e, b, c, d, q ** (1 - n), q ** (-n))
-            base_point = a * a / (d * e * q)
-        elif which == 1:
-            pref = _eight_term(hi, a * q ** (2 - s), b, c, d, n3, m)
-            uppers = (a / d, a / e, b, c, d * q, q ** (2 - n), q ** (-n))
-            base_point = a * a / (d * e)
-        else:
-            pref = _eight_term(a * q ** s, a * q, b, c, d, nome, 1)
-            pref *= _eight_term(hi, a * q ** (1 - s), b, c, d, n3, m)
-            uppers = (a * q / d, a / e, b, c, d * q * q, q ** (2 - n), q ** (1 - n))
-            base_point = a * a * q / (d * e)
-        val, wscale = omega_sum(base_point, uppers, n3, n // 3)
-        return pref * val, abs(pref) * wscale
+# E(a q^{4k}) prefactor with one doubled slot and a q^3 tail block
+_FAMILY43 = Side(Term(series=Series(
+    (("a", "q", 4),),
+    ((("b", "c"), "q^3", 1), (("d",), "q", 2), (("e", "q^-n"), "q", 1)),
+    ((("a q/b", "a q/c"), "q", 1), (("a q/d",), "q", 2), (("a q^3/e", "a q^(n+3)"), "q^3", 1)))))
 
-    return rhs
-
+# Residue branch 0, 1 or 2 of the cubic-base transformation: with n = 3m - s,
+# s in 0..2, an eight-term prefactor of length m times an omega series in
+# base q^3 over k <= n/3; the prefactor depends on s, so one term per residue.
+_ETRAFO5_OMEGA = (
+    Omega("a^2/d e q", ("a/d q", "a/e", "b", "c", "d", "q^(1-n)", "q^-n"), "q^3", "n//3"),
+    Omega("a^2/d e", ("a/d", "a/e", "b", "c", "d q", "q^(2-n)", "q^-n"), "q^3", "n//3"),
+    Omega("a^2 q/d e", ("a q/d", "a/e", "b", "c", "d q^2", "q^(2-n)", "q^(1-n)"), "q^3", "n//3"))
+_ETRAFO5_RHS = (
+    Side(Term((Product(*_EIGHT_AQ3, "q^3", "n//3"),), _ETRAFO5_OMEGA[0], when=(3, 0)),
+         Term((Product(*_EIGHT_AQ, "q^3", "(n+2)//3"),), _ETRAFO5_OMEGA[0], when=(3, 1))),
+    Side(Term((Product(("a q^3", "a q^3/b c", "a q^2/b d", "a q^2/c d"),
+                       ("a q^3/b", "a q^3/c", "a q^2/d", "a q^2/b c d"), "q^3", "n//3"),),
+              _ETRAFO5_OMEGA[1], when=(3, 0)),
+         Term((Product(*_EIGHT_AQ2_AQ, "q^3", "(n+1)//3"),), _ETRAFO5_OMEGA[1], when=(3, 2))),
+    Side(Term((Product(*_EIGHT_AQ2_AQ, "q", "1"),
+               Product(("a q", "a q/b c", "a/b d q", "a/c d q"),
+                       ("a q/b", "a q/c", "a/d q", "a/b c d q"), "q^3", "(n+2)//3")),
+              _ETRAFO5_OMEGA[2], when=(3, 1)),
+         Term((Product(*_EIGHT_AQ, "q", "1"),
+               Product(("a q^2", "a q^2/b c", "a/b d", "a/c d"),
+                       ("a q^2/b", "a q^2/c", "a/d", "a/b c d"), "q^3", "(n+1)//3")),
+              _ETRAFO5_OMEGA[2], when=(3, 2))))
 
 for _sigma, _pred in ((0, lambda n: n % 3 != 2),
                       (1, lambda n: n % 3 != 1),
@@ -668,10 +394,9 @@ for _sigma, _pred in ((0, lambda n: n % 3 != 2),
     _register(Identity(
         id=f"etrafo5_b{_sigma}",
         description=f"cubic-base transformation, residue branch {_sigma}",
-        free_params=("a", "b", "d"),
-        termination=(0, 8),
-        lhs=_lhs_family43("b", "c", "d", "e"),
-        rhs=_etrafo5_rhs(_sigma),
+        free_params=("a", "b", "d"), termination=(0, 8),
+        lhs=_FAMILY43,
+        rhs=_ETRAFO5_RHS[_sigma],
         solve=_etrafo5_solve,
         branch=_pred,
     ))
@@ -679,246 +404,139 @@ for _sigma, _pred in ((0, lambda n: n % 3 != 2),
 
 # ---- summation corollaries of the mixed-base transformations ----------------
 
-def _prefactor_rhs(prefactor):
-    """A summation's closed form where it pins a transformation's inner series
-    to its k = 0 term, 1: the transformation's prefactor alone."""
-    def rhs(pt):
-        v, n, nome = _pt_unpack(pt)
-        val = prefactor(v, n, nome)
-        return val, abs(val)
-
-    return rhs
-
-
+# Where a summation pins a transformation's inner series to its k = 0 term,
+# 1, its closed form is the transformation's prefactor alone.
 _register(Identity(
     id="cor_etrafo3_fa",
     description="quadratic-base summation from pinning the inner series",
-    free_params=("a", "b", "c"),
-    termination=(0, 8),
-    lhs=_lhs_mixed32("a", "b", "c", "d", "e", "f"),
-    rhs=_prefactor_rhs(_etrafo3_prefactor),
+    free_params=("a", "b", "c"), termination=(0, 8),
+    lhs=_MIXED32,
+    rhs=Side(Term(_ETRAFO3_PREFACTOR)),
     solve=lambda v, n, q: {"d": v["a"] ** 2 * q / (v["b"] * v["c"]),
                            "e": q ** (n + 1), "f": v["a"]},
 ))
 
-
-def _egs_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    if n % 2 == 1:
-        return 0.0, 0.0
-    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
-    q2 = nome.q ** 2
-    n2 = nome.with_base(q2)
-    val = _eight_term(a * q2, a * q2, b, c, d, n2, n // 2)
-    return val, abs(val)
-
-
 _register(Identity(
     id="egs",
     description="quadratic-base summation vanishing at odd order",
-    free_params=("a", "b", "d"),
-    termination=(0, 9),
+    free_params=("a", "b", "d"), termination=(0, 9),
     # the base point itself fills the first quadratic-base slot
-    lhs=_lhs_mixed32("a", "a", "b", "c", "d", "e"),
-    rhs=_egs_rhs,
+    lhs=Side(Term(series=Series(
+        (("a", "q", 3),),
+        ((("a", "b", "c"), "q^2", 1), (("d", "e", "q^-n"), "q", 1)),
+        ((("q", "a q/b", "a q/c"), "q", 1), (("a q^2/d", "a q^2/e", "a q^(n+2)"), "q^2", 1))))),
+    rhs=Side(Term((Product(("a q^2", "a q^2/b c", "a q^2/b d", "a q^2/c d"),
+                           ("a q^2/b", "a q^2/c", "a q^2/d", "a q^2/b c d"), "q^2", "n//2"),),
+                  when=(2, 0))),
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"],
                            "e": v["a"] * q ** (n + 1) / v["d"]},
 ))
 
-
 _register(Identity(
     id="cor_etrafo4_ea",
     description="half-range cubic-base summation, tail coalescence",
-    free_params=("a", "b"),
-    termination=(0, 8),
-    lhs=_lhs_family_half("b", "c", "a", "d"),
-    rhs=_prefactor_rhs(_etrafo4_prefactor),
+    free_params=("a", "b"), termination=(0, 8),
+    lhs=Side(Term(series=Series(
+        (("a", "q", 4),),
+        ((("b", "c"), "q^3", 1), (("q^-n",), "q", 2), (("a", "d"), "q", 1)),
+        ((("a q/b", "a q/c"), "q", 1), (("a q^(n+1)",), "q", 2), (("q^3", "a q^3/d"), "q^3", 1)),
+        "q", "n//2"))),
+    rhs=Side(Term(_ETRAFO4_PREFACTOR)),
     solve=lambda v, n, q: {"c": v["a"] ** 2 * q ** (n + 1) / v["b"],
                            "d": q ** (n + 1)},
 ))
 
-
-def _c2_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    if n % 3 == 2:
-        return 0.0, 0.0
-    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
-    q3 = nome.q ** 3
-    n3 = nome.with_base(q3)
-    val = _poch_ratio(
-        [a * q3, a * q3 / (b * c), a * q3 / (b * d)],
-        [a * q3 / c, a * q3 / d, a * q3 / (b * c * d)], n3, n // 3)
-    return val, abs(val)
-
-
 _register(Identity(
     id="c2",
     description="half-range cubic-base summation vanishing on one residue class",
-    free_params=("a", "c"),
-    termination=(0, 8),
-    lhs=_lhs_family_half("a", "b", "c", "d"),
-    rhs=_c2_rhs,
+    free_params=("a", "c"), termination=(0, 8),
+    lhs=Side(Term(series=Series(
+        (("a", "q", 4),),
+        ((("a", "b"), "q^3", 1), (("q^-n",), "q", 2), (("c", "d"), "q", 1)),
+        ((("q", "a q/b"), "q", 1), (("a q^(n+1)",), "q", 2), (("a q^3/c", "a q^3/d"), "q^3", 1)),
+        "q", "n//2"))),
+    rhs=Side(Term((Product(("a q^3", "a q^3/b c", "a q^3/b d"),
+                           ("a q^3/c", "a q^3/d", "a q^3/b c d"), "q^3", "n//3"),),
+                  when=(3, 0, 1))),
     solve=lambda v, n, q: {"b": v["a"] * q ** (n + 1),
                            "d": v["a"] * q ** (n + 1) / v["c"]},
 ))
 
-
-def _cor_etrafo5_ea_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b, c, d = v["a"], v["b"], v["c"], v["d"]
-    q = nome.q
-    q3 = q ** 3
-    n3 = nome.with_base(q3)
-    if n % 3 == 0:
-        hi, lo, m = a * q3, a * q3, n // 3
-    elif n % 3 == 1:
-        hi, lo, m = a * q, a * q, (n + 2) // 3
-    else:
-        hi, lo, m = a * q * q, a * q, (n + 1) // 3
-    val = _eight_term(hi, lo, b, c, d, n3, m)
-    return val, abs(val)
-
-
 _register(Identity(
     id="cor_etrafo5_ea",
     description="cubic-base summation with residue-split closed forms",
-    free_params=("a", "b"),
-    termination=(0, 6),
-    lhs=_lhs_family43("b", "c", "d", "a"),
-    rhs=_cor_etrafo5_ea_rhs,
+    free_params=("a", "b"), termination=(0, 6),
+    lhs=Side(Term(series=Series(
+        (("a", "q", 4),),
+        ((("b", "c"), "q^3", 1), (("d",), "q", 2), (("a", "q^-n"), "q", 1)),
+        ((("a q/b", "a q/c"), "q", 1), (("a q/d",), "q", 2), (("q^3", "a q^(n+3)"), "q^3", 1))))),
+    rhs=Side(Term((Product(*_EIGHT_AQ3, "q^3", "n//3"),), when=(3, 0)),
+             Term((Product(*_EIGHT_AQ, "q^3", "(n+2)//3"),), when=(3, 1)),
+             Term((Product(*_EIGHT_AQ2_AQ, "q^3", "(n+1)//3"),), when=(3, 2))),
     solve=lambda v, n, q: {"d": q ** (n + 1),
                            "c": v["a"] ** 2 * q ** (-n) / v["b"]},
 ))
 
-
-def _cor_chu_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    if n % 3 != 0:
-        return 0.0, 0.0
-    a, b = v["a"], v["b"]
-    q = nome.q
-    q3 = q ** 3
-    n3 = nome.with_base(q3)
-    val = _poch_ratio([q, q * q, a * q3, b * b / a],
-                      [b * q, b * q * q, b / a, a * q3 / b], n3, n // 3)
-    return val, abs(val)
-
-
 _register(Identity(
     id="cor_chu",
     description="cubic-base summation vanishing off one residue class",
-    free_params=("a", "b"),
-    termination=(0, 9),
-    lhs=_lhs_family43("a", "b", "c", "d"),
-    rhs=_cor_chu_rhs,
+    free_params=("a", "b"), termination=(0, 9),
+    lhs=Side(Term(series=Series(
+        (("a", "q", 4),),
+        ((("a", "b"), "q^3", 1), (("c",), "q", 2), (("d", "q^-n"), "q", 1)),
+        ((("q", "a q/b"), "q", 1), (("a q/c",), "q", 2), (("a q^3/d", "a q^(n+3)"), "q^3", 1))))),
+    rhs=Side(Term((Product(("q", "q^2", "a q^3", "b^2/a"),
+                           ("b q", "b q^2", "b/a", "a q^3/b"), "q^3", "n//3"),),
+                  when=(3, 0))),
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"], "d": v["b"] * q ** n},
 ))
-
-
-def _cor_etrafo5_da_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    if n % 3 == 1:
-        return 0.0, 0.0
-    a, b, c = v["a"], v["b"], v["c"]
-    q = nome.q
-    q3 = q ** 3
-    n3 = nome.with_base(q3)
-    if n % 3 == 0:
-        val = _poch_ratio([a * q3, q * q / b, q * q / c],
-                          [q * q / (b * c), a * q3 / b, a * q3 / c],
-                          n3, n // 3)
-    else:
-        val = _poch_ratio([a * q * q, q / b, q / c],
-                          [q / (b * c), a * q * q / b, a * q * q / c],
-                          n3, (n + 2) // 3)
-    return val, abs(val)
-
 
 _register(Identity(
     id="cor_etrafo5_da",
     description="cubic-base summation with doubled slot at the base point",
-    free_params=("a", "b"),
-    termination=(0, 8),
-    lhs=_lhs_family43("b", "c", "a", "d"),
-    rhs=_cor_etrafo5_da_rhs,
+    free_params=("a", "b"), termination=(0, 8),
+    lhs=Side(Term(series=Series(
+        (("a", "q", 4),),
+        ((("b", "c"), "q^3", 1), (("a",), "q", 2), (("d", "q^-n"), "q", 1)),
+        ((("a q/b", "a q/c"), "q", 1), (("q",), "q", 2), (("a q^3/d", "a q^(n+3)"), "q^3", 1))))),
+    rhs=Side(Term((Product(("a q^3", "q^2/b", "q^2/c"),
+                           ("q^2/b c", "a q^3/b", "a q^3/c"), "q^3", "n//3"),), when=(3, 0)),
+             Term((Product(("a q^2", "q/b", "q/c"),
+                           ("q/b c", "a q^2/b", "a q^2/c"), "q^3", "(n+2)//3"),), when=(3, 2))),
     solve=lambda v, n, q: {"c": v["a"] * q / v["b"], "d": q ** (n + 1)},
 ))
 
 
 # ---- quartic results --------------------------------------------------------
 
-def _quartic_trafo_lhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b = v["a"], v["b"]
-    q, p = nome.q, nome.p
-    q2, q3, q4 = q * q, q ** 3, q ** 4
-    num = [((b * b / (a * q2),), q, 1),
-           ((a * q / b, a * q2 / b, a * q3 / b), q2, 1),
-           ((a * b * q ** (4 * n), q ** (-4 * n)), q4, 1)]
-    den = [((a * a * q ** 6 / (b * b),), q4, 1),
-           ((b, b * q, b * q2), q3, 1),
-           ((q ** (1 - 4 * n) / b, a * q ** (4 * n + 1)), q, 1)]
-    return vwp_sum(_eprefactor(a, 5, q, p), num, den, q, n, p)
-
-
-def _quartic_trafo_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a, b = v["a"], v["b"]
-    q = nome.q
-    q2, q4 = q * q, q ** 4
-    n4 = nome.with_base(q4)
-    pref = _poch_ratio([a * q], [b], nome, 4 * n)
-    pref *= _poch_ratio([q4, b ** 3 / (a * q2)],
-                        [a * b, a * a * q ** 6 / (b * b)], n4, n)
-    uppers = (a * a * q2 / (b * b), b, b / q, b / q2, b / q ** 3)
-    val, wscale = omega_sum(a * b / q4, uppers, n4, n)
-    return pref * val, abs(pref) * wscale
-
-
 _register(Identity(
     id="quartic_trafo",
     description="quartic-step transformation between two-parameter sums",
-    free_params=("a", "b"),
-    termination=(0, 3),
-    lhs=_quartic_trafo_lhs,
-    rhs=_quartic_trafo_rhs,
+    free_params=("a", "b"), termination=(0, 3),
+    lhs=Side(Term(series=Series(
+        (("a", "q", 5),),
+        ((("b^2/a q^2",), "q", 1), (("a q/b", "a q^2/b", "a q^3/b"), "q^2", 1),
+         (("a b q^4n", "q^-4n"), "q^4", 1)),
+        ((("a^2 q^6/b^2",), "q^4", 1), (("b", "b q", "b q^2"), "q^3", 1),
+         (("q^(1-4n)/b", "a q^(4n+1)"), "q", 1))))),
+    rhs=Side(Term(
+        (Product(("a q",), ("b",), "q", "4n"),
+         Product(("q^4", "b^3/a q^2"), ("a b", "a^2 q^6/b^2"), "q^4", "n")),
+        Omega("a b/q^4", ("a^2 q^2/b^2", "b", "b/q", "b/q^2", "b/q^3"), "q^4", "n"))),
     solve=lambda v, n, q: {},
 ))
-
-
-def _quartic_sum_lhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    a = v["a"]
-    q, p = nome.q, nome.p
-    q2, q3, q4 = q * q, q ** 3, q ** 4
-    num = [((a * a,), q4, 1), ((a, a * q, a * q2), q3, 1),
-           ((a * q ** (n + 1), q ** (-n)), q, 1)]
-    den = [((q,), q, 1), ((a, a * q, a * q2), q2, 1),
-           ((a * q ** (3 - n), a * a * q ** (n + 4)), q4, 1)]
-    return vwp_sum(_eprefactor(a * a, 5, q, p), num, den, q, n, p)
-
-
-def _quartic_sum_rhs(pt):
-    v, n, nome = _pt_unpack(pt)
-    if n % 4 != 0:
-        return 0.0, 0.0
-    a = v["a"]
-    q = nome.q
-    q4 = q ** 4
-    n4 = nome.with_base(q4)
-    val = _poch_ratio([q, q * q, q ** 3, a * a * q4],
-                      [a * q * q, a * q ** 3, a * q4, q / a],
-                      n4, n // 4)
-    return val, abs(val)
-
 
 _register(Identity(
     id="quartic_sum",
     description="quartic-step summation vanishing off one residue class",
-    free_params=("a",),
-    termination=(0, 8),
-    lhs=_quartic_sum_lhs,
-    rhs=_quartic_sum_rhs,
+    free_params=("a",), termination=(0, 8),
+    lhs=Side(Term(series=Series(
+        (("a^2", "q", 5),),
+        ((("a^2",), "q^4", 1), (("a", "a q", "a q^2"), "q^3", 1), (("a q^(n+1)", "q^-n"), "q", 1)),
+        ((("q",), "q", 1), (("a", "a q", "a q^2"), "q^2", 1),
+         (("a q^(3-n)", "a^2 q^(n+4)"), "q^4", 1))))),
+    rhs=Side(Term((Product(("q", "q^2", "q^3", "a^2 q^4"),
+                           ("a q^2", "a q^3", "a q^4", "q/a"), "q^4", "n//4"),), when=(4, 0))),
     solve=lambda v, n, q: {},
 ))
 
@@ -961,7 +579,7 @@ def _draw_point(ident: Identity, rng: PhiloxStream,
     for name in ident.extra_bases:
         values[name] = _draw_complex(rng, region.q_mod)
     for name in ident.free_params:
-        values[name] = _draw_complex(rng, region.param_mod)
+        values[name] = _draw_complex(rng, PARAM_MOD)
     lo, hi = ident.termination
     allowed = [m for m in range(lo, hi + 1)
                if ident.branch is None or ident.branch(m)]

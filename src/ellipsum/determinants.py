@@ -31,7 +31,7 @@ from .kernel import (
     pochhammer_frac,
     theta1,
 )
-from .sampling import TINY, _draw_complex, _uniform_pair
+from .sampling import PARAM_MOD, TINY, _draw_complex, _uniform_pair
 from .suites import Check, _rel
 
 # Trials whose condition estimate exceeds this are resampled, not failed.
@@ -338,17 +338,17 @@ def _lu_factorization(x, y, nome, n):
 def _draw_factorial_ratio(rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     n = rng.integers(1, 6)
-    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-    a, b, c = (_draw_complex(rng, region.param_mod) for _ in range(3))
+    xs = [_draw_complex(rng, PARAM_MOD) for _ in range(n)]
+    a, b, c = (_draw_complex(rng, PARAM_MOD) for _ in range(3))
     return xs, a, b, c, Nome(q, p)
 
 
 def _draw_periodic_family(rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     n = rng.integers(1, 6)
-    xs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-    avs = [_draw_complex(rng, region.param_mod) for _ in range(n)]
-    b, c = (_draw_complex(rng, region.param_mod) for _ in range(2))
+    xs = [_draw_complex(rng, PARAM_MOD) for _ in range(n)]
+    avs = [_draw_complex(rng, PARAM_MOD) for _ in range(n)]
+    b, c = (_draw_complex(rng, PARAM_MOD) for _ in range(2))
     return xs, avs, b, c, Nome(q, p)
 
 

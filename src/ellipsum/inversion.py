@@ -28,7 +28,7 @@ from .kernel import (
     eval_E,
     pochhammer_e,
 )
-from .sampling import CONDITION_LIMIT, _draw_complex
+from .sampling import CONDITION_LIMIT, PARAM_MOD, _draw_complex
 from .series import _summed, omega_sum
 from .suites import Check, _rel, _sides_rel
 
@@ -305,13 +305,13 @@ ORTHOGONALITY_N_MAX = 8
 
 def _draw_esum(rng, region):
     p = _draw_complex(rng, region.p_mod)
-    return tuple(_draw_complex(rng, region.param_mod) for _ in range(4)) + (p,)
+    return tuple(_draw_complex(rng, PARAM_MOD) for _ in range(4)) + (p,)
 
 
 def _draw_macdonald(rng, region):
     p = _draw_complex(rng, region.p_mod)
     n = rng.integers(0, 7)
-    seqs = [[_draw_complex(rng, region.param_mod) for _ in range(n + 1)]
+    seqs = [[_draw_complex(rng, PARAM_MOD) for _ in range(n + 1)]
             for _ in range(4)]
     return (*seqs, p)
 
@@ -321,16 +321,16 @@ def _draw_pair(pair_type, r, rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     if r is None:
         r = _draw_complex(rng, region.q_mod)
-    a = _draw_complex(rng, region.param_mod)
-    b = _draw_complex(rng, region.param_mod)
+    a = _draw_complex(rng, PARAM_MOD)
+    b = _draw_complex(rng, PARAM_MOD)
     return (pair_type(a, b, r, Nome(q, p)),)
 
 
 def _draw_krattenthaler(rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
-    a = _draw_complex(rng, region.param_mod)
-    bs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
-    cs = [_draw_complex(rng, region.param_mod) for _ in range(ORTHOGONALITY_N_MAX + 2)]
+    a = _draw_complex(rng, PARAM_MOD)
+    bs = [_draw_complex(rng, PARAM_MOD) for _ in range(ORTHOGONALITY_N_MAX + 2)]
+    cs = [_draw_complex(rng, PARAM_MOD) for _ in range(ORTHOGONALITY_N_MAX + 2)]
     return a, bs, cs, Nome(q, p)
 
 

@@ -717,17 +717,6 @@ def pochhammer_frac(a, nome: Nome, n: int):
     return 1.0, _factors(a, nome, -n, offset=n)
 
 
-def pochhammer_multi(values: Sequence, nome: Nome, n: int,
-                     min_factor: float | None = None):
-    """Condensed notation (a_1, ..., a_m; q, p)_n, the product over the list."""
-    if not values:
-        raise ValueError("pochhammer_multi requires a nonempty parameter list")
-    result = 1.0
-    for a in values:
-        result = result * pochhammer_e(a, nome, n, min_factor=min_factor)
-    return result
-
-
 def pochhammer_partition(a, nome: Nome, x, parts: Sequence[int]):
     """Partition-indexed shifted factorial prod_i (a x^{1-i}; q, p)_{lam_i}.
 

@@ -25,7 +25,7 @@ from .kernel import (
     pochhammer_e,
     pochhammer_partition,
 )
-from .sampling import _draw_complex
+from .sampling import PARAM_MOD, _draw_complex
 from .series import _summed
 from .suites import Check, _rel, _sides_rel
 
@@ -288,7 +288,7 @@ def omega87_sides(pt: CnPoint):
 def _draw_cn(n, n_cap, rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     N = rng.integers(0, n_cap + 1)
-    a, b, c, d = (_draw_complex(rng, region.param_mod) for _ in range(4))
+    a, b, c, d = (_draw_complex(rng, PARAM_MOD) for _ in range(4))
     e = a * a * q ** (N - n + 2) / (b * c * d)
     xs = tuple(_draw_complex(rng, (0.8, 1.25)) for _ in range(n))
     return (CnPoint(Nome(q, p), n, N, xs, a=a, b=b, c=c, d=d, e=e),)
@@ -332,7 +332,7 @@ def _draw_partition_point(free, solve, n, n_cap, rng, region):
     q, p = _draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod)
     N = rng.integers(0, n_cap + 1)
     x = _draw_complex(rng, (0.75, 0.95))
-    letters = [_draw_complex(rng, region.param_mod) for _ in range(free)]
+    letters = [_draw_complex(rng, PARAM_MOD) for _ in range(free)]
     letters.append(solve(q, N, x, n, *letters))
     return (CnPoint(Nome(q, p), n, N, x, **dict(zip("abcdefg", letters))),)
 

@@ -35,11 +35,14 @@ TINY = 1e-300
 
 
 class SamplingRegion(NamedTuple):
-    """Moduli bounds for the random parameter draws (phases are uniform)."""
+    """Moduli bounds of the random draws of the bases (phases are uniform)."""
 
     q_mod: tuple = (0.3, 0.8)
     p_mod: tuple = (0.05, 0.3)
-    param_mod: tuple = (0.5, 2.0)
+
+
+# Moduli bounds of every parameter draw, in every region.
+PARAM_MOD = (0.5, 2.0)
 
 
 DEFAULT_REGION = SamplingRegion()

@@ -38,6 +38,7 @@ from .kernel import EMemo, Nome, binom2, eval_E, pochhammer_e, theta1
 from .report import VerificationReport, args_dump
 from .sampling import (
     DEFAULT_REGION,
+    PARAM_MOD,
     SamplingRegion,
     _draw_complex,
     _map_units,
@@ -122,7 +123,7 @@ def run_checks(checks, trials: int, seed: int = 1,
 def _draw_kernel(int_ranges, rng, region):
     # Every kernel check draws q, p, x, a, used or not, then its integers.
     return (_draw_complex(rng, region.q_mod), _draw_complex(rng, region.p_mod),
-            _draw_complex(rng, region.param_mod), _draw_complex(rng, region.param_mod),
+            _draw_complex(rng, PARAM_MOD), _draw_complex(rng, PARAM_MOD),
             *(rng.integers(lo, hi) for lo, hi in int_ranges))
 
 

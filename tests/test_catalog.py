@@ -11,8 +11,6 @@ import pytest
 from ellipsum import Nome, catalog, kernel, sampling, wide
 from ellipsum.catalog import (
     ParamPoint,
-    _eight_term,
-    _pt_unpack,
     check_identity,
     get_identity,
     list_identities,
@@ -26,10 +24,11 @@ from ellipsum.sampling import (
 )
 from ellipsum.errors import DegenerateParameters
 from ellipsum.report import VerificationReport, point_dump
-from ellipsum.series import OmegaSpec, balance_residual
+from ellipsum.series import Side, _eprefactor
 from ellipsum.stream import PhiloxStream, _pool, _seed_key
 from ellipsum.suites import Check, run_checks, run_kernel_suite
 
+from closure_sides import CLOSURES, _eight_term, _pt_unpack
 from conftest import bits, gauge_pair_errors, rel_err, sample_point, to_wide, workdps
 from oracles import classical_w_sum
 
@@ -72,12 +71,12 @@ class TestRegistry:
 
 class TestSampling:
     def test_solved_constraint_residual(self):
+        # the balancing condition (b c d e q^-n)^2 = a^4 q^2 of e87's series
         ident = get_identity("e87")
         pt = sample_point(ident, seed=5)
-        v = pt.values
-        spec = OmegaSpec(v["a"], (v["b"], v["c"], v["d"], v["e"]), pt.nome,
-                         pt.n)
-        assert balance_residual(spec) <= 1e-12
+        v, q = pt.values, pt.nome.q
+        uppers = v["b"] * v["c"] * v["d"] * v["e"] * q ** -pt.n
+        assert rel_err(uppers ** 2, v["a"] ** 4 * q ** 2) <= 1e-12
 
     def test_same_seed_identical_point(self):
         ident = get_identity("e109")
@@ -307,12 +306,12 @@ def test_eprefactor_first_term_is_exactly_one():
     # E(a1) / E(a1) rounds away from 1 for some binary64 a1
     state = random.Random(20261023)
     draw = lambda lo, hi: cmath.rect(state.uniform(lo, hi), state.uniform(0.0, 2.0 * math.pi))
-    firsts = [catalog._eprefactor(draw(0.5, 2.0), 3, draw(0.3, 0.9), draw(0.05, 0.3))(0)
-              for _ in range(200)]
+    firsts = [_eprefactor(((draw(0.5, 2.0), draw(0.3, 0.9), 3),) * entries, draw(0.05, 0.3))(0)
+              for _ in range(100) for entries in (1, 2)]
     assert all(type(t) is complex and t == 1 for t in firsts)
     with workdps(50):
         a1, q, p = (to_wide(mpmath.mpc(z)) for z in (0.7 + 0.3j, 0.5 - 0.2j, 0.2j))
-        first = catalog._eprefactor(a1, 4, q, p)(0)
+        first = _eprefactor(((a1, q, 4),), p)(0)
     assert isinstance(first, wide.mpc) and first == 1
 
 
@@ -571,6 +570,38 @@ class TestSigmaBookkeeping:
             direct, _ = ident.rhs(pt)
             sigma = cor_etrafo3_fa_sigma_rhs(pt)
             assert rel_err(direct, sigma) <= 1e-9
+
+
+class TestSidesAreData:
+    """Every side is a spec, and each spec agrees with the hand-written
+    closure it replaced (``closure_sides``) at trial 0's point of seeds 1, 2
+    and 7919, to the rounding of its precision times the side's scale.  A
+    scale only normalizes errors, and gr_sum_general's closure rounds its
+    scale to binary64, so scales agree to binary64 rounding in both."""
+
+    def test_every_side_is_a_spec(self):
+        assert all(isinstance(side, Side) for ident in list_identities()
+                   for side in (ident.lhs, ident.rhs))
+        assert sorted(CLOSURES) == sorted(ALL_IDS)
+
+    @pytest.mark.parametrize("precision, bound", [("double", 1e-13), ("extended", 1e-45)])
+    def test_specs_match_the_closures(self, precision, bound):
+        apart = []
+        for ident in list_identities():
+            for seed in (1, 2, 7919):
+                pt = sample_point(ident, seed)
+                with wide.workdps(catalog.EXTENDED_DPS):
+                    work = catalog._extend_point(ident, pt) if precision == "extended" else pt
+                    for name, side, closure in zip(("lhs", "rhs"), (ident.lhs, ident.rhs),
+                                                   CLOSURES[ident.id]):
+                        with kernel.EMemo():
+                            value, scale = side(work)
+                        with kernel.EMemo():
+                            want, want_scale = closure(work)
+                        if not (abs(value - want) <= bound * want_scale
+                                and abs(scale - want_scale) <= 1e-13 * want_scale):
+                            apart.append((ident.id, name, seed))
+        assert apart == []
 
 
 class TestTransformPairs:

@@ -17,12 +17,12 @@ from ellipsum import (
     TruncationLimit,
     eval_E,
     pochhammer_e,
-    pochhammer_multi,
     pochhammer_partition,
     theta1,
 )
 from ellipsum import kernel, suites, wide
-from ellipsum.series import vwp_terms
+from ellipsum.catalog import ParamPoint
+from ellipsum.series import Product, Side, Term, vwp_terms
 from ellipsum.kernel import DELTA_DEGEN, binom2, pochhammer_frac
 
 from conftest import bits, rel_err, to_mp, to_wide, workdps
@@ -657,13 +657,19 @@ class TestPochhammer:
         num, den = pochhammer_frac(nome.q, nome, -1)
         assert num == 1.0 and den == 0.0
 
+    # (a_1, ..., a_m; q, p)_n as a product spec over the letters a_i
+    @staticmethod
+    def multi(values: dict, nome: Nome, n: int):
+        side = Side(Term((Product(tuple(values), (), "q", "n"),)))
+        return side(ParamPoint(nome, values, n))[0]
+
     def test_multi_singleton(self, rnd):
         nome = Nome(rnd(0.3, 0.8), rnd(0.05, 0.3))
         a = rnd()
-        assert pochhammer_multi([a], nome, 3) == pochhammer_e(a, nome, 3)
+        assert rel_err(self.multi({"a": a}, nome, 3), pochhammer_e(a, nome, 3)) <= 1e-15
 
     def test_multi_classical_pair(self):
-        assert pochhammer_multi([2.0, 3.0], Nome(0.5, 0.0), 1) == 2.0
+        assert self.multi({"a": 2.0, "b": 3.0}, Nome(0.5, 0.0), 1) == 2.0
 
     def test_multi_matches_flat_product(self, rnd):
         q, p = rnd(0.3, 0.8), rnd(0.05, 0.3)
@@ -672,12 +678,8 @@ class TestPochhammer:
         for a in (a1, a2):
             for k in range(3):
                 expected *= truncated_product_E(a * q ** k, p)
-        got = pochhammer_multi([a1, a2], Nome(q, p), 3)
+        got = self.multi({"a": a1, "b": a2}, Nome(q, p), 3)
         assert rel_err(got, expected) <= 1e-12
-
-    def test_multi_requires_parameters(self):
-        with pytest.raises(ValueError):
-            pochhammer_multi([], Nome(0.5, 0.1), 1)
 
     @given(st.integers(min_value=-4, max_value=6))
     @settings(max_examples=60, deadline=None)

@@ -66,7 +66,12 @@ def test_memo_on_and_off_give_equal_reports(args, monkeypatch, tmp_path, capsys)
     _use_memo(monkeypatch, contextlib.nullcontext)
     without = _run(args, tmp_path, capsys)
     assert with_memo == without
-    assert sum(hits) > 0
+    if args == RUNS["catalog-extended"]:
+        # no side of the extended catalog repeats an E argument, so no scope
+        # hits; each side of each draw still runs in its own scope
+        assert len(hits) >= 2 * len(catalog.list_identities())
+    else:
+        assert sum(hits) > 0
 
 
 class TestScope:

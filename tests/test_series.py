@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellipsum import BalanceViolation, DegenerateParameters, Nome, wide
+from ellipsum import DegenerateParameters, Nome, wide
+from ellipsum.catalog import ParamPoint
 from ellipsum.kernel import eval_E
 from ellipsum.series import (
-    OmegaSpec,
+    Omega,
+    Side,
+    Term,
+    _monomial,
     _summed,
-    balance_residual,
-    eval_omega,
+    _times,
     omega_sum,
     omega_terms,
     vwp_sum,
@@ -23,27 +26,42 @@ from oracles import classical_pochhammer, classical_w_sum, truncated_product_E
 # value below, terminating at n = 2 with q = 0.5, p = 0.1.
 E_STAR = 0.1317615691736825
 
+# The terminating Jackson series over the letters of a point.
+JACKSON = Side(Term(series=Omega("a", ("b", "c", "d", "e", "q^-n"), "q", "n")))
 
-def jackson_spec(rnd, n=3):
-    q, p = rnd(0.3, 0.8), rnd(0.05, 0.3)
+
+def jackson_point(rnd, n=3, p=None):
+    """A point of JACKSON with e solved from the balancing condition."""
+    q, p = rnd(0.3, 0.8), rnd(0.05, 0.3) if p is None else p
     a, b, c, d = rnd(), rnd(), rnd(), rnd()
     e = a * a * q ** (n + 1) / (b * c * d)
-    return OmegaSpec(a, (b, c, d, e), Nome(q, p), n)
+    return ParamPoint(Nome(q, p), {"a": a, "b": b, "c": c, "d": d, "e": e}, n)
+
+
+def uppers_of(pt):
+    v = pt.values
+    return (v["b"], v["c"], v["d"], v["e"], pt.nome.q ** -pt.n)
+
+
+def imbalance(omega: Omega) -> tuple:
+    """The exponent vector of (a4 ... a_{r+1})^2 / (a1^{r-3} B^{r-5}), r the
+    number of uppers plus 2: empty exactly when the series is balanced."""
+    r = len(omega.uppers) + 2
+    return _times(*((_monomial(u), 2) for u in omega.uppers),
+                  (_monomial(omega.point), 3 - r), (_monomial(omega.base), 5 - r))
 
 
 class TestOmega:
     def test_zero_termination_is_one(self, rnd):
-        spec = jackson_spec(rnd, n=0)
-        assert eval_omega(spec) == 1.0
+        value, scale = JACKSON(jackson_point(rnd, n=0))
+        assert value == 1.0 and scale == 1.0
 
     def test_classical_jackson_sum(self, rnd):
         # p = 0 with the product constraint: closed form of the classical sum.
-        q = rnd(0.3, 0.8)
-        a, b, c, d = rnd(), rnd(), rnd(), rnd()
         n = 4
-        e = a * a * q ** (n + 1) / (b * c * d)
-        spec = OmegaSpec(a, (b, c, d, e), Nome(q, 0.0), n)
-        got = eval_omega(spec)
+        pt = jackson_point(rnd, n, p=0.0)
+        q, (a, b, c, d) = pt.nome.q, (pt.values[k] for k in "abcd")
+        got, _ = JACKSON(pt)
         want = 1.0
         for u in (a * q, a * q / (b * c), a * q / (b * d), a * q / (c * d)):
             want *= classical_pochhammer(u, q, n)
@@ -60,8 +78,10 @@ class TestOmega:
         q, p, n = 0.5, 0.1, 2
         a1 = 0.2
         uppers = (0.3, 0.4, root_sign * E_STAR, q ** (-n))
-        spec = OmegaSpec(a1, uppers[:-1], Nome(q, p), n)
-        assert balance_residual(spec) <= 1e-12
+        prod = uppers[0] * uppers[1] * uppers[2] * uppers[3]
+        assert rel_err(prod * prod, a1 ** 3 * q) <= 1e-12
+        side = Side(Term(series=Omega("a", ("b", "c", "d", "q^-n"), "q", "n")))
+        pt = ParamPoint(Nome(q, p), dict(zip("abcd", (a1, *uppers[:3]))), n)
         E = lambda z: truncated_product_E(z, p)
         want = 0.0
         scale = 0.0
@@ -76,76 +96,79 @@ class TestOmega:
                     term /= E(a1 * q / u * q ** j)
             want += term
             scale = max(scale, abs(term))
-        assert abs(eval_omega(spec) - want) <= 1e-13 * scale
+        assert abs(side(pt)[0] - want) <= 1e-13 * scale
 
     def test_p_to_zero_matches_classical_evaluator(self, rnd):
         for _ in range(100):
-            q = rnd(0.3, 0.8)
-            a, b, c, d = rnd(), rnd(), rnd(), rnd()
-            n = 3
-            e = a * a * q ** (n + 1) / (b * c * d)
-            spec = OmegaSpec(a, (b, c, d, e), Nome(q, 0.0), n)
-            want = classical_w_sum(a, (b, c, d, e, q ** (-n)), q, n)
-            assert rel_err(eval_omega(spec), want) <= 1e-12
+            pt = jackson_point(rnd, 3, p=0.0)
+            want = classical_w_sum(pt.values["a"], uppers_of(pt), pt.nome.q, 3)
+            assert rel_err(JACKSON(pt)[0], want) <= 1e-12
 
     def test_term_ratio_matches_explicit_factors(self, rnd):
         # Guards index bookkeeping: summand ratios rebuilt from single E calls.
-        spec = jackson_spec(rnd, n=5)
-        q, p = spec.nome.q, spec.nome.p
-        uppers = spec.full_upper()
-        terms = omega_terms(spec.a1, uppers, spec.nome, spec.n_term)
+        pt = jackson_point(rnd, n=5)
+        a1, (q, p), uppers = pt.values["a"], pt.nome, uppers_of(pt)
+        terms = omega_terms(a1, uppers, pt.nome, pt.n)
         for k in range(1, len(terms)):
-            ratio = eval_E(spec.a1 * q ** (2 * k), p) / \
-                eval_E(spec.a1 * q ** (2 * k - 2), p) * q
-            ratio *= eval_E(spec.a1 * q ** (k - 1), p)
+            ratio = eval_E(a1 * q ** (2 * k), p) / eval_E(a1 * q ** (2 * k - 2), p) * q
+            ratio *= eval_E(a1 * q ** (k - 1), p)
             for u in uppers:
                 ratio *= eval_E(u * q ** (k - 1), p)
             ratio /= eval_E(q ** k, p)
             for u in uppers:
-                ratio /= eval_E(spec.a1 * q ** k / u, p)
+                ratio /= eval_E(a1 * q ** k / u, p)
             assert rel_err(terms[k] / terms[k - 1], ratio) <= 1e-11
 
     def test_degenerate_denominator_reports_position(self):
-        # Force a1 q / a4 = q so the k = 1 denominator factor E(q * q^0 ...)
-        # collides with a kernel zero only when it lands on 1; use a4 = a1.
-        q, p = 0.5, 0.1
-        a1 = 0.3
-        spec = OmegaSpec(a1, (a1 * q, 0.4, 0.7, 1.1), Nome(q, p), 2)
-        with pytest.raises((DegenerateParameters, BalanceViolation)):
-            eval_omega(spec)
+        # The upper a q makes the lower a q / (a q) exactly 1 on exponents,
+        # so the k = 1 denominator factor is E(1) = 0: a pole, raised.
+        side = Side(Term(series=Omega("a", ("a q", "b", "c", "d", "q^-n"), "q", "n")))
+        pt = ParamPoint(Nome(0.5, 0.1), {"a": 0.3, "b": 0.4, "c": 0.7, "d": 1.1}, 2)
+        with pytest.raises(DegenerateParameters, match="^denominator factor"):
+            side(pt)
 
-    def test_strict_balance_raises(self, rnd):
-        spec = jackson_spec(rnd, n=2)
-        bad = OmegaSpec(spec.a1, tuple(1.1 * u for u in spec.upper),
-                        spec.nome, spec.n_term)
-        with pytest.raises(BalanceViolation):
-            eval_omega(bad)
+    def test_spec_matches_omega_sum(self, rnd):
+        # the lowers on exponents round apart from a1 q / u in arithmetic
+        for n in range(6):
+            pt = jackson_point(rnd, n)
+            value, scale = JACKSON(pt)
+            want, want_scale = omega_sum(pt.values["a"], uppers_of(pt), pt.nome, n)
+            assert abs(value - want) <= 1e-14 * want_scale
+            assert rel_err(scale, want_scale) <= 1e-14
 
 
 class TestBalanceResidual:
-    def test_jackson_point_is_exact(self, rnd):
-        assert balance_residual(jackson_spec(rnd)) <= 1e-12
+    """Balancing, (a4 ... a_{r+1})^2 = a1^{r-3} q^{r-5}, is exact arithmetic
+    on the exponents of a spec."""
 
-    def test_perturbation_detected(self, rnd):
-        spec = jackson_spec(rnd)
-        bad = OmegaSpec(spec.a1, (spec.upper[0] * 1.1,) + spec.upper[1:],
-                        spec.nome, spec.n_term)
-        assert balance_residual(bad) > 1e-3
+    def test_jackson_point_is_exact(self):
+        assert imbalance(Omega("a", ("b", "c", "d", "a^2 q^(n+1)/b c d", "q^-n"), "q", "n")) == ()
 
-    def test_ten_term_constraint_point(self, rnd):
-        q, p = rnd(0.3, 0.8), rnd(0.05, 0.3)
-        a, b, c, d, e, f = (rnd() for _ in range(6))
-        n = 3
-        g = a ** 3 * q ** (n + 2) / (b * c * d * e * f)
-        spec = OmegaSpec(a, (b, c, d, e, f, g), Nome(q, p), n)
-        assert balance_residual(spec) <= 1e-12
+    def test_perturbation_detected(self):
+        bad = Omega("a", ("b q", "c", "d", "a^2 q^(n+1)/b c d", "q^-n"), "q", "n")
+        assert imbalance(bad) == (("q", 2, 0),)
+
+    def test_ten_term_constraint_point(self):
+        g = "a^3 q^(n+2)/b c d e f"
+        assert imbalance(Omega("a", ("b", "c", "d", "e", "f", g, "q^-n"), "q", "n")) == ()
+        # in the base q^2, as the quadratic transformation's right side is
+        omega = Omega("a", ("b", "c", "d", "e", "f", "a^3 q^(2n+4)/b c d e f", "q^-2n"),
+                      "q^2", "n")
+        assert imbalance(omega) == ()
+
+    def test_monomial_text(self):
+        assert _monomial("a^2 q^(2n+1)/b c") == (("a", 2, 0), ("b", -1, 0), ("c", -1, 0),
+                                                 ("q", 1, 2))
+        assert _monomial("1/b") == (("b", -1, 0),)
+        assert _monomial("q^(1-n) q^-n/q") == (("q", 0, -2),)
+        assert _monomial("a/a") == ()
 
 
 class TestOmegaSumScale:
     def test_scale_tracks_largest_term(self, rnd):
-        spec = jackson_spec(rnd, n=4)
-        value, scale = omega_sum(spec.a1, spec.full_upper(), spec.nome, 4)
-        terms = omega_terms(spec.a1, spec.full_upper(), spec.nome, 4)
+        pt = jackson_point(rnd, n=4)
+        value, scale = omega_sum(pt.values["a"], uppers_of(pt), pt.nome, 4)
+        terms = omega_terms(pt.values["a"], uppers_of(pt), pt.nome, 4)
         assert scale == max(abs(t) for t in terms)
         assert rel_err(value, sum(terms)) <= 1e-13
 
@@ -181,8 +204,8 @@ class TestEngine:
         assert rel_err(got_scale, scale) <= 1e-12
 
     def test_omega_first_term_is_exactly_one(self, rnd):
-        spec = jackson_spec(rnd, n=3)
-        terms = omega_terms(spec.a1, spec.full_upper(), spec.nome, 3)
+        pt = jackson_point(rnd, n=3)
+        terms = omega_terms(pt.values["a"], uppers_of(pt), pt.nome, 3)
         assert terms[0] == 1.0
 
 

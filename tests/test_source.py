@@ -119,7 +119,7 @@ RECORDS = {
     "catalog": ["ParamPoint", "Identity"],
     "report": ["VerificationReport"],
     "sampling": ["SamplingRegion"],
-    "series": ["OmegaSpec"],
+    "series": ["Product", "Series", "Omega", "Term"],
     "suites": ["Check"],
     "inversion": ["RStepPair", "RawRPair", "KrattenthalerPair"],
     "multivar": ["Partition", "CnPoint"],
